@@ -9,7 +9,10 @@ timings.csv with the wall-time decomposition of each run.
 At the default desk preset (scale_factor 0.02, 50 rounds) this takes a few
 minutes.  Use --rounds/--scale-factor to trade fidelity for time; the full
 configuration (250 rounds, scale_factor 1.0) reproduces the reference
-hyperparameters but needs hours.
+hyperparameters.  The benchmark's plain_nn_full workload times one
+full-scale plain NN round; extrapolated to 250 rounds, that one run takes
+about 0.5 h on 2 cores, and the script runs each of the four methods for
+each learner.
 """
 
 import argparse

@@ -7,7 +7,15 @@ bootstrapping.  Representation choices:
 
 - RNS: each polynomial is a (levels, N) uint64 array, one row per active
   prime, kept permanently in the NTT domain; rescaling transforms only the
-  row being dropped.
+  row being dropped.  A ciphertext keeps both components in one
+  (2, levels, N) array.
+- Batched kernels: one stacked ``PrimeField`` over the active primes works
+  on (..., L, N) arrays, so each numpy call covers every row and polynomial
+  an operation touches, not one row: an encryption transforms u, e0 and e1
+  in a single (3, L, N) NTT call.  Simulated clients share one GIL and every
+  numpy call is a point where it can change hands, so fewer, larger calls
+  matter more than their single-thread cost.  The butterflies use Shoup
+  twiddles (see ``ntt``).
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -87,7 +95,11 @@ class _Context:
         all_primes = generate_ntt_primes(params.modulus_bits, params.poly_degree)
         # the trailing prime is encryption headroom, never part of a ciphertext
         self.active_primes = all_primes[:-1]
-        self.fields = [PrimeField(q, params.poly_degree) for q in self.active_primes]
+        field = PrimeField(self.active_primes, params.poly_degree)
+        count = len(self.active_primes)
+        # level_fields[l]: primes 0..l; prime_fields[i]: prime i alone (views)
+        self.level_fields = [field.select(0, level + 1) for level in range(count)]
+        self.prime_fields = [field.select(i, i + 1) for i in range(count)]
         n = params.poly_degree
         t = np.arange(n)
         self.embed_fwd = np.exp(-1j * np.pi * t / n)  # encode: fft side
@@ -124,20 +136,34 @@ class PlainPoly:
 
 @dataclass
 class Ciphertext:
-    c0: np.ndarray  # (level+1, N) uint64, NTT domain
-    c1: np.ndarray
+    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, NTT domain
     level: int
     scale: float
     slot_fill: int
     params_hash: bytes
 
+    @property
+    def c0(self) -> np.ndarray:
+        return self.comps[0]
+
+    @property
+    def c1(self) -> np.ndarray:
+        return self.comps[1]
+
 
 @dataclass
 class KeyPair:
     secret: np.ndarray  # (levels, N) NTT rows of the ternary secret
-    public_b: np.ndarray
-    public_a: np.ndarray
+    public: np.ndarray  # (2, levels, N): b = -a*s + e, then a
     params_hash: bytes
+
+    @property
+    def public_b(self) -> np.ndarray:
+        return self.public[0]
+
+    @property
+    def public_a(self) -> np.ndarray:
+        return self.public[1]
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -151,16 +177,16 @@ def _sample_ternary(rng, n: int) -> np.ndarray:
 
 
 def _sample_cbd(rng, n: int) -> np.ndarray:
-    bits = rng.integers(0, 2, (2, _CBD_BITS, n), dtype=np.int64)
-    return bits[0].sum(axis=0) - bits[1].sum(axis=0)
+    # two (bits, n) draws consume the stream exactly as one (2, bits, n) draw
+    plus = rng.integers(0, 2, (_CBD_BITS, n), dtype=np.int64).sum(axis=0)
+    return plus - rng.integers(0, 2, (_CBD_BITS, n), dtype=np.int64).sum(axis=0)
 
 
 def _signed_to_rows(ctx: _Context, coeffs: np.ndarray, level: int) -> np.ndarray:
-    """Reduce one signed coefficient vector mod each active prime and NTT it."""
-    rows = np.empty((level + 1, ctx.params.poly_degree), dtype=np.uint64)
-    for i in range(level + 1):
-        rows[i] = ctx.fields[i].ntt(ctx.fields[i].reduce_signed(coeffs))
-    return rows
+    """Reduce signed coefficient vectors (..., N) mod each active prime and
+    NTT them all in one call: (..., level+1, N)."""
+    field = ctx.level_fields[level]
+    return field.ntt(field.reduce_signed(coeffs[..., None, :]))
 
 
 def keygen(params: CkksParams, rng) -> KeyPair:
@@ -170,15 +196,17 @@ def keygen(params: CkksParams, rng) -> KeyPair:
     rng = _as_rng(rng)
     n = params.poly_degree
     level = ctx.fresh_level
-    secret = _signed_to_rows(ctx, _sample_ternary(rng, n), level)
-    error = _signed_to_rows(ctx, _sample_cbd(rng, n), level)
+    field = ctx.level_fields[level]
+    # draw order: secret, error, then a prime by prime
+    s = _sample_ternary(rng, n)
+    e = _sample_cbd(rng, n)
+    secret, error = _signed_to_rows(ctx, np.stack((s, e)), level)
     # uniform randomness is uniform in either domain; sample a directly in NTT form
-    public_a = np.empty_like(secret)
-    public_b = np.empty_like(secret)
-    for i, field in enumerate(ctx.fields):
-        public_a[i] = rng.integers(0, field.q_int, n, dtype=np.uint64)
-        public_b[i] = field.sub(error[i], field.mul(public_a[i], secret[i]))
-    return KeyPair(secret, public_b, public_a, ctx.hash)
+    public = np.empty((2, level + 1, n), dtype=np.uint64)
+    for i, q in enumerate(ctx.active_primes):
+        public[1, i] = rng.integers(0, q, n, dtype=np.uint64)
+    public[0] = field.sub(error, field.mul(public[1], secret))
+    return KeyPair(secret, public, ctx.hash)
 
 
 def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
@@ -204,7 +232,7 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
     """Combine per-prime coefficient residues into centered integers (float64)."""
     primes = ctx.active_primes[: level + 1]
     if level == 0:
-        return ctx.fields[0].centered(residue_rows[0]).astype(np.float64)
+        return ctx.level_fields[0].centered(residue_rows)[0].astype(np.float64)
     modulus = math.prod(primes)
     acc = np.zeros(ctx.params.poly_degree, dtype=object)
     for i, q in enumerate(primes):
@@ -221,9 +249,7 @@ def decode(pt: PlainPoly, params: CkksParams | None = None) -> np.ndarray:
     ctx = _context(params) if params is not None else _ctx_of(pt)
     if pt.params_hash != ctx.hash:
         raise StateError("plaintext was produced under different parameters")
-    residues = np.empty_like(pt.rows)
-    for i in range(pt.level + 1):
-        residues[i] = ctx.fields[i].intt(pt.rows[i])
+    residues = ctx.level_fields[pt.level].intt(pt.rows)
     coeffs = _crt_centered(ctx, residues, pt.level)
     n = ctx.params.poly_degree
     slots = n * np.fft.ifft(coeffs * ctx.embed_inv)[: ctx.params.slot_count]
@@ -240,25 +266,23 @@ def encrypt(pt: PlainPoly, key: KeyPair, rng) -> Ciphertext:
         raise StateError("can only encrypt full-level plaintexts")
     n = ctx.params.poly_degree
     level = ctx.fresh_level
-    u = _signed_to_rows(ctx, _sample_ternary(rng, n), level)
-    e0 = _signed_to_rows(ctx, _sample_cbd(rng, n), level)
-    e1 = _signed_to_rows(ctx, _sample_cbd(rng, n), level)
-    c0 = np.empty_like(pt.rows)
-    c1 = np.empty_like(pt.rows)
-    for i, field in enumerate(ctx.fields):
-        c0[i] = field.add(field.add(field.mul(key.public_b[i], u[i]), e0[i]), pt.rows[i])
-        c1[i] = field.add(field.mul(key.public_a[i], u[i]), e1[i])
-    return Ciphertext(c0, c1, level, pt.scale, pt.slot_fill, pt.params_hash)
+    field = ctx.level_fields[level]
+    # draw order u, e0, e1; one NTT call transforms all three
+    u = _sample_ternary(rng, n)
+    e0 = _sample_cbd(rng, n)
+    e1 = _sample_cbd(rng, n)
+    noise = _signed_to_rows(ctx, np.stack((u, e0, e1)), level)
+    # (c0, c1) = (b*u + e0 + m, a*u + e1)
+    comps = field.add(field.mul(noise[0], key.public), noise[1:])
+    comps[0] = field.add(comps[0], pt.rows)
+    return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params_hash)
 
 
 def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params_hash != ct.params_hash:
         raise StateError("ciphertext/key parameter mismatch")
-    ctx = _ctx_of(ct)
-    rows = np.empty_like(ct.c0)
-    for i in range(ct.level + 1):
-        field = ctx.fields[i]
-        rows[i] = field.add(ct.c0[i], field.mul(ct.c1[i], key.secret[i]))
+    field = _ctx_of(ct).level_fields[ct.level]
+    rows = field.add(ct.c0, field.mul(ct.c1, key.secret[: ct.level + 1]))
     return PlainPoly(rows, ct.level, ct.scale, ct.slot_fill, ct.params_hash)
 
 
@@ -270,14 +294,8 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
         raise StateError(f"level mismatch: {a.level} vs {b.level}")
     if not math.isclose(a.scale, b.scale, rel_tol=1e-12):
         raise StateError(f"scale mismatch: {a.scale} vs {b.scale}")
-    ctx = _ctx_of(a)
-    c0 = np.empty_like(a.c0)
-    c1 = np.empty_like(a.c1)
-    for i in range(a.level + 1):
-        field = ctx.fields[i]
-        c0[i] = field.add(a.c0[i], b.c0[i])
-        c1[i] = field.add(a.c1[i], b.c1[i])
-    return Ciphertext(c0, c1, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params_hash)
+    comps = _ctx_of(a).level_fields[a.level].add(a.comps, b.comps)
+    return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params_hash)
 
 
 def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
@@ -291,33 +309,24 @@ def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
         raise DepthExhaustedError("no modulus level left for rescaling")
     q_last = ctx.active_primes[ct.level]
     coeff = round(float(scalar) * q_last)
-    c0 = np.empty_like(ct.c0)
-    c1 = np.empty_like(ct.c1)
-    for i in range(ct.level + 1):
-        field = ctx.fields[i]
-        m = field.reduce_signed(np.full(1, coeff, dtype=np.int64))[0]
-        # constant polynomials are constant in the NTT domain too
-        c0[i] = field.mul(ct.c0[i], m)
-        c1[i] = field.mul(ct.c1[i], m)
-    scaled = Ciphertext(c0, c1, ct.level, ct.scale * q_last, ct.slot_fill, ct.params_hash)
+    # constant polynomials are constant in the NTT domain too
+    comps = ctx.level_fields[ct.level].mul_const(ct.comps, [coeff] * (ct.level + 1))
+    scaled = Ciphertext(comps, ct.level, ct.scale * q_last, ct.slot_fill, ct.params_hash)
     return _rescale(ctx, scaled)
 
 
 def _rescale(ctx: _Context, ct: Ciphertext) -> Ciphertext:
-    """Drop the last active prime: c' = (c - [c]_q_last) / q_last per prime."""
+    """Drop the last active prime: c' = (c - [c]_q_last) / q_last per prime,
+    for both components at once."""
     level = ct.level
     q_last = ctx.active_primes[level]
-    last_field = ctx.fields[level]
-    out0 = np.empty((level, ctx.params.poly_degree), dtype=np.uint64)
-    out1 = np.empty_like(out0)
-    for comp_in, comp_out in ((ct.c0, out0), (ct.c1, out1)):
-        centered = last_field.centered(last_field.intt(comp_in[level]))
-        for i in range(level):
-            field = ctx.fields[i]
-            lifted = field.ntt(field.reduce_signed(centered))
-            inv_q = np.uint64(pow(q_last % field.q_int, field.q_int - 2, field.q_int))
-            comp_out[i] = field.mul(field.sub(comp_in[i], lifted), inv_q)
-    return Ciphertext(out0, out1, level - 1, ct.scale / q_last, ct.slot_fill, ct.params_hash)
+    last_field = ctx.prime_fields[level]
+    field = ctx.level_fields[level - 1]
+    centered = last_field.centered(last_field.intt(ct.comps[:, level : level + 1]))
+    lifted = field.ntt(field.reduce_signed(centered))
+    inv_q = [pow(q_last, -1, q) for q in field.primes]
+    comps = field.mul_const(field.sub(ct.comps[:, :level], lifted), inv_q)
+    return Ciphertext(comps, level - 1, ct.scale / q_last, ct.slot_fill, ct.params_hash)
 
 
 # -- update packing ----------------------------------------------------------
@@ -354,7 +363,7 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) < 65536:
         raise StateError("only power-of-two scales serialize")
     header = _HEADER.pack(ct.params_hash, ct.level, int(scale_log2), ct.slot_fill)
-    return header + ct.c0.astype("<u8").tobytes() + ct.c1.astype("<u8").tobytes()
+    return header + ct.comps.astype("<u8").tobytes()
 
 
 def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
@@ -371,10 +380,7 @@ def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
     if len(data) != expected:
         raise DecodeError(f"expected {expected} bytes, got {len(data)}")
     body = np.frombuffer(data, dtype="<u8", offset=_HEADER.size)
-    rows = body.reshape(2, level + 1, n).astype(np.uint64)
-    for i in range(level + 1):
-        if np.any(rows[:, i, :] >= ctx.fields[i].q):
-            raise DecodeError("coefficient outside its prime modulus")
-    return Ciphertext(
-        rows[0].copy(), rows[1].copy(), level, float(2**scale_log2), slot_fill, params_hash
-    )
+    comps = body.reshape(2, level + 1, n).astype(np.uint64)
+    if np.any(comps >= ctx.level_fields[level].q):
+        raise DecodeError("coefficient outside its prime modulus")
+    return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params_hash)

@@ -1,10 +1,19 @@
-"""Negacyclic NTT arithmetic modulo word-sized primes.
+"""Negacyclic NTT arithmetic modulo a stack of word-sized primes.
 
-Everything a leveled RLWE scheme needs from the ring Z_q[X]/(X^N + 1):
-vectorized Montgomery multiplication over uint64 numpy arrays, prime
-generation with q = 1 (mod 2N), and iterative forward/inverse transforms
-with bit-reversed twiddle tables.  Pointwise products of transformed
-polynomials realize negacyclic convolution.
+Everything a leveled RLWE scheme needs from the ring Z_q[X]/(X^N + 1) for
+an RNS chain of primes q_0..q_{L-1}: vectorized Montgomery multiplication
+over uint64 numpy arrays, prime generation with q = 1 (mod 2N), and
+iterative forward/inverse transforms with bit-reversed twiddle tables.
+Pointwise products of transformed polynomials realize negacyclic
+convolution.
+
+A ``PrimeField`` works on ``(..., L, N)`` arrays, one row per prime, so a
+single call transforms every row of every polynomial it is given: each
+numpy call covers the whole batch instead of one 8192-coefficient row.
+The butterflies multiply by their twiddles with Shoup's precomputed
+quotients (Harvey, "Faster arithmetic for number-theoretic transforms",
+2014) and keep values lazily reduced in [0, 4q) between stages; every
+reduction is ``np.minimum(r, r - k*q)``, which is exact while 4q < 2^64.
 """
 
 from __future__ import annotations
@@ -81,125 +90,286 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev.astype(np.int64)
 
 
+def _powers(base: int, q: int, count: int) -> np.ndarray:
+    out = [1] * count
+    for i in range(1, count):
+        out[i] = out[i - 1] * base % q
+    return np.array(out, dtype=np.uint64)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64).reshape(-1, 1)
+
+
 def _mulhi(a: np.ndarray, b) -> np.ndarray:
     """High 64 bits of the 128-bit product, via 32-bit limbs."""
     a_hi = a >> SHIFT32
     a_lo = a & MASK32
     b_hi = b >> SHIFT32
     b_lo = b & MASK32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    lo_hi = a_lo * b_hi
-    cross = (lo_lo >> SHIFT32) + (hi_lo & MASK32) + (lo_hi & MASK32)
-    return a_hi * b_hi + (hi_lo >> SHIFT32) + (lo_hi >> SHIFT32) + (cross >> SHIFT32)
+    # mid = a_lo*b_hi + (a_lo*b_lo >> 32) + (a_hi*b_lo mod 2^32) is at most
+    # (2^32-1)^2 + 2*(2^32-1) = 2^64-1, so it cannot wrap
+    mid = a_lo * b_lo
+    mid >>= SHIFT32
+    cross = a_lo * b_hi
+    mid += cross
+    np.multiply(a_hi, b_lo, out=cross)
+    hi = a_hi * b_hi
+    mid += cross & MASK32
+    cross >>= SHIFT32
+    hi += cross
+    mid >>= SHIFT32
+    hi += mid
+    return hi
+
+
+class _ShoupTable:
+    """Multipliers w, one row per prime, with their Shoup quotients
+    floor(w * 2^64 / q) split into 32-bit limbs once, at build time."""
+
+    def __init__(self, w: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray):
+        self.w, self.w_hi, self.w_lo = w, w_hi, w_lo
+
+    def rows(self, sel: slice) -> "_ShoupTable":
+        return _ShoupTable(self.w[sel], self.w_hi[sel], self.w_lo[sel])
+
+    def bcast(self, cols=slice(None)):
+        """(w, w_hi, w_lo) for columns ``cols``, shaped (L, k, 1) to broadcast
+        over (batch, L, k, t) butterfly halves."""
+        return self.w[:, cols, None], self.w_hi[:, cols, None], self.w_lo[:, cols, None]
+
+
+def _shoup_mul(y, w, w_hi, w_lo, q, two_q, out, t1, t2, t3):
+    """out = y*w mod q in [0, 2q) for any uint64 y; out may alias y or t1.
+
+    The quotient estimate drops the carry out of the low limb products, so
+    it is at most 2 below floor(y * w' / 2^64) and y*w - est*q lies in
+    [0, 4q); one conditional subtraction of 2q brings it to [0, 2q).
+    """
+    np.bitwise_and(y, MASK32, out=t1)
+    np.right_shift(y, SHIFT32, out=t2)
+    np.multiply(t2, w_hi, out=t3)
+    np.multiply(t2, w_lo, out=t2)
+    np.right_shift(t2, SHIFT32, out=t2)
+    np.add(t3, t2, out=t3)
+    np.multiply(t1, w_hi, out=t1)
+    np.right_shift(t1, SHIFT32, out=t1)
+    np.add(t3, t1, out=t3)
+    np.multiply(t3, q, out=t3)
+    np.multiply(y, w, out=out)
+    np.subtract(out, t3, out=out)
+    np.subtract(out, two_q, out=t3)
+    np.minimum(out, t3, out=out)
 
 
 class PrimeField:
-    """Vectorized arithmetic mod one NTT prime q < 2^62.
+    """Vectorized arithmetic modulo a stack of L NTT primes, each < 2^62.
 
-    Montgomery reduction with R = 2^64 keeps every intermediate inside
-    uint64; twiddle tables are stored in Montgomery form so a butterfly
-    costs a single reduction.
+    Arrays are ``(..., L, N)`` with row i reduced mod prime i; the moduli
+    are ``(L, 1)`` columns so they broadcast over the batch axes.  A field
+    built from a single prime also accepts plain 1-D vectors.  General
+    products use Montgomery reduction with R = 2^64; transforms and
+    products by fixed constants use Shoup multiplication.
     """
 
-    def __init__(self, q: int, poly_degree: int):
-        if not is_prime(q) or q % (2 * poly_degree) != 1:
-            raise ValueError(f"{q} is not an NTT prime for degree {poly_degree}")
-        if q >= 1 << 62:
-            raise ValueError("prime too large for this reduction")
-        self.q_int = q
-        self.n = poly_degree
-        self.q = np.uint64(q)
-        self.qinv = np.uint64((-pow(q, -1, 1 << 64)) % (1 << 64))
-        r2 = (1 << 128) % q
-        self.r2 = np.uint64(r2)
-
-        psi = _find_psi(q, poly_degree)
-        ipsi = pow(psi, q - 2, q)
-        powers = [1] * poly_degree
-        ipowers = [1] * poly_degree
-        for i in range(1, poly_degree):
-            powers[i] = powers[i - 1] * psi % q
-            ipowers[i] = ipowers[i - 1] * ipsi % q
+    def __init__(self, q, poly_degree: int):
+        """``q`` is one prime or a sequence of primes (the rows, in order)."""
+        primes = (int(q),) if np.ndim(q) == 0 else tuple(int(p) for p in q)
+        for p in primes:
+            if not is_prime(p) or p % (2 * poly_degree) != 1:
+                raise ValueError(f"{p} is not an NTT prime for degree {poly_degree}")
+            if p >= 1 << 62:
+                raise ValueError("prime too large for this reduction")
+        self._set_moduli(primes, poly_degree)
         brv = _bit_reverse_indices(poly_degree)
-        self.psi_brv = self.to_mont(np.array(powers, dtype=np.uint64)[brv])
-        self.ipsi_brv = self.to_mont(np.array(ipowers, dtype=np.uint64)[brv])
-        self.n_inv_mont = self.to_mont(
-            np.array([pow(poly_degree, q - 2, q)], dtype=np.uint64)
-        )[0]
+        fwd, inv, n_inv, last = [], [], [], []
+        for p in primes:
+            psi = _find_psi(p, poly_degree)
+            ipsi = pow(psi, p - 2, p)
+            fwd.append(_powers(psi, p, poly_degree)[brv])
+            inv.append(_powers(ipsi, p, poly_degree)[brv])
+            n_inv.append(pow(poly_degree, p - 2, p))
+            # the last inverse stage's twiddle, ipsi_brv[1] = ipsi^(n/2), times 1/n
+            last.append(pow(ipsi, poly_degree // 2, p) * n_inv[-1] % p)
+        self._fwd = self._shoup_table(fwd)
+        self._inv = self._shoup_table(inv)
+        self._n_inv = self._shoup_table(_column(n_inv))
+        self._last_inv = self._shoup_table(_column(last))
 
-    # -- scalar/array helpers ------------------------------------------------
+    def _set_moduli(self, primes, poly_degree):
+        self.primes = primes
+        self.n = poly_degree
+        self.q = _column(primes)
+        self.two_q = self.q << np.uint64(1)
+        self.half_q = self.q >> np.uint64(1)
+        self.q_signed = self.q.astype(np.int64)
+        self.qinv = _column([(-pow(p, -1, 1 << 64)) % (1 << 64) for p in primes])
+        self.r2 = _column([(1 << 128) % p for p in primes])
+
+    def _shoup_table(self, w) -> _ShoupTable:
+        w = np.asarray(w, dtype=np.uint64)
+        # w*2^64 = quot*q + (w*2^64 mod q), and -qinv = q^-1 mod 2^64, so the
+        # exact quotient is (w*2^64 mod q) * qinv mod 2^64
+        quot = self.to_mont(w) * self.qinv
+        return _ShoupTable(w, quot >> SHIFT32, quot & MASK32)
+
+    def select(self, start: int, stop: int) -> "PrimeField":
+        """The field of primes ``start..stop-1``; its tables are views."""
+        if not 0 <= start < stop <= len(self.primes):
+            raise ValueError(f"field has {len(self.primes)} primes, asked for {start}:{stop}")
+        sel = slice(start, stop)
+        sub = object.__new__(PrimeField)
+        sub._set_moduli(self.primes[sel], self.n)
+        for name in ("_fwd", "_inv", "_n_inv", "_last_inv"):
+            setattr(sub, name, getattr(self, name).rows(sel))
+        return sub
+
+    @property
+    def q_int(self) -> int:
+        if len(self.primes) != 1:
+            raise ValueError("q_int is defined for a single-prime field only")
+        return self.primes[0]
+
+    def _rows(self, a):
+        """(array, flat): lift a 1-D vector of a one-prime field to one row."""
+        flat = np.ndim(a) == 1 and len(self.primes) == 1
+        return (a[None] if flat else a), flat
+
+    # -- elementwise arithmetic ---------------------------------------------
 
     def montmul(self, a, b):
+        """a*b/2^64 mod q for a < q and any uint64 b, on (..., L, K) arrays."""
         t_lo = a * b
         t_hi = _mulhi(a, b)
-        m = t_lo * self.qinv
-        mq_hi = _mulhi(m, self.q)
-        r = t_hi + mq_hi + (t_lo != 0).astype(np.uint64)
-        return np.where(r >= self.q, r - self.q, r)
+        carry = t_lo != 0
+        t_lo *= self.qinv  # m = t*(-q^-1) mod 2^64
+        r = _mulhi(t_lo, self.q)
+        r += t_hi
+        r += carry
+        np.subtract(r, self.q, out=t_hi)
+        return np.minimum(r, t_hi, out=r)
 
     def to_mont(self, a):
         return self.montmul(a, self.r2)
 
     def mul(self, a, b):
         """Generic product a*b mod q (both plain representation)."""
-        return self.montmul(self.to_mont(a), b)
+        a, flat = self._rows(np.asarray(a))
+        out = self.montmul(self.to_mont(a), b)
+        return out[0] if flat else out
+
+    def mul_const(self, a, consts) -> np.ndarray:
+        """a * consts[i] mod q_i along the prime axis; consts are Python ints."""
+        table = self._shoup_table(_column([c % q for c, q in zip(consts, self.primes)]))
+        out = np.array(a, dtype=np.uint64)
+        t1, t2, t3 = (np.empty_like(out) for _ in range(3))
+        _shoup_mul(out, table.w, table.w_hi, table.w_lo, self.q, self.two_q, out, t1, t2, t3)
+        return np.minimum(out, np.subtract(out, self.q, out=t1), out=out)
 
     def add(self, a, b):
-        s = a + b
-        return np.where(s >= self.q, s - self.q, s)
+        s = np.add(a, b)
+        return np.minimum(s, s - self.q, out=s)
 
     def sub(self, a, b):
-        return np.where(a >= b, a - b, a + self.q - b)
-
-    def neg(self, a):
-        return np.where(a == 0, a, self.q - a)
+        d = np.subtract(a, b)
+        return np.minimum(d, d + self.q, out=d)
 
     def reduce_signed(self, a: np.ndarray) -> np.ndarray:
-        """Map int64 values (any sign) into [0, q)."""
-        return (np.asarray(a, dtype=np.int64) % self.q_int).astype(np.uint64)
+        """Map int64 values (any sign) into [0, q), row i mod prime i."""
+        a, flat = self._rows(np.asarray(a, dtype=np.int64))
+        out = (a % self.q_signed).view(np.uint64)
+        return out[0] if flat else out
 
     def centered(self, a: np.ndarray) -> np.ndarray:
         """Map residues to the centered representative in (-q/2, q/2] as int64."""
-        a = np.asarray(a, dtype=np.uint64)
-        high = a > self.q // np.uint64(2)
+        a, flat = self._rows(np.asarray(a, dtype=np.uint64))
         out = a.astype(np.int64)
-        out[high] -= np.int64(self.q_int)
-        return out
+        out -= (a > self.half_q) * self.q_signed
+        return out[0] if flat else out
 
     # -- transforms ------------------------------------------------------------
 
+    def _scratch(self, a: np.ndarray):
+        """Batch view of ``a`` and three half-size scratch buffers; the first
+        two are contiguous, so they also serve as one full-size buffer."""
+        self._check_shape(a)
+        half = a.size // 2
+        scratch = np.empty(3 * half, dtype=np.uint64)
+        return (
+            a.reshape(-1, len(self.primes), self.n),
+            [scratch[k * half : (k + 1) * half] for k in range(3)],
+            scratch[: a.size].reshape(a.shape),
+        )
+
     def ntt(self, a: np.ndarray) -> np.ndarray:
         """Forward negacyclic transform (Cooley-Tukey, twiddles bit-reversed)."""
-        a = np.array(a, dtype=np.uint64)
+        a, flat = self._rows(np.array(a, dtype=np.uint64))
+        batch, halves, full = self._scratch(a)
+        q = self.q[:, :, None]
+        two_q = self.two_q[:, :, None]
+        tab = self._fwd
         n = self.n
         t = n
         m = 1
         while m < n:
             t //= 2
-            view = a.reshape(m, 2, t)
-            w = self.psi_brv[m : 2 * m].reshape(m, 1)
-            x = view[:, 0, :].copy()
-            y = self.montmul(view[:, 1, :], w)
-            view[:, 0, :] = self.add(x, y)
-            view[:, 1, :] = self.sub(x, y)
+            view = batch.reshape(batch.shape[0], batch.shape[1], m, 2, t)
+            x = view[:, :, :, 0, :]
+            y = view[:, :, :, 1, :]
+            s1, s2, s3 = (buf.reshape(x.shape) for buf in halves)
+            # x in [0, 4q) -> [0, 2q); y*w in [0, 2q); outputs back in [0, 4q)
+            np.subtract(x, two_q, out=s1)
+            np.minimum(x, s1, out=x)
+            _shoup_mul(y, *tab.bcast(slice(m, 2 * m)), q, two_q, y, s1, s2, s3)
+            np.subtract(x, y, out=s1)
+            np.add(x, y, out=x)
+            np.add(s1, two_q, out=y)
             m *= 2
-        return a
+        np.subtract(a, self.two_q, out=full)
+        np.minimum(a, full, out=a)
+        np.subtract(a, self.q, out=full)
+        np.minimum(a, full, out=a)
+        return a[0] if flat else a
 
     def intt(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transform (Gentleman-Sande), including the 1/n factor."""
-        a = np.array(a, dtype=np.uint64)
-        n = self.n
+        """Inverse transform (Gentleman-Sande), including the 1/n factor.
+
+        The last stage multiplies by 1/n and by its twiddle times 1/n, so the
+        scaling needs no pass of its own.
+        """
+        a, flat = self._rows(np.array(a, dtype=np.uint64))
+        batch, halves, full = self._scratch(a)
+        q = self.q[:, :, None]
+        two_q = self.two_q[:, :, None]
+        tab = self._inv
         t = 1
-        m = n
+        m = self.n
         while m > 1:
             h = m // 2
-            view = a.reshape(h, 2, t)
-            w = self.ipsi_brv[h : 2 * h].reshape(h, 1)
-            x = view[:, 0, :].copy()
-            y = view[:, 1, :].copy()
-            view[:, 0, :] = self.add(x, y)
-            view[:, 1, :] = self.montmul(self.sub(x, y), w)
+            view = batch.reshape(batch.shape[0], batch.shape[1], h, 2, t)
+            x = view[:, :, :, 0, :]
+            y = view[:, :, :, 1, :]
+            s1, s2, s3 = (buf.reshape(x.shape) for buf in halves)
+            # x, y in [0, 2q): x+y back to [0, 2q); (x-y+2q)*w in [0, 2q)
+            np.add(x, y, out=s1)
+            np.subtract(x, y, out=y)
+            np.add(y, two_q, out=y)
+            if h > 1:
+                np.subtract(s1, two_q, out=x)
+                np.minimum(s1, x, out=x)
+                _shoup_mul(y, *tab.bcast(slice(h, 2 * h)), q, two_q, y, s1, s2, s3)
+            else:
+                # x is free until it receives the result, so it serves as scratch
+                _shoup_mul(y, *self._last_inv.bcast(), q, two_q, y, x, s2, s3)
+                _shoup_mul(s1, *self._n_inv.bcast(), q, two_q, x, x, s2, s3)
             t *= 2
             m = h
-        return self.montmul(a, self.n_inv_mont)
+        np.subtract(a, self.q, out=full)
+        np.minimum(a, full, out=a)
+        return a[0] if flat else a
+
+    def _check_shape(self, a: np.ndarray) -> None:
+        if a.ndim < 2 or a.shape[-2:] != (len(self.primes), self.n):
+            raise ValueError(
+                f"expected (..., {len(self.primes)}, {self.n}) residues, got {a.shape}"
+            )

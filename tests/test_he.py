@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from privfed.errors import (
     StateError,
 )
 from privfed.he import (
+    DEFAULT_PARAMS,
     TEST_PARAMS,
     Ciphertext,
     CkksParams,
@@ -25,7 +28,7 @@ from privfed.he import (
     serialize_ct,
     unpack_update,
 )
-from privfed.he.ntt import PrimeField, generate_ntt_primes
+from privfed.he.ntt import PrimeField, _bit_reverse_indices, _find_psi, generate_ntt_primes
 from privfed.params import LayoutManifest, ParamSet
 
 
@@ -81,11 +84,141 @@ class TestNttLayer:
             assert p.bit_length() == bits
 
 
+class TestStackedField:
+    """A field over a stack of primes must agree bit for bit with one
+    single-prime field per row, on batched (B, L, N) inputs."""
+
+    N = 8192
+    BITS = (60, 40, 40)
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        primes = generate_ntt_primes(self.BITS, self.N)
+        return PrimeField(primes, self.N), [PrimeField(q, self.N) for q in primes]
+
+    def residues(self, primes, seed):
+        rng = np.random.default_rng(seed)
+        out = np.stack([rng.integers(0, q, (2, self.N), dtype=np.uint64) for q in primes], axis=1)
+        for i, q in enumerate(primes):
+            # edge residues for the Shoup quotient and the min-trick reductions
+            out[0, i, :64] = q - 1
+            out[0, i, 64:128] = 0
+            out[1, i, ::7] = q - 1
+        return out
+
+    def per_row(self, singles, fn, *arrays):
+        return np.stack(
+            [
+                np.stack([fn(f, *(x[b, i] for x in arrays)) for i, f in enumerate(singles)])
+                for b in range(arrays[0].shape[0])
+            ]
+        )
+
+    def test_transforms_match_single_rows(self, fields):
+        stacked, singles = fields
+        a = self.residues(stacked.primes, 40)
+        assert np.array_equal(stacked.ntt(a), self.per_row(singles, PrimeField.ntt, a))
+        assert np.array_equal(stacked.intt(a), self.per_row(singles, PrimeField.intt, a))
+        assert np.array_equal(stacked.intt(stacked.ntt(a)), a)
+
+    def test_elementwise_match_single_rows(self, fields):
+        stacked, singles = fields
+        a = self.residues(stacked.primes, 41)
+        b = self.residues(stacked.primes, 42)[::-1]
+        assert np.array_equal(stacked.mul(a, b), self.per_row(singles, PrimeField.mul, a, b))
+        assert np.array_equal(stacked.centered(a), self.per_row(singles, PrimeField.centered, a))
+        signed = np.random.default_rng(43).integers(-(2**62), 2**62, a.shape)
+        signed[0, :, :3] = [-1, 0, 2**62 - 1]
+        assert np.array_equal(
+            stacked.reduce_signed(signed), self.per_row(singles, PrimeField.reduce_signed, signed)
+        )
+
+    def test_products_and_lifts_against_python_ints(self, fields):
+        stacked, _ = fields
+        a = self.residues(stacked.primes, 44)
+        b = self.residues(stacked.primes, 45)[::-1]
+        got = stacked.mul(a, b)
+        cent = stacked.centered(a)
+        for i, q in enumerate(stacked.primes):
+            for j in (0, 63, 64, 65, 700, self.N - 1):
+                assert int(got[0, i, j]) == int(a[0, i, j]) * int(b[0, i, j]) % q
+                assert int(cent[0, i, j]) % q == int(a[0, i, j])
+                assert -q // 2 < int(cent[0, i, j]) <= q // 2
+
+    def test_ntt_evaluates_at_odd_powers_of_psi(self, fields):
+        # output i of the bit-reversed negacyclic NTT is a(psi^(2*brv(i)+1))
+        stacked, _ = fields
+        a = self.residues(stacked.primes, 46)
+        got = stacked.ntt(a)
+        brv = _bit_reverse_indices(self.N)
+        for i, q in enumerate(stacked.primes):
+            psi = _find_psi(q, self.N)
+            coeffs = [int(c) for c in a[0, i]]
+            for j in (0, 1, 4097, self.N - 1):
+                x = pow(psi, 2 * int(brv[j]) + 1, q)
+                acc = 0
+                for c in reversed(coeffs):
+                    acc = (acc * x + c) % q
+                assert int(got[0, i, j]) == acc
+
+    def test_select_is_a_view_of_the_stack(self, fields):
+        stacked, singles = fields
+        low = stacked.select(0, 2)
+        assert low.primes == stacked.primes[:2]
+        assert np.shares_memory(low._fwd.w, stacked._fwd.w)
+        a = self.residues(stacked.primes, 47)
+        assert np.array_equal(low.ntt(a[:, :2]), stacked.ntt(a)[:, :2])
+        assert stacked.select(2, 3).q_int == singles[2].q_int
+
+    def test_one_ntt_call_per_encryption(self, monkeypatch):
+        key = keygen(DEFAULT_PARAMS, np.random.default_rng(31))
+        pt = encode(np.ones(66), DEFAULT_PARAMS)
+        shapes = []
+        original = PrimeField.ntt
+
+        def counting(self, a):
+            shapes.append(np.shape(a))
+            return original(self, a)
+
+        monkeypatch.setattr(PrimeField, "ntt", counting)
+        encrypt(pt, key, np.random.default_rng(32))
+        assert shapes == [(3, 2, DEFAULT_PARAMS.poly_degree)]
+
+
+class TestGoldenBytes:
+    """Ciphertext bytes and decoded values are pinned: a kernel change that
+    alters any bit of a fresh ciphertext, an aggregate or its decoding fails
+    here.  Values are the first 16 hex digits of SHA-256."""
+
+    @pytest.mark.parametrize(
+        "params, fresh, aggregate, decoded",
+        [
+            (TEST_PARAMS, "d5b2fbcee6198168", "0359e72423324867", "1ed3a6e25a8db9f7"),
+            (DEFAULT_PARAMS, "809a94aa1ca381e1", "bb98685a17a81e11", "1b8a4bc1ab1d55cf"),
+        ],
+    )
+    def test_fixed_seed_hashes(self, params, fresh, aggregate, decoded):
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        key = keygen(params, np.random.default_rng(2024))
+        rng = np.random.default_rng(7)
+        cts = [
+            encrypt(encode(np.linspace(-0.01, 0.01, 66) * k, params), key, rng)
+            for k in range(1, 5)
+        ]
+        total = cts[0]
+        for ct in cts[1:]:
+            total = add(total, ct)
+        agg = mul_scalar_rescale(total, 0.25)
+        assert digest(serialize_ct(cts[0])) == fresh
+        assert digest(serialize_ct(agg)) == aggregate
+        assert digest(decode(decrypt(agg, key)).tobytes()) == decoded
+
+
 class TestKeygen:
     def test_zero_roundtrip(self):
         # needs the full 2^40 scale for the 1e-6 bound; still fast
-        from privfed.he import DEFAULT_PARAMS
-
         full_keys = keygen(DEFAULT_PARAMS, np.random.default_rng(30))
         out = roundtrip(np.zeros(DEFAULT_PARAMS.slot_count), full_keys, params=DEFAULT_PARAMS)
         assert np.abs(out).max() < 1e-6
@@ -121,8 +254,6 @@ class TestEncoding:
         assert np.abs(decode(encode(v, TEST_PARAMS)) - v).max() < 1e-7
 
     def test_full_slot_roundtrip_at_default_scale(self):
-        from privfed.he import DEFAULT_PARAMS
-
         v = np.random.default_rng(90).uniform(-1, 1, DEFAULT_PARAMS.slot_count)
         assert np.abs(decode(encode(v, DEFAULT_PARAMS)) - v).max() < 1e-7
 
@@ -257,8 +388,6 @@ class TestPacking:
         assert len(chunks) == 1
 
     def test_one_past_slot_count_at_default_size(self):
-        from privfed.he import DEFAULT_PARAMS
-
         assert len(pack_update(np.ones(4097), DEFAULT_PARAMS)) == 2
         assert len(pack_update(np.ones(4096), DEFAULT_PARAMS)) == 1
 

@@ -13,7 +13,7 @@ Schema (defaults in parentheses):
     central_epochs (400), central_folds (10)
     data: {source: "generate"|"csv", scale_factor (1.0), seed, sites, csv_dir}
     transport: "sim" | "tcp"                 ("sim")
-    seed (12345), weighting: "unit"|"examples", timeout_seconds (600)
+    seed (12345), weighting: "unit"|"examples" (dp needs "unit"), timeout_seconds (600)
     out_dir ("out"), token (PRIVFED_TOKEN env overrides)
 
 When privacy.mode is "dp" and no dp block is given, the reference per-learner
@@ -96,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("rounds must be nonnegative")
         if self.weighting not in ("unit", "examples"):
             raise ConfigError(f"unknown weighting {self.weighting!r}")
+        if self.privacy_mode == "dp" and self.weighting == "examples":
+            # the client scales its delta by n_train before the SVT filter,
+            # so the per-step ±gamma clip would saturate
+            raise ConfigError("privacy mode 'dp' needs weighting 'unit'")
         if self.transport not in ("sim", "tcp"):
             raise ConfigError(f"unknown transport {self.transport!r}")
 

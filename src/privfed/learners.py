@@ -9,6 +9,19 @@ Feed-forward net: 10 -> 5 hidden units (no hidden bias) -> ReLU -> layer
 normalization with learnable gain and bias -> 1 output unit with bias.
 Parameter count: 50 + 5 + 5 + 5 + 1 = 66.  The layer-norm bias plays the
 role of the hidden bias, which is what makes the count come out to 66.
+
+Training runs on a flat float64 parameter vector θ.  Each kind has a static
+layout (``LAYOUTS``, with offsets in ``MANIFESTS``): tensors in declaration
+order, row-major, the same order ``params.flatten`` uses.  ``ParamSet``
+appears only at the boundary: ``init_params``, the argument and result of
+``train_local``, and ``loss_and_grad`` called without a workspace.  Each kind
+has one kernel that writes the loss gradient into a reused vector;
+``train_local`` allocates its work arrays once per call, sized by
+min(n, batch_size) rows.  The NN kernel keeps activations hidden-major,
+``(5, rows)``, so both matmuls go to BLAS and the layer-norm reductions over
+the 5 hidden units are row-wise adds.  Prediction (``forward`` and
+``predict_batch``) keeps ``einsum``, so a batch is bitwise equal to its rows
+evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +33,9 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _sigmoid
 from .errors import LayoutError
-from .params import ParamSet
+from .params import LayoutManifest, ParamSet, flatten, unflatten
 
 LN_EPS = 1e-5  # layer-norm variance epsilon, biased variance estimator
 N_FEATURES = 10
@@ -44,7 +58,22 @@ LAYOUTS = {
     ),
 }
 
-PARAM_COUNTS = {ModelKind.LOGISTIC_REGRESSION: 11, ModelKind.FEEDFORWARD_NN: 66}
+
+def _manifest(layout) -> LayoutManifest:
+    rows = []
+    offset = 0
+    for name, shape in layout:
+        rows.append((name, shape, offset))
+        offset += math.prod(shape)
+    return LayoutManifest(tuple(rows), offset)
+
+
+MANIFESTS = {kind: _manifest(layout) for kind, layout in LAYOUTS.items()}
+# name -> slice of θ, per kind
+SLICES = {
+    kind: {name: slice(offset, offset + math.prod(shape)) for name, shape, offset in m.entries}
+    for kind, m in MANIFESTS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -93,39 +122,26 @@ def init_params(kind: ModelKind, seed: int) -> ParamSet:
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _nn_intermediates(params: ParamSet, x: np.ndarray):
-    w = params.tensor("hidden_w")
-    gain = params.tensor("ln_gain")
-    bias = params.tensor("ln_bias")
-    out_w = params.tensor("out_w").reshape(-1)
-    out_b = params.tensor("out_b")[0]
-    # einsum keeps each output row an independent fixed-order sum, so the
-    # batched path is bitwise identical to evaluating rows one at a time
-    pre = np.einsum("nd,hd->nh", x, w)
-    hidden = np.maximum(pre, 0.0)
-    mean = hidden.mean(axis=1, keepdims=True)
-    var = hidden.var(axis=1, keepdims=True)  # biased estimator
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    normed = (hidden - mean) * inv_std
-    z = normed * gain + bias
-    logit = np.einsum("nh,h->n", z, out_w) + out_b
-    return pre, hidden, inv_std, normed, z, logit
+def _theta(kind: ModelKind, params: ParamSet) -> np.ndarray:
+    """A fresh flat θ holding ``params``, which must have ``kind``'s layout."""
+    theta, manifest = flatten(params)
+    if manifest != MANIFESTS[kind]:
+        raise LayoutError(f"params do not match {kind.value} layout")
+    return theta
 
 
 def _logits(kind: ModelKind, params: ParamSet, x: np.ndarray) -> np.ndarray:
+    # einsum keeps each output row an independent fixed-order sum, so the
+    # batched path is bitwise identical to evaluating rows one at a time
     if kind is ModelKind.LOGISTIC_REGRESSION:
         coef = params.tensor("coef")
         return np.einsum("nd,d->n", x, coef) + params.tensor("intercept")[0]
-    return _nn_intermediates(params, x)[-1]
+    hidden = np.maximum(np.einsum("nd,hd->nh", x, params.tensor("hidden_w")), 0.0)
+    mean = hidden.mean(axis=1, keepdims=True)
+    var = hidden.var(axis=1, keepdims=True)  # biased estimator
+    normed = (hidden - mean) * (1.0 / np.sqrt(var + LN_EPS))
+    z = normed * params.tensor("ln_gain") + params.tensor("ln_bias")
+    return np.einsum("nh,h->n", z, params.tensor("out_w").reshape(-1)) + params.tensor("out_b")[0]
 
 
 def forward(kind: ModelKind, params: ParamSet, features) -> float:
@@ -151,16 +167,145 @@ def predict_batch(kind: ModelKind, params: ParamSet, features) -> np.ndarray:
     return _sigmoid(_logits(kind, params, x))
 
 
-def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    # mean of softplus(z) - y*z, the numerically stable BCE form
-    return float(np.mean((1.0 - labels) * logits + np.logaddexp(0.0, -logits)))
+class Workspace:
+    """Work arrays for one kind's kernel on batches of up to ``rows`` rows.
+
+    ``grad`` receives the gradient in θ's layout.  A batch of m rows uses
+    the leading part of each buffer, reshaped, so every view is contiguous.
+    """
+
+    def __init__(self, kind: ModelKind, rows: int):
+        kind = ModelKind(kind)
+        self.grad = np.empty(MANIFESTS[kind].total_length)
+        self._vec = np.empty((6, rows))
+        hidden = N_HIDDEN * rows if kind is ModelKind.FEEDFORWARD_NN else 0
+        self._act = np.empty((2, hidden))
+        self._live = np.empty(hidden, dtype=bool)
+
+    def vectors(self, m: int) -> np.ndarray:
+        """Six scratch rows of length m."""
+        return self._vec[:, :m]
+
+    def hidden(self, m: int):
+        """Two float ``(5, m)`` arrays and one boolean ``(5, m)`` array."""
+        size = N_HIDDEN * m
+        shape = (N_HIDDEN, m)
+        return (
+            self._act[0, :size].reshape(shape),
+            self._act[1, :size].reshape(shape),
+            self._live[:size].reshape(shape),
+        )
 
 
-def loss_and_grad(kind: ModelKind, params: ParamSet, x: np.ndarray, y: np.ndarray, l2: float = 0.0):
-    """Objective value and its gradient as a ParamSet with matching layout.
+def _bce_head(z: np.ndarray, y: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean BCE of logits ``z`` and dloss/dz = (sigmoid(z) - y) / n, both
+    from e = exp(-|z|): softplus(z) - y*z = max(z, 0) + log1p(e) - y*z, and
+    sigmoid(z) = exp(min(z, 0)) / (1 + e), which is 1/(1+e) for z >= 0 and
+    e/(1+e) otherwise.  Uses ``vec[0:3]``; the gradient is ``vec[2]``."""
+    n = z.shape[0]
+    e, t, d = vec[0], vec[1], vec[2]
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=t)
+    loss_sum = float(t.sum())
+    np.maximum(z, 0.0, out=t)
+    loss_sum += float(t.sum()) - float(y @ z)
+    np.minimum(z, 0.0, out=t)
+    np.exp(t, out=t)
+    np.add(e, 1.0, out=d)
+    np.divide(t, d, out=d)  # sigmoid(z)
+    d -= y
+    d /= n
+    return loss_sum / n, d
+
+
+def _lr_kernel(theta, x, y, l2, work) -> float:
+    s = SLICES[ModelKind.LOGISTIC_REGRESSION]
+    coef = theta[s["coef"]]
+    vec = work.vectors(x.shape[0])
+    z = vec[3]
+    np.matmul(x, coef, out=z)
+    z += theta[s["intercept"]][0]
+    loss, d = _bce_head(z, y, vec)
+    g = work.grad
+    np.matmul(d, x, out=g[s["coef"]])
+    g[s["coef"]] += l2 * coef
+    g[s["intercept"]] = d.sum()
+    return loss + 0.5 * l2 * float(coef @ coef)
+
+
+def _nn_kernel(theta, x, y, l2, work) -> float:
+    s = SLICES[ModelKind.FEEDFORWARD_NN]
+    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
+    gain = theta[s["ln_gain"]]
+    bias = theta[s["ln_bias"]]
+    out_w = theta[s["out_w"]]
+    n = x.shape[0]
+    act, tmp, live = work.hidden(n)
+    vec = work.vectors(n)
+    z, stat, u = vec[3], vec[4], vec[5]
+
+    np.matmul(w, x.T, out=act)  # pre-activations
+    np.maximum(act, 0.0, out=act)
+    np.greater(act, 0.0, out=live)
+    # layer norm over the hidden units (biased variance), as row-wise adds
+    np.add(act[0], act[1], out=stat)
+    for h in range(2, N_HIDDEN):
+        stat += act[h]
+    stat /= N_HIDDEN
+    act -= stat  # centred
+    np.multiply(act, act, out=tmp)
+    np.add(tmp[0], tmp[1], out=stat)
+    for h in range(2, N_HIDDEN):
+        stat += tmp[h]
+    stat /= N_HIDDEN
+    stat += LN_EPS
+    np.sqrt(stat, out=stat)
+    np.divide(1.0, stat, out=stat)  # inv_std
+    act *= stat  # normed
+    # logit = sum_h out_w*(gain*normed + bias) + out_b = a @ normed + c0
+    a = out_w * gain
+    np.matmul(a, act, out=u)
+    np.add(u, float(out_w @ bias) + theta[s["out_b"]][0], out=z)
+    loss, d = _bce_head(z, y, vec)
+
+    g = work.grad
+    sum_d = d.sum()
+    normed_d = act @ d
+    g[s["out_b"]] = sum_d
+    np.multiply(out_w, normed_d, out=g[s["ln_gain"]])
+    np.multiply(out_w, sum_d, out=g[s["ln_bias"]])
+    g[s["out_w"]] = gain * normed_d + bias * sum_d + l2 * out_w
+    # layer-norm backward with dnormed = d*a: per row,
+    # dhidden = inv_std*d * ((a - mean(a)) - normed * (a @ normed)/5)
+    u /= N_HIDDEN
+    np.multiply(act, u, out=tmp)
+    np.subtract((a - a.mean())[:, None], tmp, out=tmp)
+    stat *= d
+    tmp *= stat
+    tmp *= live  # ReLU
+    gw = g[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
+    np.matmul(tmp, x, out=gw)
+    gw += l2 * w
+    return loss + 0.5 * l2 * (float(w.ravel() @ w.ravel()) + float(out_w @ out_w))
+
+
+_KERNELS = {ModelKind.LOGISTIC_REGRESSION: _lr_kernel, ModelKind.FEEDFORWARD_NN: _nn_kernel}
+
+
+def loss_and_grad(
+    kind: ModelKind, params, x: np.ndarray, y: np.ndarray, l2: float = 0.0, work: Workspace | None = None
+):
+    """Objective value and its gradient.
 
     Objective: mean BCE over the batch + (l2/2) * squared norm of the weight
     matrices (coef / hidden_w / out_w; biases and gains are not penalized).
+
+    Without ``work``, ``params`` is a ParamSet and the gradient comes back as
+    a ParamSet with the same layout.  With ``work`` (as ``train_local``
+    passes), ``params`` is the flat θ and the gradient is ``work.grad``,
+    overwritten by the next call.
     """
     kind = ModelKind(kind)
     x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
@@ -168,50 +313,11 @@ def loss_and_grad(kind: ModelKind, params: ParamSet, x: np.ndarray, y: np.ndarra
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-
-    if kind is ModelKind.LOGISTIC_REGRESSION:
-        coef = params.tensor("coef")
-        logits = _logits(kind, params, x)
-        p = _sigmoid(logits)
-        dlogit = (p - y) / n
-        g_coef = x.T @ dlogit + l2 * coef
-        g_b = np.array([dlogit.sum()])
-        loss = bce_loss(logits, y) + 0.5 * l2 * float(coef @ coef)
-        grad = ParamSet([("coef", (10,), g_coef), ("intercept", (1,), g_b)])
-        return loss, grad
-
-    w = params.tensor("hidden_w")
-    gain = params.tensor("ln_gain")
-    out_w = params.tensor("out_w").reshape(-1)
-    pre, hidden, inv_std, normed, z, logits = _nn_intermediates(params, x)
-    p = _sigmoid(logits)
-    dlogit = (p - y) / n
-
-    g_out_w = z.T @ dlogit + l2 * out_w
-    g_out_b = np.array([dlogit.sum()])
-    dz = np.outer(dlogit, out_w)
-    g_gain = (dz * normed).sum(axis=0)
-    g_bias = dz.sum(axis=0)
-    dnormed = dz * gain
-    # layer-norm backward (biased variance): project out mean and the
-    # component along the normalized activations
-    dmean = dnormed.mean(axis=1, keepdims=True)
-    dproj = (dnormed * normed).mean(axis=1, keepdims=True)
-    dhidden = inv_std * (dnormed - dmean - normed * dproj)
-    dpre = dhidden * (pre > 0)
-    g_w = dpre.T @ x + l2 * w
-
-    loss = bce_loss(logits, y) + 0.5 * l2 * (float(np.sum(w * w)) + float(out_w @ out_w))
-    grad = ParamSet(
-        [
-            ("hidden_w", (5, 10), g_w),
-            ("ln_gain", (5,), g_gain),
-            ("ln_bias", (5,), g_bias),
-            ("out_w", (1, 5), g_out_w.reshape(1, 5)),
-            ("out_b", (1,), g_out_b),
-        ]
-    )
-    return loss, grad
+    if work is None:
+        work = Workspace(kind, n)
+        loss = _KERNELS[kind](_theta(kind, params), x, y, l2, work)
+        return loss, unflatten(work.grad, MANIFESTS[kind])
+    return _KERNELS[kind](params, x, y, l2, work), work.grad
 
 
 def steps_per_round(n_train: int, batch_size: int, local_epochs: int) -> int:
@@ -232,25 +338,28 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    expected_layout = [name for name, _ in LAYOUTS[kind]]
-    if params.names() != expected_layout:
-        raise LayoutError(f"params do not match {kind.value} layout")
+    theta = _theta(kind, params)
 
     t0 = time.monotonic()
     rng = np.random.default_rng(cfg.seed)
-    current = params
+    rows = min(n, cfg.batch_size)
+    work = Workspace(kind, rows)
+    x_batch = np.empty((rows, N_FEATURES))
+    y_batch = np.empty(rows)
     steps = 0
     loss_total = 0.0
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(kind, current, x[idx], y[idx], cfg.l2_penalty)
-            current = ParamSet(
-                (e.name, e.shape, e.values - cfg.learning_rate * g.values)
-                for e, g in zip(current.entries, grad.entries)
-            )
+            # the indices come from a permutation, so "clip" never clips; it
+            # lets take write straight into the buffer instead of a copy
+            xb = np.take(x, idx, axis=0, out=x_batch[: idx.size], mode="clip")
+            yb = np.take(y, idx, out=y_batch[: idx.size], mode="clip")
+            loss, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
+            theta -= cfg.learning_rate * grad
             steps += 1
             loss_total += loss
     mean_loss = loss_total / steps if steps else float("nan")
-    return current, TrainStats(steps=steps, mean_loss=mean_loss, wall_time=time.monotonic() - t0)
+    params = unflatten(theta, MANIFESTS[kind])
+    return params, TrainStats(steps=steps, mean_loss=mean_loss, wall_time=time.monotonic() - t0)

@@ -41,27 +41,14 @@ def auc(scores, labels) -> float:
     scores, labels, n_pos, n_neg = _check_labels(scores, labels)
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    # runs of equal sorted scores span [i, j]; each gets the 1-based midrank
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum_pos = float(ranks[np.asarray(labels) == 1].sum())
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def auc_bruteforce(scores, labels) -> float:
-    """O(n^2) pairwise oracle; kept independent of the rank path."""
-    scores, labels, n_pos, n_neg = _check_labels(scores, labels)
-    pos = scores[np.asarray(labels) == 1]
-    neg = scores[np.asarray(labels) == 0]
-    wins = np.sum(pos[:, None] > neg[None, :])
-    ties = np.sum(pos[:, None] == neg[None, :])
-    return float((wins + 0.5 * ties) / (n_pos * n_neg))
 
 
 def sensitivity_specificity(scores, labels, threshold: float = 0.5) -> tuple[float, float]:

@@ -72,9 +72,6 @@ class ParamSet:
                 return e.values
         raise KeyError(name)
 
-    def total_size(self) -> int:
-        return sum(e.size() for e in self._entries)
-
     def same_layout(self, other: "ParamSet") -> bool:
         return [(e.name, e.shape) for e in self._entries] == [
             (e.name, e.shape) for e in other._entries

@@ -26,6 +26,57 @@ def nn_forward_oracle(params, x):
     return 1.0 / (1.0 + math.exp(-logit))
 
 
+def _sigmoid_oracle(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def loss_and_grad_oracle(kind, params, x, y, l2):
+    """Straight-line (batch-major, one temporary per step) objective and
+    gradient of both learners, the form the production kernels replaced;
+    returns the loss and the gradient flattened in layout order."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 10)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = x.shape[0]
+    if "coef" in params.names():
+        coef = params.tensor("coef")
+        logits = x @ coef + params.tensor("intercept")[0]
+        dlogit = (_sigmoid_oracle(logits) - y) / n
+        grad = np.concatenate([x.T @ dlogit + l2 * coef, [dlogit.sum()]])
+        penalty = coef @ coef
+    else:
+        w = params.tensor("hidden_w")
+        gain = params.tensor("ln_gain")
+        bias = params.tensor("ln_bias")
+        out_w = params.tensor("out_w").reshape(-1)
+        pre = x @ w.T
+        hidden = np.maximum(pre, 0.0)
+        mean = hidden.mean(axis=1, keepdims=True)
+        var = hidden.var(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + LN_EPS)
+        normed = (hidden - mean) * inv_std
+        z = normed * gain + bias
+        logits = z @ out_w + params.tensor("out_b")[0]
+        dlogit = (_sigmoid_oracle(logits) - y) / n
+        dz = np.outer(dlogit, out_w)
+        dnormed = dz * gain
+        dmean = dnormed.mean(axis=1, keepdims=True)
+        dproj = (dnormed * normed).mean(axis=1, keepdims=True)
+        dpre = inv_std * (dnormed - dmean - normed * dproj) * (pre > 0)
+        grad = np.concatenate(
+            [
+                (dpre.T @ x + l2 * w).reshape(-1),
+                (dz * normed).sum(axis=0),
+                dz.sum(axis=0),
+                z.T @ dlogit + l2 * out_w,
+                [dlogit.sum()],
+            ]
+        )
+        penalty = np.sum(w * w) + out_w @ out_w
+    loss = np.mean((1.0 - y) * logits + np.logaddexp(0.0, -logits)) + 0.5 * l2 * penalty
+    return float(loss), grad
+
+
 def numeric_gradient(kind, params, x, y, l2, h=1e-6):
     """Central finite differences through the full training objective."""
     from privfed.learners import loss_and_grad
@@ -73,6 +124,26 @@ def svt_reference(delta, steps, cfg, rng):
     for i in accepted:
         y[i] = min(max(x[i] + lap(b_v), -cfg.gamma), cfg.gamma)
     return np.array([v * steps for v in y])
+
+
+def auc_midrank_oracle(scores, labels):
+    """Mann-Whitney AUC from a scalar midrank loop over the mergesort order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def auc_pairwise_oracle(scores, labels):

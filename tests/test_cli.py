@@ -74,6 +74,12 @@ class TestConfig:
                                "privacy.dp.noise_var=1", "privacy.dp.gamma=1",
                                "privacy.dp.tau=0"])  # dp block without dp mode
 
+    def test_dp_with_example_weighting_rejected(self):
+        with pytest.raises(ConfigError, match="weighting"):
+            load_config(None, ["privacy.mode=dp", "weighting=examples"])
+        assert load_config(None, ["privacy.mode=dp", "weighting=unit"]).weighting == "unit"
+        assert load_config(None, ["privacy.mode=he", "weighting=examples"]).weighting == "examples"
+
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")
         assert load_config(None, []).token == "from-env"

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import nn_forward_oracle, numeric_gradient
+from oracles import loss_and_grad_oracle, nn_forward_oracle, numeric_gradient
 
 from privfed.data import CohortDataset
 from privfed.learners import (
+    MANIFESTS,
     ModelKind,
     TrainConfig,
+    Workspace,
     forward,
     init_params,
     loss_and_grad,
@@ -15,7 +17,7 @@ from privfed.learners import (
     steps_per_round,
     train_local,
 )
-from privfed.params import flatten
+from privfed.params import ParamSet, flatten, unflatten
 
 
 def toy_dataset(n=100, seed=0, separation=2.0):
@@ -167,6 +169,26 @@ class TestTraining:
         b, _ = train_local(ModelKind.FEEDFORWARD_NN, ps, ds, cfg)
         assert a == b
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_partial_last_batch_matches_oracle_sgd(self, kind):
+        # 103 rows in batches of 25: each epoch ends on a 3-row batch served
+        # from the leading part of train_local's work arrays
+        ds = toy_dataset(n=103)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=25, local_epochs=3, l2_penalty=1e-3, seed=4)
+        ps = random_params(kind, np.random.default_rng(8), 8)
+        out, stats = train_local(kind, ps, ds, cfg)
+        theta = flatten(ps)[0]
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(103)
+            for start in range(0, 103, 25):
+                idx = order[start : start + 25]
+                current = unflatten(theta, MANIFESTS[kind])
+                _, g = loss_and_grad_oracle(kind, current, ds.features[idx], ds.labels[idx], cfg.l2_penalty)
+                theta = theta - cfg.learning_rate * g
+        assert stats.steps == 15
+        assert np.max(np.abs(flatten(out)[0] - theta)) <= 1e-12 * np.max(np.abs(theta))
+
     def test_empty_dataset_rejected(self):
         ds = CohortDataset(np.zeros((0, 10)), np.zeros(0, dtype=int))
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1, seed=0)
@@ -174,25 +196,80 @@ class TestTraining:
             train_local(ModelKind.LOGISTIC_REGRESSION, init_params(ModelKind.LOGISTIC_REGRESSION, 0), ds, cfg)
 
 
+def random_params(kind, rng, seed, out_b=0.0):
+    """init_params perturbed so no tensor sits at its initial constant;
+    ``out_b`` (or the LR intercept) shifts every logit."""
+    flat, manifest = flatten(init_params(kind, seed))
+    flat = flat + rng.normal(scale=0.5, size=flat.size)
+    flat[-1] = out_b + rng.normal(scale=0.5)
+    return unflatten(flat, manifest)
+
+
+def dead_relu_rows(params, count):
+    """Rows whose five pre-activations are all -1, so every ReLU is off."""
+    v = np.linalg.lstsq(params.tensor("hidden_w"), np.ones(5), rcond=None)[0]
+    return np.tile(-v, (count, 1))
+
+
+class TestKernelsMatchOracle:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_loss_and_gradient_match_straight_line_oracle(self, kind):
+        rng = np.random.default_rng(31)
+        extreme = 0
+        for probe in range(24):
+            n = (1, 7, 257, 1000)[probe % 4]
+            out_b = (0.0, 45.0, -45.0)[probe % 3]
+            params = random_params(kind, rng, probe, out_b)
+            x = rng.normal(size=(n, 10)) * rng.choice([0.1, 1.0, 30.0], size=(n, 1))
+            if kind is ModelKind.FEEDFORWARD_NN and n > 1:
+                x[: n // 3] = dead_relu_rows(params, n // 3)
+                assert np.all(x[: n // 3] @ params.tensor("hidden_w").T < 0)
+            p = predict_batch(kind, params, x)
+            extreme += int(np.sum((p < 4e-18) | (p == 1.0)))  # |logit| > 40
+            y = rng.integers(0, 2, n)
+            l2 = (0.0, 1e-4, 0.1)[probe % 3]
+            loss, grad = loss_and_grad(kind, params, x, y, l2)
+            want_loss, want_grad = loss_and_grad_oracle(kind, params, x, y, l2)
+            got = flatten(grad)[0]
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), probe
+            assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), probe
+        assert extreme > 100
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_workspace_path_equals_paramset_path(self, kind):
+        # a workspace sized for more rows than the batch serves it from the
+        # leading part of each buffer, as train_local's partial last batch does
+        rng = np.random.default_rng(5)
+        params = random_params(kind, rng, 5)
+        work = Workspace(kind, 300)
+        for n in (300, 113, 1):
+            x = rng.normal(size=(n, 10))
+            y = rng.integers(0, 2, n)
+            want_loss, want_grad = loss_and_grad(kind, params, x, y, 1e-4)
+            loss, grad = loss_and_grad(kind, flatten(params)[0], x, y, 1e-4, work)
+            assert loss == want_loss
+            assert np.array_equal(grad, flatten(want_grad)[0])
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_gradient_matches_central_differences(self, kind):
+        # n > 1 checks the batch mean and the layer-norm reductions over rows
         rng = np.random.default_rng(2024)
-        for probe in range(20):
-            ps = init_params(kind, seed=probe + 1)
-            if kind is ModelKind.LOGISTIC_REGRESSION:
-                from privfed.params import ParamSet
-
-                ps = ParamSet(
-                    [
-                        ("coef", (10,), rng.normal(scale=0.5, size=10)),
-                        ("intercept", (1,), rng.normal(size=1)),
-                    ]
-                )
-            x = rng.normal(size=(1, 10))
-            y = np.array([probe % 2])
-            _, grad = loss_and_grad(kind, ps, x, y, l2=1e-4)
-            analytic, _ = flatten(grad)
-            numeric = numeric_gradient(kind, ps, x, y, l2=1e-4)
-            denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
-            assert np.linalg.norm(analytic - numeric) / denom < 1e-4
+        for n in (1, 7, 257):
+            for probe in range(20):
+                ps = init_params(kind, seed=probe + 1)
+                if kind is ModelKind.LOGISTIC_REGRESSION:
+                    ps = ParamSet(
+                        [
+                            ("coef", (10,), rng.normal(scale=0.5, size=10)),
+                            ("intercept", (1,), rng.normal(size=1)),
+                        ]
+                    )
+                x = rng.normal(size=(n, 10))
+                y = (np.arange(n) + probe) % 2
+                _, grad = loss_and_grad(kind, ps, x, y, l2=1e-4)
+                analytic, _ = flatten(grad)
+                numeric = numeric_gradient(kind, ps, x, y, l2=1e-4)
+                denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
+                assert np.linalg.norm(analytic - numeric) / denom < 1e-4, (n, probe)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import auc_midrank_oracle, auc_pairwise_oracle
 
 from privfed.errors import MetricError
 from privfed.metrics import (
     MetricSet,
     auc,
-    auc_bruteforce,
     evaluate_scores,
     sensitivity_specificity,
     summarize,
@@ -29,7 +29,18 @@ class TestAuc:
             labels = rng.integers(0, 2, n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            assert auc(scores, labels) == pytest.approx(auc_bruteforce(scores, labels), abs=1e-12)
+            assert auc(scores, labels) == pytest.approx(auc_pairwise_oracle(scores, labels), abs=1e-12)
+
+    def test_bitwise_equal_to_midrank_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            scores = rng.choice(rng.uniform(size=int(rng.integers(1, 20))), size=n)
+            if rng.uniform() < 0.3:
+                scores[rng.uniform(size=n) < 0.1] = np.nan
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            assert auc(scores, labels) == auc_midrank_oracle(scores, labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -107,7 +118,7 @@ def test_auc_rank_vs_bruteforce_property(scores, rnd):
     labels = [rnd.randint(0, 1) for _ in scores]
     if all(l == labels[0] for l in labels):
         labels[0] = 1 - labels[0]
-    assert auc(scores, labels) == pytest.approx(auc_bruteforce(scores, labels), abs=1e-12)
+    assert auc(scores, labels) == pytest.approx(auc_pairwise_oracle(scores, labels), abs=1e-12)
 
 
 def test_evaluate_scores_counts():

@@ -22,7 +22,7 @@ import hmac
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,25 +69,6 @@ class ClientRecord:
     n_train: int
     n_valid: int
     channel: object
-
-
-@dataclass
-class RoundState:
-    """Barrier bookkeeping for one aggregation round."""
-
-    round_index: int
-    pending: set[str]
-    received: dict[str, tuple[tr.UpdateBody, float]] = field(default_factory=dict)
-
-    def register(self, update: tr.UpdateBody, arrival: float):
-        if update.client_id not in self.pending:
-            raise ProtocolError(f"unexpected update from {update.client_id!r}")
-        self.pending.discard(update.client_id)
-        self.received[update.client_id] = (update, arrival)
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
 
 
 # -- aggregation -------------------------------------------------------------
@@ -286,20 +267,20 @@ class FederationServer:
         self._log("broadcast", str(round_index))
 
     def _collect(self, round_index: int, msg_type: int) -> dict[str, tuple[object, float]]:
-        state_pending = set(self.clients)
+        pending = set(self.clients)
         received: dict[str, tuple[object, float]] = {}
         deadline = time.monotonic() + self.cfg.timeout_seconds
-        while state_pending:
+        while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise RoundTimeoutError(
-                    f"round {round_index}: no update from {sorted(state_pending)}"
+                    f"round {round_index}: no update from {sorted(pending)}"
                 )
             try:
                 client_id, item = self._inbox.get(timeout=remaining)
             except queue.Empty:
                 raise RoundTimeoutError(
-                    f"round {round_index}: no update from {sorted(state_pending)}"
+                    f"round {round_index}: no update from {sorted(pending)}"
                 ) from None
             if isinstance(item, Exception):
                 raise ProtocolError(f"client {client_id!r} failed: {item}")
@@ -310,7 +291,7 @@ class FederationServer:
                 )
             arrival = time.monotonic() - self._t0
             received[client_id] = (item, arrival)
-            state_pending.discard(client_id)
+            pending.discard(client_id)
             self._log("update_received", client_id)
         return received
 
@@ -328,17 +309,17 @@ class FederationServer:
             for round_index in range(cfg.rounds):
                 broadcast_at = time.monotonic() - self._t0
                 self._broadcast(round_index, self._broadcast_body(global_params, he_state, False))
-                state = RoundState(round_index, set(self.clients))
+                received = {}
                 for client_id, (frame, arrival) in self._collect(
                     round_index, tr.MSG_UPDATE
                 ).items():
                     update = tr.decode_update(frame.body)
                     if update.client_id != client_id:
                         raise ProtocolError("update body does not match its channel")
-                    state.register(update, arrival)
+                    received[client_id] = (update, arrival)
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
-                ordered = [state.received[cid][0] for cid in self._ordered_ids()]
+                ordered = [received[cid][0] for cid in self._ordered_ids()]
                 weights = [self.clients[cid].weight for cid in self._ordered_ids()]
                 if isinstance(self.pipeline, HePipeline):
                     he_state = self.pipeline.server_aggregate(
@@ -349,7 +330,7 @@ class FederationServer:
                     global_params = apply_update(global_params, mean_delta, manifest)
                 agg_seconds = time.monotonic() - agg_t0
                 report.rounds.append(
-                    self._round_record(round_index, state, broadcast_at, agg_seconds)
+                    self._round_record(round_index, received, broadcast_at, agg_seconds)
                 )
 
             # final broadcast: clients evaluate the finished global model
@@ -384,10 +365,11 @@ class FederationServer:
             return tr.BroadcastBody(final, tr.PAYLOAD_CHUNKS, he_state)
         return tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, flatten(global_params)[0])
 
-    def _round_record(self, round_index, state: RoundState, broadcast_at, agg_seconds):
+    def _round_record(self, round_index, received, broadcast_at, agg_seconds):
+        """``received`` maps each client id to its (UpdateBody, arrival time)."""
         clients = []
         for client_id in self._ordered_ids():
-            update, arrival = state.received[client_id]
+            update, arrival = received[client_id]
             payload_bytes = (
                 update.payload.size * 8
                 if update.payload_kind == tr.PAYLOAD_PLAIN

@@ -11,11 +11,14 @@ bootstrapping.  Representation choices:
   (2, levels, N) array.
 - Batched kernels: one stacked ``PrimeField`` over the active primes works
   on (..., L, N) arrays, so each numpy call covers every row and polynomial
-  an operation touches, not one row: an encryption transforms u, e0 and e1
-  in a single (3, L, N) NTT call.  Simulated clients share one GIL and every
-  numpy call is a point where it can change hands, so fewer, larger calls
-  matter more than their single-thread cost.  The butterflies use Shoup
-  twiddles (see ``ntt``).
+  an operation touches, not one row.  Simulated clients share one GIL and
+  every numpy call is a point where it can change hands, so fewer, larger
+  calls matter more than their single-thread cost.  The butterflies use
+  Shoup twiddles (see ``ntt``).
+- Secret-key encryption: every client holds the cohort secret, so there is
+  no public key.  A fresh ciphertext is (c0, c1) = (-a*s + e + m, a) with a
+  uniform ``a`` drawn directly in the NTT domain, and ``encode`` leaves m in
+  coefficient form, so an encryption makes one (L, N) NTT call, over m + e.
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -24,7 +27,7 @@ bootstrapping.  Representation choices:
   the rescale consumes, so ciphertext scale is preserved bit for bit and the
   serialized header can carry scale as an integer log2.
 - Secrets are centered ternary; errors are centered binomial with sigma
-  close to 3.2.
+  close to 3.2, sampled as the popcount difference of two 21-bit words.
 """
 
 from __future__ import annotations
@@ -127,11 +130,22 @@ def _ctx_of(obj) -> _Context:
 
 @dataclass
 class PlainPoly:
-    rows: np.ndarray  # (level+1, N) uint64, NTT domain
+    """A plaintext in coefficient form (``coeffs``, from ``encode``) or as
+    NTT-domain residues (``ntt_rows``, from ``decrypt``)."""
+
     level: int
     scale: float
     slot_fill: int
     params_hash: bytes
+    coeffs: np.ndarray | None = None  # (N,) int64 signed coefficients
+    ntt_rows: np.ndarray | None = None  # (level+1, N) uint64, NTT domain
+
+    @property
+    def rows(self) -> np.ndarray:
+        """NTT-domain residues; transformed from ``coeffs`` on first use."""
+        if self.ntt_rows is None:
+            self.ntt_rows = _signed_to_rows(_ctx_of(self), self.coeffs, self.level)
+        return self.ntt_rows
 
 
 @dataclass
@@ -154,16 +168,7 @@ class Ciphertext:
 @dataclass
 class KeyPair:
     secret: np.ndarray  # (levels, N) NTT rows of the ternary secret
-    public: np.ndarray  # (2, levels, N): b = -a*s + e, then a
     params_hash: bytes
-
-    @property
-    def public_b(self) -> np.ndarray:
-        return self.public[0]
-
-    @property
-    def public_a(self) -> np.ndarray:
-        return self.public[1]
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -177,9 +182,9 @@ def _sample_ternary(rng, n: int) -> np.ndarray:
 
 
 def _sample_cbd(rng, n: int) -> np.ndarray:
-    # two (bits, n) draws consume the stream exactly as one (2, bits, n) draw
-    plus = rng.integers(0, 2, (_CBD_BITS, n), dtype=np.int64).sum(axis=0)
-    return plus - rng.integers(0, 2, (_CBD_BITS, n), dtype=np.int64).sum(axis=0)
+    # popcount of a uniform 21-bit word is Binomial(21, 1/2)
+    ones = np.bitwise_count(rng.integers(0, 1 << _CBD_BITS, (2, n), dtype=np.uint32))
+    return ones[0].astype(np.int64) - ones[1]
 
 
 def _signed_to_rows(ctx: _Context, coeffs: np.ndarray, level: int) -> np.ndarray:
@@ -190,23 +195,11 @@ def _signed_to_rows(ctx: _Context, coeffs: np.ndarray, level: int) -> np.ndarray
 
 
 def keygen(params: CkksParams, rng) -> KeyPair:
-    """Ternary secret and a (b = -a*s + e, a) RLWE public key; deterministic
-    for a given seed, so cohort members can derive the shared key locally."""
+    """Ternary secret in NTT form; deterministic for a given seed, so cohort
+    members can derive the shared key locally."""
     ctx = _context(params)
-    rng = _as_rng(rng)
-    n = params.poly_degree
-    level = ctx.fresh_level
-    field = ctx.level_fields[level]
-    # draw order: secret, error, then a prime by prime
-    s = _sample_ternary(rng, n)
-    e = _sample_cbd(rng, n)
-    secret, error = _signed_to_rows(ctx, np.stack((s, e)), level)
-    # uniform randomness is uniform in either domain; sample a directly in NTT form
-    public = np.empty((2, level + 1, n), dtype=np.uint64)
-    for i, q in enumerate(ctx.active_primes):
-        public[1, i] = rng.integers(0, q, n, dtype=np.uint64)
-    public[0] = field.sub(error, field.mul(public[1], secret))
-    return KeyPair(secret, public, ctx.hash)
+    s = _sample_ternary(_as_rng(rng), params.poly_degree)
+    return KeyPair(_signed_to_rows(ctx, s, ctx.fresh_level), ctx.hash)
 
 
 def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
@@ -224,8 +217,9 @@ def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
     rounded = np.rint(coeffs)
     if np.any(np.abs(rounded) >= 2**62):
         raise CapacityError("encoded coefficients overflow the modulus headroom")
-    rows = _signed_to_rows(ctx, rounded.astype(np.int64), ctx.fresh_level)
-    return PlainPoly(rows, ctx.fresh_level, scale, values.size, ctx.hash)
+    return PlainPoly(
+        ctx.fresh_level, scale, values.size, ctx.hash, coeffs=rounded.astype(np.int64)
+    )
 
 
 def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.ndarray:
@@ -249,32 +243,35 @@ def decode(pt: PlainPoly, params: CkksParams | None = None) -> np.ndarray:
     ctx = _context(params) if params is not None else _ctx_of(pt)
     if pt.params_hash != ctx.hash:
         raise StateError("plaintext was produced under different parameters")
-    residues = ctx.level_fields[pt.level].intt(pt.rows)
-    coeffs = _crt_centered(ctx, residues, pt.level)
+    if pt.coeffs is not None:
+        coeffs = pt.coeffs.astype(np.float64)
+    else:
+        residues = ctx.level_fields[pt.level].intt(pt.ntt_rows)
+        coeffs = _crt_centered(ctx, residues, pt.level)
     n = ctx.params.poly_degree
     slots = n * np.fft.ifft(coeffs * ctx.embed_inv)[: ctx.params.slot_count]
     return np.real(slots) / pt.scale
 
 
 def encrypt(pt: PlainPoly, key: KeyPair, rng) -> Ciphertext:
-    """Fresh randomized encryption at the top level of the active chain."""
+    """Fresh randomized secret-key encryption at the top level of the active
+    chain: (c0, c1) = (-a*s + e + m, a)."""
     if pt.params_hash != key.params_hash:
         raise StateError("plaintext/key parameter mismatch")
     ctx = _ctx_of(pt)
     rng = _as_rng(rng)
-    if pt.level != ctx.fresh_level:
-        raise StateError("can only encrypt full-level plaintexts")
-    n = ctx.params.poly_degree
+    if pt.level != ctx.fresh_level or pt.coeffs is None:
+        raise StateError("can only encrypt full-level encoded plaintexts")
     level = ctx.fresh_level
     field = ctx.level_fields[level]
-    # draw order u, e0, e1; one NTT call transforms all three
-    u = _sample_ternary(rng, n)
-    e0 = _sample_cbd(rng, n)
-    e1 = _sample_cbd(rng, n)
-    noise = _signed_to_rows(ctx, np.stack((u, e0, e1)), level)
-    # (c0, c1) = (b*u + e0 + m, a*u + e1)
-    comps = field.add(field.mul(noise[0], key.public), noise[1:])
-    comps[0] = field.add(comps[0], pt.rows)
+    # draw order e, then a; uniform is uniform in either domain, so a is
+    # sampled directly in NTT form, all rows in one call
+    n = ctx.params.poly_degree
+    e = _sample_cbd(rng, n)
+    comps = np.empty((2, level + 1, n), dtype=np.uint64)
+    comps[1] = rng.integers(0, field.q, (level + 1, n), dtype=np.uint64)
+    message = _signed_to_rows(ctx, pt.coeffs + e, level)
+    comps[0] = field.sub(message, field.mul(comps[1], key.secret))
     return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params_hash)
 
 
@@ -283,7 +280,7 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
         raise StateError("ciphertext/key parameter mismatch")
     field = _ctx_of(ct).level_fields[ct.level]
     rows = field.add(ct.c0, field.mul(ct.c1, key.secret[: ct.level + 1]))
-    return PlainPoly(rows, ct.level, ct.scale, ct.slot_fill, ct.params_hash)
+    return PlainPoly(ct.level, ct.scale, ct.slot_fill, ct.params_hash, ntt_rows=rows)
 
 
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:

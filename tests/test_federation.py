@@ -329,6 +329,35 @@ class TestTimeout:
         assert report.rounds == []
 
 
+class TestUpdateBody:
+    def test_body_naming_another_site_aborts_run(self):
+        from privfed.federation import FederationServer
+        from privfed.metrics import MetricSet
+
+        cfg = sim_config()
+        names = cfg.site_names()
+        server = FederationServer(cfg)
+        server_ends, client_ends = zip(*(tr.SimChannel.pair() for _ in names))
+        for name, client_end in zip(names, client_ends):
+            client_end.send(
+                tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10, 5)))
+            )
+        server.accept_clients(list(server_ends), timeout=5)
+        metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
+        for i, client_end in enumerate(client_ends):
+            client_end.recv(timeout=5)  # JOIN_ACK
+            body = tr.UpdateBody(
+                names[(i + 1) % len(names)], 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11),
+                1.0, 0.0, 0.0, metrics, metrics,
+            )
+            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
+        report = server.run()
+        assert report.aborted
+        assert "ProtocolError" in report.abort_reason
+        assert "does not match its channel" in report.abort_reason
+        assert report.rounds == []
+
+
 class TestTcpAuth:
     def test_wrong_token_gets_error_frame_and_close(self):
         cfg = sim_config()

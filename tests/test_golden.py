@@ -1,0 +1,32 @@
+"""Golden fingerprints: the SHA-256 of ``nontiming_view`` for tiny fixed-seed
+runs in each privacy mode.  A refactor that moves any non-timing byte of a
+report fails here.  The plain and DP hashes depend on no HE code; the HE hash
+moves whenever the CKKS random stream or ciphertext bytes do."""
+
+import hashlib
+import json
+
+import pytest
+
+from privfed.config import load_config
+from privfed.federation import run_simulation
+from privfed.report import nontiming_view
+
+TINY = ["model=nn", "data.scale_factor=0.02", "rounds=4", "seed=11"]
+
+
+@pytest.mark.parametrize(
+    "mode, fingerprint",
+    [
+        ("plain", "2559a65a1a043585f09220d4edba7e554877e31ad06710ed2ae901432e08e48b"),
+        ("dp", "f1baa9f22172c74b0c7a432aa8911c16c6b4943663eb6eb62103fc8edcfbb97c"),
+        ("he", "f36342b4f48fa777d8f62b92f598d60124783aad9348f30a7739b491e244a9c8"),
+    ],
+    ids=["plain", "dp", "he"],
+)
+def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
+    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)  # the token is part of the config
+    report = run_simulation(load_config(None, [f"privacy.mode={mode}", *TINY]))
+    assert not report.aborted, report.abort_reason
+    view = json.dumps(nontiming_view(report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(view.encode()).hexdigest() == fingerprint

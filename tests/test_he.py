@@ -28,6 +28,7 @@ from privfed.he import (
     serialize_ct,
     unpack_update,
 )
+from privfed.he.ckks import _context, _sample_cbd
 from privfed.he.ntt import PrimeField, _bit_reverse_indices, _find_psi, generate_ntt_primes
 from privfed.params import LayoutManifest, ParamSet
 
@@ -172,7 +173,6 @@ class TestStackedField:
 
     def test_one_ntt_call_per_encryption(self, monkeypatch):
         key = keygen(DEFAULT_PARAMS, np.random.default_rng(31))
-        pt = encode(np.ones(66), DEFAULT_PARAMS)
         shapes = []
         original = PrimeField.ntt
 
@@ -181,8 +181,10 @@ class TestStackedField:
             return original(self, a)
 
         monkeypatch.setattr(PrimeField, "ntt", counting)
+        pt = encode(np.ones(66), DEFAULT_PARAMS)
+        assert shapes == []
         encrypt(pt, key, np.random.default_rng(32))
-        assert shapes == [(3, 2, DEFAULT_PARAMS.poly_degree)]
+        assert shapes == [(2, DEFAULT_PARAMS.poly_degree)]
 
 
 class TestGoldenBytes:
@@ -193,9 +195,10 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "params, fresh, aggregate, decoded",
         [
-            (TEST_PARAMS, "d5b2fbcee6198168", "0359e72423324867", "1ed3a6e25a8db9f7"),
-            (DEFAULT_PARAMS, "809a94aa1ca381e1", "bb98685a17a81e11", "1b8a4bc1ab1d55cf"),
+            (TEST_PARAMS, "6fac95c2ff4739ec", "a4e8478165f8d5be", "bbcf7ccf5def6dd0"),
+            (DEFAULT_PARAMS, "116a6076f49d43d7", "81389bafbbdc081b", "1d1821778f1bca50"),
         ],
+        ids=["test_params", "default_params"],
     )
     def test_fixed_seed_hashes(self, params, fresh, aggregate, decoded):
         def digest(data: bytes) -> str:
@@ -226,13 +229,12 @@ class TestKeygen:
     def test_different_seeds_different_keys(self):
         a = keygen(TEST_PARAMS, np.random.default_rng(1))
         b = keygen(TEST_PARAMS, np.random.default_rng(2))
-        assert not np.array_equal(a.public_a, b.public_a)
+        assert not np.array_equal(a.secret, b.secret)
 
     def test_deterministic_given_seed(self):
         a = keygen(TEST_PARAMS, np.random.default_rng(7))
         b = keygen(TEST_PARAMS, np.random.default_rng(7))
         assert np.array_equal(a.secret, b.secret)
-        assert np.array_equal(a.public_b, b.public_b)
 
     def test_roundtrip_bound_over_random_vectors(self, keys):
         rng = np.random.default_rng(8)
@@ -282,6 +284,7 @@ class TestEncryptDecrypt:
         a = encrypt(pt, keys, np.random.default_rng(1))
         b = encrypt(pt, keys, np.random.default_rng(2))
         assert not np.array_equal(a.c0, b.c0)
+        assert not np.array_equal(a.c1, b.c1)  # a fresh uniform a per encryption
         assert np.abs(decode(decrypt(a, keys))[:32] - 1).max() < 1e-4
         assert np.abs(decode(decrypt(b, keys))[:32] - 1).max() < 1e-4
 
@@ -291,6 +294,38 @@ class TestEncryptDecrypt:
         pt = encode([1.0], TEST_PARAMS)
         with pytest.raises(StateError):
             encrypt(pt, other_keys, np.random.default_rng(0))
+
+
+class TestSecretKeyEncryption:
+    """A fresh ciphertext is (c0, c1) = (-a*s + e + m, a) with a fresh
+    uniform a; e is the first draw of the encryption RNG."""
+
+    @pytest.mark.parametrize("params", [TEST_PARAMS, DEFAULT_PARAMS])
+    def test_residual_is_the_sampled_error(self, params):
+        key = keygen(params, np.random.default_rng(50))
+        pt = encode(np.random.default_rng(51).uniform(-1, 1, 66), params)
+        ct = encrypt(pt, key, np.random.default_rng(52))
+        field = _context(params).level_fields[ct.level]
+        phase = field.add(ct.c0, field.mul(ct.c1, key.secret))
+        residual = field.centered(field.intt(field.sub(phase, pt.rows)))
+        error = _sample_cbd(np.random.default_rng(52), params.poly_degree)
+        assert np.abs(residual).max() <= 21
+        for row in residual:
+            assert np.array_equal(row, error)
+
+    def test_other_secret_decrypts_to_garbage(self, keys):
+        v = np.random.default_rng(53).uniform(-1, 1, 66)
+        ct = encrypt(encode(v, TEST_PARAMS), keys, np.random.default_rng(54))
+        other = keygen(TEST_PARAMS, np.random.default_rng(12))
+        assert np.abs(roundtrip(v, keys, rng_seed=54) - v).max() < 1e-3
+        assert np.median(np.abs(decode(decrypt(ct, other))[:66] - v)) > 1e3
+
+    def test_error_is_centered_binomial_21(self):
+        e = _sample_cbd(np.random.default_rng(55), 10**6)
+        assert e.dtype == np.int64
+        assert np.abs(e).max() <= 21
+        assert abs(e.mean()) < 0.01
+        assert abs(e.var() / 10.5 - 1) < 0.01
 
 
 class TestAdd:

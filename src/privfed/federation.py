@@ -442,92 +442,90 @@ class FederationClient:
             )
         return self.manifest
 
-    def run(self, channel) -> None:
+    def join_frame(self) -> tr.Frame:
+        """The JOIN this client opens its session with."""
+        body = tr.JoinBody(self.client_id, self.cfg.token, len(self.train), len(self.valid))
+        return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(body))
+
+    def check_ack(self, frame: tr.Frame) -> None:
+        """Accept the coordinator's answer to JOIN, or raise why it refused."""
+        if frame.msg_type == tr.MSG_ERROR:
+            raise AuthError(tr.decode_error(frame.body))
+        if frame.msg_type != tr.MSG_JOIN_ACK:
+            raise ProtocolError(f"expected JOIN_ACK, got type {frame.msg_type}")
+
+    def handle(self, frame: tr.Frame) -> tr.Frame | None:
+        """One protocol step: the reply to a coordinator frame, or None on
+        SHUTDOWN.  A round broadcast is answered with an UPDATE, the final
+        broadcast with a ROUND_DONE."""
         cfg = self.cfg
-        channel.send(
-            tr.Frame(
-                tr.MSG_JOIN,
-                0,
-                tr.encode_join(
-                    tr.JoinBody(self.client_id, cfg.token, len(self.train), len(self.valid))
-                ),
+        if frame.msg_type == tr.MSG_SHUTDOWN:
+            return None
+        if frame.msg_type == tr.MSG_ERROR:
+            raise ProtocolError(tr.decode_error(frame.body))
+        if frame.msg_type != tr.MSG_BROADCAST:
+            raise ProtocolError(f"unexpected message type {frame.msg_type}")
+        if frame.round != self.next_round:
+            raise ProtocolError(
+                f"broadcast for round {frame.round}, expected {self.next_round}"
             )
+        body = tr.decode_broadcast(frame.body)
+        privacy_seconds = self._install_broadcast(body)
+        pre_metrics = self._evaluate(self.global_params)
+
+        if body.final:
+            final_params = None
+            if self.pipeline.mode == "he":
+                final_params = flatten(self.global_params)[0]
+            return tr.Frame(
+                tr.MSG_ROUND_DONE,
+                frame.round,
+                tr.encode_round_done(tr.RoundDoneBody(self.client_id, pre_metrics, final_params)),
+            )
+
+        train_cfg = TrainConfig(
+            learning_rate=cfg.learning_rate,
+            batch_size=cfg.batch_for(self.client_id),
+            local_epochs=cfg.local_epochs,
+            l2_penalty=cfg.l2_penalty,
+            seed=derive_seed(cfg.seed, "train", self.client_id, frame.round),
         )
-        ack = channel.recv(timeout=cfg.timeout_seconds)
-        if ack.msg_type == tr.MSG_ERROR:
-            raise AuthError(tr.decode_error(ack.body))
-        if ack.msg_type != tr.MSG_JOIN_ACK:
-            raise ProtocolError(f"expected JOIN_ACK, got type {ack.msg_type}")
-
-        while True:
-            frame = channel.recv(timeout=cfg.timeout_seconds)
-            if frame.msg_type == tr.MSG_SHUTDOWN:
-                return
-            if frame.msg_type == tr.MSG_ERROR:
-                raise ProtocolError(tr.decode_error(frame.body))
-            if frame.msg_type != tr.MSG_BROADCAST:
-                raise ProtocolError(f"unexpected message type {frame.msg_type}")
-            if frame.round != self.next_round:
-                raise ProtocolError(
-                    f"broadcast for round {frame.round}, expected {self.next_round}"
+        self.next_round += 1
+        trained, stats = train_local(self.kind, self.global_params, self.train, train_cfg)
+        post_metrics = self._evaluate(trained)
+        delta, _ = flatten(compute_delta(trained, self.global_params))
+        if cfg.weighting == "examples":
+            delta = delta * self.weight
+        kind, payload, encode_seconds = self.pipeline.client_encode(
+            delta,
+            max(stats.steps, 1),
+            derived_rng(cfg.seed, "privacy", self.client_id, frame.round),
+        )
+        return tr.Frame(
+            tr.MSG_UPDATE,
+            frame.round,
+            tr.encode_update(
+                tr.UpdateBody(
+                    client_id=self.client_id,
+                    steps=stats.steps,
+                    mode=self.pipeline.mode,
+                    payload_kind=kind,
+                    payload=payload,
+                    weight=self.weight,
+                    train_seconds=stats.wall_time,
+                    privacy_seconds=privacy_seconds + encode_seconds,
+                    pre_metrics=pre_metrics,
+                    post_metrics=post_metrics,
                 )
-            body = tr.decode_broadcast(frame.body)
-            privacy_seconds = self._install_broadcast(body)
-            pre_metrics = self._evaluate(self.global_params)
+            ),
+        )
 
-            if body.final:
-                final_params = None
-                if self.pipeline.mode == "he":
-                    final_params = flatten(self.global_params)[0]
-                channel.send(
-                    tr.Frame(
-                        tr.MSG_ROUND_DONE,
-                        frame.round,
-                        tr.encode_round_done(
-                            tr.RoundDoneBody(self.client_id, pre_metrics, final_params)
-                        ),
-                    )
-                )
-                continue
-
-            train_cfg = TrainConfig(
-                learning_rate=cfg.learning_rate,
-                batch_size=cfg.batch_for(self.client_id),
-                local_epochs=cfg.local_epochs,
-                l2_penalty=cfg.l2_penalty,
-                seed=derive_seed(cfg.seed, "train", self.client_id, frame.round),
-            )
-            self.next_round += 1
-            trained, stats = train_local(self.kind, self.global_params, self.train, train_cfg)
-            post_metrics = self._evaluate(trained)
-            delta, _ = flatten(compute_delta(trained, self.global_params))
-            if cfg.weighting == "examples":
-                delta = delta * self.weight
-            kind, payload, encode_seconds = self.pipeline.client_encode(
-                delta,
-                max(stats.steps, 1),
-                derived_rng(cfg.seed, "privacy", self.client_id, frame.round),
-            )
-            channel.send(
-                tr.Frame(
-                    tr.MSG_UPDATE,
-                    frame.round,
-                    tr.encode_update(
-                        tr.UpdateBody(
-                            client_id=self.client_id,
-                            steps=stats.steps,
-                            mode=self.pipeline.mode,
-                            payload_kind=kind,
-                            payload=payload,
-                            weight=self.weight,
-                            train_seconds=stats.wall_time,
-                            privacy_seconds=privacy_seconds + encode_seconds,
-                            pre_metrics=pre_metrics,
-                            post_metrics=post_metrics,
-                        )
-                    ),
-                )
-            )
+    def run(self, channel) -> None:
+        """Serve one coordinator over ``channel`` until it sends SHUTDOWN."""
+        channel.send(self.join_frame())
+        self.check_ack(channel.recv(timeout=self.cfg.timeout_seconds))
+        while (reply := self.handle(channel.recv(timeout=self.cfg.timeout_seconds))) is not None:
+            channel.send(reply)
 
 
 # -- orchestration -----------------------------------------------------------
@@ -561,34 +559,74 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     return out
 
 
+def _drive_clients(clients, channels, timeout: float, failures: list) -> None:
+    """Step every simulated client from this one thread, in site order.
+
+    The driver sends every JOIN, then hands each live client its next frame
+    (``recv``, ``handle``, ``send``) in turn.  The coordinator broadcasts to
+    all sites before it collects, so the frame the next client waits for is
+    always already sent or the next to be sent, and the fixed order cannot
+    deadlock.  A client that raises has its channel closed at once, which
+    the coordinator reads as that site failing; its (client id, exception)
+    is appended to ``failures``.  A client that receives SHUTDOWN hangs up,
+    as a TCP client does.
+    """
+    live = list(zip(clients, channels))
+
+    def fail(pair, err):
+        failures.append((pair[0].client_id, err))
+        pair[1].close()
+        live.remove(pair)
+
+    for client, channel in live:
+        channel.send(client.join_frame())
+    for pair in list(live):
+        client, channel = pair
+        try:
+            client.check_ack(channel.recv(timeout=timeout))
+        except Exception as err:  # the run's abort reason names it
+            fail(pair, err)
+    while live:
+        for pair in list(live):
+            client, channel = pair
+            try:
+                reply = client.handle(channel.recv(timeout=timeout))
+                if reply is not None:
+                    channel.send(reply)
+            except Exception as err:  # the run's abort reason names it
+                fail(pair, err)
+                continue
+            if reply is None:
+                channel.close()
+                live.remove(pair)
+
+
 def run_simulation(cfg: ExperimentConfig) -> RunReport:
-    """All clients in-process: one thread per client plus the coordinator."""
+    """All sites in-process: the coordinator runs in the calling thread and
+    one driver thread steps every client (see ``_drive_clients``)."""
     datasets = build_site_datasets(cfg)
     server = FederationServer(cfg)
-    server_channels = []
-    client_threads = []
-    client_errors: queue.Queue = queue.Queue()
+    server_channels, client_channels, clients = [], [], []
     for name in cfg.site_names():
         server_end, client_end = tr.SimChannel.pair()
         server_channels.append(server_end)
+        client_channels.append(client_end)
         train, valid = datasets[name]
-        client = FederationClient(cfg, name, train, valid)
-
-        def drive(client=client, channel=client_end):
-            try:
-                client.run(channel)
-            except Exception as err:  # surfaces after the run
-                client_errors.put((client.client_id, err))
-
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        client_threads.append(thread)
+        clients.append(FederationClient(cfg, name, train, valid))
+    failures: list[tuple[str, Exception]] = []
+    driver = threading.Thread(
+        target=_drive_clients,
+        args=(clients, client_channels, cfg.timeout_seconds, failures),
+        name="privfed-clients",
+        daemon=True,
+    )
+    driver.start()
     server.accept_clients(server_channels, timeout=cfg.timeout_seconds)
     report = server.run()
-    for thread in client_threads:
-        thread.join(timeout=cfg.timeout_seconds)
-    if not client_errors.empty() and not report.aborted:
-        client_id, err = client_errors.get()
+    driver.join(timeout=cfg.timeout_seconds)
+    if failures:
+        # the coordinator saw only a closed channel; report the cause
+        client_id, err = failures[0]
         report.aborted = True
         report.abort_reason = f"client {client_id!r}: {type(err).__name__}: {err}"
     return report

@@ -169,6 +169,7 @@ class Ciphertext:
 class KeyPair:
     secret: np.ndarray  # (levels, N) NTT rows of the ternary secret
     params_hash: bytes
+    secret_mont: np.ndarray  # the same rows in Montgomery form, for montmul
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -199,7 +200,8 @@ def keygen(params: CkksParams, rng) -> KeyPair:
     members can derive the shared key locally."""
     ctx = _context(params)
     s = _sample_ternary(_as_rng(rng), params.poly_degree)
-    return KeyPair(_signed_to_rows(ctx, s, ctx.fresh_level), ctx.hash)
+    rows = _signed_to_rows(ctx, s, ctx.fresh_level)
+    return KeyPair(rows, ctx.hash, ctx.level_fields[ctx.fresh_level].to_mont(rows))
 
 
 def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
@@ -271,7 +273,7 @@ def encrypt(pt: PlainPoly, key: KeyPair, rng) -> Ciphertext:
     comps = np.empty((2, level + 1, n), dtype=np.uint64)
     comps[1] = rng.integers(0, field.q, (level + 1, n), dtype=np.uint64)
     message = _signed_to_rows(ctx, pt.coeffs + e, level)
-    comps[0] = field.sub(message, field.mul(comps[1], key.secret))
+    comps[0] = field.sub(message, field.montmul(comps[1], key.secret_mont))
     return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params_hash)
 
 
@@ -279,7 +281,7 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params_hash != ct.params_hash:
         raise StateError("ciphertext/key parameter mismatch")
     field = _ctx_of(ct).level_fields[ct.level]
-    rows = field.add(ct.c0, field.mul(ct.c1, key.secret[: ct.level + 1]))
+    rows = field.add(ct.c0, field.montmul(ct.c1, key.secret_mont[: ct.level + 1]))
     return PlainPoly(ct.level, ct.scale, ct.slot_fill, ct.params_hash, ntt_rows=rows)
 
 

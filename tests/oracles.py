@@ -4,9 +4,12 @@ straight-line pipelines) so they cannot share bugs with the vectorized
 production paths they check."""
 
 import math
+import threading
 
 import numpy as np
 
+from privfed import transport as tr
+from privfed.federation import FederationClient, FederationServer, build_site_datasets
 from privfed.learners import LN_EPS
 from privfed.params import flatten, unflatten
 
@@ -160,3 +163,34 @@ def auc_pairwise_oracle(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def run_simulation_thread_per_client(cfg):
+    """``run_simulation`` with one thread per client, each running
+    ``FederationClient.run`` over its own ``SimChannel`` the way a TCP client
+    runs over its socket.  Only the schedule differs from the simulator's
+    single driver thread, so the two reports agree outside timing fields."""
+    datasets = build_site_datasets(cfg)
+    server = FederationServer(cfg)
+    server_ends, threads = [], []
+    for name in cfg.site_names():
+        server_end, client_end = tr.SimChannel.pair()
+        server_ends.append(server_end)
+        train, valid = datasets[name]
+        client = FederationClient(cfg, name, train, valid)
+
+        def serve(client=client, channel=client_end):
+            try:
+                client.run(channel)
+            finally:
+                channel.close()
+
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+    server.accept_clients(server_ends, timeout=cfg.timeout_seconds)
+    report = server.run()
+    for thread in threads:
+        thread.join(timeout=cfg.timeout_seconds)
+        if thread.is_alive():
+            raise RuntimeError("a client thread outlived the run")
+    return report

@@ -10,6 +10,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 import contextlib
 import json
 import math
+import os
 import socket
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from oracles import auc_pairwise_oracle, numeric_gradient, svt_reference
 
+import privfed
 from privfed.config import DP_DEFAULTS, load_config
 from privfed.data import DEFAULT_SITES, GeneratorSpec, generate_cohort, split_train_valid
 from privfed.dp import LaplaceSampler, SvtConfig, svt_filter
@@ -45,6 +47,16 @@ def federated(overrides):
     report = run_simulation(cfg)
     assert not report.aborted, report.abort_reason
     return report
+
+
+def cli_env() -> dict:
+    """Environment for ``privfed.cli`` subprocesses: PYTHONPATH starts with
+    the source root of the package this test imported, so they run the same
+    code whether or not the package is installed."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(privfed.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 def cross_site_auc(report) -> float:
@@ -333,6 +345,7 @@ class TestAcceptance:
                 "local_epochs=2",
             ]
             flat = [x for o in overrides for x in ("--set", o)]
+            env = cli_env()
             with socket.socket() as probe:
                 probe.bind(("127.0.0.1", 0))
                 port = probe.getsockname()[1]
@@ -340,12 +353,14 @@ class TestAcceptance:
                 [sys.executable, "-m", "privfed.cli", "server", "--listen", f"127.0.0.1:{port}"]
                 + flat
                 + ["--out", str(tmp_path / "tcp")],
+                env=env,
             )
             time.sleep(1.0)
             clients = [
                 subprocess.Popen(
                     [sys.executable, "-m", "privfed.cli", "client", "--connect",
-                     f"127.0.0.1:{port}", "--site", site] + flat
+                     f"127.0.0.1:{port}", "--site", site] + flat,
+                    env=env,
                 )
                 for site in ("ostergotland", "sodermanland", "stockholm", "uppsala")
             ]
@@ -355,6 +370,7 @@ class TestAcceptance:
             rc = subprocess.run(
                 [sys.executable, "-m", "privfed.cli", "run-sim"] + flat
                 + ["--out", str(tmp_path / "sim")],
+                env=env,
             ).returncode
             assert rc == 0
             tcp = nontiming_view(json.load(open(tmp_path / "tcp" / "report.json")))

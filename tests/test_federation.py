@@ -1,21 +1,29 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
+from oracles import run_simulation_thread_per_client
+from test_golden import TINY
 
+from privfed import federation
 from privfed import transport as tr
 from privfed.config import load_config
-from privfed.errors import AuthError, LayoutError
+from privfed.errors import AuthError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
     aggregate_encrypted,
     aggregate_plain,
+    build_site_datasets,
     run_central,
     run_simulation,
 )
 from privfed.he import TEST_PARAMS, decode, decrypt, encode, encrypt, keygen
+from privfed.learners import ModelKind, init_params
 from privfed.metrics import summarize
+from privfed.params import flatten
+from privfed.report import nontiming_view
 
 HE_OVERRIDES = [
     "privacy.he.poly_degree=1024",
@@ -34,6 +42,22 @@ def sim_config(*overrides):
         "learning_rate=0.1",
     ]
     return load_config(None, base + list(overrides))
+
+
+def site_client(cfg) -> FederationClient:
+    """The first site's client, built outside any simulation."""
+    name = cfg.site_names()[0]
+    train, valid = build_site_datasets(cfg, only_site=name)[name]
+    return FederationClient(cfg, name, train, valid)
+
+
+def initial_flat(kind: ModelKind):
+    return flatten(init_params(kind, 0))[0]
+
+
+def broadcast(round_index: int, flat, final: bool = False) -> tr.Frame:
+    body = tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, flat)
+    return tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
 
 
 class TestAggregatePlain:
@@ -123,32 +147,11 @@ class TestSimulationRuns:
             assert client.pre_metrics == client.post_metrics
 
     def test_dp_update_payload_obeys_filter_bound(self):
-        # drive one client round by hand so the wire payload is inspectable
+        # step one client round by hand so the wire payload is inspectable
         cfg = sim_config("privacy.mode=dp", "model=nn", "rounds=1", "local_epochs=2")
-        from privfed.federation import build_site_datasets
-        from privfed.learners import ModelKind, init_params
-        from privfed.params import flatten
-
-        name = cfg.site_names()[0]
-        train, valid = build_site_datasets(cfg)[name]
-        client = FederationClient(cfg, name, train, valid)
-        server_end, client_end = tr.SimChannel.pair()
-        thread = threading.Thread(target=client.run, args=(client_end,), daemon=True)
-        thread.start()
-        join = server_end.recv(timeout=10)
-        assert join.msg_type == tr.MSG_JOIN
-        server_end.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
-        init_flat, _ = flatten(init_params(ModelKind.FEEDFORWARD_NN, 0))
-        server_end.send(
-            tr.Frame(
-                tr.MSG_BROADCAST,
-                0,
-                tr.encode_broadcast(tr.BroadcastBody(False, tr.PAYLOAD_PLAIN, init_flat)),
-            )
-        )
-        update = tr.decode_update(server_end.recv(timeout=30).body)
-        server_end.send(tr.Frame(tr.MSG_SHUTDOWN, 0))
-        thread.join(timeout=10)
+        reply = site_client(cfg).handle(broadcast(0, initial_flat(ModelKind.FEEDFORWARD_NN)))
+        assert (reply.msg_type, reply.round) == (tr.MSG_UPDATE, 0)
+        update = tr.decode_update(reply.body)
         assert update.mode == "dp"
         assert update.payload.size == 66
         bound = cfg.dp.gamma * update.steps
@@ -271,40 +274,122 @@ class TestAuth:
         assert errors, "client should observe the rejection"
 
 
+class TestClientHandle:
+    """``FederationClient.handle`` is one protocol step: the reply to a
+    coordinator frame, or None on SHUTDOWN."""
+
+    def test_shutdown_ends_the_session(self):
+        assert site_client(sim_config()).handle(tr.Frame(tr.MSG_SHUTDOWN, 0)) is None
+
+    @pytest.mark.parametrize("msg_type", [tr.MSG_JOIN, tr.MSG_JOIN_ACK, tr.MSG_UPDATE])
+    def test_unexpected_type_rejected(self, msg_type):
+        with pytest.raises(ProtocolError, match="unexpected message type"):
+            site_client(sim_config()).handle(tr.Frame(msg_type, 0))
+
+    def test_error_frame_raises_its_message(self):
+        with pytest.raises(ProtocolError, match="coordinator gave up"):
+            site_client(sim_config()).handle(
+                tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("coordinator gave up"))
+            )
+
+    def test_final_broadcast_answered_with_round_done(self):
+        cfg = sim_config()
+        client = site_client(cfg)
+        reply = client.handle(broadcast(0, initial_flat(ModelKind.LOGISTIC_REGRESSION), final=True))
+        assert (reply.msg_type, reply.round) == (tr.MSG_ROUND_DONE, 0)
+        done = tr.decode_round_done(reply.body)
+        assert done.client_id == cfg.site_names()[0]
+        assert done.final_params is None  # plain mode: the coordinator holds the model
+        assert done.metrics.n_pos + done.metrics.n_neg == len(client.valid)
+
+    def test_check_ack(self):
+        client = site_client(sim_config())
+        client.check_ack(tr.Frame(tr.MSG_JOIN_ACK, 0))
+        with pytest.raises(AuthError, match="bad token"):
+            client.check_ack(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("bad token")))
+        with pytest.raises(ProtocolError, match="expected JOIN_ACK"):
+            client.check_ack(tr.Frame(tr.MSG_BROADCAST, 0))
+
+
 class TestRoundSequence:
     def test_out_of_sequence_broadcast_rejected(self):
-        from privfed.errors import ProtocolError
-        from privfed.federation import build_site_datasets
-        from privfed.learners import ModelKind, init_params
-        from privfed.params import flatten
+        client = site_client(sim_config())
+        with pytest.raises(ProtocolError, match="round 5, expected 0"):
+            client.handle(broadcast(5, initial_flat(ModelKind.LOGISTIC_REGRESSION)))
 
+    def test_replayed_broadcast_rejected(self):
+        client = site_client(sim_config())
+        frame = broadcast(0, initial_flat(ModelKind.LOGISTIC_REGRESSION))
+        assert client.handle(frame).msg_type == tr.MSG_UPDATE
+        with pytest.raises(ProtocolError, match="round 0, expected 1"):
+            client.handle(frame)
+
+
+class TestSimulationSchedule:
+    def test_one_thread_steps_every_client(self, monkeypatch):
+        stepped = set()
+        handle = FederationClient.handle
+
+        def recording_handle(self, frame):
+            stepped.add((self.client_id, threading.get_ident()))
+            return handle(self, frame)
+
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(FederationClient, "handle", recording_handle)
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         cfg = sim_config()
-        name = cfg.site_names()[0]
-        train, valid = build_site_datasets(cfg)[name]
-        client = FederationClient(cfg, name, train, valid)
-        server_end, client_end = tr.SimChannel.pair()
-        errors = []
+        report = run_simulation(cfg)
+        assert not report.aborted, report.abort_reason
+        assert {cid for cid, _ in stepped} == set(cfg.site_names())
+        client_threads = {ident for _, ident in stepped}
+        assert len(client_threads) == 1
+        assert threading.get_ident() not in client_threads
+        # the coordinator's one reader per site, plus the one client driver
+        assert len(started) == len(cfg.site_names()) + 1
 
-        def drive():
-            try:
-                client.run(client_end)
-            except ProtocolError as err:
-                errors.append(err)
+    def test_no_thread_outlives_the_run(self):
+        before = set(threading.enumerate())
+        assert not run_simulation(sim_config("rounds=1")).aborted
+        # clients hang up after SHUTDOWN, which ends the coordinator's readers
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), thread.name
 
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        server_end.recv(timeout=10)  # JOIN
-        server_end.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
-        init_flat, _ = flatten(init_params(ModelKind.LOGISTIC_REGRESSION, 0))
-        server_end.send(
-            tr.Frame(
-                tr.MSG_BROADCAST,
-                5,  # client expects round 0
-                tr.encode_broadcast(tr.BroadcastBody(False, tr.PAYLOAD_PLAIN, init_flat)),
-            )
-        )
-        thread.join(timeout=10)
-        assert errors and "round" in str(errors[0])
+    @pytest.mark.parametrize("mode", ["plain", "dp", "he"])
+    def test_matches_thread_per_client_oracle(self, mode, monkeypatch):
+        monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
+        cfg = load_config(None, [f"privacy.mode={mode}", *TINY])
+        driven = run_simulation(cfg)
+        threaded = run_simulation_thread_per_client(cfg)
+        assert not driven.aborted and not threaded.aborted
+        assert nontiming_view(driven.to_dict()) == nontiming_view(threaded.to_dict())
+
+    def test_failing_client_ends_run_at_once(self, monkeypatch):
+        cfg = sim_config("rounds=3")
+        assert cfg.timeout_seconds >= 600  # the default the abort must not wait for
+        failing = cfg.site_names()[1]
+        failing_train = build_site_datasets(cfg)[failing][0]
+        train_local = federation.train_local
+
+        def crashing_train_local(kind, params, data, train_cfg):
+            if np.array_equal(data.labels, failing_train.labels):
+                raise RuntimeError("site disk unreadable")
+            return train_local(kind, params, data, train_cfg)
+
+        monkeypatch.setattr(federation, "train_local", crashing_train_local)
+        t0 = time.monotonic()
+        report = run_simulation(cfg)
+        assert time.monotonic() - t0 < 30
+        assert report.aborted
+        assert report.abort_reason == f"client {failing!r}: RuntimeError: site disk unreadable"
+        assert report.rounds == []
+        assert not any(t.name == "privfed-clients" for t in threading.enumerate())
 
 
 class TestTimeout:

@@ -195,26 +195,6 @@ def generate_cohort(spec: GeneratorSpec) -> dict[str, CohortDataset]:
     return out
 
 
-def partition_sites(ds: CohortDataset, sites, scale_factor: float = 1.0, seed: int = 0):
-    """Shard a pooled dataset into per-site datasets matching the site specs."""
-    rng = np.random.default_rng(derive_seed(seed, "partition"))
-    neg_idx = rng.permutation(np.flatnonzero(ds.labels == 0))
-    pos_idx = rng.permutation(np.flatnonzero(ds.labels == 1))
-    out = {}
-    n_used = p_used = 0
-    for site in sites:
-        want_neg, want_pos = scaled_counts(site, scale_factor)
-        if n_used + want_neg > neg_idx.size or p_used + want_pos > pos_idx.size:
-            raise ConfigError(f"not enough rows to fill site {site.name!r}")
-        take = np.concatenate(
-            [neg_idx[n_used : n_used + want_neg], pos_idx[p_used : p_used + want_pos]]
-        )
-        n_used += want_neg
-        p_used += want_pos
-        out[site.name] = ds.subset(np.sort(take))
-    return out
-
-
 def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0):
     """Stratified train/validation split; both classes land in both parts."""
     if not 0 < train_frac < 1:

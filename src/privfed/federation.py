@@ -6,6 +6,12 @@ delta, the server waits for all of them (hard barrier), aggregates, and
 applies the mean delta.  After the last round a final broadcast triggers
 per-site validation of the finished global model.
 
+The coordinator is one straight-line thread and starts none of its own.  It
+sends the broadcast to every site, then reads one reply per site in site
+order, all within one deadline of ``timeout_seconds`` per round.  A site that
+misses the deadline, hangs up or sends the wrong frame aborts the run with a
+reason that names it.
+
 Three privacy modes share the loop:
 
 - plain: deltas travel as float64 vectors.
@@ -19,7 +25,6 @@ Three privacy modes share the loop:
 from __future__ import annotations
 
 import hmac
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -66,8 +71,6 @@ class ClientRecord:
 
     client_id: str
     weight: float
-    n_train: int
-    n_valid: int
     channel: object
 
 
@@ -200,8 +203,6 @@ class FederationServer:
         self.kind = ModelKind(cfg.model)
         self.pipeline = build_pipeline(cfg, with_keys=False)
         self.clients: dict[str, ClientRecord] = {}
-        self._inbox: queue.Queue = queue.Queue()
-        self._readers: list[threading.Thread] = []
         self.event_log: list[list] = []
         self._t0 = time.monotonic()
 
@@ -214,7 +215,7 @@ class FederationServer:
         """Authenticate JOIN on each channel until all expected sites joined."""
         expected = set(self.cfg.site_names())
         for channel in channels:
-            frame = channel.recv(timeout=timeout)
+            frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
             if frame.msg_type != tr.MSG_JOIN:
                 channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("expected JOIN")))
                 channel.close()
@@ -229,69 +230,44 @@ class FederationServer:
                 channel.close()
                 raise ProtocolError(f"unexpected site {join.client_id!r}")
             weight = float(join.n_train) if self.cfg.weighting == "examples" else 1.0
-            self.clients[join.client_id] = ClientRecord(
-                join.client_id, weight, join.n_train, join.n_valid, channel
-            )
+            self.clients[join.client_id] = ClientRecord(join.client_id, weight, channel)
             channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
             self._log("join", join.client_id)
         missing = expected - set(self.clients)
         if missing:
             raise ProtocolError(f"sites never joined: {sorted(missing)}")
-        for record in self.clients.values():
-            thread = threading.Thread(
-                target=self._reader, args=(record,), daemon=True
-            )
-            thread.start()
-            self._readers.append(thread)
-
-    def _reader(self, record: ClientRecord):
-        while True:
-            try:
-                frame = record.channel.recv()
-            except Exception as err:
-                self._inbox.put((record.client_id, err))
-                return
-            self._inbox.put((record.client_id, frame))
-            if frame.msg_type == tr.MSG_SHUTDOWN:
-                return
 
     # -- round loop ------------------------------------------------------------
 
-    def _ordered_ids(self) -> list[str]:
-        return [s for s in self.cfg.site_names()]
-
     def _broadcast(self, round_index: int, body: tr.BroadcastBody):
         frame = tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
-        for client_id in self._ordered_ids():
+        for client_id in self.cfg.site_names():
             self.clients[client_id].channel.send(frame)
         self._log("broadcast", str(round_index))
 
-    def _collect(self, round_index: int, msg_type: int) -> dict[str, tuple[object, float]]:
-        pending = set(self.clients)
-        received: dict[str, tuple[object, float]] = {}
+    def _collect(self, round_index: int, msg_type: int) -> dict[str, tuple[tr.Frame, float]]:
+        """One frame from each site, read in site order under one deadline.
+
+        The round is a hard barrier, so reading the sites one after another
+        loses nothing: the coordinator cannot act before the last reply.
+        """
+        received: dict[str, tuple[tr.Frame, float]] = {}
         deadline = time.monotonic() + self.cfg.timeout_seconds
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RoundTimeoutError(
-                    f"round {round_index}: no update from {sorted(pending)}"
-                )
+        for client_id in self.cfg.site_names():
             try:
-                client_id, item = self._inbox.get(timeout=remaining)
-            except queue.Empty:
-                raise RoundTimeoutError(
-                    f"round {round_index}: no update from {sorted(pending)}"
-                ) from None
-            if isinstance(item, Exception):
-                raise ProtocolError(f"client {client_id!r} failed: {item}")
-            if item.msg_type != msg_type or item.round != round_index:
+                frame = self.clients[client_id].channel.recv(
+                    timeout=max(deadline - time.monotonic(), 0.0)
+                )
+            except TimeoutError:
+                raise RoundTimeoutError(f"round {round_index}: no reply from {client_id!r}") from None
+            except Exception as err:
+                raise ProtocolError(f"client {client_id!r} failed: {err}") from err
+            if frame.msg_type != msg_type or frame.round != round_index:
                 raise ProtocolError(
-                    f"client {client_id!r} sent type {item.msg_type} for round {item.round}, "
+                    f"client {client_id!r} sent type {frame.msg_type} for round {frame.round}, "
                     f"expected type {msg_type} round {round_index}"
                 )
-            arrival = time.monotonic() - self._t0
-            received[client_id] = (item, arrival)
-            pending.discard(client_id)
+            received[client_id] = (frame, time.monotonic() - self._t0)
             self._log("update_received", client_id)
         return received
 
@@ -319,8 +295,8 @@ class FederationServer:
                     received[client_id] = (update, arrival)
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
-                ordered = [received[cid][0] for cid in self._ordered_ids()]
-                weights = [self.clients[cid].weight for cid in self._ordered_ids()]
+                ordered = [received[cid][0] for cid in self.cfg.site_names()]
+                weights = [self.clients[cid].weight for cid in self.cfg.site_names()]
                 if isinstance(self.pipeline, HePipeline):
                     he_state = self.pipeline.server_aggregate(
                         [u.payload for u in ordered], weights
@@ -343,11 +319,11 @@ class FederationServer:
                 if done.final_params is not None:
                     finals[client_id] = done.final_params
             ordered_rows = [
-                SiteValidation(cid, dict(rows)[cid]) for cid in self._ordered_ids()
+                SiteValidation(cid, dict(rows)[cid]) for cid in self.cfg.site_names()
             ]
             report.cross_site = CrossSiteTable.from_rows(ordered_rows)
             if isinstance(self.pipeline, HePipeline):
-                first = self._ordered_ids()[0]
+                first = self.cfg.site_names()[0]
                 report.final_params = [float(v) for v in finals[first]]
             else:
                 report.final_params = [float(v) for v in flatten(global_params)[0]]
@@ -368,7 +344,7 @@ class FederationServer:
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
         """``received`` maps each client id to its (UpdateBody, arrival time)."""
         clients = []
-        for client_id in self._ordered_ids():
+        for client_id in self.cfg.site_names():
             update, arrival = received[client_id]
             payload_bytes = (
                 update.payload.size * 8

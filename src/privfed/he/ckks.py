@@ -340,16 +340,15 @@ def pack_update(flat: np.ndarray, params: CkksParams) -> list[np.ndarray]:
     return [flat[i : i + size] for i in range(0, flat.size, size)]
 
 
-def unpack_update(chunks, manifest) -> np.ndarray:
-    """Reassemble decrypted chunks and truncate padding to the manifest length."""
-    total = manifest.total_length if hasattr(manifest, "total_length") else int(manifest)
+def unpack_update(chunks, length: int) -> np.ndarray:
+    """Reassemble decrypted chunks and truncate the padding to ``length`` values."""
     if chunks:
         flat = np.concatenate([np.asarray(c, dtype=np.float64).reshape(-1) for c in chunks])
     else:
         flat = np.zeros(0, dtype=np.float64)
-    if flat.size < total:
-        raise LayoutError(f"chunks carry {flat.size} values, manifest wants {total}")
-    return flat[:total]
+    if flat.size < length:
+        raise LayoutError(f"chunks carry {flat.size} values, the update has {length}")
+    return flat[:length]
 
 
 # -- serialization -----------------------------------------------------------

@@ -252,12 +252,6 @@ class PrimeField:
     def to_mont(self, a):
         return self.montmul(a, self.r2)
 
-    def mul(self, a, b):
-        """Generic product a*b mod q (both plain representation)."""
-        a, flat = self._rows(np.asarray(a))
-        out = self.montmul(self.to_mont(a), b)
-        return out[0] if flat else out
-
     def mul_const(self, a, consts) -> np.ndarray:
         """a * consts[i] mod q_i along the prime axis; consts are Python ints."""
         table = self._shoup_table(_column([c % q for c, q in zip(consts, self.primes)]))

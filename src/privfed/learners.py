@@ -19,9 +19,8 @@ has one kernel that writes the loss gradient into a reused vector;
 ``train_local`` allocates its work arrays once per call, sized by
 min(n, batch_size) rows.  The NN kernel keeps activations hidden-major,
 ``(5, rows)``, so both matmuls go to BLAS and the layer-norm reductions over
-the 5 hidden units are row-wise adds.  Prediction (``forward`` and
-``predict_batch``) keeps ``einsum``, so a batch is bitwise equal to its rows
-evaluated one at a time.
+the 5 hidden units are row-wise adds.  Prediction (``predict_batch``) keeps
+``einsum``, so a batch is bitwise equal to its rows evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -144,19 +143,9 @@ def _logits(kind: ModelKind, params: ParamSet, x: np.ndarray) -> np.ndarray:
     return np.einsum("nh,h->n", z, params.tensor("out_w").reshape(-1)) + params.tensor("out_b")[0]
 
 
-def forward(kind: ModelKind, params: ParamSet, features) -> float:
-    """Single-sample predicted probability of the positive class."""
-    kind = ModelKind(kind)
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} features, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
-    return float(_sigmoid(_logits(kind, params, x))[0])
-
-
 def predict_batch(kind: ModelKind, params: ParamSet, features) -> np.ndarray:
-    """Probabilities for a feature matrix; row i equals forward() on row i."""
+    """Probabilities for a feature matrix, bitwise equal to those of its rows
+    passed one at a time."""
     kind = ModelKind(kind)
     x = np.asarray(features, dtype=np.float64)
     if x.size == 0:
@@ -318,10 +307,6 @@ def loss_and_grad(
         loss = _KERNELS[kind](_theta(kind, params), x, y, l2, work)
         return loss, unflatten(work.grad, MANIFESTS[kind])
     return _KERNELS[kind](params, x, y, l2, work), work.grad
-
-
-def steps_per_round(n_train: int, batch_size: int, local_epochs: int) -> int:
-    return local_epochs * math.ceil(n_train / batch_size)
 
 
 def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):

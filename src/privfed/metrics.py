@@ -79,6 +79,7 @@ def summarize(values) -> tuple[float, float]:
 
 
 def summarize_metric_sets(sets) -> dict:
+    """``{auc,sensitivity,specificity}_{mean,std}`` over metric sets."""
     sets = list(sets)
     out = {}
     for field in ("auc", "sensitivity", "specificity"):

@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .metrics import MetricSet, summarize
+from .metrics import MetricSet, summarize_metric_sets
 
 SUMMARY_COLUMNS = [
     "method",
@@ -72,12 +72,7 @@ class CrossSiteTable:
 
     @classmethod
     def from_rows(cls, rows: list[SiteValidation]) -> "CrossSiteTable":
-        summary = {}
-        for name in ("auc", "sensitivity", "specificity"):
-            mean, std = summarize(getattr(r.metrics, name) for r in rows)
-            summary[f"{name}_mean"] = mean
-            summary[f"{name}_std"] = std
-        return cls(rows, summary)
+        return cls(rows, summarize_metric_sets(r.metrics for r in rows))
 
 
 @dataclass
@@ -153,12 +148,10 @@ class RunReport:
         }
 
     def summary_row(self) -> dict:
-        sets = self.site_metric_sets()
         row = {"method": self.method, "learner": self.learner}
-        for name, short in (("auc", "auc"), ("sensitivity", "sens"), ("specificity", "spec")):
-            mean, std = summarize(getattr(m, name) for m in sets)
-            row[f"{short}_mean"] = mean
-            row[f"{short}_std"] = std
+        for key, value in summarize_metric_sets(self.site_metric_sets()).items():
+            name, stat = key.rsplit("_", 1)
+            row[f"{name[:4]}_{stat}"] = value  # columns auc_, sens_, spec_
         return row
 
 

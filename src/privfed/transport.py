@@ -12,6 +12,7 @@ from __future__ import annotations
 import queue
 import socket
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .metrics import MetricSet
 
 MAGIC = b"PFD1"
 MAX_BODY = 256 * 1024 * 1024  # fits N=8192 ciphertext chunk lists with margin
+MAX_JOIN_BODY = 4096  # a site name, a token and two counts; read before auth
 
 MSG_JOIN = 0
 MSG_JOIN_ACK = 1
@@ -49,16 +51,22 @@ def frame_encode(frame: Frame) -> bytes:
     return _HEADER.pack(MAGIC, frame.msg_type, frame.round, len(frame.body)) + frame.body
 
 
-def frame_decode(data: bytes) -> Frame:
-    if len(data) < _HEADER.size:
-        raise DecodeError("truncated frame header")
-    magic, msg_type, round_no, body_len = _HEADER.unpack_from(data)
+def _parse_header(header: bytes, max_body: int) -> tuple[int, int, int]:
+    """(msg_type, round, body_len) of a frame header, checked against ``max_body``."""
+    magic, msg_type, round_no, body_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}")
     if msg_type not in _VALID_TYPES:
         raise DecodeError(f"unknown msg_type {msg_type}")
-    if body_len > MAX_BODY:
-        raise DecodeError("body exceeds 256 MiB limit")
+    if body_len > max_body:
+        raise DecodeError(f"body of {body_len} bytes exceeds the {max_body}-byte limit")
+    return msg_type, round_no, body_len
+
+
+def frame_decode(data: bytes, max_body: int = MAX_BODY) -> Frame:
+    if len(data) < _HEADER.size:
+        raise DecodeError("truncated frame header")
+    msg_type, round_no, body_len = _parse_header(data, max_body)
     if len(data) != _HEADER.size + body_len:
         raise DecodeError("frame length mismatch")
     return Frame(msg_type, round_no, data[_HEADER.size :])
@@ -299,14 +307,14 @@ class SimChannel:
         self._outbox.put(data)
         return len(data)
 
-    def recv(self, timeout: float | None = None) -> Frame:
+    def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
         try:
             data = self._inbox.get(timeout=timeout)
         except queue.Empty:
             raise TimeoutError("channel receive timed out") from None
         if data is None:
             raise ChannelClosed("peer closed the channel")
-        return frame_decode(data)
+        return frame_decode(data, max_body)
 
     def close(self):
         if not self._closed:
@@ -326,30 +334,26 @@ class TcpChannel:
         self._sock.sendall(data)
         return len(data)
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int, deadline: float | None) -> bytes:
         parts = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
+        while n:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError("channel receive timed out")
+            self._sock.settimeout(remaining)
+            chunk = self._sock.recv(min(n, 1 << 20))  # socket.timeout is a TimeoutError
             if not chunk:
                 raise ChannelClosed("connection closed mid-frame")
             parts.append(chunk)
-            remaining -= len(chunk)
+            n -= len(chunk)
         return b"".join(parts)
 
-    def recv(self, timeout: float | None = None) -> Frame:
-        self._sock.settimeout(timeout)
-        try:
-            header = self._recv_exact(_HEADER.size)
-            magic, msg_type, round_no, body_len = _HEADER.unpack(header)
-            if magic != MAGIC:
-                raise DecodeError(f"bad magic {magic!r}")
-            if body_len > MAX_BODY:
-                raise DecodeError("body exceeds 256 MiB limit")
-            body = self._recv_exact(body_len) if body_len else b""
-        except socket.timeout:
-            raise TimeoutError("channel receive timed out") from None
-        return frame_decode(header + body)
+    def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
+        """The next frame; ``timeout`` bounds the whole frame, not each read."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        header = self._recv_exact(_HEADER.size, deadline)
+        msg_type, round_no, body_len = _parse_header(header, max_body)
+        return Frame(msg_type, round_no, self._recv_exact(body_len, deadline))
 
     def close(self):
         try:

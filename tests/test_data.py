@@ -9,7 +9,6 @@ from privfed.data import (
     concat_datasets,
     generate_cohort,
     kfold_split,
-    partition_sites,
     read_csv,
     scaled_counts,
     split_train_valid,
@@ -68,19 +67,6 @@ class TestGeneration:
         ds = generate_cohort(spec)["x"]
         assert np.all(np.abs(ds.features[:, 0]) <= 3.0)  # truncated age
         assert set(np.unique(ds.features[:, 1:])) <= {0.0, 1.0}
-
-
-class TestPartition:
-    def test_partition_counts(self):
-        ds = small_dataset(n=1000, pos_frac=0.1, seed=2)
-        parts = partition_sites(ds, (SiteSpec("a", 500, 50), SiteSpec("b", 400, 40)))
-        assert parts["a"].class_counts() == (500, 50)
-        assert parts["b"].class_counts() == (400, 40)
-
-    def test_partition_insufficient(self):
-        ds = small_dataset(n=100, pos_frac=0.1)
-        with pytest.raises(ConfigError):
-            partition_sites(ds, (SiteSpec("a", 500, 50),))
 
 
 class TestSplit:

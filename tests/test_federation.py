@@ -10,9 +10,10 @@ from test_golden import TINY
 from privfed import federation
 from privfed import transport as tr
 from privfed.config import load_config
-from privfed.errors import AuthError, LayoutError, ProtocolError
+from privfed.errors import AuthError, DecodeError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
+    FederationServer,
     aggregate_encrypted,
     aggregate_plain,
     build_site_datasets,
@@ -21,7 +22,7 @@ from privfed.federation import (
 )
 from privfed.he import TEST_PARAMS, decode, decrypt, encode, encrypt, keygen
 from privfed.learners import ModelKind, init_params
-from privfed.metrics import summarize
+from privfed.metrics import MetricSet, summarize
 from privfed.params import flatten
 from privfed.report import nontiming_view
 
@@ -248,8 +249,6 @@ class TestCrossSiteTable:
 class TestAuth:
     def test_bad_token_rejected(self):
         cfg = sim_config()
-        from privfed.federation import FederationServer, build_site_datasets
-
         datasets = build_site_datasets(cfg)
         server = FederationServer(cfg)
         server_end, client_end = tr.SimChannel.pair()
@@ -350,13 +349,13 @@ class TestSimulationSchedule:
         client_threads = {ident for _, ident in stepped}
         assert len(client_threads) == 1
         assert threading.get_ident() not in client_threads
-        # the coordinator's one reader per site, plus the one client driver
-        assert len(started) == len(cfg.site_names()) + 1
+        # the client driver; the coordinator starts no thread
+        assert len(started) == 1
 
     def test_no_thread_outlives_the_run(self):
         before = set(threading.enumerate())
         assert not run_simulation(sim_config("rounds=1")).aborted
-        # clients hang up after SHUTDOWN, which ends the coordinator's readers
+        # the client driver ends once every client has had its SHUTDOWN
         for thread in set(threading.enumerate()) - before:
             thread.join(timeout=10)
             assert not thread.is_alive(), thread.name
@@ -392,22 +391,36 @@ class TestSimulationSchedule:
         assert not any(t.name == "privfed-clients" for t in threading.enumerate())
 
 
+def join_frame(cfg, name) -> tr.Frame:
+    return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10, 5)))
+
+
+def update_frame(name, round_index=0, client_id=None) -> tr.Frame:
+    """A well-formed plain LR update from ``name`` (the body may claim another id)."""
+    metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
+    body = tr.UpdateBody(
+        client_id or name, 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11), 1.0, 0.0, 0.0, metrics, metrics
+    )
+    return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body))
+
+
+def sim_coordinator(cfg):
+    """A coordinator with every site joined over SimChannels, and the sites'
+    ends of those channels with the JOIN_ACK already read."""
+    server = FederationServer(cfg)
+    server_ends, client_ends = zip(*(tr.SimChannel.pair() for _ in cfg.site_names()))
+    for name, client_end in zip(cfg.site_names(), client_ends):
+        client_end.send(join_frame(cfg, name))
+    server.accept_clients(list(server_ends), timeout=5)
+    for client_end in client_ends:
+        assert client_end.recv(timeout=5).msg_type == tr.MSG_JOIN_ACK
+    return server, client_ends
+
+
 class TestTimeout:
     def test_silent_client_aborts_run_with_partial_report(self):
         cfg = sim_config("timeout_seconds=0.5", "rounds=3")
-        from privfed.federation import FederationServer
-
-        server = FederationServer(cfg)
-        server_ends = []
-        for name in cfg.site_names():
-            server_end, client_end = tr.SimChannel.pair()
-            server_ends.append(server_end)
-            client_end.send(
-                tr.Frame(
-                    tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10, 5))
-                )
-            )
-        server.accept_clients(server_ends, timeout=5)
+        server, _ = sim_coordinator(cfg)
         report = server.run()  # nobody ever sends an update
         assert report.aborted
         assert "RoundTimeoutError" in report.abort_reason
@@ -416,26 +429,11 @@ class TestTimeout:
 
 class TestUpdateBody:
     def test_body_naming_another_site_aborts_run(self):
-        from privfed.federation import FederationServer
-        from privfed.metrics import MetricSet
-
         cfg = sim_config()
         names = cfg.site_names()
-        server = FederationServer(cfg)
-        server_ends, client_ends = zip(*(tr.SimChannel.pair() for _ in names))
-        for name, client_end in zip(names, client_ends):
-            client_end.send(
-                tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10, 5)))
-            )
-        server.accept_clients(list(server_ends), timeout=5)
-        metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
+        server, client_ends = sim_coordinator(cfg)
         for i, client_end in enumerate(client_ends):
-            client_end.recv(timeout=5)  # JOIN_ACK
-            body = tr.UpdateBody(
-                names[(i + 1) % len(names)], 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11),
-                1.0, 0.0, 0.0, metrics, metrics,
-            )
-            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
+            client_end.send(update_frame(names[i], client_id=names[(i + 1) % len(names)]))
         report = server.run()
         assert report.aborted
         assert "ProtocolError" in report.abort_reason
@@ -443,12 +441,136 @@ class TestUpdateBody:
         assert report.rounds == []
 
 
+class TestSequentialCollect:
+    """The coordinator reads the sites in site order; each fault aborts the
+    run within ``timeout_seconds`` with a reason that names the site."""
+
+    def test_update_for_wrong_round(self):
+        cfg = sim_config("timeout_seconds=5")
+        first, second = cfg.site_names()[:2]
+        server, client_ends = sim_coordinator(cfg)
+        client_ends[0].send(update_frame(first))
+        client_ends[1].send(update_frame(second, round_index=3))
+        t0 = time.monotonic()
+        report = server.run()
+        assert time.monotonic() - t0 < cfg.timeout_seconds
+        assert report.aborted
+        assert report.abort_reason.startswith(f"ProtocolError: client {second!r} sent type")
+        assert "for round 3, expected type 3 round 0" in report.abort_reason
+        assert report.rounds == []
+
+    def test_silent_site_after_a_live_one(self):
+        cfg = sim_config("timeout_seconds=0.5")
+        first, second = cfg.site_names()[:2]
+        server, client_ends = sim_coordinator(cfg)
+        client_ends[0].send(update_frame(first))
+        t0 = time.monotonic()
+        report = server.run()
+        assert time.monotonic() - t0 < cfg.timeout_seconds + 0.5
+        assert report.aborted
+        assert report.abort_reason == f"RoundTimeoutError: round 0: no reply from {second!r}"
+        assert [kind for _, kind, who in report.event_log if who == first] == [
+            "join",
+            "update_received",
+        ]
+
+
+class TestTcpCoordinator:
+    def test_starts_no_thread(self, monkeypatch):
+        cfg = sim_config("rounds=1", "timeout_seconds=10")
+        datasets = build_site_datasets(cfg)
+        listener = tr.TcpListener("127.0.0.1", 0)
+
+        def serve(name):
+            channel = tr.open_tcp_channel("127.0.0.1", listener.port)
+            try:
+                FederationClient(cfg, name, *datasets[name]).run(channel)
+            finally:
+                channel.close()
+
+        clients = [threading.Thread(target=serve, args=(name,)) for name in cfg.site_names()]
+        for thread in clients:
+            thread.start()
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        server = FederationServer(cfg)
+        try:
+            server.accept_clients([listener.accept(timeout=10) for _ in clients], timeout=10)
+            report = server.run()
+        finally:
+            monkeypatch.undo()
+            listener.close()
+            for record in server.clients.values():
+                record.channel.close()
+        for thread in clients:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert not report.aborted, report.abort_reason
+        assert started == []
+
+    def faulty_second_site(self, fault):
+        """Run a TCP coordinator whose first site sends a good update and whose
+        second site calls ``fault(socket, its update frame)`` and hangs up.
+        Returns the report, the seconds from that update to the end of the
+        run, and the second site's name."""
+        cfg = sim_config("timeout_seconds=10")
+        names = cfg.site_names()
+        listener = tr.TcpListener("127.0.0.1", 0)
+        result = {}
+
+        def coordinate():
+            server = FederationServer(cfg)
+            try:
+                server.accept_clients([listener.accept(timeout=10) for _ in names], timeout=10)
+                result["report"] = server.run()
+            finally:
+                for record in server.clients.values():
+                    record.channel.close()
+
+        thread = threading.Thread(target=coordinate)
+        thread.start()
+        sites = [tr.open_tcp_channel("127.0.0.1", listener.port) for _ in names]
+        try:
+            for name, site in zip(names, sites):
+                site.send(join_frame(cfg, name))
+                assert site.recv(timeout=10).msg_type == tr.MSG_JOIN_ACK
+            for site in sites:
+                assert site.recv(timeout=10).msg_type == tr.MSG_BROADCAST
+            t0 = time.monotonic()
+            sites[0].send(update_frame(names[0]))
+            fault(sites[1]._sock, tr.frame_encode(update_frame(names[1])))
+            sites[1].close()
+            thread.join(timeout=cfg.timeout_seconds)
+            seconds = time.monotonic() - t0
+        finally:
+            for site in sites:
+                site.close()
+            listener.close()
+        assert not thread.is_alive()
+        return result["report"], seconds, names[1]
+
+    def test_site_hangs_up_mid_round(self):
+        report, seconds, site = self.faulty_second_site(lambda sock, frame: None)
+        assert seconds < 5
+        assert report.aborted
+        assert report.abort_reason.startswith(f"ProtocolError: client {site!r} failed:")
+        assert report.rounds == []
+
+    def test_truncated_frame_then_close(self):
+        report, seconds, site = self.faulty_second_site(
+            lambda sock, frame: sock.sendall(frame[: len(frame) // 2])
+        )
+        assert seconds < 5
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {site!r} failed: connection closed mid-frame"
+        )
+
+
 class TestTcpAuth:
     def test_wrong_token_gets_error_frame_and_close(self):
         cfg = sim_config()
         listener = tr.TcpListener("127.0.0.1", 0)
-        from privfed.federation import FederationServer
-
         result = {}
 
         def serve():
@@ -477,6 +599,27 @@ class TestTcpAuth:
         listener.close()
         channel.close()
         assert isinstance(result.get("server"), AuthError)
+
+
+    def test_oversized_join_rejected_unread(self):
+        # the header announces a 200 MiB JOIN body that never comes: a
+        # coordinator that tried to read it would wait out the timeout
+        cfg = sim_config()
+        listener = tr.TcpListener("127.0.0.1", 0)
+        peer = tr.open_tcp_channel("127.0.0.1", listener.port)
+        header = tr.frame_encode(tr.Frame(tr.MSG_JOIN, 0))[:-8] + (200 << 20).to_bytes(8, "little")
+        peer._sock.sendall(header)
+        server = FederationServer(cfg)
+        channel = listener.accept(timeout=5)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(DecodeError, match="exceeds the 4096-byte limit"):
+                server.accept_clients([channel], timeout=10)
+            assert time.monotonic() - t0 < 5
+        finally:
+            for end in (channel, peer, listener):
+                end.close()
+        assert server.clients == {}
 
 
 class TestCentral:

@@ -10,11 +10,9 @@ from privfed.learners import (
     ModelKind,
     TrainConfig,
     Workspace,
-    forward,
     init_params,
     loss_and_grad,
     predict_batch,
-    steps_per_round,
     train_local,
 )
 from privfed.params import ParamSet, flatten, unflatten
@@ -28,6 +26,11 @@ def toy_dataset(n=100, seed=0, separation=2.0):
     x[half:, 0] += separation
     y = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
     return CohortDataset(x, y)
+
+
+def predict_row(kind, params, row) -> float:
+    """The predicted probability for one feature row, as a one-row batch."""
+    return float(predict_batch(kind, params, np.asarray(row, dtype=np.float64)[None])[0])
 
 
 class TestInit:
@@ -64,7 +67,7 @@ class TestInit:
 class TestForward:
     def test_lr_zero_params_give_half(self):
         ps = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
-        assert forward(ModelKind.LOGISTIC_REGRESSION, ps, np.ones(10)) == 0.5
+        assert predict_row(ModelKind.LOGISTIC_REGRESSION, ps, np.ones(10)) == 0.5
 
     def test_lr_zero_dot_product(self):
         from privfed.params import ParamSet
@@ -73,14 +76,14 @@ class TestForward:
         coef[0] = 1.0
         ps = ParamSet([("coef", (10,), coef), ("intercept", (1,), [0.0])])
         x = np.zeros(10)
-        assert forward(ModelKind.LOGISTIC_REGRESSION, ps, x) == 0.5
+        assert predict_row(ModelKind.LOGISTIC_REGRESSION, ps, x) == 0.5
 
     def test_nn_matches_scalar_oracle(self):
         rng = np.random.default_rng(42)
         for trial in range(100):
             ps = init_params(ModelKind.FEEDFORWARD_NN, seed=trial)
             x = rng.normal(size=10)
-            got = forward(ModelKind.FEEDFORWARD_NN, ps, x)
+            got = predict_row(ModelKind.FEEDFORWARD_NN, ps, x)
             want = nn_forward_oracle(ps, x)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -88,13 +91,13 @@ class TestForward:
         rng = np.random.default_rng(1)
         ps = init_params(ModelKind.FEEDFORWARD_NN, 1)
         for _ in range(20):
-            p = forward(ModelKind.FEEDFORWARD_NN, ps, rng.normal(size=10) * 10)
+            p = predict_row(ModelKind.FEEDFORWARD_NN, ps, rng.normal(size=10) * 10)
             assert 0.0 < p < 1.0
 
     def test_nonfinite_input_rejected(self):
         ps = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         with pytest.raises(ValueError):
-            forward(ModelKind.LOGISTIC_REGRESSION, ps, [np.nan] + [0.0] * 9)
+            predict_row(ModelKind.LOGISTIC_REGRESSION, ps, [np.nan] + [0.0] * 9)
 
 
 class TestPredictBatch:
@@ -103,11 +106,12 @@ class TestPredictBatch:
         assert predict_batch(ModelKind.LOGISTIC_REGRESSION, ps, np.zeros((0, 10))).size == 0
 
     def test_singleton(self):
+        # a bare feature vector is one row
         ps = init_params(ModelKind.FEEDFORWARD_NN, 0)
         x = np.random.default_rng(0).normal(size=(1, 10))
-        assert predict_batch(ModelKind.FEEDFORWARD_NN, ps, x)[0] == forward(
-            ModelKind.FEEDFORWARD_NN, ps, x[0]
-        )
+        out = predict_batch(ModelKind.FEEDFORWARD_NN, ps, x[0])
+        assert out.shape == (1,)
+        assert out[0] == predict_batch(ModelKind.FEEDFORWARD_NN, ps, x)[0]
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_batch_equals_loop_of_forward_exactly(self, kind):
@@ -121,7 +125,7 @@ class TestPredictBatch:
             )
         x = rng.normal(size=(1000, 10))
         batch = predict_batch(kind, ps, x)
-        loop = np.array([forward(kind, ps, row) for row in x])
+        loop = np.array([predict_row(kind, ps, row) for row in x])
         assert np.array_equal(batch, loop)
 
 
@@ -140,7 +144,6 @@ class TestTraining:
         ps = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         _, stats = train_local(ModelKind.LOGISTIC_REGRESSION, ps, ds, cfg)
         assert stats.steps == 8  # 2 * ceil(100/30)
-        assert steps_per_round(100, 30, 2) == 8
 
     def test_loss_decreases_on_separable_data(self):
         ds = toy_dataset(n=200, separation=3.0)

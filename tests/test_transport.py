@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ class TestSimChannel:
         with pytest.raises(TimeoutError):
             b.recv(timeout=0.05)
 
+    def test_body_limit(self):
+        a, b = tr.SimChannel.pair()
+        a.send(tr.Frame(tr.MSG_JOIN, 0, bytes(tr.MAX_JOIN_BODY + 1)))
+        with pytest.raises(DecodeError, match="limit"):
+            b.recv(timeout=1, max_body=tr.MAX_JOIN_BODY)
+
 
 class TestTcpChannel:
     def test_frame_exchange_over_socket(self):
@@ -187,3 +194,32 @@ class TestTcpChannel:
         thread.join()
         listener.close()
         client.close()
+
+    def test_timeout_bounds_the_whole_frame(self):
+        # a peer dripping one byte every 0.2 s never lets a single read wait
+        # 0.5 s, but the frame as a whole must still time out
+        listener = tr.TcpListener("127.0.0.1", 0)
+        stop = threading.Event()
+
+        def server():
+            channel = listener.accept(timeout=5)
+            for byte in tr.frame_encode(tr.Frame(tr.MSG_UPDATE, 0, bytes(64))):
+                if stop.wait(0.2):
+                    break
+                channel._sock.sendall(bytes([byte]))
+            channel.close()
+
+        thread = threading.Thread(target=server)
+        thread.start()
+        client = tr.open_tcp_channel("127.0.0.1", listener.port)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                client.recv(timeout=0.5)
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+            client.close()
+        assert not thread.is_alive()

@@ -108,19 +108,12 @@ def svt_filter(delta: np.ndarray, steps: int, cfg: SvtConfig, rng: np.random.Gen
     threshold = cfg.tau + LaplaceSampler(rng, lam).sample()
     queries = np.abs(x) + LaplaceSampler(rng, 2.0 * lam).sample_n(n)
 
-    cap = math.ceil(cfg.fraction * n)
-    accepted = np.zeros(n, dtype=bool)
-    taken = 0
-    for i in range(n):  # index-order scan, single pass, stop at the cap
-        if queries[i] >= threshold:
-            accepted[i] = True
-            taken += 1
-            if taken >= cap:
-                break
+    # the first ``cap`` passing indices in index order
+    accepted = np.flatnonzero(queries >= threshold)[: math.ceil(cfg.fraction * n)]
 
     y = np.zeros(n, dtype=np.float64)
-    if taken:
+    if accepted.size:
         value_scale = math.sqrt(cfg.noise_var / 2.0)
-        noise = LaplaceSampler(rng, value_scale).sample_n(taken)
+        noise = LaplaceSampler(rng, value_scale).sample_n(accepted.size)
         y[accepted] = np.clip(x[accepted] + noise, -cfg.gamma, cfg.gamma)
     return check_finite(y * steps, "dp filter output")

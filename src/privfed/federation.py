@@ -10,7 +10,8 @@ The coordinator is one straight-line thread and starts none of its own.  It
 sends the broadcast to every site, then reads one reply per site in site
 order, all within one deadline of ``timeout_seconds`` per round.  A site that
 misses the deadline, hangs up or sends the wrong frame aborts the run with a
-reason that names it.
+reason that names it.  The simulation adds no thread either: each read of a
+simulated site's channel first lets that site's client answer.
 
 Three privacy modes share the loop:
 
@@ -24,8 +25,8 @@ Three privacy modes share the loop:
 
 from __future__ import annotations
 
+import functools
 import hmac
-import threading
 import time
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ from .he import (
     serialize_ct,
     unpack_update,
 )
-from .learners import ModelKind, TrainConfig, init_params, predict_batch, train_local
+from .learners import MANIFESTS, ModelKind, TrainConfig, init_params, predict_batch, train_local
 from .metrics import MetricSet, evaluate_scores
 from .params import LayoutManifest, ParamSet, apply_update, check_finite, compute_delta, flatten, unflatten
 from .report import (
@@ -292,6 +293,11 @@ class FederationServer:
                     update = tr.decode_update(frame.body)
                     if update.client_id != client_id:
                         raise ProtocolError("update body does not match its channel")
+                    if update.mode != cfg.privacy_mode:
+                        raise ProtocolError(
+                            f"client {client_id!r} sent a {update.mode!r} update "
+                            f"to a {cfg.privacy_mode!r} run"
+                        )
                     received[client_id] = (update, arrival)
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
@@ -387,7 +393,7 @@ class FederationClient:
         self.pipeline = build_pipeline(cfg, with_keys=True)
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: ParamSet | None = None
-        self.manifest: LayoutManifest | None = None
+        self.manifest: LayoutManifest = MANIFESTS[self.kind]
         self.next_round = 0
 
     def _evaluate(self, params: ParamSet) -> MetricSet:
@@ -396,8 +402,13 @@ class FederationClient:
 
     def _install_broadcast(self, body: tr.BroadcastBody) -> float:
         if body.payload_kind == tr.PAYLOAD_PLAIN:
-            params = unflatten(np.asarray(body.payload), self._manifest(np.asarray(body.payload).size))
-            self.global_params = params
+            flat = np.asarray(body.payload)
+            if flat.size != self.manifest.total_length:
+                raise LayoutError(
+                    f"broadcast carries {flat.size} values, {self.kind.value} expects "
+                    f"{self.manifest.total_length}"
+                )
+            self.global_params = unflatten(flat, self.manifest)
             return 0.0
         if self.global_params is None:
             raise ProtocolError("encrypted aggregate arrived before the initial model")
@@ -406,17 +417,6 @@ class FederationClient:
         )
         self.global_params = apply_update(self.global_params, delta, self.manifest)
         return seconds
-
-    def _manifest(self, length: int) -> LayoutManifest:
-        if self.manifest is None:
-            template = init_params(self.kind, 0)
-            self.manifest = LayoutManifest.of(template)
-        if self.manifest.total_length != length:
-            raise LayoutError(
-                f"broadcast carries {length} values, {self.kind.value} expects "
-                f"{self.manifest.total_length}"
-            )
-        return self.manifest
 
     def join_frame(self) -> tr.Frame:
         """The JOIN this client opens its session with."""
@@ -535,71 +535,40 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     return out
 
 
-def _drive_clients(clients, channels, timeout: float, failures: list) -> None:
-    """Step every simulated client from this one thread, in site order.
+def _answer(client: FederationClient, channel, failures: list) -> None:
+    """Let a simulated client reply to the frame waiting on its channel.
 
-    The driver sends every JOIN, then hands each live client its next frame
-    (``recv``, ``handle``, ``send``) in turn.  The coordinator broadcasts to
-    all sites before it collects, so the frame the next client waits for is
-    always already sent or the next to be sent, and the fixed order cannot
-    deadlock.  A client that raises has its channel closed at once, which
-    the coordinator reads as that site failing; its (client id, exception)
-    is appended to ``failures``.  A client that receives SHUTDOWN hangs up,
-    as a TCP client does.
+    A client that raises hangs up, which the coordinator reads as that site
+    failing; its (client id, exception) is appended to ``failures``.
     """
-    live = list(zip(clients, channels))
-
-    def fail(pair, err):
-        failures.append((pair[0].client_id, err))
-        pair[1].close()
-        live.remove(pair)
-
-    for client, channel in live:
-        channel.send(client.join_frame())
-    for pair in list(live):
-        client, channel = pair
-        try:
-            client.check_ack(channel.recv(timeout=timeout))
-        except Exception as err:  # the run's abort reason names it
-            fail(pair, err)
-    while live:
-        for pair in list(live):
-            client, channel = pair
-            try:
-                reply = client.handle(channel.recv(timeout=timeout))
-                if reply is not None:
-                    channel.send(reply)
-            except Exception as err:  # the run's abort reason names it
-                fail(pair, err)
-                continue
-            if reply is None:
-                channel.close()
-                live.remove(pair)
+    try:
+        reply = client.handle(channel.recv())
+        if reply is not None:
+            channel.send(reply)
+    except Exception as err:  # the run's abort reason names it
+        failures.append((client.client_id, err))
+        channel.close()
 
 
 def run_simulation(cfg: ExperimentConfig) -> RunReport:
-    """All sites in-process: the coordinator runs in the calling thread and
-    one driver thread steps every client (see ``_drive_clients``)."""
+    """All sites in-process and in the calling thread: each coordinator read
+    of a site's ``SimChannel`` first has that site's client answer."""
     datasets = build_site_datasets(cfg)
     server = FederationServer(cfg)
-    server_channels, client_channels, clients = [], [], []
+    server_ends, client_ends, clients = [], [], []
+    failures: list[tuple[str, Exception]] = []
     for name in cfg.site_names():
         server_end, client_end = tr.SimChannel.pair()
-        server_channels.append(server_end)
-        client_channels.append(client_end)
-        train, valid = datasets[name]
-        clients.append(FederationClient(cfg, name, train, valid))
-    failures: list[tuple[str, Exception]] = []
-    driver = threading.Thread(
-        target=_drive_clients,
-        args=(clients, client_channels, cfg.timeout_seconds, failures),
-        name="privfed-clients",
-        daemon=True,
-    )
-    driver.start()
-    server.accept_clients(server_channels, timeout=cfg.timeout_seconds)
+        client = FederationClient(cfg, name, *datasets[name])
+        client_end.send(client.join_frame())
+        server_end.serve = functools.partial(_answer, client, client_end, failures)
+        server_ends.append(server_end)
+        client_ends.append(client_end)
+        clients.append(client)
+    server.accept_clients(server_ends, timeout=cfg.timeout_seconds)
+    for client, client_end in zip(clients, client_ends):
+        client.check_ack(client_end.recv())
     report = server.run()
-    driver.join(timeout=cfg.timeout_seconds)
     if failures:
         # the coordinator saw only a closed channel; report the cause
         client_id, err = failures[0]
@@ -610,14 +579,16 @@ def run_simulation(cfg: ExperimentConfig) -> RunReport:
 
 def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:
     listener = tr.TcpListener(host, port)
+    channels = []
     try:
-        channels = []
         for _ in cfg.site_names():
             channels.append(listener.accept(timeout=cfg.timeout_seconds))
         server = FederationServer(cfg)
         server.accept_clients(channels, timeout=cfg.timeout_seconds)
         return server.run()
     finally:
+        for channel in channels:
+            channel.close()
         listener.close()
 
 

@@ -2,17 +2,17 @@
 
 Every message is one frame: magic "PFD1", a message type byte, a round
 number, and a length-prefixed body.  All integers little-endian.  The sim
-channel moves encoded frames through queues so both transports exercise the
-same wire format; reports from either transport are identical apart from
+channel holds encoded frames in deques, so both transports exercise the same
+wire format; reports from either transport are identical apart from
 wall-clock fields.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,37 +289,44 @@ class ChannelClosed(ProtocolError):
 
 
 class SimChannel:
-    """In-process bidirectional channel carrying encoded frames via queues."""
+    """In-process bidirectional channel carrying encoded frames in deques.
 
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
+    Both ends live in one thread, so a frame that is not waiting when ``recv``
+    is called can never arrive.  ``serve``, if set, is the peer's next step:
+    ``recv`` calls it while the inbox is empty, which lets an in-process
+    client produce its reply when the coordinator reads its channel.
+    """
+
+    def __init__(self, inbox: deque, outbox: deque):
         self._inbox = inbox
         self._outbox = outbox
         self._closed = False
+        self.serve = None
 
     @classmethod
     def pair(cls) -> tuple["SimChannel", "SimChannel"]:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
+        a_to_b: deque = deque()
+        b_to_a: deque = deque()
         return cls(b_to_a, a_to_b), cls(a_to_b, b_to_a)
 
     def send(self, frame: Frame) -> int:
         data = frame_encode(frame)
-        self._outbox.put(data)
+        self._outbox.append(data)
         return len(data)
 
     def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
-        try:
-            data = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError("channel receive timed out") from None
-        if data is None:
+        if not self._inbox and self.serve is not None:
+            self.serve()
+        if not self._inbox:
+            raise TimeoutError("no frame waiting on the channel")
+        if self._inbox[0] is None:  # stays, so every later recv sees the close
             raise ChannelClosed("peer closed the channel")
-        return frame_decode(data, max_body)
+        return frame_decode(self._inbox.popleft(), max_body)
 
     def close(self):
         if not self._closed:
             self._closed = True
-            self._outbox.put(None)
+            self._outbox.append(None)
 
 
 class TcpChannel:
@@ -334,7 +341,7 @@ class TcpChannel:
         self._sock.sendall(data)
         return len(data)
 
-    def _recv_exact(self, n: int, deadline: float | None) -> bytes:
+    def _recv_exact(self, n: int, deadline: float | None, frame_start: bool = False) -> bytes:
         parts = []
         while n:
             remaining = None if deadline is None else deadline - time.monotonic()
@@ -343,6 +350,8 @@ class TcpChannel:
             self._sock.settimeout(remaining)
             chunk = self._sock.recv(min(n, 1 << 20))  # socket.timeout is a TimeoutError
             if not chunk:
+                if frame_start and not parts:  # hung up between frames
+                    raise ChannelClosed("peer closed the channel")
                 raise ChannelClosed("connection closed mid-frame")
             parts.append(chunk)
             n -= len(chunk)
@@ -351,7 +360,7 @@ class TcpChannel:
     def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
         """The next frame; ``timeout`` bounds the whole frame, not each read."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        header = self._recv_exact(_HEADER.size, deadline)
+        header = self._recv_exact(_HEADER.size, deadline, frame_start=True)
         msg_type, round_no, body_len = _parse_header(header, max_body)
         return Frame(msg_type, round_no, self._recv_exact(body_len, deadline))
 

@@ -166,29 +166,35 @@ def auc_pairwise_oracle(scores, labels):
 
 
 def run_simulation_thread_per_client(cfg):
-    """``run_simulation`` with one thread per client, each running
-    ``FederationClient.run`` over its own ``SimChannel`` the way a TCP client
-    runs over its socket.  Only the schedule differs from the simulator's
-    single driver thread, so the two reports agree outside timing fields."""
+    """``run_simulation`` as a TCP deployment in one process: one thread per
+    site runs ``FederationClient.run`` over a localhost socket, and the
+    coordinator reads them as ``run_tcp_server`` does.  Only the transport
+    and the schedule differ from the thread-free simulation, so the two
+    reports agree outside timing fields."""
     datasets = build_site_datasets(cfg)
-    server = FederationServer(cfg)
-    server_ends, threads = [], []
-    for name in cfg.site_names():
-        server_end, client_end = tr.SimChannel.pair()
-        server_ends.append(server_end)
-        train, valid = datasets[name]
-        client = FederationClient(cfg, name, train, valid)
+    listener = tr.TcpListener("127.0.0.1", 0)
 
-        def serve(client=client, channel=client_end):
-            try:
-                client.run(channel)
-            finally:
-                channel.close()
+    def serve(name):
+        channel = tr.open_tcp_channel("127.0.0.1", listener.port)
+        try:
+            FederationClient(cfg, name, *datasets[name]).run(channel)
+        finally:
+            channel.close()
 
-        threads.append(threading.Thread(target=serve, daemon=True))
-        threads[-1].start()
-    server.accept_clients(server_ends, timeout=cfg.timeout_seconds)
-    report = server.run()
+    threads = [threading.Thread(target=serve, args=(name,), daemon=True) for name in cfg.site_names()]
+    for thread in threads:
+        thread.start()
+    channels = []
+    try:
+        for _ in threads:
+            channels.append(listener.accept(timeout=cfg.timeout_seconds))
+        server = FederationServer(cfg)
+        server.accept_clients(channels, timeout=cfg.timeout_seconds)
+        report = server.run()
+    finally:
+        for channel in channels:
+            channel.close()
+        listener.close()
     for thread in threads:
         thread.join(timeout=cfg.timeout_seconds)
         if thread.is_alive():

@@ -373,8 +373,8 @@ class TestAcceptance:
                 env=env,
             ).returncode
             assert rc == 0
-            tcp = nontiming_view(json.load(open(tmp_path / "tcp" / "report.json")))
-            sim = nontiming_view(json.load(open(tmp_path / "sim" / "report.json")))
+            tcp = nontiming_view(json.loads((tmp_path / "tcp" / "report.json").read_text()))
+            sim = nontiming_view(json.loads((tmp_path / "sim" / "report.json").read_text()))
             for view in (tcp, sim):
                 view["config"].pop("out_dir")  # the one legitimately differing field
             assert tcp == sim

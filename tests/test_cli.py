@@ -95,7 +95,7 @@ class TestCliCommands:
     def test_run_sim_zero_rounds(self, tmp_path):
         rc = main(["run-sim", *FAST, "--set", "rounds=0", "--out", str(tmp_path)])
         assert rc == 0
-        report = json.load(open(tmp_path / "report.json"))
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["rounds"] == []
         assert report["cross_site"] is not None
 
@@ -175,8 +175,8 @@ class TestCliCommands:
         main(["run-sim", *FAST, "--out", str(tmp_path / "two")])
         from privfed.report import nontiming_view
 
-        a = nontiming_view(json.load(open(tmp_path / "one" / "report.json")))
-        b = nontiming_view(json.load(open(tmp_path / "two" / "report.json")))
+        a = nontiming_view(json.loads((tmp_path / "one" / "report.json").read_text()))
+        b = nontiming_view(json.loads((tmp_path / "two" / "report.json").read_text()))
         a["config"].pop("out_dir")
         b["config"].pop("out_dir")
         assert a == b

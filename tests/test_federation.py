@@ -1,6 +1,8 @@
+import gc
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -249,28 +251,14 @@ class TestCrossSiteTable:
 class TestAuth:
     def test_bad_token_rejected(self):
         cfg = sim_config()
-        datasets = build_site_datasets(cfg)
         server = FederationServer(cfg)
         server_end, client_end = tr.SimChannel.pair()
-
-        bad_cfg = sim_config("token=wrong-token")
-        name = cfg.site_names()[0]
-        train, valid = datasets[name]
-        client = FederationClient(bad_cfg, name, train, valid)
-        errors = []
-
-        def drive():
-            try:
-                client.run(client_end)
-            except AuthError as err:
-                errors.append(err)
-
-        thread = threading.Thread(target=drive)
-        thread.start()
+        client = site_client(sim_config("token=wrong-token"))
+        client_end.send(client.join_frame())
         with pytest.raises(AuthError):
             server.accept_clients([server_end], timeout=5)
-        thread.join(timeout=5)
-        assert errors, "client should observe the rejection"
+        with pytest.raises(AuthError, match="bad token"):
+            client.check_ack(client_end.recv())
 
 
 class TestClientHandle:
@@ -300,6 +288,11 @@ class TestClientHandle:
         assert done.client_id == cfg.site_names()[0]
         assert done.final_params is None  # plain mode: the coordinator holds the model
         assert done.metrics.n_pos + done.metrics.n_neg == len(client.valid)
+
+    def test_broadcast_of_wrong_length_rejected(self):
+        client = site_client(sim_config())  # lr: 11 parameters
+        with pytest.raises(LayoutError, match="broadcast carries 66 values, lr expects 11"):
+            client.handle(broadcast(0, initial_flat(ModelKind.FEEDFORWARD_NN)))
 
     def test_check_ack(self):
         client = site_client(sim_config())
@@ -334,28 +327,18 @@ class TestSimulationSchedule:
             return handle(self, frame)
 
         started = []
-
-        class RecordingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
         monkeypatch.setattr(FederationClient, "handle", recording_handle)
-        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         cfg = sim_config()
         report = run_simulation(cfg)
+        monkeypatch.undo()
         assert not report.aborted, report.abort_reason
-        assert {cid for cid, _ in stepped} == set(cfg.site_names())
-        client_threads = {ident for _, ident in stepped}
-        assert len(client_threads) == 1
-        assert threading.get_ident() not in client_threads
-        # the client driver; the coordinator starts no thread
-        assert len(started) == 1
+        assert started == []
+        assert stepped == {(cid, threading.get_ident()) for cid in cfg.site_names()}
 
     def test_no_thread_outlives_the_run(self):
         before = set(threading.enumerate())
         assert not run_simulation(sim_config("rounds=1")).aborted
-        # the client driver ends once every client has had its SHUTDOWN
         for thread in set(threading.enumerate()) - before:
             thread.join(timeout=10)
             assert not thread.is_alive(), thread.name
@@ -441,6 +424,22 @@ class TestUpdateBody:
         assert report.rounds == []
 
 
+class TestUpdateMode:
+    @pytest.mark.parametrize("mode, overrides", [("dp", []), ("he", HE_OVERRIDES)])
+    def test_update_in_another_mode_aborts_run(self, mode, overrides):
+        cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=5", *overrides)
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        for name, client_end in zip(names, client_ends):
+            client_end.send(update_frame(name))  # a plain update
+        report = server.run()
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {names[0]!r} sent a 'plain' update to a {mode!r} run"
+        )
+        assert report.rounds == []
+
+
 class TestSequentialCollect:
     """The coordinator reads the sites in site order; each fault aborts the
     run within ``timeout_seconds`` with a reason that names the site."""
@@ -507,6 +506,42 @@ class TestTcpCoordinator:
             assert not thread.is_alive()
         assert not report.aborted, report.abort_reason
         assert started == []
+
+    def test_run_closes_every_accepted_socket(self, monkeypatch):
+        cfg = sim_config("rounds=1", "timeout_seconds=10")
+        datasets = build_site_datasets(cfg)
+        ports = []
+        listening = threading.Event()
+
+        class RecordingListener(tr.TcpListener):
+            def __init__(self, host, port):
+                super().__init__(host, port)
+                ports.append(self.port)
+                listening.set()
+
+        def serve(name):
+            assert listening.wait(10)
+            channel = tr.open_tcp_channel("127.0.0.1", ports[0])
+            try:
+                FederationClient(cfg, name, *datasets[name]).run(channel)
+            finally:
+                channel.close()
+
+        monkeypatch.setattr(tr, "TcpListener", RecordingListener)
+        clients = [threading.Thread(target=serve, args=(name,)) for name in cfg.site_names()]
+        for thread in clients:
+            thread.start()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                report = federation.run_tcp_server(cfg, "127.0.0.1", 0)
+            finally:
+                for thread in clients:
+                    thread.join(timeout=10)
+            gc.collect()
+        assert not any(thread.is_alive() for thread in clients)
+        assert not report.aborted, report.abort_reason
+        assert [str(w.message) for w in caught if "unclosed <socket" in str(w.message)] == []
 
     def faulty_second_site(self, fault):
         """Run a TCP coordinator whose first site sends a good update and whose

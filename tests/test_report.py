@@ -53,7 +53,8 @@ class TestReportJson:
             abort_reason="RoundTimeoutError: no update from ['x']",
         )
         paths = emit_report(report, tmp_path)
-        data = json.load(open(paths["report"]))
+        with open(paths["report"]) as fh:
+            data = json.load(fh)
         assert data["aborted"] is True
         assert "RoundTimeoutError" in data["abort_reason"]
 

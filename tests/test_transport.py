@@ -195,6 +195,18 @@ class TestTcpChannel:
         listener.close()
         client.close()
 
+    def test_peer_close_between_frames(self):
+        # a hang-up before any byte of a frame is a clean close, not a torn frame
+        listener = tr.TcpListener("127.0.0.1", 0)
+        client = tr.open_tcp_channel("127.0.0.1", listener.port)
+        listener.accept(timeout=5).close()
+        try:
+            with pytest.raises(tr.ChannelClosed, match="^peer closed the channel$"):
+                client.recv(timeout=5)
+        finally:
+            listener.close()
+            client.close()
+
     def test_timeout_bounds_the_whole_frame(self):
         # a peer dripping one byte every 0.2 s never lets a single read wait
         # 0.5 s, but the frame as a whole must still time out

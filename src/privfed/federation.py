@@ -178,10 +178,16 @@ class HePipeline:
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
         return flat, time.monotonic() - t0
 
-    def server_aggregate(self, payloads: list[list[bytes]], weights) -> list[bytes]:
-        per_client = [
-            [deserialize_ct(blob, self.params) for blob in blobs] for blobs in payloads
-        ]
+    def server_aggregate(self, payloads: dict[str, list[bytes]], weights) -> list[bytes]:
+        """Sum the sites' ciphertext chunks; ``payloads`` maps each site, in
+        site order, to its serialized chunks, and a chunk that does not
+        deserialize aborts with the site's name."""
+        per_client = []
+        for client_id, blobs in payloads.items():
+            try:
+                per_client.append([deserialize_ct(blob, self.params) for blob in blobs])
+            except DecodeError as err:
+                raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
         return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
 
@@ -301,14 +307,12 @@ class FederationServer:
                     received[client_id] = (update, arrival)
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
-                ordered = [received[cid][0] for cid in self.cfg.site_names()]
+                payloads = {cid: received[cid][0].payload for cid in self.cfg.site_names()}
                 weights = [self.clients[cid].weight for cid in self.cfg.site_names()]
                 if isinstance(self.pipeline, HePipeline):
-                    he_state = self.pipeline.server_aggregate(
-                        [u.payload for u in ordered], weights
-                    )
+                    he_state = self.pipeline.server_aggregate(payloads, weights)
                 else:
-                    mean_delta = aggregate_plain([u.payload for u in ordered], weights)
+                    mean_delta = aggregate_plain(list(payloads.values()), weights)
                     global_params = apply_update(global_params, mean_delta, manifest)
                 agg_seconds = time.monotonic() - agg_t0
                 report.rounds.append(

@@ -14,11 +14,14 @@ bootstrapping.  Representation choices:
   an operation touches, not one row.  Simulated clients share one GIL and
   every numpy call is a point where it can change hands, so fewer, larger
   calls matter more than their single-thread cost.  The butterflies use
-  Shoup twiddles (see ``ntt``).
+  Shoup twiddles and run their short-stride stages on a block-transposed
+  copy, so every numpy call reads long contiguous runs (see ``ntt``).
 - Secret-key encryption: every client holds the cohort secret, so there is
   no public key.  A fresh ciphertext is (c0, c1) = (-a*s + e + m, a) with a
   uniform ``a`` drawn directly in the NTT domain, and ``encode`` leaves m in
   coefficient form, so an encryption makes one (L, N) NTT call, over m + e.
+  The key carries the secret's Shoup quotients, computed once at keygen, so
+  a*s in ``encrypt`` and c1*s in ``decrypt`` are each one Shoup product.
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -48,10 +51,11 @@ from ..errors import (
     LayoutError,
     StateError,
 )
-from .ntt import PrimeField, generate_ntt_primes
+from .ntt import PrimeField, ShoupTable, generate_ntt_primes
 
 _CBD_BITS = 21  # centered binomial Sum(21) - Sum(21): variance 10.5, sigma 3.24
 _HEADER = struct.Struct("<8sBHI")
+_MAX_SCALE_LOG2 = 1023  # 2^1023 is the largest power of two a float64 holds
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class Ciphertext:
 class KeyPair:
     secret: np.ndarray  # (levels, N) NTT rows of the ternary secret
     params_hash: bytes
-    secret_mont: np.ndarray  # the same rows in Montgomery form, for montmul
+    secret_shoup: ShoupTable  # ``secret`` with its Shoup quotients, for mul_shoup
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -200,8 +204,8 @@ def keygen(params: CkksParams, rng) -> KeyPair:
     members can derive the shared key locally."""
     ctx = _context(params)
     s = _sample_ternary(_as_rng(rng), params.poly_degree)
-    rows = _signed_to_rows(ctx, s, ctx.fresh_level)
-    return KeyPair(rows, ctx.hash, ctx.level_fields[ctx.fresh_level].to_mont(rows))
+    table = ctx.level_fields[ctx.fresh_level].shoup_table(_signed_to_rows(ctx, s, ctx.fresh_level))
+    return KeyPair(table.w, ctx.hash, table)
 
 
 def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
@@ -273,7 +277,7 @@ def encrypt(pt: PlainPoly, key: KeyPair, rng) -> Ciphertext:
     comps = np.empty((2, level + 1, n), dtype=np.uint64)
     comps[1] = rng.integers(0, field.q, (level + 1, n), dtype=np.uint64)
     message = _signed_to_rows(ctx, pt.coeffs + e, level)
-    comps[0] = field.sub(message, field.montmul(comps[1], key.secret_mont))
+    comps[0] = field.sub(message, field.mul_shoup(comps[1], key.secret_shoup))
     return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params_hash)
 
 
@@ -281,7 +285,8 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params_hash != ct.params_hash:
         raise StateError("ciphertext/key parameter mismatch")
     field = _ctx_of(ct).level_fields[ct.level]
-    rows = field.add(ct.c0, field.montmul(ct.c1, key.secret_mont[: ct.level + 1]))
+    secret = key.secret_shoup.rows(slice(0, ct.level + 1))
+    rows = field.add(ct.c0, field.mul_shoup(ct.c1, secret))
     return PlainPoly(ct.level, ct.scale, ct.slot_fill, ct.params_hash, ntt_rows=rows)
 
 
@@ -358,7 +363,7 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     """Wire format: 15-byte header (params hash, level, log2 scale, slot fill)
     followed by the RNS rows, component-major, little-endian u64."""
     scale_log2 = math.log2(ct.scale)
-    if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) < 65536:
+    if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
     header = _HEADER.pack(ct.params_hash, ct.level, int(scale_log2), ct.slot_fill)
     return header + ct.comps.astype("<u8").tobytes()
@@ -373,6 +378,10 @@ def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
         raise DecodeError("parameter hash mismatch")
     if level >= len(ctx.active_primes):
         raise DecodeError(f"level {level} outside the active chain")
+    if not 0 < scale_log2 <= _MAX_SCALE_LOG2:
+        raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
+    if slot_fill > params.slot_count:
+        raise DecodeError(f"slot fill {slot_fill} exceeds {params.slot_count} slots")
     n = params.poly_degree
     expected = _HEADER.size + 2 * (level + 1) * n * 8
     if len(data) != expected:

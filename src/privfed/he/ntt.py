@@ -14,9 +14,27 @@ The butterflies multiply by their twiddles with Shoup's precomputed
 quotients (Harvey, "Faster arithmetic for number-theoretic transforms",
 2014) and keep values lazily reduced in [0, 4q) between stages; every
 reduction is ``np.minimum(r, r - k*q)``, which is exact while 4q < 2^64.
+
+Memory order (after Bailey, "FFTs in external or hierarchical memory",
+1990): a stage pairs values t apart, and a numpy call over the natural
+``(..., m, 2, t)`` view iterates over runs only t long.  So the stages with
+t < B, where B = min(64, N/2), run on a block-transposed copy: row r of the
+``(N/B, B)`` view becomes column r of a ``(B, N/B)`` array, and a butterfly
+there pairs whole rows, N/B contiguous values at a time.  ``ntt`` transposes
+before those stages and back after them; ``intt`` runs them first and
+transposes back before the long-stride ones.  The twiddle segment
+``[m, 2m)`` of each such stage is stored in the order that layout reads it,
+``(B/2t, N/B)``-major, in the same table as the other stages.  The values
+and every operation on them are those of the natural order, so the output
+is bit for bit the same.
+
+Products by a fixed multiplier, such as a CKKS secret or a scalar, go
+through ``mul_shoup`` with the multiplier's ``ShoupTable``, built once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -123,20 +141,21 @@ def _mulhi(a: np.ndarray, b) -> np.ndarray:
     return hi
 
 
-class _ShoupTable:
+class ShoupTable:
     """Multipliers w, one row per prime, with their Shoup quotients
     floor(w * 2^64 / q) split into 32-bit limbs once, at build time."""
 
     def __init__(self, w: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray):
         self.w, self.w_hi, self.w_lo = w, w_hi, w_lo
 
-    def rows(self, sel: slice) -> "_ShoupTable":
-        return _ShoupTable(self.w[sel], self.w_hi[sel], self.w_lo[sel])
+    def rows(self, sel: slice) -> "ShoupTable":
+        return ShoupTable(self.w[sel], self.w_hi[sel], self.w_lo[sel])
 
-    def bcast(self, cols=slice(None)):
-        """(w, w_hi, w_lo) for columns ``cols``, shaped (L, k, 1) to broadcast
-        over (batch, L, k, t) butterfly halves."""
-        return self.w[:, cols, None], self.w_hi[:, cols, None], self.w_lo[:, cols, None]
+    def segment(self, start: int, *shape: int):
+        """(w, w_hi, w_lo) for the prod(shape) columns from ``start``, each
+        shaped (L, *shape) to broadcast over a stage's butterfly halves."""
+        cols = slice(start, start + math.prod(shape))
+        return tuple(x[:, cols].reshape(-1, *shape) for x in (self.w, self.w_hi, self.w_lo))
 
 
 def _shoup_mul(y, w, w_hi, w_lo, q, two_q, out, t1, t2, t3):
@@ -162,6 +181,27 @@ def _shoup_mul(y, w, w_hi, w_lo, q, two_q, out, t1, t2, t3):
     np.minimum(out, t3, out=out)
 
 
+def _ct_butterfly(x, y, s1, s2, s3, tw, q, two_q):
+    """Cooley-Tukey: (x, y) -> (x + y*w, x - y*w) in place, from [0, 4q) to
+    [0, 4q); x is first brought to [0, 2q) and y*w lands in [0, 2q)."""
+    np.subtract(x, two_q, out=s1)
+    np.minimum(x, s1, out=x)
+    _shoup_mul(y, *tw, q, two_q, y, s1, s2, s3)
+    np.subtract(x, y, out=s1)
+    np.add(x, y, out=x)
+    np.add(s1, two_q, out=y)
+
+
+def _gs_butterfly(x, y, s1, s2, s3, tw, q, two_q):
+    """Gentleman-Sande: (x, y) -> (x + y, (x - y)*w) in place, within [0, 2q)."""
+    np.add(x, y, out=s1)
+    np.subtract(x, y, out=y)
+    np.add(y, two_q, out=y)
+    np.subtract(s1, two_q, out=x)
+    np.minimum(s1, x, out=x)
+    _shoup_mul(y, *tw, q, two_q, y, s1, s2, s3)
+
+
 class PrimeField:
     """Vectorized arithmetic modulo a stack of L NTT primes, each < 2^62.
 
@@ -169,7 +209,7 @@ class PrimeField:
     are ``(L, 1)`` columns so they broadcast over the batch axes.  A field
     built from a single prime also accepts plain 1-D vectors.  General
     products use Montgomery reduction with R = 2^64; transforms and
-    products by fixed constants use Shoup multiplication.
+    products by fixed multipliers use Shoup multiplication.
     """
 
     def __init__(self, q, poly_degree: int):
@@ -186,19 +226,21 @@ class PrimeField:
         for p in primes:
             psi = _find_psi(p, poly_degree)
             ipsi = pow(psi, p - 2, p)
-            fwd.append(_powers(psi, p, poly_degree)[brv])
-            inv.append(_powers(ipsi, p, poly_degree)[brv])
+            fwd.append(self._stage_order(_powers(psi, p, poly_degree)[brv]))
+            inv.append(self._stage_order(_powers(ipsi, p, poly_degree)[brv]))
             n_inv.append(pow(poly_degree, p - 2, p))
             # the last inverse stage's twiddle, ipsi_brv[1] = ipsi^(n/2), times 1/n
             last.append(pow(ipsi, poly_degree // 2, p) * n_inv[-1] % p)
-        self._fwd = self._shoup_table(fwd)
-        self._inv = self._shoup_table(inv)
-        self._n_inv = self._shoup_table(_column(n_inv))
-        self._last_inv = self._shoup_table(_column(last))
+        self._fwd = self.shoup_table(fwd)
+        self._inv = self.shoup_table(inv)
+        self._n_inv = self.shoup_table(_column(n_inv))
+        self._last_inv = self.shoup_table(_column(last))
 
     def _set_moduli(self, primes, poly_degree):
         self.primes = primes
         self.n = poly_degree
+        # rows of the block-transposed layout; stages with t < block use it
+        self.block = min(64, poly_degree // 2)
         self.q = _column(primes)
         self.two_q = self.q << np.uint64(1)
         self.half_q = self.q >> np.uint64(1)
@@ -206,12 +248,26 @@ class PrimeField:
         self.qinv = _column([(-pow(p, -1, 1 << 64)) % (1 << 64) for p in primes])
         self.r2 = _column([(1 << 128) % p for p in primes])
 
-    def _shoup_table(self, w) -> _ShoupTable:
+    def _stage_order(self, w: np.ndarray) -> np.ndarray:
+        """Bit-reversed twiddles with the segment [m, 2m) of every stage
+        that runs block-transposed stored (B/2t, N/B)-major: the twiddle of
+        natural block r*(B/2t) + j moves to j*(N/B) + r."""
+        cols = self.n // self.block
+        out = w.copy()
+        m = cols  # the first such stage has t = B/2, so m = N/B
+        while m < self.n:
+            out[m : 2 * m] = w[m : 2 * m].reshape(cols, m // cols).T.ravel()
+            m *= 2
+        return out
+
+    def shoup_table(self, w) -> ShoupTable:
+        """The Shoup table of multipliers ``w`` < q, one row (or column) per
+        prime, for ``mul_shoup``."""
         w = np.asarray(w, dtype=np.uint64)
         # w*2^64 = quot*q + (w*2^64 mod q), and -qinv = q^-1 mod 2^64, so the
         # exact quotient is (w*2^64 mod q) * qinv mod 2^64
         quot = self.to_mont(w) * self.qinv
-        return _ShoupTable(w, quot >> SHIFT32, quot & MASK32)
+        return ShoupTable(w, quot >> SHIFT32, quot & MASK32)
 
     def select(self, start: int, stop: int) -> "PrimeField":
         """The field of primes ``start..stop-1``; its tables are views."""
@@ -252,13 +308,18 @@ class PrimeField:
     def to_mont(self, a):
         return self.montmul(a, self.r2)
 
-    def mul_const(self, a, consts) -> np.ndarray:
-        """a * consts[i] mod q_i along the prime axis; consts are Python ints."""
-        table = self._shoup_table(_column([c % q for c, q in zip(consts, self.primes)]))
+    def mul_shoup(self, a, table: ShoupTable) -> np.ndarray:
+        """a * table.w mod q in [0, q) for any uint64 ``a``; the table's
+        ``(L, K)`` rows broadcast over ``a``'s ``(..., L, K)``."""
         out = np.array(a, dtype=np.uint64)
         t1, t2, t3 = (np.empty_like(out) for _ in range(3))
         _shoup_mul(out, table.w, table.w_hi, table.w_lo, self.q, self.two_q, out, t1, t2, t3)
         return np.minimum(out, np.subtract(out, self.q, out=t1), out=out)
+
+    def mul_const(self, a, consts) -> np.ndarray:
+        """a * consts[i] mod q_i along the prime axis; consts are Python ints."""
+        table = self.shoup_table(_column([c % q for c, q in zip(consts, self.primes)]))
+        return self.mul_shoup(a, table)
 
     def add(self, a, b):
         s = np.add(a, b)
@@ -283,46 +344,60 @@ class PrimeField:
 
     # -- transforms ------------------------------------------------------------
 
-    def _scratch(self, a: np.ndarray):
-        """Batch view of ``a`` and three half-size scratch buffers; the first
-        two are contiguous, so they also serve as one full-size buffer."""
+    def _layouts(self, a: np.ndarray):
+        """Views and buffers for one transform of ``a``: the natural
+        ``(batch, L, N)`` view, the same memory seen block-transposed as
+        ``(batch, L, block, N/block)``, a contiguous buffer of that shape,
+        three half-size scratch buffers, and one full-size scratch buffer of
+        ``a``'s shape (the first two halves, which are contiguous)."""
         self._check_shape(a)
-        half = a.size // 2
-        scratch = np.empty(3 * half, dtype=np.uint64)
+        batch = a.reshape(-1, len(self.primes), self.n)
+        rows, cols = self.block, self.n // self.block
+        size, half = a.size, a.size // 2
+        scratch = np.empty(size + 3 * half, dtype=np.uint64)
+        halves = [scratch[size + k * half : size + (k + 1) * half] for k in range(3)]
         return (
-            a.reshape(-1, len(self.primes), self.n),
-            [scratch[k * half : (k + 1) * half] for k in range(3)],
-            scratch[: a.size].reshape(a.shape),
+            batch,
+            batch.reshape(*batch.shape[:2], cols, rows).transpose(0, 1, 3, 2),
+            scratch[:size].reshape(*batch.shape[:2], rows, cols),
+            halves,
+            scratch[size : 2 * size].reshape(a.shape),
         )
+
+    @staticmethod
+    def _pairs(data, blocks: int, t: int, halves):
+        """The butterfly halves (x, y) of one stage on ``data``, natural
+        ``(batch, L, N)`` or block-transposed ``(batch, L, block, N/block)``:
+        values t apart within each of ``blocks`` blocks per row; then three
+        scratch buffers shaped like them."""
+        view = data.reshape(*data.shape[:2], blocks, 2, t, *data.shape[3:])
+        x = view[:, :, :, 0]
+        return (x, view[:, :, :, 1], *(buf.reshape(x.shape) for buf in halves))
 
     def ntt(self, a: np.ndarray) -> np.ndarray:
         """Forward negacyclic transform (Cooley-Tukey, twiddles bit-reversed)."""
         a, flat = self._rows(np.array(a, dtype=np.uint64))
-        batch, halves, full = self._scratch(a)
-        q = self.q[:, :, None]
-        two_q = self.two_q[:, :, None]
+        batch, natural_t, blocked, halves, full = self._layouts(a)
+        q3, two_q3 = self.q[:, :, None], self.two_q[:, :, None]
+        q4, two_q4 = q3[..., None], two_q3[..., None]
         tab = self._fwd
-        n = self.n
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            view = batch.reshape(batch.shape[0], batch.shape[1], m, 2, t)
-            x = view[:, :, :, 0, :]
-            y = view[:, :, :, 1, :]
-            s1, s2, s3 = (buf.reshape(x.shape) for buf in halves)
-            # x in [0, 4q) -> [0, 2q); y*w in [0, 2q); outputs back in [0, 4q)
-            np.subtract(x, two_q, out=s1)
-            np.minimum(x, s1, out=x)
-            _shoup_mul(y, *tab.bcast(slice(m, 2 * m)), q, two_q, y, s1, s2, s3)
-            np.subtract(x, y, out=s1)
-            np.add(x, y, out=x)
-            np.add(s1, two_q, out=y)
-            m *= 2
-        np.subtract(a, self.two_q, out=full)
-        np.minimum(a, full, out=a)
-        np.subtract(a, self.q, out=full)
-        np.minimum(a, full, out=a)
+        rows = self.block
+        cols = self.n // rows
+        m, t = 1, self.n // 2
+        while t >= rows:
+            _ct_butterfly(*self._pairs(batch, m, t, halves), tab.segment(m, m, 1), q3, two_q3)
+            m, t = 2 * m, t // 2
+        np.copyto(blocked, natural_t)
+        while t >= 1:
+            blocks = rows // (2 * t)
+            tw = tab.segment(m, blocks, 1, cols)
+            _ct_butterfly(*self._pairs(blocked, blocks, t, halves), tw, q4, two_q4)
+            m, t = 2 * m, t // 2
+        scratch = full.reshape(blocked.shape)
+        np.subtract(blocked, two_q3, out=scratch)
+        np.minimum(blocked, scratch, out=blocked)
+        np.subtract(blocked, q3, out=scratch)
+        np.minimum(blocked, scratch, out=natural_t)
         return a[0] if flat else a
 
     def intt(self, a: np.ndarray) -> np.ndarray:
@@ -332,32 +407,31 @@ class PrimeField:
         scaling needs no pass of its own.
         """
         a, flat = self._rows(np.array(a, dtype=np.uint64))
-        batch, halves, full = self._scratch(a)
-        q = self.q[:, :, None]
-        two_q = self.two_q[:, :, None]
+        batch, natural_t, blocked, halves, full = self._layouts(a)
+        q3, two_q3 = self.q[:, :, None], self.two_q[:, :, None]
+        q4, two_q4 = q3[..., None], two_q3[..., None]
         tab = self._inv
-        t = 1
-        m = self.n
-        while m > 1:
-            h = m // 2
-            view = batch.reshape(batch.shape[0], batch.shape[1], h, 2, t)
-            x = view[:, :, :, 0, :]
-            y = view[:, :, :, 1, :]
-            s1, s2, s3 = (buf.reshape(x.shape) for buf in halves)
-            # x, y in [0, 2q): x+y back to [0, 2q); (x-y+2q)*w in [0, 2q)
-            np.add(x, y, out=s1)
-            np.subtract(x, y, out=y)
-            np.add(y, two_q, out=y)
-            if h > 1:
-                np.subtract(s1, two_q, out=x)
-                np.minimum(s1, x, out=x)
-                _shoup_mul(y, *tab.bcast(slice(h, 2 * h)), q, two_q, y, s1, s2, s3)
-            else:
-                # x is free until it receives the result, so it serves as scratch
-                _shoup_mul(y, *self._last_inv.bcast(), q, two_q, y, x, s2, s3)
-                _shoup_mul(s1, *self._n_inv.bcast(), q, two_q, x, x, s2, s3)
-            t *= 2
-            m = h
+        rows = self.block
+        cols = self.n // rows
+        h, t = self.n // 2, 1
+        np.copyto(blocked, natural_t)
+        while t < rows:
+            blocks = rows // (2 * t)
+            tw = tab.segment(h, blocks, 1, cols)
+            _gs_butterfly(*self._pairs(blocked, blocks, t, halves), tw, q4, two_q4)
+            h, t = h // 2, 2 * t
+        np.copyto(natural_t, blocked)
+        while h > 1:
+            _gs_butterfly(*self._pairs(batch, h, t, halves), tab.segment(h, h, 1), q3, two_q3)
+            h, t = h // 2, 2 * t
+        # the last stage, t = n/2: x + y and x - y, each times its factor;
+        # x is free until it receives the result, so it serves as scratch
+        x, y, s1, s2, s3 = self._pairs(batch, 1, t, halves)
+        np.add(x, y, out=s1)
+        np.subtract(x, y, out=y)
+        np.add(y, two_q3, out=y)
+        _shoup_mul(y, *self._last_inv.segment(0, 1, 1), q3, two_q3, y, x, s2, s3)
+        _shoup_mul(s1, *self._n_inv.segment(0, 1, 1), q3, two_q3, x, x, s2, s3)
         np.subtract(a, self.q, out=full)
         np.minimum(a, full, out=a)
         return a[0] if flat else a

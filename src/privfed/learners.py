@@ -97,7 +97,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainStats:
     steps: int
-    mean_loss: float
     wall_time: float
 
 
@@ -186,45 +185,40 @@ class Workspace:
         )
 
 
-def _bce_head(z: np.ndarray, y: np.ndarray, vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE of logits ``z`` and dloss/dz = (sigmoid(z) - y) / n, both
-    from e = exp(-|z|): softplus(z) - y*z = max(z, 0) + log1p(e) - y*z, and
-    sigmoid(z) = exp(min(z, 0)) / (1 + e), which is 1/(1+e) for z >= 0 and
-    e/(1+e) otherwise.  Uses ``vec[0:3]``; the gradient is ``vec[2]``."""
+def _bce_head(z: np.ndarray, y: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """dloss/dz = (sigmoid(z) - y) / n of the mean BCE of logits ``z``, from
+    e = exp(-|z|): sigmoid(z) = exp(min(z, 0)) / (1 + e), which is 1/(1+e)
+    for z >= 0 and e/(1+e) otherwise.  Uses ``vec[0:3]``; e stays in
+    ``vec[0]`` for ``_objective`` and the gradient is ``vec[2]``."""
     n = z.shape[0]
     e, t, d = vec[0], vec[1], vec[2]
     np.abs(z, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    np.log1p(e, out=t)
-    loss_sum = float(t.sum())
-    np.maximum(z, 0.0, out=t)
-    loss_sum += float(t.sum()) - float(y @ z)
     np.minimum(z, 0.0, out=t)
     np.exp(t, out=t)
     np.add(e, 1.0, out=d)
     np.divide(t, d, out=d)  # sigmoid(z)
     d -= y
     d /= n
-    return loss_sum / n, d
+    return d
 
 
-def _lr_kernel(theta, x, y, l2, work) -> float:
+def _lr_kernel(theta, x, y, l2, work) -> None:
     s = SLICES[ModelKind.LOGISTIC_REGRESSION]
     coef = theta[s["coef"]]
     vec = work.vectors(x.shape[0])
     z = vec[3]
     np.matmul(x, coef, out=z)
     z += theta[s["intercept"]][0]
-    loss, d = _bce_head(z, y, vec)
+    d = _bce_head(z, y, vec)
     g = work.grad
     np.matmul(d, x, out=g[s["coef"]])
     g[s["coef"]] += l2 * coef
     g[s["intercept"]] = d.sum()
-    return loss + 0.5 * l2 * float(coef @ coef)
 
 
-def _nn_kernel(theta, x, y, l2, work) -> float:
+def _nn_kernel(theta, x, y, l2, work) -> None:
     s = SLICES[ModelKind.FEEDFORWARD_NN]
     w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
     gain = theta[s["ln_gain"]]
@@ -257,7 +251,7 @@ def _nn_kernel(theta, x, y, l2, work) -> float:
     a = out_w * gain
     np.matmul(a, act, out=u)
     np.add(u, float(out_w @ bias) + theta[s["out_b"]][0], out=z)
-    loss, d = _bce_head(z, y, vec)
+    d = _bce_head(z, y, vec)
 
     g = work.grad
     sum_d = d.sum()
@@ -277,10 +271,29 @@ def _nn_kernel(theta, x, y, l2, work) -> float:
     gw = g[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
     np.matmul(tmp, x, out=gw)
     gw += l2 * w
-    return loss + 0.5 * l2 * (float(w.ravel() @ w.ravel()) + float(out_w @ out_w))
 
 
 _KERNELS = {ModelKind.LOGISTIC_REGRESSION: _lr_kernel, ModelKind.FEEDFORWARD_NN: _nn_kernel}
+# the weight matrices the L2 penalty covers; biases and gains are not penalized
+_PENALIZED = {
+    ModelKind.LOGISTIC_REGRESSION: ("coef",),
+    ModelKind.FEEDFORWARD_NN: ("hidden_w", "out_w"),
+}
+
+
+def _objective(kind: ModelKind, theta, y, l2, work) -> float:
+    """The objective of the batch a kernel just ran on, from the logits it
+    left in ``vec[3]`` and e = exp(-|z|) in ``vec[0]``: mean BCE, with
+    softplus(z) - y*z = max(z, 0) + log1p(e) - y*z, plus the L2 penalty."""
+    vec = work.vectors(y.shape[0])
+    e, t, z = vec[0], vec[1], vec[3]
+    np.log1p(e, out=t)
+    loss_sum = float(t.sum())
+    np.maximum(z, 0.0, out=t)
+    loss_sum += float(t.sum()) - float(y @ z)
+    s = SLICES[kind]
+    penalty = sum(float(theta[s[name]] @ theta[s[name]]) for name in _PENALIZED[kind])
+    return loss_sum / y.shape[0] + 0.5 * l2 * penalty
 
 
 def loss_and_grad(
@@ -293,8 +306,9 @@ def loss_and_grad(
 
     Without ``work``, ``params`` is a ParamSet and the gradient comes back as
     a ParamSet with the same layout.  With ``work`` (as ``train_local``
-    passes), ``params`` is the flat θ and the gradient is ``work.grad``,
-    overwritten by the next call.
+    passes), ``params`` is the flat θ, the gradient is ``work.grad``,
+    overwritten by the next call, and the objective is not computed: it
+    comes back as None.
     """
     kind = ModelKind(kind)
     x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
@@ -304,9 +318,11 @@ def loss_and_grad(
         raise ValueError("empty batch")
     if work is None:
         work = Workspace(kind, n)
-        loss = _KERNELS[kind](_theta(kind, params), x, y, l2, work)
-        return loss, unflatten(work.grad, MANIFESTS[kind])
-    return _KERNELS[kind](params, x, y, l2, work), work.grad
+        theta = _theta(kind, params)
+        _KERNELS[kind](theta, x, y, l2, work)
+        return _objective(kind, theta, y, l2, work), unflatten(work.grad, MANIFESTS[kind])
+    _KERNELS[kind](params, x, y, l2, work)
+    return None, work.grad
 
 
 def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
@@ -332,7 +348,6 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
     x_batch = np.empty((rows, N_FEATURES))
     y_batch = np.empty(rows)
     steps = 0
-    loss_total = 0.0
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -341,10 +356,8 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
             # lets take write straight into the buffer instead of a copy
             xb = np.take(x, idx, axis=0, out=x_batch[: idx.size], mode="clip")
             yb = np.take(y, idx, out=y_batch[: idx.size], mode="clip")
-            loss, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
+            _, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
             theta -= cfg.learning_rate * grad
             steps += 1
-            loss_total += loss
-    mean_loss = loss_total / steps if steps else float("nan")
     params = unflatten(theta, MANIFESTS[kind])
-    return params, TrainStats(steps=steps, mean_loss=mean_loss, wall_time=time.monotonic() - t0)
+    return params, TrainStats(steps=steps, wall_time=time.monotonic() - t0)

@@ -22,7 +22,7 @@ from privfed.federation import (
     run_central,
     run_simulation,
 )
-from privfed.he import TEST_PARAMS, decode, decrypt, encode, encrypt, keygen
+from privfed.he import TEST_PARAMS, decode, decrypt, encode, encrypt, keygen, serialize_ct
 from privfed.learners import ModelKind, init_params
 from privfed.metrics import MetricSet, summarize
 from privfed.params import flatten
@@ -456,6 +456,28 @@ class TestSequentialCollect:
         assert report.aborted
         assert report.abort_reason.startswith(f"ProtocolError: client {second!r} sent type")
         assert "for round 3, expected type 3 round 0" in report.abort_reason
+        assert report.rounds == []
+
+    def test_corrupt_ciphertext_names_its_site(self):
+        cfg = sim_config("privacy.mode=he", "timeout_seconds=5", *HE_OVERRIDES)
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        key = keygen(cfg.he, np.random.default_rng(1))
+        metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
+        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+            blob = serialize_ct(encrypt(encode(np.zeros(11), cfg.he), key, np.random.default_rng(i)))
+            if i == 2:
+                blob = blob[:-8] + b"\xff" * 8  # the last residue is >= q
+            body = tr.UpdateBody(
+                name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 1.0, 0.0, 0.0, metrics, metrics
+            )
+            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
+        report = server.run()
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {names[2]!r} sent a bad ciphertext: "
+            "coefficient outside its prime modulus"
+        )
         assert report.rounds == []
 
     def test_silent_site_after_a_live_one(self):

@@ -1,7 +1,9 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privfed.errors import (
     CapacityError,
@@ -48,28 +50,75 @@ def roundtrip(values, keys, rng_seed=0, params=TEST_PARAMS):
     return decode(decrypt(ct, keys))[: len(values)]
 
 
+# Degrees that cover both transform layouts: at 8 and 16 the block is capped
+# at N/2, so one stage runs in natural order; from 128 on the block is 64,
+# and the layout switches between the stages with t = 64 and t = 32.
+LAYOUT_DEGREES = (8, 16, 128, 1024, 8192)
+
+
+def stacked_residues(field, seed):
+    """(L, N) random residues with runs of q - 1 and 0 in every row."""
+    rng = np.random.default_rng(seed)
+    a = np.stack([rng.integers(0, q, field.n, dtype=np.uint64) for q in field.primes])
+    for i, q in enumerate(field.primes):
+        a[i, : field.n // 8] = q - 1
+        a[i, field.n // 8 : field.n // 4] = 0
+    return a
+
+
+def sample_positions(n):
+    """Every output index for small n, else a spread including both ends."""
+    if n <= 128:
+        return range(n)
+    return sorted({0, 1, n // 8 - 1, n // 4, n // 2 - 1, n // 2 + 1, n - 2, n - 1})
+
+
+def eval_at_odd_psi_power(coeffs, psi, j, brv, q):
+    """a(psi^(2*brv(j)+1)) mod q by Horner's rule over Python ints."""
+    x = pow(psi, 2 * int(brv[j]) + 1, q)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
 class TestNttLayer:
     def test_negacyclic_convolution_oracle(self):
-        # naive O(n^2) reference over Python ints
-        n = 16
-        q = generate_ntt_primes([30], n)[0]
-        field = PrimeField(q, n)
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, q, n, dtype=np.uint64)
-        b = rng.integers(0, q, n, dtype=np.uint64)
-        got = field.intt(mulmod(field, field.ntt(a), field.ntt(b)))
-        want = [0] * n
-        for i in range(n):
-            for j in range(n):
-                sign = -1 if i + j >= n else 1
-                want[(i + j) % n] = (want[(i + j) % n] + sign * int(a[i]) * int(b[j])) % q
-        assert [int(x) for x in got] == want
+        # O(n) Python-int reference per output coefficient, on a two-prime stack
+        for n in LAYOUT_DEGREES:
+            field = PrimeField(generate_ntt_primes([30, 40], n), n)
+            a = stacked_residues(field, 3)
+            b = stacked_residues(field, 4)[:, ::-1].copy()
+            got = field.intt(mulmod(field, field.ntt(a), field.ntt(b)))
+            for i, q in enumerate(field.primes):
+                x = [int(v) for v in a[i]]
+                y = [int(v) for v in b[i]]
+                for k in sample_positions(n):
+                    want = sum(x[j] * y[k - j] for j in range(k + 1))
+                    want -= sum(x[j] * y[n + k - j] for j in range(k + 1, n))
+                    assert int(got[i, k]) == want % q, (n, i, k)
 
     def test_transform_roundtrip(self):
-        q = generate_ntt_primes([40], 256)[0]
-        field = PrimeField(q, 256)
-        a = np.random.default_rng(4).integers(0, q, 256, dtype=np.uint64)
-        assert np.array_equal(field.intt(field.ntt(a)), a)
+        for n in LAYOUT_DEGREES:
+            field = PrimeField(generate_ntt_primes([40, 60], n), n)
+            a = stacked_residues(field, 5)
+            assert np.array_equal(field.intt(field.ntt(a)), a), n
+            assert np.array_equal(field.ntt(field.intt(a)), a), n
+            one = PrimeField(field.primes[0], n)
+            assert np.array_equal(one.intt(one.ntt(a[0])), a[0]), n
+
+    @pytest.mark.parametrize("n", LAYOUT_DEGREES)
+    def test_ntt_evaluates_at_odd_powers_of_psi(self, n):
+        # output j of the bit-reversed negacyclic NTT is a(psi^(2*brv(j)+1))
+        field = PrimeField(generate_ntt_primes([60, 40], n), n)
+        a = stacked_residues(field, 6)
+        got = field.ntt(a)
+        brv = _bit_reverse_indices(n)
+        for i, q in enumerate(field.primes):
+            coeffs = [int(c) for c in a[i]]
+            psi = _find_psi(q, n)
+            for j in sample_positions(n):
+                assert int(got[i, j]) == eval_at_odd_psi_power(coeffs, psi, j, brv, q), (n, i, j)
 
     def test_mulmod_against_python_ints(self):
         q = generate_ntt_primes([60], 64)[0]
@@ -160,20 +209,46 @@ class TestStackedField:
             psi = _find_psi(q, self.N)
             coeffs = [int(c) for c in a[0, i]]
             for j in (0, 1, 4097, self.N - 1):
-                x = pow(psi, 2 * int(brv[j]) + 1, q)
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * x + c) % q
-                assert int(got[0, i, j]) == acc
+                assert int(got[0, i, j]) == eval_at_odd_psi_power(coeffs, psi, j, brv, q)
 
     def test_select_is_a_view_of_the_stack(self, fields):
         stacked, singles = fields
         low = stacked.select(0, 2)
         assert low.primes == stacked.primes[:2]
-        assert np.shares_memory(low._fwd.w, stacked._fwd.w)
+        for name in ("_fwd", "_inv", "_n_inv", "_last_inv"):
+            for part in ("w", "w_hi", "w_lo"):
+                mine = getattr(getattr(low, name), part)
+                full = getattr(getattr(stacked, name), part)
+                assert np.shares_memory(mine, full)
+                assert np.array_equal(mine, full[:2])
+        # a block-transposed stage (t < 64) reads the twiddle of natural
+        # block r*(64/2t) + j, psi^brv(m + r*(64/2t) + j), at m + j*(N/64) + r
+        brv = _bit_reverse_indices(self.N)
+        cols = self.N // low.block
+        for i, q in enumerate(low.primes):
+            psi = _find_psi(q, self.N)
+            for t in (32, 4, 1):
+                m, per_row = self.N // (2 * t), low.block // (2 * t)
+                for j, r in ((0, 0), (per_row - 1, 1), (per_row // 2, cols - 1)):
+                    want = pow(psi, int(brv[m + r * per_row + j]), q)
+                    assert int(low._fwd.w[i, m + j * cols + r]) == want, (t, j, r)
         a = self.residues(stacked.primes, 47)
         assert np.array_equal(low.ntt(a[:, :2]), stacked.ntt(a)[:, :2])
+        assert np.array_equal(low.intt(a[:, :2]), stacked.intt(a)[:, :2])
         assert stacked.select(2, 3).q_int == singles[2].q_int
+
+    def test_shoup_product_against_python_ints(self, fields):
+        # the product by a fixed multiplier (the CKKS secret, a scalar) at
+        # edge residues: a = q-1 meets w = q-1 and w = 0, a = 0 meets random w
+        stacked, _ = fields
+        a = self.residues(stacked.primes, 48)
+        w = self.residues(stacked.primes, 49)[1]
+        w[:, :32] = a[0, :, :32]
+        w[:, 32:64] = 0
+        got = stacked.mul_shoup(a, stacked.shoup_table(w))
+        q = np.array(stacked.primes, dtype=object)[:, None]
+        assert np.array_equal(got, a.astype(object) * w.astype(object) % q)
+        assert np.array_equal(got, mulmod(stacked, a, w))
 
     def test_one_ntt_call_per_encryption(self, monkeypatch):
         key = keygen(DEFAULT_PARAMS, np.random.default_rng(31))
@@ -486,6 +561,43 @@ class TestSerialization:
         other = CkksParams(512, (40, 30, 30), 30)
         with pytest.raises(DecodeError):
             deserialize_ct(serialize_ct(ct), other)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("slot_fill", 2**32 - 1), ("slot_fill", TEST_PARAMS.slot_count + 1), ("scale_log2", 0)],
+    )
+    def test_header_never_written_rejected(self, keys, field, value):
+        ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(30))
+        blob = bytearray(serialize_ct(ct))
+        offset, fmt = {"scale_log2": (9, "<H"), "slot_fill": (11, "<I")}[field]
+        struct.pack_into(fmt, blob, offset, value)
+        with pytest.raises(DecodeError):
+            deserialize_ct(bytes(blob), TEST_PARAMS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keep=st.one_of(st.none(), st.integers(0, 32782)),
+        flips=st.lists(
+            st.tuples(st.one_of(st.integers(0, 14), st.integers(0, 32782)), st.integers(1, 255)),
+            max_size=4,
+        ),
+    )
+    def test_corrupted_bytes_rejected_or_in_range(self, keys, keep, flips):
+        # a 1024-degree, level-1 ciphertext is 15 + 2*2*1024*8 = 32783 bytes
+        ct = encrypt(encode([0.5, -0.25], TEST_PARAMS), keys, np.random.default_rng(31))
+        blob = bytearray(serialize_ct(ct))
+        assert len(blob) == 32783
+        for position, mask in flips:
+            blob[position] ^= mask
+        blob = bytes(blob[:keep])
+        try:
+            back = deserialize_ct(blob, TEST_PARAMS)
+        except DecodeError:
+            return
+        q = _context(TEST_PARAMS).level_fields[back.level].q
+        assert np.all(back.comps < q)
+        assert back.slot_fill <= TEST_PARAMS.slot_count
+        assert 2.0 <= back.scale < float("inf")
 
 
 class TestParamsValidation:

@@ -18,15 +18,17 @@ Three privacy modes share the loop:
 - plain: deltas travel as float64 vectors.
 - dp: deltas pass through the SVT filter client-side before transmission.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
-  only ciphertexts after round 0 and broadcasts the encrypted aggregate,
-  which every client decrypts and applies to its own copy of the global
-  model.  The server never sees plaintext parameters after initialization.
+  no key and only ciphertexts after round 0, and broadcasts the encrypted
+  aggregate, which every client decrypts and applies to its own copy of the
+  global model.  The server never sees plaintext parameters after
+  initialization.
 """
 
 from __future__ import annotations
 
 import functools
 import hmac
+import os
 import time
 from dataclasses import dataclass
 
@@ -34,13 +36,13 @@ import numpy as np
 
 from . import transport as tr
 from .config import ExperimentConfig
-from .data import CohortDataset
+from .data import CohortDataset, concat_datasets, generate_site, kfold_split, read_csv, split_train_valid
 from .dp import SvtConfig, svt_filter
-from .errors import AuthError, DecodeError, LayoutError, ProtocolError, RoundTimeoutError, StateError
+from .errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
+from .errors import RoundTimeoutError, StateError
 from .he import (
     Ciphertext,
     CkksParams,
-    KeyPair,
     add as he_add,
     decode as he_decode,
     decrypt as he_decrypt,
@@ -117,6 +119,19 @@ def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> l
     return out
 
 
+def aggregate_serialized(params: CkksParams, payloads: dict[str, list[bytes]], weights) -> list[bytes]:
+    """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
+    order, to its serialized chunks, and a chunk that does not deserialize
+    aborts with the site's name.  Needs no key."""
+    per_client = []
+    for client_id, blobs in payloads.items():
+        try:
+            per_client.append([deserialize_ct(blob, params) for blob in blobs])
+        except DecodeError as err:
+            raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
+    return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
+
+
 # -- privacy pipelines -------------------------------------------------------
 
 
@@ -140,26 +155,20 @@ class DpPipeline:
 
 
 class HePipeline:
-    """Client-side encrypt/decrypt and server-side ciphertext handling.
+    """A site's CKKS steps: encrypt its update, decrypt the aggregate.
 
-    The server constructs this without key material; only clients hold the
-    shared secret (derived from the shared run seed, mirroring a pre-agreed
-    cohort key).
+    Only sites build one.  Each derives the cohort secret from the shared run
+    seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
+    sums ciphertexts with ``aggregate_serialized``.
     """
 
     mode = "he"
 
-    def __init__(self, params: CkksParams, keys: KeyPair | None):
+    def __init__(self, params: CkksParams, master_seed: int):
         self.params = params
-        self.keys = keys
-
-    @classmethod
-    def for_client(cls, params: CkksParams, master_seed: int) -> "HePipeline":
-        return cls(params, keygen(params, derived_rng(master_seed, "hekey")))
+        self.keys = keygen(params, derived_rng(master_seed, "hekey"))
 
     def client_encode(self, delta: np.ndarray, steps: int, rng) -> tuple[int, object, float]:
-        if self.keys is None:
-            raise StateError("pipeline has no key material")
         t0 = time.monotonic()
         blobs = []
         for chunk in pack_update(delta, self.params):
@@ -168,8 +177,6 @@ class HePipeline:
         return tr.PAYLOAD_CHUNKS, blobs, time.monotonic() - t0
 
     def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
-        if self.keys is None:
-            raise StateError("pipeline has no key material")
         t0 = time.monotonic()
         chunks = []
         for blob in blobs:
@@ -178,27 +185,14 @@ class HePipeline:
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
         return flat, time.monotonic() - t0
 
-    def server_aggregate(self, payloads: dict[str, list[bytes]], weights) -> list[bytes]:
-        """Sum the sites' ciphertext chunks; ``payloads`` maps each site, in
-        site order, to its serialized chunks, and a chunk that does not
-        deserialize aborts with the site's name."""
-        per_client = []
-        for client_id, blobs in payloads.items():
-            try:
-                per_client.append([deserialize_ct(blob, self.params) for blob in blobs])
-            except DecodeError as err:
-                raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
-        return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
-
-def build_pipeline(cfg: ExperimentConfig, with_keys: bool):
+def build_pipeline(cfg: ExperimentConfig):
+    """The privacy step a site applies to its update."""
     if cfg.privacy_mode == "plain":
         return PlainPipeline()
     if cfg.privacy_mode == "dp":
         return DpPipeline(cfg.dp)
-    if with_keys:
-        return HePipeline.for_client(cfg.he, cfg.seed)
-    return HePipeline(cfg.he, None)
+    return HePipeline(cfg.he, cfg.seed)
 
 
 # -- server ------------------------------------------------------------------
@@ -208,7 +202,6 @@ class FederationServer:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.kind = ModelKind(cfg.model)
-        self.pipeline = build_pipeline(cfg, with_keys=False)
         self.clients: dict[str, ClientRecord] = {}
         self.event_log: list[list] = []
         self._t0 = time.monotonic()
@@ -252,13 +245,14 @@ class FederationServer:
             self.clients[client_id].channel.send(frame)
         self._log("broadcast", str(round_index))
 
-    def _collect(self, round_index: int, msg_type: int) -> dict[str, tuple[tr.Frame, float]]:
-        """One frame from each site, read in site order under one deadline.
+    def _collect(self, round_index: int, msg_type: int, decode) -> dict[str, tuple[object, float]]:
+        """Each site's decoded reply body and arrival time, read in site order
+        under one deadline.
 
         The round is a hard barrier, so reading the sites one after another
         loses nothing: the coordinator cannot act before the last reply.
         """
-        received: dict[str, tuple[tr.Frame, float]] = {}
+        received: dict[str, tuple[object, float]] = {}
         deadline = time.monotonic() + self.cfg.timeout_seconds
         for client_id in self.cfg.site_names():
             try:
@@ -274,7 +268,13 @@ class FederationServer:
                     f"client {client_id!r} sent type {frame.msg_type} for round {frame.round}, "
                     f"expected type {msg_type} round {round_index}"
                 )
-            received[client_id] = (frame, time.monotonic() - self._t0)
+            try:
+                body = decode(frame.body)
+            except DecodeError as err:
+                raise ProtocolError(f"client {client_id!r} sent a bad body: {err}") from err
+            if body.client_id != client_id:
+                raise ProtocolError(f"client {client_id!r} sent a body that does not match its channel")
+            received[client_id] = (body, time.monotonic() - self._t0)
             self._log("update_received", client_id)
         return received
 
@@ -292,25 +292,19 @@ class FederationServer:
             for round_index in range(cfg.rounds):
                 broadcast_at = time.monotonic() - self._t0
                 self._broadcast(round_index, self._broadcast_body(global_params, he_state, False))
-                received = {}
-                for client_id, (frame, arrival) in self._collect(
-                    round_index, tr.MSG_UPDATE
-                ).items():
-                    update = tr.decode_update(frame.body)
-                    if update.client_id != client_id:
-                        raise ProtocolError("update body does not match its channel")
+                received = self._collect(round_index, tr.MSG_UPDATE, tr.decode_update)
+                for client_id, (update, _) in received.items():
                     if update.mode != cfg.privacy_mode:
                         raise ProtocolError(
                             f"client {client_id!r} sent a {update.mode!r} update "
                             f"to a {cfg.privacy_mode!r} run"
                         )
-                    received[client_id] = (update, arrival)
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
                 payloads = {cid: received[cid][0].payload for cid in self.cfg.site_names()}
                 weights = [self.clients[cid].weight for cid in self.cfg.site_names()]
-                if isinstance(self.pipeline, HePipeline):
-                    he_state = self.pipeline.server_aggregate(payloads, weights)
+                if cfg.privacy_mode == "he":
+                    he_state = aggregate_serialized(cfg.he, payloads, weights)
                 else:
                     mean_delta = aggregate_plain(list(payloads.values()), weights)
                     global_params = apply_update(global_params, mean_delta, manifest)
@@ -323,8 +317,9 @@ class FederationServer:
             self._broadcast(cfg.rounds, self._broadcast_body(global_params, he_state, True))
             rows = []
             finals: dict[str, np.ndarray] = {}
-            for client_id, (frame, _) in self._collect(cfg.rounds, tr.MSG_ROUND_DONE).items():
-                done = tr.decode_round_done(frame.body)
+            for client_id, (done, _) in self._collect(
+                cfg.rounds, tr.MSG_ROUND_DONE, tr.decode_round_done
+            ).items():
                 rows.append((client_id, done.metrics))
                 if done.final_params is not None:
                     finals[client_id] = done.final_params
@@ -332,8 +327,10 @@ class FederationServer:
                 SiteValidation(cid, dict(rows)[cid]) for cid in self.cfg.site_names()
             ]
             report.cross_site = CrossSiteTable.from_rows(ordered_rows)
-            if isinstance(self.pipeline, HePipeline):
+            if cfg.privacy_mode == "he":
                 first = self.cfg.site_names()[0]
+                if first not in finals:
+                    raise ProtocolError(f"client {first!r} sent no final parameters")
                 report.final_params = [float(v) for v in finals[first]]
             else:
                 report.final_params = [float(v) for v in flatten(global_params)[0]]
@@ -347,7 +344,7 @@ class FederationServer:
         return report
 
     def _broadcast_body(self, global_params: ParamSet, he_state, final: bool) -> tr.BroadcastBody:
-        if isinstance(self.pipeline, HePipeline) and he_state is not None:
+        if he_state is not None:
             return tr.BroadcastBody(final, tr.PAYLOAD_CHUNKS, he_state)
         return tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, flatten(global_params)[0])
 
@@ -365,7 +362,7 @@ class FederationServer:
                 ClientRoundRecord(
                     client_id=client_id,
                     steps=update.steps,
-                    weight=update.weight,
+                    weight=self.clients[client_id].weight,
                     pre_metrics=update.pre_metrics,
                     post_metrics=update.post_metrics,
                     train_seconds=update.train_seconds,
@@ -394,7 +391,7 @@ class FederationClient:
         self.kind = ModelKind(cfg.model)
         self.train = train
         self.valid = valid
-        self.pipeline = build_pipeline(cfg, with_keys=True)
+        self.pipeline = build_pipeline(cfg)
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: ParamSet | None = None
         self.manifest: LayoutManifest = MANIFESTS[self.kind]
@@ -424,7 +421,7 @@ class FederationClient:
 
     def join_frame(self) -> tr.Frame:
         """The JOIN this client opens its session with."""
-        body = tr.JoinBody(self.client_id, self.cfg.token, len(self.train), len(self.valid))
+        body = tr.JoinBody(self.client_id, self.cfg.token, len(self.train))
         return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(body))
 
     def check_ack(self, frame: tr.Frame) -> None:
@@ -491,7 +488,6 @@ class FederationClient:
                     mode=self.pipeline.mode,
                     payload_kind=kind,
                     payload=payload,
-                    weight=self.weight,
                     train_seconds=stats.wall_time,
                     privacy_seconds=privacy_seconds + encode_seconds,
                     pre_metrics=pre_metrics,
@@ -513,18 +509,12 @@ class FederationClient:
 
 def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     """Per-site (train, valid) splits from the generator or CSV files."""
-    from .data import generate_site, read_csv, split_train_valid
-
     spec = cfg.data.generator_spec(derive_seed(cfg.seed, "data"))
     out = {}
     for site in cfg.data.sites:
         if only_site is not None and site.name != only_site:
             continue
         if cfg.data.source == "csv":
-            import os
-
-            from .errors import ConfigError
-
             path = os.path.join(cfg.data.csv_dir or ".", f"{site.name}.csv")
             if not os.path.exists(path):
                 raise ConfigError(f"site file does not exist: {path}")
@@ -608,8 +598,6 @@ def run_tcp_client(cfg: ExperimentConfig, site: str, host: str, port: int) -> No
 
 def run_central(cfg: ExperimentConfig) -> RunReport:
     """Pooled-data baseline: k-fold cross-validation with the same learner."""
-    from .data import concat_datasets, kfold_split
-
     datasets = build_site_datasets(cfg)
     full = concat_datasets(
         [concat_datasets([train, valid]) for train, valid in datasets.values()]

@@ -6,9 +6,14 @@ ciphertexts stay degree 1 and there is no relinearization, rotation, or
 bootstrapping.  Representation choices:
 
 - RNS: each polynomial is a (levels, N) uint64 array, one row per active
-  prime, kept permanently in the NTT domain; rescaling transforms only the
-  row being dropped.  A ciphertext keeps both components in one
-  (2, levels, N) array.
+  prime.  A ciphertext keeps both components in one (2, levels, N) array,
+  permanently in the NTT domain; rescaling transforms only the row being
+  dropped.  A plaintext is its coefficient residues: ``encode`` reduces the
+  rounded coefficients mod each prime, ``decrypt`` ends with one inverse
+  NTT, and ``decode`` combines the residues by CRT before the FFT.
+- Objects carry their parameters: a plaintext, a ciphertext and a key each
+  hold their ``CkksParams``, and ``_context`` caches the state derived from
+  them (primes, fields, embedding twiddles, the wire hash).
 - Batched kernels: one stacked ``PrimeField`` over the active primes works
   on (..., L, N) arrays, so each numpy call covers every row and polynomial
   an operation touches, not one row.  Simulated clients share one GIL and
@@ -18,10 +23,10 @@ bootstrapping.  Representation choices:
   copy, so every numpy call reads long contiguous runs (see ``ntt``).
 - Secret-key encryption: every client holds the cohort secret, so there is
   no public key.  A fresh ciphertext is (c0, c1) = (-a*s + e + m, a) with a
-  uniform ``a`` drawn directly in the NTT domain, and ``encode`` leaves m in
-  coefficient form, so an encryption makes one (L, N) NTT call, over m + e.
-  The key carries the secret's Shoup quotients, computed once at keygen, so
-  a*s in ``encrypt`` and c1*s in ``decrypt`` are each one Shoup product.
+  uniform ``a`` drawn directly in the NTT domain, so an encryption makes one
+  (L, N) NTT call, over m + e.  The key is the secret's NTT rows with their
+  Shoup quotients, computed once at keygen, so a*s in ``encrypt`` and c1*s
+  in ``decrypt`` are each one Shoup product.
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -82,20 +87,15 @@ class CkksParams:
     def scale(self) -> float:
         return float(2**self.scale_log2)
 
-    def params_hash(self) -> bytes:
-        text = repr((self.poly_degree, self.modulus_bits, self.scale_log2))
-        return hashlib.sha256(text.encode()).digest()[:8]
-
 
 # full-scale default configuration and the reduced set used for fast tests
 DEFAULT_PARAMS = CkksParams(8192, (60, 40, 40), 40)
 TEST_PARAMS = CkksParams(1024, (40, 30, 30), 30)
 
-_by_hash: dict[bytes, "_Context"] = {}
-
 
 class _Context:
-    """Derived per-params state: primes, fields, embedding twiddles."""
+    """Derived per-params state: primes, fields, embedding twiddles, and the
+    8-byte parameter hash that heads every serialized ciphertext."""
 
     def __init__(self, params: CkksParams):
         self.params = params
@@ -111,7 +111,8 @@ class _Context:
         t = np.arange(n)
         self.embed_fwd = np.exp(-1j * np.pi * t / n)  # encode: fft side
         self.embed_inv = np.exp(1j * np.pi * t / n)  # decode: ifft side
-        self.hash = params.params_hash()
+        text = repr((params.poly_degree, params.modulus_bits, params.scale_log2))
+        self.hash = hashlib.sha256(text.encode()).digest()[:8]
 
     @property
     def fresh_level(self) -> int:
@@ -120,36 +121,16 @@ class _Context:
 
 @lru_cache(maxsize=8)
 def _context(params: CkksParams) -> _Context:
-    ctx = _Context(params)
-    _by_hash[ctx.hash] = ctx
-    return ctx
-
-
-def _ctx_of(obj) -> _Context:
-    ctx = _by_hash.get(obj.params_hash)
-    if ctx is None:
-        raise StateError("unknown parameter set for this object")
-    return ctx
+    return _Context(params)
 
 
 @dataclass
 class PlainPoly:
-    """A plaintext in coefficient form (``coeffs``, from ``encode``) or as
-    NTT-domain residues (``ntt_rows``, from ``decrypt``)."""
-
+    residues: np.ndarray  # (level+1, N) uint64 coefficient residues
     level: int
     scale: float
     slot_fill: int
-    params_hash: bytes
-    coeffs: np.ndarray | None = None  # (N,) int64 signed coefficients
-    ntt_rows: np.ndarray | None = None  # (level+1, N) uint64, NTT domain
-
-    @property
-    def rows(self) -> np.ndarray:
-        """NTT-domain residues; transformed from ``coeffs`` on first use."""
-        if self.ntt_rows is None:
-            self.ntt_rows = _signed_to_rows(_ctx_of(self), self.coeffs, self.level)
-        return self.ntt_rows
+    params: CkksParams
 
 
 @dataclass
@@ -158,7 +139,7 @@ class Ciphertext:
     level: int
     scale: float
     slot_fill: int
-    params_hash: bytes
+    params: CkksParams
 
     @property
     def c0(self) -> np.ndarray:
@@ -171,15 +152,8 @@ class Ciphertext:
 
 @dataclass
 class KeyPair:
-    secret: np.ndarray  # (levels, N) NTT rows of the ternary secret
-    params_hash: bytes
-    secret_shoup: ShoupTable  # ``secret`` with its Shoup quotients, for mul_shoup
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+    secret: ShoupTable  # NTT rows of the ternary secret, with their Shoup quotients
+    params: CkksParams
 
 
 def _sample_ternary(rng, n: int) -> np.ndarray:
@@ -192,40 +166,31 @@ def _sample_cbd(rng, n: int) -> np.ndarray:
     return ones[0].astype(np.int64) - ones[1]
 
 
-def _signed_to_rows(ctx: _Context, coeffs: np.ndarray, level: int) -> np.ndarray:
-    """Reduce signed coefficient vectors (..., N) mod each active prime and
-    NTT them all in one call: (..., level+1, N)."""
-    field = ctx.level_fields[level]
-    return field.ntt(field.reduce_signed(coeffs[..., None, :]))
-
-
-def keygen(params: CkksParams, rng) -> KeyPair:
+def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
     """Ternary secret in NTT form; deterministic for a given seed, so cohort
     members can derive the shared key locally."""
-    ctx = _context(params)
-    s = _sample_ternary(_as_rng(rng), params.poly_degree)
-    table = ctx.level_fields[ctx.fresh_level].shoup_table(_signed_to_rows(ctx, s, ctx.fresh_level))
-    return KeyPair(table.w, ctx.hash, table)
+    field = _context(params).level_fields[-1]
+    s = _sample_ternary(rng, params.poly_degree)
+    return KeyPair(field.shoup_table(field.ntt(field.reduce_signed(s[None]))), params)
 
 
-def encode(values, params: CkksParams, scale: float | None = None) -> PlainPoly:
+def encode(values, params: CkksParams) -> PlainPoly:
     """Canonical-embedding encode of a real vector into plaintext slots."""
     ctx = _context(params)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     half = params.slot_count
     if values.size > half:
         raise CapacityError(f"{values.size} values exceed {half} slots")
-    scale = params.scale if scale is None else float(scale)
     z = np.zeros(half, dtype=np.complex128)
-    z[: values.size] = values * scale
+    z[: values.size] = values * params.scale
     w = np.concatenate([z, np.conj(z)[::-1]])
     coeffs = np.real(ctx.embed_fwd * np.fft.fft(w)) / params.poly_degree
     rounded = np.rint(coeffs)
     if np.any(np.abs(rounded) >= 2**62):
         raise CapacityError("encoded coefficients overflow the modulus headroom")
-    return PlainPoly(
-        ctx.fresh_level, scale, values.size, ctx.hash, coeffs=rounded.astype(np.int64)
-    )
+    level = ctx.fresh_level
+    residues = ctx.level_fields[level].reduce_signed(rounded.astype(np.int64)[None])
+    return PlainPoly(residues, level, params.scale, values.size, params)
 
 
 def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.ndarray:
@@ -244,62 +209,55 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
     return centered.astype(np.float64)
 
 
-def decode(pt: PlainPoly, params: CkksParams | None = None) -> np.ndarray:
+def decode(pt: PlainPoly) -> np.ndarray:
     """Slot values of a plaintext; inverse of encode up to encoding error."""
-    ctx = _context(params) if params is not None else _ctx_of(pt)
-    if pt.params_hash != ctx.hash:
-        raise StateError("plaintext was produced under different parameters")
-    if pt.coeffs is not None:
-        coeffs = pt.coeffs.astype(np.float64)
-    else:
-        residues = ctx.level_fields[pt.level].intt(pt.ntt_rows)
-        coeffs = _crt_centered(ctx, residues, pt.level)
-    n = ctx.params.poly_degree
-    slots = n * np.fft.ifft(coeffs * ctx.embed_inv)[: ctx.params.slot_count]
+    ctx = _context(pt.params)
+    coeffs = _crt_centered(ctx, pt.residues, pt.level)
+    n = pt.params.poly_degree
+    slots = n * np.fft.ifft(coeffs * ctx.embed_inv)[: pt.params.slot_count]
     return np.real(slots) / pt.scale
 
 
-def encrypt(pt: PlainPoly, key: KeyPair, rng) -> Ciphertext:
+def encrypt(pt: PlainPoly, key: KeyPair, rng: np.random.Generator) -> Ciphertext:
     """Fresh randomized secret-key encryption at the top level of the active
     chain: (c0, c1) = (-a*s + e + m, a)."""
-    if pt.params_hash != key.params_hash:
+    if pt.params != key.params:
         raise StateError("plaintext/key parameter mismatch")
-    ctx = _ctx_of(pt)
-    rng = _as_rng(rng)
-    if pt.level != ctx.fresh_level or pt.coeffs is None:
-        raise StateError("can only encrypt full-level encoded plaintexts")
+    ctx = _context(pt.params)
+    if pt.level != ctx.fresh_level:
+        raise StateError("can only encrypt full-level plaintexts")
     level = ctx.fresh_level
     field = ctx.level_fields[level]
     # draw order e, then a; uniform is uniform in either domain, so a is
     # sampled directly in NTT form, all rows in one call
-    n = ctx.params.poly_degree
+    n = pt.params.poly_degree
     e = _sample_cbd(rng, n)
     comps = np.empty((2, level + 1, n), dtype=np.uint64)
     comps[1] = rng.integers(0, field.q, (level + 1, n), dtype=np.uint64)
-    message = _signed_to_rows(ctx, pt.coeffs + e, level)
-    comps[0] = field.sub(message, field.mul_shoup(comps[1], key.secret_shoup))
-    return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params_hash)
+    message = field.ntt(field.add(pt.residues, field.reduce_signed(e[None])))
+    comps[0] = field.sub(message, field.mul_shoup(comps[1], key.secret))
+    return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params)
 
 
 def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
-    if key.params_hash != ct.params_hash:
+    if key.params != ct.params:
         raise StateError("ciphertext/key parameter mismatch")
-    field = _ctx_of(ct).level_fields[ct.level]
-    secret = key.secret_shoup.rows(slice(0, ct.level + 1))
-    rows = field.add(ct.c0, field.mul_shoup(ct.c1, secret))
-    return PlainPoly(ct.level, ct.scale, ct.slot_fill, ct.params_hash, ntt_rows=rows)
+    field = _context(ct.params).level_fields[ct.level]
+    secret = key.secret.rows(slice(0, ct.level + 1))
+    residues = field.intt(field.add(ct.c0, field.mul_shoup(ct.c1, secret)))
+    return PlainPoly(residues, ct.level, ct.scale, ct.slot_fill, ct.params)
 
 
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     """Homomorphic addition; operands must agree in params, level, and scale."""
-    if a.params_hash != b.params_hash:
+    if a.params != b.params:
         raise StateError("parameter mismatch")
     if a.level != b.level:
         raise StateError(f"level mismatch: {a.level} vs {b.level}")
     if not math.isclose(a.scale, b.scale, rel_tol=1e-12):
         raise StateError(f"scale mismatch: {a.scale} vs {b.scale}")
-    comps = _ctx_of(a).level_fields[a.level].add(a.comps, b.comps)
-    return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params_hash)
+    comps = _context(a.params).level_fields[a.level].add(a.comps, b.comps)
+    return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params)
 
 
 def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
@@ -308,14 +266,14 @@ def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
     The scalar is encoded at the exact value of the prime being consumed, so
     the output scale equals the input scale bit for bit.
     """
-    ctx = _ctx_of(ct)
+    ctx = _context(ct.params)
     if ct.level < 1:
         raise DepthExhaustedError("no modulus level left for rescaling")
     q_last = ctx.active_primes[ct.level]
     coeff = round(float(scalar) * q_last)
     # constant polynomials are constant in the NTT domain too
     comps = ctx.level_fields[ct.level].mul_const(ct.comps, [coeff] * (ct.level + 1))
-    scaled = Ciphertext(comps, ct.level, ct.scale * q_last, ct.slot_fill, ct.params_hash)
+    scaled = Ciphertext(comps, ct.level, ct.scale * q_last, ct.slot_fill, ct.params)
     return _rescale(ctx, scaled)
 
 
@@ -330,7 +288,7 @@ def _rescale(ctx: _Context, ct: Ciphertext) -> Ciphertext:
     lifted = field.ntt(field.reduce_signed(centered))
     inv_q = [pow(q_last, -1, q) for q in field.primes]
     comps = field.mul_const(field.sub(ct.comps[:, :level], lifted), inv_q)
-    return Ciphertext(comps, level - 1, ct.scale / q_last, ct.slot_fill, ct.params_hash)
+    return Ciphertext(comps, level - 1, ct.scale / q_last, ct.slot_fill, ct.params)
 
 
 # -- update packing ----------------------------------------------------------
@@ -365,7 +323,7 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     scale_log2 = math.log2(ct.scale)
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
-    header = _HEADER.pack(ct.params_hash, ct.level, int(scale_log2), ct.slot_fill)
+    header = _HEADER.pack(_context(ct.params).hash, ct.level, int(scale_log2), ct.slot_fill)
     return header + ct.comps.astype("<u8").tobytes()
 
 
@@ -373,8 +331,8 @@ def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
-    params_hash, level, scale_log2, slot_fill = _HEADER.unpack_from(data)
-    if params_hash != ctx.hash:
+    digest, level, scale_log2, slot_fill = _HEADER.unpack_from(data)
+    if digest != ctx.hash:
         raise DecodeError("parameter hash mismatch")
     if level >= len(ctx.active_primes):
         raise DecodeError(f"level {level} outside the active chain")
@@ -390,4 +348,4 @@ def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
     comps = body.reshape(2, level + 1, n).astype(np.uint64)
     if np.any(comps >= ctx.level_fields[level].q):
         raise DecodeError("coefficient outside its prime modulus")
-    return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params_hash)
+    return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params)

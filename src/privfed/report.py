@@ -161,7 +161,6 @@ _TIMING_FIELDS = {
     "arrival_offset_seconds",
     "aggregation_seconds",
     "total_wall_seconds",
-    "wall_time",
     "event_log",
 }
 

@@ -22,7 +22,7 @@ from .metrics import MetricSet
 
 MAGIC = b"PFD1"
 MAX_BODY = 256 * 1024 * 1024  # fits N=8192 ciphertext chunk lists with margin
-MAX_JOIN_BODY = 4096  # a site name, a token and two counts; read before auth
+MAX_JOIN_BODY = 4096  # a site name, a token and a count; read before auth
 
 MSG_JOIN = 0
 MSG_JOIN_ACK = 1
@@ -103,9 +103,6 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: struct.Struct):
-        return fmt.unpack(self.take(fmt.size))
-
     def take_str(self) -> str:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n).decode("utf-8")
@@ -120,20 +117,19 @@ class JoinBody:
     client_id: str
     token: str
     n_train: int
-    n_valid: int
 
 
 def encode_join(j: JoinBody) -> bytes:
-    return _pack_str(j.client_id) + _pack_str(j.token) + struct.pack("<QQ", j.n_train, j.n_valid)
+    return _pack_str(j.client_id) + _pack_str(j.token) + struct.pack("<Q", j.n_train)
 
 
 def decode_join(body: bytes) -> JoinBody:
     r = _Reader(body)
     client_id = r.take_str()
     token = r.take_str()
-    n_train, n_valid = struct.unpack("<QQ", r.take(16))
+    (n_train,) = struct.unpack("<Q", r.take(8))
     r.done()
-    return JoinBody(client_id, token, n_train, n_valid)
+    return JoinBody(client_id, token, n_train)
 
 
 PAYLOAD_PLAIN = 0  # little-endian f64 array (Plain and Dp updates, broadcasts)
@@ -190,7 +186,6 @@ class UpdateBody:
     mode: str  # plain | dp | he
     payload_kind: int
     payload: object  # f64 array or list of ciphertext blobs
-    weight: float
     train_seconds: float
     privacy_seconds: float  # dp-filter or encrypt+decrypt time
     pre_metrics: MetricSet
@@ -203,7 +198,7 @@ def encode_update(u: UpdateBody) -> bytes:
             _pack_str(u.client_id),
             struct.pack("<I", u.steps),
             _pack_str(u.mode),
-            struct.pack("<ddd", u.weight, u.train_seconds, u.privacy_seconds),
+            struct.pack("<dd", u.train_seconds, u.privacy_seconds),
             _pack_metrics(u.pre_metrics),
             _pack_metrics(u.post_metrics),
             _pack_payload(u.payload_kind, u.payload),
@@ -216,12 +211,12 @@ def decode_update(body: bytes) -> UpdateBody:
     client_id = r.take_str()
     (steps,) = struct.unpack("<I", r.take(4))
     mode = r.take_str()
-    weight, train_s, privacy_s = struct.unpack("<ddd", r.take(24))
+    train_s, privacy_s = struct.unpack("<dd", r.take(16))
     pre = _unpack_metrics(r.take(_METRICS.size))
     post = _unpack_metrics(r.take(_METRICS.size))
     kind, payload = _unpack_payload(r)
     r.done()
-    return UpdateBody(client_id, steps, mode, kind, payload, weight, train_s, privacy_s, pre, post)
+    return UpdateBody(client_id, steps, mode, kind, payload, train_s, privacy_s, pre, post)
 
 
 @dataclass(frozen=True)

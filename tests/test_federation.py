@@ -16,13 +16,25 @@ from privfed.errors import AuthError, DecodeError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
     FederationServer,
+    HePipeline,
     aggregate_encrypted,
     aggregate_plain,
     build_site_datasets,
     run_central,
     run_simulation,
 )
-from privfed.he import TEST_PARAMS, decode, decrypt, encode, encrypt, keygen, serialize_ct
+from privfed.he import (
+    TEST_PARAMS,
+    KeyPair,
+    decode,
+    decrypt,
+    deserialize_ct,
+    encode,
+    encrypt,
+    keygen,
+    serialize_ct,
+)
+from privfed.he import ckks
 from privfed.learners import ModelKind, init_params
 from privfed.metrics import MetricSet, summarize
 from privfed.params import flatten
@@ -375,16 +387,23 @@ class TestSimulationSchedule:
 
 
 def join_frame(cfg, name) -> tr.Frame:
-    return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10, 5)))
+    return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10)))
+
+
+METRICS = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
 
 
 def update_frame(name, round_index=0, client_id=None) -> tr.Frame:
     """A well-formed plain LR update from ``name`` (the body may claim another id)."""
-    metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
     body = tr.UpdateBody(
-        client_id or name, 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11), 1.0, 0.0, 0.0, metrics, metrics
+        client_id or name, 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11), 0.0, 0.0, METRICS, METRICS
     )
     return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body))
+
+
+def round_done_frame(name, round_index, final_params=None) -> tr.Frame:
+    body = tr.RoundDoneBody(name, METRICS, final_params)
+    return tr.Frame(tr.MSG_ROUND_DONE, round_index, tr.encode_round_done(body))
 
 
 def sim_coordinator(cfg):
@@ -463,13 +482,12 @@ class TestSequentialCollect:
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
         key = keygen(cfg.he, np.random.default_rng(1))
-        metrics = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
         for i, (name, client_end) in enumerate(zip(names, client_ends)):
             blob = serialize_ct(encrypt(encode(np.zeros(11), cfg.he), key, np.random.default_rng(i)))
             if i == 2:
                 blob = blob[:-8] + b"\xff" * 8  # the last residue is >= q
             body = tr.UpdateBody(
-                name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 1.0, 0.0, 0.0, metrics, metrics
+                name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS
             )
             client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
         report = server.run()
@@ -477,6 +495,24 @@ class TestSequentialCollect:
         assert report.abort_reason == (
             f"ProtocolError: client {names[2]!r} sent a bad ciphertext: "
             "coefficient outside its prime modulus"
+        )
+        assert report.rounds == []
+
+    @pytest.mark.parametrize("rounds", [1, 0], ids=["update", "round_done"])
+    def test_truncated_body_names_its_site(self, rounds):
+        # rounds=0 goes straight to the final broadcast, answered by ROUND_DONE
+        cfg = sim_config(f"rounds={rounds}", "timeout_seconds=5")
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+            frame = update_frame(name) if rounds else round_done_frame(name, 0)
+            if i == 1:
+                frame = tr.Frame(frame.msg_type, frame.round, frame.body[:-3])
+            client_end.send(frame)
+        report = server.run()
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {names[1]!r} sent a bad body: body truncated"
         )
         assert report.rounds == []
 
@@ -494,6 +530,57 @@ class TestSequentialCollect:
             "join",
             "update_received",
         ]
+
+
+class TestCoordinatorState:
+    def test_round_records_the_join_weight(self):
+        # every JOIN claims 10 training rows, so each site weighs 10
+        cfg = sim_config("weighting=examples", "rounds=1", "timeout_seconds=5")
+        server, client_ends = sim_coordinator(cfg)
+        for name, client_end in zip(cfg.site_names(), client_ends):
+            client_end.send(update_frame(name))
+            client_end.send(round_done_frame(name, 1))
+        report = server.run()
+        assert not report.aborted, report.abort_reason
+        assert [c.weight for c in report.rounds[0].clients] == [10.0] * 4
+
+    def test_he_coordinator_builds_no_key(self, monkeypatch):
+        cfg = sim_config("privacy.mode=he", "rounds=1", "timeout_seconds=5", *HE_OVERRIDES)
+        names = cfg.site_names()
+        key = keygen(cfg.he, np.random.default_rng(1))
+        updates = [np.full(11, float(i)) for i in range(len(names))]
+
+        def no_keygen(*args):
+            raise AssertionError("the coordinator derived a key")
+
+        monkeypatch.setattr(federation, "keygen", no_keygen)
+        monkeypatch.setattr(ckks, "keygen", no_keygen)
+        server, client_ends = sim_coordinator(cfg)
+        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+            blob = serialize_ct(encrypt(encode(updates[i], cfg.he), key, np.random.default_rng(i)))
+            body = tr.UpdateBody(name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS)
+            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
+            client_end.send(round_done_frame(name, 1, np.zeros(11)))
+        report = server.run()
+        assert not report.aborted, report.abort_reason
+        assert not any(isinstance(v, (HePipeline, KeyPair)) for v in vars(server).values())
+        for client_end in client_ends:
+            assert client_end.recv().round == 0
+            final = tr.decode_broadcast(client_end.recv().body)
+            assert final.final and final.payload_kind == tr.PAYLOAD_CHUNKS
+            (blob,) = final.payload
+            out = decode(decrypt(deserialize_ct(blob, cfg.he), key))[:11]
+            assert np.abs(out - 1.5).max() < 1e-3  # the mean of 0, 1, 2, 3
+
+    def test_he_final_without_parameters_aborts_run(self):
+        cfg = sim_config("privacy.mode=he", "rounds=0", "timeout_seconds=5", *HE_OVERRIDES)
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        for name, client_end in zip(names, client_ends):
+            client_end.send(round_done_frame(name, 0))
+        report = server.run()
+        assert report.aborted
+        assert report.abort_reason == f"ProtocolError: client {names[0]!r} sent no final parameters"
 
 
 class TestTcpCoordinator:
@@ -644,7 +731,7 @@ class TestTcpAuth:
             tr.Frame(
                 tr.MSG_JOIN,
                 0,
-                tr.encode_join(tr.JoinBody("ostergotland", "not-the-token", 10, 5)),
+                tr.encode_join(tr.JoinBody("ostergotland", "not-the-token", 10)),
             )
         )
         reply = channel.recv(timeout=10)

@@ -69,7 +69,7 @@ class TestFrameCodec:
 
 class TestBodyCodecs:
     def test_join_roundtrip(self):
-        join = tr.JoinBody("stockholm", "secret-token", 8000, 2000)
+        join = tr.JoinBody("stockholm", "secret-token", 8000)
         assert tr.decode_join(tr.encode_join(join)) == join
 
     def test_update_plain_roundtrip(self):
@@ -79,7 +79,6 @@ class TestBodyCodecs:
             mode="dp",
             payload_kind=tr.PAYLOAD_PLAIN,
             payload=np.linspace(-1, 1, 11),
-            weight=1.0,
             train_seconds=0.25,
             privacy_seconds=0.01,
             pre_metrics=sample_metrics(),
@@ -99,7 +98,6 @@ class TestBodyCodecs:
             mode="he",
             payload_kind=tr.PAYLOAD_CHUNKS,
             payload=[b"chunk-one", b"\x00\x01\x02"],
-            weight=2.0,
             train_seconds=0.0,
             privacy_seconds=0.0,
             pre_metrics=sample_metrics(),
@@ -122,7 +120,7 @@ class TestBodyCodecs:
         assert tr.decode_round_done(tr.encode_round_done(done2)).final_params is None
 
     def test_trailing_garbage_rejected(self):
-        body = tr.encode_join(tr.JoinBody("a", "b", 1, 2)) + b"extra"
+        body = tr.encode_join(tr.JoinBody("a", "b", 1)) + b"extra"
         with pytest.raises(DecodeError):
             tr.decode_join(body)
 

@@ -18,12 +18,15 @@ Schema (defaults in parentheses):
 
 When privacy.mode is "dp" and no dp block is given, the reference per-learner
 configuration for the selected model is used; mode "he" defaults to the
-full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).
+full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
+dp or he block is merged onto those defaults, and a key that no block knows is
+rejected with its dotted name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,6 +45,10 @@ DP_DEFAULTS = {
 }
 
 METHOD_NAMES = {"plain": "fedavg", "dp": "fedavg_dp", "he": "fedavg_he"}
+
+# the settings that decide what a site sends; every party of a run must agree
+# on them.  The seed stays out: the digest travels in cleartext.
+SESSION_KEYS = ("model", "privacy_mode", "dp", "he", "weighting")
 
 
 @dataclass
@@ -113,6 +120,16 @@ class ExperimentConfig:
     def batch_for(self, site: str) -> int:
         return int(self.site_batch_sizes.get(site, self.batch_size))
 
+    def session_digest(self) -> bytes:
+        """The first 8 bytes of the SHA-256 of the canonical JSON of the
+        ``SESSION_KEYS`` settings as ``to_dict`` writes them; a site sends it
+        in its JOIN."""
+        settings = {key: getattr(self, key) for key in SESSION_KEYS}
+        canonical = json.dumps(
+            settings, default=dataclasses.asdict, sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(canonical.encode()).digest()[:8]
+
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["data"]["sites"] = [dataclasses.asdict(s) for s in self.data.sites]
@@ -127,41 +144,53 @@ class ExperimentConfig:
         return out
 
 
+def _block(raw, path: str, known) -> dict:
+    """``raw`` as a config object whose keys all lie in ``known``; ``path`` is
+    its dotted name ("" at the top)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config key {path!r} must be an object, got {raw!r}")
+    for key in raw:
+        if key not in known:
+            dotted = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown config key {dotted!r}")
+    return dict(raw)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _make(cls, path: str, base: dict, raw: dict):
+    """``cls`` built from ``base`` with the ``raw`` block merged onto it."""
+    try:
+        return cls(**{**base, **_block(raw, path, _field_names(cls))})
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def _build(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
+    raw = _block(raw, "", _field_names(ExperimentConfig) | {"privacy"})
     kwargs = {}
-    privacy = raw.pop("privacy", None) or {}
+    privacy = _block(raw.pop("privacy", {}), "privacy", ("mode", "dp", "he"))
     kwargs["privacy_mode"] = privacy.get("mode", raw.pop("privacy_mode", "plain"))
     dp_raw = privacy.get("dp", raw.pop("dp", None))
     if dp_raw is not None:
         # partial dp blocks inherit the reference per-learner defaults
-        model = raw.get("model", kwargs.get("model", "nn"))
-        base = dataclasses.asdict(DP_DEFAULTS.get(model, DP_DEFAULTS["nn"]))
-        base.update(dp_raw)
-        kwargs["dp"] = SvtConfig(**base)
+        base = DP_DEFAULTS.get(raw.get("model", "nn"), DP_DEFAULTS["nn"])
+        kwargs["dp"] = _make(SvtConfig, "privacy.dp", dataclasses.asdict(base), dp_raw)
     he_raw = privacy.get("he", raw.pop("he", None))
     if he_raw is not None:
-        kwargs["he"] = CkksParams(
-            int(he_raw["poly_degree"]),
-            tuple(he_raw["modulus_bits"]),
-            int(he_raw["scale_log2"]),
-        )
+        kwargs["he"] = _make(CkksParams, "privacy.he", dataclasses.asdict(DEFAULT_PARAMS), he_raw)
     data_raw = raw.pop("data", None)
     if data_raw is not None:
-        data_raw = dict(data_raw)
+        data_raw = _block(data_raw, "data", _field_names(DataConfig))
         sites_raw = data_raw.pop("sites", None)
         if sites_raw is not None:
             data_raw["sites"] = tuple(
-                SiteSpec(s["name"], int(s["n_negative"]), int(s["n_positive"]))
-                for s in sites_raw
+                _make(SiteSpec, f"data.sites[{i}]", {}, s) for i, s in enumerate(sites_raw)
             )
-        kwargs["data"] = DataConfig(**data_raw)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
+        kwargs["data"] = _make(DataConfig, "data", {}, data_raw)
+    cfg = ExperimentConfig(**kwargs, **raw)
     token_env = os.environ.get("PRIVFED_TOKEN")
     if token_env:
         cfg.token = token_env

@@ -50,7 +50,8 @@ class ProtocolError(PrivFedError):
 
 
 class AuthError(PrivFedError):
-    """Join token rejected."""
+    """A JOIN was refused: the coordinator raises it for a bad token, and a
+    site for any refusal the coordinator sends it."""
 
 
 class RoundTimeoutError(PrivFedError):

@@ -136,15 +136,11 @@ def aggregate_serialized(params: CkksParams, payloads: dict[str, list[bytes]], w
 
 
 class PlainPipeline:
-    mode = "plain"
-
     def client_encode(self, delta: np.ndarray, steps: int, rng) -> tuple[int, object, float]:
         return tr.PAYLOAD_PLAIN, delta, 0.0
 
 
 class DpPipeline:
-    mode = "dp"
-
     def __init__(self, cfg: SvtConfig):
         self.cfg = cfg
 
@@ -161,8 +157,6 @@ class HePipeline:
     seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
     sums ciphertexts with ``aggregate_serialized``.
     """
-
-    mode = "he"
 
     def __init__(self, params: CkksParams, master_seed: int):
         self.params = params
@@ -203,6 +197,7 @@ class FederationServer:
         self.cfg = cfg
         self.kind = ModelKind(cfg.model)
         self.clients: dict[str, ClientRecord] = {}
+        self.session_digest = cfg.session_digest()
         self.event_log: list[list] = []
         self._t0 = time.monotonic()
 
@@ -212,23 +207,36 @@ class FederationServer:
     # -- registration --------------------------------------------------------
 
     def accept_clients(self, channels: list, timeout: float | None = None) -> None:
-        """Authenticate JOIN on each channel until all expected sites joined."""
+        """Read one JOIN per channel and admit the site, or refuse it and raise.
+
+        A JOIN fixes the site's session: its name, its weight and, through
+        the session digest, the model, privacy mode, DP and HE parameters and
+        weighting it runs.  A site refused here never sees a broadcast, so it
+        sends no update.
+        """
         expected = set(self.cfg.site_names())
         for channel in channels:
             frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
             if frame.msg_type != tr.MSG_JOIN:
-                channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("expected JOIN")))
-                channel.close()
-                raise ProtocolError("client spoke before joining")
+                raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
             join = tr.decode_join(frame.body)
-            if not hmac.compare_digest(join.token, self.cfg.token):
-                channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("bad token")))
-                channel.close()
-                raise AuthError(f"client {join.client_id!r} presented a bad token")
+            if not hmac.compare_digest(join.token.encode(), self.cfg.token.encode()):
+                raise _refuse(
+                    channel, "bad token", AuthError(f"client {join.client_id!r} presented a bad token")
+                )
             if join.client_id not in expected or join.client_id in self.clients:
-                channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error("unknown or duplicate site")))
-                channel.close()
-                raise ProtocolError(f"unexpected site {join.client_id!r}")
+                raise _refuse(
+                    channel,
+                    "unknown or duplicate site",
+                    ProtocolError(f"unexpected site {join.client_id!r}"),
+                )
+            if join.session_digest != self.session_digest:
+                raise _refuse(
+                    channel,
+                    "session settings differ from the coordinator's "
+                    "(model, privacy mode, dp, he or weighting)",
+                    ConfigError(f"client {join.client_id!r} joined with other session settings"),
+                )
             weight = float(join.n_train) if self.cfg.weighting == "examples" else 1.0
             self.clients[join.client_id] = ClientRecord(join.client_id, weight, channel)
             channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
@@ -246,13 +254,14 @@ class FederationServer:
         self._log("broadcast", str(round_index))
 
     def _collect(self, round_index: int, msg_type: int, decode) -> dict[str, tuple[object, float]]:
-        """Each site's decoded reply body and arrival time, read in site order
-        under one deadline.
+        """Each site's decoded reply body and arrival time, in site order, read
+        under one deadline.  The channel names the site; no body repeats it.
 
         The round is a hard barrier, so reading the sites one after another
         loses nothing: the coordinator cannot act before the last reply.
         """
         received: dict[str, tuple[object, float]] = {}
+        event = "update_received" if msg_type == tr.MSG_UPDATE else "round_done_received"
         deadline = time.monotonic() + self.cfg.timeout_seconds
         for client_id in self.cfg.site_names():
             try:
@@ -272,10 +281,8 @@ class FederationServer:
                 body = decode(frame.body)
             except DecodeError as err:
                 raise ProtocolError(f"client {client_id!r} sent a bad body: {err}") from err
-            if body.client_id != client_id:
-                raise ProtocolError(f"client {client_id!r} sent a body that does not match its channel")
             received[client_id] = (body, time.monotonic() - self._t0)
-            self._log("update_received", client_id)
+            self._log(event, client_id)
         return received
 
     def run(self) -> RunReport:
@@ -287,6 +294,7 @@ class FederationServer:
         global_params = init_params(self.kind, derive_seed(cfg.seed, "init"))
         manifest = LayoutManifest.of(global_params)
         he_state: list[bytes] | None = None  # serialized aggregate ciphertexts
+        payload_kind = tr.PAYLOAD_CHUNKS if cfg.privacy_mode == "he" else tr.PAYLOAD_PLAIN
 
         try:
             for round_index in range(cfg.rounds):
@@ -294,15 +302,15 @@ class FederationServer:
                 self._broadcast(round_index, self._broadcast_body(global_params, he_state, False))
                 received = self._collect(round_index, tr.MSG_UPDATE, tr.decode_update)
                 for client_id, (update, _) in received.items():
-                    if update.mode != cfg.privacy_mode:
+                    if update.payload_kind != payload_kind:
                         raise ProtocolError(
-                            f"client {client_id!r} sent a {update.mode!r} update "
-                            f"to a {cfg.privacy_mode!r} run"
+                            f"client {client_id!r} sent payload kind {update.payload_kind}; "
+                            f"a {cfg.privacy_mode!r} run takes kind {payload_kind}"
                         )
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
-                payloads = {cid: received[cid][0].payload for cid in self.cfg.site_names()}
-                weights = [self.clients[cid].weight for cid in self.cfg.site_names()]
+                payloads = {cid: update.payload for cid, (update, _) in received.items()}
+                weights = [self.clients[cid].weight for cid in received]
                 if cfg.privacy_mode == "he":
                     he_state = aggregate_serialized(cfg.he, payloads, weights)
                 else:
@@ -315,23 +323,13 @@ class FederationServer:
 
             # final broadcast: clients evaluate the finished global model
             self._broadcast(cfg.rounds, self._broadcast_body(global_params, he_state, True))
-            rows = []
-            finals: dict[str, np.ndarray] = {}
-            for client_id, (done, _) in self._collect(
-                cfg.rounds, tr.MSG_ROUND_DONE, tr.decode_round_done
-            ).items():
-                rows.append((client_id, done.metrics))
-                if done.final_params is not None:
-                    finals[client_id] = done.final_params
-            ordered_rows = [
-                SiteValidation(cid, dict(rows)[cid]) for cid in self.cfg.site_names()
-            ]
-            report.cross_site = CrossSiteTable.from_rows(ordered_rows)
+            done = self._collect(cfg.rounds, tr.MSG_ROUND_DONE, tr.decode_round_done)
+            report.cross_site = CrossSiteTable.from_rows(
+                [SiteValidation(cid, body.metrics) for cid, (body, _) in done.items()]
+            )
             if cfg.privacy_mode == "he":
-                first = self.cfg.site_names()[0]
-                if first not in finals:
-                    raise ProtocolError(f"client {first!r} sent no final parameters")
-                report.final_params = [float(v) for v in finals[first]]
+                finals = {cid: body.final_params for cid, (body, _) in done.items()}
+                report.final_params = [float(v) for v in _agreed_final_params(finals)]
             else:
                 report.final_params = [float(v) for v in flatten(global_params)[0]]
         except (RoundTimeoutError, ProtocolError, AuthError, LayoutError, StateError, DecodeError) as err:
@@ -381,6 +379,28 @@ class FederationServer:
                 pass
 
 
+def _refuse(channel, reason: str, error: Exception) -> Exception:
+    """Send a refused site ``reason`` in an ERROR frame, hang up, and return
+    ``error`` for the coordinator to raise."""
+    channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error(reason)))
+    channel.close()
+    return error
+
+
+def _agreed_final_params(finals: dict[str, np.ndarray | None]) -> np.ndarray:
+    """The final HE-mode parameters, which every site must send bitwise equal:
+    all sites decrypt the same aggregates with the same key."""
+    first = next(iter(finals))
+    for client_id, params in finals.items():
+        if params is None:
+            raise ProtocolError(f"client {client_id!r} sent no final parameters")
+        if params.tobytes() != finals[first].tobytes():
+            raise ProtocolError(
+                f"client {client_id!r} sent final parameters that differ from {first!r}'s"
+            )
+    return finals[first]
+
+
 # -- client ------------------------------------------------------------------
 
 
@@ -421,7 +441,7 @@ class FederationClient:
 
     def join_frame(self) -> tr.Frame:
         """The JOIN this client opens its session with."""
-        body = tr.JoinBody(self.client_id, self.cfg.token, len(self.train))
+        body = tr.JoinBody(self.client_id, self.cfg.token, len(self.train), self.cfg.session_digest())
         return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(body))
 
     def check_ack(self, frame: tr.Frame) -> None:
@@ -452,12 +472,12 @@ class FederationClient:
 
         if body.final:
             final_params = None
-            if self.pipeline.mode == "he":
+            if cfg.privacy_mode == "he":
                 final_params = flatten(self.global_params)[0]
             return tr.Frame(
                 tr.MSG_ROUND_DONE,
                 frame.round,
-                tr.encode_round_done(tr.RoundDoneBody(self.client_id, pre_metrics, final_params)),
+                tr.encode_round_done(tr.RoundDoneBody(pre_metrics, final_params)),
             )
 
         train_cfg = TrainConfig(
@@ -483,9 +503,7 @@ class FederationClient:
             frame.round,
             tr.encode_update(
                 tr.UpdateBody(
-                    client_id=self.client_id,
                     steps=stats.steps,
-                    mode=self.pipeline.mode,
                     payload_kind=kind,
                     payload=payload,
                     train_seconds=stats.wall_time,

@@ -22,7 +22,7 @@ from .metrics import MetricSet
 
 MAGIC = b"PFD1"
 MAX_BODY = 256 * 1024 * 1024  # fits N=8192 ciphertext chunk lists with margin
-MAX_JOIN_BODY = 4096  # a site name, a token and a count; read before auth
+MAX_JOIN_BODY = 4096  # a site name, a token, a count and a digest; read before auth
 
 MSG_JOIN = 0
 MSG_JOIN_ACK = 1
@@ -105,22 +105,35 @@ class _Reader:
 
     def take_str(self) -> str:
         (n,) = struct.unpack("<I", self.take(4))
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DecodeError(f"string is not UTF-8: {err.reason}") from None
 
     def done(self):
         if self.pos != len(self.data):
             raise DecodeError("trailing bytes in body")
 
 
+SESSION_DIGEST_BYTES = 8
+
+
 @dataclass(frozen=True)
 class JoinBody:
+    """A site's opening frame.  It fixes, for the whole session, who the site
+    is, what it weighs and which settings it runs (``session_digest``, see
+    ``ExperimentConfig.session_digest``); later frames repeat none of it."""
+
     client_id: str
     token: str
     n_train: int
+    session_digest: bytes
 
 
 def encode_join(j: JoinBody) -> bytes:
-    return _pack_str(j.client_id) + _pack_str(j.token) + struct.pack("<Q", j.n_train)
+    return b"".join(
+        [_pack_str(j.client_id), _pack_str(j.token), struct.pack("<Q", j.n_train), j.session_digest]
+    )
 
 
 def decode_join(body: bytes) -> JoinBody:
@@ -128,8 +141,9 @@ def decode_join(body: bytes) -> JoinBody:
     client_id = r.take_str()
     token = r.take_str()
     (n_train,) = struct.unpack("<Q", r.take(8))
+    session_digest = r.take(SESSION_DIGEST_BYTES)
     r.done()
-    return JoinBody(client_id, token, n_train)
+    return JoinBody(client_id, token, n_train, session_digest)
 
 
 PAYLOAD_PLAIN = 0  # little-endian f64 array (Plain and Dp updates, broadcasts)
@@ -181,9 +195,9 @@ def _unpack_payload(r: _Reader):
 
 @dataclass(frozen=True)
 class UpdateBody:
-    client_id: str
+    """A site's answer to a round broadcast; the channel names the site."""
+
     steps: int
-    mode: str  # plain | dp | he
     payload_kind: int
     payload: object  # f64 array or list of ciphertext blobs
     train_seconds: float
@@ -195,10 +209,7 @@ class UpdateBody:
 def encode_update(u: UpdateBody) -> bytes:
     return b"".join(
         [
-            _pack_str(u.client_id),
-            struct.pack("<I", u.steps),
-            _pack_str(u.mode),
-            struct.pack("<dd", u.train_seconds, u.privacy_seconds),
+            struct.pack("<Idd", u.steps, u.train_seconds, u.privacy_seconds),
             _pack_metrics(u.pre_metrics),
             _pack_metrics(u.post_metrics),
             _pack_payload(u.payload_kind, u.payload),
@@ -208,15 +219,12 @@ def encode_update(u: UpdateBody) -> bytes:
 
 def decode_update(body: bytes) -> UpdateBody:
     r = _Reader(body)
-    client_id = r.take_str()
-    (steps,) = struct.unpack("<I", r.take(4))
-    mode = r.take_str()
-    train_s, privacy_s = struct.unpack("<dd", r.take(16))
+    steps, train_s, privacy_s = struct.unpack("<Idd", r.take(20))
     pre = _unpack_metrics(r.take(_METRICS.size))
     post = _unpack_metrics(r.take(_METRICS.size))
     kind, payload = _unpack_payload(r)
     r.done()
-    return UpdateBody(client_id, steps, mode, kind, payload, train_s, privacy_s, pre, post)
+    return UpdateBody(steps, kind, payload, train_s, privacy_s, pre, post)
 
 
 @dataclass(frozen=True)
@@ -240,13 +248,14 @@ def decode_broadcast(body: bytes) -> BroadcastBody:
 
 @dataclass(frozen=True)
 class RoundDoneBody:
-    client_id: str
+    """A site's answer to the final broadcast; the channel names the site."""
+
     metrics: MetricSet
     final_params: np.ndarray | None  # revealed for the run report in He mode
 
 
 def encode_round_done(d: RoundDoneBody) -> bytes:
-    out = [_pack_str(d.client_id), _pack_metrics(d.metrics)]
+    out = [_pack_metrics(d.metrics)]
     if d.final_params is None:
         out.append(struct.pack("<B", 0))
     else:
@@ -257,12 +266,11 @@ def encode_round_done(d: RoundDoneBody) -> bytes:
 
 def decode_round_done(body: bytes) -> RoundDoneBody:
     r = _Reader(body)
-    client_id = r.take_str()
     metrics = _unpack_metrics(r.take(_METRICS.size))
     (has_params,) = struct.unpack("<B", r.take(1))
     final_params = _unpack_f64(r) if has_params else None
     r.done()
-    return RoundDoneBody(client_id, metrics, final_params)
+    return RoundDoneBody(metrics, final_params)
 
 
 def encode_error(message: str) -> bytes:

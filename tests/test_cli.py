@@ -80,6 +80,39 @@ class TestConfig:
         assert load_config(None, ["privacy.mode=dp", "weighting=unit"]).weighting == "unit"
         assert load_config(None, ["privacy.mode=he", "weighting=examples"]).weighting == "examples"
 
+    def test_unknown_privacy_key_rejected(self):
+        # a misspelt mode key used to run a plain federation
+        with pytest.raises(ConfigError, match="unknown config key 'privacy.mdoe'"):
+            load_config(None, ["privacy.mdoe=dp"])
+
+    def test_unknown_dp_key_named(self):
+        with pytest.raises(ConfigError, match="unknown config key 'privacy.dp.noise_vr'"):
+            load_config(None, ["privacy.mode=dp", "privacy.dp.noise_vr=20"])
+
+    def test_unknown_data_key_named(self):
+        with pytest.raises(ConfigError, match="unknown config key 'data.scale_fator'"):
+            load_config(None, ["data.scale_fator=0.02"])
+
+    def test_privacy_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config key 'privacy' must be an object"):
+            load_config(None, ["privacy=dp"])
+
+    def test_partial_he_block_merges_defaults(self):
+        cfg = load_config(None, ["privacy.mode=he", "privacy.he.poly_degree=4096"])
+        assert (cfg.he.poly_degree, cfg.he.modulus_bits, cfg.he.scale_log2) == (4096, (60, 40, 40), 40)
+
+    def test_bad_dp_value_names_the_block(self):
+        with pytest.raises(ConfigError, match="privacy.dp: epsilon must be positive"):
+            load_config(None, ["privacy.mode=dp", "privacy.dp.epsilon=-1"])
+
+    def test_report_config_loads_back(self, tmp_path):
+        # a report's config (the to_dict form) is itself a valid config file
+        for mode in ("plain", "dp", "he"):
+            cfg = load_config(None, [f"privacy.mode={mode}", "data.scale_factor=0.02"])
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(cfg.to_dict()))
+            assert load_config(str(path), []).to_dict() == cfg.to_dict()
+
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")
         assert load_config(None, []).token == "from-env"
@@ -155,6 +188,20 @@ class TestCliCommands:
         rc = main(["run-sim", "--set", "model=transformer"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_misspelt_config_key_exits_2_with_its_name(self, capsys):
+        rc = main(["run-sim", *FAST, "--set", "privacy.mdoe=dp"])
+        assert rc == 2
+        assert "error: unknown config key 'privacy.mdoe'" in capsys.readouterr().err
+
+    def test_partial_he_override_runs_with_merged_defaults(self, tmp_path):
+        rc = main(
+            ["run-sim", *FAST, "--set", "privacy.mode=he", "--set", "privacy.he.poly_degree=128",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        he = json.loads((tmp_path / "report.json").read_text())["config"]["he"]
+        assert he == {"poly_degree": 128, "modulus_bits": [60, 40, 40], "scale_log2": 40}
 
     def test_missing_csv_dir_exits_nonzero(self, capsys, tmp_path):
         rc = main(

@@ -1,5 +1,8 @@
 import gc
+import hashlib
+import json
 import math
+from collections import Counter
 import threading
 import time
 import warnings
@@ -11,8 +14,8 @@ from test_golden import TINY
 
 from privfed import federation
 from privfed import transport as tr
-from privfed.config import load_config
-from privfed.errors import AuthError, DecodeError, LayoutError, ProtocolError
+from privfed.config import SESSION_KEYS, load_config
+from privfed.errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
     FederationServer,
@@ -167,7 +170,7 @@ class TestSimulationRuns:
         reply = site_client(cfg).handle(broadcast(0, initial_flat(ModelKind.FEEDFORWARD_NN)))
         assert (reply.msg_type, reply.round) == (tr.MSG_UPDATE, 0)
         update = tr.decode_update(reply.body)
-        assert update.mode == "dp"
+        assert update.payload_kind == tr.PAYLOAD_PLAIN
         assert update.payload.size == 66
         bound = cfg.dp.gamma * update.steps
         assert np.all(np.abs(update.payload) <= bound + 1e-12)
@@ -197,7 +200,8 @@ class TestSimulationRuns:
         assert nontiming_view(a.to_dict()) == nontiming_view(b.to_dict())
 
     def test_barrier_ordering_in_event_log(self):
-        report = run_simulation(sim_config("rounds=3"))
+        cfg = sim_config("rounds=3")
+        report = run_simulation(cfg)
         events = report.event_log
         for round_index in range(3):
             agg_times = [t for t, kind, who in events if kind == "aggregate_start" and who == str(round_index)]
@@ -207,7 +211,9 @@ class TestSimulationRuns:
                 for t, kind, _ in events
                 if kind == "update_received" and t <= agg_times[0]
             ]
-            assert len(updates_before) >= 4 * (round_index + 1)
+            assert len(updates_before) == 4 * (round_index + 1)
+        assert sum(kind == "update_received" for _, kind, _ in events) == 4 * 3
+        assert [who for _, kind, who in events if kind == "round_done_received"] == cfg.site_names()
 
     def test_weighting_by_examples(self):
         report = run_simulation(sim_config("weighting=examples", "rounds=1"))
@@ -272,6 +278,17 @@ class TestAuth:
         with pytest.raises(AuthError, match="bad token"):
             client.check_ack(client_end.recv())
 
+    def test_non_ascii_token_rejected(self):
+        cfg = sim_config()
+        server = FederationServer(cfg)
+        server_end, client_end = tr.SimChannel.pair()
+        client = site_client(sim_config("token=tök"))
+        client_end.send(client.join_frame())
+        with pytest.raises(AuthError):
+            server.accept_clients([server_end], timeout=5)
+        with pytest.raises(AuthError, match="bad token"):
+            client.check_ack(client_end.recv())
+
 
 class TestClientHandle:
     """``FederationClient.handle`` is one protocol step: the reply to a
@@ -297,7 +314,6 @@ class TestClientHandle:
         reply = client.handle(broadcast(0, initial_flat(ModelKind.LOGISTIC_REGRESSION), final=True))
         assert (reply.msg_type, reply.round) == (tr.MSG_ROUND_DONE, 0)
         done = tr.decode_round_done(reply.body)
-        assert done.client_id == cfg.site_names()[0]
         assert done.final_params is None  # plain mode: the coordinator holds the model
         assert done.metrics.n_pos + done.metrics.n_neg == len(client.valid)
 
@@ -387,22 +403,27 @@ class TestSimulationSchedule:
 
 
 def join_frame(cfg, name) -> tr.Frame:
-    return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(tr.JoinBody(name, cfg.token, 10)))
+    body = tr.JoinBody(name, cfg.token, 10, cfg.session_digest())
+    return tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(body))
 
 
 METRICS = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
 
 
-def update_frame(name, round_index=0, client_id=None) -> tr.Frame:
-    """A well-formed plain LR update from ``name`` (the body may claim another id)."""
-    body = tr.UpdateBody(
-        client_id or name, 1, "plain", tr.PAYLOAD_PLAIN, np.zeros(11), 0.0, 0.0, METRICS, METRICS
-    )
+def update_frame(round_index=0) -> tr.Frame:
+    """A well-formed plain LR update."""
+    body = tr.UpdateBody(1, tr.PAYLOAD_PLAIN, np.zeros(11), 0.0, 0.0, METRICS, METRICS)
     return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body))
 
 
-def round_done_frame(name, round_index, final_params=None) -> tr.Frame:
-    body = tr.RoundDoneBody(name, METRICS, final_params)
+def chunks_update_frame(blob: bytes) -> tr.Frame:
+    """A round-0 HE update of one serialized ciphertext."""
+    body = tr.UpdateBody(1, tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS)
+    return tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body))
+
+
+def round_done_frame(round_index, final_params=None) -> tr.Frame:
+    body = tr.RoundDoneBody(METRICS, final_params)
     return tr.Frame(tr.MSG_ROUND_DONE, round_index, tr.encode_round_done(body))
 
 
@@ -429,34 +450,124 @@ class TestTimeout:
         assert report.rounds == []
 
 
-class TestUpdateBody:
-    def test_body_naming_another_site_aborts_run(self):
-        cfg = sim_config()
-        names = cfg.site_names()
-        server, client_ends = sim_coordinator(cfg)
-        for i, client_end in enumerate(client_ends):
-            client_end.send(update_frame(names[i], client_id=names[(i + 1) % len(names)]))
-        report = server.run()
-        assert report.aborted
-        assert "ProtocolError" in report.abort_reason
-        assert "does not match its channel" in report.abort_reason
-        assert report.rounds == []
+def sent_frames(monkeypatch, channel_cls) -> list:
+    """Record every frame sent over ``channel_cls`` from now on."""
+    sent = []
+    send = channel_cls.send
+
+    def recording_send(self, frame):
+        sent.append(frame)
+        return send(self, frame)
+
+    monkeypatch.setattr(channel_cls, "send", recording_send)
+    return sent
 
 
-class TestUpdateMode:
-    @pytest.mark.parametrize("mode, overrides", [("dp", []), ("he", HE_OVERRIDES)])
-    def test_update_in_another_mode_aborts_run(self, mode, overrides):
-        cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=5", *overrides)
-        names = cfg.site_names()
-        server, client_ends = sim_coordinator(cfg)
-        for name, client_end in zip(names, client_ends):
-            client_end.send(update_frame(name))  # a plain update
-        report = server.run()
-        assert report.aborted
-        assert report.abort_reason == (
-            f"ProtocolError: client {names[0]!r} sent a 'plain' update to a {mode!r} run"
+# (the run's overrides, one site's overrides)
+DRIFTS = {
+    "model": ([], ["model=nn"]),
+    "dp_epsilon": (["privacy.mode=dp"], ["privacy.mode=dp", "privacy.dp.epsilon=1e9"]),
+    "he_params": (
+        ["privacy.mode=he", *HE_OVERRIDES],
+        ["privacy.mode=he", *HE_OVERRIDES, "privacy.he.scale_log2=29"],
+    ),
+    "weighting": ([], ["weighting=examples"]),
+}
+
+
+class TestSessionSettings:
+    """A JOIN carries the digest of the site's session settings, and the
+    coordinator refuses a site whose settings differ from its own before any
+    round starts."""
+
+    def run_with_drifted_site(self, monkeypatch, run_overrides, site_overrides):
+        """``run_simulation`` in which the third site's config takes
+        ``site_overrides`` instead of ``run_overrides``: checks the refusal and
+        returns the ERROR frame's message and the count of each frame type sent."""
+        cfg = sim_config(*run_overrides, "timeout_seconds=5")
+        site_cfg = sim_config(*site_overrides, "timeout_seconds=5")
+        drifted = cfg.site_names()[2]
+
+        def site_client(run_cfg, name, train, valid):
+            return FederationClient(site_cfg if name == drifted else run_cfg, name, train, valid)
+
+        monkeypatch.setattr(federation, "FederationClient", site_client)
+        sent = sent_frames(monkeypatch, tr.SimChannel)
+        with pytest.raises(ConfigError) as refused:
+            run_simulation(cfg)
+        (error,) = [tr.decode_error(f.body) for f in sent if f.msg_type == tr.MSG_ERROR]
+        counts = Counter(f.msg_type for f in sent)
+        assert str(refused.value) == f"client {drifted!r} joined with other session settings"
+        return error, counts
+
+    @pytest.mark.parametrize("run_overrides, site_overrides", DRIFTS.values(), ids=DRIFTS.keys())
+    def test_drifted_site_refused_at_join(self, monkeypatch, run_overrides, site_overrides):
+        error, counts = self.run_with_drifted_site(monkeypatch, run_overrides, site_overrides)
+        assert error.startswith("session settings differ from the coordinator's")
+        assert counts == {tr.MSG_JOIN: 4, tr.MSG_JOIN_ACK: 2, tr.MSG_ERROR: 1}
+
+    @pytest.mark.parametrize("mode, overrides", [("dp", []), ("he", HE_OVERRIDES)], ids=["dp", "he"])
+    def test_site_in_another_mode_refused_at_join(self, monkeypatch, mode, overrides):
+        # the site would train and send an unfiltered, unencrypted delta
+        _, counts = self.run_with_drifted_site(
+            monkeypatch, [f"privacy.mode={mode}", *overrides], ["privacy.mode=plain"]
         )
-        assert report.rounds == []
+        assert counts[tr.MSG_UPDATE] == 0
+        assert counts[tr.MSG_BROADCAST] == 0
+
+    def test_site_differing_only_in_out_dir_joins(self, monkeypatch):
+        cfg = sim_config("rounds=1")
+        site_cfg = sim_config("rounds=1")
+        site_cfg.out_dir = "elsewhere"
+        assert site_cfg.session_digest() == cfg.session_digest()
+        monkeypatch.setattr(
+            federation,
+            "FederationClient",
+            lambda run_cfg, name, train, valid: FederationClient(site_cfg, name, train, valid),
+        )
+        assert not run_simulation(cfg).aborted
+
+    @pytest.mark.parametrize("overrides", [[], ["privacy.mode=dp"], ["privacy.mode=he", *HE_OVERRIDES]])
+    def test_digest_covers_the_session_settings_only(self, overrides):
+        cfg = sim_config(*overrides)
+        settings = {key: cfg.to_dict()[key] for key in SESSION_KEYS}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+        assert cfg.session_digest() == hashlib.sha256(canonical.encode()).digest()[:8]
+        assert len(cfg.session_digest()) == tr.SESSION_DIGEST_BYTES
+        assert sim_config(*overrides, "seed=12", "token=other").session_digest() == cfg.session_digest()
+        assert sim_config(*overrides, "threshold=0.4").session_digest() == cfg.session_digest()
+
+    def test_drifted_site_refused_over_tcp(self, monkeypatch):
+        cfg = sim_config("privacy.mode=dp", "timeout_seconds=10")
+        site_cfg = sim_config("privacy.mode=plain", "timeout_seconds=10")
+        name = cfg.site_names()[0]
+        train, valid = build_site_datasets(site_cfg, only_site=name)[name]
+        listener = tr.TcpListener("127.0.0.1", 0)
+        sent = sent_frames(monkeypatch, tr.TcpChannel)
+        result = {}
+
+        def serve():
+            channel = tr.open_tcp_channel("127.0.0.1", listener.port)
+            try:
+                FederationClient(site_cfg, name, train, valid).run(channel)
+            except AuthError as err:
+                result["site"] = err
+            finally:
+                channel.close()
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        channel = listener.accept(timeout=10)
+        try:
+            with pytest.raises(ConfigError, match="joined with other session settings"):
+                FederationServer(cfg).accept_clients([channel], timeout=10)
+        finally:
+            channel.close()
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        assert str(result["site"]).startswith("session settings differ")
+        assert [f.msg_type for f in sent] == [tr.MSG_JOIN, tr.MSG_ERROR]
 
 
 class TestSequentialCollect:
@@ -465,10 +576,10 @@ class TestSequentialCollect:
 
     def test_update_for_wrong_round(self):
         cfg = sim_config("timeout_seconds=5")
-        first, second = cfg.site_names()[:2]
+        second = cfg.site_names()[1]
         server, client_ends = sim_coordinator(cfg)
-        client_ends[0].send(update_frame(first))
-        client_ends[1].send(update_frame(second, round_index=3))
+        client_ends[0].send(update_frame())
+        client_ends[1].send(update_frame(round_index=3))
         t0 = time.monotonic()
         report = server.run()
         assert time.monotonic() - t0 < cfg.timeout_seconds
@@ -482,14 +593,11 @@ class TestSequentialCollect:
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
         key = keygen(cfg.he, np.random.default_rng(1))
-        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+        for i, client_end in enumerate(client_ends):
             blob = serialize_ct(encrypt(encode(np.zeros(11), cfg.he), key, np.random.default_rng(i)))
             if i == 2:
                 blob = blob[:-8] + b"\xff" * 8  # the last residue is >= q
-            body = tr.UpdateBody(
-                name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS
-            )
-            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
+            client_end.send(chunks_update_frame(blob))
         report = server.run()
         assert report.aborted
         assert report.abort_reason == (
@@ -504,8 +612,8 @@ class TestSequentialCollect:
         cfg = sim_config(f"rounds={rounds}", "timeout_seconds=5")
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        for i, (name, client_end) in enumerate(zip(names, client_ends)):
-            frame = update_frame(name) if rounds else round_done_frame(name, 0)
+        for i, client_end in enumerate(client_ends):
+            frame = update_frame() if rounds else round_done_frame(0)
             if i == 1:
                 frame = tr.Frame(frame.msg_type, frame.round, frame.body[:-3])
             client_end.send(frame)
@@ -520,7 +628,7 @@ class TestSequentialCollect:
         cfg = sim_config("timeout_seconds=0.5")
         first, second = cfg.site_names()[:2]
         server, client_ends = sim_coordinator(cfg)
-        client_ends[0].send(update_frame(first))
+        client_ends[0].send(update_frame())
         t0 = time.monotonic()
         report = server.run()
         assert time.monotonic() - t0 < cfg.timeout_seconds + 0.5
@@ -537,9 +645,9 @@ class TestCoordinatorState:
         # every JOIN claims 10 training rows, so each site weighs 10
         cfg = sim_config("weighting=examples", "rounds=1", "timeout_seconds=5")
         server, client_ends = sim_coordinator(cfg)
-        for name, client_end in zip(cfg.site_names(), client_ends):
-            client_end.send(update_frame(name))
-            client_end.send(round_done_frame(name, 1))
+        for client_end in client_ends:
+            client_end.send(update_frame())
+            client_end.send(round_done_frame(1))
         report = server.run()
         assert not report.aborted, report.abort_reason
         assert [c.weight for c in report.rounds[0].clients] == [10.0] * 4
@@ -556,11 +664,10 @@ class TestCoordinatorState:
         monkeypatch.setattr(federation, "keygen", no_keygen)
         monkeypatch.setattr(ckks, "keygen", no_keygen)
         server, client_ends = sim_coordinator(cfg)
-        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+        for i, client_end in enumerate(client_ends):
             blob = serialize_ct(encrypt(encode(updates[i], cfg.he), key, np.random.default_rng(i)))
-            body = tr.UpdateBody(name, 1, "he", tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS)
-            client_end.send(tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body)))
-            client_end.send(round_done_frame(name, 1, np.zeros(11)))
+            client_end.send(chunks_update_frame(blob))
+            client_end.send(round_done_frame(1, np.zeros(11)))
         report = server.run()
         assert not report.aborted, report.abort_reason
         assert not any(isinstance(v, (HePipeline, KeyPair)) for v in vars(server).values())
@@ -576,11 +683,47 @@ class TestCoordinatorState:
         cfg = sim_config("privacy.mode=he", "rounds=0", "timeout_seconds=5", *HE_OVERRIDES)
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        for name, client_end in zip(names, client_ends):
-            client_end.send(round_done_frame(name, 0))
+        for client_end in client_ends:
+            client_end.send(round_done_frame(0))
         report = server.run()
         assert report.aborted
         assert report.abort_reason == f"ProtocolError: client {names[0]!r} sent no final parameters"
+
+    def test_he_final_parameters_must_agree_bitwise(self):
+        cfg = sim_config("privacy.mode=he", "rounds=0", "timeout_seconds=5", *HE_OVERRIDES)
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        for i, client_end in enumerate(client_ends):
+            final = np.zeros(11)
+            if i == 2:
+                final[4] = -0.0  # equal as a number, not bitwise
+            client_end.send(round_done_frame(0, final))
+        report = server.run()
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {names[2]!r} sent final parameters that differ from {names[0]!r}'s"
+        )
+        assert report.cross_site is not None  # the validation rows still stand
+
+    @pytest.mark.parametrize("mode, overrides", [("plain", []), ("he", HE_OVERRIDES)], ids=["plain", "he"])
+    def test_payload_of_the_other_kind_aborts_run(self, mode, overrides):
+        cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=5", *overrides)
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        key = keygen(TEST_PARAMS, np.random.default_rng(1))
+        ct = encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0))
+        plain, chunks = update_frame(), chunks_update_frame(serialize_ct(ct))
+        right, wrong = (plain, chunks) if mode == "plain" else (chunks, plain)
+        for i, client_end in enumerate(client_ends):
+            client_end.send(wrong if i == 1 else right)
+        report = server.run()
+        assert report.aborted
+        wrong_kind, run_kind = (1, 0) if mode == "plain" else (0, 1)
+        assert report.abort_reason == (
+            f"ProtocolError: client {names[1]!r} sent payload kind {wrong_kind}; "
+            f"a {mode!r} run takes kind {run_kind}"
+        )
+        assert report.rounds == []
 
 
 class TestTcpCoordinator:
@@ -681,8 +824,8 @@ class TestTcpCoordinator:
             for site in sites:
                 assert site.recv(timeout=10).msg_type == tr.MSG_BROADCAST
             t0 = time.monotonic()
-            sites[0].send(update_frame(names[0]))
-            fault(sites[1]._sock, tr.frame_encode(update_frame(names[1])))
+            sites[0].send(update_frame())
+            fault(sites[1]._sock, tr.frame_encode(update_frame()))
             sites[1].close()
             thread.join(timeout=cfg.timeout_seconds)
             seconds = time.monotonic() - t0
@@ -731,7 +874,9 @@ class TestTcpAuth:
             tr.Frame(
                 tr.MSG_JOIN,
                 0,
-                tr.encode_join(tr.JoinBody("ostergotland", "not-the-token", 10)),
+                tr.encode_join(
+                    tr.JoinBody("ostergotland", "not-the-token", 10, cfg.session_digest())
+                ),
             )
         )
         reply = channel.recv(timeout=10)

@@ -1,3 +1,4 @@
+import struct
 import threading
 import time
 
@@ -67,16 +68,23 @@ class TestFrameCodec:
         assert tr.frame_encode(frame) == data
 
 
+DIGEST = bytes(range(8))
+# arbitrary bodies, half of them led by a short length prefix so that the
+# string fields of JOIN and ERROR bodies get read
+BODIES = st.one_of(
+    st.binary(max_size=256),
+    st.builds(lambda n, rest: struct.pack("<I", n) + rest, st.integers(0, 16), st.binary(max_size=64)),
+)
+
+
 class TestBodyCodecs:
     def test_join_roundtrip(self):
-        join = tr.JoinBody("stockholm", "secret-token", 8000)
+        join = tr.JoinBody("stockholm", "secret-token", 8000, DIGEST)
         assert tr.decode_join(tr.encode_join(join)) == join
 
     def test_update_plain_roundtrip(self):
         update = tr.UpdateBody(
-            client_id="uppsala",
             steps=40,
-            mode="dp",
             payload_kind=tr.PAYLOAD_PLAIN,
             payload=np.linspace(-1, 1, 11),
             train_seconds=0.25,
@@ -85,17 +93,14 @@ class TestBodyCodecs:
             post_metrics=sample_metrics(),
         )
         back = tr.decode_update(tr.encode_update(update))
-        assert back.client_id == update.client_id
         assert back.steps == update.steps
-        assert back.mode == update.mode
+        assert (back.train_seconds, back.privacy_seconds) == (0.25, 0.01)
         assert np.array_equal(back.payload, update.payload)
         assert back.pre_metrics == update.pre_metrics
 
     def test_update_chunks_roundtrip(self):
         update = tr.UpdateBody(
-            client_id="x",
             steps=1,
-            mode="he",
             payload_kind=tr.PAYLOAD_CHUNKS,
             payload=[b"chunk-one", b"\x00\x01\x02"],
             train_seconds=0.0,
@@ -113,16 +118,46 @@ class TestBodyCodecs:
         assert np.array_equal(back.payload, body.payload)
 
     def test_round_done_roundtrip(self):
-        done = tr.RoundDoneBody("site", sample_metrics(), np.ones(3))
+        done = tr.RoundDoneBody(sample_metrics(), np.ones(3))
         back = tr.decode_round_done(tr.encode_round_done(done))
         assert np.array_equal(back.final_params, done.final_params)
-        done2 = tr.RoundDoneBody("site", sample_metrics(), None)
+        done2 = tr.RoundDoneBody(sample_metrics(), None)
         assert tr.decode_round_done(tr.encode_round_done(done2)).final_params is None
 
     def test_trailing_garbage_rejected(self):
-        body = tr.encode_join(tr.JoinBody("a", "b", 1)) + b"extra"
+        body = tr.encode_join(tr.JoinBody("a", "b", 1, DIGEST)) + b"extra"
         with pytest.raises(DecodeError):
             tr.decode_join(body)
+
+    def test_body_byte_lengths(self):
+        # a length prefix is 4 bytes, a metric set 40, a plain payload 9 + 8n
+        metrics = sample_metrics()
+        assert len(tr.encode_join(tr.JoinBody("stockholm", "secret-token", 8000, DIGEST))) == 45
+        update = tr.UpdateBody(40, tr.PAYLOAD_PLAIN, np.zeros(11), 0.25, 0.01, metrics, metrics)
+        assert len(tr.encode_update(update)) == 20 + 2 * 40 + 9 + 8 * 11
+        assert len(tr.encode_broadcast(tr.BroadcastBody(False, tr.PAYLOAD_PLAIN, np.zeros(11)))) == 98
+        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, None))) == 41
+        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, np.zeros(66)))) == 41 + 8 + 8 * 66
+        assert len(tr.encode_error("bad token")) == 13
+
+    def test_invalid_utf8_string_is_a_decode_error(self):
+        body = struct.pack("<I", 2) + b"\xff\xfe" + tr.encode_join(tr.JoinBody("a", "b", 1, DIGEST))[5:]
+        with pytest.raises(DecodeError, match="not UTF-8"):
+            tr.decode_join(body)
+        with pytest.raises(DecodeError, match="not UTF-8"):
+            tr.decode_error(struct.pack("<I", 1) + b"\x80")
+
+    @pytest.mark.parametrize(
+        "decode",
+        [tr.decode_join, tr.decode_update, tr.decode_broadcast, tr.decode_round_done, tr.decode_error],
+    )
+    @given(data=BODIES)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_decode_error(self, decode, data):
+        try:
+            decode(data)
+        except DecodeError:
+            pass
 
 
 class TestSimChannel:

@@ -20,7 +20,8 @@ When privacy.mode is "dp" and no dp block is given, the reference per-learner
 configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
-rejected with its dotted name.
+rejected with its dotted name, as is a numeric value outside its range
+(``RANGES``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ DP_DEFAULTS = {
 }
 
 METHOD_NAMES = {"plain": "fedavg", "dp": "fedavg_dp", "he": "fedavg_he"}
+
+# (key, test, the range the test admits) of the numeric settings; a value
+# outside its range would otherwise fail only inside a client or a fold
+RANGES = (
+    ("rounds", lambda v: v >= 0, "nonnegative"),
+    ("learning_rate", lambda v: v > 0, "positive"),
+    ("batch_size", lambda v: v >= 1, "at least 1"),
+    ("local_epochs", lambda v: v >= 0, "nonnegative"),
+    ("central_epochs", lambda v: v >= 0, "nonnegative"),
+    ("l2_penalty", lambda v: v >= 0, "nonnegative"),
+    ("threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("timeout_seconds", lambda v: v > 0, "positive"),
+)
 
 # the settings that decide what a site sends; every party of a run must agree
 # on them.  The seed stays out: the digest travels in cleartext.
@@ -99,8 +113,14 @@ class ExperimentConfig:
             raise ConfigError("dp settings given but privacy mode is not 'dp'")
         if self.privacy_mode != "he" and self.he is not None:
             raise ConfigError("he settings given but privacy mode is not 'he'")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be nonnegative")
+        for key, test, meaning in RANGES:
+            _check_range(key, getattr(self, key), test, meaning)
+        if not isinstance(self.site_batch_sizes, dict):
+            raise ConfigError(
+                f"config key 'site_batch_sizes' must be an object, got {self.site_batch_sizes!r}"
+            )
+        for site, size in self.site_batch_sizes.items():
+            _check_range(f"site_batch_sizes.{site}", size, lambda v: v >= 1, "at least 1")
         if self.weighting not in ("unit", "examples"):
             raise ConfigError(f"unknown weighting {self.weighting!r}")
         if self.privacy_mode == "dp" and self.weighting == "examples":
@@ -142,6 +162,15 @@ class ExperimentConfig:
                 "scale_log2": self.he.scale_log2,
             }
         return out
+
+
+def _check_range(key: str, value, test, meaning: str) -> None:
+    try:
+        ok = bool(test(value))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
 
 
 def _block(raw, path: str, known) -> dict:

@@ -219,7 +219,11 @@ class FederationServer:
             frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
             if frame.msg_type != tr.MSG_JOIN:
                 raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
-            join = tr.decode_join(frame.body)
+            try:
+                join = tr.decode_join(frame.body)
+            except DecodeError as err:
+                reason = f"malformed JOIN: {err}"
+                raise _refuse(channel, reason, ProtocolError(reason)) from None
             if not hmac.compare_digest(join.token.encode(), self.cfg.token.encode()):
                 raise _refuse(
                     channel, "bad token", AuthError(f"client {join.client_id!r} presented a bad token")

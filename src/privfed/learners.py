@@ -2,6 +2,9 @@
 
 Both are binary classifiers over 10 features trained with minibatch SGD on
 binary cross-entropy plus an optional L2 penalty on the weight matrices.
+When one batch covers the training set, as at every desk-scale site, each
+epoch is one full-batch step on the rows in stored order, unshuffled, and the
+features are read column-major.
 
 Logistic regression: 10 coefficients + 1 intercept = 11 parameters.
 
@@ -17,10 +20,12 @@ appears only at the boundary: ``init_params``, the argument and result of
 ``train_local``, and ``loss_and_grad`` called without a workspace.  Each kind
 has one kernel that writes the loss gradient into a reused vector;
 ``train_local`` allocates its work arrays once per call, sized by
-min(n, batch_size) rows.  The NN kernel keeps activations hidden-major,
-``(5, rows)``, so both matmuls go to BLAS and the layer-norm reductions over
-the 5 hidden units are row-wise adds.  Prediction (``predict_batch``) keeps
-``einsum``, so a batch is bitwise equal to its rows evaluated one at a time.
+min(n, batch_size) rows; a full-batch run adds one column-major copy of the
+features, so both BLAS products read contiguous feature columns.  The NN
+kernel keeps activations hidden-major, ``(5, rows)``, so both matmuls go to
+BLAS and the layer-norm reductions over the 5 hidden units are row-wise adds.
+Prediction (``predict_batch``) keeps ``einsum``, so a batch is bitwise equal
+to its rows evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -326,12 +331,17 @@ def loss_and_grad(
 
 
 def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
-    """Minibatch SGD for ``cfg.local_epochs`` epochs over ``train``.
+    """SGD for ``cfg.local_epochs`` epochs over ``train``.
 
-    Data is reshuffled each epoch with a generator seeded from cfg.seed, so
-    identical (seed, data, config) reproduce bitwise-identical parameters.
-    Returns the updated ParamSet and a TrainStats with the step count the
-    DP filter needs for normalization.
+    When one batch covers the training set (n <= batch_size), every epoch
+    is one full-batch step on the rows in their stored order: a shuffle
+    would only reorder the gradient sums.  Those steps read one column-major
+    copy of the features, so both BLAS products in the kernels walk
+    contiguous feature columns.  Otherwise the data is reshuffled each epoch
+    with a generator seeded from cfg.seed and gathered into row-major
+    minibatches.  Either way, identical (seed, data, config) reproduce
+    bitwise-identical parameters.  Returns the updated ParamSet and a
+    TrainStats with the step count the DP filter needs for normalization.
     """
     kind = ModelKind(kind)
     x = np.asarray(train.features, dtype=np.float64)
@@ -342,22 +352,29 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
     theta = _theta(kind, params)
 
     t0 = time.monotonic()
-    rng = np.random.default_rng(cfg.seed)
     rows = min(n, cfg.batch_size)
     work = Workspace(kind, rows)
-    x_batch = np.empty((rows, N_FEATURES))
-    y_batch = np.empty(rows)
     steps = 0
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            # the indices come from a permutation, so "clip" never clips; it
-            # lets take write straight into the buffer instead of a copy
-            xb = np.take(x, idx, axis=0, out=x_batch[: idx.size], mode="clip")
-            yb = np.take(y, idx, out=y_batch[: idx.size], mode="clip")
-            _, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
+    if n <= cfg.batch_size:
+        x_cols = np.asfortranarray(x)
+        for _ in range(cfg.local_epochs):
+            _, grad = loss_and_grad(kind, theta, x_cols, y, cfg.l2_penalty, work)
             theta -= cfg.learning_rate * grad
             steps += 1
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        x_batch = np.empty((rows, N_FEATURES))
+        y_batch = np.empty(rows)
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                # the indices come from a permutation, so "clip" never clips; it
+                # lets take write straight into the buffer instead of a copy
+                xb = np.take(x, idx, axis=0, out=x_batch[: idx.size], mode="clip")
+                yb = np.take(y, idx, out=y_batch[: idx.size], mode="clip")
+                _, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
+                theta -= cfg.learning_rate * grad
+                steps += 1
     params = unflatten(theta, MANIFESTS[kind])
     return params, TrainStats(steps=steps, wall_time=time.monotonic() - t0)

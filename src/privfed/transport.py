@@ -110,6 +110,12 @@ class _Reader:
         except UnicodeDecodeError as err:
             raise DecodeError(f"string is not UTF-8: {err.reason}") from None
 
+    def take_flag(self) -> bool:
+        (flag,) = self.take(1)
+        if flag > 1:
+            raise DecodeError(f"flag byte {flag} is neither 0 nor 1")
+        return bool(flag)
+
     def done(self):
         if self.pos != len(self.data):
             raise DecodeError("trailing bytes in body")
@@ -240,10 +246,10 @@ def encode_broadcast(b: BroadcastBody) -> bytes:
 
 def decode_broadcast(body: bytes) -> BroadcastBody:
     r = _Reader(body)
-    (final,) = struct.unpack("<B", r.take(1))
+    final = r.take_flag()
     kind, payload = _unpack_payload(r)
     r.done()
-    return BroadcastBody(bool(final), kind, payload)
+    return BroadcastBody(final, kind, payload)
 
 
 @dataclass(frozen=True)
@@ -267,8 +273,7 @@ def encode_round_done(d: RoundDoneBody) -> bytes:
 def decode_round_done(body: bytes) -> RoundDoneBody:
     r = _Reader(body)
     metrics = _unpack_metrics(r.take(_METRICS.size))
-    (has_params,) = struct.unpack("<B", r.take(1))
-    final_params = _unpack_f64(r) if has_params else None
+    final_params = _unpack_f64(r) if r.take_flag() else None
     r.done()
     return RoundDoneBody(metrics, final_params)
 

@@ -19,6 +19,20 @@ FAST = [
     "model=lr",
 ]
 
+# an override outside its key's range, and the rejection's message
+OUT_OF_RANGE = [
+    ("learning_rate=-1", "'learning_rate' must be positive, got -1"),
+    ("learning_rate=0", "'learning_rate' must be positive, got 0"),
+    ("batch_size=0", "'batch_size' must be at least 1, got 0"),
+    ("site_batch_sizes.stockholm=0", "'site_batch_sizes.stockholm' must be at least 1, got 0"),
+    ("local_epochs=-1", "'local_epochs' must be nonnegative, got -1"),
+    ("central_epochs=-1", "'central_epochs' must be nonnegative, got -1"),
+    ("l2_penalty=-0.001", "'l2_penalty' must be nonnegative, got -0.001"),
+    ("threshold=2", r"'threshold' must be in \[0, 1\], got 2"),
+    ("threshold=-0.5", r"'threshold' must be in \[0, 1\], got -0.5"),
+    ("timeout_seconds=0", "'timeout_seconds' must be positive, got 0"),
+]
+
 
 class TestConfig:
     def test_defaults_match_reference_run(self):
@@ -104,6 +118,16 @@ class TestConfig:
     def test_bad_dp_value_names_the_block(self):
         with pytest.raises(ConfigError, match="privacy.dp: epsilon must be positive"):
             load_config(None, ["privacy.mode=dp", "privacy.dp.epsilon=-1"])
+
+    @pytest.mark.parametrize("override, message", OUT_OF_RANGE, ids=[o for o, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=f"config key {message}"):
+            load_config(None, [override])
+
+    def test_range_edges_accepted(self):
+        cfg = load_config(None, ["threshold=0", "local_epochs=0", "central_epochs=0", "l2_penalty=0"])
+        assert (cfg.threshold, cfg.local_epochs, cfg.central_epochs, cfg.l2_penalty) == (0, 0, 0, 0)
+        assert load_config(None, ["threshold=1", "batch_size=1"]).threshold == 1
 
     def test_report_config_loads_back(self, tmp_path):
         # a report's config (the to_dict form) is itself a valid config file

@@ -289,6 +289,22 @@ class TestAuth:
         with pytest.raises(AuthError, match="bad token"):
             client.check_ack(client_end.recv())
 
+    def test_malformed_join_refused(self):
+        # a JOIN whose site name is not UTF-8 gets an ERROR frame and a close,
+        # like every other refused JOIN
+        cfg = sim_config()
+        server = FederationServer(cfg)
+        server_end, client_end = tr.SimChannel.pair()
+        body = tr.encode_join(tr.JoinBody("ab", cfg.token, 10, cfg.session_digest()))
+        client_end.send(tr.Frame(tr.MSG_JOIN, 0, body[:4] + b"\xff\xfe" + body[6:]))
+        with pytest.raises(ProtocolError, match="malformed JOIN: string is not UTF-8"):
+            server.accept_clients([server_end], timeout=5)
+        with pytest.raises(AuthError, match="malformed JOIN: string is not UTF-8"):
+            site_client(cfg).check_ack(client_end.recv())
+        with pytest.raises(tr.ChannelClosed):
+            client_end.recv()
+        assert server.clients == {}
+
 
 class TestClientHandle:
     """``FederationClient.handle`` is one protocol step: the reply to a

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from oracles import loss_and_grad_oracle, nn_forward_oracle, numeric_gradient
+from test_golden import TINY, report_fingerprint
 
+from privfed import learners
 from privfed.data import CohortDataset
 from privfed.learners import (
     MANIFESTS,
@@ -197,6 +199,62 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1, seed=0)
         with pytest.raises(ValueError):
             train_local(ModelKind.LOGISTIC_REGRESSION, init_params(ModelKind.LOGISTIC_REGRESSION, 0), ds, cfg)
+
+
+class TestFullBatch:
+    """When one batch covers the training set, each epoch is one full-batch
+    step on the rows in their stored order."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("epochs", [1, 2, 20])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_in_order_gradient_descent_oracle(self, kind, epochs, order):
+        ds = toy_dataset(n=103)
+        ds = CohortDataset(np.asarray(ds.features, order=order), ds.labels)
+        ps = random_params(kind, np.random.default_rng(8), 8)
+        for batch_size in (103, 20000):  # exactly one batch, and room to spare
+            cfg = TrainConfig(0.1, batch_size, epochs, l2_penalty=1e-3, seed=4)
+            out, stats = train_local(kind, ps, ds, cfg)
+            theta = flatten(ps)[0]
+            for _ in range(epochs):
+                current = unflatten(theta, MANIFESTS[kind])
+                _, g = loss_and_grad_oracle(kind, current, ds.features, ds.labels, cfg.l2_penalty)
+                theta = theta - cfg.learning_rate * g
+            assert stats.steps == cfg.local_epochs
+            assert np.max(np.abs(flatten(out)[0] - theta)) <= 1e-12 * np.max(np.abs(theta))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_every_step_reads_one_column_major_copy(self, kind, monkeypatch):
+        # the copy is made once per call; the kernels see it as is, never a
+        # per-step copy, and the shuffle seed plays no part
+        seen = []
+        kernel = learners._KERNELS[kind]
+
+        def spy(theta, x, y, l2, work):
+            seen.append(x)
+            kernel(theta, x, y, l2, work)
+
+        monkeypatch.setitem(learners._KERNELS, kind, spy)
+        ds = toy_dataset(n=50)
+        ps = random_params(kind, np.random.default_rng(3), 3)
+        out, stats = train_local(kind, ps, ds, TrainConfig(0.1, 64, 5, seed=1))
+        assert stats.steps == len(seen) == 5
+        assert seen[0].flags.f_contiguous and not seen[0].flags.c_contiguous
+        assert np.array_equal(seen[0], ds.features)
+        assert all(x.base is seen[0].base and x.ctypes.data == seen[0].ctypes.data for x in seen)
+        other, _ = train_local(kind, ps, ds, TrainConfig(0.1, 64, 5, seed=2))
+        assert np.array_equal(flatten(other)[0], flatten(out)[0])
+
+
+def test_minibatch_run_fingerprint_is_pinned(monkeypatch):
+    # every site has more training rows than its 500-row batch (the smallest
+    # has 1,096), so each site takes the shuffled minibatch path, the one a
+    # full-scale run takes; the hash was taken at the commit before the
+    # full-batch path and must hold bitwise
+    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
+    overrides = ["privacy.mode=plain", *TINY, "batch_size=500", "site_batch_sizes={}"]
+    fingerprint = "515de54c08fdee84679aba6d98dd9b84f777dd51d3ec743f0824ed1cfce79041"
+    assert report_fingerprint(overrides) == fingerprint
 
 
 def random_params(kind, rng, seed, out_b=0.0):

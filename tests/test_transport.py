@@ -147,6 +147,21 @@ class TestBodyCodecs:
         with pytest.raises(DecodeError, match="not UTF-8"):
             tr.decode_error(struct.pack("<I", 1) + b"\x80")
 
+    @pytest.mark.parametrize("flag", [2, 0x80, 0xFF])
+    def test_broadcast_final_flag_is_zero_or_one(self, flag):
+        body = tr.encode_broadcast(tr.BroadcastBody(True, tr.PAYLOAD_PLAIN, np.arange(5.0)))
+        assert body[0] == 1
+        with pytest.raises(DecodeError, match=f"flag byte {flag} is neither 0 nor 1"):
+            tr.decode_broadcast(bytes([flag]) + body[1:])
+
+    @pytest.mark.parametrize("flag", [2, 0x80, 0xFF])
+    def test_round_done_params_flag_is_zero_or_one(self, flag):
+        body = tr.encode_round_done(tr.RoundDoneBody(sample_metrics(), np.ones(3)))
+        at = len(body) - 8 - 8 * 3 - 1  # the flag precedes the count and the values
+        assert body[at] == 1
+        with pytest.raises(DecodeError, match=f"flag byte {flag} is neither 0 nor 1"):
+            tr.decode_round_done(body[:at] + bytes([flag]) + body[at + 1 :])
+
     @pytest.mark.parametrize(
         "decode",
         [tr.decode_join, tr.decode_update, tr.decode_broadcast, tr.decode_round_done, tr.decode_error],

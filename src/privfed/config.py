@@ -57,6 +57,8 @@ RANGES = (
     ("central_epochs", lambda v: v >= 0, "nonnegative"),
     ("l2_penalty", lambda v: v >= 0, "nonnegative"),
     ("threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("train_frac", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("central_folds", lambda v: v >= 2, "at least 2"),
     ("timeout_seconds", lambda v: v > 0, "positive"),
 )
 

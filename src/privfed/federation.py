@@ -55,9 +55,9 @@ from .he import (
     serialize_ct,
     unpack_update,
 )
-from .learners import MANIFESTS, ModelKind, TrainConfig, init_params, predict_batch, train_local
+from .learners import N_PARAMS, ModelKind, TrainConfig, init_params, predict_batch, train_local
 from .metrics import MetricSet, evaluate_scores
-from .params import LayoutManifest, ParamSet, apply_update, check_finite, compute_delta, flatten, unflatten
+from .params import LayoutManifest, apply_update, check_finite, compute_delta
 from .report import (
     ClientRoundRecord,
     CrossSiteTable,
@@ -333,9 +333,9 @@ class FederationServer:
             )
             if cfg.privacy_mode == "he":
                 finals = {cid: body.final_params for cid, (body, _) in done.items()}
-                report.final_params = [float(v) for v in _agreed_final_params(finals)]
+                report.final_params = _agreed_final_params(finals)
             else:
-                report.final_params = [float(v) for v in flatten(global_params)[0]]
+                report.final_params = global_params
         except (RoundTimeoutError, ProtocolError, AuthError, LayoutError, StateError, DecodeError) as err:
             report.aborted = True
             report.abort_reason = f"{type(err).__name__}: {err}"
@@ -345,10 +345,10 @@ class FederationServer:
         report.event_log = self.event_log
         return report
 
-    def _broadcast_body(self, global_params: ParamSet, he_state, final: bool) -> tr.BroadcastBody:
+    def _broadcast_body(self, global_params: np.ndarray, he_state, final: bool) -> tr.BroadcastBody:
         if he_state is not None:
             return tr.BroadcastBody(final, tr.PAYLOAD_CHUNKS, he_state)
-        return tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, flatten(global_params)[0])
+        return tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, global_params)
 
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
         """``received`` maps each client id to its (UpdateBody, arrival time)."""
@@ -417,11 +417,11 @@ class FederationClient:
         self.valid = valid
         self.pipeline = build_pipeline(cfg)
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
-        self.global_params: ParamSet | None = None
-        self.manifest: LayoutManifest = MANIFESTS[self.kind]
+        self.global_params: np.ndarray | None = None
+        self.manifest = LayoutManifest(N_PARAMS[self.kind])
         self.next_round = 0
 
-    def _evaluate(self, params: ParamSet) -> MetricSet:
+    def _evaluate(self, params: np.ndarray) -> MetricSet:
         scores = predict_batch(self.kind, params, self.valid.features)
         return evaluate_scores(scores, self.valid.labels, self.cfg.threshold)
 
@@ -433,7 +433,7 @@ class FederationClient:
                     f"broadcast carries {flat.size} values, {self.kind.value} expects "
                     f"{self.manifest.total_length}"
                 )
-            self.global_params = unflatten(flat, self.manifest)
+            self.global_params = flat
             return 0.0
         if self.global_params is None:
             raise ProtocolError("encrypted aggregate arrived before the initial model")
@@ -475,9 +475,7 @@ class FederationClient:
         pre_metrics = self._evaluate(self.global_params)
 
         if body.final:
-            final_params = None
-            if cfg.privacy_mode == "he":
-                final_params = flatten(self.global_params)[0]
+            final_params = self.global_params if cfg.privacy_mode == "he" else None
             return tr.Frame(
                 tr.MSG_ROUND_DONE,
                 frame.round,
@@ -494,7 +492,7 @@ class FederationClient:
         self.next_round += 1
         trained, stats = train_local(self.kind, self.global_params, self.train, train_cfg)
         post_metrics = self._evaluate(trained)
-        delta, _ = flatten(compute_delta(trained, self.global_params))
+        delta = compute_delta(trained, self.global_params)
         if cfg.weighting == "examples":
             delta = delta * self.weight
         kind, payload, encode_seconds = self.pipeline.client_encode(

@@ -13,12 +13,12 @@ normalization with learnable gain and bias -> 1 output unit with bias.
 Parameter count: 50 + 5 + 5 + 5 + 1 = 66.  The layer-norm bias plays the
 role of the hidden bias, which is what makes the count come out to 66.
 
-Training runs on a flat float64 parameter vector θ.  Each kind has a static
-layout (``LAYOUTS``, with offsets in ``MANIFESTS``): tensors in declaration
-order, row-major, the same order ``params.flatten`` uses.  ``ParamSet``
-appears only at the boundary: ``init_params``, the argument and result of
-``train_local``, and ``loss_and_grad`` called without a workspace.  Each kind
-has one kernel that writes the loss gradient into a reused vector;
+A model's parameters are one flat float64 vector θ, from ``init_params``
+through ``train_local`` and ``predict_batch`` to the run report.  Each kind
+has a static layout (``LAYOUTS``, with each tensor's slice of θ in
+``SLICES`` and θ's length in ``N_PARAMS``): tensors in declaration order,
+row-major within each, so ``hidden_w`` row h holds hidden unit h's weights.
+Each kind has one kernel that writes the loss gradient into a reused vector;
 ``train_local`` allocates its work arrays once per call, sized by
 min(n, batch_size) rows; a full-batch run adds one column-major copy of the
 features, so both BLAS products read contiguous feature columns.  The NN
@@ -39,7 +39,6 @@ import numpy as np
 
 from .data import _sigmoid
 from .errors import LayoutError
-from .params import LayoutManifest, ParamSet, flatten, unflatten
 
 LN_EPS = 1e-5  # layer-norm variance epsilon, biased variance estimator
 N_FEATURES = 10
@@ -63,21 +62,17 @@ LAYOUTS = {
 }
 
 
-def _manifest(layout) -> LayoutManifest:
-    rows = []
-    offset = 0
+def _slices(layout) -> dict[str, slice]:
+    out, offset = {}, 0
     for name, shape in layout:
-        rows.append((name, shape, offset))
+        out[name] = slice(offset, offset + math.prod(shape))
         offset += math.prod(shape)
-    return LayoutManifest(tuple(rows), offset)
+    return out
 
 
-MANIFESTS = {kind: _manifest(layout) for kind, layout in LAYOUTS.items()}
-# name -> slice of θ, per kind
-SLICES = {
-    kind: {name: slice(offset, offset + math.prod(shape)) for name, shape, offset in m.entries}
-    for kind, m in MANIFESTS.items()
-}
+# name -> slice of θ, and θ's length, per kind
+SLICES = {kind: _slices(layout) for kind, layout in LAYOUTS.items()}
+N_PARAMS = {kind: sum(math.prod(shape) for _, shape in layout) for kind, layout in LAYOUTS.items()}
 
 
 @dataclass(frozen=True)
@@ -105,59 +100,58 @@ class TrainStats:
     wall_time: float
 
 
-def init_params(kind: ModelKind, seed: int) -> ParamSet:
-    """Initial parameters: LR all zeros; NN Xavier-uniform weights, unit
-    layer-norm gain, zero biases.  Deterministic for a given seed."""
+def init_params(kind: ModelKind, seed: int) -> np.ndarray:
+    """Initial θ: LR all zeros; NN Xavier-uniform weights, unit layer-norm
+    gain, zero biases.  Deterministic for a given seed."""
     kind = ModelKind(kind)
+    theta = np.zeros(N_PARAMS[kind])
     if kind is ModelKind.LOGISTIC_REGRESSION:
-        return ParamSet([(n, s, np.zeros(s)) for n, s in LAYOUTS[kind]])
+        return theta
+    s = SLICES[kind]
     rng = np.random.default_rng(seed)
     bound_h = math.sqrt(6.0 / (N_FEATURES + N_HIDDEN))
     bound_o = math.sqrt(6.0 / (N_HIDDEN + 1))
-    return ParamSet(
-        [
-            ("hidden_w", (5, 10), rng.uniform(-bound_h, bound_h, (5, 10))),
-            ("ln_gain", (5,), np.ones(5)),
-            ("ln_bias", (5,), np.zeros(5)),
-            ("out_w", (1, 5), rng.uniform(-bound_o, bound_o, (1, 5))),
-            ("out_b", (1,), np.zeros(1)),
-        ]
-    )
-
-
-def _theta(kind: ModelKind, params: ParamSet) -> np.ndarray:
-    """A fresh flat θ holding ``params``, which must have ``kind``'s layout."""
-    theta, manifest = flatten(params)
-    if manifest != MANIFESTS[kind]:
-        raise LayoutError(f"params do not match {kind.value} layout")
+    theta[s["hidden_w"]] = rng.uniform(-bound_h, bound_h, N_HIDDEN * N_FEATURES)
+    theta[s["ln_gain"]] = 1.0
+    theta[s["out_w"]] = rng.uniform(-bound_o, bound_o, N_HIDDEN)
     return theta
 
 
-def _logits(kind: ModelKind, params: ParamSet, x: np.ndarray) -> np.ndarray:
+def _theta(kind: ModelKind, theta) -> np.ndarray:
+    """``theta`` as a float64 vector, which must have ``kind``'s length."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (N_PARAMS[kind],):
+        raise LayoutError(f"θ of shape {theta.shape}; {kind.value} takes {N_PARAMS[kind]} values")
+    return theta
+
+
+def _logits(kind: ModelKind, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     # einsum keeps each output row an independent fixed-order sum, so the
     # batched path is bitwise identical to evaluating rows one at a time
+    s = SLICES[kind]
     if kind is ModelKind.LOGISTIC_REGRESSION:
-        coef = params.tensor("coef")
-        return np.einsum("nd,d->n", x, coef) + params.tensor("intercept")[0]
-    hidden = np.maximum(np.einsum("nd,hd->nh", x, params.tensor("hidden_w")), 0.0)
+        return np.einsum("nd,d->n", x, theta[s["coef"]]) + theta[s["intercept"]][0]
+    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
+    hidden = np.maximum(np.einsum("nd,hd->nh", x, w), 0.0)
     mean = hidden.mean(axis=1, keepdims=True)
     var = hidden.var(axis=1, keepdims=True)  # biased estimator
     normed = (hidden - mean) * (1.0 / np.sqrt(var + LN_EPS))
-    z = normed * params.tensor("ln_gain") + params.tensor("ln_bias")
-    return np.einsum("nh,h->n", z, params.tensor("out_w").reshape(-1)) + params.tensor("out_b")[0]
+    z = normed * theta[s["ln_gain"]] + theta[s["ln_bias"]]
+    return np.einsum("nh,h->n", z, theta[s["out_w"]]) + theta[s["out_b"]][0]
 
 
-def predict_batch(kind: ModelKind, params: ParamSet, features) -> np.ndarray:
+def predict_batch(kind: ModelKind, theta, features) -> np.ndarray:
     """Probabilities for a feature matrix, bitwise equal to those of its rows
     passed one at a time."""
     kind = ModelKind(kind)
+    theta = _theta(kind, theta)
     x = np.asarray(features, dtype=np.float64)
     if x.size == 0:
         return np.zeros(0, dtype=np.float64)
     x = x.reshape(-1, N_FEATURES)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature value")
-    return _sigmoid(_logits(kind, params, x))
+    return _sigmoid(_logits(kind, theta, x))
 
 
 class Workspace:
@@ -169,7 +163,7 @@ class Workspace:
 
     def __init__(self, kind: ModelKind, rows: int):
         kind = ModelKind(kind)
-        self.grad = np.empty(MANIFESTS[kind].total_length)
+        self.grad = np.empty(N_PARAMS[kind])
         self._vec = np.empty((6, rows))
         hidden = N_HIDDEN * rows if kind is ModelKind.FEEDFORWARD_NN else 0
         self._act = np.empty((2, hidden))
@@ -302,18 +296,17 @@ def _objective(kind: ModelKind, theta, y, l2, work) -> float:
 
 
 def loss_and_grad(
-    kind: ModelKind, params, x: np.ndarray, y: np.ndarray, l2: float = 0.0, work: Workspace | None = None
+    kind: ModelKind, theta, x: np.ndarray, y: np.ndarray, l2: float = 0.0, work: Workspace | None = None
 ):
-    """Objective value and its gradient.
+    """Objective value and its gradient in θ's layout.
 
     Objective: mean BCE over the batch + (l2/2) * squared norm of the weight
     matrices (coef / hidden_w / out_w; biases and gains are not penalized).
 
-    Without ``work``, ``params`` is a ParamSet and the gradient comes back as
-    a ParamSet with the same layout.  With ``work`` (as ``train_local``
-    passes), ``params`` is the flat θ, the gradient is ``work.grad``,
-    overwritten by the next call, and the objective is not computed: it
-    comes back as None.
+    Without ``work``, a Workspace is allocated for the batch and the result
+    is ``(objective, grad)``.  With ``work`` (as ``train_local`` passes), the
+    gradient is ``work.grad``, overwritten by the next call, and the
+    objective is not computed: it comes back as None.
     """
     kind = ModelKind(kind)
     x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
@@ -321,16 +314,16 @@ def loss_and_grad(
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if work is None:
-        work = Workspace(kind, n)
-        theta = _theta(kind, params)
+    if work is not None:
         _KERNELS[kind](theta, x, y, l2, work)
-        return _objective(kind, theta, y, l2, work), unflatten(work.grad, MANIFESTS[kind])
-    _KERNELS[kind](params, x, y, l2, work)
-    return None, work.grad
+        return None, work.grad
+    theta = _theta(kind, theta)
+    work = Workspace(kind, n)
+    _KERNELS[kind](theta, x, y, l2, work)
+    return _objective(kind, theta, y, l2, work), work.grad
 
 
-def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
+def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
     """SGD for ``cfg.local_epochs`` epochs over ``train``.
 
     When one batch covers the training set (n <= batch_size), every epoch
@@ -340,7 +333,7 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
     contiguous feature columns.  Otherwise the data is reshuffled each epoch
     with a generator seeded from cfg.seed and gathered into row-major
     minibatches.  Either way, identical (seed, data, config) reproduce
-    bitwise-identical parameters.  Returns the updated ParamSet and a
+    bitwise-identical parameters.  Returns the trained θ, a new vector, and a
     TrainStats with the step count the DP filter needs for normalization.
     """
     kind = ModelKind(kind)
@@ -349,7 +342,7 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    theta = _theta(kind, params)
+    theta = _theta(kind, theta).copy()
 
     t0 = time.monotonic()
     rows = min(n, cfg.batch_size)
@@ -376,5 +369,4 @@ def train_local(kind: ModelKind, params: ParamSet, train, cfg: TrainConfig):
                 _, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
                 theta -= cfg.learning_rate * grad
                 steps += 1
-    params = unflatten(theta, MANIFESTS[kind])
-    return params, TrainStats(steps=steps, wall_time=time.monotonic() - t0)
+    return theta, TrainStats(steps=steps, wall_time=time.monotonic() - t0)

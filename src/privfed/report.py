@@ -15,6 +15,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .metrics import MetricSet, summarize_metric_sets
 
 SUMMARY_COLUMNS = [
@@ -84,14 +86,17 @@ class RunReport:
     rounds: list[RoundRecord] = field(default_factory=list)
     cross_site: CrossSiteTable | None = None
     fold_metrics: list[MetricSet] = field(default_factory=list)  # central runs
-    final_params: list[float] | None = None
+    final_params: np.ndarray | None = None  # the final global θ
     total_wall_seconds: float = 0.0
     aborted: bool = False
     abort_reason: str | None = None
     event_log: list[list] = field(default_factory=list)  # [t, kind, who]
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        out = dataclasses.asdict(self)
+        if self.final_params is not None:
+            out["final_params"] = self.final_params.tolist()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -123,6 +128,8 @@ class RunReport:
                 data["cross_site"]["summary"],
             )
         data["fold_metrics"] = [MetricSet(**m) for m in data.get("fold_metrics", [])]
+        if data.get("final_params") is not None:
+            data["final_params"] = np.array(data["final_params"], dtype=np.float64)
         return cls(**data)
 
     # -- aggregate views ------------------------------------------------------

@@ -10,17 +10,27 @@ import numpy as np
 
 from privfed import transport as tr
 from privfed.federation import FederationClient, FederationServer, build_site_datasets
-from privfed.learners import LN_EPS
-from privfed.params import flatten, unflatten
+from privfed.learners import LN_EPS, ModelKind
 
 
-def nn_forward_oracle(params, x):
+def _lr_tensors(theta):
+    """The 11-value LR θ at literal offsets: coef, then the intercept."""
+    theta = np.asarray(theta, dtype=np.float64)
+    assert theta.shape == (11,)
+    return theta[0:10], theta[10]
+
+
+def _nn_tensors(theta):
+    """The 66-value network θ at literal offsets: hidden_w (5 x 10,
+    row-major), ln_gain, ln_bias, out_w, then out_b."""
+    theta = np.asarray(theta, dtype=np.float64)
+    assert theta.shape == (66,)
+    return theta[0:50].reshape(5, 10), theta[50:55], theta[55:60], theta[60:65], theta[65]
+
+
+def nn_forward_oracle(theta, x):
     """Scalar reimplementation of the 66-parameter network forward pass."""
-    w = params.tensor("hidden_w")
-    gain = params.tensor("ln_gain")
-    bias = params.tensor("ln_bias")
-    out_w = params.tensor("out_w").reshape(-1)
-    out_b = params.tensor("out_b")[0]
+    w, gain, bias, out_w, out_b = _nn_tensors(theta)
     hidden = [max(0.0, sum(w[h][d] * x[d] for d in range(10))) for h in range(5)]
     mean = sum(hidden) / 5.0
     var = sum((h - mean) ** 2 for h in hidden) / 5.0
@@ -34,24 +44,21 @@ def _sigmoid_oracle(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def loss_and_grad_oracle(kind, params, x, y, l2):
+def loss_and_grad_oracle(kind, theta, x, y, l2):
     """Straight-line (batch-major, one temporary per step) objective and
     gradient of both learners, the form the production kernels replaced;
-    returns the loss and the gradient flattened in layout order."""
+    returns the loss and the gradient in θ's layout."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 10)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = x.shape[0]
-    if "coef" in params.names():
-        coef = params.tensor("coef")
-        logits = x @ coef + params.tensor("intercept")[0]
+    if ModelKind(kind) is ModelKind.LOGISTIC_REGRESSION:
+        coef, intercept = _lr_tensors(theta)
+        logits = x @ coef + intercept
         dlogit = (_sigmoid_oracle(logits) - y) / n
         grad = np.concatenate([x.T @ dlogit + l2 * coef, [dlogit.sum()]])
         penalty = coef @ coef
     else:
-        w = params.tensor("hidden_w")
-        gain = params.tensor("ln_gain")
-        bias = params.tensor("ln_bias")
-        out_w = params.tensor("out_w").reshape(-1)
+        w, gain, bias, out_w, out_b = _nn_tensors(theta)
         pre = x @ w.T
         hidden = np.maximum(pre, 0.0)
         mean = hidden.mean(axis=1, keepdims=True)
@@ -59,7 +66,7 @@ def loss_and_grad_oracle(kind, params, x, y, l2):
         inv_std = 1.0 / np.sqrt(var + LN_EPS)
         normed = (hidden - mean) * inv_std
         z = normed * gain + bias
-        logits = z @ out_w + params.tensor("out_b")[0]
+        logits = z @ out_w + out_b
         dlogit = (_sigmoid_oracle(logits) - y) / n
         dz = np.outer(dlogit, out_w)
         dnormed = dz * gain
@@ -80,19 +87,19 @@ def loss_and_grad_oracle(kind, params, x, y, l2):
     return float(loss), grad
 
 
-def numeric_gradient(kind, params, x, y, l2, h=1e-6):
+def numeric_gradient(kind, theta, x, y, l2, h=1e-6):
     """Central finite differences through the full training objective."""
     from privfed.learners import loss_and_grad
 
-    flat, manifest = flatten(params)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        up = theta.copy()
         up[i] += h
-        down = flat.copy()
+        down = theta.copy()
         down[i] -= h
-        lu, _ = loss_and_grad(kind, unflatten(up, manifest), x, y, l2)
-        ld, _ = loss_and_grad(kind, unflatten(down, manifest), x, y, l2)
+        lu, _ = loss_and_grad(kind, up, x, y, l2)
+        ld, _ = loss_and_grad(kind, down, x, y, l2)
         grad[i] = (lu - ld) / (2 * h)
     return grad
 

@@ -30,6 +30,8 @@ OUT_OF_RANGE = [
     ("l2_penalty=-0.001", "'l2_penalty' must be nonnegative, got -0.001"),
     ("threshold=2", r"'threshold' must be in \[0, 1\], got 2"),
     ("threshold=-0.5", r"'threshold' must be in \[0, 1\], got -0.5"),
+    ("train_frac=1.5", r"'train_frac' must be in \(0, 1\), got 1.5"),
+    ("central_folds=1", "'central_folds' must be at least 2, got 1"),
     ("timeout_seconds=0", "'timeout_seconds' must be positive, got 0"),
 ]
 

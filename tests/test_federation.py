@@ -40,7 +40,6 @@ from privfed.he import (
 from privfed.he import ckks
 from privfed.learners import ModelKind, init_params
 from privfed.metrics import MetricSet, summarize
-from privfed.params import flatten
 from privfed.report import nontiming_view
 
 HE_OVERRIDES = [
@@ -67,10 +66,6 @@ def site_client(cfg) -> FederationClient:
     name = cfg.site_names()[0]
     train, valid = build_site_datasets(cfg, only_site=name)[name]
     return FederationClient(cfg, name, train, valid)
-
-
-def initial_flat(kind: ModelKind):
-    return flatten(init_params(kind, 0))[0]
 
 
 def broadcast(round_index: int, flat, final: bool = False) -> tr.Frame:
@@ -155,19 +150,17 @@ class TestSimulationRuns:
 
     def test_zero_epochs_leaves_global_unchanged(self):
         report = run_simulation(sim_config("rounds=1", "local_epochs=0", "model=nn"))
-        from privfed.learners import ModelKind, init_params
-        from privfed.params import flatten
         from privfed.seeds import derive_seed
 
-        init_flat, _ = flatten(init_params(ModelKind.FEEDFORWARD_NN, derive_seed(11, "init")))
-        assert np.array_equal(np.array(report.final_params), init_flat)
+        init_theta = init_params(ModelKind.FEEDFORWARD_NN, derive_seed(11, "init"))
+        assert np.array_equal(report.final_params, init_theta)
         for client in report.rounds[0].clients:
             assert client.pre_metrics == client.post_metrics
 
     def test_dp_update_payload_obeys_filter_bound(self):
         # step one client round by hand so the wire payload is inspectable
         cfg = sim_config("privacy.mode=dp", "model=nn", "rounds=1", "local_epochs=2")
-        reply = site_client(cfg).handle(broadcast(0, initial_flat(ModelKind.FEEDFORWARD_NN)))
+        reply = site_client(cfg).handle(broadcast(0, init_params(ModelKind.FEEDFORWARD_NN, 0)))
         assert (reply.msg_type, reply.round) == (tr.MSG_UPDATE, 0)
         update = tr.decode_update(reply.body)
         assert update.payload_kind == tr.PAYLOAD_PLAIN
@@ -327,7 +320,7 @@ class TestClientHandle:
     def test_final_broadcast_answered_with_round_done(self):
         cfg = sim_config()
         client = site_client(cfg)
-        reply = client.handle(broadcast(0, initial_flat(ModelKind.LOGISTIC_REGRESSION), final=True))
+        reply = client.handle(broadcast(0, init_params(ModelKind.LOGISTIC_REGRESSION, 0), final=True))
         assert (reply.msg_type, reply.round) == (tr.MSG_ROUND_DONE, 0)
         done = tr.decode_round_done(reply.body)
         assert done.final_params is None  # plain mode: the coordinator holds the model
@@ -336,7 +329,7 @@ class TestClientHandle:
     def test_broadcast_of_wrong_length_rejected(self):
         client = site_client(sim_config())  # lr: 11 parameters
         with pytest.raises(LayoutError, match="broadcast carries 66 values, lr expects 11"):
-            client.handle(broadcast(0, initial_flat(ModelKind.FEEDFORWARD_NN)))
+            client.handle(broadcast(0, init_params(ModelKind.FEEDFORWARD_NN, 0)))
 
     def test_check_ack(self):
         client = site_client(sim_config())
@@ -351,11 +344,11 @@ class TestRoundSequence:
     def test_out_of_sequence_broadcast_rejected(self):
         client = site_client(sim_config())
         with pytest.raises(ProtocolError, match="round 5, expected 0"):
-            client.handle(broadcast(5, initial_flat(ModelKind.LOGISTIC_REGRESSION)))
+            client.handle(broadcast(5, init_params(ModelKind.LOGISTIC_REGRESSION, 0)))
 
     def test_replayed_broadcast_rejected(self):
         client = site_client(sim_config())
-        frame = broadcast(0, initial_flat(ModelKind.LOGISTIC_REGRESSION))
+        frame = broadcast(0, init_params(ModelKind.LOGISTIC_REGRESSION, 0))
         assert client.handle(frame).msg_type == tr.MSG_UPDATE
         with pytest.raises(ProtocolError, match="round 0, expected 1"):
             client.handle(frame)

@@ -8,7 +8,7 @@ from test_golden import TINY, report_fingerprint
 from privfed import learners
 from privfed.data import CohortDataset
 from privfed.learners import (
-    MANIFESTS,
+    SLICES,
     ModelKind,
     TrainConfig,
     Workspace,
@@ -17,7 +17,6 @@ from privfed.learners import (
     predict_batch,
     train_local,
 )
-from privfed.params import ParamSet, flatten, unflatten
 
 
 def toy_dataset(n=100, seed=0, separation=2.0):
@@ -35,35 +34,41 @@ def predict_row(kind, params, row) -> float:
     return float(predict_batch(kind, params, np.asarray(row, dtype=np.float64)[None])[0])
 
 
+NN_SLICES = SLICES[ModelKind.FEEDFORWARD_NN]
+
+
+def hidden_w(theta):
+    return theta[NN_SLICES["hidden_w"]].reshape(5, 10)
+
+
 class TestInit:
     def test_lr_all_zeros(self):
-        flat, _ = flatten(init_params(ModelKind.LOGISTIC_REGRESSION, seed=5))
-        assert np.all(flat == 0.0)
+        assert np.all(init_params(ModelKind.LOGISTIC_REGRESSION, seed=5) == 0.0)
 
     def test_nn_biases_exactly_zero(self):
-        ps = init_params(ModelKind.FEEDFORWARD_NN, seed=5)
-        assert np.all(ps.tensor("ln_bias") == 0.0)
-        assert np.all(ps.tensor("out_b") == 0.0)
+        theta = init_params(ModelKind.FEEDFORWARD_NN, seed=5)
+        assert np.all(theta[NN_SLICES["ln_bias"]] == 0.0)
+        assert np.all(theta[NN_SLICES["out_b"]] == 0.0)
 
     def test_nn_gain_is_one(self):
-        ps = init_params(ModelKind.FEEDFORWARD_NN, seed=5)
-        assert np.all(ps.tensor("ln_gain") == 1.0)
+        theta = init_params(ModelKind.FEEDFORWARD_NN, seed=5)
+        assert np.all(theta[NN_SLICES["ln_gain"]] == 1.0)
 
     def test_nn_xavier_bounds(self):
         # fan_in 10, fan_out 5 -> bound sqrt(6/15)
         bound = math.sqrt(6.0 / 15.0)
         for seed in range(10):
-            w = init_params(ModelKind.FEEDFORWARD_NN, seed).tensor("hidden_w")
+            w = hidden_w(init_params(ModelKind.FEEDFORWARD_NN, seed))
             assert np.all(np.abs(w) <= bound)
 
     def test_deterministic(self):
         a = init_params(ModelKind.FEEDFORWARD_NN, seed=99)
         b = init_params(ModelKind.FEEDFORWARD_NN, seed=99)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_param_counts(self):
-        assert flatten(init_params(ModelKind.FEEDFORWARD_NN, 0))[0].size == 66
-        assert flatten(init_params(ModelKind.LOGISTIC_REGRESSION, 0))[0].size == 11
+        assert init_params(ModelKind.FEEDFORWARD_NN, 0).shape == (66,)
+        assert init_params(ModelKind.LOGISTIC_REGRESSION, 0).shape == (11,)
 
 
 class TestForward:
@@ -72,11 +77,8 @@ class TestForward:
         assert predict_row(ModelKind.LOGISTIC_REGRESSION, ps, np.ones(10)) == 0.5
 
     def test_lr_zero_dot_product(self):
-        from privfed.params import ParamSet
-
-        coef = np.zeros(10)
-        coef[0] = 1.0
-        ps = ParamSet([("coef", (10,), coef), ("intercept", (1,), [0.0])])
+        ps = np.zeros(11)
+        ps[0] = 1.0  # coef[0]
         x = np.zeros(10)
         assert predict_row(ModelKind.LOGISTIC_REGRESSION, ps, x) == 0.5
 
@@ -120,11 +122,7 @@ class TestPredictBatch:
         rng = np.random.default_rng(7)
         ps = init_params(kind, 7)
         if kind is ModelKind.LOGISTIC_REGRESSION:
-            from privfed.params import ParamSet
-
-            ps = ParamSet(
-                [("coef", (10,), rng.normal(size=10)), ("intercept", (1,), rng.normal(size=1))]
-            )
+            ps = np.concatenate([rng.normal(size=10), rng.normal(size=1)])
         x = rng.normal(size=(1000, 10))
         batch = predict_batch(kind, ps, x)
         loop = np.array([predict_row(kind, ps, row) for row in x])
@@ -137,7 +135,7 @@ class TestTraining:
         ps = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         cfg = TrainConfig(learning_rate=0.1, batch_size=10, local_epochs=0, seed=1)
         out, stats = train_local(ModelKind.LOGISTIC_REGRESSION, ps, ds, cfg)
-        assert out == ps
+        assert np.array_equal(out, ps) and out is not ps
         assert stats.steps == 0
 
     def test_step_count(self):
@@ -158,12 +156,7 @@ class TestTraining:
                 ModelKind.LOGISTIC_REGRESSION, current, ds.features, ds.labels
             )
             losses.append(loss)
-            from privfed.params import ParamSet
-
-            current = ParamSet(
-                (e.name, e.shape, e.values - cfg.learning_rate * g.values)
-                for e, g in zip(current.entries, grad.entries)
-            )
+            current = current - cfg.learning_rate * grad
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_deterministic_training(self):
@@ -172,7 +165,7 @@ class TestTraining:
         ps = init_params(ModelKind.FEEDFORWARD_NN, 2)
         a, _ = train_local(ModelKind.FEEDFORWARD_NN, ps, ds, cfg)
         b, _ = train_local(ModelKind.FEEDFORWARD_NN, ps, ds, cfg)
-        assert a == b
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_partial_last_batch_matches_oracle_sgd(self, kind):
@@ -182,17 +175,16 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=0.1, batch_size=25, local_epochs=3, l2_penalty=1e-3, seed=4)
         ps = random_params(kind, np.random.default_rng(8), 8)
         out, stats = train_local(kind, ps, ds, cfg)
-        theta = flatten(ps)[0]
+        theta = ps
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.local_epochs):
             order = rng.permutation(103)
             for start in range(0, 103, 25):
                 idx = order[start : start + 25]
-                current = unflatten(theta, MANIFESTS[kind])
-                _, g = loss_and_grad_oracle(kind, current, ds.features[idx], ds.labels[idx], cfg.l2_penalty)
+                _, g = loss_and_grad_oracle(kind, theta, ds.features[idx], ds.labels[idx], cfg.l2_penalty)
                 theta = theta - cfg.learning_rate * g
         assert stats.steps == 15
-        assert np.max(np.abs(flatten(out)[0] - theta)) <= 1e-12 * np.max(np.abs(theta))
+        assert np.max(np.abs(out - theta)) <= 1e-12 * np.max(np.abs(theta))
 
     def test_empty_dataset_rejected(self):
         ds = CohortDataset(np.zeros((0, 10)), np.zeros(0, dtype=int))
@@ -215,13 +207,12 @@ class TestFullBatch:
         for batch_size in (103, 20000):  # exactly one batch, and room to spare
             cfg = TrainConfig(0.1, batch_size, epochs, l2_penalty=1e-3, seed=4)
             out, stats = train_local(kind, ps, ds, cfg)
-            theta = flatten(ps)[0]
+            theta = ps
             for _ in range(epochs):
-                current = unflatten(theta, MANIFESTS[kind])
-                _, g = loss_and_grad_oracle(kind, current, ds.features, ds.labels, cfg.l2_penalty)
+                _, g = loss_and_grad_oracle(kind, theta, ds.features, ds.labels, cfg.l2_penalty)
                 theta = theta - cfg.learning_rate * g
             assert stats.steps == cfg.local_epochs
-            assert np.max(np.abs(flatten(out)[0] - theta)) <= 1e-12 * np.max(np.abs(theta))
+            assert np.max(np.abs(out - theta)) <= 1e-12 * np.max(np.abs(theta))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_every_step_reads_one_column_major_copy(self, kind, monkeypatch):
@@ -243,7 +234,7 @@ class TestFullBatch:
         assert np.array_equal(seen[0], ds.features)
         assert all(x.base is seen[0].base and x.ctypes.data == seen[0].ctypes.data for x in seen)
         other, _ = train_local(kind, ps, ds, TrainConfig(0.1, 64, 5, seed=2))
-        assert np.array_equal(flatten(other)[0], flatten(out)[0])
+        assert np.array_equal(other, out)
 
 
 def test_minibatch_run_fingerprint_is_pinned(monkeypatch):
@@ -260,15 +251,15 @@ def test_minibatch_run_fingerprint_is_pinned(monkeypatch):
 def random_params(kind, rng, seed, out_b=0.0):
     """init_params perturbed so no tensor sits at its initial constant;
     ``out_b`` (or the LR intercept) shifts every logit."""
-    flat, manifest = flatten(init_params(kind, seed))
-    flat = flat + rng.normal(scale=0.5, size=flat.size)
-    flat[-1] = out_b + rng.normal(scale=0.5)
-    return unflatten(flat, manifest)
+    theta = init_params(kind, seed)
+    theta = theta + rng.normal(scale=0.5, size=theta.size)
+    theta[-1] = out_b + rng.normal(scale=0.5)
+    return theta
 
 
-def dead_relu_rows(params, count):
+def dead_relu_rows(theta, count):
     """Rows whose five pre-activations are all -1, so every ReLU is off."""
-    v = np.linalg.lstsq(params.tensor("hidden_w"), np.ones(5), rcond=None)[0]
+    v = np.linalg.lstsq(hidden_w(theta), np.ones(5), rcond=None)[0]
     return np.tile(-v, (count, 1))
 
 
@@ -284,20 +275,19 @@ class TestKernelsMatchOracle:
             x = rng.normal(size=(n, 10)) * rng.choice([0.1, 1.0, 30.0], size=(n, 1))
             if kind is ModelKind.FEEDFORWARD_NN and n > 1:
                 x[: n // 3] = dead_relu_rows(params, n // 3)
-                assert np.all(x[: n // 3] @ params.tensor("hidden_w").T < 0)
+                assert np.all(x[: n // 3] @ hidden_w(params).T < 0)
             p = predict_batch(kind, params, x)
             extreme += int(np.sum((p < 4e-18) | (p == 1.0)))  # |logit| > 40
             y = rng.integers(0, 2, n)
             l2 = (0.0, 1e-4, 0.1)[probe % 3]
             loss, grad = loss_and_grad(kind, params, x, y, l2)
             want_loss, want_grad = loss_and_grad_oracle(kind, params, x, y, l2)
-            got = flatten(grad)[0]
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), probe
-            assert np.max(np.abs(got - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), probe
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad)), probe
         assert extreme > 100
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_workspace_path_equals_paramset_path(self, kind):
+    def test_workspace_path_equals_allocating_path(self, kind):
         # a workspace sized for more rows than the batch serves it from the
         # leading part of each buffer, as train_local's partial last batch does
         rng = np.random.default_rng(5)
@@ -307,8 +297,8 @@ class TestKernelsMatchOracle:
             x = rng.normal(size=(n, 10))
             y = rng.integers(0, 2, n)
             _, want_grad = loss_and_grad(kind, params, x, y, 1e-4)
-            _, grad = loss_and_grad(kind, flatten(params)[0], x, y, 1e-4, work)
-            assert np.array_equal(grad, flatten(want_grad)[0])
+            _, grad = loss_and_grad(kind, params, x, y, 1e-4, work)
+            assert np.array_equal(grad, want_grad)
 
 
 class TestGradientCheck:
@@ -320,16 +310,10 @@ class TestGradientCheck:
             for probe in range(20):
                 ps = init_params(kind, seed=probe + 1)
                 if kind is ModelKind.LOGISTIC_REGRESSION:
-                    ps = ParamSet(
-                        [
-                            ("coef", (10,), rng.normal(scale=0.5, size=10)),
-                            ("intercept", (1,), rng.normal(size=1)),
-                        ]
-                    )
+                    ps = np.concatenate([rng.normal(scale=0.5, size=10), rng.normal(size=1)])
                 x = rng.normal(size=(n, 10))
                 y = (np.arange(n) + probe) % 2
-                _, grad = loss_and_grad(kind, ps, x, y, l2=1e-4)
-                analytic, _ = flatten(grad)
+                _, analytic = loss_and_grad(kind, ps, x, y, l2=1e-4)
                 numeric = numeric_gradient(kind, ps, x, y, l2=1e-4)
                 denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
                 assert np.linalg.norm(analytic - numeric) / denom < 1e-4, (n, probe)

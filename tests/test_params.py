@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from privfed.data import CohortDataset
 from privfed.errors import LayoutError
-from privfed.learners import ModelKind, init_params
+from privfed.learners import SLICES, ModelKind, TrainConfig, init_params, loss_and_grad, predict_batch, train_local
 from privfed.params import (
     LayoutManifest,
-    ParamSet,
     apply_update,
     check_finite,
     compute_delta,
@@ -14,134 +14,109 @@ from privfed.params import (
     unflatten,
 )
 
+NN = ModelKind.FEEDFORWARD_NN
+LR = ModelKind.LOGISTIC_REGRESSION
 
-def small_paramsets():
-    entry = st.tuples(
-        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
-    )
-
-    @st.composite
-    def build(draw):
-        n_entries = draw(st.integers(1, 5))
-        names = [f"t{i}" for i in range(n_entries)]
-        entries = []
-        for name in names:
-            shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
-            size = int(np.prod(shape))
-            values = draw(
-                st.lists(
-                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-                    min_size=size,
-                    max_size=size,
-                )
-            )
-            entries.append((name, shape, np.array(values).reshape(shape)))
-        return ParamSet(entries)
-
-    return build()
+finite_vectors = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=66
+).map(np.array)
 
 
 class TestFlatten:
     def test_concatenation_order(self):
-        ps = ParamSet([("w", (2,), [1.0, 2.0]), ("b", (1,), [3.0])])
-        flat, manifest = flatten(ps)
-        assert np.array_equal(flat, [1.0, 2.0, 3.0])
-        assert manifest.entries == (("w", (2,), 0), ("b", (1,), 2))
-        assert manifest.total_length == 3
+        # θ holds each learner's tensors in declaration order, back to back
+        assert SLICES[LR] == {"coef": slice(0, 10), "intercept": slice(10, 11)}
+        assert SLICES[NN] == {
+            "hidden_w": slice(0, 50),
+            "ln_gain": slice(50, 55),
+            "ln_bias": slice(55, 60),
+            "out_w": slice(60, 65),
+            "out_b": slice(65, 66),
+        }
 
     def test_nn_flat_length_66(self):
-        flat, _ = flatten(init_params(ModelKind.FEEDFORWARD_NN, seed=7))
-        assert flat.size == 66
+        assert init_params(NN, seed=7).shape == (66,)
 
     def test_lr_flat_length_11(self):
-        flat, _ = flatten(init_params(ModelKind.LOGISTIC_REGRESSION, seed=7))
-        assert flat.size == 11
+        assert init_params(LR, seed=7).shape == (11,)
 
     def test_row_major_within_tensor(self):
-        ps = ParamSet([("m", (2, 2), [[1.0, 2.0], [3.0, 4.0]])])
-        flat, _ = flatten(ps)
-        assert np.array_equal(flat, [1.0, 2.0, 3.0, 4.0])
+        # one row whose only nonzero feature is j moves only column j of
+        # hidden_w: entries h*10 + j in a row-major (5, 10) layout
+        theta = init_params(NN, seed=7)
+        for j in range(10):
+            x = np.zeros((1, 10))
+            x[0, j] = 1.0
+            _, grad = loss_and_grad(NN, theta, x, [1.0])
+            moved = set(np.flatnonzero(grad[:50]))
+            assert moved and moved <= {h * 10 + j for h in range(5)}, j
 
 
 class TestUnflatten:
     def test_roundtrip_identity(self):
-        ps = init_params(ModelKind.FEEDFORWARD_NN, seed=3)
-        flat, manifest = flatten(ps)
-        assert unflatten(flat, manifest) == ps
+        theta = init_params(NN, seed=3)
+        flat, manifest = flatten(theta)
+        back = unflatten(flat, manifest)
+        assert manifest == LayoutManifest(66)
+        assert np.array_equal(back, theta)
+        assert back is not flat and flat is not theta
 
     def test_length_mismatch_rejected(self):
-        ps = init_params(ModelKind.FEEDFORWARD_NN, seed=3)
-        _, manifest = flatten(ps)
+        _, manifest = flatten(init_params(NN, seed=3))
         with pytest.raises(LayoutError):
             unflatten(np.zeros(65), manifest)
-
-    @given(small_paramsets())
-    def test_roundtrip_preserves_order_and_shapes(self, ps):
-        flat, manifest = flatten(ps)
-        back = unflatten(flat, manifest)
-        assert back == ps
-        assert back.names() == ps.names()
-        assert [e.shape for e in back.entries] == [e.shape for e in ps.entries]
 
 
 class TestDelta:
     def test_zero_delta(self):
-        ps = init_params(ModelKind.FEEDFORWARD_NN, seed=1)
-        delta = compute_delta(ps, ps)
-        assert all(np.all(e.values == 0) for e in delta.entries)
+        theta = init_params(NN, seed=1)
+        assert np.all(compute_delta(theta, theta) == 0)
 
     def test_arithmetic(self):
-        after = ParamSet([("w", (2,), [2.0, 5.0])])
-        before = ParamSet([("w", (2,), [1.0, 3.0])])
-        delta = compute_delta(after, before)
-        assert np.array_equal(delta.tensor("w"), [1.0, 2.0])
+        assert np.array_equal(compute_delta(np.array([2.0, 5.0]), np.array([1.0, 3.0])), [1.0, 2.0])
 
     def test_layout_mismatch(self):
-        a = ParamSet([("w", (2,), [1.0, 2.0])])
-        b = ParamSet([("v", (2,), [1.0, 2.0])])
         with pytest.raises(LayoutError):
-            compute_delta(a, b)
+            compute_delta(np.zeros(66), np.zeros(11))
 
-    @given(small_paramsets())
+    @given(finite_vectors)
     def test_delta_plus_before_is_after(self, before):
-        rng = np.random.default_rng(0)
-        after = ParamSet(
-            (e.name, e.shape, e.values + rng.normal(size=e.shape))
-            for e in before.entries
-        )
+        after = before + np.random.default_rng(0).normal(size=before.size)
         delta = compute_delta(after, before)
-        flat, manifest = flatten(delta)
-        assert apply_update(before, flat, manifest) == after
+        assert np.array_equal(apply_update(before, delta, LayoutManifest.of(before)), after)
 
 
 class TestApplyUpdate:
     def test_zero_delta_identity(self):
-        base = init_params(ModelKind.LOGISTIC_REGRESSION, seed=0)
-        flat, manifest = flatten(base)
-        assert apply_update(base, np.zeros(11), manifest) == base
+        base = init_params(LR, seed=0)
+        assert np.array_equal(apply_update(base, np.zeros(11), LayoutManifest.of(base)), base)
 
     def test_arithmetic(self):
-        base = ParamSet([("w", (2,), [1.0, 1.0])])
-        _, manifest = flatten(base)
-        out = apply_update(base, np.array([0.5, -0.5]), manifest)
-        assert np.array_equal(out.tensor("w"), [1.5, 0.5])
+        out = apply_update(np.array([1.0, 1.0]), np.array([0.5, -0.5]), LayoutManifest(2))
+        assert np.array_equal(out, [1.5, 0.5])
 
     def test_manifest_mismatch(self):
-        base = ParamSet([("w", (2,), [1.0, 1.0])])
-        other = ParamSet([("w", (3,), [1.0, 1.0, 1.0])])
-        _, manifest = flatten(other)
         with pytest.raises(LayoutError):
-            apply_update(base, np.zeros(3), manifest)
+            apply_update(np.ones(2), np.zeros(3), LayoutManifest(3))
+        with pytest.raises(LayoutError):
+            apply_update(np.ones(3), np.zeros(2), LayoutManifest(3))
 
 
 class TestConstruction:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(LayoutError):
-            ParamSet([("w", (1,), [1.0]), ("w", (1,), [2.0])])
-
     def test_shape_size_mismatch_rejected(self):
-        with pytest.raises(LayoutError):
-            ParamSet([("w", (3,), [1.0, 2.0])])
+        # a θ of the other learner's length never reaches a kernel
+        x = np.zeros((3, 10))
+        y = np.zeros(3)
+        train = CohortDataset(x, y.astype(int))
+        cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1)
+        for kind, other in ((NN, LR), (LR, NN)):
+            theta = init_params(other, 0)
+            with pytest.raises(LayoutError):
+                predict_batch(kind, theta, x)
+            with pytest.raises(LayoutError):
+                loss_and_grad(kind, theta, x, y)
+            with pytest.raises(LayoutError):
+                train_local(kind, theta, train, cfg)
 
     def test_check_finite(self):
         with pytest.raises(LayoutError):

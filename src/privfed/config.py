@@ -21,7 +21,9 @@ configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
 rejected with its dotted name, as is a numeric value outside its range
-(``RANGES``).
+(``RANGES``).  The top-level ``privacy_mode``, ``dp`` and ``he`` keys, the
+form ``to_dict`` writes, stand in for ``privacy.mode``, ``privacy.dp`` and
+``privacy.he``; a config that gives one setting in both forms is rejected.
 """
 
 from __future__ import annotations
@@ -203,6 +205,11 @@ def _build(raw: dict) -> ExperimentConfig:
     raw = _block(raw, "", _field_names(ExperimentConfig) | {"privacy"})
     kwargs = {}
     privacy = _block(raw.pop("privacy", {}), "privacy", ("mode", "dp", "he"))
+    for key, flat_key in (("mode", "privacy_mode"), ("dp", "dp"), ("he", "he")):
+        if key in privacy and flat_key in raw:  # to_dict writes the flat form
+            raise ConfigError(
+                f"config keys 'privacy.{key}' and {flat_key!r} give the same setting; keep one"
+            )
     kwargs["privacy_mode"] = privacy.get("mode", raw.pop("privacy_mode", "plain"))
     dp_raw = privacy.get("dp", raw.pop("dp", None))
     if dp_raw is not None:

@@ -9,14 +9,18 @@ per-site validation of the finished global model.
 The coordinator is one straight-line thread and starts none of its own.  It
 sends the broadcast to every site, then reads one reply per site in site
 order, all within one deadline of ``timeout_seconds`` per round.  A site that
-misses the deadline, hangs up or sends the wrong frame aborts the run with a
-reason that names it.  The simulation adds no thread either: each read of a
-simulated site's channel first lets that site's client answer.
+misses the deadline, hangs up, sends the wrong frame or sends an ERROR saying
+why it failed aborts the run with a reason that names it, and every site is
+then sent an ERROR with that reason instead of SHUTDOWN.
 
-Three privacy modes share the loop:
+Every site runs ``FederationClient.step`` on both transports: ``run`` loops on
+it over TCP, and the thread-free simulation has a site take one step each
+time the coordinator reads its channel.
+
+Three privacy modes share the loop; each site applies its own mechanism:
 
 - plain: deltas travel as float64 vectors.
-- dp: deltas pass through the SVT filter client-side before transmission.
+- dp: deltas pass through the SVT filter before transmission.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
   no key and only ciphertexts after round 0, and broadcasts the encrypted
   aggregate, which every client decrypts and applies to its own copy of the
@@ -26,6 +30,7 @@ Three privacy modes share the loop:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hmac
 import os
@@ -37,7 +42,7 @@ import numpy as np
 from . import transport as tr
 from .config import ExperimentConfig
 from .data import CohortDataset, concat_datasets, generate_site, kfold_split, read_csv, split_train_valid
-from .dp import SvtConfig, svt_filter
+from .dp import svt_filter
 from .errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
 from .errors import RoundTimeoutError, StateError
 from .he import (
@@ -132,63 +137,6 @@ def aggregate_serialized(params: CkksParams, payloads: dict[str, list[bytes]], w
     return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
 
-# -- privacy pipelines -------------------------------------------------------
-
-
-class PlainPipeline:
-    def client_encode(self, delta: np.ndarray, steps: int, rng) -> tuple[int, object, float]:
-        return tr.PAYLOAD_PLAIN, delta, 0.0
-
-
-class DpPipeline:
-    def __init__(self, cfg: SvtConfig):
-        self.cfg = cfg
-
-    def client_encode(self, delta: np.ndarray, steps: int, rng) -> tuple[int, object, float]:
-        t0 = time.monotonic()
-        filtered = svt_filter(delta, steps, self.cfg, rng)
-        return tr.PAYLOAD_PLAIN, filtered, time.monotonic() - t0
-
-
-class HePipeline:
-    """A site's CKKS steps: encrypt its update, decrypt the aggregate.
-
-    Only sites build one.  Each derives the cohort secret from the shared run
-    seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
-    sums ciphertexts with ``aggregate_serialized``.
-    """
-
-    def __init__(self, params: CkksParams, master_seed: int):
-        self.params = params
-        self.keys = keygen(params, derived_rng(master_seed, "hekey"))
-
-    def client_encode(self, delta: np.ndarray, steps: int, rng) -> tuple[int, object, float]:
-        t0 = time.monotonic()
-        blobs = []
-        for chunk in pack_update(delta, self.params):
-            ct = he_encrypt(he_encode(chunk, self.params), self.keys, rng)
-            blobs.append(serialize_ct(ct))
-        return tr.PAYLOAD_CHUNKS, blobs, time.monotonic() - t0
-
-    def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
-        t0 = time.monotonic()
-        chunks = []
-        for blob in blobs:
-            ct = deserialize_ct(blob, self.params)
-            chunks.append(he_decode(he_decrypt(ct, self.keys))[: ct.slot_fill])
-        flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
-        return flat, time.monotonic() - t0
-
-
-def build_pipeline(cfg: ExperimentConfig):
-    """The privacy step a site applies to its update."""
-    if cfg.privacy_mode == "plain":
-        return PlainPipeline()
-    if cfg.privacy_mode == "dp":
-        return DpPipeline(cfg.dp)
-    return HePipeline(cfg.he, cfg.seed)
-
-
 # -- server ------------------------------------------------------------------
 
 
@@ -276,15 +224,18 @@ class FederationServer:
                 raise RoundTimeoutError(f"round {round_index}: no reply from {client_id!r}") from None
             except Exception as err:
                 raise ProtocolError(f"client {client_id!r} failed: {err}") from err
-            if frame.msg_type != msg_type or frame.round != round_index:
+            failed = frame.msg_type == tr.MSG_ERROR  # the site says why it stopped
+            if not failed and (frame.msg_type != msg_type or frame.round != round_index):
                 raise ProtocolError(
                     f"client {client_id!r} sent type {frame.msg_type} for round {frame.round}, "
                     f"expected type {msg_type} round {round_index}"
                 )
             try:
-                body = decode(frame.body)
+                body = (tr.decode_error if failed else decode)(frame.body)
             except DecodeError as err:
                 raise ProtocolError(f"client {client_id!r} sent a bad body: {err}") from err
+            if failed:
+                raise ProtocolError(f"client {client_id!r} failed: {body}")
             received[client_id] = (body, time.monotonic() - self._t0)
             self._log(event, client_id)
         return received
@@ -340,7 +291,7 @@ class FederationServer:
             report.aborted = True
             report.abort_reason = f"{type(err).__name__}: {err}"
         finally:
-            self._shutdown()
+            self._shutdown(report.abort_reason)
         report.total_wall_seconds = time.monotonic() - wall_start
         report.event_log = self.event_log
         return report
@@ -375,12 +326,15 @@ class FederationServer:
             )
         return RoundRecord(round_index, clients, agg_seconds)
 
-    def _shutdown(self):
+    def _shutdown(self, abort_reason: str | None):
+        """End every site's session: SHUTDOWN after a finished run, an ERROR
+        with the reason after an aborted one."""
+        frame = tr.Frame(tr.MSG_SHUTDOWN, 0)
+        if abort_reason is not None:
+            frame = tr.Frame(tr.MSG_ERROR, 0, tr.encode_error(f"run aborted: {abort_reason}"))
         for record in self.clients.values():
-            try:
-                record.channel.send(tr.Frame(tr.MSG_SHUTDOWN, 0))
-            except Exception:
-                pass
+            with contextlib.suppress(Exception):
+                record.channel.send(frame)
 
 
 def _refuse(channel, reason: str, error: Exception) -> Exception:
@@ -408,6 +362,36 @@ def _agreed_final_params(finals: dict[str, np.ndarray | None]) -> np.ndarray:
 # -- client ------------------------------------------------------------------
 
 
+class HePipeline:
+    """A site's CKKS steps: encrypt its update, decrypt the aggregate.
+
+    Only sites build one.  Each derives the cohort secret from the shared run
+    seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
+    sums ciphertexts with ``aggregate_serialized``.
+    """
+
+    def __init__(self, params: CkksParams, master_seed: int):
+        self.params = params
+        self.keys = keygen(params, derived_rng(master_seed, "hekey"))
+
+    def client_encode(self, delta: np.ndarray, steps: int, rng) -> list[bytes]:
+        """``delta`` as serialized ciphertext chunks.  ``steps`` is unused: the
+        encrypted sum needs no step count, unlike the SVT filter."""
+        return [
+            serialize_ct(he_encrypt(he_encode(chunk, self.params), self.keys, rng))
+            for chunk in pack_update(delta, self.params)
+        ]
+
+    def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
+        t0 = time.monotonic()
+        chunks = []
+        for blob in blobs:
+            ct = deserialize_ct(blob, self.params)
+            chunks.append(he_decode(he_decrypt(ct, self.keys))[: ct.slot_fill])
+        flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
+        return flat, time.monotonic() - t0
+
+
 class FederationClient:
     def __init__(self, cfg: ExperimentConfig, client_id: str, train: CohortDataset, valid: CohortDataset):
         self.cfg = cfg
@@ -415,7 +399,7 @@ class FederationClient:
         self.kind = ModelKind(cfg.model)
         self.train = train
         self.valid = valid
-        self.pipeline = build_pipeline(cfg)
+        self.he = HePipeline(cfg.he, cfg.seed) if cfg.privacy_mode == "he" else None
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: np.ndarray | None = None
         self.manifest = LayoutManifest(N_PARAMS[self.kind])
@@ -425,8 +409,18 @@ class FederationClient:
         scores = predict_batch(self.kind, params, self.valid.features)
         return evaluate_scores(scores, self.valid.labels, self.cfg.threshold)
 
-    def _install_broadcast(self, body: tr.BroadcastBody) -> float:
-        if body.payload_kind == tr.PAYLOAD_PLAIN:
+    def _install_broadcast(self, round_index: int, body: tr.BroadcastBody) -> float:
+        """Take the broadcast's global model; returns the seconds spent
+        decrypting it.  The model comes as plaintext θ, except in an HE
+        session after round 0, where it comes as the encrypted aggregate."""
+        encrypted = self.he is not None and round_index > 0
+        expected = tr.PAYLOAD_CHUNKS if encrypted else tr.PAYLOAD_PLAIN
+        if body.payload_kind != expected:
+            raise ProtocolError(
+                f"round {round_index} broadcast carries payload kind {body.payload_kind}; "
+                f"a {self.cfg.privacy_mode!r} site takes kind {expected} in that round"
+            )
+        if not encrypted:
             flat = np.asarray(body.payload)
             if flat.size != self.manifest.total_length:
                 raise LayoutError(
@@ -435,11 +429,7 @@ class FederationClient:
                 )
             self.global_params = flat
             return 0.0
-        if self.global_params is None:
-            raise ProtocolError("encrypted aggregate arrived before the initial model")
-        delta, seconds = self.pipeline.client_decode(
-            body.payload, self.manifest.total_length
-        )
+        delta, seconds = self.he.client_decode(body.payload, self.manifest.total_length)
         self.global_params = apply_update(self.global_params, delta, self.manifest)
         return seconds
 
@@ -471,7 +461,7 @@ class FederationClient:
                 f"broadcast for round {frame.round}, expected {self.next_round}"
             )
         body = tr.decode_broadcast(frame.body)
-        privacy_seconds = self._install_broadcast(body)
+        privacy_seconds = self._install_broadcast(frame.round, body)
         pre_metrics = self._evaluate(self.global_params)
 
         if body.final:
@@ -495,11 +485,15 @@ class FederationClient:
         delta = compute_delta(trained, self.global_params)
         if cfg.weighting == "examples":
             delta = delta * self.weight
-        kind, payload, encode_seconds = self.pipeline.client_encode(
-            delta,
-            max(stats.steps, 1),
-            derived_rng(cfg.seed, "privacy", self.client_id, frame.round),
-        )
+        kind, payload = tr.PAYLOAD_PLAIN, delta
+        if cfg.privacy_mode != "plain":
+            rng = derived_rng(cfg.seed, "privacy", self.client_id, frame.round)
+            t0 = time.monotonic()
+            if cfg.privacy_mode == "dp":
+                payload = svt_filter(delta, max(stats.steps, 1), cfg.dp, rng)
+            else:
+                kind, payload = tr.PAYLOAD_CHUNKS, self.he.client_encode(delta, stats.steps, rng)
+            privacy_seconds += time.monotonic() - t0
         return tr.Frame(
             tr.MSG_UPDATE,
             frame.round,
@@ -509,19 +503,34 @@ class FederationClient:
                     payload_kind=kind,
                     payload=payload,
                     train_seconds=stats.wall_time,
-                    privacy_seconds=privacy_seconds + encode_seconds,
+                    privacy_seconds=privacy_seconds,
                     pre_metrics=pre_metrics,
                     post_metrics=post_metrics,
                 )
             ),
         )
 
+    def step(self, channel) -> bool:
+        """Receive one coordinator frame and send its reply; False after
+        SHUTDOWN.  If receiving or handling fails, the site sends an ERROR
+        saying why, best effort, and re-raises."""
+        try:
+            reply = self.handle(channel.recv(timeout=self.cfg.timeout_seconds))
+        except Exception as err:
+            with contextlib.suppress(Exception):
+                channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error(f"{type(err).__name__}: {err}")))
+            raise
+        if reply is None:
+            return False
+        channel.send(reply)
+        return True
+
     def run(self, channel) -> None:
         """Serve one coordinator over ``channel`` until it sends SHUTDOWN."""
         channel.send(self.join_frame())
         self.check_ack(channel.recv(timeout=self.cfg.timeout_seconds))
-        while (reply := self.handle(channel.recv(timeout=self.cfg.timeout_seconds))) is not None:
-            channel.send(reply)
+        while self.step(channel):
+            pass
 
 
 # -- orchestration -----------------------------------------------------------
@@ -549,46 +558,29 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     return out
 
 
-def _answer(client: FederationClient, channel, failures: list) -> None:
-    """Let a simulated client reply to the frame waiting on its channel.
-
-    A client that raises hangs up, which the coordinator reads as that site
-    failing; its (client id, exception) is appended to ``failures``.
-    """
-    try:
-        reply = client.handle(channel.recv())
-        if reply is not None:
-            channel.send(reply)
-    except Exception as err:  # the run's abort reason names it
-        failures.append((client.client_id, err))
-        channel.close()
+def _serve(client: FederationClient, channel) -> None:
+    """A simulated site's turn: one ``step`` on the frame waiting for it.  A
+    step that fails has sent its ERROR, which the coordinator reads."""
+    with contextlib.suppress(Exception):
+        client.step(channel)
 
 
 def run_simulation(cfg: ExperimentConfig) -> RunReport:
     """All sites in-process and in the calling thread: each coordinator read
-    of a site's ``SimChannel`` first has that site's client answer."""
+    of a site's ``SimChannel`` first has that site take one ``step``."""
     datasets = build_site_datasets(cfg)
     server = FederationServer(cfg)
-    server_ends, client_ends, clients = [], [], []
-    failures: list[tuple[str, Exception]] = []
+    sites = []
     for name in cfg.site_names():
         server_end, client_end = tr.SimChannel.pair()
         client = FederationClient(cfg, name, *datasets[name])
         client_end.send(client.join_frame())
-        server_end.serve = functools.partial(_answer, client, client_end, failures)
-        server_ends.append(server_end)
-        client_ends.append(client_end)
-        clients.append(client)
-    server.accept_clients(server_ends, timeout=cfg.timeout_seconds)
-    for client, client_end in zip(clients, client_ends):
+        server_end.serve = functools.partial(_serve, client, client_end)
+        sites.append((server_end, client, client_end))
+    server.accept_clients([server_end for server_end, _, _ in sites], timeout=cfg.timeout_seconds)
+    for _, client, client_end in sites:
         client.check_ack(client_end.recv())
-    report = server.run()
-    if failures:
-        # the coordinator saw only a closed channel; report the cause
-        client_id, err = failures[0]
-        report.aborted = True
-        report.abort_reason = f"client {client_id!r}: {type(err).__name__}: {err}"
-    return report
+    return server.run()
 
 
 def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:

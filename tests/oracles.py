@@ -177,14 +177,19 @@ def run_simulation_thread_per_client(cfg):
     site runs ``FederationClient.run`` over a localhost socket, and the
     coordinator reads them as ``run_tcp_server`` does.  Only the transport
     and the schedule differ from the thread-free simulation, so the two
-    reports agree outside timing fields."""
+    reports agree outside timing fields.  Returns the report and, per site,
+    the exception its session ended with (None if it ended with SHUTDOWN)."""
     datasets = build_site_datasets(cfg)
     listener = tr.TcpListener("127.0.0.1", 0)
+    ended = {}
 
     def serve(name):
         channel = tr.open_tcp_channel("127.0.0.1", listener.port)
         try:
             FederationClient(cfg, name, *datasets[name]).run(channel)
+            ended[name] = None
+        except Exception as err:
+            ended[name] = err
         finally:
             channel.close()
 
@@ -206,4 +211,4 @@ def run_simulation_thread_per_client(cfg):
         thread.join(timeout=cfg.timeout_seconds)
         if thread.is_alive():
             raise RuntimeError("a client thread outlived the run")
-    return report
+    return report, ended

@@ -36,6 +36,14 @@ OUT_OF_RANGE = [
 ]
 
 
+# a privacy setting given both in the privacy block and at the top level
+BOTH_SPELLINGS = [
+    (["privacy.mode=he", "privacy_mode=dp"], "'privacy.mode' and 'privacy_mode'"),
+    (["privacy.mode=dp", "privacy.dp.epsilon=2", "dp.epsilon=5"], "'privacy.dp' and 'dp'"),
+    (["privacy.mode=he", "privacy.he.scale_log2=30", "he.scale_log2=30"], "'privacy.he' and 'he'"),
+]
+
+
 class TestConfig:
     def test_defaults_match_reference_run(self):
         cfg = load_config(None, [])
@@ -138,6 +146,13 @@ class TestConfig:
             path = tmp_path / f"{mode}.json"
             path.write_text(json.dumps(cfg.to_dict()))
             assert load_config(str(path), []).to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize(
+        "overrides, keys", BOTH_SPELLINGS, ids=["privacy_mode", "dp", "he"]
+    )
+    def test_setting_in_both_spellings_rejected(self, overrides, keys):
+        with pytest.raises(ConfigError, match=f"config keys {keys} give the same setting"):
+            load_config(None, overrides)
 
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")

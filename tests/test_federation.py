@@ -340,6 +340,62 @@ class TestClientHandle:
             client.check_ack(tr.Frame(tr.MSG_BROADCAST, 0))
 
 
+class TestClientStep:
+    """``FederationClient.step`` receives one frame and sends its reply, on
+    both transports; a step that fails sends an ERROR saying why."""
+
+    def test_stops_after_shutdown(self):
+        site_end, coordinator_end = tr.SimChannel.pair()
+        coordinator_end.send(tr.Frame(tr.MSG_SHUTDOWN, 0))
+        assert site_client(sim_config()).step(site_end) is False
+
+    def test_failure_is_sent_as_an_error_and_raised(self):
+        site_end, coordinator_end = tr.SimChannel.pair()
+        coordinator_end.send(broadcast(5, init_params(ModelKind.LOGISTIC_REGRESSION, 0)))
+        with pytest.raises(ProtocolError, match="round 5, expected 0"):
+            site_client(sim_config()).step(site_end)
+        reply = coordinator_end.recv()
+        assert reply.msg_type == tr.MSG_ERROR
+        assert tr.decode_error(reply.body) == "ProtocolError: broadcast for round 5, expected 0"
+
+
+def chunks_broadcast(round_index: int) -> tr.Frame:
+    """A broadcast of one serialized ciphertext, the form an HE coordinator
+    sends after round 0."""
+    key = keygen(TEST_PARAMS, np.random.default_rng(1))
+    blob = serialize_ct(encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0)))
+    body = tr.BroadcastBody(False, tr.PAYLOAD_CHUNKS, [blob])
+    return tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
+
+
+class TestBroadcastForm:
+    """A site takes plaintext θ in plain and DP sessions and in HE round 0,
+    and ciphertext chunks in HE after round 0; any other form is refused."""
+
+    @pytest.mark.parametrize("mode", ["plain", "dp"])
+    def test_ciphertext_to_a_plaintext_site(self, mode):
+        client = site_client(sim_config(f"privacy.mode={mode}"))
+        with pytest.raises(
+            ProtocolError,
+            match=f"round 0 broadcast carries payload kind 1; a '{mode}' site takes kind 0",
+        ):
+            client.handle(chunks_broadcast(0))
+
+    def test_plaintext_to_an_he_site_after_round_0(self):
+        client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
+        theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
+        assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
+        with pytest.raises(
+            ProtocolError, match="round 1 broadcast carries payload kind 0; a 'he' site takes kind 1"
+        ):
+            client.handle(broadcast(1, theta))
+
+    def test_ciphertext_to_an_he_site_in_round_0(self):
+        client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
+        with pytest.raises(ProtocolError, match="round 0 broadcast carries payload kind 1"):
+            client.handle(chunks_broadcast(0))
+
+
 class TestRoundSequence:
     def test_out_of_sequence_broadcast_rejected(self):
         client = site_client(sim_config())
@@ -385,30 +441,67 @@ class TestSimulationSchedule:
         monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
         cfg = load_config(None, [f"privacy.mode={mode}", *TINY])
         driven = run_simulation(cfg)
-        threaded = run_simulation_thread_per_client(cfg)
+        threaded, ended = run_simulation_thread_per_client(cfg)
         assert not driven.aborted and not threaded.aborted
+        assert ended == dict.fromkeys(cfg.site_names())  # every site got SHUTDOWN
         assert nontiming_view(driven.to_dict()) == nontiming_view(threaded.to_dict())
 
     def test_failing_client_ends_run_at_once(self, monkeypatch):
         cfg = sim_config("rounds=3")
         assert cfg.timeout_seconds >= 600  # the default the abort must not wait for
-        failing = cfg.site_names()[1]
-        failing_train = build_site_datasets(cfg)[failing][0]
-        train_local = federation.train_local
-
-        def crashing_train_local(kind, params, data, train_cfg):
-            if np.array_equal(data.labels, failing_train.labels):
-                raise RuntimeError("site disk unreadable")
-            return train_local(kind, params, data, train_cfg)
-
-        monkeypatch.setattr(federation, "train_local", crashing_train_local)
+        failing = crash_site(monkeypatch, cfg, 1)
         t0 = time.monotonic()
         report = run_simulation(cfg)
         assert time.monotonic() - t0 < 30
         assert report.aborted
-        assert report.abort_reason == f"client {failing!r}: RuntimeError: site disk unreadable"
+        assert report.abort_reason == failed_reason(failing)
         assert report.rounds == []
         assert not any(t.name == "privfed-clients" for t in threading.enumerate())
+
+
+def crash_site(monkeypatch, cfg, index: int) -> str:
+    """Make local training raise on the site at ``index``; returns its name."""
+    name = cfg.site_names()[index]
+    failing_train = build_site_datasets(cfg)[name][0]
+    train_local = federation.train_local
+
+    def crashing_train_local(kind, params, data, train_cfg):
+        if np.array_equal(data.labels, failing_train.labels):
+            raise RuntimeError("site disk unreadable")
+        return train_local(kind, params, data, train_cfg)
+
+    monkeypatch.setattr(federation, "train_local", crashing_train_local)
+    return name
+
+
+def failed_reason(site: str) -> str:
+    """The abort reason of a run whose ``site`` raised in ``crash_site``."""
+    return f"ProtocolError: client {site!r} failed: RuntimeError: site disk unreadable"
+
+
+class TestFailingSite:
+    """A site that fails sends an ERROR saying why, so the coordinator's
+    report gives the same reason on both transports, and every other site is
+    told that the run aborted."""
+
+    def test_same_abort_reason_on_both_transports(self, monkeypatch):
+        cfg = sim_config("timeout_seconds=10")
+        failing = crash_site(monkeypatch, cfg, 1)
+        simulated = run_simulation(cfg)
+        over_tcp, ended = run_simulation_thread_per_client(cfg)
+        assert simulated.abort_reason == failed_reason(failing)
+        assert over_tcp.abort_reason == failed_reason(failing)
+        assert str(ended[failing]) == "site disk unreadable"
+
+    def test_healthy_tcp_sites_hear_the_run_aborted(self, monkeypatch):
+        cfg = sim_config("timeout_seconds=10")
+        failing = crash_site(monkeypatch, cfg, 1)
+        report, ended = run_simulation_thread_per_client(cfg)
+        assert report.aborted
+        for name in cfg.site_names():
+            if name != failing:
+                assert isinstance(ended[name], ProtocolError), (name, ended[name])
+                assert str(ended[name]) == f"run aborted: {failed_reason(failing)}"
 
 
 def join_frame(cfg, name) -> tr.Frame:

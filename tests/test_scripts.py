@@ -1,0 +1,37 @@
+"""The experiment scripts under ``scripts/`` run end to end on a tiny
+configuration, so a change to the package that breaks one fails here."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_comparison_writes_all_four_methods(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "run_comparison.py"),
+            "--learners", "lr",
+            "--set", "rounds=1",
+            "--set", "central_epochs=2",
+            "--out", str(tmp_path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["method"], row["learner"]) for row in rows] == [
+        ("cml", "lr"),
+        ("fedavg", "lr"),
+        ("fedavg_dp", "lr"),
+        ("fedavg_he", "lr"),
+    ]

@@ -87,8 +87,11 @@ def cmd_run_sim(args) -> int:
     return _finish_run(run_simulation(cfg), cfg)
 
 
-def _split_endpoint(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
+def _endpoint(text: str) -> tuple[str, int]:
+    """``HOST:PORT`` as (host, port), the host 127.0.0.1 if left out."""
+    host, colon, port = text.rpartition(":")
+    if not colon or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 1-65535, got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -96,8 +99,7 @@ def cmd_server(args) -> int:
     from .federation import run_tcp_server
 
     cfg = _load(args)
-    host, port = _split_endpoint(args.listen)
-    report = run_tcp_server(cfg, host, port)
+    report = run_tcp_server(cfg, *args.listen)
     return _finish_run(report, cfg)
 
 
@@ -105,8 +107,7 @@ def cmd_client(args) -> int:
     from .federation import run_tcp_client
 
     cfg = _load(args)
-    host, port = _split_endpoint(args.connect)
-    run_tcp_client(cfg, args.site, host, port)
+    run_tcp_client(cfg, args.site, *args.connect)
     print(f"client {args.site}: done")
     return 0
 
@@ -143,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("server", help="networked coordinator")
     _add_common(p)
-    p.add_argument("--listen", required=True, metavar="HOST:PORT")
+    p.add_argument("--listen", required=True, type=_endpoint, metavar="HOST:PORT")
     p.set_defaults(func=cmd_server)
 
     p = sub.add_parser("client", help="one networked site")
     _add_common(p)
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
+    p.add_argument("--connect", required=True, type=_endpoint, metavar="HOST:PORT")
     p.add_argument("--site", required=True)
     p.set_defaults(func=cmd_client)
 

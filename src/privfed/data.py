@@ -50,6 +50,12 @@ INDICATOR_PREVALENCE = {
 DEFAULT_BETA = [0.52, 0.21, 0.68, 0.34, 0.42, 0.34, 0.29, 0.16, 0.13, 0.10]
 DEFAULT_BETA0 = -2.95
 
+# Most rows any BLAS product over records sees (the SGD steps in learners,
+# the generator's logits).  OpenBLAS runs a product this small on the calling
+# thread; over more rows it also wakes a helper thread, which busy-waits on
+# the other core and roughly doubles a full-scale round's CPU time.
+BLOCK_ROWS = 8192
+
 
 class CohortDataset:
     """Labeled 10-feature records; features float64, labels 0/1."""
@@ -164,7 +170,11 @@ def generate_site(spec: GeneratorSpec, site: SiteSpec, rng: np.random.Generator)
     batch = max(4096, want_neg + want_pos)
     while have_neg < want_neg or have_pos < want_pos:
         x = _draw_features(rng, batch, spec)
-        p = _sigmoid(x @ beta + spec.beta0)
+        z = np.empty(batch)
+        for start in range(0, batch, BLOCK_ROWS):
+            np.matmul(x[start : start + BLOCK_ROWS], beta, out=z[start : start + BLOCK_ROWS])
+        z += spec.beta0
+        p = _sigmoid(z)
         y = rng.uniform(0.0, 1.0, batch) < p
         if have_pos < want_pos:
             take = x[y][: want_pos - have_pos]

@@ -54,5 +54,9 @@ class AuthError(PrivFedError):
     site for any refusal the coordinator sends it."""
 
 
+class EndpointError(PrivFedError):
+    """A TCP endpoint could not be bound or connected to."""
+
+
 class RoundTimeoutError(PrivFedError):
     """A client failed to deliver its update within the round deadline."""

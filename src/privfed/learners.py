@@ -18,12 +18,14 @@ through ``train_local`` and ``predict_batch`` to the run report.  Each kind
 has a static layout (``LAYOUTS``, with each tensor's slice of θ in
 ``SLICES`` and θ's length in ``N_PARAMS``): tensors in declaration order,
 row-major within each, so ``hidden_w`` row h holds hidden unit h's weights.
-Each kind has one kernel that writes the loss gradient into a reused vector;
-``train_local`` allocates its work arrays once per call, sized by
-min(n, batch_size) rows; a full-batch run adds one column-major copy of the
-features, so both BLAS products read contiguous feature columns.  The NN
-kernel keeps activations hidden-major, ``(5, rows)``, so both matmuls go to
-BLAS and the layer-norm reductions over the 5 hidden units are row-wise adds.
+Each kind has one kernel that writes one row block's share of the loss
+gradient into a reused vector; a step is the sum of its batch's blocks of at
+most ``BLOCK_ROWS`` rows.  ``train_local`` allocates its work arrays once per
+call, sized by min(n, batch_size, BLOCK_ROWS) rows; a full-batch run adds one
+column-major copy of the features, so both BLAS products read contiguous
+feature columns.  The NN kernel keeps activations hidden-major,
+``(5, rows)``, so both matmuls go to BLAS and the layer-norm reductions over
+the 5 hidden units are row-wise adds.
 Prediction (``predict_batch``) keeps ``einsum``, so a batch is bitwise equal
 to its rows evaluated one at a time.
 """
@@ -37,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _sigmoid
+from .data import BLOCK_ROWS, _sigmoid
 from .errors import LayoutError
 
 LN_EPS = 1e-5  # layer-norm variance epsilon, biased variance estimator
@@ -155,15 +157,24 @@ def predict_batch(kind: ModelKind, theta, features) -> np.ndarray:
 
 
 class Workspace:
-    """Work arrays for one kind's kernel on batches of up to ``rows`` rows.
+    """Work arrays for one kind's kernel on row blocks of up to
+    min(``rows``, BLOCK_ROWS) rows.
 
-    ``grad`` receives the gradient in θ's layout.  A batch of m rows uses
-    the leading part of each buffer, reshaped, so every view is contiguous.
+    ``grad`` receives the gradient in θ's layout.  When ``rows`` spans
+    several blocks, ``part`` receives a later block's share of it.  With
+    ``gather``, ``x`` and ``y`` hold a block gathered from a batch given by
+    row indices.  A block of m rows uses the leading part of each buffer,
+    reshaped, so every view is contiguous.  Buffers a batch does not need
+    are not made.
     """
 
-    def __init__(self, kind: ModelKind, rows: int):
+    def __init__(self, kind: ModelKind, rows: int, gather: bool = False):
         kind = ModelKind(kind)
         self.grad = np.empty(N_PARAMS[kind])
+        self.part = np.empty(N_PARAMS[kind]) if rows > BLOCK_ROWS else None
+        rows = min(rows, BLOCK_ROWS)
+        self.x = np.empty((rows, N_FEATURES)) if gather else None
+        self.y = np.empty(rows) if gather else None
         self._vec = np.empty((6, rows))
         hidden = N_HIDDEN * rows if kind is ModelKind.FEEDFORWARD_NN else 0
         self._act = np.empty((2, hidden))
@@ -184,12 +195,12 @@ class Workspace:
         )
 
 
-def _bce_head(z: np.ndarray, y: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """dloss/dz = (sigmoid(z) - y) / n of the mean BCE of logits ``z``, from
-    e = exp(-|z|): sigmoid(z) = exp(min(z, 0)) / (1 + e), which is 1/(1+e)
-    for z >= 0 and e/(1+e) otherwise.  Uses ``vec[0:3]``; e stays in
-    ``vec[0]`` for ``_objective`` and the gradient is ``vec[2]``."""
-    n = z.shape[0]
+def _bce_head(z: np.ndarray, y: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
+    """dloss/dz = (sigmoid(z) - y) / n of the mean BCE over an n-row batch,
+    for a block's logits ``z``, from e = exp(-|z|): sigmoid(z) =
+    exp(min(z, 0)) / (1 + e), which is 1/(1+e) for z >= 0 and e/(1+e)
+    otherwise.  Uses ``vec[0:3]``; e stays in ``vec[0]`` for ``_loss_sum``
+    and the gradient is ``vec[2]``."""
     e, t, d = vec[0], vec[1], vec[2]
     np.abs(z, out=e)
     np.negative(e, out=e)
@@ -203,29 +214,32 @@ def _bce_head(z: np.ndarray, y: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return d
 
 
-def _lr_kernel(theta, x, y, l2, work) -> None:
+# A kernel writes into g the gradient of a row block's share of the mean BCE
+# over an n-row batch, plus l2 times the penalized weights.
+
+
+def _lr_kernel(theta, x, y, n, l2, g, work) -> None:
     s = SLICES[ModelKind.LOGISTIC_REGRESSION]
     coef = theta[s["coef"]]
     vec = work.vectors(x.shape[0])
     z = vec[3]
     np.matmul(x, coef, out=z)
     z += theta[s["intercept"]][0]
-    d = _bce_head(z, y, vec)
-    g = work.grad
+    d = _bce_head(z, y, n, vec)
     np.matmul(d, x, out=g[s["coef"]])
     g[s["coef"]] += l2 * coef
     g[s["intercept"]] = d.sum()
 
 
-def _nn_kernel(theta, x, y, l2, work) -> None:
+def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
     s = SLICES[ModelKind.FEEDFORWARD_NN]
     w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
     gain = theta[s["ln_gain"]]
     bias = theta[s["ln_bias"]]
     out_w = theta[s["out_w"]]
-    n = x.shape[0]
-    act, tmp, live = work.hidden(n)
-    vec = work.vectors(n)
+    m = x.shape[0]
+    act, tmp, live = work.hidden(m)
+    vec = work.vectors(m)
     z, stat, u = vec[3], vec[4], vec[5]
 
     np.matmul(w, x.T, out=act)  # pre-activations
@@ -250,9 +264,8 @@ def _nn_kernel(theta, x, y, l2, work) -> None:
     a = out_w * gain
     np.matmul(a, act, out=u)
     np.add(u, float(out_w @ bias) + theta[s["out_b"]][0], out=z)
-    d = _bce_head(z, y, vec)
+    d = _bce_head(z, y, n, vec)
 
-    g = work.grad
     sum_d = d.sum()
     normed_d = act @ d
     g[s["out_b"]] = sum_d
@@ -280,28 +293,38 @@ _PENALIZED = {
 }
 
 
-def _objective(kind: ModelKind, theta, y, l2, work) -> float:
-    """The objective of the batch a kernel just ran on, from the logits it
-    left in ``vec[3]`` and e = exp(-|z|) in ``vec[0]``: mean BCE, with
-    softplus(z) - y*z = max(z, 0) + log1p(e) - y*z, plus the L2 penalty."""
+def _loss_sum(y, work) -> float:
+    """The summed BCE of the block a kernel just ran on, from the logits it
+    left in ``vec[3]`` and e = exp(-|z|) in ``vec[0]``, with
+    softplus(z) - y*z = max(z, 0) + log1p(e) - y*z."""
     vec = work.vectors(y.shape[0])
     e, t, z = vec[0], vec[1], vec[3]
     np.log1p(e, out=t)
     loss_sum = float(t.sum())
     np.maximum(z, 0.0, out=t)
-    loss_sum += float(t.sum()) - float(y @ z)
-    s = SLICES[kind]
-    penalty = sum(float(theta[s[name]] @ theta[s[name]]) for name in _PENALIZED[kind])
-    return loss_sum / y.shape[0] + 0.5 * l2 * penalty
+    return loss_sum + (float(t.sum()) - float(y @ z))
 
 
 def loss_and_grad(
-    kind: ModelKind, theta, x: np.ndarray, y: np.ndarray, l2: float = 0.0, work: Workspace | None = None
+    kind: ModelKind,
+    theta,
+    x: np.ndarray,
+    y: np.ndarray,
+    l2: float = 0.0,
+    work: Workspace | None = None,
+    rows: np.ndarray | None = None,
 ):
     """Objective value and its gradient in θ's layout.
 
     Objective: mean BCE over the batch + (l2/2) * squared norm of the weight
     matrices (coef / hidden_w / out_w; biases and gains are not penalized).
+
+    The batch is x and y, or with ``rows`` (indices into x and y, each in
+    range) the rows they pick.  It is taken in blocks of at most BLOCK_ROWS
+    rows, so no BLAS call sees more rows than that: the first block's kernel
+    writes the gradient, with the L2 term, and each later block's share is
+    added to it.  Blocks of ``rows`` are gathered into the buffers of
+    ``work``, which must have been made with ``gather``.
 
     Without ``work``, a Workspace is allocated for the batch and the result
     is ``(objective, grad)``.  With ``work`` (as ``train_local`` passes), the
@@ -311,16 +334,37 @@ def loss_and_grad(
     kind = ModelKind(kind)
     x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = x.shape[0]
+    n = x.shape[0] if rows is None else rows.size
     if n == 0:
         raise ValueError("empty batch")
-    if work is not None:
-        _KERNELS[kind](theta, x, y, l2, work)
+    with_objective = work is None
+    if with_objective:
+        theta = _theta(kind, theta)
+        work = Workspace(kind, n, gather=rows is not None)
+    kernel = _KERNELS[kind]
+    loss_sum = 0.0
+    for start in range(0, n, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS  # slicing stops at the batch's end
+        if rows is None:
+            xb, yb = x[start:stop], y[start:stop]
+        else:
+            # ``rows`` are in range, so "clip" never clips; it lets take
+            # write straight into the block buffer instead of a copy
+            idx = rows[start:stop]
+            xb = np.take(x, idx, axis=0, out=work.x[: idx.size], mode="clip")
+            yb = np.take(y, idx, out=work.y[: idx.size], mode="clip")
+        if start == 0:
+            kernel(theta, xb, yb, n, l2, work.grad, work)
+        else:
+            kernel(theta, xb, yb, n, 0.0, work.part, work)
+            work.grad += work.part
+        if with_objective:
+            loss_sum += _loss_sum(yb, work)
+    if not with_objective:
         return None, work.grad
-    theta = _theta(kind, theta)
-    work = Workspace(kind, n)
-    _KERNELS[kind](theta, x, y, l2, work)
-    return _objective(kind, theta, y, l2, work), work.grad
+    s = SLICES[kind]
+    penalty = sum(float(theta[s[name]] @ theta[s[name]]) for name in _PENALIZED[kind])
+    return loss_sum / n + 0.5 * l2 * penalty, work.grad
 
 
 def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
@@ -330,11 +374,13 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
     is one full-batch step on the rows in their stored order: a shuffle
     would only reorder the gradient sums.  Those steps read one column-major
     copy of the features, so both BLAS products in the kernels walk
-    contiguous feature columns.  Otherwise the data is reshuffled each epoch
-    with a generator seeded from cfg.seed and gathered into row-major
-    minibatches.  Either way, identical (seed, data, config) reproduce
-    bitwise-identical parameters.  Returns the trained θ, a new vector, and a
-    TrainStats with the step count the DP filter needs for normalization.
+    contiguous feature columns, and its row blocks are slices of that copy.
+    Otherwise the data is reshuffled each epoch with a generator seeded from
+    cfg.seed, and each minibatch block is gathered from the permutation into
+    a row-major block buffer.  Either way, identical (seed, data, config)
+    reproduce bitwise-identical parameters.  Returns the trained θ, a new
+    vector, and a TrainStats with the step count the DP filter needs for
+    normalization.
     """
     kind = ModelKind(kind)
     x = np.asarray(train.features, dtype=np.float64)
@@ -345,8 +391,7 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
     theta = _theta(kind, theta).copy()
 
     t0 = time.monotonic()
-    rows = min(n, cfg.batch_size)
-    work = Workspace(kind, rows)
+    work = Workspace(kind, min(n, cfg.batch_size), gather=n > cfg.batch_size)
     steps = 0
     if n <= cfg.batch_size:
         x_cols = np.asfortranarray(x)
@@ -356,17 +401,11 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
             steps += 1
     else:
         rng = np.random.default_rng(cfg.seed)
-        x_batch = np.empty((rows, N_FEATURES))
-        y_batch = np.empty(rows)
         for _ in range(cfg.local_epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                # the indices come from a permutation, so "clip" never clips; it
-                # lets take write straight into the buffer instead of a copy
-                xb = np.take(x, idx, axis=0, out=x_batch[: idx.size], mode="clip")
-                yb = np.take(y, idx, out=y_batch[: idx.size], mode="clip")
-                _, grad = loss_and_grad(kind, theta, xb, yb, cfg.l2_penalty, work)
+                _, grad = loss_and_grad(kind, theta, x, y, cfg.l2_penalty, work, idx)
                 theta -= cfg.learning_rate * grad
                 steps += 1
     return theta, TrainStats(steps=steps, wall_time=time.monotonic() - t0)

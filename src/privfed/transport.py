@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, ProtocolError
+from .errors import DecodeError, EndpointError, ProtocolError
 from .metrics import MetricSet
 
 MAGIC = b"PFD1"
@@ -381,7 +381,10 @@ class TcpChannel:
 
 
 def open_tcp_channel(host: str, port: int, timeout: float = 30.0) -> TcpChannel:
-    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as err:
+        raise EndpointError(f"cannot connect to {host}:{port}: {err.strerror or err}") from None
     sock.settimeout(None)
     return TcpChannel(sock)
 
@@ -390,8 +393,12 @@ class TcpListener:
     def __init__(self, host: str, port: int):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
+        try:
+            self._sock.bind((host, port))
+            self._sock.listen(16)
+        except OSError as err:
+            self._sock.close()
+            raise EndpointError(f"cannot listen on {host}:{port}: {err.strerror or err}") from None
 
     @property
     def port(self) -> int:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import socket
 
 import pytest
 
@@ -268,3 +269,31 @@ class TestCliCommands:
         a["config"].pop("out_dir")
         b["config"].pop("out_dir")
         assert a == b
+
+
+class TestTcpEndpoints:
+    @pytest.mark.parametrize("endpoint", ["localhost:abc", "localhost", "localhost:0", "localhost:65536"])
+    def test_bad_endpoint_is_an_argument_error(self, endpoint, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["server", "--listen", endpoint])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --listen: expected HOST:PORT with a port in 1-65535, got {endpoint!r}" in err
+
+    def test_port_in_use_exits_2(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            rc = main(["server", "--listen", f"127.0.0.1:{port}", *FAST])
+        assert rc == 2
+        assert f"error: cannot listen on 127.0.0.1:{port}: Address already in use" in capsys.readouterr().err
+
+    def test_refused_connection_exits_2(self, capsys):
+        # a bound socket that does not listen refuses connections to its port
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            rc = main(["client", "--connect", f"127.0.0.1:{port}", "--site", "uppsala", *FAST])
+        assert rc == 2
+        assert f"error: cannot connect to 127.0.0.1:{port}: Connection refused" in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from privfed.config import load_config
 from privfed.data import (
+    BLOCK_ROWS,
     DEFAULT_SITES,
     CohortDataset,
     GeneratorSpec,
@@ -15,6 +19,7 @@ from privfed.data import (
     write_csv,
 )
 from privfed.errors import ConfigError, ParseError, SplitError
+from privfed.federation import build_site_datasets
 
 SMALL_SITES = (
     SiteSpec("alpha", 400, 40),
@@ -67,6 +72,19 @@ class TestGeneration:
         ds = generate_cohort(spec)["x"]
         assert np.all(np.abs(ds.features[:, 0]) <= 3.0)  # truncated age
         assert set(np.unique(ds.features[:, 1:])) <= {0.0, 1.0}
+
+    def test_generated_sites_are_pinned(self):
+        # every site's train and validation features and labels at scale
+        # 0.05, where Stockholm's logits span several row blocks; the hash was
+        # taken before the logits were computed in blocks and must hold bitwise
+        assert sum(scaled_counts(DEFAULT_SITES[2], 0.05)) > 2 * BLOCK_ROWS
+        cfg = load_config(None, ["data.scale_factor=0.05", "seed=7"])
+        digest = hashlib.sha256()
+        for train, valid in build_site_datasets(cfg).values():
+            for part in (train, valid):
+                digest.update(part.features.tobytes())
+                digest.update(part.labels.tobytes())
+        assert digest.hexdigest() == "fa5a97e5858c6e30acdcb35415bdc22a24e1aa33e423b320e46339e14070946b"
 
 
 class TestSplit:

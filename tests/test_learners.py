@@ -221,9 +221,9 @@ class TestFullBatch:
         seen = []
         kernel = learners._KERNELS[kind]
 
-        def spy(theta, x, y, l2, work):
+        def spy(theta, x, *rest):
             seen.append(x)
-            kernel(theta, x, y, l2, work)
+            kernel(theta, x, *rest)
 
         monkeypatch.setitem(learners._KERNELS, kind, spy)
         ds = toy_dataset(n=50)
@@ -235,6 +235,82 @@ class TestFullBatch:
         assert all(x.base is seen[0].base and x.ctypes.data == seen[0].ctypes.data for x in seen)
         other, _ = train_local(kind, ps, ds, TrainConfig(0.1, 64, 5, seed=2))
         assert np.array_equal(other, out)
+
+
+class TestRowBlocks:
+    """Every step is a sum over row blocks of at most BLOCK_ROWS rows, here
+    patched down to 64 so small batches span several blocks."""
+
+    BLOCK = 64
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        """Per step, the row count of each kernel call; the first block of a
+        step is the one that writes ``work.grad``."""
+        monkeypatch.setattr(learners, "BLOCK_ROWS", self.BLOCK)
+        steps = []
+        for kind, kernel in list(learners._KERNELS.items()):
+
+            def spy(theta, x, y, n, l2, g, work, kernel=kernel):
+                if g is work.grad:
+                    steps.append([])
+                steps[-1].append((x.shape[0], n))
+                kernel(theta, x, y, n, l2, g, work)
+
+            monkeypatch.setitem(learners._KERNELS, kind, spy)
+        return steps
+
+    def check_blocks(self, steps, batch_sizes):
+        assert [sum(rows for rows, _ in step) for step in steps] == batch_sizes
+        assert all(n == sum(rows for rows, _ in step) for step in steps for _, n in step)
+        assert max(rows for step in steps for rows, _ in step) <= self.BLOCK
+        assert any(len(step) > 1 and step[-1][0] < self.BLOCK for step in steps)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_allocating_step_matches_oracle(self, kind, block_calls):
+        rng = np.random.default_rng(12)
+        params = random_params(kind, rng, 12)
+        x = rng.normal(size=(300, 10))
+        y = rng.integers(0, 2, 300)
+        loss, grad = loss_and_grad(kind, params, x, y, 1e-3)
+        want_loss, want_grad = loss_and_grad_oracle(kind, params, x, y, 1e-3)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        self.check_blocks(block_calls, [300])
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_full_batch_steps_match_oracle(self, kind, block_calls):
+        # 300 rows: four 64-row blocks and a 44-row one per step
+        ds = toy_dataset(n=300)
+        ps = random_params(kind, np.random.default_rng(8), 8)
+        cfg = TrainConfig(0.1, 300, 3, l2_penalty=1e-3, seed=4)
+        out, _ = train_local(kind, ps, ds, cfg)
+        theta = ps
+        for _ in range(cfg.local_epochs):
+            _, g = loss_and_grad_oracle(kind, theta, ds.features, ds.labels, cfg.l2_penalty)
+            theta = theta - cfg.learning_rate * g
+        assert np.max(np.abs(out - theta)) <= 1e-12 * np.max(np.abs(theta))
+        self.check_blocks(block_calls, [300] * 3)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_minibatch_steps_match_oracle(self, kind, block_calls):
+        # 331 rows in batches of 150 (two 64-row blocks and a 22-row one)
+        # and a last batch of 31 rows, one partial block
+        ds = toy_dataset(n=331)
+        ps = random_params(kind, np.random.default_rng(8), 8)
+        cfg = TrainConfig(0.1, 150, 2, l2_penalty=1e-3, seed=4)
+        out, stats = train_local(kind, ps, ds, cfg)
+        theta = ps
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(331)
+            for start in range(0, 331, 150):
+                idx = order[start : start + 150]
+                _, g = loss_and_grad_oracle(kind, theta, ds.features[idx], ds.labels[idx], cfg.l2_penalty)
+                theta = theta - cfg.learning_rate * g
+        assert stats.steps == 6
+        assert np.max(np.abs(out - theta)) <= 1e-12 * np.max(np.abs(theta))
+        self.check_blocks(block_calls, [150, 150, 31] * 2)
 
 
 def test_minibatch_run_fingerprint_is_pinned(monkeypatch):

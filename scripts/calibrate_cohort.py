@@ -32,11 +32,11 @@ def solve_intercept(beta, spec, rng, target=TARGET_PREVALENCE, n=200_000):
     """1-d bisection on the intercept so mean sigmoid hits the prevalence."""
     from privfed.data import _draw_features, _sigmoid
 
-    x = _draw_features(rng, n, spec)
+    logits = beta @ _draw_features(rng, n, spec)  # (10, n) feature columns
     lo, hi = -10.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _sigmoid(x @ beta + mid).mean() < target:
+        if _sigmoid(logits + mid).mean() < target:
             lo = mid
         else:
             hi = mid

@@ -76,9 +76,18 @@ class CohortDataset:
     def __len__(self):
         return self.labels.size
 
+    @classmethod
+    def _trusted(cls, features, labels, feature_names) -> "CohortDataset":
+        """Rows taken from validated datasets: finite and 0/1 already."""
+        ds = cls.__new__(cls)
+        ds.features, ds.labels, ds.feature_names = features, labels, list(feature_names)
+        return ds
+
     def subset(self, idx) -> "CohortDataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return CohortDataset(self.features[idx], self.labels[idx], self.feature_names)
+        return CohortDataset._trusted(
+            self.features.take(idx, axis=0), self.labels.take(idx), self.feature_names
+        )
 
     def class_counts(self) -> tuple[int, int]:
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
@@ -86,7 +95,7 @@ class CohortDataset:
 
 def concat_datasets(datasets) -> CohortDataset:
     datasets = list(datasets)
-    return CohortDataset(
+    return CohortDataset._trusted(
         np.concatenate([d.features for d in datasets]),
         np.concatenate([d.labels for d in datasets]),
         datasets[0].feature_names,
@@ -144,12 +153,15 @@ def scaled_counts(site: SiteSpec, scale_factor: float) -> tuple[int, int]:
 
 
 def _draw_features(rng: np.random.Generator, n: int, spec: GeneratorSpec) -> np.ndarray:
-    x = np.empty((n, 10), dtype=np.float64)
+    """``(10, n)`` feature columns, ordered like FEATURE_NAMES."""
+    cols = np.empty((10, n), dtype=np.float64)
     age = rng.normal(spec.age_mean, spec.age_std, n)
-    x[:, 0] = np.clip(age, spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std)
+    np.clip(age, spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std, out=cols[0])
+    # rng.random is rng.uniform(0, 1) bit for bit, written into one reused buffer
+    u = age
     for j, name in enumerate(FEATURE_NAMES[1:], start=1):
-        x[:, j] = (rng.uniform(0.0, 1.0, n) < INDICATOR_PREVALENCE[name]).astype(np.float64)
-    return x
+        np.less(rng.random(out=u), INDICATOR_PREVALENCE[name], out=cols[j], casting="unsafe")
+    return cols
 
 
 def _sigmoid(z):
@@ -164,36 +176,35 @@ def _sigmoid(z):
 def generate_site(spec: GeneratorSpec, site: SiteSpec, rng: np.random.Generator) -> CohortDataset:
     """Fill one site's class buckets by rejection against the logistic truth."""
     want_neg, want_pos = scaled_counts(site, spec.scale_factor)
+    total = want_neg + want_pos
     beta = np.asarray(spec.beta, dtype=np.float64)
-    neg_rows, pos_rows = [], []
-    have_neg = have_pos = 0
-    batch = max(4096, want_neg + want_pos)
-    while have_neg < want_neg or have_pos < want_pos:
-        x = _draw_features(rng, batch, spec)
-        z = np.empty(batch)
+    # Bucket rows are numbered negatives first, then positives; a fixed
+    # permutation interleaves the classes so downstream batching is not sorted
+    # by label.  Bucket row r lands in row where[r], so each accepted row is
+    # written once, straight into its final place.
+    order = np.random.default_rng(derive_seed(spec.seed, "shuffle", site.name)).permutation(total)
+    where = np.empty(total, dtype=np.int64)
+    where[order] = np.arange(total)
+    features = np.empty((total, 10), dtype=np.float64)
+    next_row, end = [0, want_neg], [want_neg, total]  # per class: negatives, positives
+    batch = max(4096, total)
+    rows = np.empty((min(batch, BLOCK_ROWS), 10))
+    while next_row != end:
+        cols = _draw_features(rng, batch, spec)
+        u = rng.uniform(0.0, 1.0, batch)
         for start in range(0, batch, BLOCK_ROWS):
-            np.matmul(x[start : start + BLOCK_ROWS], beta, out=z[start : start + BLOCK_ROWS])
-        z += spec.beta0
-        p = _sigmoid(z)
-        y = rng.uniform(0.0, 1.0, batch) < p
-        if have_pos < want_pos:
-            take = x[y][: want_pos - have_pos]
-            pos_rows.append(take)
-            have_pos += take.shape[0]
-        if have_neg < want_neg:
-            take = x[~y][: want_neg - have_neg]
-            neg_rows.append(take)
-            have_neg += take.shape[0]
-    features = np.concatenate(
-        [np.concatenate(neg_rows) if neg_rows else np.zeros((0, 10))]
-        + ([np.concatenate(pos_rows)] if pos_rows else [])
-    )
-    labels = np.concatenate([np.zeros(want_neg, dtype=np.int64), np.ones(want_pos, dtype=np.int64)])
-    ds = CohortDataset(features, labels)
-    # interleave classes deterministically so downstream batching is not
-    # accidentally sorted by label
-    order = np.random.default_rng(derive_seed(spec.seed, "shuffle", site.name)).permutation(len(ds))
-    return ds.subset(order)
+            if next_row == end:
+                break  # both buckets are full; the rest of this pass goes unused
+            block = rows[: min(BLOCK_ROWS, batch - start)]
+            block[...] = cols[:, start : start + len(block)].T
+            z = block @ beta
+            z += spec.beta0
+            y = u[start : start + len(block)] < _sigmoid(z)
+            for cls, mask in ((0, ~y), (1, y)):
+                take = np.flatnonzero(mask)[: end[cls] - next_row[cls]]
+                features[where[next_row[cls] : next_row[cls] + take.size]] = block[take]
+                next_row[cls] += take.size
+    return CohortDataset(features, order >= want_neg)
 
 
 def generate_cohort(spec: GeneratorSpec) -> dict[str, CohortDataset]:
@@ -210,7 +221,7 @@ def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0)
     if not 0 < train_frac < 1:
         raise SplitError("train_frac must be in (0, 1)")
     rng = np.random.default_rng(derive_seed(seed, "split"))
-    train_idx, valid_idx = [], []
+    in_train = np.zeros(len(ds), dtype=bool)
     for cls in (0, 1):
         idx = np.flatnonzero(ds.labels == cls)
         if idx.size < 2:
@@ -220,16 +231,16 @@ def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0)
             raise SplitError(
                 f"train_frac {train_frac} leaves class {cls} empty on one side"
             )
-        perm = rng.permutation(idx)
-        train_idx.append(perm[:n_train])
-        valid_idx.append(perm[n_train:])
-    train = ds.subset(np.sort(np.concatenate(train_idx)))
-    valid = ds.subset(np.sort(np.concatenate(valid_idx)))
-    return train, valid
+        in_train[rng.permutation(idx)[:n_train]] = True
+    # both parts keep the input's row order
+    return ds.subset(np.flatnonzero(in_train)), ds.subset(np.flatnonzero(~in_train))
 
 
 def kfold_split(ds: CohortDataset, k: int = 10, seed: int = 0):
-    """Stratified k-fold; yields (train, test) with every row in one test fold."""
+    """Stratified k-fold: an iterator of (train, test), every row in one test fold.
+
+    Bad arguments raise here, at the call, not when the first fold is drawn.
+    """
     if k < 2:
         raise SplitError("k must be at least 2")
     rng = np.random.default_rng(derive_seed(seed, "kfold"))
@@ -240,11 +251,11 @@ def kfold_split(ds: CohortDataset, k: int = 10, seed: int = 0):
             raise SplitError(f"class {cls} has {idx.size} rows; need at least k={k}")
         perm = rng.permutation(idx)
         fold_of[perm] = np.arange(perm.size) % k
-    folds = []
-    for f in range(k):
-        test_mask = fold_of == f
-        folds.append((ds.subset(np.flatnonzero(~test_mask)), ds.subset(np.flatnonzero(test_mask))))
-    return folds
+    # folds are built as they are consumed, so only one is held at a time
+    return (
+        (ds.subset(np.flatnonzero(fold_of != f)), ds.subset(np.flatnonzero(fold_of == f)))
+        for f in range(k)
+    )
 
 
 def write_csv(ds: CohortDataset, path) -> None:

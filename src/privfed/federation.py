@@ -610,10 +610,7 @@ def run_tcp_client(cfg: ExperimentConfig, site: str, host: str, port: int) -> No
 
 def run_central(cfg: ExperimentConfig) -> RunReport:
     """Pooled-data baseline: k-fold cross-validation with the same learner."""
-    datasets = build_site_datasets(cfg)
-    full = concat_datasets(
-        [concat_datasets([train, valid]) for train, valid in datasets.values()]
-    )
+    full = concat_datasets(part for parts in build_site_datasets(cfg).values() for part in parts)
     kind = ModelKind(cfg.model)
     report = RunReport(kind="central", method="cml", learner=cfg.model, config=cfg.to_dict())
     t0 = time.monotonic()

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from privfed.data import (
     SiteSpec,
     concat_datasets,
     generate_cohort,
+    generate_site,
     kfold_split,
     read_csv,
     scaled_counts,
@@ -20,6 +22,7 @@ from privfed.data import (
 )
 from privfed.errors import ConfigError, ParseError, SplitError
 from privfed.federation import build_site_datasets
+from privfed.seeds import derive_seed
 
 SMALL_SITES = (
     SiteSpec("alpha", 400, 40),
@@ -86,6 +89,32 @@ class TestGeneration:
                 digest.update(part.labels.tobytes())
         assert digest.hexdigest() == "fa5a97e5858c6e30acdcb35415bdc22a24e1aa33e423b320e46339e14070946b"
 
+    def test_full_scale_sites_are_pinned(self):
+        # the same digest at full scale, where every site makes two rejection
+        # passes; taken before rows were written straight into shuffled places
+        cfg = load_config(None, ["data.scale_factor=1.0", "seed=7"])
+        digest = hashlib.sha256()
+        for train, valid in build_site_datasets(cfg).values():
+            for part in (train, valid):
+                digest.update(part.features.tobytes())
+                digest.update(part.labels.tobytes())
+        assert digest.hexdigest() == "4bc018e2d148d8c4c3e87f63c8b3cbc0f6d82250e74ab20974c083eb0002453a"
+
+    def test_generation_memory_peak(self):
+        # rows are written once into the returned array, so the peak stays a
+        # small multiple of the result (it was 5x with per-class copies)
+        spec = GeneratorSpec(seed=11, scale_factor=0.1)
+        site = DEFAULT_SITES[2]
+        rng = np.random.default_rng(derive_seed(spec.seed, "site", site.name))
+        tracemalloc.start()
+        try:
+            ds = generate_site(spec, site, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 41800
+        assert peak < 4 * (ds.features.nbytes + ds.labels.nbytes)
+
 
 class TestSplit:
     def test_stratified_arithmetic(self):
@@ -130,20 +159,20 @@ class TestSplit:
 class TestKfold:
     def test_fold_sizes(self):
         ds = small_dataset(n=1000, pos_frac=0.1, seed=10)
-        folds = kfold_split(ds, k=10, seed=0)
+        folds = list(kfold_split(ds, k=10, seed=0))
         assert len(folds) == 10
         for _, test in folds:
             assert len(test) == 100
 
     def test_test_folds_cover_dataset(self):
         ds = small_dataset(n=97, pos_frac=0.3, seed=11)
-        folds = kfold_split(ds, k=5, seed=1)
+        folds = list(kfold_split(ds, k=5, seed=1))
         rows = np.concatenate([t.features for _, t in folds])
         assert sorted(map(tuple, rows)) == sorted(map(tuple, ds.features))
 
     def test_k2_symmetric_partition(self):
         ds = small_dataset(n=40, pos_frac=0.5, seed=12)
-        folds = kfold_split(ds, k=2, seed=2)
+        folds = list(kfold_split(ds, k=2, seed=2))
         a_train, a_test = folds[0]
         b_train, b_test = folds[1]
         assert sorted(map(tuple, a_train.features)) == sorted(map(tuple, b_test.features))
@@ -204,3 +233,14 @@ def test_concat():
     b = small_dataset(n=6, pos_frac=0.5, seed=2)
     merged = concat_datasets([a, b])
     assert len(merged) == 16
+
+
+def test_constructor_rejects_bad_values():
+    x = np.zeros((4, 10))
+    y = np.array([0, 1, 0, 1])
+    x[2, 3] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        CohortDataset(x, y)
+    y[1] = 2
+    with pytest.raises(ConfigError, match="0/1"):
+        CohortDataset(np.zeros((4, 10)), y)

@@ -298,6 +298,28 @@ class TestAuth:
             client_end.recv()
         assert server.clients == {}
 
+    def test_duplicate_join_refused(self):
+        # a second channel joining as an admitted site gets an ERROR frame and
+        # a close; the first channel keeps the site's seat and stays open
+        cfg = sim_config()
+        server = FederationServer(cfg)
+        client = site_client(cfg)
+        first_end, first_client = tr.SimChannel.pair()
+        second_end, second_client = tr.SimChannel.pair()
+        first_client.send(client.join_frame())
+        second_client.send(client.join_frame())
+        with pytest.raises(ProtocolError, match=f"unexpected site {client.client_id!r}"):
+            server.accept_clients([first_end, second_end], timeout=5)
+        with pytest.raises(AuthError, match="unknown or duplicate site"):
+            client.check_ack(second_client.recv())
+        with pytest.raises(tr.ChannelClosed):
+            second_client.recv()
+        client.check_ack(first_client.recv())
+        with pytest.raises(TimeoutError):
+            first_client.recv()
+        assert list(server.clients) == [client.client_id]
+        assert server.clients[client.client_id].channel is first_end
+
 
 class TestClientHandle:
     """``FederationClient.handle`` is one protocol step: the reply to a

@@ -491,6 +491,31 @@ class TestLevelAccounting:
         assert add(a, b).level == a.level
 
 
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, TEST_PARAMS], ids=["default", "test"])
+class TestTrailingPrime:
+    """The last prime of the chain is encryption headroom: no key or
+    ciphertext row is reduced mod it, so a security bound need not count it."""
+
+    def test_in_no_field_of_the_context(self, params):
+        trailing = generate_ntt_primes(params.modulus_bits, params.poly_degree)[-1]
+        ctx = _context(params)
+        fields = []
+        for value in vars(ctx).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, PrimeField):
+                    fields.append(item)
+        assert fields
+        assert all(trailing not in field.primes for field in fields)
+        assert trailing not in ctx.active_primes
+
+    def test_key_and_fresh_ciphertext_rows(self, params):
+        rows = len(params.modulus_bits) - 1
+        key = keygen(params, np.random.default_rng(5))
+        assert key.secret.w.shape[0] == key.secret.w_hi.shape[0] == key.secret.w_lo.shape[0] == rows
+        ct = encrypt(encode([1.0], params), key, np.random.default_rng(6))
+        assert ct.c0.shape[0] == ct.c1.shape[0] == rows
+
+
 class TestPacking:
     def test_lr_update_single_chunk(self):
         chunks = pack_update(np.ones(11), TEST_PARAMS)

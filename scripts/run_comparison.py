@@ -21,12 +21,11 @@ minutes, and the script runs six federated arms and two cML arms.
 """
 
 import argparse
-import csv
 import os
 
 from privfed.config import load_config
 from privfed.federation import run_central, run_simulation
-from privfed.report import TIMING_COLUMNS, emit_report, write_summary_csv
+from privfed.report import emit_report, write_summary_csv, write_timings_csv
 
 DESK = ["rounds=50", "data.scale_factor=0.02", "learning_rate=0.1", "seed=2024", "central_epochs=600"]
 METHODS = {"cml": [], "fedavg": [], "fedavg_dp": ["privacy.mode=dp"], "fedavg_he": ["privacy.mode=he"]}
@@ -45,7 +44,7 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    timing_rows = []
+    reports = []
     for learner in args.learners:
         for method, mode in METHODS.items():
             cfg = load_config(None, [f"model={learner}", *DESK, *args.overrides, *mode])
@@ -55,8 +54,8 @@ def main():
             out_dir = os.path.join(args.out, f"{method}_{learner}")
             emit_report(report, out_dir)
             rows.append(report.summary_row())
+            reports.append(report)
             totals = report.totals()
-            timing_rows.append([method, learner] + [totals[k] for k in TIMING_COLUMNS[2:]])
             print(
                 f"{method}/{learner}: auc={rows[-1]['auc_mean']:.4f}+-{rows[-1]['auc_std']:.4f} "
                 f"wall={totals['total_wall_seconds']:.1f}s payload={totals['payload_bytes']}B"
@@ -64,10 +63,7 @@ def main():
 
     rows.sort(key=lambda r: (r["learner"], r["method"]))
     write_summary_csv(rows, os.path.join(args.out, "summary.csv"))
-    with open(os.path.join(args.out, "timings.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_COLUMNS)
-        writer.writerows(timing_rows)
+    write_timings_csv(reports, os.path.join(args.out, "timings.csv"))
     print(f"merged summary: {os.path.join(args.out, 'summary.csv')}")
 
 

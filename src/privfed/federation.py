@@ -155,45 +155,52 @@ class FederationServer:
     # -- registration --------------------------------------------------------
 
     def accept_clients(self, channels: list, timeout: float | None = None) -> None:
-        """Read one JOIN per channel and admit the site, or refuse it and raise.
+        """Admit the site on each channel in turn; raise at the first refusal
+        or if a site has not joined by the end."""
+        for channel in channels:
+            self._admit(channel, timeout)
+        self._check_all_joined()
+
+    def _admit(self, channel, timeout: float | None) -> None:
+        """Read one JOIN from ``channel`` and admit the site, or refuse it and raise.
 
         A JOIN fixes the site's session: its name, its weight and, through
         the session digest, the model, privacy mode, DP and HE parameters and
         weighting it runs.  A site refused here never sees a broadcast, so it
         sends no update.
         """
-        expected = set(self.cfg.site_names())
-        for channel in channels:
-            frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
-            if frame.msg_type != tr.MSG_JOIN:
-                raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
-            try:
-                join = tr.decode_join(frame.body)
-            except DecodeError as err:
-                reason = f"malformed JOIN: {err}"
-                raise _refuse(channel, reason, ProtocolError(reason)) from None
-            if not hmac.compare_digest(join.token.encode(), self.cfg.token.encode()):
-                raise _refuse(
-                    channel, "bad token", AuthError(f"client {join.client_id!r} presented a bad token")
-                )
-            if join.client_id not in expected or join.client_id in self.clients:
-                raise _refuse(
-                    channel,
-                    "unknown or duplicate site",
-                    ProtocolError(f"unexpected site {join.client_id!r}"),
-                )
-            if join.session_digest != self.session_digest:
-                raise _refuse(
-                    channel,
-                    "session settings differ from the coordinator's "
-                    "(model, privacy mode, dp, he or weighting)",
-                    ConfigError(f"client {join.client_id!r} joined with other session settings"),
-                )
-            weight = float(join.n_train) if self.cfg.weighting == "examples" else 1.0
-            self.clients[join.client_id] = ClientRecord(join.client_id, weight, channel)
-            channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
-            self._log("join", join.client_id)
-        missing = expected - set(self.clients)
+        frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
+        if frame.msg_type != tr.MSG_JOIN:
+            raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
+        try:
+            join = tr.decode_join(frame.body)
+        except DecodeError as err:
+            reason = f"malformed JOIN: {err}"
+            raise _refuse(channel, reason, ProtocolError(reason)) from None
+        if not hmac.compare_digest(join.token.encode(), self.cfg.token.encode()):
+            raise _refuse(
+                channel, "bad token", AuthError(f"client {join.client_id!r} presented a bad token")
+            )
+        if join.client_id not in self.cfg.site_names() or join.client_id in self.clients:
+            raise _refuse(
+                channel,
+                "unknown or duplicate site",
+                ProtocolError(f"unexpected site {join.client_id!r}"),
+            )
+        if join.session_digest != self.session_digest:
+            raise _refuse(
+                channel,
+                "session settings differ from the coordinator's "
+                "(model, privacy mode, dp, he or weighting)",
+                ConfigError(f"client {join.client_id!r} joined with other session settings"),
+            )
+        weight = float(join.n_train) if self.cfg.weighting == "examples" else 1.0
+        self.clients[join.client_id] = ClientRecord(join.client_id, weight, channel)
+        channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
+        self._log("join", join.client_id)
+
+    def _check_all_joined(self) -> None:
+        missing = set(self.cfg.site_names()) - set(self.clients)
         if missing:
             raise ProtocolError(f"sites never joined: {sorted(missing)}")
 
@@ -584,17 +591,33 @@ def run_simulation(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:
+    """The coordinator over TCP.  It accepts connections and admits them one
+    at a time until every site has joined or ``timeout_seconds`` have passed,
+    each JOIN read bounded by the time left.  A connection that is refused,
+    hangs up or sends no JOIN in time is closed and logged as "refused", and
+    the coordinator keeps listening."""
     listener = tr.TcpListener(host, port)
-    channels = []
+    server = FederationServer(cfg)
     try:
-        for _ in cfg.site_names():
-            channels.append(listener.accept(timeout=cfg.timeout_seconds))
-        server = FederationServer(cfg)
-        server.accept_clients(channels, timeout=cfg.timeout_seconds)
+        deadline = time.monotonic() + cfg.timeout_seconds
+        while len(server.clients) < len(cfg.site_names()):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            try:
+                channel = listener.accept(timeout=remaining)
+            except TimeoutError:
+                break
+            try:
+                server._admit(channel, timeout=max(deadline - time.monotonic(), 0.0))
+            except (AuthError, ConfigError, DecodeError, ProtocolError, OSError) as err:
+                channel.close()  # refused, malformed, hung up or silent
+                server._log("refused", f"{type(err).__name__}: {err}")
+        server._check_all_joined()
         return server.run()
     finally:
-        for channel in channels:
-            channel.close()
+        for record in server.clients.values():
+            record.channel.close()
         listener.close()
 
 

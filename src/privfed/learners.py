@@ -18,16 +18,16 @@ through ``train_local`` and ``predict_batch`` to the run report.  Each kind
 has a static layout (``LAYOUTS``, with each tensor's slice of θ in
 ``SLICES`` and θ's length in ``N_PARAMS``): tensors in declaration order,
 row-major within each, so ``hidden_w`` row h holds hidden unit h's weights.
-Each kind has one kernel that writes one row block's share of the loss
-gradient into a reused vector; a step is the sum of its batch's blocks of at
-most ``BLOCK_ROWS`` rows.  ``train_local`` allocates its work arrays once per
-call, sized by min(n, batch_size, BLOCK_ROWS) rows; a full-batch run adds one
-column-major copy of the features, so both BLAS products read contiguous
-feature columns.  The NN kernel keeps activations hidden-major,
-``(5, rows)``, so both matmuls go to BLAS and the layer-norm reductions over
-the 5 hidden units are row-wise adds.
-Prediction (``predict_batch``) keeps ``einsum``, so a batch is bitwise equal
-to its rows evaluated one at a time.
+Each kind has one forward pass, which writes a row block's logits into a
+``Workspace``, and one kernel, which runs that forward and then writes the
+block's share of the loss gradient into a reused vector; a step is the sum of
+its batch's blocks of at most ``BLOCK_ROWS`` rows.  ``train_local`` allocates
+its work arrays once per call, sized by min(n, batch_size, BLOCK_ROWS) rows;
+a full-batch run adds one column-major copy of the features, so both BLAS
+products read contiguous feature columns.  The NN forward keeps activations
+hidden-major, ``(5, rows)``, so both matmuls go to BLAS and the layer-norm
+reductions over the 5 hidden units are row-wise adds.  Prediction
+(``predict_batch``) runs the same forward over the same row blocks.
 """
 
 from __future__ import annotations
@@ -127,38 +127,9 @@ def _theta(kind: ModelKind, theta) -> np.ndarray:
     return theta
 
 
-def _logits(kind: ModelKind, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # einsum keeps each output row an independent fixed-order sum, so the
-    # batched path is bitwise identical to evaluating rows one at a time
-    s = SLICES[kind]
-    if kind is ModelKind.LOGISTIC_REGRESSION:
-        return np.einsum("nd,d->n", x, theta[s["coef"]]) + theta[s["intercept"]][0]
-    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
-    hidden = np.maximum(np.einsum("nd,hd->nh", x, w), 0.0)
-    mean = hidden.mean(axis=1, keepdims=True)
-    var = hidden.var(axis=1, keepdims=True)  # biased estimator
-    normed = (hidden - mean) * (1.0 / np.sqrt(var + LN_EPS))
-    z = normed * theta[s["ln_gain"]] + theta[s["ln_bias"]]
-    return np.einsum("nh,h->n", z, theta[s["out_w"]]) + theta[s["out_b"]][0]
-
-
-def predict_batch(kind: ModelKind, theta, features) -> np.ndarray:
-    """Probabilities for a feature matrix, bitwise equal to those of its rows
-    passed one at a time."""
-    kind = ModelKind(kind)
-    theta = _theta(kind, theta)
-    x = np.asarray(features, dtype=np.float64)
-    if x.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    x = x.reshape(-1, N_FEATURES)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
-    return _sigmoid(_logits(kind, theta, x))
-
-
 class Workspace:
-    """Work arrays for one kind's kernel on row blocks of up to
-    min(``rows``, BLOCK_ROWS) rows.
+    """Work arrays for one kind's forward pass and kernel on row blocks of up
+    to min(``rows``, BLOCK_ROWS) rows.
 
     ``grad`` receives the gradient in θ's layout.  When ``rows`` spans
     several blocks, ``part`` receives a later block's share of it.  With
@@ -214,28 +185,37 @@ def _bce_head(z: np.ndarray, y: np.ndarray, n: int, vec: np.ndarray) -> np.ndarr
     return d
 
 
-# A kernel writes into g the gradient of a row block's share of the mean BCE
-# over an n-row batch, plus l2 times the penalized weights.
+# A forward writes a row block's logits into ``vec[3]`` of ``work`` and
+# returns them.  A kernel runs its kind's forward on the block, then writes
+# into g the gradient of the block's share of the mean BCE over an n-row
+# batch, plus l2 times the penalized weights.
+
+
+def _lr_forward(theta, x, work) -> np.ndarray:
+    s = SLICES[ModelKind.LOGISTIC_REGRESSION]
+    z = work.vectors(x.shape[0])[3]
+    np.matmul(x, theta[s["coef"]], out=z)
+    z += theta[s["intercept"]][0]
+    return z
 
 
 def _lr_kernel(theta, x, y, n, l2, g, work) -> None:
     s = SLICES[ModelKind.LOGISTIC_REGRESSION]
     coef = theta[s["coef"]]
-    vec = work.vectors(x.shape[0])
-    z = vec[3]
-    np.matmul(x, coef, out=z)
-    z += theta[s["intercept"]][0]
-    d = _bce_head(z, y, n, vec)
+    z = _lr_forward(theta, x, work)
+    d = _bce_head(z, y, n, work.vectors(x.shape[0]))
     np.matmul(d, x, out=g[s["coef"]])
     g[s["coef"]] += l2 * coef
     g[s["intercept"]] = d.sum()
 
 
-def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
+def _nn_forward(theta, x, work) -> np.ndarray:
+    """Also leaves, for the kernel's backward, the normalized activations
+    and the ReLU mask in ``work.hidden(m)[0]`` and ``[2]``, the per-row
+    inverse std in ``vec[4]`` and u = (out_w * ln_gain) @ normed in
+    ``vec[5]``."""
     s = SLICES[ModelKind.FEEDFORWARD_NN]
     w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
-    gain = theta[s["ln_gain"]]
-    bias = theta[s["ln_bias"]]
     out_w = theta[s["out_w"]]
     m = x.shape[0]
     act, tmp, live = work.hidden(m)
@@ -261,9 +241,22 @@ def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
     np.divide(1.0, stat, out=stat)  # inv_std
     act *= stat  # normed
     # logit = sum_h out_w*(gain*normed + bias) + out_b = a @ normed + c0
-    a = out_w * gain
-    np.matmul(a, act, out=u)
-    np.add(u, float(out_w @ bias) + theta[s["out_b"]][0], out=z)
+    np.matmul(out_w * theta[s["ln_gain"]], act, out=u)
+    np.add(u, float(out_w @ theta[s["ln_bias"]]) + theta[s["out_b"]][0], out=z)
+    return z
+
+
+def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
+    s = SLICES[ModelKind.FEEDFORWARD_NN]
+    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
+    gain = theta[s["ln_gain"]]
+    bias = theta[s["ln_bias"]]
+    out_w = theta[s["out_w"]]
+    z = _nn_forward(theta, x, work)
+    m = x.shape[0]
+    act, tmp, live = work.hidden(m)
+    vec = work.vectors(m)
+    stat, u = vec[4], vec[5]
     d = _bce_head(z, y, n, vec)
 
     sum_d = d.sum()
@@ -272,8 +265,9 @@ def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
     np.multiply(out_w, normed_d, out=g[s["ln_gain"]])
     np.multiply(out_w, sum_d, out=g[s["ln_bias"]])
     g[s["out_w"]] = gain * normed_d + bias * sum_d + l2 * out_w
-    # layer-norm backward with dnormed = d*a: per row,
+    # layer-norm backward with dnormed = d*a, a = out_w*gain: per row,
     # dhidden = inv_std*d * ((a - mean(a)) - normed * (a @ normed)/5)
+    a = out_w * gain
     u /= N_HIDDEN
     np.multiply(act, u, out=tmp)
     np.subtract((a - a.mean())[:, None], tmp, out=tmp)
@@ -303,6 +297,27 @@ def _loss_sum(y, work) -> float:
     loss_sum = float(t.sum())
     np.maximum(z, 0.0, out=t)
     return loss_sum + (float(t.sum()) - float(y @ z))
+
+
+def predict_batch(kind: ModelKind, theta, features) -> np.ndarray:
+    """Probabilities for a feature matrix, from the kernels' forward pass run
+    on row blocks of at most BLOCK_ROWS rows."""
+    kind = ModelKind(kind)
+    theta = _theta(kind, theta)
+    x = np.asarray(features, dtype=np.float64)
+    if x.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    x = x.reshape(-1, N_FEATURES)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite feature value")
+    forward = _lr_forward if kind is ModelKind.LOGISTIC_REGRESSION else _nn_forward
+    n = x.shape[0]
+    work = Workspace(kind, n)
+    out = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS  # slicing stops at the last row
+        out[start:stop] = _sigmoid(forward(theta, x[start:stop], work))
+    return out
 
 
 def loss_and_grad(

@@ -243,14 +243,7 @@ def emit_report(run: RunReport, out_dir) -> dict[str, str]:
     write_summary_csv(rows, paths["summary"])
 
     paths["timings"] = os.path.join(out_dir, "timings.csv")
-    totals = run.totals()
-    with open(paths["timings"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_COLUMNS)
-        writer.writerow(
-            [run.method, run.learner]
-            + [repr(totals[k]) if isinstance(totals[k], float) else totals[k] for k in TIMING_COLUMNS[2:]]
-        )
+    write_timings_csv([run], paths["timings"])
     return paths
 
 
@@ -262,6 +255,19 @@ def write_summary_csv(rows: list[dict], path) -> None:
             writer.writerow(
                 [row["method"], row["learner"]]
                 + [repr(float(row[k])) for k in SUMMARY_COLUMNS[2:]]
+            )
+
+
+def write_timings_csv(reports: list[RunReport], path) -> None:
+    """One row of ``totals()`` per report, in the order given."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TIMING_COLUMNS)
+        for run in reports:
+            totals = run.totals()
+            writer.writerow(
+                [run.method, run.learner]
+                + [repr(totals[k]) if isinstance(totals[k], float) else totals[k] for k in TIMING_COLUMNS[2:]]
             )
 
 

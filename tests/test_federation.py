@@ -919,6 +919,95 @@ class TestTcpCoordinator:
         assert not report.aborted, report.abort_reason
         assert [str(w.message) for w in caught if "unclosed <socket" in str(w.message)] == []
 
+    def coordinate_in_thread(self, cfg, monkeypatch):
+        """Start ``run_tcp_server`` on a free port in a thread; returns the
+        thread, the port and a dict that receives its report or error."""
+        ports = []
+        listening = threading.Event()
+
+        class RecordingListener(tr.TcpListener):
+            def __init__(self, host, port):
+                super().__init__(host, port)
+                ports.append(self.port)
+                listening.set()
+
+        monkeypatch.setattr(tr, "TcpListener", RecordingListener)
+        result = {}
+
+        def coordinate():
+            try:
+                result["report"] = federation.run_tcp_server(cfg, "127.0.0.1", 0)
+            except Exception as err:
+                result["error"] = err
+
+        thread = threading.Thread(target=coordinate)
+        thread.start()
+        assert listening.wait(10)
+        return thread, ports[0], result
+
+    def test_refused_connections_do_not_stop_the_coordinator(self, monkeypatch):
+        # a port probe that connects and hangs up, then a JOIN with a wrong
+        # token: each is closed and the four sites still run to the end
+        cfg = sim_config("rounds=1", "timeout_seconds=10")
+        datasets = build_site_datasets(cfg)
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        tr.open_tcp_channel("127.0.0.1", port).close()
+        intruder = tr.open_tcp_channel("127.0.0.1", port)
+        try:
+            body = tr.JoinBody(cfg.site_names()[0], "not-the-token", 10, cfg.session_digest())
+            intruder.send(tr.Frame(tr.MSG_JOIN, 0, tr.encode_join(body)))
+            reply = intruder.recv(timeout=10)
+            assert reply.msg_type == tr.MSG_ERROR
+            assert tr.decode_error(reply.body) == "bad token"
+            with pytest.raises(tr.ChannelClosed):
+                intruder.recv(timeout=10)
+        finally:
+            intruder.close()
+
+        def serve(name):
+            channel = tr.open_tcp_channel("127.0.0.1", port)
+            try:
+                FederationClient(cfg, name, *datasets[name]).run(channel)
+            finally:
+                channel.close()
+
+        sites = [threading.Thread(target=serve, args=(name,)) for name in cfg.site_names()]
+        for site in sites:
+            site.start()
+        for site in [*sites, thread]:
+            site.join(timeout=20)
+            assert not site.is_alive()
+        report = result["report"]
+        assert not report.aborted, report.abort_reason
+        refused = [who for _, kind, who in report.event_log if kind == "refused"]
+        assert refused == [
+            "ChannelClosed: peer closed the channel",
+            f"AuthError: client {cfg.site_names()[0]!r} presented a bad token",
+        ]
+        joined = [who for _, kind, who in report.event_log if kind == "join"]
+        assert sorted(joined) == sorted(cfg.site_names())
+
+    def test_missing_site_ends_with_the_join_deadline(self, monkeypatch):
+        # three sites join; the coordinator gives up on the fourth when
+        # timeout_seconds have passed since it started listening
+        cfg = sim_config("rounds=1", "timeout_seconds=2")
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        t0 = time.monotonic()
+        channels = [tr.open_tcp_channel("127.0.0.1", port) for _ in range(3)]
+        try:
+            for name, channel in zip(cfg.site_names(), channels):
+                channel.send(join_frame(cfg, name))
+                assert channel.recv(timeout=10).msg_type == tr.MSG_JOIN_ACK
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            for channel in channels:
+                channel.close()
+        assert time.monotonic() - t0 < 5
+        error = result["error"]
+        assert isinstance(error, ProtocolError)
+        assert str(error) == f"sites never joined: [{cfg.site_names()[3]!r}]"
+
     def faulty_second_site(self, fault):
         """Run a TCP coordinator whose first site sends a good update and whose
         second site calls ``fault(socket, its update frame)`` and hangs up.

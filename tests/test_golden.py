@@ -1,5 +1,5 @@
 """Golden fingerprints: the SHA-256 of ``nontiming_view`` for tiny fixed-seed
-runs in each privacy mode.  A refactor that moves any non-timing byte of a
+runs in each privacy mode, for both learners.  A refactor that moves any non-timing byte of a
 report fails here.  The plain and DP hashes depend on no HE code; the HE hash
 moves whenever the CKKS random stream or ciphertext bytes do."""
 
@@ -13,6 +13,7 @@ from privfed.federation import run_simulation
 from privfed.report import nontiming_view
 
 TINY = ["model=nn", "data.scale_factor=0.02", "rounds=4", "seed=11"]
+TINY_LR = ["model=lr", *TINY[1:]]
 
 
 @pytest.mark.parametrize(
@@ -27,6 +28,20 @@ TINY = ["model=nn", "data.scale_factor=0.02", "rounds=4", "seed=11"]
 def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     monkeypatch.delenv("PRIVFED_TOKEN", raising=False)  # the token is part of the config
     assert report_fingerprint([f"privacy.mode={mode}", *TINY]) == fingerprint
+
+
+@pytest.mark.parametrize(
+    "mode, fingerprint",
+    [
+        ("plain", "bf8840a3516e3e713de5afb4daf7caa643f06532e7413887ebe6779cc9c1d23b"),
+        ("dp", "e64346377690a12ee179332b5691a31c34eb2a4a582bf3d209a26e13e43fe797"),
+        ("he", "ed1d3bc9ce6c0c0f138c0bf737ac16f9b633886bc2eb08fee083be12485995b5"),
+    ],
+    ids=["plain", "dp", "he"],
+)
+def test_lr_nontiming_fingerprint(mode, fingerprint, monkeypatch):
+    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
+    assert report_fingerprint([f"privacy.mode={mode}", *TINY_LR]) == fingerprint
 
 
 def report_fingerprint(overrides) -> str:

@@ -117,16 +117,56 @@ class TestPredictBatch:
         assert out.shape == (1,)
         assert out[0] == predict_batch(ModelKind.FEEDFORWARD_NN, ps, x)[0]
 
+
+class TestBlockedPrediction:
+    """Prediction runs the kernels' forward pass on row blocks of at most
+    BLOCK_ROWS rows, here patched down to 64."""
+
+    BLOCK = 64
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        """(forward's name, rows) of each call of either forward pass."""
+        monkeypatch.setattr(learners, "BLOCK_ROWS", self.BLOCK)
+        calls = []
+        for name in ("_lr_forward", "_nn_forward"):
+
+            def spy(theta, x, work, name=name, forward=getattr(learners, name)):
+                calls.append((name, x.shape[0]))
+                return forward(theta, x, work)
+
+            monkeypatch.setattr(learners, name, spy)
+        return calls
+
+    @staticmethod
+    def closed_form(kind, theta, x):
+        if kind is ModelKind.FEEDFORWARD_NN:
+            return np.array([nn_forward_oracle(theta, row) for row in x])
+        coef, intercept = theta[:10], theta[10]
+        logits = [sum(c * v for c, v in zip(coef, row)) + intercept for row in x]
+        return np.array([1.0 / (1.0 + math.exp(-z)) for z in logits])
+
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_batch_equals_loop_of_forward_exactly(self, kind):
+    def test_blocks_match_closed_form(self, kind, forward_calls):
+        # 331 rows: five 64-row blocks and an 11-row one
         rng = np.random.default_rng(7)
-        ps = init_params(kind, 7)
-        if kind is ModelKind.LOGISTIC_REGRESSION:
-            ps = np.concatenate([rng.normal(size=10), rng.normal(size=1)])
-        x = rng.normal(size=(1000, 10))
-        batch = predict_batch(kind, ps, x)
-        loop = np.array([predict_row(kind, ps, row) for row in x])
-        assert np.array_equal(batch, loop)
+        params = random_params(kind, rng, 7)
+        x = rng.normal(size=(331, 10))
+        got = predict_batch(kind, params, x)
+        assert np.max(np.abs(got - self.closed_form(kind, params, x))) <= 1e-12
+        assert [rows for _, rows in forward_calls] == [64] * 5 + [11]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_training_and_prediction_share_one_forward(self, kind, forward_calls):
+        rng = np.random.default_rng(9)
+        params = random_params(kind, rng, 9)
+        x = rng.normal(size=(331, 10))
+        loss_and_grad(kind, params, x, rng.integers(0, 2, 331), 1e-3)
+        trained = list(forward_calls)
+        forward_calls.clear()
+        predict_batch(kind, params, x)
+        name = "_lr_forward" if kind is ModelKind.LOGISTIC_REGRESSION else "_nn_forward"
+        assert trained == forward_calls == [(name, rows) for rows in [64] * 5 + [11]]
 
 
 class TestTraining:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from privfed.report import TIMING_COLUMNS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -30,6 +32,15 @@ def test_comparison_writes_all_four_methods(tmp_path):
     with open(tmp_path / "summary.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(row["method"], row["learner"]) for row in rows] == [
+        ("cml", "lr"),
+        ("fedavg", "lr"),
+        ("fedavg_dp", "lr"),
+        ("fedavg_he", "lr"),
+    ]
+    with open(tmp_path / "timings.csv", newline="") as fh:
+        timings = list(csv.reader(fh))
+    assert timings[0] == TIMING_COLUMNS
+    assert [tuple(row[:2]) for row in timings[1:]] == [
         ("cml", "lr"),
         ("fedavg", "lr"),
         ("fedavg_dp", "lr"),

@@ -165,11 +165,16 @@ def _draw_features(rng: np.random.Generator, n: int, spec: GeneratorSpec) -> np.
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """exp(min(z, 0)) / (1 + exp(-|z|)), the form ``learners._bce_head`` uses.
+    For z >= 0 it is 1 / (1 + exp(-z)) and otherwise exp(z) / (1 + exp(z)):
+    on either sign the same operations as a two-branch form, with no mask."""
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(z, 0.0)
+    np.exp(out, out=out)
+    out /= den
     return out
 
 

@@ -34,6 +34,7 @@ import contextlib
 import functools
 import hmac
 import os
+import selectors
 import time
 from dataclasses import dataclass
 
@@ -155,21 +156,21 @@ class FederationServer:
     # -- registration --------------------------------------------------------
 
     def accept_clients(self, channels: list, timeout: float | None = None) -> None:
-        """Admit the site on each channel in turn; raise at the first refusal
-        or if a site has not joined by the end."""
+        """Read and admit the JOIN on each channel in turn; raise at the first
+        refusal or if a site has not joined by the end."""
         for channel in channels:
-            self._admit(channel, timeout)
+            self._admit(channel, channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY))
         self._check_all_joined()
 
-    def _admit(self, channel, timeout: float | None) -> None:
-        """Read one JOIN from ``channel`` and admit the site, or refuse it and raise.
+    def _admit(self, channel, frame: tr.Frame) -> None:
+        """Admit the site whose first frame, read from ``channel``, is
+        ``frame``, or refuse it and raise.
 
         A JOIN fixes the site's session: its name, its weight and, through
         the session digest, the model, privacy mode, DP and HE parameters and
         weighting it runs.  A site refused here never sees a broadcast, so it
         sends no update.
         """
-        frame = channel.recv(timeout=timeout, max_body=tr.MAX_JOIN_BODY)
         if frame.msg_type != tr.MSG_JOIN:
             raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
         try:
@@ -591,28 +592,49 @@ def run_simulation(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:
-    """The coordinator over TCP.  It accepts connections and admits them one
-    at a time until every site has joined or ``timeout_seconds`` have passed,
-    each JOIN read bounded by the time left.  A connection that is refused,
-    hangs up or sends no JOIN in time is closed and logged as "refused", and
-    the coordinator keeps listening."""
+    """The coordinator over TCP.  Until every site has joined or
+    ``timeout_seconds`` have passed since it started listening, one
+    ``selectors`` loop accepts connections and assembles each one's JOIN
+    frame as its bytes arrive, so a connection that stays silent or stalls
+    mid-frame keeps no other out.  A connection is admitted once its JOIN is
+    whole.  One that is refused, malformed or hangs up, and one still
+    without a whole JOIN when joining ends, is closed and logged as
+    "refused"."""
     listener = tr.TcpListener(host, port)
     server = FederationServer(cfg)
+    pending: dict = {}  # channel -> the JOIN bytes read so far, in accept order
     try:
-        deadline = time.monotonic() + cfg.timeout_seconds
-        while len(server.clients) < len(cfg.site_names()):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                channel = listener.accept(timeout=remaining)
-            except TimeoutError:
-                break
-            try:
-                server._admit(channel, timeout=max(deadline - time.monotonic(), 0.0))
-            except (AuthError, ConfigError, DecodeError, ProtocolError, OSError) as err:
-                channel.close()  # refused, malformed, hung up or silent
+        with selectors.DefaultSelector() as selector:
+
+            def refuse(channel, err: Exception) -> None:
+                if pending.pop(channel, None) is not None:
+                    selector.unregister(channel)
+                channel.close()
                 server._log("refused", f"{type(err).__name__}: {err}")
+
+            selector.register(listener, selectors.EVENT_READ)
+            deadline = time.monotonic() + cfg.timeout_seconds
+            while len(server.clients) < len(cfg.site_names()):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                ready = {key.fileobj for key, _ in selector.select(remaining)}
+                for channel in [c for c in pending if c in ready]:
+                    try:
+                        frame = channel.recv_ready(pending[channel], tr.MAX_JOIN_BODY)
+                        if frame is not None:
+                            del pending[channel]
+                            selector.unregister(channel)
+                            server._admit(channel, frame)
+                    except (AuthError, ConfigError, DecodeError, ProtocolError, OSError) as err:
+                        refuse(channel, err)
+                if listener in ready:
+                    with contextlib.suppress(TimeoutError):
+                        channel = listener.accept(timeout=0)
+                        pending[channel] = bytearray()
+                        selector.register(channel, selectors.EVENT_READ)
+            for channel in list(pending):
+                refuse(channel, TimeoutError("no whole JOIN when joining ended"))
         server._check_all_joined()
         return server.run()
     finally:

@@ -5,28 +5,48 @@ The aggregation circuit needs only ct+ct and a single ct*plaintext, so
 ciphertexts stay degree 1 and there is no relinearization, rotation, or
 bootstrapping.  Representation choices:
 
-- RNS: each polynomial is a (levels, N) uint64 array, one row per active
-  prime.  A ciphertext keeps both components in one (2, levels, N) array,
-  permanently in the NTT domain; rescaling transforms only the row being
-  dropped.  A plaintext is its coefficient residues: ``encode`` reduces the
-  rounded coefficients mod each prime, ``decrypt`` ends with one inverse
-  NTT, and ``decode`` combines the residues by CRT before the FFT.
+- RNS in coefficient form: each polynomial is a (levels, N) uint64 array of
+  coefficient residues, one row per active prime, and a ciphertext keeps
+  both components in one (2, levels, N) array.  Nothing is ever in an NTT
+  domain, so addition, the scalar product and the rescale are pointwise
+  (the rescale's dropped row is already coefficients), ``decrypt`` hands
+  its residues straight to ``decode``, and the wire header's hash names
+  this representation, so an NTT-form blob is refused.
+- One ring product: the circuit multiplies only by the ternary secret s,
+  in ``encrypt`` (a*s) and ``decrypt`` (c1*s).  ``_mul_secret`` computes
+  it exactly with a float FFT over small limbs (Klemsa, "Fast and
+  Error-Free Negacyclic Integer Convolution using Extended Fourier
+  Transform", CSCML 2021).  Each residue row is split into b = 20-bit limbs
+  (three for a 60-bit prime, two for a 40-bit one); coefficients k and
+  k + N/2 of a limb fold into one complex value, twisted by exp(i*pi*k/N),
+  so one N/2-point FFT pair over every limb of every row, with the key's
+  stored spectrum multiplied in between, gives each limb times s.  A limb
+  is below 2^b and s is ternary, so each product coefficient is an integer
+  of magnitude below N * 2^b (2^33 at N = 8192).
+- Exactness: Percival's bound for an FFT product ("Rapid multiplication
+  modulo the sum and difference of highly composite numbers", Math. Comp.
+  2003) puts every output within
+  ||x|| ||y|| ((1+e)^3k (1+e*sqrt5)^(3k+1) (1+t)^3k - 1) of the exact
+  integer, with k = log2(N/2), e = 2^-53 and t the twiddles' error.  Here
+  ||x|| <= 2^b sqrt(N) and ||y|| = ||s|| <= sqrt(N), so with t near e the
+  bound is about 2^b N (12.7k + 2.2) e: 1.5e-4 at N = 8192, plus a few e
+  from the twists, far below the 1/2 that rounding needs.  The code relies
+  on it, and checks it: a value more than 1/4 from an integer raises
+  ``StateError``.  Measured worst case: 4.8e-6.
+- Recombination: prime q's product is sum_k c_k 2^(bk) mod q over its
+  limbs' products c_k.  Its quotient by q (below 2^35 in magnitude) comes
+  from the float sum of c_k * (2^(bk) / q), which is off by at most one,
+  and the sum itself from wrapping uint64 arithmetic; the remainder then
+  lies in [-q, 2q) and two conditional corrections bring it to [0, q).
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
-  them (primes, fields, embedding twiddles, the wire hash).
-- Batched kernels: one stacked ``PrimeField`` over the active primes works
-  on (..., L, N) arrays, so each numpy call covers every row and polynomial
-  an operation touches, not one row.  Simulated clients share one GIL and
-  every numpy call is a point where it can change hands, so fewer, larger
-  calls matter more than their single-thread cost.  The butterflies use
-  Shoup twiddles and run their short-stride stages on a block-transposed
-  copy, so every numpy call reads long contiguous runs (see ``ntt``).
+  them (primes, fields, embedding twiddles, limb tables, the wire hash).
+  Its fields never build NTT twiddle tables.
 - Secret-key encryption: every client holds the cohort secret, so there is
-  no public key.  A fresh ciphertext is (c0, c1) = (-a*s + e + m, a) with a
-  uniform ``a`` drawn directly in the NTT domain, so an encryption makes one
-  (L, N) NTT call, over m + e.  The key is the secret's NTT rows with their
-  Shoup quotients, computed once at keygen, so a*s in ``encrypt`` and c1*s
-  in ``decrypt`` are each one Shoup product.
+  no public key.  A fresh ciphertext is (c0, c1) = (m + e - a*s, a) with a
+  uniform ``a`` drawn per prime row.  The key is the secret's folded
+  spectrum divided by N/2, computed once at keygen and reduced mod no
+  prime, so ``keygen`` runs no transform over residues.
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -56,9 +76,12 @@ from ..errors import (
     LayoutError,
     StateError,
 )
-from .ntt import PrimeField, ShoupTable, generate_ntt_primes
+from .ntt import PrimeField, generate_ntt_primes
 
 _CBD_BITS = 21  # centered binomial Sum(21) - Sum(21): variance 10.5, sigma 3.24
+_LIMB_BITS = 20  # b: limb width of the secret product
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_REPRESENTATION = "coefficient"  # hashed into the wire header: NTT-form blobs are refused
 _HEADER = struct.Struct("<8sBHI")
 _MAX_SCALE_LOG2 = 1023  # 2^1023 is the largest power of two a float64 holds
 
@@ -94,24 +117,39 @@ TEST_PARAMS = CkksParams(1024, (40, 30, 30), 30)
 
 
 class _Context:
-    """Derived per-params state: primes, fields, embedding twiddles, and the
-    8-byte parameter hash that heads every serialized ciphertext."""
+    """Derived per-params state: primes, fields, embedding twiddles, the
+    secret product's tables, and the 8-byte parameter hash that heads every
+    serialized ciphertext."""
 
     def __init__(self, params: CkksParams):
         self.params = params
         all_primes = generate_ntt_primes(params.modulus_bits, params.poly_degree)
         # the trailing prime is encryption headroom, never part of a ciphertext
         self.active_primes = all_primes[:-1]
-        field = PrimeField(self.active_primes, params.poly_degree)
+        n = params.poly_degree
+        field = PrimeField(self.active_primes, n)
         count = len(self.active_primes)
         # level_fields[l]: primes 0..l; prime_fields[i]: prime i alone (views)
         self.level_fields = [field.select(0, level + 1) for level in range(count)]
         self.prime_fields = [field.select(i, i + 1) for i in range(count)]
-        n = params.poly_degree
         t = np.arange(n)
         self.embed_fwd = np.exp(-1j * np.pi * t / n)  # encode: fft side
         self.embed_inv = np.exp(1j * np.pi * t / n)  # decode: ifft side
-        text = repr((params.poly_degree, params.modulus_bits, params.scale_log2))
+        # the secret product splits prime i's row into the limbs limb_rows[i]
+        # (rows of one limb axis over all primes), bits limb_shift[j] and up,
+        # and recombines them with limb_ratio[j] = 2^limb_shift[j] / q
+        self.limb_rows, self.limb_shift, self.limb_ratio = [], [], []
+        for q in self.active_primes:
+            start = len(self.limb_shift)
+            for shift in range(0, q.bit_length(), _LIMB_BITS):
+                self.limb_shift.append(shift)
+                self.limb_ratio.append(2.0**shift / q)
+            self.limb_rows.append(slice(start, len(self.limb_shift)))
+        self.limb_shift_column = np.array(self.limb_shift, dtype=np.int64)[:, None]
+        half = np.arange(n // 2)
+        self.twist = np.exp(1j * np.pi * half / n)
+        self.untwist = np.exp(-1j * np.pi * half / n)
+        text = repr((params.poly_degree, params.modulus_bits, params.scale_log2, _REPRESENTATION))
         self.hash = hashlib.sha256(text.encode()).digest()[:8]
 
     @property
@@ -135,7 +173,7 @@ class PlainPoly:
 
 @dataclass
 class Ciphertext:
-    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, NTT domain
+    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, coefficient form
     level: int
     scale: float
     slot_fill: int
@@ -152,7 +190,7 @@ class Ciphertext:
 
 @dataclass
 class KeyPair:
-    secret: ShoupTable  # NTT rows of the ternary secret, with their Shoup quotients
+    secret: np.ndarray  # (N/2,) complex: the ternary secret's ``_secret_spectrum``
     params: CkksParams
 
 
@@ -166,12 +204,74 @@ def _sample_cbd(rng, n: int) -> np.ndarray:
     return ones[0].astype(np.int64) - ones[1]
 
 
+def _secret_spectrum(ctx: _Context, s: np.ndarray) -> np.ndarray:
+    """The folded, twisted spectrum of an integer polynomial ``s`` that
+    ``_mul_secret`` multiplies by, divided by N/2: the scaling that the
+    product's two unscaled transforms leave out."""
+    half = ctx.params.poly_degree // 2
+    folded = (s[:half] + 1j * s[half:]) * ctx.twist
+    return np.fft.ifft(folded, norm="forward") / half
+
+
+def _mul_secret(ctx: _Context, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """rows * s in Z_q[X]/(X^N + 1), in [0, q), for the (level+1, N) residue
+    ``rows`` and the secret's ``spectrum``: exact, with one float FFT pair over
+    the limbs of every row (see the module docstring)."""
+    level = rows.shape[0] - 1
+    n = ctx.params.poly_degree
+    half = n // 2
+    count = ctx.limb_rows[level].stop
+    # both temporaries live in one allocation: separate ones were each paged
+    # in afresh on every call
+    work = np.empty((2, count, n), dtype=np.int64)
+    for row, part in zip(rows.view(np.int64), ctx.limb_rows):
+        np.right_shift(row, ctx.limb_shift_column[part], out=work[0, part])
+    work[0] &= _LIMB_MASK
+    # coefficients k and k + N/2 form complex value k; twisted by
+    # exp(i*pi*k/N), the unscaled N/2-point inverse FFT evaluates the
+    # polynomial at the roots exp(i*pi*(4j+1)/N) of X^N + 1, one from each
+    # conjugate pair, and the forward FFT, by the spectrum's 1/(N/2), undoes it
+    values = work[1].view(np.float64)
+    buf = values.view(np.complex128)
+    buf.real[...] = work[0, :, :half]
+    buf.imag[...] = work[0, :, half:]
+    buf *= ctx.twist
+    np.fft.ifft(buf, norm="forward", out=buf)
+    buf *= spectrum
+    np.fft.fft(buf, out=buf)
+    buf *= ctx.untwist
+    limbs = work[0].view(np.float64)  # limb products: k at 2k, k + N/2 at 2k + 1
+    np.rint(values, out=limbs)
+    values -= limbs
+    worst = max(values.max(), -values.min())
+    if not worst <= 0.25:
+        raise StateError(f"secret product is not exact: a coefficient lies {worst} from an integer")
+    out = np.empty((level + 1, 2, half), dtype=np.uint64)
+    for i, (part, q) in enumerate(zip(ctx.limb_rows, ctx.active_primes[: level + 1])):
+        # sum_k c_k 2^shift_k mod q: its quotient by q from a float estimate,
+        # off by at most one, and the sum itself mod 2^64
+        quotient, term = values[part.start], values[part.stop - 1]
+        np.multiply(limbs[part.start], ctx.limb_ratio[part.start], out=quotient)
+        for j in range(part.start + 1, part.stop):
+            quotient += np.multiply(limbs[j], ctx.limb_ratio[j], out=term)
+        np.floor(quotient, out=quotient)
+        ints = limbs[part].astype(np.int64).view(np.uint64)
+        total = ints[0]
+        for k, shift in enumerate(ctx.limb_shift[part.start + 1 : part.stop], start=1):
+            total += np.left_shift(ints[k], shift, out=ints[k])
+        total -= quotient.astype(np.int64).view(np.uint64) * np.uint64(q)
+        # the remainder is in [-q, 2q); bring it to [0, q)
+        np.minimum(total, total + np.uint64(q), out=total)
+        np.minimum(total, total - np.uint64(q), out=total)
+        np.copyto(out[i], total.reshape(half, 2).T)
+    return out.reshape(level + 1, n)
+
+
 def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
-    """Ternary secret in NTT form; deterministic for a given seed, so cohort
-    members can derive the shared key locally."""
-    field = _context(params).level_fields[-1]
-    s = _sample_ternary(rng, params.poly_degree)
-    return KeyPair(field.shoup_table(field.ntt(field.reduce_signed(s[None]))), params)
+    """Ternary secret, stored as its folded spectrum; deterministic for a
+    given seed, so cohort members can derive the shared key locally."""
+    ctx = _context(params)
+    return KeyPair(_secret_spectrum(ctx, _sample_ternary(rng, params.poly_degree)), params)
 
 
 def encode(values, params: CkksParams) -> PlainPoly:
@@ -220,7 +320,7 @@ def decode(pt: PlainPoly) -> np.ndarray:
 
 def encrypt(pt: PlainPoly, key: KeyPair, rng: np.random.Generator) -> Ciphertext:
     """Fresh randomized secret-key encryption at the top level of the active
-    chain: (c0, c1) = (-a*s + e + m, a)."""
+    chain: (c0, c1) = (m + e - a*s, a)."""
     if pt.params != key.params:
         raise StateError("plaintext/key parameter mismatch")
     ctx = _context(pt.params)
@@ -228,23 +328,23 @@ def encrypt(pt: PlainPoly, key: KeyPair, rng: np.random.Generator) -> Ciphertext
         raise StateError("can only encrypt full-level plaintexts")
     level = ctx.fresh_level
     field = ctx.level_fields[level]
-    # draw order e, then a; uniform is uniform in either domain, so a is
-    # sampled directly in NTT form, all rows in one call
+    # draw order e, then a, one uniform row per prime
     n = pt.params.poly_degree
     e = _sample_cbd(rng, n)
     comps = np.empty((2, level + 1, n), dtype=np.uint64)
-    comps[1] = rng.integers(0, field.q, (level + 1, n), dtype=np.uint64)
-    message = field.ntt(field.add(pt.residues, field.reduce_signed(e[None])))
-    comps[0] = field.sub(message, field.mul_shoup(comps[1], key.secret))
+    for row, q in zip(comps[1], field.primes):
+        row[:] = rng.integers(0, q, n, dtype=np.uint64)
+    message = field.add(pt.residues, field.reduce_signed(e[None]))
+    comps[0] = field.sub(message, _mul_secret(ctx, comps[1], key.secret))
     return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params)
 
 
 def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params != ct.params:
         raise StateError("ciphertext/key parameter mismatch")
-    field = _context(ct.params).level_fields[ct.level]
-    secret = key.secret.rows(slice(0, ct.level + 1))
-    residues = field.intt(field.add(ct.c0, field.mul_shoup(ct.c1, secret)))
+    ctx = _context(ct.params)
+    field = ctx.level_fields[ct.level]
+    residues = field.add(ct.c0, _mul_secret(ctx, ct.c1, key.secret))
     return PlainPoly(residues, ct.level, ct.scale, ct.slot_fill, ct.params)
 
 
@@ -271,7 +371,6 @@ def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
         raise DepthExhaustedError("no modulus level left for rescaling")
     q_last = ctx.active_primes[ct.level]
     coeff = round(float(scalar) * q_last)
-    # constant polynomials are constant in the NTT domain too
     comps = ctx.level_fields[ct.level].mul_const(ct.comps, [coeff] * (ct.level + 1))
     scaled = Ciphertext(comps, ct.level, ct.scale * q_last, ct.slot_fill, ct.params)
     return _rescale(ctx, scaled)
@@ -282,10 +381,8 @@ def _rescale(ctx: _Context, ct: Ciphertext) -> Ciphertext:
     for both components at once."""
     level = ct.level
     q_last = ctx.active_primes[level]
-    last_field = ctx.prime_fields[level]
     field = ctx.level_fields[level - 1]
-    centered = last_field.centered(last_field.intt(ct.comps[:, level : level + 1]))
-    lifted = field.ntt(field.reduce_signed(centered))
+    lifted = field.reduce_signed(ctx.prime_fields[level].centered(ct.comps[:, level : level + 1]))
     inv_q = [pow(q_last, -1, q) for q in field.primes]
     comps = field.mul_const(field.sub(ct.comps[:, :level], lifted), inv_q)
     return Ciphertext(comps, level - 1, ct.scale / q_last, ct.slot_fill, ct.params)
@@ -324,7 +421,7 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
     header = _HEADER.pack(_context(ct.params).hash, ct.level, int(scale_log2), ct.slot_fill)
-    return header + ct.comps.astype("<u8").tobytes()
+    return header + ct.comps.astype("<u8", copy=False).tobytes()
 
 
 def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:

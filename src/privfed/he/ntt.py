@@ -7,6 +7,13 @@ iterative forward/inverse transforms with bit-reversed twiddle tables.
 Pointwise products of transformed polynomials realize negacyclic
 convolution.
 
+CKKS (``ckks``) uses the pointwise arithmetic and the primes, but no
+transform: its one ring product is an exact float FFT product.  The
+transforms serve the benchmark harness's kernel timings and the tests,
+where the NTT product is the oracle for that FFT product.  A field builds
+its twiddle tables on its first transform, so a field that never runs one
+never builds them.
+
 A ``PrimeField`` works on ``(..., L, N)`` arrays, one row per prime, so a
 single call transforms every row of every polynomial it is given: each
 numpy call covers the whole batch instead of one 8192-coefficient row.
@@ -34,6 +41,7 @@ through ``mul_shoup`` with the multiplier's ``ShoupTable``, built once.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -221,20 +229,39 @@ class PrimeField:
             if p >= 1 << 62:
                 raise ValueError("prime too large for this reduction")
         self._set_moduli(primes, poly_degree)
-        brv = _bit_reverse_indices(poly_degree)
+        self._source = None
+
+    @functools.cached_property
+    def _tables(self) -> tuple[ShoupTable, ShoupTable, ShoupTable, ShoupTable]:
+        """The transforms' Shoup tables: forward and inverse twiddles, 1/n, and
+        the last inverse stage's twiddle times 1/n.  Built by the first
+        transform, so a field used only for pointwise arithmetic never builds
+        them; a selected field's tables are row views of its parent's."""
+        if self._source is not None:
+            parent, sel = self._source
+            return tuple(table.rows(sel) for table in parent._tables)
+        n = self.n
+        brv = _bit_reverse_indices(n)
         fwd, inv, n_inv, last = [], [], [], []
-        for p in primes:
-            psi = _find_psi(p, poly_degree)
+        for p in self.primes:
+            psi = _find_psi(p, n)
             ipsi = pow(psi, p - 2, p)
-            fwd.append(self._stage_order(_powers(psi, p, poly_degree)[brv]))
-            inv.append(self._stage_order(_powers(ipsi, p, poly_degree)[brv]))
-            n_inv.append(pow(poly_degree, p - 2, p))
+            fwd.append(self._stage_order(_powers(psi, p, n)[brv]))
+            inv.append(self._stage_order(_powers(ipsi, p, n)[brv]))
+            n_inv.append(pow(n, p - 2, p))
             # the last inverse stage's twiddle, ipsi_brv[1] = ipsi^(n/2), times 1/n
-            last.append(pow(ipsi, poly_degree // 2, p) * n_inv[-1] % p)
-        self._fwd = self.shoup_table(fwd)
-        self._inv = self.shoup_table(inv)
-        self._n_inv = self.shoup_table(_column(n_inv))
-        self._last_inv = self.shoup_table(_column(last))
+            last.append(pow(ipsi, n // 2, p) * n_inv[-1] % p)
+        return (
+            self.shoup_table(fwd),
+            self.shoup_table(inv),
+            self.shoup_table(_column(n_inv)),
+            self.shoup_table(_column(last)),
+        )
+
+    _fwd = property(lambda self: self._tables[0])
+    _inv = property(lambda self: self._tables[1])
+    _n_inv = property(lambda self: self._tables[2])
+    _last_inv = property(lambda self: self._tables[3])
 
     def _set_moduli(self, primes, poly_degree):
         self.primes = primes
@@ -276,8 +303,7 @@ class PrimeField:
         sel = slice(start, stop)
         sub = object.__new__(PrimeField)
         sub._set_moduli(self.primes[sel], self.n)
-        for name in ("_fwd", "_inv", "_n_inv", "_last_inv"):
-            setattr(sub, name, getattr(self, name).rows(sel))
+        sub._source = (self, sel)
         return sub
 
     @property
@@ -332,7 +358,13 @@ class PrimeField:
     def reduce_signed(self, a: np.ndarray) -> np.ndarray:
         """Map int64 values (any sign) into [0, q), row i mod prime i."""
         a, flat = self._rows(np.asarray(a, dtype=np.int64))
-        out = (a % self.q_signed).view(np.uint64)
+        bound = min(self.primes)
+        if a.size and -bound < a.min() and a.max() < bound:
+            # |a| < q: a + q mod 2^64 is a mod q once reduced, with no division
+            out = a.view(np.uint64) + self.q
+            np.minimum(out, out - self.q, out=out)
+        else:
+            out = (a % self.q_signed).view(np.uint64)
         return out[0] if flat else out
 
     def centered(self, a: np.ndarray) -> np.ndarray:

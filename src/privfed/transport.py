@@ -372,6 +372,35 @@ class TcpChannel:
         msg_type, round_no, body_len = _parse_header(header, max_body)
         return Frame(msg_type, round_no, self._recv_exact(body_len, deadline))
 
+    def recv_ready(self, pending: bytearray, max_body: int = MAX_BODY) -> Frame | None:
+        """Append to ``pending``, the start of a frame, what has arrived,
+        without blocking; return the frame once it is whole, else None.  The
+        header is checked against ``max_body`` as soon as it is in, and no
+        byte past the frame's end is read."""
+        self._sock.setblocking(False)
+        try:
+            while True:
+                need = _HEADER.size - len(pending)
+                if need <= 0:
+                    msg_type, round_no, body_len = _parse_header(pending, max_body)
+                    need += body_len
+                    if need == 0:
+                        return Frame(msg_type, round_no, bytes(pending[_HEADER.size :]))
+                try:
+                    chunk = self._sock.recv(need)
+                except BlockingIOError:
+                    return None
+                if not chunk:
+                    raise ChannelClosed(
+                        "connection closed mid-frame" if pending else "peer closed the channel"
+                    )
+                pending += chunk
+        finally:
+            self._sock.settimeout(None)
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def close(self):
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
@@ -404,11 +433,15 @@ class TcpListener:
     def port(self) -> int:
         return self._sock.getsockname()[1]
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def accept(self, timeout: float | None = None) -> TcpChannel:
+        """The next connection; ``timeout=0`` takes one only if it is waiting."""
         self._sock.settimeout(timeout)
         try:
             conn, _ = self._sock.accept()
-        except socket.timeout:
+        except (socket.timeout, BlockingIOError):
             raise TimeoutError("no connection before timeout") from None
         conn.settimeout(None)
         return TcpChannel(conn)

@@ -11,6 +11,7 @@ from privfed.data import (
     CohortDataset,
     GeneratorSpec,
     SiteSpec,
+    _sigmoid,
     concat_datasets,
     generate_cohort,
     generate_site,
@@ -244,3 +245,19 @@ def test_constructor_rejects_bad_values():
     y[1] = 2
     with pytest.raises(ConfigError, match="0/1"):
         CohortDataset(np.zeros((4, 10)), y)
+
+
+def test_sigmoid_matches_the_two_branch_form_bitwise():
+    def two_branch(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 700.0, -700.0, 746.0, -746.0])
+    z = np.concatenate([edges, np.random.default_rng(5).normal(size=10_000) * 50])
+    got = _sigmoid(z)
+    assert got.tobytes() == two_branch(z).tobytes()
+    assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0]

@@ -1008,6 +1008,42 @@ class TestTcpCoordinator:
         assert isinstance(error, ProtocolError)
         assert str(error) == f"sites never joined: [{cfg.site_names()[3]!r}]"
 
+    def test_stalled_connections_do_not_keep_sites_out(self, monkeypatch):
+        # a connection that sends nothing and one that stops halfway through
+        # a frame header stay open while the four sites join and run
+        cfg = sim_config("rounds=1", "timeout_seconds=8")
+        datasets = build_site_datasets(cfg)
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        t0 = time.monotonic()
+        silent = tr.open_tcp_channel("127.0.0.1", port)
+        stalled = tr.open_tcp_channel("127.0.0.1", port)
+        try:
+            stalled._sock.sendall(tr.frame_encode(join_frame(cfg, cfg.site_names()[0]))[:8])
+
+            def serve(name):
+                channel = tr.open_tcp_channel("127.0.0.1", port)
+                try:
+                    FederationClient(cfg, name, *datasets[name]).run(channel)
+                finally:
+                    channel.close()
+
+            sites = [threading.Thread(target=serve, args=(name,)) for name in cfg.site_names()]
+            for site in sites:
+                site.start()
+            for site in [*sites, thread]:
+                site.join(timeout=20)
+                assert not site.is_alive()
+        finally:
+            silent.close()
+            stalled.close()
+        assert time.monotonic() - t0 < cfg.timeout_seconds
+        report = result["report"]
+        assert not report.aborted, report.abort_reason
+        joined = [who for _, kind, who in report.event_log if kind == "join"]
+        assert sorted(joined) == sorted(cfg.site_names())
+        refused = [who for _, kind, who in report.event_log if kind == "refused"]
+        assert refused == ["TimeoutError: no whole JOIN when joining ended"] * 2
+
     def faulty_second_site(self, fault):
         """Run a TCP coordinator whose first site sends a good update and whose
         second site calls ``fault(socket, its update frame)`` and hangs up.

@@ -21,7 +21,7 @@ TINY_LR = ["model=lr", *TINY[1:]]
     [
         ("plain", "f981957c5a5dee8b4de4f59e46a56b3bca4313201c7992d70435a09650d3cf29"),
         ("dp", "f1baa9f22172c74b0c7a432aa8911c16c6b4943663eb6eb62103fc8edcfbb97c"),
-        ("he", "f36342b4f48fa777d8f62b92f598d60124783aad9348f30a7739b491e244a9c8"),
+        ("he", "da207ab5770dc4671b128b8e019c68ea933bc415c422425d5ea222ac80b7f3c9"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -35,7 +35,7 @@ def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     [
         ("plain", "bf8840a3516e3e713de5afb4daf7caa643f06532e7413887ebe6779cc9c1d23b"),
         ("dp", "e64346377690a12ee179332b5691a31c34eb2a4a582bf3d209a26e13e43fe797"),
-        ("he", "ed1d3bc9ce6c0c0f138c0bf737ac16f9b633886bc2eb08fee083be12485995b5"),
+        ("he", "be1b5f9f404a11a33d6f14d9a76e934a1bf0aa88e9abc815956b30ce265451ce"),
     ],
     ids=["plain", "dp", "he"],
 )

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from privfed.errors import (
     CapacityError,
@@ -30,7 +30,8 @@ from privfed.he import (
     serialize_ct,
     unpack_update,
 )
-from privfed.he.ckks import _context, _sample_cbd
+from privfed.he import ckks
+from privfed.he.ckks import _context, _mul_secret, _sample_cbd, _secret_spectrum
 from privfed.he.ntt import PrimeField, _bit_reverse_indices, _find_psi, generate_ntt_primes
 
 
@@ -186,6 +187,8 @@ class TestStackedField:
         assert np.array_equal(
             stacked.reduce_signed(signed), self.per_row(singles, PrimeField.reduce_signed, signed)
         )
+        small = signed >> 24  # below every prime in magnitude: the division-free path
+        assert np.array_equal(stacked.reduce_signed(small), small % stacked.q_signed)
 
     def test_products_and_lifts_against_python_ints(self, fields):
         stacked, _ = fields
@@ -250,20 +253,88 @@ class TestStackedField:
         assert np.array_equal(got, a.astype(object) * w.astype(object) % q)
         assert np.array_equal(got, mulmod(stacked, a, w))
 
-    def test_one_ntt_call_per_encryption(self, monkeypatch):
-        key = keygen(DEFAULT_PARAMS, np.random.default_rng(31))
-        shapes = []
-        original = PrimeField.ntt
 
-        def counting(self, a):
-            shapes.append(np.shape(a))
-            return original(self, a)
+class TestSecretProduct:
+    """The one ring product CKKS needs, residues times the ternary secret, is
+    a limb-split float FFT product; it must equal the NTT product bit for bit."""
 
-        monkeypatch.setattr(PrimeField, "ntt", counting)
-        pt = encode(np.ones(66), DEFAULT_PARAMS)
-        assert shapes == []
-        encrypt(pt, key, np.random.default_rng(32))
-        assert shapes == [(2, DEFAULT_PARAMS.poly_degree)]
+    @staticmethod
+    def ntt_product(field, rows, s):
+        secret = field.ntt(field.reduce_signed(np.broadcast_to(s, rows.shape)))
+        return field.intt(mulmod(field, field.ntt(rows), secret))
+
+    def check_every_level(self, params, rows, s):
+        ctx = _context(params)
+        spectrum = _secret_spectrum(ctx, s)
+        full = PrimeField(ctx.active_primes, params.poly_degree)
+        for level in range(len(ctx.active_primes)):
+            field = full.select(0, level + 1)
+            got = _mul_secret(ctx, rows[: level + 1], spectrum)
+            assert np.array_equal(got, self.ntt_product(field, rows[: level + 1], s)), level
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, TEST_PARAMS], ids=["default", "test"])
+    @pytest.mark.parametrize("secret", ["random", "plus_ones", "minus_ones"])
+    def test_equals_the_ntt_product(self, params, secret):
+        n = params.poly_degree
+        rng = np.random.default_rng(60)
+        s = {
+            "random": rng.integers(-1, 2, n),
+            "plus_ones": np.ones(n, dtype=np.int64),
+            "minus_ones": -np.ones(n, dtype=np.int64),
+        }[secret]
+        primes = _context(params).active_primes
+        self.check_every_level(params, np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes]), s)
+        top = np.array([[q - 1] for q in primes], dtype=np.uint64)
+        self.check_every_level(params, np.repeat(top, n, axis=1), s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_degree=st.integers(3, 12),
+        bits=st.lists(st.integers(20, 61), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_ntt_product_at_any_size(self, log_degree, bits, seed):
+        n = 1 << log_degree
+        try:
+            params = CkksParams(n, bits, 1)
+            primes = _context(params).active_primes
+        except ValueError:  # no distinct NTT primes of these sizes for this degree
+            assume(False)
+        rng = np.random.default_rng(seed)
+        rows = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+        rows[:, rng.integers(0, n, n // 4)] = np.array([[q - 1] for q in primes], dtype=np.uint64)
+        self.check_every_level(params, rows, rng.integers(-1, 2, n))
+
+    def test_guard_refuses_an_inexact_product(self, monkeypatch):
+        key = keygen(TEST_PARAMS, np.random.default_rng(61))
+        pt = encode([0.5], TEST_PARAMS)
+        ct = encrypt(pt, key, np.random.default_rng(62))
+        original = ckks._secret_spectrum
+        monkeypatch.setattr(ckks, "_secret_spectrum", lambda ctx, s: original(ctx, s) * (1 + 1e-6))
+        bad = keygen(TEST_PARAMS, np.random.default_rng(61))
+        with pytest.raises(StateError, match="not exact"):
+            encrypt(pt, bad, np.random.default_rng(62))
+        with pytest.raises(StateError, match="not exact"):
+            decrypt(ct, bad)
+
+    def test_no_transform_runs(self, monkeypatch):
+        calls = []
+        for name in ("ntt", "intt"):
+
+            def spy(self, a, name=name, original=getattr(PrimeField, name)):
+                calls.append(name)
+                return original(self, a)
+
+            monkeypatch.setattr(PrimeField, name, spy)
+        key = keygen(DEFAULT_PARAMS, np.random.default_rng(63))
+        rng = np.random.default_rng(64)
+        cts = [encrypt(encode(np.full(66, k / 10), DEFAULT_PARAMS), key, rng) for k in range(4)]
+        total = add(add(cts[0], cts[1]), add(cts[2], cts[3]))
+        out = decode(decrypt(mul_scalar_rescale(total, 0.25), key))[:66]
+        assert np.abs(out - 0.15).max() < 1e-6
+        assert calls == []
+        # the context's fields never built their twiddle tables
+        assert all("_tables" not in vars(field) for field in _context(DEFAULT_PARAMS).level_fields)
 
 
 class TestGoldenBytes:
@@ -274,8 +345,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "params, fresh, aggregate, decoded",
         [
-            (TEST_PARAMS, "6fac95c2ff4739ec", "a4e8478165f8d5be", "bbcf7ccf5def6dd0"),
-            (DEFAULT_PARAMS, "116a6076f49d43d7", "81389bafbbdc081b", "1d1821778f1bca50"),
+            (TEST_PARAMS, "4d411eadad7a4c93", "978e075fe83fd8db", "672f18b662e614be"),
+            (DEFAULT_PARAMS, "17773c7567ed46d8", "2ec9501d4b66ecbf", "5d6c361d443e0fbb"),
         ],
         ids=["test_params", "default_params"],
     )
@@ -308,12 +379,12 @@ class TestKeygen:
     def test_different_seeds_different_keys(self):
         a = keygen(TEST_PARAMS, np.random.default_rng(1))
         b = keygen(TEST_PARAMS, np.random.default_rng(2))
-        assert not np.array_equal(a.secret.w, b.secret.w)
+        assert not np.array_equal(a.secret, b.secret)
 
     def test_deterministic_given_seed(self):
         a = keygen(TEST_PARAMS, np.random.default_rng(7))
         b = keygen(TEST_PARAMS, np.random.default_rng(7))
-        assert np.array_equal(a.secret.w, b.secret.w)
+        assert a.secret.tobytes() == b.secret.tobytes()
 
     def test_roundtrip_bound_over_random_vectors(self, keys):
         rng = np.random.default_rng(8)
@@ -509,9 +580,11 @@ class TestTrailingPrime:
         assert trailing not in ctx.active_primes
 
     def test_key_and_fresh_ciphertext_rows(self, params):
-        rows = len(params.modulus_bits) - 1
+        # the key is the secret's spectrum, reduced mod no prime at all
         key = keygen(params, np.random.default_rng(5))
-        assert key.secret.w.shape[0] == key.secret.w_hi.shape[0] == key.secret.w_lo.shape[0] == rows
+        assert key.secret.dtype == np.complex128
+        assert key.secret.shape == (params.poly_degree // 2,)
+        rows = len(params.modulus_bits) - 1
         ct = encrypt(encode([1.0], params), key, np.random.default_rng(6))
         assert ct.c0.shape[0] == ct.c1.shape[0] == rows
 
@@ -579,6 +652,14 @@ class TestSerialization:
             deserialize_ct(blob[:-8], TEST_PARAMS)
         with pytest.raises(DecodeError):
             deserialize_ct(blob[:10], TEST_PARAMS)
+
+    def test_ntt_form_header_rejected(self, keys):
+        # the header hash before ciphertexts moved to coefficient form
+        ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(29))
+        text = repr((TEST_PARAMS.poly_degree, TEST_PARAMS.modulus_bits, TEST_PARAMS.scale_log2))
+        blob = hashlib.sha256(text.encode()).digest()[:8] + serialize_ct(ct)[8:]
+        with pytest.raises(DecodeError, match="parameter hash mismatch"):
+            deserialize_ct(blob, TEST_PARAMS)
 
     def test_wrong_params_hash_rejected(self, keys):
         ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(29))

@@ -16,7 +16,10 @@ import numpy as np
 
 from privfed.data import (
     DEFAULT_BETA,
+    FEATURE_NAMES,
+    INDICATOR_PREVALENCE,
     GeneratorSpec,
+    _sigmoid,
     concat_datasets,
     generate_cohort,
     split_train_valid,
@@ -28,11 +31,20 @@ TARGET_PREVALENCE = 42033 / 660427  # pooled positives over pooled total
 AUC_WINDOW = (0.63, 0.72)
 
 
+def draw_features(rng, n, spec):
+    """``(10, n)`` feature columns with the generator's marginals, ordered
+    like FEATURE_NAMES: a truncated normal age, then the indicators."""
+    cols = np.empty((10, n), dtype=np.float64)
+    age = rng.normal(spec.age_mean, spec.age_std, n)
+    np.clip(age, spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std, out=cols[0])
+    for j, name in enumerate(FEATURE_NAMES[1:], start=1):
+        cols[j] = rng.random(n) < INDICATOR_PREVALENCE[name]
+    return cols
+
+
 def solve_intercept(beta, spec, rng, target=TARGET_PREVALENCE, n=200_000):
     """1-d bisection on the intercept so mean sigmoid hits the prevalence."""
-    from privfed.data import _draw_features, _sigmoid
-
-    logits = beta @ _draw_features(rng, n, spec)  # (10, n) feature columns
+    logits = beta @ draw_features(rng, n, spec)
     lo, hi = -10.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

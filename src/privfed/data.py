@@ -5,6 +5,14 @@ flag, five diagnosis/medication indicators, and three filler comorbidity
 flags (the source cohort names only seven predictors, so three slots are
 unspecified stand-ins).  Labels follow a logistic ground truth and sites
 are filled by rejection until the exact per-site class counts are met.
+
+A site's labels come from a fixed shuffle of its class buckets, so its
+train/validation split is known before any feature is drawn: the federation
+gets each site as one array, training rows first, with every accepted row
+written once into its final place.  Rejection passes draw their feature and
+label uniforms one block of rows at a time by jumping a PCG64 stream ahead,
+so the rows are those a whole-pass draw gives, bit for bit.  CSV sites are
+split by the same rule after they are read.
 """
 
 from __future__ import annotations
@@ -152,18 +160,6 @@ def scaled_counts(site: SiteSpec, scale_factor: float) -> tuple[int, int]:
     )
 
 
-def _draw_features(rng: np.random.Generator, n: int, spec: GeneratorSpec) -> np.ndarray:
-    """``(10, n)`` feature columns, ordered like FEATURE_NAMES."""
-    cols = np.empty((10, n), dtype=np.float64)
-    age = rng.normal(spec.age_mean, spec.age_std, n)
-    np.clip(age, spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std, out=cols[0])
-    # rng.random is rng.uniform(0, 1) bit for bit, written into one reused buffer
-    u = age
-    for j, name in enumerate(FEATURE_NAMES[1:], start=1):
-        np.less(rng.random(out=u), INDICATOR_PREVALENCE[name], out=cols[j], casting="unsafe")
-    return cols
-
-
 def _sigmoid(z):
     """exp(min(z, 0)) / (1 + exp(-|z|)), the form ``learners._bce_head`` uses.
     For z >= 0 it is 1 / (1 + exp(-z)) and otherwise exp(z) / (1 + exp(z)):
@@ -178,38 +174,91 @@ def _sigmoid(z):
     return out
 
 
-def generate_site(spec: GeneratorSpec, site: SiteSpec, rng: np.random.Generator) -> CohortDataset:
-    """Fill one site's class buckets by rejection against the logistic truth."""
+def generate_site(
+    spec: GeneratorSpec, site: SiteSpec, rng: np.random.Generator, split: tuple[float, int] | None = None
+):
+    """Fill one site's class buckets by rejection against the logistic truth.
+
+    Returns the site in shuffled row order, or with ``split=(train_frac,
+    seed)`` the ``(train, valid)`` pair that ``split_train_valid`` makes of
+    that dataset, as two views of one array laid out training rows first.
+    Labels and the split are fixed before any feature is drawn, so each
+    accepted row is written once, straight into its final place.
+
+    A rejection pass draws ``batch`` ages (ziggurat normals: a variable
+    number of 64-bit words), then nine indicator columns and the label
+    uniforms, ``batch`` doubles each at one word per double.  The pass walks
+    its rows in blocks of at most BLOCK_ROWS and draws only the blocks it
+    walks, jumping the stream to each block's slice of every column with
+    PCG64's ``advance``; it ends where drawing the whole pass would leave
+    the stream.  Other bit generators are refused, since without the jump
+    the same seed would give different rows.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(
+            f"generate_site needs a PCG64 bit generator, got {type(rng.bit_generator).__name__}"
+        )
     want_neg, want_pos = scaled_counts(site, spec.scale_factor)
     total = want_neg + want_pos
-    beta = np.asarray(spec.beta, dtype=np.float64)
     # Bucket rows are numbered negatives first, then positives; a fixed
     # permutation interleaves the classes so downstream batching is not sorted
-    # by label.  Bucket row r lands in row where[r], so each accepted row is
-    # written once, straight into its final place.
-    order = np.random.default_rng(derive_seed(spec.seed, "shuffle", site.name)).permutation(total)
-    where = np.empty(total, dtype=np.int64)
-    where[order] = np.arange(total)
+    # by label.  Site row i holds bucket row slot[i]; with a split, row k of
+    # the result holds site row layout[k].
+    slot = np.random.default_rng(derive_seed(spec.seed, "shuffle", site.name)).permutation(total)
+    if split is not None:
+        layout, n_train = _split_layout(slot >= want_neg, *split)
+        slot = slot[layout]
+        del layout  # freed, like slot below, before the features are allocated
+    labels = (slot >= want_neg).astype(np.int64)
+    where = np.empty(total, dtype=np.int64)  # bucket row r lands in row where[r]
+    where[slot] = np.arange(total)
+    del slot
     features = np.empty((total, 10), dtype=np.float64)
+    _fill_buckets(spec, rng, features, where, want_neg)
+    if split is None:
+        return CohortDataset._trusted(features, labels, FEATURE_NAMES)
+    return _split_at(features, labels, n_train, FEATURE_NAMES)
+
+
+def _fill_buckets(spec, rng, features, where, want_neg):
+    """Rejection passes until bucket row r of both classes is written to
+    ``features[where[r]]`` for every r."""
+    total = len(where)
+    beta = np.asarray(spec.beta, dtype=np.float64)
+    prevalence = np.array([[INDICATOR_PREVALENCE[name]] for name in FEATURE_NAMES[1:]])
+    lo, hi = spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std
+    bitgen = rng.bit_generator
     next_row, end = [0, want_neg], [want_neg, total]  # per class: negatives, positives
     batch = max(4096, total)
     rows = np.empty((min(batch, BLOCK_ROWS), 10))
+    draws = np.empty((10, len(rows)))  # a block's nine indicator columns, then its label uniforms
     while next_row != end:
-        cols = _draw_features(rng, batch, spec)
-        u = rng.uniform(0.0, 1.0, batch)
+        age = rng.normal(spec.age_mean, spec.age_std, batch)
+        np.clip(age, lo, hi, out=age)
+        after_age = bitgen.state
         for start in range(0, batch, BLOCK_ROWS):
             if next_row == end:
-                break  # both buckets are full; the rest of this pass goes unused
+                break  # both buckets are full; the rest of this pass goes undrawn
             block = rows[: min(BLOCK_ROWS, batch - start)]
-            block[...] = cols[:, start : start + len(block)].T
+            m = len(block)
+            bitgen.state = after_age
+            bitgen.advance(start)
+            for j in range(10):
+                if j:
+                    bitgen.advance(batch - m)  # to this block's slice of the next column
+                rng.random(out=draws[j, :m])  # rng.uniform(0, 1) bit for bit
+            np.less(draws[:9, :m], prevalence, out=draws[:9, :m], casting="unsafe")
+            block[:, 0] = age[start : start + m]
+            block[:, 1:] = draws[:9, :m].T
             z = block @ beta
             z += spec.beta0
-            y = u[start : start + len(block)] < _sigmoid(z)
+            y = draws[9, :m] < _sigmoid(z)
             for cls, mask in ((0, ~y), (1, y)):
                 take = np.flatnonzero(mask)[: end[cls] - next_row[cls]]
                 features[where[next_row[cls] : next_row[cls] + take.size]] = block[take]
                 next_row[cls] += take.size
-    return CohortDataset(features, order >= want_neg)
+        bitgen.state = after_age
+        bitgen.advance(10 * batch)  # past the pass's indicator and label draws
 
 
 def generate_cohort(spec: GeneratorSpec) -> dict[str, CohortDataset]:
@@ -221,14 +270,16 @@ def generate_cohort(spec: GeneratorSpec) -> dict[str, CohortDataset]:
     return out
 
 
-def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0):
-    """Stratified train/validation split; both classes land in both parts."""
+def _split_layout(labels, train_frac: float, seed: int):
+    """The stratified split rule: the input rows of the training part, then
+    those of the validation part, each in input order, and the training
+    part's size.  Both classes land in both parts."""
     if not 0 < train_frac < 1:
         raise SplitError("train_frac must be in (0, 1)")
     rng = np.random.default_rng(derive_seed(seed, "split"))
-    in_train = np.zeros(len(ds), dtype=bool)
+    in_train = np.zeros(labels.size, dtype=bool)
     for cls in (0, 1):
-        idx = np.flatnonzero(ds.labels == cls)
+        idx = np.flatnonzero(labels == cls)
         if idx.size < 2:
             raise SplitError(f"class {cls} has {idx.size} rows; need at least 2")
         n_train = int(round(train_frac * idx.size))
@@ -237,8 +288,24 @@ def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0)
                 f"train_frac {train_frac} leaves class {cls} empty on one side"
             )
         in_train[rng.permutation(idx)[:n_train]] = True
-    # both parts keep the input's row order
-    return ds.subset(np.flatnonzero(in_train)), ds.subset(np.flatnonzero(~in_train))
+    train = np.flatnonzero(in_train)
+    return np.concatenate([train, np.flatnonzero(~in_train)]), train.size
+
+
+def _split_at(features, labels, n_train, feature_names):
+    """(train, valid) views of rows laid out training rows first."""
+    return (
+        CohortDataset._trusted(features[:n_train], labels[:n_train], feature_names),
+        CohortDataset._trusted(features[n_train:], labels[n_train:], feature_names),
+    )
+
+
+def split_train_valid(ds: CohortDataset, train_frac: float = 0.8, seed: int = 0):
+    """Stratified train/validation split; both classes land in both parts,
+    and both keep the input's row order."""
+    layout, n_train = _split_layout(ds.labels, train_frac, seed)
+    rows = ds.subset(layout)
+    return _split_at(rows.features, rows.labels, n_train, ds.feature_names)
 
 
 def kfold_split(ds: CohortDataset, k: int = 10, seed: int = 0):

@@ -551,16 +551,15 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     for site in cfg.data.sites:
         if only_site is not None and site.name != only_site:
             continue
+        split = (cfg.train_frac, derive_seed(cfg.seed, "split", site.name))
         if cfg.data.source == "csv":
             path = os.path.join(cfg.data.csv_dir or ".", f"{site.name}.csv")
             if not os.path.exists(path):
                 raise ConfigError(f"site file does not exist: {path}")
-            ds = read_csv(path)
+            out[site.name] = split_train_valid(read_csv(path), *split)
         else:
-            ds = generate_site(spec, site, derived_rng(spec.seed, "site", site.name))
-        out[site.name] = split_train_valid(
-            ds, cfg.train_frac, derive_seed(cfg.seed, "split", site.name)
-        )
+            rng = derived_rng(spec.seed, "site", site.name)
+            out[site.name] = generate_site(spec, site, rng, split=split)
     if only_site is not None and only_site not in out:
         raise ProtocolError(f"unknown site {only_site!r}")
     return out

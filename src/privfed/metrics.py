@@ -38,7 +38,10 @@ def auc(scores, labels) -> float:
 
     Equivalent to the pairwise statistic P(s_pos > s_neg) + 0.5 * P(equal).
     """
-    scores, labels, n_pos, n_neg = _check_labels(scores, labels)
+    return _auc(*_check_labels(scores, labels))
+
+
+def _auc(scores, labels, n_pos, n_neg) -> float:
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
     # runs of equal sorted scores span [i, j]; each gets the 1-based midrank
@@ -53,19 +56,21 @@ def auc(scores, labels) -> float:
 
 def sensitivity_specificity(scores, labels, threshold: float = 0.5) -> tuple[float, float]:
     """TPR and TNR with "predicted positive" meaning score >= threshold."""
-    scores, labels, n_pos, n_neg = _check_labels(scores, labels)
+    return _rates(*_check_labels(scores, labels), threshold)
+
+
+def _rates(scores, labels, n_pos, n_neg, threshold) -> tuple[float, float]:
     predicted = scores >= threshold
-    labels = np.asarray(labels)
     tp = int(np.sum(predicted & (labels == 1)))
     tn = int(np.sum(~predicted & (labels == 0)))
     return tp / n_pos, tn / n_neg
 
 
 def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricSet:
+    """AUC, sensitivity and specificity, with the inputs checked once."""
     scores, labels, n_pos, n_neg = _check_labels(scores, labels)
-    a = auc(scores, labels)
-    sens, spec = sensitivity_specificity(scores, labels, threshold)
-    return MetricSet(a, sens, spec, n_pos, n_neg, threshold)
+    sens, spec = _rates(scores, labels, n_pos, n_neg, threshold)
+    return MetricSet(_auc(scores, labels, n_pos, n_neg), sens, spec, n_pos, n_neg, threshold)
 
 
 def summarize(values) -> tuple[float, float]:

@@ -9,8 +9,10 @@ import threading
 import numpy as np
 
 from privfed import transport as tr
+from privfed.data import FEATURE_NAMES, INDICATOR_PREVALENCE, CohortDataset, scaled_counts
 from privfed.federation import FederationClient, FederationServer, build_site_datasets
 from privfed.learners import LN_EPS, ModelKind
+from privfed.seeds import derive_seed
 
 
 def _lr_tensors(theta):
@@ -134,6 +136,34 @@ def svt_reference(delta, steps, cfg, rng):
     for i in accepted:
         y[i] = min(max(x[i] + lap(b_v), -cfg.gamma), cfg.gamma)
     return np.array([v * steps for v in y])
+
+
+def generate_site_oracle(spec, site, rng):
+    """Whole-batch rejection generator: each pass draws every row's features
+    at once (a normal age column, then nine uniform indicator columns), then
+    one uniform per row for its label.  Accepted rows fill the negatives'
+    and positives' buckets in draw order until both are full; the shuffle
+    permutation then interleaves the buckets."""
+    want = scaled_counts(site, spec.scale_factor)
+    total = sum(want)
+    batch = max(4096, total)
+    beta = np.asarray(spec.beta, dtype=np.float64)
+    lo, hi = spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std
+    buckets = ([], [])
+    held = [0, 0]
+    while held != list(want):
+        age = np.clip(rng.normal(spec.age_mean, spec.age_std, batch), lo, hi)
+        flags = [rng.uniform(0.0, 1.0, batch) < INDICATOR_PREVALENCE[name] for name in FEATURE_NAMES[1:]]
+        u = rng.uniform(0.0, 1.0, batch)
+        x = np.column_stack([age, *flags]).astype(np.float64)
+        y = u < _sigmoid_oracle(x @ beta + spec.beta0)
+        for cls in (0, 1):
+            rows = x[y == cls][: want[cls] - held[cls]]
+            buckets[cls].append(rows)
+            held[cls] += len(rows)
+    bucket_rows = np.concatenate(buckets[0] + buckets[1])
+    order = np.random.default_rng(derive_seed(spec.seed, "shuffle", site.name)).permutation(total)
+    return CohortDataset(bucket_rows[order], order >= want[0])
 
 
 def auc_midrank_oracle(scores, labels):

@@ -23,7 +23,9 @@ from privfed.data import (
 )
 from privfed.errors import ConfigError, ParseError, SplitError
 from privfed.federation import build_site_datasets
-from privfed.seeds import derive_seed
+from privfed.seeds import derive_seed, derived_rng
+
+from oracles import generate_site_oracle
 
 SMALL_SITES = (
     SiteSpec("alpha", 400, 40),
@@ -102,19 +104,50 @@ class TestGeneration:
         assert digest.hexdigest() == "4bc018e2d148d8c4c3e87f63c8b3cbc0f6d82250e74ab20974c083eb0002453a"
 
     def test_generation_memory_peak(self):
-        # rows are written once into the returned array, so the peak stays a
-        # small multiple of the result (it was 5x with per-class copies)
+        # the path build_site_datasets takes: rows are written once into one
+        # array that the train and validation parts view, and a pass holds
+        # one block of draws, so the peak stays under twice the result
         spec = GeneratorSpec(seed=11, scale_factor=0.1)
         site = DEFAULT_SITES[2]
         rng = np.random.default_rng(derive_seed(spec.seed, "site", site.name))
         tracemalloc.start()
         try:
-            ds = generate_site(spec, site, rng)
+            train, valid = generate_site(spec, site, rng, split=(0.8, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(ds) == 41800
-        assert peak < 4 * (ds.features.nbytes + ds.labels.nbytes)
+        assert len(train) + len(valid) == 41800
+        assert train.features.base is valid.features.base
+        assert peak < 2 * sum(p.features.nbytes + p.labels.nbytes for p in (train, valid))
+
+    @pytest.mark.parametrize("scale", [0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("seed", [7, 11, 303])
+    def test_block_draws_match_whole_batch_oracle(self, seed, scale):
+        # every site, split and whole, against whole-pass draws followed by
+        # split_train_valid; the stream must end where the whole-pass draws
+        # leave it, also when a pass stops before its last block
+        cfg = load_config(None, [f"data.scale_factor={scale}", f"seed={seed}"])
+        spec = cfg.data.generator_spec(derive_seed(cfg.seed, "data"))
+        for site in spec.sites:
+            split = (cfg.train_frac, derive_seed(cfg.seed, "split", site.name))
+            rng_old = derived_rng(spec.seed, "site", site.name)
+            want = split_train_valid(generate_site_oracle(spec, site, rng_old), *split)
+            rng_new = derived_rng(spec.seed, "site", site.name)
+            got = generate_site(spec, site, rng_new, split=split)
+            for g, w in zip(got, want):
+                assert g.features.tobytes() == w.features.tobytes()
+                assert g.labels.tobytes() == w.labels.tobytes()
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            whole = generate_site(spec, site, derived_rng(spec.seed, "site", site.name))
+            ref = generate_site_oracle(spec, site, derived_rng(spec.seed, "site", site.name))
+            assert whole.features.tobytes() == ref.features.tobytes()
+            assert whole.labels.tobytes() == ref.labels.tobytes()
+
+    def test_non_pcg64_generator_refused(self):
+        spec = GeneratorSpec(sites=SMALL_SITES, seed=1)
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(TypeError, match="PCG64"):
+            generate_site(spec, SMALL_SITES[0], rng)
 
 
 class TestSplit:

@@ -125,3 +125,16 @@ def test_evaluate_scores_counts():
     m = evaluate_scores([0.9, 0.1, 0.6], [1, 0, 0], threshold=0.5)
     assert (m.n_pos, m.n_neg) == (1, 2)
     assert m.threshold == 0.5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_scores_equals_the_public_metrics(seed):
+    # one label check, then the same AUC and rates as the checked public calls
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 40, 2000) / 40.0  # many ties
+    labels = (rng.random(2000) < 0.2).astype(np.int64)
+    for threshold in (0.0, 0.5, 0.975, 1.0):
+        m = evaluate_scores(scores, labels, threshold)
+        sens, spec = sensitivity_specificity(scores, labels, threshold)
+        assert (m.auc, m.sensitivity, m.specificity) == (auc(scores, labels), sens, spec)
+        assert (m.n_pos, m.n_neg) == (int(labels.sum()), int((labels == 0).sum()))

@@ -2,11 +2,15 @@
 configuration, so a change to the package that breaks one fails here."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from privfed.data import DEFAULT_BETA, GeneratorSpec
 from privfed.report import TIMING_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +50,20 @@ def test_comparison_writes_all_four_methods(tmp_path):
         ("fedavg_dp", "lr"),
         ("fedavg_he", "lr"),
     ]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_intercept_is_pinned():
+    # the script's whole-batch feature draws and bisection, pinned to the
+    # value they gave before the generator drew its rows block by block
+    calibrate = _load_script("calibrate_cohort")
+    got = calibrate.solve_intercept(
+        np.asarray(DEFAULT_BETA), GeneratorSpec(seed=7, scale_factor=0.05), np.random.default_rng(7)
+    )
+    assert got == -3.258037456839645

@@ -46,17 +46,17 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_generate_data(args) -> int:
     from .data import write_csv
-    from .federation import build_site_datasets
-    from .data import concat_datasets
+    from .federation import draw_site
 
     cfg = _load(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    datasets = build_site_datasets(cfg)
-    for name, (train, valid) in datasets.items():
-        full = concat_datasets([train, valid])
-        path = os.path.join(cfg.out_dir, f"{name}.csv")
-        write_csv(full, path)
-        print(f"{name}: {len(full)} rows -> {path}")
+    for site in cfg.data.sites:
+        # in generation order, so a run with data.source=csv splits each file
+        # into exactly the training and validation rows of the generated run
+        ds = draw_site(cfg, site)
+        path = os.path.join(cfg.out_dir, f"{site.name}.csv")
+        write_csv(ds, path)
+        print(f"{site.name}: {len(ds)} rows -> {path}")
     return 0
 
 

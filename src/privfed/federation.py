@@ -544,9 +544,15 @@ class FederationClient:
 # -- orchestration -----------------------------------------------------------
 
 
+def draw_site(cfg: ExperimentConfig, site, split=None):
+    """``site`` from the generator of ``cfg``'s run: in generation order, or
+    with ``split`` the ``(train, valid)`` pair ``generate_site`` makes."""
+    spec = cfg.data.generator_spec(derive_seed(cfg.seed, "data"))
+    return generate_site(spec, site, derived_rng(spec.seed, "site", site.name), split=split)
+
+
 def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     """Per-site (train, valid) splits from the generator or CSV files."""
-    spec = cfg.data.generator_spec(derive_seed(cfg.seed, "data"))
     out = {}
     for site in cfg.data.sites:
         if only_site is not None and site.name != only_site:
@@ -558,8 +564,7 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
                 raise ConfigError(f"site file does not exist: {path}")
             out[site.name] = split_train_valid(read_csv(path), *split)
         else:
-            rng = derived_rng(spec.seed, "site", site.name)
-            out[site.name] = generate_site(spec, site, rng, split=split)
+            out[site.name] = draw_site(cfg, site, split)
     if only_site is not None and only_site not in out:
         raise ProtocolError(f"unknown site {only_site!r}")
     return out

@@ -1,48 +1,22 @@
-"""Negacyclic NTT arithmetic modulo a stack of word-sized primes.
+"""Arithmetic modulo a stack of word-sized NTT primes, and a reference NTT.
 
-Everything a leveled RLWE scheme needs from the ring Z_q[X]/(X^N + 1) for
-an RNS chain of primes q_0..q_{L-1}: vectorized Montgomery multiplication
-over uint64 numpy arrays, prime generation with q = 1 (mod 2N), and
-iterative forward/inverse transforms with bit-reversed twiddle tables.
-Pointwise products of transformed polynomials realize negacyclic
-convolution.
+What CKKS (``ckks``) needs from the ring Z_q[X]/(X^N + 1) for an RNS chain
+of primes q_0..q_{L-1}: prime generation with q = 1 (mod 2N), and
+vectorized addition, subtraction, signed lifts, centered representatives
+and products by per-prime constants over uint64 numpy arrays.  A product
+by a constant w uses Shoup's precomputed quotient floor(w * 2^64 / q)
+(Harvey, "Faster arithmetic for number-theoretic transforms", 2014).
 
-CKKS (``ckks``) uses the pointwise arithmetic and the primes, but no
-transform: its one ring product is an exact float FFT product.  The
-transforms serve the benchmark harness's kernel timings and the tests,
-where the NTT product is the oracle for that FFT product.  A field builds
-its twiddle tables on its first transform, so a field that never runs one
-never builds them.
-
-A ``PrimeField`` works on ``(..., L, N)`` arrays, one row per prime, so a
-single call transforms every row of every polynomial it is given: each
-numpy call covers the whole batch instead of one 8192-coefficient row.
-The butterflies multiply by their twiddles with Shoup's precomputed
-quotients (Harvey, "Faster arithmetic for number-theoretic transforms",
-2014) and keep values lazily reduced in [0, 4q) between stages; every
-reduction is ``np.minimum(r, r - k*q)``, which is exact while 4q < 2^64.
-
-Memory order (after Bailey, "FFTs in external or hierarchical memory",
-1990): a stage pairs values t apart, and a numpy call over the natural
-``(..., m, 2, t)`` view iterates over runs only t long.  So the stages with
-t < B, where B = min(64, N/2), run on a block-transposed copy: row r of the
-``(N/B, B)`` view becomes column r of a ``(B, N/B)`` array, and a butterfly
-there pairs whole rows, N/B contiguous values at a time.  ``ntt`` transposes
-before those stages and back after them; ``intt`` runs them first and
-transposes back before the long-stride ones.  The twiddle segment
-``[m, 2m)`` of each such stage is stored in the order that layout reads it,
-``(B/2t, N/B)``-major, in the same table as the other stages.  The values
-and every operation on them are those of the natural order, so the output
-is bit for bit the same.
-
-Products by a fixed multiplier, such as a CKKS secret or a scalar, go
-through ``mul_shoup`` with the multiplier's ``ShoupTable``, built once.
+CKKS runs no transform: its one ring product is an exact float FFT product.
+``ntt``/``intt`` are a plain radix-2 negacyclic pair, reduced to [0, q)
+after every stage.  They serve the tests, where their product is the oracle
+for the FFT product, and the benchmark harness's kernel timings.  A field
+builds their twiddle tables on its first transform, if it runs one.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -59,8 +33,7 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
@@ -108,62 +81,15 @@ def _find_psi(q: int, n: int) -> int:
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.uint64)
-    rev = np.zeros(n, dtype=np.uint64)
-    for _ in range(bits):
-        rev = (rev << np.uint64(1)) | (idx & np.uint64(1))
-        idx >>= np.uint64(1)
-    return rev.astype(np.int64)
+    return np.array([int(f"{k:0{bits}b}"[::-1], 2) for k in range(n)], dtype=np.int64)
 
 
-def _powers(base: int, q: int, count: int) -> np.ndarray:
-    out = [1] * count
-    for i in range(1, count):
-        out[i] = out[i - 1] * base % q
-    return np.array(out, dtype=np.uint64)
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint64).reshape(-1, 1)
-
-
-def _mulhi(a: np.ndarray, b) -> np.ndarray:
-    """High 64 bits of the 128-bit product, via 32-bit limbs."""
-    a_hi = a >> SHIFT32
-    a_lo = a & MASK32
-    b_hi = b >> SHIFT32
-    b_lo = b & MASK32
-    # mid = a_lo*b_hi + (a_lo*b_lo >> 32) + (a_hi*b_lo mod 2^32) is at most
-    # (2^32-1)^2 + 2*(2^32-1) = 2^64-1, so it cannot wrap
-    mid = a_lo * b_lo
-    mid >>= SHIFT32
-    cross = a_lo * b_hi
-    mid += cross
-    np.multiply(a_hi, b_lo, out=cross)
-    hi = a_hi * b_hi
-    mid += cross & MASK32
-    cross >>= SHIFT32
-    hi += cross
-    mid >>= SHIFT32
-    hi += mid
-    return hi
-
-
-class ShoupTable:
-    """Multipliers w, one row per prime, with their Shoup quotients
-    floor(w * 2^64 / q) split into 32-bit limbs once, at build time."""
-
-    def __init__(self, w: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray):
-        self.w, self.w_hi, self.w_lo = w, w_hi, w_lo
-
-    def rows(self, sel: slice) -> "ShoupTable":
-        return ShoupTable(self.w[sel], self.w_hi[sel], self.w_lo[sel])
-
-    def segment(self, start: int, *shape: int):
-        """(w, w_hi, w_lo) for the prod(shape) columns from ``start``, each
-        shaped (L, *shape) to broadcast over a stage's butterfly halves."""
-        cols = slice(start, start + math.prod(shape))
-        return tuple(x[:, cols].reshape(-1, *shape) for x in (self.w, self.w_hi, self.w_lo))
+def _multipliers(rows, primes):
+    """(w, w_hi, w_lo) uint64 arrays for multipliers ``rows[i]`` < q_i, one
+    row per prime: w and the 32-bit limbs of its Shoup quotient."""
+    w = np.array(rows, dtype=np.uint64)
+    quot = np.array([[(x << 64) // q for x in row] for row, q in zip(rows, primes)], dtype=np.uint64)
+    return w, quot >> SHIFT32, quot & MASK32
 
 
 def _shoup_mul(y, w, w_hi, w_lo, q, two_q, out, t1, t2, t3):
@@ -189,25 +115,12 @@ def _shoup_mul(y, w, w_hi, w_lo, q, two_q, out, t1, t2, t3):
     np.minimum(out, t3, out=out)
 
 
-def _ct_butterfly(x, y, s1, s2, s3, tw, q, two_q):
-    """Cooley-Tukey: (x, y) -> (x + y*w, x - y*w) in place, from [0, 4q) to
-    [0, 4q); x is first brought to [0, 2q) and y*w lands in [0, 2q)."""
-    np.subtract(x, two_q, out=s1)
-    np.minimum(x, s1, out=x)
-    _shoup_mul(y, *tw, q, two_q, y, s1, s2, s3)
-    np.subtract(x, y, out=s1)
-    np.add(x, y, out=x)
-    np.add(s1, two_q, out=y)
-
-
-def _gs_butterfly(x, y, s1, s2, s3, tw, q, two_q):
-    """Gentleman-Sande: (x, y) -> (x + y, (x - y)*w) in place, within [0, 2q)."""
-    np.add(x, y, out=s1)
-    np.subtract(x, y, out=y)
-    np.add(y, two_q, out=y)
-    np.subtract(s1, two_q, out=x)
-    np.minimum(s1, x, out=x)
-    _shoup_mul(y, *tw, q, two_q, y, s1, s2, s3)
+def _mul_reduced(a, table, q) -> np.ndarray:
+    """a * w mod q in [0, q) for any uint64 ``a``; ``table`` and ``q`` broadcast over it."""
+    out = np.array(a, dtype=np.uint64)
+    t1, t2, t3 = (np.empty_like(out) for _ in range(3))
+    _shoup_mul(out, *table, q, q << np.uint64(1), out, t1, t2, t3)
+    return np.minimum(out, np.subtract(out, q, out=t1), out=out)
 
 
 class PrimeField:
@@ -215,9 +128,7 @@ class PrimeField:
 
     Arrays are ``(..., L, N)`` with row i reduced mod prime i; the moduli
     are ``(L, 1)`` columns so they broadcast over the batch axes.  A field
-    built from a single prime also accepts plain 1-D vectors.  General
-    products use Montgomery reduction with R = 2^64; transforms and
-    products by fixed multipliers use Shoup multiplication.
+    built from a single prime also accepts plain 1-D vectors.
     """
 
     def __init__(self, q, poly_degree: int):
@@ -229,81 +140,19 @@ class PrimeField:
             if p >= 1 << 62:
                 raise ValueError("prime too large for this reduction")
         self._set_moduli(primes, poly_degree)
-        self._source = None
-
-    @functools.cached_property
-    def _tables(self) -> tuple[ShoupTable, ShoupTable, ShoupTable, ShoupTable]:
-        """The transforms' Shoup tables: forward and inverse twiddles, 1/n, and
-        the last inverse stage's twiddle times 1/n.  Built by the first
-        transform, so a field used only for pointwise arithmetic never builds
-        them; a selected field's tables are row views of its parent's."""
-        if self._source is not None:
-            parent, sel = self._source
-            return tuple(table.rows(sel) for table in parent._tables)
-        n = self.n
-        brv = _bit_reverse_indices(n)
-        fwd, inv, n_inv, last = [], [], [], []
-        for p in self.primes:
-            psi = _find_psi(p, n)
-            ipsi = pow(psi, p - 2, p)
-            fwd.append(self._stage_order(_powers(psi, p, n)[brv]))
-            inv.append(self._stage_order(_powers(ipsi, p, n)[brv]))
-            n_inv.append(pow(n, p - 2, p))
-            # the last inverse stage's twiddle, ipsi_brv[1] = ipsi^(n/2), times 1/n
-            last.append(pow(ipsi, n // 2, p) * n_inv[-1] % p)
-        return (
-            self.shoup_table(fwd),
-            self.shoup_table(inv),
-            self.shoup_table(_column(n_inv)),
-            self.shoup_table(_column(last)),
-        )
-
-    _fwd = property(lambda self: self._tables[0])
-    _inv = property(lambda self: self._tables[1])
-    _n_inv = property(lambda self: self._tables[2])
-    _last_inv = property(lambda self: self._tables[3])
 
     def _set_moduli(self, primes, poly_degree):
-        self.primes = primes
-        self.n = poly_degree
-        # rows of the block-transposed layout; stages with t < block use it
-        self.block = min(64, poly_degree // 2)
-        self.q = _column(primes)
-        self.two_q = self.q << np.uint64(1)
+        self.primes, self.n = primes, poly_degree
+        self.q = np.array(primes, dtype=np.uint64).reshape(-1, 1)
         self.half_q = self.q >> np.uint64(1)
         self.q_signed = self.q.astype(np.int64)
-        self.qinv = _column([(-pow(p, -1, 1 << 64)) % (1 << 64) for p in primes])
-        self.r2 = _column([(1 << 128) % p for p in primes])
-
-    def _stage_order(self, w: np.ndarray) -> np.ndarray:
-        """Bit-reversed twiddles with the segment [m, 2m) of every stage
-        that runs block-transposed stored (B/2t, N/B)-major: the twiddle of
-        natural block r*(B/2t) + j moves to j*(N/B) + r."""
-        cols = self.n // self.block
-        out = w.copy()
-        m = cols  # the first such stage has t = B/2, so m = N/B
-        while m < self.n:
-            out[m : 2 * m] = w[m : 2 * m].reshape(cols, m // cols).T.ravel()
-            m *= 2
-        return out
-
-    def shoup_table(self, w) -> ShoupTable:
-        """The Shoup table of multipliers ``w`` < q, one row (or column) per
-        prime, for ``mul_shoup``."""
-        w = np.asarray(w, dtype=np.uint64)
-        # w*2^64 = quot*q + (w*2^64 mod q), and -qinv = q^-1 mod 2^64, so the
-        # exact quotient is (w*2^64 mod q) * qinv mod 2^64
-        quot = self.to_mont(w) * self.qinv
-        return ShoupTable(w, quot >> SHIFT32, quot & MASK32)
 
     def select(self, start: int, stop: int) -> "PrimeField":
-        """The field of primes ``start..stop-1``; its tables are views."""
+        """The field of primes ``start..stop-1``, which are not checked again."""
         if not 0 <= start < stop <= len(self.primes):
             raise ValueError(f"field has {len(self.primes)} primes, asked for {start}:{stop}")
-        sel = slice(start, stop)
         sub = object.__new__(PrimeField)
-        sub._set_moduli(self.primes[sel], self.n)
-        sub._source = (self, sel)
+        sub._set_moduli(self.primes[start:stop], self.n)
         return sub
 
     @property
@@ -319,33 +168,11 @@ class PrimeField:
 
     # -- elementwise arithmetic ---------------------------------------------
 
-    def montmul(self, a, b):
-        """a*b/2^64 mod q for a < q and any uint64 b, on (..., L, K) arrays."""
-        t_lo = a * b
-        t_hi = _mulhi(a, b)
-        carry = t_lo != 0
-        t_lo *= self.qinv  # m = t*(-q^-1) mod 2^64
-        r = _mulhi(t_lo, self.q)
-        r += t_hi
-        r += carry
-        np.subtract(r, self.q, out=t_hi)
-        return np.minimum(r, t_hi, out=r)
-
-    def to_mont(self, a):
-        return self.montmul(a, self.r2)
-
-    def mul_shoup(self, a, table: ShoupTable) -> np.ndarray:
-        """a * table.w mod q in [0, q) for any uint64 ``a``; the table's
-        ``(L, K)`` rows broadcast over ``a``'s ``(..., L, K)``."""
-        out = np.array(a, dtype=np.uint64)
-        t1, t2, t3 = (np.empty_like(out) for _ in range(3))
-        _shoup_mul(out, table.w, table.w_hi, table.w_lo, self.q, self.two_q, out, t1, t2, t3)
-        return np.minimum(out, np.subtract(out, self.q, out=t1), out=out)
-
     def mul_const(self, a, consts) -> np.ndarray:
-        """a * consts[i] mod q_i along the prime axis; consts are Python ints."""
-        table = self.shoup_table(_column([c % q for c, q in zip(consts, self.primes)]))
-        return self.mul_shoup(a, table)
+        """a * consts[i] mod q_i along the prime axis, in [0, q), for any
+        uint64 ``a``; consts are Python ints."""
+        table = _multipliers([[c % q] for c, q in zip(consts, self.primes)], self.primes)
+        return _mul_reduced(a, table, self.q)
 
     def add(self, a, b):
         s = np.add(a, b)
@@ -374,102 +201,58 @@ class PrimeField:
         out -= (a > self.half_q) * self.q_signed
         return out[0] if flat else out
 
-    # -- transforms ------------------------------------------------------------
+    # -- reference transforms -------------------------------------------------
 
-    def _layouts(self, a: np.ndarray):
-        """Views and buffers for one transform of ``a``: the natural
-        ``(batch, L, N)`` view, the same memory seen block-transposed as
-        ``(batch, L, block, N/block)``, a contiguous buffer of that shape,
-        three half-size scratch buffers, and one full-size scratch buffer of
-        ``a``'s shape (the first two halves, which are contiguous)."""
-        self._check_shape(a)
+    @functools.cached_property
+    def _twiddles(self):
+        """Shoup multipliers psi^brv(k) (forward) and psi^-brv(k) (inverse)
+        for k < N, one row per prime."""
+        brv = _bit_reverse_indices(self.n)
+        tables = ([], [])
+        for q in self.primes:
+            psi = _find_psi(q, self.n)
+            for rows, base in zip(tables, (psi, pow(psi, -1, q))):
+                powers = [1] * self.n
+                for k in range(1, self.n):
+                    powers[k] = powers[k - 1] * base % q
+                rows.append([powers[k] for k in brv])
+        return tuple(_multipliers(rows, self.primes) for rows in tables)
+
+    def _stages(self, a, inverse: bool):
+        """Per stage m = 1, 2, .., N/2 (reversed for the inverse): its halves in
+        ``a``, values t apart in each of m blocks per row, and twiddles [m, 2m)."""
+        if a.ndim < 2 or a.shape[-2:] != (len(self.primes), self.n):
+            raise ValueError(f"expected (..., {len(self.primes)}, {self.n}) residues, got {a.shape}")
         batch = a.reshape(-1, len(self.primes), self.n)
-        rows, cols = self.block, self.n // self.block
-        size, half = a.size, a.size // 2
-        scratch = np.empty(size + 3 * half, dtype=np.uint64)
-        halves = [scratch[size + k * half : size + (k + 1) * half] for k in range(3)]
-        return (
-            batch,
-            batch.reshape(*batch.shape[:2], cols, rows).transpose(0, 1, 3, 2),
-            scratch[:size].reshape(*batch.shape[:2], rows, cols),
-            halves,
-            scratch[size : 2 * size].reshape(a.shape),
-        )
-
-    @staticmethod
-    def _pairs(data, blocks: int, t: int, halves):
-        """The butterfly halves (x, y) of one stage on ``data``, natural
-        ``(batch, L, N)`` or block-transposed ``(batch, L, block, N/block)``:
-        values t apart within each of ``blocks`` blocks per row; then three
-        scratch buffers shaped like them."""
-        view = data.reshape(*data.shape[:2], blocks, 2, t, *data.shape[3:])
-        x = view[:, :, :, 0]
-        return (x, view[:, :, :, 1], *(buf.reshape(x.shape) for buf in halves))
+        table = self._twiddles[inverse]
+        log_n = self.n.bit_length() - 1
+        for k in reversed(range(log_n)) if inverse else range(log_n):
+            m = 1 << k
+            view = batch.reshape(*batch.shape[:2], m, 2, self.n >> (k + 1))
+            yield view[:, :, :, 0], view[:, :, :, 1], tuple(x[:, m : 2 * m, None] for x in table)
 
     def ntt(self, a: np.ndarray) -> np.ndarray:
-        """Forward negacyclic transform (Cooley-Tukey, twiddles bit-reversed)."""
+        """Forward negacyclic transform (Cooley-Tukey, twiddles bit-reversed):
+        output j is a(psi^(2*brv(j)+1)) mod q."""
         a, flat = self._rows(np.array(a, dtype=np.uint64))
-        batch, natural_t, blocked, halves, full = self._layouts(a)
-        q3, two_q3 = self.q[:, :, None], self.two_q[:, :, None]
-        q4, two_q4 = q3[..., None], two_q3[..., None]
-        tab = self._fwd
-        rows = self.block
-        cols = self.n // rows
-        m, t = 1, self.n // 2
-        while t >= rows:
-            _ct_butterfly(*self._pairs(batch, m, t, halves), tab.segment(m, m, 1), q3, two_q3)
-            m, t = 2 * m, t // 2
-        np.copyto(blocked, natural_t)
-        while t >= 1:
-            blocks = rows // (2 * t)
-            tw = tab.segment(m, blocks, 1, cols)
-            _ct_butterfly(*self._pairs(blocked, blocks, t, halves), tw, q4, two_q4)
-            m, t = 2 * m, t // 2
-        scratch = full.reshape(blocked.shape)
-        np.subtract(blocked, two_q3, out=scratch)
-        np.minimum(blocked, scratch, out=blocked)
-        np.subtract(blocked, q3, out=scratch)
-        np.minimum(blocked, scratch, out=natural_t)
+        q = self.q[:, :, None]
+        for x, y, tw in self._stages(a, inverse=False):
+            u = _mul_reduced(y, tw, q)
+            np.subtract(x, u, out=y)
+            np.minimum(y, y + q, out=y)
+            np.add(x, u, out=x)
+            np.minimum(x, x - q, out=x)
         return a[0] if flat else a
 
     def intt(self, a: np.ndarray) -> np.ndarray:
-        """Inverse transform (Gentleman-Sande), including the 1/n factor.
-
-        The last stage multiplies by 1/n and by its twiddle times 1/n, so the
-        scaling needs no pass of its own.
-        """
+        """Inverse transform (Gentleman-Sande), including the 1/N factor."""
         a, flat = self._rows(np.array(a, dtype=np.uint64))
-        batch, natural_t, blocked, halves, full = self._layouts(a)
-        q3, two_q3 = self.q[:, :, None], self.two_q[:, :, None]
-        q4, two_q4 = q3[..., None], two_q3[..., None]
-        tab = self._inv
-        rows = self.block
-        cols = self.n // rows
-        h, t = self.n // 2, 1
-        np.copyto(blocked, natural_t)
-        while t < rows:
-            blocks = rows // (2 * t)
-            tw = tab.segment(h, blocks, 1, cols)
-            _gs_butterfly(*self._pairs(blocked, blocks, t, halves), tw, q4, two_q4)
-            h, t = h // 2, 2 * t
-        np.copyto(natural_t, blocked)
-        while h > 1:
-            _gs_butterfly(*self._pairs(batch, h, t, halves), tab.segment(h, h, 1), q3, two_q3)
-            h, t = h // 2, 2 * t
-        # the last stage, t = n/2: x + y and x - y, each times its factor;
-        # x is free until it receives the result, so it serves as scratch
-        x, y, s1, s2, s3 = self._pairs(batch, 1, t, halves)
-        np.add(x, y, out=s1)
-        np.subtract(x, y, out=y)
-        np.add(y, two_q3, out=y)
-        _shoup_mul(y, *self._last_inv.segment(0, 1, 1), q3, two_q3, y, x, s2, s3)
-        _shoup_mul(s1, *self._n_inv.segment(0, 1, 1), q3, two_q3, x, x, s2, s3)
-        np.subtract(a, self.q, out=full)
-        np.minimum(a, full, out=a)
-        return a[0] if flat else a
-
-    def _check_shape(self, a: np.ndarray) -> None:
-        if a.ndim < 2 or a.shape[-2:] != (len(self.primes), self.n):
-            raise ValueError(
-                f"expected (..., {len(self.primes)}, {self.n}) residues, got {a.shape}"
-            )
+        q = self.q[:, :, None]
+        for x, y, tw in self._stages(a, inverse=True):
+            d = np.subtract(x, y)
+            np.minimum(d, d + q, out=d)
+            np.add(x, y, out=x)
+            np.minimum(x, x - q, out=x)
+            y[...] = _mul_reduced(d, tw, q)
+        out = self.mul_const(a, [pow(self.n, -1, q) for q in self.primes])
+        return out[0] if flat else out

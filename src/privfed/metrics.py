@@ -54,23 +54,18 @@ def _auc(scores, labels, n_pos, n_neg) -> float:
     return u / (n_pos * n_neg)
 
 
-def sensitivity_specificity(scores, labels, threshold: float = 0.5) -> tuple[float, float]:
-    """TPR and TNR with "predicted positive" meaning score >= threshold."""
-    return _rates(*_check_labels(scores, labels), threshold)
+def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricSet:
+    """AUC, sensitivity and specificity, with the inputs checked once.
 
-
-def _rates(scores, labels, n_pos, n_neg, threshold) -> tuple[float, float]:
+    Sensitivity and specificity are the TPR and TNR with "predicted
+    positive" meaning score >= threshold.
+    """
+    scores, labels, n_pos, n_neg = _check_labels(scores, labels)
     predicted = scores >= threshold
     tp = int(np.sum(predicted & (labels == 1)))
     tn = int(np.sum(~predicted & (labels == 0)))
-    return tp / n_pos, tn / n_neg
-
-
-def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricSet:
-    """AUC, sensitivity and specificity, with the inputs checked once."""
-    scores, labels, n_pos, n_neg = _check_labels(scores, labels)
-    sens, spec = _rates(scores, labels, n_pos, n_neg, threshold)
-    return MetricSet(_auc(scores, labels, n_pos, n_neg), sens, spec, n_pos, n_neg, threshold)
+    auc_value = _auc(scores, labels, n_pos, n_neg)
+    return MetricSet(auc_value, tp / n_pos, tn / n_neg, n_pos, n_neg, threshold)
 
 
 def summarize(values) -> tuple[float, float]:

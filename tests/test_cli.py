@@ -167,6 +167,24 @@ class TestCliCommands:
         for site in ("ostergotland", "sodermanland", "stockholm", "uppsala"):
             assert (tmp_path / f"{site}.csv").exists()
 
+    def test_generated_csvs_reproduce_the_generated_run(self, tmp_path):
+        # run-sim over generate-data's files, at the same seed, trains on the
+        # same split rows as the generated run
+        run = [*FAST, "--set", "rounds=2", "--set", "seed=7"]
+        assert main(["generate-data", *run, "--out", str(tmp_path / "csv")]) == 0
+        assert main(["run-sim", *run, "--out", str(tmp_path / "generated")]) == 0
+        csv_source = ["--set", "data.source=csv", "--set", f'data.csv_dir="{tmp_path / "csv"}"']
+        assert main(["run-sim", *run, *csv_source, "--out", str(tmp_path / "from_csv")]) == 0
+        from privfed.report import nontiming_view
+
+        generated, from_csv = (
+            nontiming_view(json.loads((tmp_path / name / "report.json").read_text()))
+            for name in ("generated", "from_csv")
+        )
+        assert len(generated["rounds"]) == 2
+        for key in ("rounds", "final_params"):
+            assert from_csv[key] == generated[key], key
+
     def test_run_sim_zero_rounds(self, tmp_path):
         rc = main(["run-sim", *FAST, "--set", "rounds=0", "--out", str(tmp_path)])
         assert rc == 0

@@ -36,8 +36,9 @@ from privfed.he.ntt import PrimeField, _bit_reverse_indices, _find_psi, generate
 
 
 def mulmod(field, a, b):
-    """a*b mod q for residues in plain (not Montgomery) form."""
-    return field.montmul(field.to_mont(a), b).reshape(np.shape(a))
+    """a*b mod q over Python ints, row i mod prime i."""
+    q = np.array(field.primes, dtype=object)[:, None]
+    return (a.astype(object) * b.astype(object) % q).astype(np.uint64).reshape(np.shape(a))
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +52,8 @@ def roundtrip(values, keys, rng_seed=0, params=TEST_PARAMS):
     return decode(decrypt(ct, keys))[: len(values)]
 
 
-# Degrees that cover both transform layouts: at 8 and 16 the block is capped
-# at N/2, so one stage runs in natural order; from 128 on the block is 64,
-# and the layout switches between the stages with t = 64 and t = 32.
-LAYOUT_DEGREES = (8, 16, 128, 1024, 8192)
+# Transform sizes from the smallest degree a CKKS test draws (8) to the default.
+DEGREES = (8, 16, 128, 1024, 8192)
 
 
 def stacked_residues(field, seed):
@@ -74,6 +73,12 @@ def sample_positions(n):
     return sorted({0, 1, n // 8 - 1, n // 4, n // 2 - 1, n // 2 + 1, n - 2, n - 1})
 
 
+def negacyclic_coeff(x, y, k):
+    """Coefficient k of x * y in Z[X]/(X^n + 1), over Python ints."""
+    n = len(x)
+    return sum(x[j] * y[k - j] for j in range(k + 1)) - sum(x[j] * y[n + k - j] for j in range(k + 1, n))
+
+
 def eval_at_odd_psi_power(coeffs, psi, j, brv, q):
     """a(psi^(2*brv(j)+1)) mod q by Horner's rule over Python ints."""
     x = pow(psi, 2 * int(brv[j]) + 1, q)
@@ -86,7 +91,7 @@ def eval_at_odd_psi_power(coeffs, psi, j, brv, q):
 class TestNttLayer:
     def test_negacyclic_convolution_oracle(self):
         # O(n) Python-int reference per output coefficient, on a two-prime stack
-        for n in LAYOUT_DEGREES:
+        for n in DEGREES:
             field = PrimeField(generate_ntt_primes([30, 40], n), n)
             a = stacked_residues(field, 3)
             b = stacked_residues(field, 4)[:, ::-1].copy()
@@ -95,12 +100,10 @@ class TestNttLayer:
                 x = [int(v) for v in a[i]]
                 y = [int(v) for v in b[i]]
                 for k in sample_positions(n):
-                    want = sum(x[j] * y[k - j] for j in range(k + 1))
-                    want -= sum(x[j] * y[n + k - j] for j in range(k + 1, n))
-                    assert int(got[i, k]) == want % q, (n, i, k)
+                    assert int(got[i, k]) == negacyclic_coeff(x, y, k) % q, (n, i, k)
 
     def test_transform_roundtrip(self):
-        for n in LAYOUT_DEGREES:
+        for n in DEGREES:
             field = PrimeField(generate_ntt_primes([40, 60], n), n)
             a = stacked_residues(field, 5)
             assert np.array_equal(field.intt(field.ntt(a)), a), n
@@ -108,7 +111,7 @@ class TestNttLayer:
             one = PrimeField(field.primes[0], n)
             assert np.array_equal(one.intt(one.ntt(a[0])), a[0]), n
 
-    @pytest.mark.parametrize("n", LAYOUT_DEGREES)
+    @pytest.mark.parametrize("n", DEGREES)
     def test_ntt_evaluates_at_odd_powers_of_psi(self, n):
         # output j of the bit-reversed negacyclic NTT is a(psi^(2*brv(j)+1))
         field = PrimeField(generate_ntt_primes([60, 40], n), n)
@@ -120,16 +123,6 @@ class TestNttLayer:
             psi = _find_psi(q, n)
             for j in sample_positions(n):
                 assert int(got[i, j]) == eval_at_odd_psi_power(coeffs, psi, j, brv, q), (n, i, j)
-
-    def test_mulmod_against_python_ints(self):
-        q = generate_ntt_primes([60], 64)[0]
-        field = PrimeField(q, 64)
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, q, 500, dtype=np.uint64)
-        b = rng.integers(0, q, 500, dtype=np.uint64)
-        got = mulmod(field, a, b)
-        want = np.array([int(x) * int(y) % q for x, y in zip(a, b)], dtype=np.uint64)
-        assert np.array_equal(got, want)
 
     def test_primes_are_ntt_friendly(self):
         primes = generate_ntt_primes([60, 40, 40], 8192)
@@ -179,8 +172,6 @@ class TestStackedField:
     def test_elementwise_match_single_rows(self, fields):
         stacked, singles = fields
         a = self.residues(stacked.primes, 41)
-        b = self.residues(stacked.primes, 42)[::-1]
-        assert np.array_equal(mulmod(stacked, a, b), self.per_row(singles, mulmod, a, b))
         assert np.array_equal(stacked.centered(a), self.per_row(singles, PrimeField.centered, a))
         signed = np.random.default_rng(43).integers(-(2**62), 2**62, a.shape)
         signed[0, :, :3] = [-1, 0, 2**62 - 1]
@@ -194,11 +185,14 @@ class TestStackedField:
         stacked, _ = fields
         a = self.residues(stacked.primes, 44)
         b = self.residues(stacked.primes, 45)[::-1]
-        got = mulmod(stacked, a, b)
+        c = [2**70 + 11, 3**40, 5]
+        sums, diffs, got = stacked.add(a, b), stacked.sub(a, b), stacked.mul_const(a, c)
         cent = stacked.centered(a)
         for i, q in enumerate(stacked.primes):
             for j in (0, 63, 64, 65, 700, self.N - 1):
-                assert int(got[0, i, j]) == int(a[0, i, j]) * int(b[0, i, j]) % q
+                x, y = int(a[0, i, j]), int(b[0, i, j])
+                assert (int(sums[0, i, j]), int(diffs[0, i, j])) == ((x + y) % q, (x - y) % q)
+                assert int(got[0, i, j]) == x * c[i] % q
                 assert int(cent[0, i, j]) % q == int(a[0, i, j])
                 assert -q // 2 < int(cent[0, i, j]) <= q // 2
 
@@ -214,44 +208,31 @@ class TestStackedField:
             for j in (0, 1, 4097, self.N - 1):
                 assert int(got[0, i, j]) == eval_at_odd_psi_power(coeffs, psi, j, brv, q)
 
-    def test_select_is_a_view_of_the_stack(self, fields):
+    def test_select_matches_the_stack(self, fields):
         stacked, singles = fields
         low = stacked.select(0, 2)
         assert low.primes == stacked.primes[:2]
-        for name in ("_fwd", "_inv", "_n_inv", "_last_inv"):
-            for part in ("w", "w_hi", "w_lo"):
-                mine = getattr(getattr(low, name), part)
-                full = getattr(getattr(stacked, name), part)
-                assert np.shares_memory(mine, full)
-                assert np.array_equal(mine, full[:2])
-        # a block-transposed stage (t < 64) reads the twiddle of natural
-        # block r*(64/2t) + j, psi^brv(m + r*(64/2t) + j), at m + j*(N/64) + r
-        brv = _bit_reverse_indices(self.N)
-        cols = self.N // low.block
-        for i, q in enumerate(low.primes):
-            psi = _find_psi(q, self.N)
-            for t in (32, 4, 1):
-                m, per_row = self.N // (2 * t), low.block // (2 * t)
-                for j, r in ((0, 0), (per_row - 1, 1), (per_row // 2, cols - 1)):
-                    want = pow(psi, int(brv[m + r * per_row + j]), q)
-                    assert int(low._fwd.w[i, m + j * cols + r]) == want, (t, j, r)
         a = self.residues(stacked.primes, 47)
         assert np.array_equal(low.ntt(a[:, :2]), stacked.ntt(a)[:, :2])
         assert np.array_equal(low.intt(a[:, :2]), stacked.intt(a)[:, :2])
         assert stacked.select(2, 3).q_int == singles[2].q_int
 
-    def test_shoup_product_against_python_ints(self, fields):
-        # the product by a fixed multiplier (the CKKS secret, a scalar) at
-        # edge residues: a = q-1 meets w = q-1 and w = 0, a = 0 meets random w
+    def test_mul_const_against_python_ints(self, fields):
+        # the product by a per-prime constant (a CKKS scalar, 1/q_last) at
+        # edge residues: a = q-1 and a = 0 meet 0, 1, q-1 and a constant >= q
         stacked, _ = fields
         a = self.residues(stacked.primes, 48)
-        w = self.residues(stacked.primes, 49)[1]
-        w[:, :32] = a[0, :, :32]
-        w[:, 32:64] = 0
-        got = stacked.mul_shoup(a, stacked.shoup_table(w))
         q = np.array(stacked.primes, dtype=object)[:, None]
-        assert np.array_equal(got, a.astype(object) * w.astype(object) % q)
-        assert np.array_equal(got, mulmod(stacked, a, w))
+        for consts in (
+            [0] * 3,
+            [1] * 3,
+            [p - 1 for p in stacked.primes],
+            [p + 12345 for p in stacked.primes],
+            [2**64 - 1, 2**100 + 7, 3 * stacked.primes[2] - 1],
+        ):
+            got = stacked.mul_const(a, consts)
+            want = a.astype(object) * np.array(consts, dtype=object)[:, None] % q
+            assert np.array_equal(got, want), consts
 
 
 class TestSecretProduct:
@@ -305,6 +286,26 @@ class TestSecretProduct:
         rows[:, rng.integers(0, n, n // 4)] = np.array([[q - 1] for q in primes], dtype=np.uint64)
         self.check_every_level(params, rows, rng.integers(-1, 2, n))
 
+    @pytest.mark.parametrize(
+        "params",
+        [CkksParams(8, (61, 40, 20), 1), CkksParams(16, (30, 30, 30), 1), CkksParams(64, (60, 50, 40), 1)],
+        ids=["n8", "n16", "n64"],
+    )
+    def test_equals_the_schoolbook_product(self, params):
+        # an oracle that runs no NTT: the negacyclic product in Python ints
+        n = params.poly_degree
+        primes = _context(params).active_primes
+        rng = np.random.default_rng(65)
+        rows = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+        rows[:, : n // 4] = np.array([[q - 1] for q in primes], dtype=np.uint64)
+        s = rng.integers(-1, 2, n)
+        want = [[negacyclic_coeff([int(v) for v in row], [int(v) for v in s], k) % q for k in range(n)]
+                for row, q in zip(rows, primes)]
+        spectrum = _secret_spectrum(_context(params), s)
+        for level in range(len(primes)):
+            got = _mul_secret(_context(params), rows[: level + 1], spectrum)
+            assert got.tolist() == want[: level + 1], level
+
     def test_guard_refuses_an_inexact_product(self, monkeypatch):
         key = keygen(TEST_PARAMS, np.random.default_rng(61))
         pt = encode([0.5], TEST_PARAMS)
@@ -334,7 +335,7 @@ class TestSecretProduct:
         assert np.abs(out - 0.15).max() < 1e-6
         assert calls == []
         # the context's fields never built their twiddle tables
-        assert all("_tables" not in vars(field) for field in _context(DEFAULT_PARAMS).level_fields)
+        assert all("_twiddles" not in vars(field) for field in _context(DEFAULT_PARAMS).level_fields)
 
 
 class TestGoldenBytes:

@@ -8,7 +8,6 @@ from privfed.metrics import (
     MetricSet,
     auc,
     evaluate_scores,
-    sensitivity_specificity,
     summarize,
     summarize_metric_sets,
 )
@@ -54,19 +53,25 @@ class TestAuc:
             auc([0.1, 0.9], [1, 1])
 
 
+def rates(scores, labels, threshold):
+    """(sensitivity, specificity) as ``evaluate_scores`` reports them."""
+    m = evaluate_scores(scores, labels, threshold)
+    return m.sensitivity, m.specificity
+
+
 class TestSensSpec:
     def test_threshold_zero_all_positive(self):
-        sens, _ = sensitivity_specificity([0.2, 0.9, 0.4], [1, 1, 0], threshold=0.0)
+        sens, _ = rates([0.2, 0.9, 0.4], [1, 1, 0], threshold=0.0)
         assert sens == 1.0
 
     def test_threshold_above_max(self):
-        sens, spec = sensitivity_specificity([0.2, 0.9, 0.4], [1, 1, 0], threshold=0.95)
+        sens, spec = rates([0.2, 0.9, 0.4], [1, 1, 0], threshold=0.95)
         assert sens == 0.0 and spec == 1.0
 
     def test_hand_computed_case(self):
         scores = [0.9, 0.8, 0.4, 0.3, 0.2, 0.1]
         labels = [1, 1, 1, 0, 0, 0]
-        sens, spec = sensitivity_specificity(scores, labels, threshold=0.5)
+        sens, spec = rates(scores, labels, threshold=0.5)
         assert sens == pytest.approx(2 / 3)
         assert spec == 1.0
 
@@ -79,7 +84,7 @@ class TestSensSpec:
         sens = []
         spec = []
         for t in thresholds:
-            s, p = sensitivity_specificity(scores, labels, t)
+            s, p = rates(scores, labels, t)
             sens.append(s)
             spec.append(p)
         assert all(b <= a for a, b in zip(sens, sens[1:]))
@@ -129,12 +134,15 @@ def test_evaluate_scores_counts():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_evaluate_scores_equals_the_public_metrics(seed):
-    # one label check, then the same AUC and rates as the checked public calls
+    # one label check, then the same AUC as the checked public call and the
+    # rates counted row by row
     rng = np.random.default_rng(seed)
     scores = rng.integers(0, 40, 2000) / 40.0  # many ties
     labels = (rng.random(2000) < 0.2).astype(np.int64)
     for threshold in (0.0, 0.5, 0.975, 1.0):
         m = evaluate_scores(scores, labels, threshold)
-        sens, spec = sensitivity_specificity(scores, labels, threshold)
+        tp = sum(1 for s, y in zip(scores, labels) if s >= threshold and y == 1)
+        tn = sum(1 for s, y in zip(scores, labels) if s < threshold and y == 0)
+        sens, spec = tp / int(labels.sum()), tn / int((labels == 0).sum())
         assert (m.auc, m.sensitivity, m.specificity) == (auc(scores, labels), sens, spec)
         assert (m.n_pos, m.n_neg) == (int(labels.sum()), int((labels == 0).sum()))

@@ -1,9 +1,10 @@
 """The benchmark harness under ``perfbench/`` drives privfed through its
 public names and wraps its layer functions by name.  These run the harness's
-two output-checking modes on tiny configs, so a change that breaks the
-harness fails here, not when the benchmark runs."""
+two output-checking modes on tiny configs, and its kernel timings, so a
+change that breaks the harness fails here, not when the benchmark runs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,3 +39,11 @@ def test_traced_dp_run_resolves_every_target(tmp_path):
     assert out["problems"] == []
     assert out["layers"]["dp.svt_filter"]["calls"] > 0
     assert spans.stat().st_size > 0
+
+
+def test_kernel_timings_are_finite_and_positive():
+    out = child("kernels", "--seed", "0")
+    kernels = {name: value for name, value in out.items() if name.startswith("kernel.")}
+    assert "kernel.ntt" in kernels and "kernel.mul_scalar_rescale" in kernels
+    for name, value in kernels.items():
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -15,6 +15,9 @@ import argparse
 import numpy as np
 
 from privfed.data import (
+    AGE_MEAN,
+    AGE_RANGE,
+    AGE_STD,
     DEFAULT_BETA,
     FEATURE_NAMES,
     INDICATOR_PREVALENCE,
@@ -31,20 +34,19 @@ TARGET_PREVALENCE = 42033 / 660427  # pooled positives over pooled total
 AUC_WINDOW = (0.63, 0.72)
 
 
-def draw_features(rng, n, spec):
+def draw_features(rng, n):
     """``(10, n)`` feature columns with the generator's marginals, ordered
     like FEATURE_NAMES: a truncated normal age, then the indicators."""
     cols = np.empty((10, n), dtype=np.float64)
-    age = rng.normal(spec.age_mean, spec.age_std, n)
-    np.clip(age, spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std, out=cols[0])
+    np.clip(rng.normal(AGE_MEAN, AGE_STD, n), *AGE_RANGE, out=cols[0])
     for j, name in enumerate(FEATURE_NAMES[1:], start=1):
         cols[j] = rng.random(n) < INDICATOR_PREVALENCE[name]
     return cols
 
 
-def solve_intercept(beta, spec, rng, target=TARGET_PREVALENCE, n=200_000):
+def solve_intercept(beta, rng, target=TARGET_PREVALENCE, n=200_000):
     """1-d bisection on the intercept so mean sigmoid hits the prevalence."""
-    logits = beta @ draw_features(rng, n, spec)
+    logits = beta @ draw_features(rng, n)
     lo, hi = -10.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -77,8 +79,7 @@ def main():
     print(f"target pooled prevalence: {TARGET_PREVALENCE:.4f}")
     for scale in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
         beta = tuple(scale * base)
-        spec_probe = GeneratorSpec(seed=args.seed, scale_factor=args.scale_factor)
-        beta0 = solve_intercept(np.asarray(beta), spec_probe, rng)
+        beta0 = solve_intercept(np.asarray(beta), rng)
         spec = GeneratorSpec(
             beta=beta, beta0=beta0, seed=args.seed, scale_factor=args.scale_factor
         )

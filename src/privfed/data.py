@@ -39,7 +39,11 @@ FEATURE_NAMES = [
     "comorb_3",
 ]
 
-# Bernoulli prevalence for every indicator column (age is truncated normal).
+# Age is a normal truncated to 3 standard deviations either side of its mean.
+AGE_MEAN, AGE_STD = 0.0, 1.0
+AGE_RANGE = (AGE_MEAN - 3 * AGE_STD, AGE_MEAN + 3 * AGE_STD)
+
+# Bernoulli prevalence for every indicator column.
 INDICATOR_PREVALENCE = {
     "gender": 0.5,
     "diabetes": 0.08,
@@ -137,8 +141,6 @@ class GeneratorSpec:
     beta0: float = DEFAULT_BETA0
     seed: int = 0
     scale_factor: float = 1.0
-    age_mean: float = 0.0
-    age_std: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.scale_factor <= 1:
@@ -226,15 +228,14 @@ def _fill_buckets(spec, rng, features, where, want_neg):
     total = len(where)
     beta = np.asarray(spec.beta, dtype=np.float64)
     prevalence = np.array([[INDICATOR_PREVALENCE[name]] for name in FEATURE_NAMES[1:]])
-    lo, hi = spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std
     bitgen = rng.bit_generator
     next_row, end = [0, want_neg], [want_neg, total]  # per class: negatives, positives
     batch = max(4096, total)
     rows = np.empty((min(batch, BLOCK_ROWS), 10))
     draws = np.empty((10, len(rows)))  # a block's nine indicator columns, then its label uniforms
     while next_row != end:
-        age = rng.normal(spec.age_mean, spec.age_std, batch)
-        np.clip(age, lo, hi, out=age)
+        age = rng.normal(AGE_MEAN, AGE_STD, batch)
+        np.clip(age, *AGE_RANGE, out=age)
         after_age = bitgen.state
         for start in range(0, batch, BLOCK_ROWS):
             if next_row == end:

@@ -125,16 +125,30 @@ def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> l
     return out
 
 
-def aggregate_serialized(params: CkksParams, payloads: dict[str, list[bytes]], weights) -> list[bytes]:
+def aggregate_serialized(
+    params: CkksParams, payloads: dict[str, list[bytes]], weights, length: int
+) -> list[bytes]:
     """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
-    order, to its serialized chunks, and a chunk that does not deserialize
-    aborts with the site's name.  Needs no key."""
+    order, to its serialized chunks of a ``length``-value update.  A site
+    whose chunks do not deserialize, are not ⌈length / slots⌉ or are not at
+    fresh level and scale aborts with its name.  Needs no key."""
+    n_chunks = -(-length // params.slot_count)
+    fresh_level = len(params.modulus_bits) - 2  # the last prime is encryption headroom
     per_client = []
     for client_id, blobs in payloads.items():
         try:
-            per_client.append([deserialize_ct(blob, params) for blob in blobs])
+            cts = [deserialize_ct(blob, params) for blob in blobs]
         except DecodeError as err:
             raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
+        if len(cts) != n_chunks:
+            raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {n_chunks}")
+        for ct in cts:
+            if (ct.level, ct.scale) != (fresh_level, params.scale):
+                raise ProtocolError(
+                    f"client {client_id!r} sent a ciphertext at level {ct.level}, scale {ct.scale:.0f}; "
+                    f"a fresh one is at level {fresh_level}, scale {params.scale:.0f}"
+                )
+        per_client.append(cts)
     return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
 
@@ -147,6 +161,7 @@ class FederationServer:
         self.kind = ModelKind(cfg.model)
         self.clients: dict[str, ClientRecord] = {}
         self.session_digest = cfg.session_digest()
+        self.encrypted = cfg.privacy_mode == "he"  # fixes the form of every update and ROUND_DONE
         self.event_log: list[list] = []
         self._t0 = time.monotonic()
 
@@ -207,7 +222,10 @@ class FederationServer:
 
     # -- round loop ------------------------------------------------------------
 
-    def _broadcast(self, round_index: int, body: tr.BroadcastBody):
+    def _broadcast(self, round_index: int, final: bool, global_params: np.ndarray, he_state):
+        """Send every site the global model: θ, or once there is one, the
+        serialized HE aggregate."""
+        body = tr.BroadcastBody(final, global_params if he_state is None else he_state)
         frame = tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
         for client_id in self.cfg.site_names():
             self.clients[client_id].channel.send(frame)
@@ -215,7 +233,8 @@ class FederationServer:
 
     def _collect(self, round_index: int, msg_type: int, decode) -> dict[str, tuple[object, float]]:
         """Each site's decoded reply body and arrival time, in site order, read
-        under one deadline.  The channel names the site; no body repeats it.
+        under one deadline.  The channel names the site and the session fixes
+        the payload's form, so no body repeats either.
 
         The round is a hard barrier, so reading the sites one after another
         loses nothing: the coordinator cannot act before the last reply.
@@ -239,7 +258,7 @@ class FederationServer:
                     f"expected type {msg_type} round {round_index}"
                 )
             try:
-                body = (tr.decode_error if failed else decode)(frame.body)
+                body = tr.decode_error(frame.body) if failed else decode(frame.body, self.encrypted)
             except DecodeError as err:
                 raise ProtocolError(f"client {client_id!r} sent a bad body: {err}") from err
             if failed:
@@ -257,25 +276,25 @@ class FederationServer:
         global_params = init_params(self.kind, derive_seed(cfg.seed, "init"))
         manifest = LayoutManifest.of(global_params)
         he_state: list[bytes] | None = None  # serialized aggregate ciphertexts
-        payload_kind = tr.PAYLOAD_CHUNKS if cfg.privacy_mode == "he" else tr.PAYLOAD_PLAIN
+        length = manifest.total_length
 
         try:
             for round_index in range(cfg.rounds):
                 broadcast_at = time.monotonic() - self._t0
-                self._broadcast(round_index, self._broadcast_body(global_params, he_state, False))
+                self._broadcast(round_index, False, global_params, he_state)
                 received = self._collect(round_index, tr.MSG_UPDATE, tr.decode_update)
-                for client_id, (update, _) in received.items():
-                    if update.payload_kind != payload_kind:
-                        raise ProtocolError(
-                            f"client {client_id!r} sent payload kind {update.payload_kind}; "
-                            f"a {cfg.privacy_mode!r} run takes kind {payload_kind}"
-                        )
+                payloads = {cid: update.payload for cid, (update, _) in received.items()}
+                if not self.encrypted:  # aggregate_serialized checks HE chunks
+                    for client_id, values in payloads.items():
+                        if values.size != length or not np.isfinite(values).all():
+                            raise ProtocolError(
+                                f"client {client_id!r} sent an update that is not {length} finite values"
+                            )
                 self._log("aggregate_start", str(round_index))
                 agg_t0 = time.monotonic()
-                payloads = {cid: update.payload for cid, (update, _) in received.items()}
                 weights = [self.clients[cid].weight for cid in received]
-                if cfg.privacy_mode == "he":
-                    he_state = aggregate_serialized(cfg.he, payloads, weights)
+                if self.encrypted:
+                    he_state = aggregate_serialized(cfg.he, payloads, weights, length)
                 else:
                     mean_delta = aggregate_plain(list(payloads.values()), weights)
                     global_params = apply_update(global_params, mean_delta, manifest)
@@ -285,12 +304,12 @@ class FederationServer:
                 )
 
             # final broadcast: clients evaluate the finished global model
-            self._broadcast(cfg.rounds, self._broadcast_body(global_params, he_state, True))
+            self._broadcast(cfg.rounds, True, global_params, he_state)
             done = self._collect(cfg.rounds, tr.MSG_ROUND_DONE, tr.decode_round_done)
             report.cross_site = CrossSiteTable.from_rows(
                 [SiteValidation(cid, body.metrics) for cid, (body, _) in done.items()]
             )
-            if cfg.privacy_mode == "he":
+            if self.encrypted:
                 finals = {cid: body.final_params for cid, (body, _) in done.items()}
                 report.final_params = _agreed_final_params(finals)
             else:
@@ -304,20 +323,15 @@ class FederationServer:
         report.event_log = self.event_log
         return report
 
-    def _broadcast_body(self, global_params: np.ndarray, he_state, final: bool) -> tr.BroadcastBody:
-        if he_state is not None:
-            return tr.BroadcastBody(final, tr.PAYLOAD_CHUNKS, he_state)
-        return tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, global_params)
-
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
         """``received`` maps each client id to its (UpdateBody, arrival time)."""
         clients = []
         for client_id in self.cfg.site_names():
             update, arrival = received[client_id]
             payload_bytes = (
-                update.payload.size * 8
-                if update.payload_kind == tr.PAYLOAD_PLAIN
-                else sum(len(b) for b in update.payload)
+                sum(len(b) for b in update.payload)
+                if self.encrypted
+                else update.payload.size * 8
             )
             clients.append(
                 ClientRoundRecord(
@@ -353,13 +367,11 @@ def _refuse(channel, reason: str, error: Exception) -> Exception:
     return error
 
 
-def _agreed_final_params(finals: dict[str, np.ndarray | None]) -> np.ndarray:
+def _agreed_final_params(finals: dict[str, np.ndarray]) -> np.ndarray:
     """The final HE-mode parameters, which every site must send bitwise equal:
     all sites decrypt the same aggregates with the same key."""
     first = next(iter(finals))
     for client_id, params in finals.items():
-        if params is None:
-            raise ProtocolError(f"client {client_id!r} sent no final parameters")
         if params.tobytes() != finals[first].tobytes():
             raise ProtocolError(
                 f"client {client_id!r} sent final parameters that differ from {first!r}'s"
@@ -417,29 +429,24 @@ class FederationClient:
         scores = predict_batch(self.kind, params, self.valid.features)
         return evaluate_scores(scores, self.valid.labels, self.cfg.threshold)
 
-    def _install_broadcast(self, round_index: int, body: tr.BroadcastBody) -> float:
-        """Take the broadcast's global model; returns the seconds spent
-        decrypting it.  The model comes as plaintext θ, except in an HE
-        session after round 0, where it comes as the encrypted aggregate."""
-        encrypted = self.he is not None and round_index > 0
-        expected = tr.PAYLOAD_CHUNKS if encrypted else tr.PAYLOAD_PLAIN
-        if body.payload_kind != expected:
-            raise ProtocolError(
-                f"round {round_index} broadcast carries payload kind {body.payload_kind}; "
-                f"a {self.cfg.privacy_mode!r} site takes kind {expected} in that round"
+    def _install_broadcast(self, frame: tr.Frame) -> tuple[bool, float]:
+        """Take the broadcast's global model; returns whether it is the final
+        one and the seconds spent decrypting it.  The model comes as
+        plaintext θ, except in an HE session after round 0, where it comes as
+        the encrypted aggregate."""
+        encrypted = self.he is not None and frame.round > 0
+        body = tr.decode_broadcast(frame.body, encrypted)
+        if encrypted:
+            delta, seconds = self.he.client_decode(body.payload, self.manifest.total_length)
+            self.global_params = apply_update(self.global_params, delta, self.manifest)
+            return body.final, seconds
+        if body.payload.size != self.manifest.total_length:
+            raise LayoutError(
+                f"broadcast carries {body.payload.size} values, {self.kind.value} expects "
+                f"{self.manifest.total_length}"
             )
-        if not encrypted:
-            flat = np.asarray(body.payload)
-            if flat.size != self.manifest.total_length:
-                raise LayoutError(
-                    f"broadcast carries {flat.size} values, {self.kind.value} expects "
-                    f"{self.manifest.total_length}"
-                )
-            self.global_params = flat
-            return 0.0
-        delta, seconds = self.he.client_decode(body.payload, self.manifest.total_length)
-        self.global_params = apply_update(self.global_params, delta, self.manifest)
-        return seconds
+        self.global_params = body.payload
+        return body.final, 0.0
 
     def join_frame(self) -> tr.Frame:
         """The JOIN this client opens its session with."""
@@ -468,11 +475,10 @@ class FederationClient:
             raise ProtocolError(
                 f"broadcast for round {frame.round}, expected {self.next_round}"
             )
-        body = tr.decode_broadcast(frame.body)
-        privacy_seconds = self._install_broadcast(frame.round, body)
+        final, privacy_seconds = self._install_broadcast(frame)
         pre_metrics = self._evaluate(self.global_params)
 
-        if body.final:
+        if final:
             final_params = self.global_params if cfg.privacy_mode == "he" else None
             return tr.Frame(
                 tr.MSG_ROUND_DONE,
@@ -493,14 +499,14 @@ class FederationClient:
         delta = compute_delta(trained, self.global_params)
         if cfg.weighting == "examples":
             delta = delta * self.weight
-        kind, payload = tr.PAYLOAD_PLAIN, delta
+        payload = delta
         if cfg.privacy_mode != "plain":
             rng = derived_rng(cfg.seed, "privacy", self.client_id, frame.round)
             t0 = time.monotonic()
             if cfg.privacy_mode == "dp":
                 payload = svt_filter(delta, max(stats.steps, 1), cfg.dp, rng)
             else:
-                kind, payload = tr.PAYLOAD_CHUNKS, self.he.client_encode(delta, stats.steps, rng)
+                payload = self.he.client_encode(delta, stats.steps, rng)
             privacy_seconds += time.monotonic() - t0
         return tr.Frame(
             tr.MSG_UPDATE,
@@ -508,7 +514,6 @@ class FederationClient:
             tr.encode_update(
                 tr.UpdateBody(
                     steps=stats.steps,
-                    payload_kind=kind,
                     payload=payload,
                     train_seconds=stats.wall_time,
                     privacy_seconds=privacy_seconds,

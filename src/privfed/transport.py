@@ -152,10 +152,6 @@ def decode_join(body: bytes) -> JoinBody:
     return JoinBody(client_id, token, n_train, session_digest)
 
 
-PAYLOAD_PLAIN = 0  # little-endian f64 array (Plain and Dp updates, broadcasts)
-PAYLOAD_CHUNKS = 1  # ciphertext chunk list (He updates and He broadcasts)
-
-
 def _pack_f64(values: np.ndarray) -> bytes:
     values = np.asarray(values, dtype=np.float64)
     return struct.pack("<Q", values.size) + values.astype("<f8").tobytes()
@@ -166,15 +162,23 @@ def _unpack_f64(r: _Reader) -> np.ndarray:
     return np.frombuffer(r.take(8 * count), dtype="<f8").astype(np.float64)
 
 
-def _pack_chunks(chunks: list[bytes]) -> bytes:
-    out = [struct.pack("<I", len(chunks))]
-    for c in chunks:
+def _pack_payload(payload) -> bytes:
+    """A list of ciphertext blobs as a chunk list, anything else as f64s."""
+    if not isinstance(payload, list):
+        return _pack_f64(payload)
+    out = [struct.pack("<I", len(payload))]
+    for c in payload:
         out.append(struct.pack("<Q", len(c)))
         out.append(c)
     return b"".join(out)
 
 
-def _unpack_chunks(r: _Reader) -> list[bytes]:
+def _unpack_payload(r: _Reader, encrypted: bool):
+    """The session fixes a payload's form, so no body names it: ciphertext
+    chunks when ``encrypted`` (an HE update, or an HE broadcast after round
+    0), else f64 values.  A body in the other form fails to decode."""
+    if not encrypted:
+        return _unpack_f64(r)
     (n,) = struct.unpack("<I", r.take(4))
     chunks = []
     for _ in range(n):
@@ -183,28 +187,11 @@ def _unpack_chunks(r: _Reader) -> list[bytes]:
     return chunks
 
 
-def _pack_payload(kind: int, payload) -> bytes:
-    head = struct.pack("<B", kind)
-    if kind == PAYLOAD_PLAIN:
-        return head + _pack_f64(payload)
-    return head + _pack_chunks(payload)
-
-
-def _unpack_payload(r: _Reader):
-    (kind,) = struct.unpack("<B", r.take(1))
-    if kind == PAYLOAD_PLAIN:
-        return kind, _unpack_f64(r)
-    if kind == PAYLOAD_CHUNKS:
-        return kind, _unpack_chunks(r)
-    raise DecodeError(f"unknown payload kind {kind}")
-
-
 @dataclass(frozen=True)
 class UpdateBody:
     """A site's answer to a round broadcast; the channel names the site."""
 
     steps: int
-    payload_kind: int
     payload: object  # f64 array or list of ciphertext blobs
     train_seconds: float
     privacy_seconds: float  # dp-filter or encrypt+decrypt time
@@ -218,38 +205,37 @@ def encode_update(u: UpdateBody) -> bytes:
             struct.pack("<Idd", u.steps, u.train_seconds, u.privacy_seconds),
             _pack_metrics(u.pre_metrics),
             _pack_metrics(u.post_metrics),
-            _pack_payload(u.payload_kind, u.payload),
+            _pack_payload(u.payload),
         ]
     )
 
 
-def decode_update(body: bytes) -> UpdateBody:
+def decode_update(body: bytes, encrypted: bool) -> UpdateBody:
     r = _Reader(body)
     steps, train_s, privacy_s = struct.unpack("<Idd", r.take(20))
     pre = _unpack_metrics(r.take(_METRICS.size))
     post = _unpack_metrics(r.take(_METRICS.size))
-    kind, payload = _unpack_payload(r)
+    payload = _unpack_payload(r, encrypted)
     r.done()
-    return UpdateBody(steps, kind, payload, train_s, privacy_s, pre, post)
+    return UpdateBody(steps, payload, train_s, privacy_s, pre, post)
 
 
 @dataclass(frozen=True)
 class BroadcastBody:
     final: bool
-    payload_kind: int
     payload: object
 
 
 def encode_broadcast(b: BroadcastBody) -> bytes:
-    return struct.pack("<B", int(b.final)) + _pack_payload(b.payload_kind, b.payload)
+    return struct.pack("<B", int(b.final)) + _pack_payload(b.payload)
 
 
-def decode_broadcast(body: bytes) -> BroadcastBody:
+def decode_broadcast(body: bytes, encrypted: bool) -> BroadcastBody:
     r = _Reader(body)
     final = r.take_flag()
-    kind, payload = _unpack_payload(r)
+    payload = _unpack_payload(r, encrypted)
     r.done()
-    return BroadcastBody(final, kind, payload)
+    return BroadcastBody(final, payload)
 
 
 @dataclass(frozen=True)
@@ -261,19 +247,15 @@ class RoundDoneBody:
 
 
 def encode_round_done(d: RoundDoneBody) -> bytes:
-    out = [_pack_metrics(d.metrics)]
-    if d.final_params is None:
-        out.append(struct.pack("<B", 0))
-    else:
-        out.append(struct.pack("<B", 1))
-        out.append(_pack_f64(d.final_params))
-    return b"".join(out)
+    params = b"" if d.final_params is None else _pack_f64(d.final_params)
+    return _pack_metrics(d.metrics) + params
 
 
-def decode_round_done(body: bytes) -> RoundDoneBody:
+def decode_round_done(body: bytes, encrypted: bool) -> RoundDoneBody:
+    """``encrypted``: an HE session, whose sites send the final θ."""
     r = _Reader(body)
     metrics = _unpack_metrics(r.take(_METRICS.size))
-    final_params = _unpack_f64(r) if r.take_flag() else None
+    final_params = _unpack_f64(r) if encrypted else None
     r.done()
     return RoundDoneBody(metrics, final_params)
 

@@ -9,7 +9,8 @@ import threading
 import numpy as np
 
 from privfed import transport as tr
-from privfed.data import FEATURE_NAMES, INDICATOR_PREVALENCE, CohortDataset, scaled_counts
+from privfed.data import AGE_MEAN, AGE_RANGE, AGE_STD, FEATURE_NAMES, INDICATOR_PREVALENCE
+from privfed.data import CohortDataset, scaled_counts
 from privfed.federation import FederationClient, FederationServer, build_site_datasets
 from privfed.learners import LN_EPS, ModelKind
 from privfed.seeds import derive_seed
@@ -148,11 +149,10 @@ def generate_site_oracle(spec, site, rng):
     total = sum(want)
     batch = max(4096, total)
     beta = np.asarray(spec.beta, dtype=np.float64)
-    lo, hi = spec.age_mean - 3 * spec.age_std, spec.age_mean + 3 * spec.age_std
     buckets = ([], [])
     held = [0, 0]
     while held != list(want):
-        age = np.clip(rng.normal(spec.age_mean, spec.age_std, batch), lo, hi)
+        age = np.clip(rng.normal(AGE_MEAN, AGE_STD, batch), *AGE_RANGE)
         flags = [rng.uniform(0.0, 1.0, batch) < INDICATOR_PREVALENCE[name] for name in FEATURE_NAMES[1:]]
         u = rng.uniform(0.0, 1.0, batch)
         x = np.column_stack([age, *flags]).astype(np.float64)

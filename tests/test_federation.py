@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import struct
 from collections import Counter
 import threading
 import time
@@ -35,6 +36,7 @@ from privfed.he import (
     encode,
     encrypt,
     keygen,
+    mul_scalar_rescale,
     serialize_ct,
 )
 from privfed.he import ckks
@@ -69,7 +71,7 @@ def site_client(cfg) -> FederationClient:
 
 
 def broadcast(round_index: int, flat, final: bool = False) -> tr.Frame:
-    body = tr.BroadcastBody(final, tr.PAYLOAD_PLAIN, flat)
+    body = tr.BroadcastBody(final, flat)
     return tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
 
 
@@ -162,8 +164,7 @@ class TestSimulationRuns:
         cfg = sim_config("privacy.mode=dp", "model=nn", "rounds=1", "local_epochs=2")
         reply = site_client(cfg).handle(broadcast(0, init_params(ModelKind.FEEDFORWARD_NN, 0)))
         assert (reply.msg_type, reply.round) == (tr.MSG_UPDATE, 0)
-        update = tr.decode_update(reply.body)
-        assert update.payload_kind == tr.PAYLOAD_PLAIN
+        update = tr.decode_update(reply.body, encrypted=False)
         assert update.payload.size == 66
         bound = cfg.dp.gamma * update.steps
         assert np.all(np.abs(update.payload) <= bound + 1e-12)
@@ -344,8 +345,7 @@ class TestClientHandle:
         client = site_client(cfg)
         reply = client.handle(broadcast(0, init_params(ModelKind.LOGISTIC_REGRESSION, 0), final=True))
         assert (reply.msg_type, reply.round) == (tr.MSG_ROUND_DONE, 0)
-        done = tr.decode_round_done(reply.body)
-        assert done.final_params is None  # plain mode: the coordinator holds the model
+        done = tr.decode_round_done(reply.body, encrypted=False)  # no θ: the coordinator holds it
         assert done.metrics.n_pos + done.metrics.n_neg == len(client.valid)
 
     def test_broadcast_of_wrong_length_rejected(self):
@@ -381,41 +381,53 @@ class TestClientStep:
         assert tr.decode_error(reply.body) == "ProtocolError: broadcast for round 5, expected 0"
 
 
+def fresh_blob() -> bytes:
+    """A fresh ciphertext of 11 zeros under HE_OVERRIDES' parameters."""
+    key = keygen(TEST_PARAMS, np.random.default_rng(1))
+    return serialize_ct(encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0)))
+
+
 def chunks_broadcast(round_index: int) -> tr.Frame:
     """A broadcast of one serialized ciphertext, the form an HE coordinator
     sends after round 0."""
-    key = keygen(TEST_PARAMS, np.random.default_rng(1))
-    blob = serialize_ct(encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0)))
-    body = tr.BroadcastBody(False, tr.PAYLOAD_CHUNKS, [blob])
+    body = tr.BroadcastBody(False, [fresh_blob()])
     return tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
 
 
 class TestBroadcastForm:
     """A site takes plaintext θ in plain and DP sessions and in HE round 0,
-    and ciphertext chunks in HE after round 0; any other form is refused."""
+    and ciphertext chunks in HE after round 0.  No body names its form, so a
+    broadcast in the other form fails to decode, and the site sends that
+    failure to the coordinator as its ERROR."""
+
+    @staticmethod
+    def refusal(client, frame) -> str:
+        """The ERROR ``client`` answers ``frame`` with, after checking that its
+        step raised the DecodeError the ERROR names."""
+        site_end, coordinator_end = tr.SimChannel.pair()
+        coordinator_end.send(frame)
+        with pytest.raises(DecodeError) as raised:
+            client.step(site_end)
+        reply = coordinator_end.recv()
+        assert reply.msg_type == tr.MSG_ERROR
+        error = tr.decode_error(reply.body)
+        assert error == f"DecodeError: {raised.value}"
+        return error
 
     @pytest.mark.parametrize("mode", ["plain", "dp"])
     def test_ciphertext_to_a_plaintext_site(self, mode):
         client = site_client(sim_config(f"privacy.mode={mode}"))
-        with pytest.raises(
-            ProtocolError,
-            match=f"round 0 broadcast carries payload kind 1; a '{mode}' site takes kind 0",
-        ):
-            client.handle(chunks_broadcast(0))
+        assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
 
     def test_plaintext_to_an_he_site_after_round_0(self):
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
-        with pytest.raises(
-            ProtocolError, match="round 1 broadcast carries payload kind 0; a 'he' site takes kind 1"
-        ):
-            client.handle(broadcast(1, theta))
+        assert self.refusal(client, broadcast(1, theta)) == "DecodeError: trailing bytes in body"
 
     def test_ciphertext_to_an_he_site_in_round_0(self):
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
-        with pytest.raises(ProtocolError, match="round 0 broadcast carries payload kind 1"):
-            client.handle(chunks_broadcast(0))
+        assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
 
 
 class TestRoundSequence:
@@ -534,15 +546,15 @@ def join_frame(cfg, name) -> tr.Frame:
 METRICS = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
 
 
-def update_frame(round_index=0) -> tr.Frame:
-    """A well-formed plain LR update."""
-    body = tr.UpdateBody(1, tr.PAYLOAD_PLAIN, np.zeros(11), 0.0, 0.0, METRICS, METRICS)
+def update_frame(round_index=0, values=np.zeros(11)) -> tr.Frame:
+    """A plain update, by default a well-formed one for LR."""
+    body = tr.UpdateBody(1, values, 0.0, 0.0, METRICS, METRICS)
     return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body))
 
 
-def chunks_update_frame(blob: bytes) -> tr.Frame:
-    """A round-0 HE update of one serialized ciphertext."""
-    body = tr.UpdateBody(1, tr.PAYLOAD_CHUNKS, [blob], 0.0, 0.0, METRICS, METRICS)
+def chunks_update_frame(*blobs: bytes) -> tr.Frame:
+    """A round-0 HE update of these serialized ciphertexts."""
+    body = tr.UpdateBody(1, list(blobs), 0.0, 0.0, METRICS, METRICS)
     return tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body))
 
 
@@ -694,6 +706,25 @@ class TestSessionSettings:
         assert [f.msg_type for f in sent] == [tr.MSG_JOIN, tr.MSG_ERROR]
 
 
+FRESH = f"a fresh one is at level 1, scale {2**30}"
+
+
+def malformed_update(fault: str) -> tr.Frame:
+    """An update that decodes but does not fit its session: a plain LR
+    update must be 11 finite values, an HE one a single fresh ciphertext."""
+    blob = fresh_blob()
+    return {
+        "short": lambda: update_frame(values=np.zeros(10)),
+        "nan": lambda: update_frame(values=np.where(np.arange(11) == 4, np.nan, 0.0)),
+        "two_chunks": lambda: chunks_update_frame(blob, blob),
+        "no_chunks": lambda: chunks_update_frame(),
+        "level_0": lambda: chunks_update_frame(
+            serialize_ct(mul_scalar_rescale(deserialize_ct(blob, TEST_PARAMS), 1.0))
+        ),
+        "half_scale": lambda: chunks_update_frame(blob[:9] + struct.pack("<H", 29) + blob[11:]),
+    }[fault]()
+
+
 class TestSequentialCollect:
     """The coordinator reads the sites in site order; each fault aborts the
     run within ``timeout_seconds`` with a reason that names the site."""
@@ -748,6 +779,32 @@ class TestSequentialCollect:
         )
         assert report.rounds == []
 
+    @pytest.mark.parametrize(
+        "fault, every_site, reason",
+        [
+            ("short", False, "sent an update that is not 11 finite values"),
+            ("short", True, "sent an update that is not 11 finite values"),
+            ("nan", False, "sent an update that is not 11 finite values"),
+            ("two_chunks", False, "sent 2 chunks, expected 1"),
+            ("no_chunks", False, "sent 0 chunks, expected 1"),
+            ("level_0", False, f"sent a ciphertext at level 0, scale {2**30}; {FRESH}"),
+            ("half_scale", False, f"sent a ciphertext at level 1, scale {2**29}; {FRESH}"),
+        ],
+        ids=["short_at_one_site", "short_at_every_site", "nan", "two_chunks", "no_chunks", "level_0", "half_scale"],
+    )
+    def test_malformed_update_names_its_site(self, fault, every_site, reason):
+        he = fault not in ("short", "nan")
+        cfg = sim_config(*(["privacy.mode=he", *HE_OVERRIDES] if he else []), "timeout_seconds=5")
+        names = cfg.site_names()
+        server, client_ends = sim_coordinator(cfg)
+        good = chunks_update_frame(fresh_blob()) if he else update_frame()
+        for i, client_end in enumerate(client_ends):
+            client_end.send(malformed_update(fault) if every_site or i == 2 else good)
+        report = server.run()
+        culprit = names[0] if every_site else names[2]
+        assert report.abort_reason == f"ProtocolError: client {culprit!r} {reason}"
+        assert report.rounds == []
+
     def test_silent_site_after_a_live_one(self):
         cfg = sim_config("timeout_seconds=0.5")
         first, second = cfg.site_names()[:2]
@@ -797,8 +854,8 @@ class TestCoordinatorState:
         assert not any(isinstance(v, (HePipeline, KeyPair)) for v in vars(server).values())
         for client_end in client_ends:
             assert client_end.recv().round == 0
-            final = tr.decode_broadcast(client_end.recv().body)
-            assert final.final and final.payload_kind == tr.PAYLOAD_CHUNKS
+            final = tr.decode_broadcast(client_end.recv().body, encrypted=True)
+            assert final.final
             (blob,) = final.payload
             out = decode(decrypt(deserialize_ct(blob, cfg.he), key))[:11]
             assert np.abs(out - 1.5).max() < 1e-3  # the mean of 0, 1, 2, 3
@@ -811,7 +868,7 @@ class TestCoordinatorState:
             client_end.send(round_done_frame(0))
         report = server.run()
         assert report.aborted
-        assert report.abort_reason == f"ProtocolError: client {names[0]!r} sent no final parameters"
+        assert report.abort_reason == f"ProtocolError: client {names[0]!r} sent a bad body: body truncated"
 
     def test_he_final_parameters_must_agree_bitwise(self):
         cfg = sim_config("privacy.mode=he", "rounds=0", "timeout_seconds=5", *HE_OVERRIDES)
@@ -834,19 +891,14 @@ class TestCoordinatorState:
         cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=5", *overrides)
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        key = keygen(TEST_PARAMS, np.random.default_rng(1))
-        ct = encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0))
-        plain, chunks = update_frame(), chunks_update_frame(serialize_ct(ct))
+        plain, chunks = update_frame(), chunks_update_frame(fresh_blob())
         right, wrong = (plain, chunks) if mode == "plain" else (chunks, plain)
         for i, client_end in enumerate(client_ends):
             client_end.send(wrong if i == 1 else right)
         report = server.run()
         assert report.aborted
-        wrong_kind, run_kind = (1, 0) if mode == "plain" else (0, 1)
-        assert report.abort_reason == (
-            f"ProtocolError: client {names[1]!r} sent payload kind {wrong_kind}; "
-            f"a {mode!r} run takes kind {run_kind}"
-        )
+        reason = "body truncated" if mode == "plain" else "trailing bytes in body"  # 11 zeros
+        assert report.abort_reason == f"ProtocolError: client {names[1]!r} sent a bad body: {reason}"
         assert report.rounds == []
 
 

@@ -1,13 +1,17 @@
 """Golden fingerprints: the SHA-256 of ``nontiming_view`` for tiny fixed-seed
 runs in each privacy mode, for both learners.  A refactor that moves any non-timing byte of a
 report fails here.  The plain and DP hashes depend on no HE code; the HE hash
-moves whenever the CKKS random stream or ciphertext bytes do."""
+moves whenever the CKKS random stream or ciphertext bytes do.  The wire pins
+count the frames and bytes of each type the NN runs send, so a change to the
+frame format fails here too."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from privfed import transport as tr
 from privfed.config import load_config
 from privfed.federation import run_simulation
 from privfed.report import nontiming_view
@@ -42,6 +46,48 @@ def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
 def test_lr_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
     assert report_fingerprint([f"privacy.mode={mode}", *TINY_LR]) == fingerprint
+
+
+# (frames, bytes) of each type one TINY run sends, both directions
+PLAIN_WIRE = {
+    "join": (4, 272),
+    "join_ack": (4, 68),
+    "broadcast": (20, 11080),
+    "update": (16, 10448),
+    "round_done": (4, 228),
+    "shutdown": (4, 68),
+}
+HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 2100088), "update": (16, 4196608), "round_done": (4, 2372)}
+FRAME_NAMES = {
+    tr.MSG_JOIN: "join",
+    tr.MSG_JOIN_ACK: "join_ack",
+    tr.MSG_BROADCAST: "broadcast",
+    tr.MSG_UPDATE: "update",
+    tr.MSG_ROUND_DONE: "round_done",
+    tr.MSG_SHUTDOWN: "shutdown",
+    tr.MSG_ERROR: "error",
+}
+
+
+@pytest.mark.parametrize(
+    "mode, wire", [("plain", PLAIN_WIRE), ("dp", PLAIN_WIRE), ("he", HE_WIRE)], ids=["plain", "dp", "he"]
+)
+def test_wire_bytes_per_frame_type(mode, wire, monkeypatch):
+    # counted where the benchmark counts them: the bytes SimChannel.send returns
+    frames, sent = Counter(), Counter()
+    send = tr.SimChannel.send
+
+    def counting_send(self, frame):
+        n = send(self, frame)
+        frames[FRAME_NAMES[frame.msg_type]] += 1
+        sent[FRAME_NAMES[frame.msg_type]] += n
+        return n
+
+    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
+    monkeypatch.setattr(tr.SimChannel, "send", counting_send)
+    report = run_simulation(load_config(None, [f"privacy.mode={mode}", *TINY]))
+    assert not report.aborted, report.abort_reason
+    assert {kind: (frames[kind], sent[kind]) for kind in frames} == wire
 
 
 def report_fingerprint(overrides) -> str:

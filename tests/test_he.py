@@ -306,6 +306,19 @@ class TestSecretProduct:
             got = _mul_secret(_context(params), rows[: level + 1], spectrum)
             assert got.tolist() == want[: level + 1], level
 
+    def test_top_rows_times_the_all_ones_secret(self):
+        # the extreme input: every row q - 1 takes half the 60-bit prime's
+        # coefficients through the [-q, 0) correction and gives the largest
+        # float error seen; by s = 1, coefficient k is
+        # sum_{j<=k} r_j - sum_{j>k} r_j mod q
+        ctx = _context(DEFAULT_PARAMS)
+        n = DEFAULT_PARAMS.poly_degree
+        rows = np.array([[q - 1] * n for q in ctx.active_primes], dtype=np.uint64)
+        got = _mul_secret(ctx, rows, _secret_spectrum(ctx, np.ones(n, dtype=np.int64)))
+        for i, (row, q) in enumerate(zip(rows, ctx.active_primes)):
+            prefix = np.cumsum(row.astype(object))
+            assert got[i].tolist() == ((2 * prefix - prefix[-1]) % q).tolist(), i
+
     def test_guard_refuses_an_inexact_product(self, monkeypatch):
         key = keygen(TEST_PARAMS, np.random.default_rng(61))
         pt = encode([0.5], TEST_PARAMS)

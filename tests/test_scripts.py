@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from privfed.data import DEFAULT_BETA, GeneratorSpec
+from privfed.data import DEFAULT_BETA
 from privfed.report import TIMING_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +63,5 @@ def test_calibration_intercept_is_pinned():
     # the script's whole-batch feature draws and bisection, pinned to the
     # value they gave before the generator drew its rows block by block
     calibrate = _load_script("calibrate_cohort")
-    got = calibrate.solve_intercept(
-        np.asarray(DEFAULT_BETA), GeneratorSpec(seed=7, scale_factor=0.05), np.random.default_rng(7)
-    )
+    got = calibrate.solve_intercept(np.asarray(DEFAULT_BETA), np.random.default_rng(7))
     assert got == -3.258037456839645

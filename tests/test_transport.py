@@ -85,14 +85,13 @@ class TestBodyCodecs:
     def test_update_plain_roundtrip(self):
         update = tr.UpdateBody(
             steps=40,
-            payload_kind=tr.PAYLOAD_PLAIN,
             payload=np.linspace(-1, 1, 11),
             train_seconds=0.25,
             privacy_seconds=0.01,
             pre_metrics=sample_metrics(),
             post_metrics=sample_metrics(),
         )
-        back = tr.decode_update(tr.encode_update(update))
+        back = tr.decode_update(tr.encode_update(update), encrypted=False)
         assert back.steps == update.steps
         assert (back.train_seconds, back.privacy_seconds) == (0.25, 0.01)
         assert np.array_equal(back.payload, update.payload)
@@ -101,28 +100,29 @@ class TestBodyCodecs:
     def test_update_chunks_roundtrip(self):
         update = tr.UpdateBody(
             steps=1,
-            payload_kind=tr.PAYLOAD_CHUNKS,
             payload=[b"chunk-one", b"\x00\x01\x02"],
             train_seconds=0.0,
             privacy_seconds=0.0,
             pre_metrics=sample_metrics(),
             post_metrics=sample_metrics(),
         )
-        back = tr.decode_update(tr.encode_update(update))
+        back = tr.decode_update(tr.encode_update(update), encrypted=True)
         assert back.payload == [b"chunk-one", b"\x00\x01\x02"]
 
     def test_broadcast_roundtrip(self):
-        body = tr.BroadcastBody(True, tr.PAYLOAD_PLAIN, np.arange(5.0))
-        back = tr.decode_broadcast(tr.encode_broadcast(body))
+        body = tr.BroadcastBody(True, np.arange(5.0))
+        back = tr.decode_broadcast(tr.encode_broadcast(body), encrypted=False)
         assert back.final is True
         assert np.array_equal(back.payload, body.payload)
+        chunks = tr.BroadcastBody(False, [b"aggregate", b""])
+        assert tr.decode_broadcast(tr.encode_broadcast(chunks), encrypted=True) == chunks
 
     def test_round_done_roundtrip(self):
         done = tr.RoundDoneBody(sample_metrics(), np.ones(3))
-        back = tr.decode_round_done(tr.encode_round_done(done))
+        back = tr.decode_round_done(tr.encode_round_done(done), encrypted=True)
         assert np.array_equal(back.final_params, done.final_params)
         done2 = tr.RoundDoneBody(sample_metrics(), None)
-        assert tr.decode_round_done(tr.encode_round_done(done2)).final_params is None
+        assert tr.decode_round_done(tr.encode_round_done(done2), encrypted=False) == done2
 
     def test_trailing_garbage_rejected(self):
         body = tr.encode_join(tr.JoinBody("a", "b", 1, DIGEST)) + b"extra"
@@ -130,14 +130,17 @@ class TestBodyCodecs:
             tr.decode_join(body)
 
     def test_body_byte_lengths(self):
-        # a length prefix is 4 bytes, a metric set 40, a plain payload 9 + 8n
+        # a length prefix is 4 bytes, a metric set 40, a plain payload 8 + 8n,
+        # and a chunk list 4 + the sum of (8 + chunk size)
         metrics = sample_metrics()
         assert len(tr.encode_join(tr.JoinBody("stockholm", "secret-token", 8000, DIGEST))) == 45
-        update = tr.UpdateBody(40, tr.PAYLOAD_PLAIN, np.zeros(11), 0.25, 0.01, metrics, metrics)
-        assert len(tr.encode_update(update)) == 20 + 2 * 40 + 9 + 8 * 11
-        assert len(tr.encode_broadcast(tr.BroadcastBody(False, tr.PAYLOAD_PLAIN, np.zeros(11)))) == 98
-        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, None))) == 41
-        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, np.zeros(66)))) == 41 + 8 + 8 * 66
+        update = tr.UpdateBody(40, np.zeros(11), 0.25, 0.01, metrics, metrics)
+        assert len(tr.encode_update(update)) == 20 + 2 * 40 + 8 + 8 * 11
+        chunks = tr.UpdateBody(40, [b"x" * 100], 0.25, 0.01, metrics, metrics)
+        assert len(tr.encode_update(chunks)) == 20 + 2 * 40 + 4 + 8 + 100
+        assert len(tr.encode_broadcast(tr.BroadcastBody(False, np.zeros(11)))) == 97
+        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, None))) == 40
+        assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, np.zeros(66)))) == 40 + 8 + 8 * 66
         assert len(tr.encode_error("bad token")) == 13
 
     def test_invalid_utf8_string_is_a_decode_error(self):
@@ -147,20 +150,33 @@ class TestBodyCodecs:
         with pytest.raises(DecodeError, match="not UTF-8"):
             tr.decode_error(struct.pack("<I", 1) + b"\x80")
 
-    @pytest.mark.parametrize("flag", [2, 0x80, 0xFF])
-    def test_broadcast_final_flag_is_zero_or_one(self, flag):
-        body = tr.encode_broadcast(tr.BroadcastBody(True, tr.PAYLOAD_PLAIN, np.arange(5.0)))
-        assert body[0] == 1
-        with pytest.raises(DecodeError, match=f"flag byte {flag} is neither 0 nor 1"):
-            tr.decode_broadcast(bytes([flag]) + body[1:])
+    @pytest.mark.parametrize("degree", [1024, 8192])
+    @pytest.mark.parametrize("n_values", [11, 66])
+    def test_a_body_in_the_other_form_fails_to_decode(self, degree, n_values):
+        # the session fixes each payload's form; no body names it
+        rng = np.random.default_rng(degree + n_values)
+        values = rng.normal(size=n_values)
+        chunks = [rng.bytes(15 + 2 * 2 * degree * 8)]  # one fresh ciphertext's size
+        metrics = sample_metrics()
+        for payload, encrypted in [(values, False), (chunks, True)]:
+            update = tr.encode_update(tr.UpdateBody(1, payload, 0.0, 0.0, metrics, metrics))
+            broadcast = tr.encode_broadcast(tr.BroadcastBody(False, payload))
+            for decode, body in [(tr.decode_update, update), (tr.decode_broadcast, broadcast)]:
+                decode(body, encrypted)
+                with pytest.raises(DecodeError, match="body truncated|trailing bytes in body"):
+                    decode(body, not encrypted)
+        for final_params, encrypted in [(None, False), (values, True)]:
+            body = tr.encode_round_done(tr.RoundDoneBody(metrics, final_params))
+            tr.decode_round_done(body, encrypted)
+            with pytest.raises(DecodeError, match="body truncated|trailing bytes in body"):
+                tr.decode_round_done(body, not encrypted)
 
     @pytest.mark.parametrize("flag", [2, 0x80, 0xFF])
-    def test_round_done_params_flag_is_zero_or_one(self, flag):
-        body = tr.encode_round_done(tr.RoundDoneBody(sample_metrics(), np.ones(3)))
-        at = len(body) - 8 - 8 * 3 - 1  # the flag precedes the count and the values
-        assert body[at] == 1
+    def test_broadcast_final_flag_is_zero_or_one(self, flag):
+        body = tr.encode_broadcast(tr.BroadcastBody(True, np.arange(5.0)))
+        assert body[0] == 1
         with pytest.raises(DecodeError, match=f"flag byte {flag} is neither 0 nor 1"):
-            tr.decode_round_done(body[:at] + bytes([flag]) + body[at + 1 :])
+            tr.decode_broadcast(bytes([flag]) + body[1:], encrypted=False)
 
     @pytest.mark.parametrize(
         "decode",
@@ -169,10 +185,13 @@ class TestBodyCodecs:
     @given(data=BODIES)
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_raise_only_decode_error(self, decode, data):
-        try:
-            decode(data)
-        except DecodeError:
-            pass
+        # the body decoders run in both payload forms
+        forms = [()] if decode in (tr.decode_join, tr.decode_error) else [(False,), (True,)]
+        for form in forms:
+            try:
+                decode(data, *form)
+            except DecodeError:
+                pass
 
 
 class TestSimChannel:

@@ -22,17 +22,21 @@ Three privacy modes share the loop; each site applies its own mechanism:
 - plain: deltas travel as float64 vectors.
 - dp: deltas pass through the SVT filter before transmission.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
-  no key and only ciphertexts after round 0, and broadcasts the encrypted
-  aggregate, which every client decrypts and applies to its own copy of the
-  global model.  The server never sees plaintext parameters after
-  initialization.
+  no key and only ciphertexts after round 0.  Each ciphertext's c1 = a is
+  public (``public_a``), so the server broadcasts only the aggregate's c0
+  and its Σw; every client rebuilds the aggregate's c1 from the sites'
+  public ``a``s (``aggregate_c1``), decrypts, and applies the update to its
+  own copy of the global model.  The server never sees plaintext
+  parameters after initialization.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hmac
+import math
 import os
 import selectors
 import time
@@ -58,8 +62,10 @@ from .he import (
     keygen,
     mul_scalar_rescale,
     pack_update,
+    sample_a,
     serialize_ct,
     unpack_update,
+    with_c1,
 )
 from .learners import N_PARAMS, ModelKind, TrainConfig, init_params, predict_batch, train_local
 from .metrics import MetricSet, evaluate_scores
@@ -102,22 +108,18 @@ def aggregate_plain(updates, weights) -> np.ndarray:
     return check_finite(np.sum(updates, axis=0) / total_weight, "aggregated update")
 
 
-def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> list[Ciphertext]:
-    """Fold ciphertext chunks with add(), then one x(1/sum w) rescale per chunk.
+def _sum_and_rescale(per_client_chunks: list[list[Ciphertext]], weight_sum: float) -> list[Ciphertext]:
+    """Fold each chunk over the clients with add(), then one x(1/sum w)
+    rescale per chunk.
 
     Delayed normalization: the division never touches ciphertext-ciphertext
     arithmetic, only a single plaintext reciprocal multiplication per chunk.
+    Every component is summed and rescaled alone, so the coordinator's c0
+    and each site's rebuilt c1 are the halves of one aggregate, bit for bit.
     """
-    if not per_client_chunks:
-        raise LayoutError("no encrypted updates to aggregate")
-    n_chunks = len(per_client_chunks[0])
-    if any(len(chunks) != n_chunks for chunks in per_client_chunks):
-        raise LayoutError("clients disagree on chunk count")
-    if len(weights) != len(per_client_chunks):
-        raise LayoutError("weights and updates differ in count")
-    reciprocal = 1.0 / float(sum(weights))
+    reciprocal = 1.0 / weight_sum
     out = []
-    for idx in range(n_chunks):
+    for idx in range(len(per_client_chunks[0])):
         total = per_client_chunks[0][idx]
         for chunks in per_client_chunks[1:]:
             total = he_add(total, chunks[idx])
@@ -125,29 +127,89 @@ def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> l
     return out
 
 
+def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> list[Ciphertext]:
+    """The aggregate's c0 of each chunk: the clients' c0 halves summed and
+    scaled by 1/sum w.  Its c1 is left to each site (``aggregate_c1``)."""
+    if not per_client_chunks:
+        raise LayoutError("no encrypted updates to aggregate")
+    if len(weights) != len(per_client_chunks):
+        raise LayoutError("weights and updates differ in count")
+    c0s = [[dataclasses.replace(ct, comps=ct.comps[:1]) for ct in cts] for cts in per_client_chunks]
+    return _sum_and_rescale(c0s, float(sum(weights)))
+
+
+@functools.lru_cache(maxsize=2)
+def public_a(
+    params: CkksParams, seed: int, round_index: int, sites: tuple[str, ...], n_chunks: int
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """c1 = a of each site's ciphertext of each chunk in round
+    ``round_index``, indexed [site][chunk], each drawn from
+    ``derived_rng(seed, "ckks-a", site, round_index, chunk)``.
+
+    In RLWE ``a`` is public, so every party derives it, as multiparty CKKS
+    does from a common reference string: the coordinator checks each
+    update's c1 against it, and every site rebuilds the aggregate's c1 from
+    it.  The noise ``e`` stays on the site's private stream.  A round's rows
+    serve its encryption, its aggregation and, a round later, the sites'
+    rebuild, so a process keeps the two latest rounds' rows (read-only) and
+    draws each once, however many parties it hosts."""
+    rows = []
+    for site in sites:
+        per_chunk = []
+        for chunk in range(n_chunks):
+            a = sample_a(params, derived_rng(seed, "ckks-a", site, round_index, chunk))
+            a.flags.writeable = False
+            per_chunk.append(a)
+        rows.append(tuple(per_chunk))
+    return tuple(rows)
+
+
+def aggregate_c1(
+    params: CkksParams, per_client_a: list[list[np.ndarray]], weight_sum: float
+) -> list[Ciphertext]:
+    """The aggregate's c1 of each chunk, which the coordinator does not send:
+    the clients' public ``a`` rows summed and scaled as ``aggregate_encrypted``
+    sums and scales their c0."""
+    halves = [
+        [Ciphertext(a[None], params.fresh_level, params.scale, 0, params) for a in rows]
+        for rows in per_client_a
+    ]
+    return _sum_and_rescale(halves, weight_sum)
+
+
 def aggregate_serialized(
-    params: CkksParams, payloads: dict[str, list[bytes]], weights, length: int
+    params: CkksParams,
+    payloads: dict[str, list[bytes]],
+    weights,
+    length: int,
+    seed: int,
+    round_index: int,
 ) -> list[bytes]:
     """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
-    order, to its serialized chunks of a ``length``-value update.  A site
-    whose chunks do not deserialize, are not ⌈length / slots⌉ or are not at
-    fresh level and scale aborts with its name.  Needs no key."""
+    order, to its serialized chunks of a ``length``-value update in round
+    ``round_index``.  A site whose chunks do not deserialize, are not
+    ⌈length / slots⌉, are not at fresh level and scale, or whose c1 is not
+    its ``public_a`` of run ``seed`` aborts with its name.  Returns the
+    aggregate's serialized c0 halves.  Needs no key."""
     n_chunks = -(-length // params.slot_count)
-    fresh_level = len(params.modulus_bits) - 2  # the last prime is encryption headroom
+    fresh_level = params.fresh_level
+    expected_a = public_a(params, seed, round_index, tuple(payloads), n_chunks)
     per_client = []
-    for client_id, blobs in payloads.items():
+    for (client_id, blobs), own_a in zip(payloads.items(), expected_a):
         try:
             cts = [deserialize_ct(blob, params) for blob in blobs]
         except DecodeError as err:
             raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
         if len(cts) != n_chunks:
             raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {n_chunks}")
-        for ct in cts:
+        for ct, a in zip(cts, own_a):
             if (ct.level, ct.scale) != (fresh_level, params.scale):
                 raise ProtocolError(
                     f"client {client_id!r} sent a ciphertext at level {ct.level}, scale {ct.scale:.0f}; "
                     f"a fresh one is at level {fresh_level}, scale {params.scale:.0f}"
                 )
+            if not np.array_equal(ct.c1, a):
+                raise ProtocolError(f"client {client_id!r} sent a c1 that is not its public a")
         per_client.append(cts)
     return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
@@ -224,8 +286,9 @@ class FederationServer:
 
     def _broadcast(self, round_index: int, final: bool, global_params: np.ndarray, he_state):
         """Send every site the global model: θ, or once there is one, the
-        serialized HE aggregate."""
-        body = tr.BroadcastBody(final, global_params if he_state is None else he_state)
+        serialized HE aggregate's c0 halves and its Σw."""
+        payload, weight_sum = (global_params, None) if he_state is None else he_state
+        body = tr.BroadcastBody(final, payload, weight_sum)
         frame = tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
         for client_id in self.cfg.site_names():
             self.clients[client_id].channel.send(frame)
@@ -275,7 +338,7 @@ class FederationServer:
         wall_start = time.monotonic()
         global_params = init_params(self.kind, derive_seed(cfg.seed, "init"))
         manifest = LayoutManifest.of(global_params)
-        he_state: list[bytes] | None = None  # serialized aggregate ciphertexts
+        he_state: tuple[list[bytes], float] | None = None  # the serialized aggregate's c0s, Σw
         length = manifest.total_length
 
         try:
@@ -294,7 +357,8 @@ class FederationServer:
                 agg_t0 = time.monotonic()
                 weights = [self.clients[cid].weight for cid in received]
                 if self.encrypted:
-                    he_state = aggregate_serialized(cfg.he, payloads, weights, length)
+                    blobs = aggregate_serialized(cfg.he, payloads, weights, length, cfg.seed, round_index)
+                    he_state = (blobs, float(sum(weights)))
                 else:
                     mean_delta = aggregate_plain(list(payloads.values()), weights)
                     global_params = apply_update(global_params, mean_delta, manifest)
@@ -387,26 +451,42 @@ class HePipeline:
 
     Only sites build one.  Each derives the cohort secret from the shared run
     seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
-    sums ciphertexts with ``aggregate_serialized``.
+    sums ciphertexts with ``aggregate_serialized``.  Before each broadcast's
+    steps the site sets ``round``, the broadcast's round, and, with an
+    aggregate, ``weight_sum``, the Σw it carries.
     """
 
-    def __init__(self, params: CkksParams, master_seed: int):
+    def __init__(self, params: CkksParams, master_seed: int, site: str, sites: list[str]):
         self.params = params
         self.keys = keygen(params, derived_rng(master_seed, "hekey"))
+        self.master_seed = master_seed
+        self.sites = tuple(sites)
+        self.index = self.sites.index(site)
+        self.round = 0  # client_encode encrypts this round's update
+        self.weight_sum = 0.0  # client_decode decrypts the previous round's aggregate, of this Σw
 
     def client_encode(self, delta: np.ndarray, steps: int, rng) -> list[bytes]:
-        """``delta`` as serialized ciphertext chunks.  ``steps`` is unused: the
-        encrypted sum needs no step count, unlike the SVT filter."""
+        """``delta`` as serialized ciphertext chunks, with ``e`` from ``rng``
+        and c1 this site's ``public_a``.  ``steps`` is unused: the encrypted
+        sum needs no step count, unlike the SVT filter."""
+        chunks = pack_update(delta, self.params)
+        own_a = public_a(self.params, self.master_seed, self.round, self.sites, len(chunks))[self.index]
         return [
-            serialize_ct(he_encrypt(he_encode(chunk, self.params), self.keys, rng))
-            for chunk in pack_update(delta, self.params)
+            serialize_ct(he_encrypt(he_encode(chunk, self.params), self.keys, rng, a=a))
+            for chunk, a in zip(chunks, own_a)
         ]
 
     def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
+        """The previous round's aggregate from its serialized c0 halves, whose
+        c1 this site rebuilds from every site's ``public_a``."""
         t0 = time.monotonic()
+        if not (math.isfinite(self.weight_sum) and self.weight_sum > 0):
+            raise LayoutError(f"the aggregate's weight sum {self.weight_sum} is not positive")
+        c0s = [deserialize_ct(blob, self.params, components=1) for blob in blobs]
+        per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(c0s))
         chunks = []
-        for blob in blobs:
-            ct = deserialize_ct(blob, self.params)
+        for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum)):
+            ct = with_c1(c0, c1)
             chunks.append(he_decode(he_decrypt(ct, self.keys))[: ct.slot_fill])
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
         return flat, time.monotonic() - t0
@@ -419,7 +499,9 @@ class FederationClient:
         self.kind = ModelKind(cfg.model)
         self.train = train
         self.valid = valid
-        self.he = HePipeline(cfg.he, cfg.seed) if cfg.privacy_mode == "he" else None
+        self.he = None
+        if cfg.privacy_mode == "he":
+            self.he = HePipeline(cfg.he, cfg.seed, client_id, cfg.site_names())
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: np.ndarray | None = None
         self.manifest = LayoutManifest(N_PARAMS[self.kind])
@@ -433,10 +515,13 @@ class FederationClient:
         """Take the broadcast's global model; returns whether it is the final
         one and the seconds spent decrypting it.  The model comes as
         plaintext θ, except in an HE session after round 0, where it comes as
-        the encrypted aggregate."""
+        the encrypted aggregate's c0 halves and its Σw."""
         encrypted = self.he is not None and frame.round > 0
         body = tr.decode_broadcast(frame.body, encrypted)
+        if self.he is not None:
+            self.he.round = frame.round
         if encrypted:
+            self.he.weight_sum = body.weight_sum
             delta, seconds = self.he.client_decode(body.payload, self.manifest.total_length)
             self.global_params = apply_update(self.global_params, delta, self.manifest)
             return body.final, seconds

@@ -44,9 +44,15 @@ bootstrapping.  Representation choices:
   Its fields never build NTT twiddle tables.
 - Secret-key encryption: every client holds the cohort secret, so there is
   no public key.  A fresh ciphertext is (c0, c1) = (m + e - a*s, a) with a
-  uniform ``a`` drawn per prime row.  The key is the secret's folded
-  spectrum divided by N/2, computed once at keygen and reduced mod no
-  prime, so ``keygen`` runs no transform over residues.
+  uniform ``a``, one row per prime (``sample_a``), drawn after ``e`` from the
+  caller's stream unless the caller passes it.  ``a`` is public, so a
+  protocol may draw it from a stream every party can derive and send only
+  c0 (a one-component ciphertext), as multiparty CKKS does with a common
+  reference string (Mouchet, Troncoso-Pastoriza, Bossuat & Hubaux, PoPETs
+  2021).  Addition, the scalar product and the rescale act on either
+  component alone.  The key is the secret's folded spectrum divided by N/2,
+  computed once at keygen and reduced mod no prime, so ``keygen`` runs no
+  transform over residues.
 - The last entry of ``modulus_bits`` is reserved headroom consumed by fresh
   encryption bookkeeping; ciphertexts start on the remaining chain, so a
   [60, 40, 40] chain yields fresh level 1 and exactly one legal rescaling
@@ -63,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,6 +117,11 @@ class CkksParams:
     def scale(self) -> float:
         return float(2**self.scale_log2)
 
+    @property
+    def fresh_level(self) -> int:
+        """A fresh ciphertext's level: the chain's last prime is encryption headroom."""
+        return len(self.modulus_bits) - 2
+
 
 # full-scale default configuration and the reduced set used for fast tests
 DEFAULT_PARAMS = CkksParams(8192, (60, 40, 40), 40)
@@ -151,10 +163,17 @@ class _Context:
         self.untwist = np.exp(-1j * np.pi * half / n)
         text = repr((params.poly_degree, params.modulus_bits, params.scale_log2, _REPRESENTATION))
         self.hash = hashlib.sha256(text.encode()).digest()[:8]
+        self._local = threading.local()  # each thread's _mul_secret work buffers
 
-    @property
-    def fresh_level(self) -> int:
-        return len(self.active_primes) - 1
+    def work_buffer(self, level: int) -> np.ndarray:
+        """The secret product's (2, limbs, N) int64 work buffer at ``level``,
+        one per thread, reused so that its pages are touched once, not on
+        every call."""
+        buffers = self._local.__dict__.setdefault("work", {})
+        if level not in buffers:
+            shape = (2, self.limb_rows[level].stop, self.params.poly_degree)
+            buffers[level] = np.empty(shape, dtype=np.int64)
+        return buffers[level]
 
 
 @lru_cache(maxsize=8)
@@ -173,7 +192,7 @@ class PlainPoly:
 
 @dataclass
 class Ciphertext:
-    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, coefficient form
+    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, coefficient form; (1, ...) for c0 or c1 alone
     level: int
     scale: float
     slot_fill: int
@@ -220,10 +239,7 @@ def _mul_secret(ctx: _Context, rows: np.ndarray, spectrum: np.ndarray) -> np.nda
     level = rows.shape[0] - 1
     n = ctx.params.poly_degree
     half = n // 2
-    count = ctx.limb_rows[level].stop
-    # both temporaries live in one allocation: separate ones were each paged
-    # in afresh on every call
-    work = np.empty((2, count, n), dtype=np.int64)
+    work = ctx.work_buffer(level)
     for row, part in zip(rows.view(np.int64), ctx.limb_rows):
         np.right_shift(row, ctx.limb_shift_column[part], out=work[0, part])
     work[0] &= _LIMB_MASK
@@ -288,7 +304,7 @@ def encode(values, params: CkksParams) -> PlainPoly:
     rounded = np.rint(coeffs)
     if np.any(np.abs(rounded) >= 2**62):
         raise CapacityError("encoded coefficients overflow the modulus headroom")
-    level = ctx.fresh_level
+    level = params.fresh_level
     residues = ctx.level_fields[level].reduce_signed(rounded.astype(np.int64)[None])
     return PlainPoly(residues, level, params.scale, values.size, params)
 
@@ -318,22 +334,34 @@ def decode(pt: PlainPoly) -> np.ndarray:
     return np.real(slots) / pt.scale
 
 
-def encrypt(pt: PlainPoly, key: KeyPair, rng: np.random.Generator) -> Ciphertext:
+def sample_a(params: CkksParams, rng: np.random.Generator) -> np.ndarray:
+    """A fresh ciphertext's c1 = a: one uniform row per prime of the fresh
+    level, (level+1, N) uint64."""
+    primes = _context(params).active_primes[: params.fresh_level + 1]
+    return np.stack([rng.integers(0, q, params.poly_degree, dtype=np.uint64) for q in primes])
+
+
+def encrypt(
+    pt: PlainPoly, key: KeyPair, rng: np.random.Generator, a: np.ndarray | None = None
+) -> Ciphertext:
     """Fresh randomized secret-key encryption at the top level of the active
-    chain: (c0, c1) = (m + e - a*s, a)."""
+    chain: (c0, c1) = (m + e - a*s, a).  ``e`` comes from ``rng``, and so
+    does ``a``, drawn after it, unless given (``sample_a``'s form)."""
     if pt.params != key.params:
         raise StateError("plaintext/key parameter mismatch")
     ctx = _context(pt.params)
-    if pt.level != ctx.fresh_level:
+    level = pt.params.fresh_level
+    if pt.level != level:
         raise StateError("can only encrypt full-level plaintexts")
-    level = ctx.fresh_level
     field = ctx.level_fields[level]
-    # draw order e, then a, one uniform row per prime
     n = pt.params.poly_degree
     e = _sample_cbd(rng, n)
+    if a is None:
+        a = sample_a(pt.params, rng)
+    elif a.shape != (level + 1, n):
+        raise StateError(f"a has shape {a.shape}, a fresh c1 is {(level + 1, n)}")
     comps = np.empty((2, level + 1, n), dtype=np.uint64)
-    for row, q in zip(comps[1], field.primes):
-        row[:] = rng.integers(0, q, n, dtype=np.uint64)
+    comps[1] = a
     message = field.add(pt.residues, field.reduce_signed(e[None]))
     comps[0] = field.sub(message, _mul_secret(ctx, comps[1], key.secret))
     return Ciphertext(comps, level, pt.scale, pt.slot_fill, pt.params)
@@ -358,6 +386,19 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
         raise StateError(f"scale mismatch: {a.scale} vs {b.scale}")
     comps = _context(a.params).level_fields[a.level].add(a.comps, b.comps)
     return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params)
+
+
+def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
+    """The ciphertext (c0, c1) of two one-component halves, which must agree
+    in params, level and scale; ``c0`` gives its slot fill."""
+    if c0.params != c1.params:
+        raise StateError("parameter mismatch")
+    if (c0.level, c0.scale) != (c1.level, c1.scale):
+        raise StateError(
+            f"c0 is at level {c0.level}, scale {c0.scale:.0f}; "
+            f"c1 at level {c1.level}, scale {c1.scale:.0f}"
+        )
+    return Ciphertext(np.concatenate([c0.comps, c1.comps]), c0.level, c0.scale, c0.slot_fill, c0.params)
 
 
 def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
@@ -416,7 +457,8 @@ def unpack_update(chunks, length: int) -> np.ndarray:
 
 def serialize_ct(ct: Ciphertext) -> bytes:
     """Wire format: 15-byte header (params hash, level, log2 scale, slot fill)
-    followed by the RNS rows, component-major, little-endian u64."""
+    followed by the RNS rows, component-major, little-endian u64.  The
+    header does not count the components: the reader says how many."""
     scale_log2 = math.log2(ct.scale)
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
@@ -424,7 +466,8 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     return header + ct.comps.astype("<u8", copy=False).tobytes()
 
 
-def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
+def deserialize_ct(data: bytes, params: CkksParams, components: int = 2) -> Ciphertext:
+    """The ciphertext of ``components`` components that ``data`` holds."""
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
@@ -438,11 +481,11 @@ def deserialize_ct(data: bytes, params: CkksParams) -> Ciphertext:
     if slot_fill > params.slot_count:
         raise DecodeError(f"slot fill {slot_fill} exceeds {params.slot_count} slots")
     n = params.poly_degree
-    expected = _HEADER.size + 2 * (level + 1) * n * 8
+    expected = _HEADER.size + components * (level + 1) * n * 8
     if len(data) != expected:
         raise DecodeError(f"expected {expected} bytes, got {len(data)}")
     body = np.frombuffer(data, dtype="<u8", offset=_HEADER.size)
-    comps = body.reshape(2, level + 1, n).astype(np.uint64)
+    comps = body.reshape(components, level + 1, n).astype(np.uint64)
     if np.any(comps >= ctx.level_fields[level].q):
         raise DecodeError("coefficient outside its prime modulus")
     return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params)

@@ -223,19 +223,24 @@ def decode_update(body: bytes, encrypted: bool) -> UpdateBody:
 @dataclass(frozen=True)
 class BroadcastBody:
     final: bool
-    payload: object
+    payload: object  # f64 array, or an HE aggregate's serialized c0 halves
+    weight_sum: float | None = None  # an HE aggregate's Σw, from which sites rebuild its c1
 
 
 def encode_broadcast(b: BroadcastBody) -> bytes:
-    return struct.pack("<B", int(b.final)) + _pack_payload(b.payload)
+    weight_sum = b"" if b.weight_sum is None else struct.pack("<d", b.weight_sum)
+    return struct.pack("<B", int(b.final)) + _pack_payload(b.payload) + weight_sum
 
 
 def decode_broadcast(body: bytes, encrypted: bool) -> BroadcastBody:
+    """``encrypted``: an HE broadcast after round 0, whose chunks are
+    followed by the aggregate's Σw."""
     r = _Reader(body)
     final = r.take_flag()
     payload = _unpack_payload(r, encrypted)
+    weight_sum = struct.unpack("<d", r.take(8))[0] if encrypted else None
     r.done()
-    return BroadcastBody(final, payload)
+    return BroadcastBody(final, payload, weight_sum)
 
 
 @dataclass(frozen=True)

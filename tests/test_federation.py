@@ -21,6 +21,7 @@ from privfed.federation import (
     FederationClient,
     FederationServer,
     HePipeline,
+    aggregate_c1,
     aggregate_encrypted,
     aggregate_plain,
     build_site_datasets,
@@ -28,6 +29,7 @@ from privfed.federation import (
     run_simulation,
 )
 from privfed.he import (
+    DEFAULT_PARAMS,
     TEST_PARAMS,
     KeyPair,
     decode,
@@ -37,12 +39,15 @@ from privfed.he import (
     encrypt,
     keygen,
     mul_scalar_rescale,
+    sample_a,
     serialize_ct,
+    with_c1,
 )
 from privfed.he import ckks
 from privfed.learners import ModelKind, init_params
 from privfed.metrics import MetricSet, summarize
 from privfed.report import nontiming_view
+from privfed.seeds import derived_rng
 
 HE_OVERRIDES = [
     "privacy.he.poly_degree=1024",
@@ -111,35 +116,97 @@ def keys():
 
 
 class TestAggregateEncrypted:
+    """``aggregate_encrypted`` sums and rescales the c0 halves only; the
+    aggregate's c1 comes from the clients' ``a`` rows (``aggregate_c1``)."""
+
     def _encrypt_vec(self, vec, keys, seed):
-        rng = np.random.default_rng(seed)
-        return [encrypt(encode(vec, TEST_PARAMS), keys, rng)]
+        """A one-chunk update and the ``a`` its c1 holds."""
+        a = sample_a(TEST_PARAMS, np.random.default_rng(1000 + seed))
+        return [encrypt(encode(vec, TEST_PARAMS), keys, np.random.default_rng(seed), a=a)], [a]
+
+    def _aggregate(self, updates, weights, keys, size):
+        """The decoded first ``size`` slots of the aggregate of ``updates``."""
+        agg = aggregate_encrypted([chunks for chunks, _ in updates], weights)
+        (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)))
+        assert agg[0].comps.shape[0] == 1  # c0 alone
+        return decode(decrypt(with_c1(agg[0], c1), keys))[:size]
 
     def test_single_client_scalar_one_path(self, keys):
         v = np.random.default_rng(6).uniform(-1, 1, 20)
-        agg = aggregate_encrypted([self._encrypt_vec(v, keys, 1)], [1.0])
-        out = decode(decrypt(agg[0], keys))[:20]
+        out = self._aggregate([self._encrypt_vec(v, keys, 1)], [1.0], keys, 20)
         assert np.abs(out - v).max() < 1e-3
 
     def test_four_clients_of_fours(self, keys):
-        chunks = [self._encrypt_vec(np.full(8, 4.0), keys, seed) for seed in range(4)]
-        agg = aggregate_encrypted(chunks, [1.0] * 4)
-        out = decode(decrypt(agg[0], keys))[:8]
+        updates = [self._encrypt_vec(np.full(8, 4.0), keys, seed) for seed in range(4)]
+        out = self._aggregate(updates, [1.0] * 4, keys, 8)
         assert np.abs(out - 4.0).max() < 1e-3  # sum 16, x 1/4
 
     def test_matches_plaintext_oracle(self, keys):
         rng = np.random.default_rng(7)
         vectors = [rng.uniform(-1, 1, 30) for _ in range(4)]
-        chunks = [self._encrypt_vec(v, keys, 10 + i) for i, v in enumerate(vectors)]
-        agg = aggregate_encrypted(chunks, [1.0] * 4)
-        out = decode(decrypt(agg[0], keys))[:30]
+        updates = [self._encrypt_vec(v, keys, 10 + i) for i, v in enumerate(vectors)]
+        out = self._aggregate(updates, [1.0] * 4, keys, 30)
         want = aggregate_plain(vectors, [1.0] * 4)
         assert np.abs(out - want).max() < 1e-3
 
-    def test_chunk_shape_mismatch(self, keys):
-        a = self._encrypt_vec(np.ones(4), keys, 1)
-        with pytest.raises(LayoutError):
-            aggregate_encrypted([a, a + a], [1.0, 1.0])
+
+SITES = ["ostergotland", "sodermanland", "stockholm", "uppsala"]
+
+
+class TestC0Broadcast:
+    """The coordinator sends each site only the aggregate's c0 and Σw; the
+    site rebuilds c1 from the sites' public ``a``s.  Both halves must equal
+    those of the full two-component aggregation bit for bit."""
+
+    def test_public_a_is_each_site_s_stream_drawn_once(self):
+        rows = federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2)
+        for site, per_chunk in zip(SITES, rows):
+            for chunk, a in enumerate(per_chunk):
+                assert np.array_equal(a, sample_a(TEST_PARAMS, derived_rng(11, "ckks-a", site, 3, chunk)))
+                assert not a.flags.writeable  # every party in the process shares it
+        assert federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2) is rows
+
+    @pytest.mark.parametrize(
+        "params",
+        [TEST_PARAMS, DEFAULT_PARAMS, ckks.CkksParams(128, (40, 30, 30), 30)],
+        ids=["test_params", "default_params", "degree_128_two_chunks"],
+    )
+    @pytest.mark.parametrize(
+        "weights", [[1.0] * 4, [812.0, 301.0, 1405.0, 977.0]], ids=["unit", "examples"]
+    )
+    def test_rebuilt_c1_equals_the_full_aggregate(self, params, weights):
+        seed, length = 11, 66
+        rng = np.random.default_rng(8)
+        pipelines = [HePipeline(params, seed, site, SITES) for site in SITES]
+        payloads = {
+            site: pipe.client_encode(rng.uniform(-0.1, 0.1, length) * w, 1, np.random.default_rng(i))
+            for i, (site, pipe, w) in enumerate(zip(SITES, pipelines, weights))
+        }
+        n_chunks = -(-length // params.slot_count)
+        # the full aggregation: both components summed, then one rescale
+        cts = [[deserialize_ct(blob, params) for blob in payloads[site]] for site in SITES]
+        full = []
+        for idx in range(n_chunks):
+            total = cts[0][idx]
+            for chunks in cts[1:]:
+                total = ckks.add(total, chunks[idx])
+            full.append(mul_scalar_rescale(total, 1.0 / float(sum(weights))))
+
+        c0_blobs = federation.aggregate_serialized(params, payloads, weights, length, seed, 0)
+        per_site_a = federation.public_a(params, seed, 0, tuple(SITES), n_chunks)
+        c1s = aggregate_c1(params, per_site_a, float(sum(weights)))
+        assert len(c0_blobs) == len(c1s) == n_chunks
+        for blob, c1, ct in zip(c0_blobs, c1s, full):
+            assert len(blob) == 15 + 8 * params.poly_degree  # one level-0 row
+            assert np.array_equal(deserialize_ct(blob, params, components=1).comps, ct.comps[:1])
+            assert np.array_equal(c1.comps, ct.comps[1:])
+
+        key = pipelines[0].keys
+        want = np.concatenate([decode(decrypt(ct, key))[: ct.slot_fill] for ct in full])[:length]
+        for pipe in pipelines:
+            pipe.round, pipe.weight_sum = 1, float(sum(weights))
+            got, _ = pipe.client_decode(c0_blobs, length)
+            assert np.array_equal(got, want)
 
 
 class TestSimulationRuns:
@@ -381,24 +448,30 @@ class TestClientStep:
         assert tr.decode_error(reply.body) == "ProtocolError: broadcast for round 5, expected 0"
 
 
-def fresh_blob() -> bytes:
-    """A fresh ciphertext of 11 zeros under HE_OVERRIDES' parameters."""
+def fresh_blob(site: str | None = None) -> bytes:
+    """A fresh ciphertext of 11 zeros under HE_OVERRIDES' parameters.  Its c1
+    is ``site``'s public ``a`` in round 0 of a ``sim_config`` run (seed 11),
+    or, with no site, drawn after its noise."""
     key = keygen(TEST_PARAMS, np.random.default_rng(1))
-    return serialize_ct(encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0)))
+    a = None
+    if site is not None:
+        a = federation.public_a(TEST_PARAMS, 11, 0, tuple(SITES), 1)[SITES.index(site)][0]
+    return serialize_ct(encrypt(encode(np.zeros(11), TEST_PARAMS), key, np.random.default_rng(0), a=a))
 
 
-def chunks_broadcast(round_index: int) -> tr.Frame:
-    """A broadcast of one serialized ciphertext, the form an HE coordinator
-    sends after round 0."""
-    body = tr.BroadcastBody(False, [fresh_blob()])
+def chunks_broadcast(round_index: int, blob: bytes | None = None) -> tr.Frame:
+    """A broadcast of one serialized chunk and a Σw of 4, the form an HE
+    coordinator sends after round 0; by default a fresh two-component
+    ciphertext, where the coordinator sends a c0 alone."""
+    body = tr.BroadcastBody(False, [fresh_blob() if blob is None else blob], 4.0)
     return tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
 
 
 class TestBroadcastForm:
     """A site takes plaintext θ in plain and DP sessions and in HE round 0,
-    and ciphertext chunks in HE after round 0.  No body names its form, so a
-    broadcast in the other form fails to decode, and the site sends that
-    failure to the coordinator as its ERROR."""
+    and in HE after round 0 the aggregate's c0 chunks and Σw.  No body names
+    its form, so a broadcast in the other form fails to decode, and the site
+    sends that failure to the coordinator as its ERROR."""
 
     @staticmethod
     def refusal(client, frame) -> str:
@@ -423,11 +496,23 @@ class TestBroadcastForm:
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
-        assert self.refusal(client, broadcast(1, theta)) == "DecodeError: trailing bytes in body"
+        assert self.refusal(client, broadcast(1, theta)) == "DecodeError: body truncated"
 
     def test_ciphertext_to_an_he_site_in_round_0(self):
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
+
+    def test_two_component_chunk_to_an_he_site(self):
+        # an HE broadcast carries the aggregate's c0 alone; a full ciphertext
+        # at level 0 is twice as long
+        client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
+        theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
+        assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
+        level_0 = serialize_ct(mul_scalar_rescale(deserialize_ct(fresh_blob(), TEST_PARAMS), 1.0))
+        c0_bytes, ct_bytes = 15 + 8 * 1024, 15 + 2 * 8 * 1024
+        assert self.refusal(client, chunks_broadcast(1, level_0)) == (
+            f"DecodeError: expected {c0_bytes} bytes, got {ct_bytes}"
+        )
 
 
 class TestRoundSequence:
@@ -711,7 +796,8 @@ FRESH = f"a fresh one is at level 1, scale {2**30}"
 
 def malformed_update(fault: str) -> tr.Frame:
     """An update that decodes but does not fit its session: a plain LR
-    update must be 11 finite values, an HE one a single fresh ciphertext."""
+    update must be 11 finite values, an HE one a single fresh ciphertext
+    whose c1 is the site's public ``a``."""
     blob = fresh_blob()
     return {
         "short": lambda: update_frame(values=np.zeros(10)),
@@ -722,6 +808,7 @@ def malformed_update(fault: str) -> tr.Frame:
             serialize_ct(mul_scalar_rescale(deserialize_ct(blob, TEST_PARAMS), 1.0))
         ),
         "half_scale": lambda: chunks_update_frame(blob[:9] + struct.pack("<H", 29) + blob[11:]),
+        "private_a": lambda: chunks_update_frame(blob),
     }[fault]()
 
 
@@ -747,9 +834,8 @@ class TestSequentialCollect:
         cfg = sim_config("privacy.mode=he", "timeout_seconds=5", *HE_OVERRIDES)
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        key = keygen(cfg.he, np.random.default_rng(1))
-        for i, client_end in enumerate(client_ends):
-            blob = serialize_ct(encrypt(encode(np.zeros(11), cfg.he), key, np.random.default_rng(i)))
+        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+            blob = fresh_blob(name)
             if i == 2:
                 blob = blob[:-8] + b"\xff" * 8  # the last residue is >= q
             client_end.send(chunks_update_frame(blob))
@@ -789,16 +875,26 @@ class TestSequentialCollect:
             ("no_chunks", False, "sent 0 chunks, expected 1"),
             ("level_0", False, f"sent a ciphertext at level 0, scale {2**30}; {FRESH}"),
             ("half_scale", False, f"sent a ciphertext at level 1, scale {2**29}; {FRESH}"),
+            ("private_a", False, "sent a c1 that is not its public a"),
         ],
-        ids=["short_at_one_site", "short_at_every_site", "nan", "two_chunks", "no_chunks", "level_0", "half_scale"],
+        ids=[
+            "short_at_one_site",
+            "short_at_every_site",
+            "nan",
+            "two_chunks",
+            "no_chunks",
+            "level_0",
+            "half_scale",
+            "private_a",
+        ],
     )
     def test_malformed_update_names_its_site(self, fault, every_site, reason):
         he = fault not in ("short", "nan")
         cfg = sim_config(*(["privacy.mode=he", *HE_OVERRIDES] if he else []), "timeout_seconds=5")
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        good = chunks_update_frame(fresh_blob()) if he else update_frame()
-        for i, client_end in enumerate(client_ends):
+        for i, (name, client_end) in enumerate(zip(names, client_ends)):
+            good = chunks_update_frame(fresh_blob(name)) if he else update_frame()
             client_end.send(malformed_update(fault) if every_site or i == 2 else good)
         report = server.run()
         culprit = names[0] if every_site else names[2]
@@ -836,8 +932,7 @@ class TestCoordinatorState:
     def test_he_coordinator_builds_no_key(self, monkeypatch):
         cfg = sim_config("privacy.mode=he", "rounds=1", "timeout_seconds=5", *HE_OVERRIDES)
         names = cfg.site_names()
-        key = keygen(cfg.he, np.random.default_rng(1))
-        updates = [np.full(11, float(i)) for i in range(len(names))]
+        pipelines = [HePipeline(cfg.he, cfg.seed, name, names) for name in names]
 
         def no_keygen(*args):
             raise AssertionError("the coordinator derived a key")
@@ -845,19 +940,20 @@ class TestCoordinatorState:
         monkeypatch.setattr(federation, "keygen", no_keygen)
         monkeypatch.setattr(ckks, "keygen", no_keygen)
         server, client_ends = sim_coordinator(cfg)
-        for i, client_end in enumerate(client_ends):
-            blob = serialize_ct(encrypt(encode(updates[i], cfg.he), key, np.random.default_rng(i)))
-            client_end.send(chunks_update_frame(blob))
+        for i, (pipe, client_end) in enumerate(zip(pipelines, client_ends)):
+            blobs = pipe.client_encode(np.full(11, float(i)), 1, np.random.default_rng(i))
+            client_end.send(chunks_update_frame(*blobs))
             client_end.send(round_done_frame(1, np.zeros(11)))
         report = server.run()
         assert not report.aborted, report.abort_reason
         assert not any(isinstance(v, (HePipeline, KeyPair)) for v in vars(server).values())
-        for client_end in client_ends:
+        for pipe, client_end in zip(pipelines, client_ends):
             assert client_end.recv().round == 0
             final = tr.decode_broadcast(client_end.recv().body, encrypted=True)
             assert final.final
-            (blob,) = final.payload
-            out = decode(decrypt(deserialize_ct(blob, cfg.he), key))[:11]
+            assert final.weight_sum == 4.0
+            pipe.round, pipe.weight_sum = 1, final.weight_sum
+            out, _ = pipe.client_decode(final.payload, 11)
             assert np.abs(out - 1.5).max() < 1e-3  # the mean of 0, 1, 2, 3
 
     def test_he_final_without_parameters_aborts_run(self):
@@ -996,6 +1092,25 @@ class TestTcpCoordinator:
         thread.start()
         assert listening.wait(10)
         return thread, ports[0], result
+
+    def test_he_run_matches_the_simulation(self, monkeypatch):
+        # criterion 11's check in an HE session: run_tcp_server and four
+        # run_tcp_client sites on localhost give the simulation's report
+        cfg = sim_config("privacy.mode=he", "timeout_seconds=30", *HE_OVERRIDES)
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        sites = [
+            threading.Thread(target=federation.run_tcp_client, args=(cfg, name, "127.0.0.1", port))
+            for name in cfg.site_names()
+        ]
+        for site in sites:
+            site.start()
+        for site in [*sites, thread]:
+            site.join(timeout=60)
+            assert not site.is_alive()
+        over_tcp = result["report"]
+        assert not over_tcp.aborted, over_tcp.abort_reason
+        assert len(over_tcp.rounds) == 2
+        assert nontiming_view(over_tcp.to_dict()) == nontiming_view(run_simulation(cfg).to_dict())
 
     def test_refused_connections_do_not_stop_the_coordinator(self, monkeypatch):
         # a port probe that connects and hangs up, then a JOIN with a wrong

@@ -25,7 +25,7 @@ TINY_LR = ["model=lr", *TINY[1:]]
     [
         ("plain", "f981957c5a5dee8b4de4f59e46a56b3bca4313201c7992d70435a09650d3cf29"),
         ("dp", "f1baa9f22172c74b0c7a432aa8911c16c6b4943663eb6eb62103fc8edcfbb97c"),
-        ("he", "da207ab5770dc4671b128b8e019c68ea933bc415c422425d5ea222ac80b7f3c9"),
+        ("he", "4d1b2d29aa0d49a2896290f7e102048a60294dc3f9b2e7deda75ede23068e774"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -39,7 +39,7 @@ def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     [
         ("plain", "bf8840a3516e3e713de5afb4daf7caa643f06532e7413887ebe6779cc9c1d23b"),
         ("dp", "e64346377690a12ee179332b5691a31c34eb2a4a582bf3d209a26e13e43fe797"),
-        ("he", "be1b5f9f404a11a33d6f14d9a76e934a1bf0aa88e9abc815956b30ce265451ce"),
+        ("he", "27e598e0c17ba3fa40c0b9647c608c0384f1cc36e4a555466140ee587b73657f"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -57,7 +57,7 @@ PLAIN_WIRE = {
     "round_done": (4, 228),
     "shutdown": (4, 68),
 }
-HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 2100088), "update": (16, 4196608), "round_done": (4, 2372)}
+HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 1051640), "update": (16, 4196608), "round_done": (4, 2372)}
 FRAME_NAMES = {
     tr.MSG_JOIN: "join",
     tr.MSG_JOIN_ACK: "join_ack",

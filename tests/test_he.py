@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,8 +30,10 @@ from privfed.he import (
     keygen,
     mul_scalar_rescale,
     pack_update,
+    sample_a,
     serialize_ct,
     unpack_update,
+    with_c1,
 )
 from privfed.he import ckks
 from privfed.he.ckks import _context, _mul_secret, _sample_cbd, _secret_spectrum
@@ -319,6 +324,48 @@ class TestSecretProduct:
             prefix = np.cumsum(row.astype(object))
             assert got[i].tolist() == ((2 * prefix - prefix[-1]) % q).tolist(), i
 
+    def test_result_is_fresh_and_the_work_buffer_reused(self):
+        ctx = _context(TEST_PARAMS)
+        rng = np.random.default_rng(66)
+        spectrum = _secret_spectrum(ctx, rng.integers(-1, 2, 1024))
+        rows = [sample_a(TEST_PARAMS, rng) for _ in range(2)]
+        first = _mul_secret(ctx, rows[0], spectrum)
+        kept = first.copy()
+        buffer = ctx.work_buffer(1)
+        _mul_secret(ctx, rows[1], spectrum)
+        assert ctx.work_buffer(1) is buffer
+        assert not np.shares_memory(first, buffer)
+        assert np.array_equal(first, kept)
+
+    def test_threads_keep_their_own_work_buffers(self):
+        # numpy releases the GIL inside the FFTs, so a buffer shared between
+        # threads would mix their limbs; switch threads as often as possible
+        ctx = _context(TEST_PARAMS)
+        rng = np.random.default_rng(67)
+        spectrum = _secret_spectrum(ctx, rng.integers(-1, 2, 1024))
+        rows = [sample_a(TEST_PARAMS, rng) for _ in range(6)]
+        want = [_mul_secret(ctx, r, spectrum) for r in rows]
+        wrong = []
+
+        def work(offset):
+            for k in range(60):
+                i = (offset + k) % len(rows)
+                if not np.array_equal(_mul_secret(ctx, rows[i], spectrum), want[i]):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
     def test_guard_refuses_an_inexact_product(self, monkeypatch):
         key = keygen(TEST_PARAMS, np.random.default_rng(61))
         pt = encode([0.5], TEST_PARAMS)
@@ -476,6 +523,20 @@ class TestSecretKeyEncryption:
         for row in residual:
             assert np.array_equal(row, error)
 
+    @pytest.mark.parametrize("params", [TEST_PARAMS, DEFAULT_PARAMS])
+    def test_a_given_is_the_a_the_stream_would_draw(self, params):
+        # given a, encrypt draws only e; with none it draws a right after e
+        key = keygen(params, np.random.default_rng(50))
+        pt = encode(np.random.default_rng(51).uniform(-1, 1, 66), params)
+        stream = np.random.default_rng(52)
+        _sample_cbd(stream, params.poly_degree)
+        a = sample_a(params, stream)
+        ct = encrypt(pt, key, np.random.default_rng(52), a=a)
+        assert np.array_equal(ct.c1, a)
+        assert np.array_equal(ct.comps, encrypt(pt, key, np.random.default_rng(52)).comps)
+        with pytest.raises(StateError, match="a has shape"):
+            encrypt(pt, key, np.random.default_rng(52), a=a[:1])
+
     def test_other_secret_decrypts_to_garbage(self, keys):
         v = np.random.default_rng(53).uniform(-1, 1, 66)
         ct = encrypt(encode(v, TEST_PARAMS), keys, np.random.default_rng(54))
@@ -523,6 +584,39 @@ class TestAdd:
         b = mul_scalar_rescale(encrypt(encode([1.0], TEST_PARAMS), keys, rng), 1.0)
         with pytest.raises(StateError):
             add(a, b)
+
+
+class TestOneComponent:
+    """c0 and c1 add, scale and rescale alone, and ``with_c1`` joins the
+    halves into the ciphertext the two-component operations give."""
+
+    def test_halves_rejoin_to_the_full_result(self, keys):
+        rng = np.random.default_rng(70)
+        cts = [encrypt(encode(rng.uniform(-1, 1, 40), TEST_PARAMS), keys, rng) for _ in range(3)]
+        full = mul_scalar_rescale(add(add(cts[0], cts[1]), cts[2]), 1 / 3)
+        halves = []
+        for k in range(2):
+            part = [dataclasses.replace(ct, comps=ct.comps[k : k + 1]) for ct in cts]
+            halves.append(mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3))
+        assert np.array_equal(with_c1(*halves).comps, full.comps)
+
+    def test_halves_at_other_levels_refused(self, keys):
+        ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(71))
+        c0 = dataclasses.replace(ct, comps=ct.comps[:1])
+        c1 = mul_scalar_rescale(dataclasses.replace(ct, comps=ct.comps[1:]), 1.0)
+        with pytest.raises(StateError, match="c0 is at level 1"):
+            with_c1(c0, c1)
+
+    def test_serialized_c0_reads_back_as_one_component(self, keys):
+        ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(72))
+        c0 = dataclasses.replace(ct, comps=ct.comps[:1])
+        blob = serialize_ct(c0)
+        assert len(blob) == 15 + 2 * 1024 * 8
+        assert np.array_equal(deserialize_ct(blob, TEST_PARAMS, components=1).comps, c0.comps)
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(blob, TEST_PARAMS)
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(serialize_ct(ct), TEST_PARAMS, components=1)
 
 
 class TestMulScalarRescale:

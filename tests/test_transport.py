@@ -114,7 +114,7 @@ class TestBodyCodecs:
         back = tr.decode_broadcast(tr.encode_broadcast(body), encrypted=False)
         assert back.final is True
         assert np.array_equal(back.payload, body.payload)
-        chunks = tr.BroadcastBody(False, [b"aggregate", b""])
+        chunks = tr.BroadcastBody(False, [b"aggregate", b""], 2931.0)
         assert tr.decode_broadcast(tr.encode_broadcast(chunks), encrypted=True) == chunks
 
     def test_round_done_roundtrip(self):
@@ -131,7 +131,8 @@ class TestBodyCodecs:
 
     def test_body_byte_lengths(self):
         # a length prefix is 4 bytes, a metric set 40, a plain payload 8 + 8n,
-        # and a chunk list 4 + the sum of (8 + chunk size)
+        # a chunk list 4 + the sum of (8 + chunk size), and an HE broadcast's
+        # weight sum 8
         metrics = sample_metrics()
         assert len(tr.encode_join(tr.JoinBody("stockholm", "secret-token", 8000, DIGEST))) == 45
         update = tr.UpdateBody(40, np.zeros(11), 0.25, 0.01, metrics, metrics)
@@ -139,6 +140,8 @@ class TestBodyCodecs:
         chunks = tr.UpdateBody(40, [b"x" * 100], 0.25, 0.01, metrics, metrics)
         assert len(tr.encode_update(chunks)) == 20 + 2 * 40 + 4 + 8 + 100
         assert len(tr.encode_broadcast(tr.BroadcastBody(False, np.zeros(11)))) == 97
+        he_broadcast = tr.BroadcastBody(False, [b"x" * 100], 4.0)
+        assert len(tr.encode_broadcast(he_broadcast)) == 1 + 4 + 8 + 100 + 8
         assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, None))) == 40
         assert len(tr.encode_round_done(tr.RoundDoneBody(metrics, np.zeros(66)))) == 40 + 8 + 8 * 66
         assert len(tr.encode_error("bad token")) == 13
@@ -160,7 +163,7 @@ class TestBodyCodecs:
         metrics = sample_metrics()
         for payload, encrypted in [(values, False), (chunks, True)]:
             update = tr.encode_update(tr.UpdateBody(1, payload, 0.0, 0.0, metrics, metrics))
-            broadcast = tr.encode_broadcast(tr.BroadcastBody(False, payload))
+            broadcast = tr.encode_broadcast(tr.BroadcastBody(False, payload, 4.0 if encrypted else None))
             for decode, body in [(tr.decode_update, update), (tr.decode_broadcast, broadcast)]:
                 decode(body, encrypted)
                 with pytest.raises(DecodeError, match="body truncated|trailing bytes in body"):

@@ -23,11 +23,12 @@ Three privacy modes share the loop; each site applies its own mechanism:
 - dp: deltas pass through the SVT filter before transmission.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
   no key and only ciphertexts after round 0.  Each ciphertext's c1 = a is
-  public (``public_a``), so the server broadcasts only the aggregate's c0
-  and its Σw; every client rebuilds the aggregate's c1 from the sites'
-  public ``a``s (``aggregate_c1``), decrypts, and applies the update to its
-  own copy of the global model.  The server never sees plaintext
-  parameters after initialization.
+  public (``public_a``), and a chunk's values lie in the subring columns of
+  its sparse packing, so the server broadcasts only the aggregate's c0 at
+  those columns and its Σw; every client rebuilds the aggregate's c1 from
+  the sites' public ``a``s (``aggregate_c1``), decrypts, and applies the
+  update to its own copy of the global model.  The server never sees
+  plaintext parameters after initialization.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .he import (
     Ciphertext,
     CkksParams,
     add as he_add,
+    chunk_fills,
     decode as he_decode,
     decrypt as he_decrypt,
     deserialize_ct,
@@ -64,6 +66,7 @@ from .he import (
     pack_update,
     sample_a,
     serialize_ct,
+    subring,
     unpack_update,
     with_c1,
 )
@@ -128,13 +131,16 @@ def _sum_and_rescale(per_client_chunks: list[list[Ciphertext]], weight_sum: floa
 
 
 def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> list[Ciphertext]:
-    """The aggregate's c0 of each chunk: the clients' c0 halves summed and
-    scaled by 1/sum w.  Its c1 is left to each site (``aggregate_c1``)."""
+    """The aggregate's c0 of each chunk at its subring columns: the clients'
+    c0 halves, cut to those columns, summed and scaled by 1/sum w.  Its c1
+    is left to each site (``aggregate_c1``)."""
     if not per_client_chunks:
         raise LayoutError("no encrypted updates to aggregate")
     if len(weights) != len(per_client_chunks):
         raise LayoutError("weights and updates differ in count")
-    c0s = [[dataclasses.replace(ct, comps=ct.comps[:1]) for ct in cts] for cts in per_client_chunks]
+    c0s = [
+        [subring(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts] for cts in per_client_chunks
+    ]
     return _sum_and_rescale(c0s, float(sum(weights)))
 
 
@@ -165,13 +171,16 @@ def public_a(
 
 
 def aggregate_c1(
-    params: CkksParams, per_client_a: list[list[np.ndarray]], weight_sum: float
+    params: CkksParams, per_client_a: list[list[np.ndarray]], weight_sum: float, slot_fills: list[int]
 ) -> list[Ciphertext]:
     """The aggregate's c1 of each chunk, which the coordinator does not send:
     the clients' public ``a`` rows summed and scaled as ``aggregate_encrypted``
-    sums and scales their c0."""
+    sums and scales their c0, but whole.  A c1 half carries the slot fill of
+    the chunk it belongs to, ``slot_fills[chunk]``, so that it joins only a
+    c0 of that chunk's sparse width."""
+    level, scale = params.fresh_level, params.scale
     halves = [
-        [Ciphertext(a[None], params.fresh_level, params.scale, 0, params) for a in rows]
+        [Ciphertext(a[None], level, scale, fill, params) for a, fill in zip(rows, slot_fills)]
         for rows in per_client_a
     ]
     return _sum_and_rescale(halves, weight_sum)
@@ -188,10 +197,12 @@ def aggregate_serialized(
     """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
     order, to its serialized chunks of a ``length``-value update in round
     ``round_index``.  A site whose chunks do not deserialize, are not
-    ⌈length / slots⌉, are not at fresh level and scale, or whose c1 is not
-    its ``public_a`` of run ``seed`` aborts with its name.  Returns the
-    aggregate's serialized c0 halves.  Needs no key."""
-    n_chunks = -(-length // params.slot_count)
+    ⌈length / slots⌉, are not at fresh level and scale, do not hold the
+    ``chunk_fills`` of ``length``, or whose c1 is not its ``public_a`` of
+    run ``seed`` aborts with its name.  Returns the aggregate's serialized
+    c0 halves at their subring columns.  Needs no key."""
+    fills = chunk_fills(length, params)
+    n_chunks = len(fills)
     fresh_level = params.fresh_level
     expected_a = public_a(params, seed, round_index, tuple(payloads), n_chunks)
     per_client = []
@@ -202,11 +213,15 @@ def aggregate_serialized(
             raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
         if len(cts) != n_chunks:
             raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {n_chunks}")
-        for ct, a in zip(cts, own_a):
+        for ct, a, fill in zip(cts, own_a, fills):
             if (ct.level, ct.scale) != (fresh_level, params.scale):
                 raise ProtocolError(
                     f"client {client_id!r} sent a ciphertext at level {ct.level}, scale {ct.scale:.0f}; "
                     f"a fresh one is at level {fresh_level}, scale {params.scale:.0f}"
+                )
+            if ct.slot_fill != fill:
+                raise ProtocolError(
+                    f"client {client_id!r} sent a chunk of {ct.slot_fill} values, expected {fill}"
                 )
             if not np.array_equal(ct.c1, a):
                 raise ProtocolError(f"client {client_id!r} sent a c1 that is not its public a")
@@ -477,15 +492,19 @@ class HePipeline:
         ]
 
     def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
-        """The previous round's aggregate from its serialized c0 halves, whose
-        c1 this site rebuilds from every site's ``public_a``."""
+        """The previous round's aggregate from its serialized c0 halves at
+        their subring columns, whose c1 this site rebuilds from every site's
+        ``public_a``."""
         t0 = time.monotonic()
         if not (math.isfinite(self.weight_sum) and self.weight_sum > 0):
             raise LayoutError(f"the aggregate's weight sum {self.weight_sum} is not positive")
-        c0s = [deserialize_ct(blob, self.params, components=1) for blob in blobs]
-        per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(c0s))
+        fills = chunk_fills(length, self.params)
+        if len(blobs) != len(fills):
+            raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
+        c0s = [deserialize_ct(blob, self.params, components=1, subring=True) for blob in blobs]
+        per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(fills))
         chunks = []
-        for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum)):
+        for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum, fills)):
             ct = with_c1(c0, c1)
             chunks.append(he_decode(he_decrypt(ct, self.keys))[: ct.slot_fill])
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")

@@ -38,6 +38,17 @@ bootstrapping.  Representation choices:
   from the float sum of c_k * (2^(bk) / q), which is off by at most one,
   and the sum itself from wrapping uint64 arithmetic; the remainder then
   lies in [-q, 2q) and two conditional corrections bring it to [0, q).
+- Sparse packing (Cheon, Kim, Kim & Song, "Homomorphic Encryption for
+  Arithmetic of Approximate Numbers", ASIACRYPT 2017): a chunk of ``fill``
+  values takes n' slots, the next power of two >= fill, encoded by the
+  canonical embedding of degree N' = 2n' and placed at coefficients k*N/N'
+  (``subring_width``), so the message lies in the subring Z[X^(N/N')].
+  ``decode`` reads those N' coefficients alone.  A full chunk (n' = N/2)
+  is the plain embedding, bit for bit.  Addition, the scalar product and
+  the rescale act column by column, and decryption adds c0 column by
+  column, so a ciphertext's values depend on c0 only at its subring
+  columns: ``subring`` cuts a ciphertext to them, which is all a party
+  needs to aggregate c0, and ``with_c1`` rejoins such a c0 to a full c1.
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
   them (primes, fields, embedding twiddles, limb tables, the wire hash).
@@ -66,6 +77,7 @@ bootstrapping.  Representation choices:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -145,8 +157,10 @@ class _Context:
         self.level_fields = [field.select(0, level + 1) for level in range(count)]
         self.prime_fields = [field.select(i, i + 1) for i in range(count)]
         t = np.arange(n)
-        self.embed_fwd = np.exp(-1j * np.pi * t / n)  # encode: fft side
-        self.embed_inv = np.exp(1j * np.pi * t / n)  # decode: ifft side
+        # encode's fft side and decode's ifft side; every (N/N')th entry is
+        # the embedding of degree N'
+        self.embed_fwd = np.exp(-1j * np.pi * t / n)
+        self.embed_inv = np.exp(1j * np.pi * t / n)
         # the secret product splits prime i's row into the limbs limb_rows[i]
         # (rows of one limb axis over all primes), bits limb_shift[j] and up,
         # and recombines them with limb_ratio[j] = 2^limb_shift[j] / q
@@ -192,7 +206,9 @@ class PlainPoly:
 
 @dataclass
 class Ciphertext:
-    comps: np.ndarray  # (2, level+1, N) uint64: c0 and c1, coefficient form; (1, ...) for c0 or c1 alone
+    # (2, level+1, N) uint64: c0 and c1, coefficient form; (1, ...) for c0
+    # or c1 alone; N' columns, not N, once cut to its subring (``subring``)
+    comps: np.ndarray
     level: int
     scale: float
     slot_fill: int
@@ -290,22 +306,32 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
     return KeyPair(_secret_spectrum(ctx, _sample_ternary(rng, params.poly_degree)), params)
 
 
+def subring_width(slot_fill: int) -> int:
+    """N' = 2n': the coefficients a chunk of ``slot_fill`` values occupies,
+    n' being the next power of two >= ``slot_fill`` (at least 1).  They lie
+    N/N' apart, from coefficient 0."""
+    return 2 << max(slot_fill - 1, 0).bit_length()
+
+
 def encode(values, params: CkksParams) -> PlainPoly:
-    """Canonical-embedding encode of a real vector into plaintext slots."""
+    """Canonical-embedding encode of a real vector into its n' sparse slots."""
     ctx = _context(params)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    half = params.slot_count
-    if values.size > half:
-        raise CapacityError(f"{values.size} values exceed {half} slots")
-    z = np.zeros(half, dtype=np.complex128)
+    if values.size > params.slot_count:
+        raise CapacityError(f"{values.size} values exceed {params.slot_count} slots")
+    width = subring_width(values.size)
+    gap = params.poly_degree // width
+    z = np.zeros(width // 2, dtype=np.complex128)
     z[: values.size] = values * params.scale
     w = np.concatenate([z, np.conj(z)[::-1]])
-    coeffs = np.real(ctx.embed_fwd * np.fft.fft(w)) / params.poly_degree
+    coeffs = np.real(ctx.embed_fwd[::gap] * np.fft.fft(w)) / width
     rounded = np.rint(coeffs)
     if np.any(np.abs(rounded) >= 2**62):
         raise CapacityError("encoded coefficients overflow the modulus headroom")
+    message = np.zeros(params.poly_degree, dtype=np.int64)
+    message[::gap] = rounded
     level = params.fresh_level
-    residues = ctx.level_fields[level].reduce_signed(rounded.astype(np.int64)[None])
+    residues = ctx.level_fields[level].reduce_signed(message[None])
     return PlainPoly(residues, level, params.scale, values.size, params)
 
 
@@ -315,7 +341,7 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
     if level == 0:
         return ctx.level_fields[0].centered(residue_rows)[0].astype(np.float64)
     modulus = math.prod(primes)
-    acc = np.zeros(ctx.params.poly_degree, dtype=object)
+    acc = np.zeros(residue_rows.shape[-1], dtype=object)
     for i, q in enumerate(primes):
         m_i = modulus // q
         y_i = pow(m_i, -1, q)
@@ -326,11 +352,13 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
 
 
 def decode(pt: PlainPoly) -> np.ndarray:
-    """Slot values of a plaintext; inverse of encode up to encoding error."""
+    """The n' sparse slot values of a plaintext, read from its subring
+    coefficients alone; inverse of encode up to encoding error."""
     ctx = _context(pt.params)
-    coeffs = _crt_centered(ctx, pt.residues, pt.level)
-    n = pt.params.poly_degree
-    slots = n * np.fft.ifft(coeffs * ctx.embed_inv)[: pt.params.slot_count]
+    width = subring_width(pt.slot_fill)
+    gap = pt.params.poly_degree // width
+    coeffs = _crt_centered(ctx, pt.residues[:, ::gap], pt.level)
+    slots = width * np.fft.ifft(coeffs * ctx.embed_inv[::gap])[: width // 2]
     return np.real(slots) / pt.scale
 
 
@@ -370,27 +398,55 @@ def encrypt(
 def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params != ct.params:
         raise StateError("ciphertext/key parameter mismatch")
+    if ct.comps.shape[-1] != ct.params.poly_degree:
+        raise StateError("a ciphertext cut to its subring columns does not decrypt: c1 must be whole")
     ctx = _context(ct.params)
     field = ctx.level_fields[ct.level]
     residues = field.add(ct.c0, _mul_secret(ctx, ct.c1, key.secret))
     return PlainPoly(residues, ct.level, ct.scale, ct.slot_fill, ct.params)
 
 
+def _check_same_slots(a: Ciphertext, b: Ciphertext) -> None:
+    """Operands of one circuit must share a sparse width: a fill-16
+    operand added to a fill-100 one would decode as replicas of its 16
+    values in slots 16-99, not as zeros."""
+    if subring_width(a.slot_fill) != subring_width(b.slot_fill):
+        raise StateError(
+            f"slot fills {a.slot_fill} and {b.slot_fill} pack {subring_width(a.slot_fill)} "
+            f"and {subring_width(b.slot_fill)} coefficients"
+        )
+
+
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Homomorphic addition; operands must agree in params, level, and scale."""
+    """Homomorphic addition; operands must agree in params, level, scale,
+    sparse width and shape."""
     if a.params != b.params:
         raise StateError("parameter mismatch")
     if a.level != b.level:
         raise StateError(f"level mismatch: {a.level} vs {b.level}")
     if not math.isclose(a.scale, b.scale, rel_tol=1e-12):
         raise StateError(f"scale mismatch: {a.scale} vs {b.scale}")
+    _check_same_slots(a, b)
+    if a.comps.shape != b.comps.shape:
+        raise StateError(f"component shapes differ: {a.comps.shape} vs {b.comps.shape}")
     comps = _context(a.params).level_fields[a.level].add(a.comps, b.comps)
     return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params)
 
 
+def subring(ct: Ciphertext) -> Ciphertext:
+    """``ct`` at its subring columns only, the N' coefficients ``decode``
+    reads: all a party needs to add, scale and rescale c0."""
+    gap = ct.params.poly_degree // subring_width(ct.slot_fill)
+    return dataclasses.replace(ct, comps=np.ascontiguousarray(ct.comps[..., ::gap]))
+
+
 def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
     """The ciphertext (c0, c1) of two one-component halves, which must agree
-    in params, level and scale; ``c0`` gives its slot fill."""
+    in params, level, scale and sparse width; ``c0`` gives its slot fill.
+    ``c1`` is whole.  ``c0`` may be cut to its subring columns
+    (``subring``); its other columns are then zero, which changes no
+    decoded value, as decryption adds c0 column by column and ``decode``
+    reads the subring columns alone."""
     if c0.params != c1.params:
         raise StateError("parameter mismatch")
     if (c0.level, c0.scale) != (c1.level, c1.scale):
@@ -398,7 +454,14 @@ def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
             f"c0 is at level {c0.level}, scale {c0.scale:.0f}; "
             f"c1 at level {c1.level}, scale {c1.scale:.0f}"
         )
-    return Ciphertext(np.concatenate([c0.comps, c1.comps]), c0.level, c0.scale, c0.slot_fill, c0.params)
+    _check_same_slots(c0, c1)
+    n, width = c0.params.poly_degree, subring_width(c0.slot_fill)
+    if c1.comps.shape[-1] != n or c0.comps.shape[-1] not in (n, width):
+        raise StateError(f"c0 has {c0.comps.shape[-1]} columns, c1 {c1.comps.shape[-1]}")
+    comps = np.zeros((2, c0.level + 1, n), dtype=np.uint64)
+    comps[0][:, :: n // c0.comps.shape[-1]] = c0.comps[0]
+    comps[1] = c1.comps[0]
+    return Ciphertext(comps, c0.level, c0.scale, c0.slot_fill, c0.params)
 
 
 def mul_scalar_rescale(ct: Ciphertext, scalar: float) -> Ciphertext:
@@ -441,6 +504,13 @@ def pack_update(flat: np.ndarray, params: CkksParams) -> list[np.ndarray]:
     return [flat[i : i + size] for i in range(0, flat.size, size)]
 
 
+def chunk_fills(length: int, params: CkksParams) -> list[int]:
+    """The slot fill of each chunk ``pack_update`` cuts a ``length``-value
+    update into."""
+    size = params.slot_count
+    return [min(size, length - start) for start in range(0, length, size)]
+
+
 def unpack_update(chunks, length: int) -> np.ndarray:
     """Reassemble decrypted chunks and truncate the padding to ``length`` values."""
     if chunks:
@@ -457,8 +527,10 @@ def unpack_update(chunks, length: int) -> np.ndarray:
 
 def serialize_ct(ct: Ciphertext) -> bytes:
     """Wire format: 15-byte header (params hash, level, log2 scale, slot fill)
-    followed by the RNS rows, component-major, little-endian u64.  The
-    header does not count the components: the reader says how many."""
+    followed by the RNS rows, component-major, little-endian u64: N
+    coefficients each, or N' once cut to the subring.  The header counts
+    neither the components nor the columns: the reader says which form it
+    expects."""
     scale_log2 = math.log2(ct.scale)
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
@@ -466,8 +538,12 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     return header + ct.comps.astype("<u8", copy=False).tobytes()
 
 
-def deserialize_ct(data: bytes, params: CkksParams, components: int = 2) -> Ciphertext:
-    """The ciphertext of ``components`` components that ``data`` holds."""
+def deserialize_ct(
+    data: bytes, params: CkksParams, components: int = 2, subring: bool = False
+) -> Ciphertext:
+    """The ciphertext of ``components`` components that ``data`` holds,
+    whole or, if ``subring``, cut to the subring columns of its header's
+    slot fill (``subring_width``)."""
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
@@ -480,12 +556,12 @@ def deserialize_ct(data: bytes, params: CkksParams, components: int = 2) -> Ciph
         raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
     if slot_fill > params.slot_count:
         raise DecodeError(f"slot fill {slot_fill} exceeds {params.slot_count} slots")
-    n = params.poly_degree
-    expected = _HEADER.size + components * (level + 1) * n * 8
+    width = subring_width(slot_fill) if subring else params.poly_degree
+    expected = _HEADER.size + components * (level + 1) * width * 8
     if len(data) != expected:
         raise DecodeError(f"expected {expected} bytes, got {len(data)}")
     body = np.frombuffer(data, dtype="<u8", offset=_HEADER.size)
-    comps = body.reshape(components, level + 1, n).astype(np.uint64)
+    comps = body.reshape(components, level + 1, width).astype(np.uint64)
     if np.any(comps >= ctx.level_fields[level].q):
         raise DecodeError("coefficient outside its prime modulus")
     return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params)

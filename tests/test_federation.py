@@ -41,6 +41,7 @@ from privfed.he import (
     mul_scalar_rescale,
     sample_a,
     serialize_ct,
+    subring_width,
     with_c1,
 )
 from privfed.he import ckks
@@ -127,8 +128,8 @@ class TestAggregateEncrypted:
     def _aggregate(self, updates, weights, keys, size):
         """The decoded first ``size`` slots of the aggregate of ``updates``."""
         agg = aggregate_encrypted([chunks for chunks, _ in updates], weights)
-        (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)))
-        assert agg[0].comps.shape[0] == 1  # c0 alone
+        (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)), [size])
+        assert agg[0].comps.shape == (1, 1, subring_width(size))  # c0 alone, at its subring columns
         return decode(decrypt(with_c1(agg[0], c1), keys))[:size]
 
     def test_single_client_scalar_one_path(self, keys):
@@ -154,9 +155,10 @@ SITES = ["ostergotland", "sodermanland", "stockholm", "uppsala"]
 
 
 class TestC0Broadcast:
-    """The coordinator sends each site only the aggregate's c0 and Σw; the
-    site rebuilds c1 from the sites' public ``a``s.  Both halves must equal
-    those of the full two-component aggregation bit for bit."""
+    """The coordinator sends each site only the aggregate's c0 at its subring
+    columns and Σw; the site rebuilds c1 from the sites' public ``a``s.  Both
+    halves must equal those of the full two-component aggregation bit for
+    bit, and so must the values the site decodes."""
 
     def test_public_a_is_each_site_s_stream_drawn_once(self):
         rows = federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2)
@@ -167,46 +169,55 @@ class TestC0Broadcast:
         assert federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2) is rows
 
     @pytest.mark.parametrize(
-        "params",
-        [TEST_PARAMS, DEFAULT_PARAMS, ckks.CkksParams(128, (40, 30, 30), 30)],
-        ids=["test_params", "default_params", "degree_128_two_chunks"],
+        "params, length, widths",
+        [
+            (TEST_PARAMS, 66, [256]),
+            (DEFAULT_PARAMS, 66, [256]),
+            # chunk 0 fills every slot (no gap), chunk 1 holds 88 values in 128 slots
+            (TEST_PARAMS, TEST_PARAMS.slot_count + 88, [1024, 256]),
+            (ckks.CkksParams(128, (40, 30, 30), 30), 66, [128, 4]),
+        ],
+        ids=["test_params", "default_params", "test_params_two_chunks", "degree_128_two_chunks"],
     )
     @pytest.mark.parametrize(
         "weights", [[1.0] * 4, [812.0, 301.0, 1405.0, 977.0]], ids=["unit", "examples"]
     )
-    def test_rebuilt_c1_equals_the_full_aggregate(self, params, weights):
-        seed, length = 11, 66
+    def test_rebuilt_c1_equals_the_full_aggregate(self, params, length, widths, weights):
+        seed = 11
         rng = np.random.default_rng(8)
         pipelines = [HePipeline(params, seed, site, SITES) for site in SITES]
         payloads = {
             site: pipe.client_encode(rng.uniform(-0.1, 0.1, length) * w, 1, np.random.default_rng(i))
             for i, (site, pipe, w) in enumerate(zip(SITES, pipelines, weights))
         }
-        n_chunks = -(-length // params.slot_count)
+        fills = ckks.chunk_fills(length, params)
         # the full aggregation: both components summed, then one rescale
         cts = [[deserialize_ct(blob, params) for blob in payloads[site]] for site in SITES]
         full = []
-        for idx in range(n_chunks):
+        for idx in range(len(fills)):
             total = cts[0][idx]
             for chunks in cts[1:]:
                 total = ckks.add(total, chunks[idx])
             full.append(mul_scalar_rescale(total, 1.0 / float(sum(weights))))
 
         c0_blobs = federation.aggregate_serialized(params, payloads, weights, length, seed, 0)
-        per_site_a = federation.public_a(params, seed, 0, tuple(SITES), n_chunks)
-        c1s = aggregate_c1(params, per_site_a, float(sum(weights)))
-        assert len(c0_blobs) == len(c1s) == n_chunks
-        for blob, c1, ct in zip(c0_blobs, c1s, full):
-            assert len(blob) == 15 + 8 * params.poly_degree  # one level-0 row
-            assert np.array_equal(deserialize_ct(blob, params, components=1).comps, ct.comps[:1])
+        per_site_a = federation.public_a(params, seed, 0, tuple(SITES), len(fills))
+        c1s = aggregate_c1(params, per_site_a, float(sum(weights)), fills)
+        assert len(c0_blobs) == len(c1s) == len(fills) == len(widths)
+        for blob, c1, ct, width in zip(c0_blobs, c1s, full, widths):
+            assert len(blob) == 15 + 8 * width  # one level-0 row of the subring columns
+            c0 = deserialize_ct(blob, params, components=1, subring=True)
+            gap = params.poly_degree // width
+            assert np.array_equal(c0.comps, ct.comps[:1, :, ::gap])
             assert np.array_equal(c1.comps, ct.comps[1:])
 
+        # decrypted whole, then read at the subring columns by decode
         key = pipelines[0].keys
         want = np.concatenate([decode(decrypt(ct, key))[: ct.slot_fill] for ct in full])[:length]
         for pipe in pipelines:
             pipe.round, pipe.weight_sum = 1, float(sum(weights))
             got, _ = pipe.client_decode(c0_blobs, length)
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSimulationRuns:
@@ -503,16 +514,92 @@ class TestBroadcastForm:
         assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
 
     def test_two_component_chunk_to_an_he_site(self):
-        # an HE broadcast carries the aggregate's c0 alone; a full ciphertext
-        # at level 0 is twice as long
+        # an HE broadcast carries the aggregate's c0 alone, at the 32 subring
+        # columns of LR's 11 values; a full ciphertext at level 0 is longer
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
         level_0 = serialize_ct(mul_scalar_rescale(deserialize_ct(fresh_blob(), TEST_PARAMS), 1.0))
-        c0_bytes, ct_bytes = 15 + 8 * 1024, 15 + 2 * 8 * 1024
+        c0_bytes, ct_bytes = 15 + 8 * 32, 15 + 2 * 8 * 1024
         assert self.refusal(client, chunks_broadcast(1, level_0)) == (
             f"DecodeError: expected {c0_bytes} bytes, got {ct_bytes}"
         )
+
+
+def tampered_c0(fault: str, blob: bytes) -> bytes:
+    """An LR aggregate's serialized c0 at its 32 subring columns (N = 1024),
+    made malformed."""
+    return {
+        "full_width": lambda: blob + bytes(8 * (1024 - 32)),
+        "one_short": lambda: blob[:-8],
+        "over_q0": lambda: blob[:-8] + b"\xff" * 8,
+        # slot fill 40 packs 128 columns, the row holds 32
+        "fill_vs_width": lambda: blob[:11] + struct.pack("<I", 40) + blob[15:],
+    }[fault]()
+
+
+C0_REFUSALS = {
+    "full_width": "expected 271 bytes, got 8207",
+    "one_short": "expected 271 bytes, got 263",
+    "over_q0": "coefficient outside its prime modulus",
+    "fill_vs_width": "expected 1039 bytes, got 271",
+}
+
+
+def tamper_round_1_broadcast(monkeypatch, site: str, fault: str) -> None:
+    """Have ``site`` receive round 1's encrypted broadcast with its c0 made
+    malformed by ``fault``; every other site receives it as sent."""
+    install = FederationClient._install_broadcast
+
+    def tampering_install(self, frame):
+        if self.client_id == site and frame.round == 1:
+            body = tr.decode_broadcast(frame.body, encrypted=True)
+            payload = [tampered_c0(fault, body.payload[0])]
+            body = tr.BroadcastBody(body.final, payload, body.weight_sum)
+            frame = tr.Frame(frame.msg_type, frame.round, tr.encode_broadcast(body))
+        return install(self, frame)
+
+    monkeypatch.setattr(FederationClient, "_install_broadcast", tampering_install)
+
+
+class TestSubringBroadcast:
+    """A site refuses an encrypted broadcast whose c0 is not one row of its
+    chunk's subring columns with every coefficient below q0: a whole row, a
+    row one coefficient short, a coefficient at or above q0, or a header
+    slot fill that packs another width.  The run ends in a clean abort that
+    names the site."""
+
+    @pytest.mark.parametrize("fault", list(C0_REFUSALS))
+    def test_simulated_run_aborts_naming_the_site(self, fault, monkeypatch):
+        cfg = sim_config("privacy.mode=he", "timeout_seconds=10", *HE_OVERRIDES)
+        victim = cfg.site_names()[1]
+        tamper_round_1_broadcast(monkeypatch, victim, fault)
+        report = run_simulation(cfg)
+        assert report.aborted
+        assert report.abort_reason == (
+            f"ProtocolError: client {victim!r} failed: DecodeError: {C0_REFUSALS[fault]}"
+        )
+        assert len(report.rounds) == 1
+
+    def test_chunk_count_is_fixed_by_the_session(self):
+        client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
+        theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
+        assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
+        blob = fresh_blob()
+        body = tr.BroadcastBody(False, [blob, blob], 4.0)
+        with pytest.raises(LayoutError, match="the aggregate has 2 chunks, expected 1"):
+            client.handle(tr.Frame(tr.MSG_BROADCAST, 1, tr.encode_broadcast(body)))
+
+    def test_tcp_run_aborts_naming_the_site(self, monkeypatch):
+        cfg = sim_config("privacy.mode=he", "timeout_seconds=10", *HE_OVERRIDES)
+        victim = cfg.site_names()[2]
+        tamper_round_1_broadcast(monkeypatch, victim, "fill_vs_width")
+        report, ended = run_simulation_thread_per_client(cfg)
+        assert report.abort_reason == (
+            f"ProtocolError: client {victim!r} failed: DecodeError: {C0_REFUSALS['fill_vs_width']}"
+        )
+        assert isinstance(ended[victim], DecodeError)
+        assert len(report.rounds) == 1
 
 
 class TestRoundSequence:
@@ -797,7 +884,7 @@ FRESH = f"a fresh one is at level 1, scale {2**30}"
 def malformed_update(fault: str) -> tr.Frame:
     """An update that decodes but does not fit its session: a plain LR
     update must be 11 finite values, an HE one a single fresh ciphertext
-    whose c1 is the site's public ``a``."""
+    of 11 values whose c1 is the site's public ``a``."""
     blob = fresh_blob()
     return {
         "short": lambda: update_frame(values=np.zeros(10)),
@@ -808,6 +895,7 @@ def malformed_update(fault: str) -> tr.Frame:
             serialize_ct(mul_scalar_rescale(deserialize_ct(blob, TEST_PARAMS), 1.0))
         ),
         "half_scale": lambda: chunks_update_frame(blob[:9] + struct.pack("<H", 29) + blob[11:]),
+        "fill": lambda: chunks_update_frame(blob[:11] + struct.pack("<I", 12) + blob[15:]),
         "private_a": lambda: chunks_update_frame(blob),
     }[fault]()
 
@@ -875,6 +963,7 @@ class TestSequentialCollect:
             ("no_chunks", False, "sent 0 chunks, expected 1"),
             ("level_0", False, f"sent a ciphertext at level 0, scale {2**30}; {FRESH}"),
             ("half_scale", False, f"sent a ciphertext at level 1, scale {2**29}; {FRESH}"),
+            ("fill", False, "sent a chunk of 12 values, expected 11"),
             ("private_a", False, "sent a c1 that is not its public a"),
         ],
         ids=[
@@ -885,6 +974,7 @@ class TestSequentialCollect:
             "no_chunks",
             "level_0",
             "half_scale",
+            "fill",
             "private_a",
         ],
     )

@@ -2,8 +2,8 @@
 runs in each privacy mode, for both learners.  A refactor that moves any non-timing byte of a
 report fails here.  The plain and DP hashes depend on no HE code; the HE hash
 moves whenever the CKKS random stream or ciphertext bytes do.  The wire pins
-count the frames and bytes of each type the NN runs send, so a change to the
-frame format fails here too."""
+count the frames and bytes of each type the NN runs and an HE LR run send,
+so a change to the frame format fails here too."""
 
 import hashlib
 import json
@@ -25,7 +25,7 @@ TINY_LR = ["model=lr", *TINY[1:]]
     [
         ("plain", "f981957c5a5dee8b4de4f59e46a56b3bca4313201c7992d70435a09650d3cf29"),
         ("dp", "f1baa9f22172c74b0c7a432aa8911c16c6b4943663eb6eb62103fc8edcfbb97c"),
-        ("he", "4d1b2d29aa0d49a2896290f7e102048a60294dc3f9b2e7deda75ede23068e774"),
+        ("he", "97820357f0662ba830b4c279b2f8b5b1e418ff5293741bf9062f71c52edc8065"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -39,7 +39,7 @@ def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     [
         ("plain", "bf8840a3516e3e713de5afb4daf7caa643f06532e7413887ebe6779cc9c1d23b"),
         ("dp", "e64346377690a12ee179332b5691a31c34eb2a4a582bf3d209a26e13e43fe797"),
-        ("he", "27e598e0c17ba3fa40c0b9647c608c0384f1cc36e4a555466140ee587b73657f"),
+        ("he", "d80bede6b7af17cb0e1973e6258a968b69b42db10ce619bf4ecc509508adfc8a"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -48,7 +48,9 @@ def test_lr_nontiming_fingerprint(mode, fingerprint, monkeypatch):
     assert report_fingerprint([f"privacy.mode={mode}", *TINY_LR]) == fingerprint
 
 
-# (frames, bytes) of each type one TINY run sends, both directions
+# (frames, bytes) of each type one TINY run sends, both directions.  An HE
+# broadcast after round 0 carries one level-0 c0 row of the chunk's subring
+# columns: 256 for NN's 66 values, 32 for LR's 11.
 PLAIN_WIRE = {
     "join": (4, 272),
     "join_ack": (4, 68),
@@ -57,7 +59,8 @@ PLAIN_WIRE = {
     "round_done": (4, 228),
     "shutdown": (4, 68),
 }
-HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 1051640), "update": (16, 4196608), "round_done": (4, 2372)}
+HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 35832), "update": (16, 4196608), "round_done": (4, 2372)}
+HE_LR_WIRE = PLAIN_WIRE | {"broadcast": (20, 5400), "update": (16, 4196608), "round_done": (4, 612)}
 FRAME_NAMES = {
     tr.MSG_JOIN: "join",
     tr.MSG_JOIN_ACK: "join_ack",
@@ -70,9 +73,11 @@ FRAME_NAMES = {
 
 
 @pytest.mark.parametrize(
-    "mode, wire", [("plain", PLAIN_WIRE), ("dp", PLAIN_WIRE), ("he", HE_WIRE)], ids=["plain", "dp", "he"]
+    "mode, tiny, wire",
+    [("plain", TINY, PLAIN_WIRE), ("dp", TINY, PLAIN_WIRE), ("he", TINY, HE_WIRE), ("he", TINY_LR, HE_LR_WIRE)],
+    ids=["plain", "dp", "he", "he_lr"],
 )
-def test_wire_bytes_per_frame_type(mode, wire, monkeypatch):
+def test_wire_bytes_per_frame_type(mode, tiny, wire, monkeypatch):
     # counted where the benchmark counts them: the bytes SimChannel.send returns
     frames, sent = Counter(), Counter()
     send = tr.SimChannel.send
@@ -85,7 +90,7 @@ def test_wire_bytes_per_frame_type(mode, wire, monkeypatch):
 
     monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
     monkeypatch.setattr(tr.SimChannel, "send", counting_send)
-    report = run_simulation(load_config(None, [f"privacy.mode={mode}", *TINY]))
+    report = run_simulation(load_config(None, [f"privacy.mode={mode}", *tiny]))
     assert not report.aborted, report.abort_reason
     assert {kind: (frames[kind], sent[kind]) for kind in frames} == wire
 

@@ -324,6 +324,31 @@ class TestSecretProduct:
             prefix = np.cumsum(row.astype(object))
             assert got[i].tolist() == ((2 * prefix - prefix[-1]) % q).tolist(), i
 
+    def test_quotient_estimate_one_short_is_corrected(self):
+        # the float quotient can fall one short, leaving a remainder in
+        # [q, 2q) that the last correction brings down.  With s = 1,
+        # coefficient 1 is r_0 + r_1 - sum_{j>1} r_j; rows 0 and 1 fill the
+        # high limb and the others the low one, so that its limb products are
+        # (c_0, c_1) with c_0 + c_1 2^20 = q, whose float estimate falls
+        # below 1 at the 40-bit prime of the default chain (found by a
+        # search over c_1)
+        ctx = _context(DEFAULT_PARAMS)
+        n, q = DEFAULT_PARAMS.poly_degree, ctx.active_primes[1]
+        high = (q >> 20) + 132
+        low = (high << 20) - q  # -c_0
+        row = np.zeros(n, dtype=np.uint64)
+        row[0], row[1] = (high - (1 << 20) + 1) << 20, ((1 << 20) - 1) << 20
+        row[2 : 2 + low // ((1 << 20) - 1)] = (1 << 20) - 1
+        row[2 + low // ((1 << 20) - 1)] = low % ((1 << 20) - 1)
+        part = ctx.limb_rows[1]
+        estimate = (q - (high << 20)) * ctx.limb_ratio[part.start] + high * ctx.limb_ratio[part.stop - 1]
+        assert estimate < 1.0
+        rows = np.stack([np.zeros(n, dtype=np.uint64), row])
+        got = _mul_secret(ctx, rows, _secret_spectrum(ctx, np.ones(n, dtype=np.int64)))
+        prefix = np.cumsum(row.astype(object))
+        assert got[1].tolist() == ((2 * prefix - prefix[-1]) % q).tolist()
+        assert got[1, 1] == 0
+
     def test_result_is_fresh_and_the_work_buffer_reused(self):
         ctx = _context(TEST_PARAMS)
         rng = np.random.default_rng(66)
@@ -406,8 +431,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "params, fresh, aggregate, decoded",
         [
-            (TEST_PARAMS, "4d411eadad7a4c93", "978e075fe83fd8db", "672f18b662e614be"),
-            (DEFAULT_PARAMS, "17773c7567ed46d8", "2ec9501d4b66ecbf", "5d6c361d443e0fbb"),
+            (TEST_PARAMS, "a6905b8a9e4f8ab5", "cc4b9f7963161724", "2bc8f47c0221b3e0"),
+            (DEFAULT_PARAMS, "ba59b2aac2367c1d", "acc5e33529ac2ddb", "8932552e7a57bd06"),
         ],
         ids=["test_params", "default_params"],
     )
@@ -471,10 +496,48 @@ class TestEncoding:
         assert np.abs(decode(encode(v, DEFAULT_PARAMS)) - v).max() < 1e-7
 
     def test_single_value_occupies_slot_zero(self):
-        pt = encode([0.625], TEST_PARAMS)
-        out = decode(pt)
+        # one value packs into n' = 1 slot; three into n' = 4, the last empty
+        out = decode(encode([0.625], TEST_PARAMS))
+        assert out.shape == (1,)
         assert out[0] == pytest.approx(0.625, abs=1e-6)
-        assert np.abs(out[1:]).max() < 1e-6
+        out = decode(encode([0.625, 0.5, -0.25], TEST_PARAMS))
+        assert out.shape == (4,)
+        assert np.abs(out[:3] - [0.625, 0.5, -0.25]).max() < 1e-6
+        assert abs(out[3]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "fill, width", [(0, 2), (1, 2), (2, 4), (3, 8), (11, 32), (66, 256), (100, 256), (512, 1024)]
+    )
+    def test_sparse_message_lies_in_the_subring(self, fill, width):
+        assert ckks.subring_width(fill) == width
+        v = np.random.default_rng(91).uniform(-1, 1, fill)
+        pt = encode(v, TEST_PARAMS)
+        gap = TEST_PARAMS.poly_degree // width
+        off_subring = np.ones(TEST_PARAMS.poly_degree, dtype=bool)
+        off_subring[::gap] = False
+        assert not pt.residues[:, off_subring].any()
+        out = decode(pt)
+        assert out.shape == (width // 2,)
+        assert np.abs(out - np.pad(v, (0, width // 2 - fill))).max() < 1e-7
+
+    def test_full_chunk_is_the_plain_embedding(self):
+        # n' = N/2: the degree-N canonical embedding, bit for bit both ways
+        n, scale = DEFAULT_PARAMS.poly_degree, DEFAULT_PARAMS.scale
+        v = np.random.default_rng(92).uniform(-1, 1, DEFAULT_PARAMS.slot_count)
+        pt = encode(v, DEFAULT_PARAMS)
+        t = np.arange(n)
+        z = v * scale
+        coeffs = np.rint(np.real(np.exp(-1j * np.pi * t / n) * np.fft.fft(np.concatenate([z, z[::-1]]))) / n)
+        field = _context(DEFAULT_PARAMS).level_fields[pt.level]
+        assert np.array_equal(pt.residues, field.reduce_signed(coeffs.astype(np.int64)[None]))
+        want = np.real(n * np.fft.ifft(coeffs * np.exp(1j * np.pi * t / n))[: n // 2]) / scale
+        assert decode(pt).tobytes() == want.tobytes()
+
+    def test_decode_reads_the_subring_columns_alone(self):
+        pt = encode(np.random.default_rng(93).uniform(-1, 1, 11), TEST_PARAMS)
+        noisy = sample_a(TEST_PARAMS, np.random.default_rng(94))
+        noisy[:, :: TEST_PARAMS.poly_degree // 32] = pt.residues[:, ::32]
+        assert decode(dataclasses.replace(pt, residues=noisy)).tobytes() == decode(pt).tobytes()
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -585,6 +648,36 @@ class TestAdd:
         with pytest.raises(StateError):
             add(a, b)
 
+    def test_different_sparse_widths_refused(self, keys):
+        # fill 16 packs 32 coefficients, fill 100 256: their sum would decode
+        # as replicas of the 16 values in slots 16-99
+        rng = np.random.default_rng(17)
+        a = encrypt(encode(np.ones(16), TEST_PARAMS), keys, rng)
+        b = encrypt(encode(np.ones(100), TEST_PARAMS), keys, rng)
+        with pytest.raises(StateError, match="slot fills 16 and 100 pack 32 and 256 coefficients"):
+            add(a, b)
+        halves = [dataclasses.replace(ct, comps=ct.comps[k : k + 1]) for k, ct in enumerate((a, b))]
+        with pytest.raises(StateError, match="pack 32 and 256"):
+            with_c1(*halves)
+
+    def test_same_sparse_width_adds(self, keys):
+        # fills 70 and 100 both pack 256 coefficients; slots 70-99 of the
+        # first are zeros
+        rng = np.random.default_rng(18)
+        a = encrypt(encode(np.ones(70), TEST_PARAMS), keys, rng)
+        b = encrypt(encode(np.full(100, 0.5), TEST_PARAMS), keys, rng)
+        total = add(a, b)
+        assert total.slot_fill == 100
+        out = decode(decrypt(total, keys))[:100]
+        assert np.abs(out - np.r_[np.full(70, 1.5), np.full(30, 0.5)]).max() < 1e-3
+
+    def test_whole_and_subring_operands_refused(self, keys):
+        ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(19))
+        with pytest.raises(StateError, match="component shapes differ"):
+            add(ct, ckks.subring(ct))
+        with pytest.raises(StateError, match="component shapes differ"):
+            add(ct, dataclasses.replace(ct, comps=ct.comps[:1]))
+
 
 class TestOneComponent:
     """c0 and c1 add, scale and rescale alone, and ``with_c1`` joins the
@@ -606,6 +699,34 @@ class TestOneComponent:
         c1 = mul_scalar_rescale(dataclasses.replace(ct, comps=ct.comps[1:]), 1.0)
         with pytest.raises(StateError, match="c0 is at level 1"):
             with_c1(c0, c1)
+
+    @pytest.mark.parametrize("fill", [1, 11, 66, 300, 512])
+    def test_subring_c0_decodes_to_the_full_result(self, keys, fill):
+        rng = np.random.default_rng(73)
+        cts = [encrypt(encode(rng.uniform(-1, 1, fill), TEST_PARAMS), keys, rng) for _ in range(3)]
+        full = mul_scalar_rescale(add(add(cts[0], cts[1]), cts[2]), 1 / 3)
+        part = [ckks.subring(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
+        c0 = mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3)
+        width = ckks.subring_width(fill)
+        assert c0.comps.shape == (1, 1, width)
+        assert np.array_equal(c0.comps, full.comps[:1, :, :: 1024 // width])
+        rejoined = with_c1(c0, dataclasses.replace(full, comps=full.comps[1:]))
+        assert decode(decrypt(rejoined, keys)).tobytes() == decode(decrypt(full, keys)).tobytes()
+
+    def test_serialized_subring_c0_reads_back_at_its_width(self, keys):
+        ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(74))
+        c0 = ckks.subring(dataclasses.replace(ct, comps=ct.comps[:1]))
+        blob = serialize_ct(c0)
+        assert len(blob) == 15 + 2 * 32 * 8
+        back = deserialize_ct(blob, TEST_PARAMS, components=1, subring=True)
+        assert np.array_equal(back.comps, c0.comps)
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(blob, TEST_PARAMS, components=1)
+        whole_c0 = serialize_ct(dataclasses.replace(ct, comps=ct.comps[:1]))
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(whole_c0, TEST_PARAMS, components=1, subring=True)
+        with pytest.raises(StateError, match="does not decrypt"):
+            decrypt(ckks.subring(ct), keys)
 
     def test_serialized_c0_reads_back_as_one_component(self, keys):
         ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(72))

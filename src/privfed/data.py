@@ -177,7 +177,11 @@ def _sigmoid(z):
 
 
 def generate_site(
-    spec: GeneratorSpec, site: SiteSpec, rng: np.random.Generator, split: tuple[float, int] | None = None
+    spec: GeneratorSpec,
+    site: SiteSpec,
+    rng: np.random.Generator,
+    split: tuple[float, int] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Fill one site's class buckets by rejection against the logistic truth.
 
@@ -185,7 +189,9 @@ def generate_site(
     seed)`` the ``(train, valid)`` pair that ``split_train_valid`` makes of
     that dataset, as two views of one array laid out training rows first.
     Labels and the split are fixed before any feature is drawn, so each
-    accepted row is written once, straight into its final place.
+    accepted row is written once, straight into its final place: into
+    ``out``'s (features, labels) arrays of the site's row count if given,
+    say a site's slice of a pooled cohort, else into new arrays.
 
     A rejection pass draws ``batch`` ages (ziggurat normals: a variable
     number of 64-bit words), then nine indicator columns and the label
@@ -202,6 +208,8 @@ def generate_site(
         )
     want_neg, want_pos = scaled_counts(site, spec.scale_factor)
     total = want_neg + want_pos
+    if out is not None and (out[0].shape != (total, 10) or out[1].shape != (total,)):
+        raise ValueError(f"out must hold the {total} rows of site {site.name!r}")
     # Bucket rows are numbered negatives first, then positives; a fixed
     # permutation interleaves the classes so downstream batching is not sorted
     # by label.  Site row i holds bucket row slot[i]; with a split, row k of
@@ -211,11 +219,12 @@ def generate_site(
         layout, n_train = _split_layout(slot >= want_neg, *split)
         slot = slot[layout]
         del layout  # freed, like slot below, before the features are allocated
-    labels = (slot >= want_neg).astype(np.int64)
+    labels = np.empty(total, dtype=np.int64) if out is None else out[1]
+    np.greater_equal(slot, want_neg, out=labels)
     where = np.empty(total, dtype=np.int64)  # bucket row r lands in row where[r]
     where[slot] = np.arange(total)
     del slot
-    features = np.empty((total, 10), dtype=np.float64)
+    features = np.empty((total, 10), dtype=np.float64) if out is None else out[0]
     _fill_buckets(spec, rng, features, where, want_neg)
     if split is None:
         return CohortDataset._trusted(features, labels, FEATURE_NAMES)

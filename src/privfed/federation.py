@@ -20,7 +20,9 @@ time the coordinator reads its channel.
 Three privacy modes share the loop; each site applies its own mechanism:
 
 - plain: deltas travel as float64 vectors.
-- dp: deltas pass through the SVT filter before transmission.
+- dp: deltas pass through the SVT filter before transmission, and travel as
+  its lossless ternary code (``transport._pack_ternary``): the filter's
+  output is almost all exact zeros and ±γ·steps.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
   no key and only ciphertexts after round 0.  Each ciphertext's c1 = a is
   public (``public_a``), and a chunk's values lie in the subring columns of
@@ -47,7 +49,8 @@ import numpy as np
 
 from . import transport as tr
 from .config import ExperimentConfig
-from .data import CohortDataset, concat_datasets, generate_site, kfold_split, read_csv, split_train_valid
+from .data import FEATURE_NAMES, CohortDataset, concat_datasets, generate_site, kfold_split, read_csv
+from .data import scaled_counts, split_train_valid
 from .dp import svt_filter
 from .errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
 from .errors import RoundTimeoutError, StateError
@@ -238,7 +241,8 @@ class FederationServer:
         self.kind = ModelKind(cfg.model)
         self.clients: dict[str, ClientRecord] = {}
         self.session_digest = cfg.session_digest()
-        self.encrypted = cfg.privacy_mode == "he"  # fixes the form of every update and ROUND_DONE
+        self.mode = cfg.privacy_mode  # fixes the form of every update and ROUND_DONE
+        self.encrypted = self.mode == "he"
         self.event_log: list[list] = []
         self._t0 = time.monotonic()
 
@@ -310,9 +314,10 @@ class FederationServer:
         self._log("broadcast", str(round_index))
 
     def _collect(self, round_index: int, msg_type: int, decode) -> dict[str, tuple[object, float]]:
-        """Each site's decoded reply body and arrival time, in site order, read
-        under one deadline.  The channel names the site and the session fixes
-        the payload's form, so no body repeats either.
+        """Each site's reply body, decoded by ``decode`` in the session's
+        form, and arrival time, in site order, read under one deadline.  The
+        channel names the site and the session fixes the payload's form, so
+        no body repeats either.
 
         The round is a hard barrier, so reading the sites one after another
         loses nothing: the coordinator cannot act before the last reply.
@@ -336,7 +341,7 @@ class FederationServer:
                     f"expected type {msg_type} round {round_index}"
                 )
             try:
-                body = tr.decode_error(frame.body) if failed else decode(frame.body, self.encrypted)
+                body = tr.decode_error(frame.body) if failed else decode(frame.body)
             except DecodeError as err:
                 raise ProtocolError(f"client {client_id!r} sent a bad body: {err}") from err
             if failed:
@@ -360,7 +365,9 @@ class FederationServer:
             for round_index in range(cfg.rounds):
                 broadcast_at = time.monotonic() - self._t0
                 self._broadcast(round_index, False, global_params, he_state)
-                received = self._collect(round_index, tr.MSG_UPDATE, tr.decode_update)
+                received = self._collect(
+                    round_index, tr.MSG_UPDATE, functools.partial(tr.decode_update, mode=self.mode)
+                )
                 payloads = {cid: update.payload for cid, (update, _) in received.items()}
                 if not self.encrypted:  # aggregate_serialized checks HE chunks
                     for client_id, values in payloads.items():
@@ -384,7 +391,11 @@ class FederationServer:
 
             # final broadcast: clients evaluate the finished global model
             self._broadcast(cfg.rounds, True, global_params, he_state)
-            done = self._collect(cfg.rounds, tr.MSG_ROUND_DONE, tr.decode_round_done)
+            done = self._collect(
+                cfg.rounds,
+                tr.MSG_ROUND_DONE,
+                functools.partial(tr.decode_round_done, encrypted=self.encrypted),
+            )
             report.cross_site = CrossSiteTable.from_rows(
                 [SiteValidation(cid, body.metrics) for cid, (body, _) in done.items()]
             )
@@ -403,15 +414,19 @@ class FederationServer:
         return report
 
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
-        """``received`` maps each client id to its (UpdateBody, arrival time)."""
+        """``received`` maps each client id to its (UpdateBody, arrival time).
+        A client's ``payload_bytes`` counts its update's values as they
+        travel, without their count: the ciphertext chunks (HE), the ternary
+        code (DP) or 8 bytes per value (plain)."""
         clients = []
         for client_id in self.cfg.site_names():
             update, arrival = received[client_id]
-            payload_bytes = (
-                sum(len(b) for b in update.payload)
-                if self.encrypted
-                else update.payload.size * 8
-            )
+            if self.encrypted:
+                payload_bytes = sum(len(b) for b in update.payload)
+            elif self.mode == "dp":
+                payload_bytes = tr.ternary_code_bytes(update.payload)
+            else:
+                payload_bytes = update.payload.size * 8
             clients.append(
                 ClientRoundRecord(
                     client_id=client_id,
@@ -623,7 +638,8 @@ class FederationClient:
                     privacy_seconds=privacy_seconds,
                     pre_metrics=pre_metrics,
                     post_metrics=post_metrics,
-                )
+                ),
+                cfg.privacy_mode,
             ),
         )
 
@@ -653,11 +669,16 @@ class FederationClient:
 # -- orchestration -----------------------------------------------------------
 
 
-def draw_site(cfg: ExperimentConfig, site, split=None):
+def draw_site(cfg: ExperimentConfig, site, split=None, out=None):
     """``site`` from the generator of ``cfg``'s run: in generation order, or
-    with ``split`` the ``(train, valid)`` pair ``generate_site`` makes."""
+    with ``split`` the ``(train, valid)`` pair ``generate_site`` makes,
+    written into ``out`` if given."""
     spec = cfg.data.generator_spec(derive_seed(cfg.seed, "data"))
-    return generate_site(spec, site, derived_rng(spec.seed, "site", site.name), split=split)
+    return generate_site(spec, site, derived_rng(spec.seed, "site", site.name), split=split, out=out)
+
+
+def _site_split(cfg: ExperimentConfig, site) -> tuple[float, int]:
+    return cfg.train_frac, derive_seed(cfg.seed, "split", site.name)
 
 
 def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
@@ -666,7 +687,7 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
     for site in cfg.data.sites:
         if only_site is not None and site.name != only_site:
             continue
-        split = (cfg.train_frac, derive_seed(cfg.seed, "split", site.name))
+        split = _site_split(cfg, site)
         if cfg.data.source == "csv":
             path = os.path.join(cfg.data.csv_dir or ".", f"{site.name}.csv")
             if not os.path.exists(path):
@@ -766,9 +787,29 @@ def run_tcp_client(cfg: ExperimentConfig, site: str, host: str, port: int) -> No
         channel.close()
 
 
+def pool_sites(cfg: ExperimentConfig) -> CohortDataset:
+    """Every site's training rows, then its validation rows, in site order:
+    the parts of ``build_site_datasets`` concatenated.  Generated sites are
+    drawn one at a time straight into their slices of one preallocated pool,
+    so beside the pool only one site's generation buffers are held, never a
+    second copy of the rows.  CSV sites, whose sizes are known only once
+    read, are read and then concatenated."""
+    if cfg.data.source == "csv":
+        return concat_datasets(part for parts in build_site_datasets(cfg).values() for part in parts)
+    sizes = [sum(scaled_counts(site, cfg.data.scale_factor)) for site in cfg.data.sites]
+    features = np.empty((sum(sizes), 10), dtype=np.float64)
+    labels = np.empty(sum(sizes), dtype=np.int64)
+    start = 0
+    for site, size in zip(cfg.data.sites, sizes):
+        rows = slice(start, start + size)
+        draw_site(cfg, site, _site_split(cfg, site), out=(features[rows], labels[rows]))
+        start += size
+    return CohortDataset._trusted(features, labels, FEATURE_NAMES)
+
+
 def run_central(cfg: ExperimentConfig) -> RunReport:
     """Pooled-data baseline: k-fold cross-validation with the same learner."""
-    full = concat_datasets(part for parts in build_site_datasets(cfg).values() for part in parts)
+    full = pool_sites(cfg)
     kind = ModelKind(cfg.model)
     report = RunReport(kind="central", method="cml", learner=cfg.model, config=cfg.to_dict())
     t0 = time.monotonic()

@@ -162,23 +162,15 @@ def _unpack_f64(r: _Reader) -> np.ndarray:
     return np.frombuffer(r.take(8 * count), dtype="<f8").astype(np.float64)
 
 
-def _pack_payload(payload) -> bytes:
-    """A list of ciphertext blobs as a chunk list, anything else as f64s."""
-    if not isinstance(payload, list):
-        return _pack_f64(payload)
-    out = [struct.pack("<I", len(payload))]
-    for c in payload:
+def _pack_chunks(chunks: list[bytes]) -> bytes:
+    out = [struct.pack("<I", len(chunks))]
+    for c in chunks:
         out.append(struct.pack("<Q", len(c)))
         out.append(c)
     return b"".join(out)
 
 
-def _unpack_payload(r: _Reader, encrypted: bool):
-    """The session fixes a payload's form, so no body names it: ciphertext
-    chunks when ``encrypted`` (an HE update, or an HE broadcast after round
-    0), else f64 values.  A body in the other form fails to decode."""
-    if not encrypted:
-        return _unpack_f64(r)
+def _unpack_chunks(r: _Reader) -> list[bytes]:
     (n,) = struct.unpack("<I", r.take(4))
     chunks = []
     for _ in range(n):
@@ -187,35 +179,119 @@ def _unpack_payload(r: _Reader, encrypted: bool):
     return chunks
 
 
+_CODE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)  # value 4k + j sits at bits 2j of byte k
+
+
+def _ternary_codes(values) -> tuple[np.ndarray, np.float64, np.ndarray]:
+    """(y, c, codes): ``values`` as a flat f64 array y, c = max|yᵢ|, and
+    each value's 2-bit code, padded with zeros to a multiple of 4."""
+    y = np.ascontiguousarray(values, dtype="<f8").reshape(-1)
+    c = np.abs(y).max() if y.size else np.float64(0.0)
+    plus_c, minus_c = np.array([c, -c], dtype="<f8").view("<u8")
+    bits = y.view("<u8")
+    codes = np.zeros(-(-y.size // 4) * 4, dtype=np.uint8)
+    own = codes[: y.size]
+    own[:] = 3
+    # the lowest code wins: with c = 0, +0.0 is code 0 and −0.0 code 2
+    for code, pattern in ((2, minus_c), (1, plus_c), (0, 0)):
+        own[bits == pattern] = code
+    return y, c, codes
+
+
+def _pack_ternary(values) -> bytes:
+    """A DP update y as a lossless ternary code: the count n, c = max|yᵢ|
+    as f64, ⌈n/4⌉ bytes of 2-bit codes (0 → +0.0, 1 → +c, 2 → −c,
+    3 → literal), then the literals as f64 in index order.
+
+    A value takes a short code only if its bit pattern is that of +0.0, +c
+    or −c, so every other value, −0.0 too unless c is 0, travels as a
+    literal, and every value decodes to the same bits.  The SVT filter's
+    output is almost all exact zeros and ±γ·steps, so few values need a
+    literal."""
+    y, c, codes = _ternary_codes(values)
+    packed = np.bitwise_or.reduce(codes.reshape(-1, 4) << _CODE_SHIFTS, axis=1)
+    literals = y[codes[: y.size] == 3]
+    return struct.pack("<Qd", y.size, c) + packed.tobytes() + literals.tobytes()
+
+
+def ternary_code_bytes(values) -> int:
+    """The length of ``values``' ternary code after its count: 8 bytes of
+    c, ⌈n/4⌉ of codes and 8 per literal."""
+    _, _, codes = _ternary_codes(values)
+    return 8 + codes.size // 4 + 8 * int(np.count_nonzero(codes == 3))
+
+
+def _unpack_ternary(r: _Reader) -> np.ndarray:
+    """The values ``_pack_ternary`` coded, bit for bit.  Nonzero padding
+    bits, a short body and a literal too many (trailing bytes) fail."""
+    count, c = struct.unpack("<Qd", r.take(16))
+    packed = np.frombuffer(r.take(-(-count // 4)), dtype=np.uint8)
+    codes = ((packed[:, None] >> _CODE_SHIFTS) & 3).reshape(-1)
+    if codes[count:].any():
+        raise DecodeError("nonzero padding bits after the last value's code")
+    codes = codes[:count]
+    literal = codes == 3
+    values = np.array([0.0, c, -c, 0.0])[codes]
+    values[literal] = np.frombuffer(r.take(8 * int(literal.sum())), dtype="<f8")
+    return values
+
+
+def _pack_payload(payload) -> bytes:
+    """A broadcast's model: a list of ciphertext blobs as a chunk list,
+    anything else as f64s."""
+    return _pack_chunks(payload) if isinstance(payload, list) else _pack_f64(payload)
+
+
+def _unpack_payload(r: _Reader, encrypted: bool):
+    """The session fixes a payload's form, so no body names it: ciphertext
+    chunks when ``encrypted`` (an HE broadcast after round 0), else f64
+    values.  A body in the other form fails to decode."""
+    return _unpack_chunks(r) if encrypted else _unpack_f64(r)
+
+
+# An UPDATE payload's (pack, unpack) in each privacy mode: a plain delta as
+# f64s, a DP one as its ternary code, an HE one as ciphertext chunks.
+_UPDATE_FORMS = {
+    "plain": (_pack_f64, _unpack_f64),
+    "dp": (_pack_ternary, _unpack_ternary),
+    "he": (_pack_chunks, _unpack_chunks),
+}
+
+
 @dataclass(frozen=True)
 class UpdateBody:
     """A site's answer to a round broadcast; the channel names the site."""
 
     steps: int
-    payload: object  # f64 array or list of ciphertext blobs
+    payload: object  # f64 array (plain, dp) or list of ciphertext blobs (he)
     train_seconds: float
     privacy_seconds: float  # dp-filter or encrypt+decrypt time
     pre_metrics: MetricSet
     post_metrics: MetricSet
 
 
-def encode_update(u: UpdateBody) -> bytes:
+def encode_update(u: UpdateBody, mode: str) -> bytes:
+    """``u`` with its payload in the form of privacy mode ``mode``."""
+    pack, _ = _UPDATE_FORMS[mode]
     return b"".join(
         [
             struct.pack("<Idd", u.steps, u.train_seconds, u.privacy_seconds),
             _pack_metrics(u.pre_metrics),
             _pack_metrics(u.post_metrics),
-            _pack_payload(u.payload),
+            pack(u.payload),
         ]
     )
 
 
-def decode_update(body: bytes, encrypted: bool) -> UpdateBody:
+def decode_update(body: bytes, mode: str) -> UpdateBody:
+    """The session's privacy mode ``mode`` fixes the payload's form, so no
+    body names it; a body in another form fails to decode."""
+    _, unpack = _UPDATE_FORMS[mode]
     r = _Reader(body)
     steps, train_s, privacy_s = struct.unpack("<Idd", r.take(20))
     pre = _unpack_metrics(r.take(_METRICS.size))
     post = _unpack_metrics(r.take(_METRICS.size))
-    payload = _unpack_payload(r, encrypted)
+    payload = unpack(r)
     r.done()
     return UpdateBody(steps, payload, train_s, privacy_s, pre, post)
 

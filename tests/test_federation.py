@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -6,6 +7,7 @@ import struct
 from collections import Counter
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from test_golden import TINY
 from privfed import federation
 from privfed import transport as tr
 from privfed.config import SESSION_KEYS, load_config
+from privfed.data import scaled_counts, write_csv
 from privfed.errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
@@ -237,13 +240,24 @@ class TestSimulationRuns:
         for client in report.rounds[0].clients:
             assert client.pre_metrics == client.post_metrics
 
-    def test_dp_update_payload_obeys_filter_bound(self):
-        # step one client round by hand so the wire payload is inspectable
+    def test_dp_update_payload_obeys_filter_bound(self, monkeypatch):
+        # step one client round by hand so the wire payload is inspectable;
+        # it decodes to the filter's output bit for bit
+        filtered = []
+        svt_filter = federation.svt_filter
+
+        def recording_filter(*args):
+            filtered.append(svt_filter(*args))
+            return filtered[-1]
+
+        monkeypatch.setattr(federation, "svt_filter", recording_filter)
         cfg = sim_config("privacy.mode=dp", "model=nn", "rounds=1", "local_epochs=2")
         reply = site_client(cfg).handle(broadcast(0, init_params(ModelKind.FEEDFORWARD_NN, 0)))
         assert (reply.msg_type, reply.round) == (tr.MSG_UPDATE, 0)
-        update = tr.decode_update(reply.body, encrypted=False)
+        update = tr.decode_update(reply.body, mode="dp")
+        assert update.payload.tobytes() == filtered[0].tobytes()
         assert update.payload.size == 66
+        assert len(reply.body) == 20 + 2 * 40 + 8 + tr.ternary_code_bytes(update.payload)
         bound = cfg.dp.gamma * update.steps
         assert np.all(np.abs(update.payload) <= bound + 1e-12)
         assert np.count_nonzero(update.payload) <= np.ceil(cfg.dp.fraction * 66)
@@ -718,16 +732,17 @@ def join_frame(cfg, name) -> tr.Frame:
 METRICS = MetricSet(0.5, 0.0, 1.0, 1, 1, 0.5)
 
 
-def update_frame(round_index=0, values=np.zeros(11)) -> tr.Frame:
-    """A plain update, by default a well-formed one for LR."""
+def update_frame(round_index=0, values=np.zeros(11), mode="plain") -> tr.Frame:
+    """A plain update, or one in ``mode``'s form, by default a well-formed
+    one for LR."""
     body = tr.UpdateBody(1, values, 0.0, 0.0, METRICS, METRICS)
-    return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body))
+    return tr.Frame(tr.MSG_UPDATE, round_index, tr.encode_update(body, mode))
 
 
 def chunks_update_frame(*blobs: bytes) -> tr.Frame:
     """A round-0 HE update of these serialized ciphertexts."""
     body = tr.UpdateBody(1, list(blobs), 0.0, 0.0, METRICS, METRICS)
-    return tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body))
+    return tr.Frame(tr.MSG_UPDATE, 0, tr.encode_update(body, "he"))
 
 
 def round_done_frame(round_index, final_params=None) -> tr.Frame:
@@ -881,12 +896,32 @@ class TestSessionSettings:
 FRESH = f"a fresh one is at level 1, scale {2**30}"
 
 
+# a well-formed DP update of LR's 11 values: c = 0.5, 3 code bytes whose
+# last holds 1 padding code, and one literal, 0.25
+DP_VALUES = np.array([0.0, 0.5, -0.5, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, -0.5])
+
+
+def recoded_dp_update(edit) -> tr.Frame:
+    """A DP update frame whose payload, the ternary code of DP_VALUES, is
+    replaced by ``edit(payload)``."""
+    body = update_frame(values=DP_VALUES, mode="dp").body
+    head = 20 + 2 * 40
+    return tr.Frame(tr.MSG_UPDATE, 0, body[:head] + edit(body[head:]))
+
+
 def malformed_update(fault: str) -> tr.Frame:
-    """An update that decodes but does not fit its session: a plain LR
-    update must be 11 finite values, an HE one a single fresh ciphertext
-    of 11 values whose c1 is the site's public ``a``."""
+    """An update that does not fit its session: a plain LR update must be
+    11 finite values, a DP one their whole ternary code, an HE one a single
+    fresh ciphertext of 11 values whose c1 is the site's public ``a``."""
     blob = fresh_blob()
     return {
+        "dp_truncated_codes": lambda: recoded_dp_update(lambda p: p[:17]),
+        "dp_padding_bits": lambda: recoded_dp_update(lambda p: p[:18] + bytes([p[18] | 0xC0]) + p[19:]),
+        "dp_missing_literal": lambda: recoded_dp_update(lambda p: p[:-8]),
+        "dp_extra_literal": lambda: recoded_dp_update(lambda p: p + p[-8:]),
+        "dp_trailing_bytes": lambda: recoded_dp_update(lambda p: p + b"\x00\x00\x00"),
+        "dp_short": lambda: update_frame(values=DP_VALUES[:10], mode="dp"),
+        "dp_infinite_c": lambda: update_frame(values=np.where(DP_VALUES > 0, np.inf, 0.0), mode="dp"),
         "short": lambda: update_frame(values=np.zeros(10)),
         "nan": lambda: update_frame(values=np.where(np.arange(11) == 4, np.nan, 0.0)),
         "two_chunks": lambda: chunks_update_frame(blob, blob),
@@ -965,6 +1000,13 @@ class TestSequentialCollect:
             ("half_scale", False, f"sent a ciphertext at level 1, scale {2**29}; {FRESH}"),
             ("fill", False, "sent a chunk of 12 values, expected 11"),
             ("private_a", False, "sent a c1 that is not its public a"),
+            ("dp_truncated_codes", False, "sent a bad body: body truncated"),
+            ("dp_padding_bits", False, "sent a bad body: nonzero padding bits after the last value's code"),
+            ("dp_missing_literal", False, "sent a bad body: body truncated"),
+            ("dp_extra_literal", False, "sent a bad body: trailing bytes in body"),
+            ("dp_trailing_bytes", False, "sent a bad body: trailing bytes in body"),
+            ("dp_short", False, "sent an update that is not 11 finite values"),
+            ("dp_infinite_c", True, "sent an update that is not 11 finite values"),
         ],
         ids=[
             "short_at_one_site",
@@ -976,15 +1018,26 @@ class TestSequentialCollect:
             "half_scale",
             "fill",
             "private_a",
+            "dp_truncated_codes",
+            "dp_padding_bits",
+            "dp_missing_literal",
+            "dp_extra_literal",
+            "dp_trailing_bytes",
+            "dp_short",
+            "dp_infinite_c",
         ],
     )
     def test_malformed_update_names_its_site(self, fault, every_site, reason):
-        he = fault not in ("short", "nan")
-        cfg = sim_config(*(["privacy.mode=he", *HE_OVERRIDES] if he else []), "timeout_seconds=5")
+        mode = "plain" if fault in ("short", "nan") else "dp" if fault.startswith("dp_") else "he"
+        cfg = sim_config(f"privacy.mode={mode}", *(HE_OVERRIDES if mode == "he" else []), "timeout_seconds=5")
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
         for i, (name, client_end) in enumerate(zip(names, client_ends)):
-            good = chunks_update_frame(fresh_blob(name)) if he else update_frame()
+            good = {
+                "plain": update_frame,
+                "dp": lambda: update_frame(values=DP_VALUES, mode="dp"),
+                "he": lambda: chunks_update_frame(fresh_blob(name)),
+            }[mode]()
             client_end.send(malformed_update(fault) if every_site or i == 2 else good)
         report = server.run()
         culprit = names[0] if every_site else names[2]
@@ -1072,18 +1125,30 @@ class TestCoordinatorState:
         )
         assert report.cross_site is not None  # the validation rows still stand
 
-    @pytest.mark.parametrize("mode, overrides", [("plain", []), ("he", HE_OVERRIDES)], ids=["plain", "he"])
-    def test_payload_of_the_other_kind_aborts_run(self, mode, overrides):
+    @pytest.mark.parametrize(
+        "mode, wrong_mode, reason",
+        [
+            ("plain", "he", "body truncated"),
+            ("he", "plain", "trailing bytes in body"),  # 11 zeros
+            ("dp", "plain", "trailing bytes in body"),  # 11 zeros read as one c and 3 code bytes
+            ("plain", "dp", "body truncated"),
+        ],
+        ids=["plain", "he", "dp", "dp_code_to_plain"],
+    )
+    def test_payload_of_the_other_kind_aborts_run(self, mode, wrong_mode, reason):
+        overrides = HE_OVERRIDES if mode == "he" else []
         cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=5", *overrides)
         names = cfg.site_names()
         server, client_ends = sim_coordinator(cfg)
-        plain, chunks = update_frame(), chunks_update_frame(fresh_blob())
-        right, wrong = (plain, chunks) if mode == "plain" else (chunks, plain)
+        frames = {
+            "plain": update_frame(),
+            "dp": update_frame(values=DP_VALUES, mode="dp"),
+            "he": chunks_update_frame(fresh_blob()),
+        }
         for i, client_end in enumerate(client_ends):
-            client_end.send(wrong if i == 1 else right)
+            client_end.send(frames[wrong_mode] if i == 1 else frames[mode])
         report = server.run()
         assert report.aborted
-        reason = "body truncated" if mode == "plain" else "trailing bytes in body"  # 11 zeros
         assert report.abort_reason == f"ProtocolError: client {names[1]!r} sent a bad body: {reason}"
         assert report.rounds == []
 
@@ -1183,10 +1248,12 @@ class TestTcpCoordinator:
         assert listening.wait(10)
         return thread, ports[0], result
 
-    def test_he_run_matches_the_simulation(self, monkeypatch):
-        # criterion 11's check in an HE session: run_tcp_server and four
-        # run_tcp_client sites on localhost give the simulation's report
-        cfg = sim_config("privacy.mode=he", "timeout_seconds=30", *HE_OVERRIDES)
+    @pytest.mark.parametrize("mode", ["he", "dp"])
+    def test_run_matches_the_simulation(self, mode, monkeypatch):
+        # criterion 11's check in an HE and a DP session: run_tcp_server and
+        # four run_tcp_client sites on localhost give the simulation's report
+        overrides = HE_OVERRIDES if mode == "he" else ["model=nn"]
+        cfg = sim_config(f"privacy.mode={mode}", "timeout_seconds=30", *overrides)
         thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
         sites = [
             threading.Thread(target=federation.run_tcp_client, args=(cfg, name, "127.0.0.1", port))
@@ -1418,6 +1485,36 @@ class TestTcpAuth:
 
 
 class TestCentral:
+    def test_pooling_holds_no_second_copy(self):
+        # each generated site is drawn straight into its slice of the pool,
+        # so the peak stays under the pooled rows plus the largest site's
+        # (Stockholm holds 63% of the rows)
+        cfg = load_config(None, ["data.scale_factor=0.1"])
+        tracemalloc.start()
+        try:
+            pooled = federation.pool_sites(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = pooled.features.itemsize * 10 + pooled.labels.itemsize
+        largest = max(sum(scaled_counts(site, 0.1)) for site in cfg.data.sites)
+        assert peak <= (len(pooled) + largest) * row_bytes
+        parts = [part for parts in build_site_datasets(cfg).values() for part in parts]
+        assert pooled.features.tobytes() == np.concatenate([p.features for p in parts]).tobytes()
+        assert pooled.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
+
+    def test_csv_sites_pool_like_generated_ones(self, tmp_path):
+        # CSV sites are read whole and concatenated, in the same order
+        generated = load_config(None, ["data.scale_factor=0.02", "seed=7"])
+        for site in generated.data.sites:
+            write_csv(federation.draw_site(generated, site), tmp_path / f"{site.name}.csv")
+        from_csv = dataclasses.replace(
+            generated, data=dataclasses.replace(generated.data, source="csv", csv_dir=str(tmp_path))
+        )
+        want, got = federation.pool_sites(generated), federation.pool_sites(from_csv)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
     def test_fold_count_and_metrics(self):
         cfg = load_config(
             None,

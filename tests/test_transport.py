@@ -91,7 +91,7 @@ class TestBodyCodecs:
             pre_metrics=sample_metrics(),
             post_metrics=sample_metrics(),
         )
-        back = tr.decode_update(tr.encode_update(update), encrypted=False)
+        back = tr.decode_update(tr.encode_update(update, "plain"), mode="plain")
         assert back.steps == update.steps
         assert (back.train_seconds, back.privacy_seconds) == (0.25, 0.01)
         assert np.array_equal(back.payload, update.payload)
@@ -106,7 +106,7 @@ class TestBodyCodecs:
             pre_metrics=sample_metrics(),
             post_metrics=sample_metrics(),
         )
-        back = tr.decode_update(tr.encode_update(update), encrypted=True)
+        back = tr.decode_update(tr.encode_update(update, "he"), mode="he")
         assert back.payload == [b"chunk-one", b"\x00\x01\x02"]
 
     def test_broadcast_roundtrip(self):
@@ -131,14 +131,20 @@ class TestBodyCodecs:
 
     def test_body_byte_lengths(self):
         # a length prefix is 4 bytes, a metric set 40, a plain payload 8 + 8n,
-        # a chunk list 4 + the sum of (8 + chunk size), and an HE broadcast's
-        # weight sum 8
+        # a DP payload 8 + 8 + ceil(n / 4) + 8 per literal, a chunk list 4 +
+        # the sum of (8 + chunk size), and an HE broadcast's weight sum 8
         metrics = sample_metrics()
         assert len(tr.encode_join(tr.JoinBody("stockholm", "secret-token", 8000, DIGEST))) == 45
         update = tr.UpdateBody(40, np.zeros(11), 0.25, 0.01, metrics, metrics)
-        assert len(tr.encode_update(update)) == 20 + 2 * 40 + 8 + 8 * 11
+        assert len(tr.encode_update(update, "plain")) == 20 + 2 * 40 + 8 + 8 * 11
+        assert len(tr.encode_update(update, "dp")) == 20 + 2 * 40 + 8 + 8 + 3
+        released = np.zeros(66)
+        released[[0, 7, 65]], released[[3, 9]] = 0.5, (-0.5, 0.125)  # one literal, 0.125
+        dp = tr.UpdateBody(40, released, 0.25, 0.01, metrics, metrics)
+        assert len(tr.encode_update(dp, "dp")) == 20 + 2 * 40 + 33 + 8
+        assert tr.ternary_code_bytes(released) == 25 + 8
         chunks = tr.UpdateBody(40, [b"x" * 100], 0.25, 0.01, metrics, metrics)
-        assert len(tr.encode_update(chunks)) == 20 + 2 * 40 + 4 + 8 + 100
+        assert len(tr.encode_update(chunks, "he")) == 20 + 2 * 40 + 4 + 8 + 100
         assert len(tr.encode_broadcast(tr.BroadcastBody(False, np.zeros(11)))) == 97
         he_broadcast = tr.BroadcastBody(False, [b"x" * 100], 4.0)
         assert len(tr.encode_broadcast(he_broadcast)) == 1 + 4 + 8 + 100 + 8
@@ -162,12 +168,19 @@ class TestBodyCodecs:
         chunks = [rng.bytes(15 + 2 * 2 * degree * 8)]  # one fresh ciphertext's size
         metrics = sample_metrics()
         for payload, encrypted in [(values, False), (chunks, True)]:
-            update = tr.encode_update(tr.UpdateBody(1, payload, 0.0, 0.0, metrics, metrics))
             broadcast = tr.encode_broadcast(tr.BroadcastBody(False, payload, 4.0 if encrypted else None))
-            for decode, body in [(tr.decode_update, update), (tr.decode_broadcast, broadcast)]:
-                decode(body, encrypted)
-                with pytest.raises(DecodeError, match="body truncated|trailing bytes in body"):
-                    decode(body, not encrypted)
+            tr.decode_broadcast(broadcast, encrypted)
+            with pytest.raises(DecodeError, match="body truncated|trailing bytes in body"):
+                tr.decode_broadcast(broadcast, not encrypted)
+        released = np.where(rng.random(n_values) < 0.5, 0.0, np.sign(values) * 0.5)
+        released[:2] = (0.5, 0.25)  # c = 0.5, and one literal
+        modes = {"plain": values, "dp": released, "he": chunks}
+        for mode, payload in modes.items():
+            update = tr.encode_update(tr.UpdateBody(1, payload, 0.0, 0.0, metrics, metrics), mode)
+            tr.decode_update(update, mode)
+            for other in modes.keys() - {mode}:
+                with pytest.raises(DecodeError, match="body truncated|trailing bytes in body|padding bits"):
+                    tr.decode_update(update, other)
         for final_params, encrypted in [(None, False), (values, True)]:
             body = tr.encode_round_done(tr.RoundDoneBody(metrics, final_params))
             tr.decode_round_done(body, encrypted)
@@ -188,13 +201,112 @@ class TestBodyCodecs:
     @given(data=BODIES)
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_raise_only_decode_error(self, decode, data):
-        # the body decoders run in both payload forms
-        forms = [()] if decode in (tr.decode_join, tr.decode_error) else [(False,), (True,)]
+        # the body decoders run in every payload form
+        forms = {
+            tr.decode_join: [()],
+            tr.decode_error: [()],
+            tr.decode_update: [("plain",), ("dp",), ("he",)],
+        }.get(decode, [(False,), (True,)])
         for form in forms:
             try:
                 decode(data, *form)
             except DecodeError:
                 pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@st.composite
+def dp_updates(draw):
+    """Finite vectors shaped like the SVT filter's output: each value +0.0,
+    -0.0, +c, -c or any finite float (subnormals included), at the two
+    learners' sizes and at sizes that are not a multiple of 4."""
+    n = draw(st.sampled_from([0, 1, 3, 11, 66, 67]) | st.integers(0, 40))
+    c = draw(FINITE)
+    pick = st.sampled_from([0.0, -0.0, c, -c]) | FINITE
+    return np.array(draw(st.lists(pick, min_size=n, max_size=n)), dtype=np.float64)
+
+
+def ternary_body(values) -> bytes:
+    """The fixed fields of an UPDATE body, then ``values`` in the DP form."""
+    metrics = sample_metrics()
+    return tr.encode_update(tr.UpdateBody(1, values, 0.0, 0.0, metrics, metrics), "dp")
+
+
+class TestTernaryCode:
+    """A DP update travels as c = max|y|, 2-bit codes for +0.0, +c and -c,
+    and f64 literals for every other value."""
+
+    HEAD = 20 + 2 * 40  # the body's fields before its payload
+
+    @given(dp_updates())
+    @settings(max_examples=400, deadline=None)
+    def test_roundtrip_bitwise(self, values):
+        body = ternary_body(values)
+        back = tr.decode_update(body, "dp").payload
+        assert back.tobytes() == values.tobytes()
+        assert len(body) == self.HEAD + 8 + tr.ternary_code_bytes(values)
+
+    @pytest.mark.parametrize("n", [11, 66, 67])
+    def test_special_vectors_roundtrip_bitwise(self, n):
+        c = 0.05 * 40
+        tiny = np.nextafter(0.0, 1.0)
+        cases = [
+            np.zeros(n),
+            np.full(n, -0.0),
+            np.where(np.arange(n) % 2, c, -c),
+            np.where(np.arange(n) % 3 == 0, tiny, -tiny),
+            np.where(np.arange(n) % 4 == 1, -0.0, 0.0),
+        ]
+        for values in cases:
+            back = tr.decode_update(ternary_body(values), "dp").payload
+            assert back.tobytes() == values.tobytes()
+
+    def test_sizes_at_the_nn_reference(self):
+        # 33 bytes for 66 zeros or +-c, and 8 more per literal, against 536
+        values = np.zeros(66)
+        values[::5] = 0.25
+        values[1::7] = -0.25
+        plain = tr.UpdateBody(1, values, 0.0, 0.0, sample_metrics(), sample_metrics())
+        assert len(tr.encode_update(plain, "plain")) - self.HEAD == 536
+        assert len(ternary_body(values)) - self.HEAD == 33
+        values[[2, 4]] = (-0.0, 0.1)  # -0.0 is a literal unless c is 0
+        assert len(ternary_body(values)) - self.HEAD == 33 + 16
+        assert tr.ternary_code_bytes(values) == 25 + 16
+
+    def test_codes_are_packed_low_bits_first(self):
+        body = ternary_body(np.array([0.0, 2.0, -2.0, 1.0, -2.0]))
+        payload = body[self.HEAD :]
+        assert struct.unpack("<Qd", payload[:16]) == (5, 2.0)
+        assert payload[16:18] == bytes([0b11_10_01_00, 0b00_00_00_10])
+        assert struct.unpack("<d", payload[18:]) == (1.0,)
+
+    @pytest.mark.parametrize(
+        "cut, reason",
+        [
+            (lambda p: p[:17], "body truncated"),  # in the code bytes
+            (lambda p: p[:16] + bytes([p[16], p[17], p[18] | 0xC0]) + p[19:], "nonzero padding bits"),
+            (lambda p: p[:-8], "body truncated"),  # a literal missing
+            (lambda p: p + p[-8:], "trailing bytes in body"),  # a literal too many
+            (lambda p: p + b"\x00", "trailing bytes in body"),
+        ],
+        ids=["truncated_codes", "padding_bits", "missing_literal", "extra_literal", "trailing_byte"],
+    )
+    def test_malformed_code_is_a_decode_error(self, cut, reason):
+        values = np.array([0.0, 0.5, -0.5, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, -0.5])
+        body = ternary_body(values)
+        with pytest.raises(DecodeError, match=reason):
+            tr.decode_update(body[: self.HEAD] + cut(body[self.HEAD :]), "dp")
+
+    @given(st.integers(0, 70), st.binary(max_size=128))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_code_bytes_raise_only_decode_error(self, count, rest):
+        body = ternary_body(np.zeros(0))[: self.HEAD] + struct.pack("<Q", count) + rest
+        try:
+            tr.decode_update(body, "dp")
+        except DecodeError:
+            pass
 
 
 class TestSimChannel:

@@ -51,7 +51,7 @@ def cmd_generate_data(args) -> int:
     cfg = _load(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for site in cfg.data.sites:
-        # in generation order, so a run with data.source=csv splits each file
+        # in generation order, so a run with data.csv_dir set splits each file
         # into exactly the training and validation rows of the generated run
         ds = draw_site(cfg, site)
         path = os.path.join(cfg.out_dir, f"{site.name}.csv")

@@ -4,15 +4,14 @@ baseline, simulation, and networked deployment.
 Schema (defaults in parentheses):
 
     model: "lr" | "nn"                       ("nn")
-    privacy: {mode: "plain"|"dp"|"he",
+    privacy: {mode: "plain"|"dp"|"he"        ("plain"),
               dp:  {fraction, epsilon, noise_var, gamma, tau},
               he:  {poly_degree, modulus_bits, scale_log2}}
     rounds (250), local_epochs (20), learning_rate (0.01), l2_penalty (1e-4)
     batch_size (20000), site_batch_sizes ({"stockholm": 100000})
     threshold (0.5), train_frac (0.8)
     central_epochs (400), central_folds (10)
-    data: {source: "generate"|"csv", scale_factor (1.0), seed, sites, csv_dir}
-    transport: "sim" | "tcp"                 ("sim")
+    data: {scale_factor (1.0), sites (the reference cohort), csv_dir (none)}
     seed (12345), weighting: "unit"|"examples" (dp needs "unit"), timeout_seconds (600)
     out_dir ("out"), token (PRIVFED_TOKEN env overrides)
 
@@ -21,9 +20,12 @@ configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
 rejected with its dotted name, as is a numeric value outside its range
-(``RANGES``).  The top-level ``privacy_mode``, ``dp`` and ``he`` keys, the
-form ``to_dict`` writes, stand in for ``privacy.mode``, ``privacy.dp`` and
-``privacy.he``; a config that gives one setting in both forms is rejected.
+(``RANGES``).  Sites are read from ``<data.csv_dir>/<site>.csv`` when
+``data.csv_dir`` is set and generated otherwise.
+
+This schema is the only spelling ``load_config`` reads, and ``to_dict`` writes
+it back, less the token, as the config echo of every report; so a report's
+config loads back as a config file.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ SESSION_KEYS = ("model", "privacy_mode", "dp", "he", "weighting")
 
 @dataclass
 class DataConfig:
-    source: str = "generate"
     scale_factor: float = 1.0
     sites: tuple[SiteSpec, ...] = DEFAULT_SITES
     csv_dir: str | None = None
@@ -97,7 +98,6 @@ class ExperimentConfig:
     central_epochs: int = 400
     central_folds: int = 10
     data: DataConfig = field(default_factory=DataConfig)
-    transport: str = "sim"
     seed: int = 12345
     weighting: str = "unit"
     timeout_seconds: float = 600.0
@@ -131,8 +131,10 @@ class ExperimentConfig:
             # the client scales its delta by n_train before the SVT filter,
             # so the per-step ±gamma clip would saturate
             raise ConfigError("privacy mode 'dp' needs weighting 'unit'")
-        if self.transport not in ("sim", "tcp"):
-            raise ConfigError(f"unknown transport {self.transport!r}")
+        names = self.site_names()
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"site {name!r} is listed more than once in data.sites")
 
     @property
     def method(self) -> str:
@@ -146,8 +148,8 @@ class ExperimentConfig:
 
     def session_digest(self) -> bytes:
         """The first 8 bytes of the SHA-256 of the canonical JSON of the
-        ``SESSION_KEYS`` settings as ``to_dict`` writes them; a site sends it
-        in its JOIN."""
+        ``SESSION_KEYS`` attributes, keyed by attribute name (``privacy_mode``,
+        not the file's ``privacy.mode``); a site sends it in its JOIN."""
         settings = {key: getattr(self, key) for key in SESSION_KEYS}
         canonical = json.dumps(
             settings, default=dataclasses.asdict, sort_keys=True, separators=(",", ":")
@@ -155,17 +157,11 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).digest()[:8]
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["data"]["sites"] = [dataclasses.asdict(s) for s in self.data.sites]
-        if self.dp is not None:
-            out["dp"] = dataclasses.asdict(self.dp)
-        if self.he is not None:
-            out["he"] = {
-                "poly_degree": self.he.poly_degree,
-                "modulus_bits": list(self.he.modulus_bits),
-                "scale_log2": self.he.scale_log2,
-            }
-        return out
+        """The config file that gives this config, less the token."""
+        out = json.loads(json.dumps(dataclasses.asdict(self)))
+        del out["token"]
+        privacy = {"mode": out.pop("privacy_mode"), "dp": out.pop("dp"), "he": out.pop("he")}
+        return {"model": out.pop("model"), "privacy": privacy, **out}
 
 
 def _check_range(key: str, value, test, meaning: str) -> None:
@@ -202,23 +198,16 @@ def _make(cls, path: str, base: dict, raw: dict):
 
 
 def _build(raw: dict) -> ExperimentConfig:
-    raw = _block(raw, "", _field_names(ExperimentConfig) | {"privacy"})
-    kwargs = {}
+    top = _field_names(ExperimentConfig) - {"privacy_mode", "dp", "he"}
+    raw = _block(raw, "", top | {"privacy"})
     privacy = _block(raw.pop("privacy", {}), "privacy", ("mode", "dp", "he"))
-    for key, flat_key in (("mode", "privacy_mode"), ("dp", "dp"), ("he", "he")):
-        if key in privacy and flat_key in raw:  # to_dict writes the flat form
-            raise ConfigError(
-                f"config keys 'privacy.{key}' and {flat_key!r} give the same setting; keep one"
-            )
-    kwargs["privacy_mode"] = privacy.get("mode", raw.pop("privacy_mode", "plain"))
-    dp_raw = privacy.get("dp", raw.pop("dp", None))
-    if dp_raw is not None:
+    kwargs = {"privacy_mode": privacy.get("mode", "plain")}
+    if privacy.get("dp") is not None:
         # partial dp blocks inherit the reference per-learner defaults
         base = DP_DEFAULTS.get(raw.get("model", "nn"), DP_DEFAULTS["nn"])
-        kwargs["dp"] = _make(SvtConfig, "privacy.dp", dataclasses.asdict(base), dp_raw)
-    he_raw = privacy.get("he", raw.pop("he", None))
-    if he_raw is not None:
-        kwargs["he"] = _make(CkksParams, "privacy.he", dataclasses.asdict(DEFAULT_PARAMS), he_raw)
+        kwargs["dp"] = _make(SvtConfig, "privacy.dp", dataclasses.asdict(base), privacy["dp"])
+    if privacy.get("he") is not None:
+        kwargs["he"] = _make(CkksParams, "privacy.he", dataclasses.asdict(DEFAULT_PARAMS), privacy["he"])
     data_raw = raw.pop("data", None)
     if data_raw is not None:
         data_raw = _block(data_raw, "data", _field_names(DataConfig))

@@ -688,8 +688,8 @@ def build_site_datasets(cfg: ExperimentConfig, only_site: str | None = None):
         if only_site is not None and site.name != only_site:
             continue
         split = _site_split(cfg, site)
-        if cfg.data.source == "csv":
-            path = os.path.join(cfg.data.csv_dir or ".", f"{site.name}.csv")
+        if cfg.data.csv_dir is not None:
+            path = os.path.join(cfg.data.csv_dir, f"{site.name}.csv")
             if not os.path.exists(path):
                 raise ConfigError(f"site file does not exist: {path}")
             out[site.name] = split_train_valid(read_csv(path), *split)
@@ -794,7 +794,7 @@ def pool_sites(cfg: ExperimentConfig) -> CohortDataset:
     so beside the pool only one site's generation buffers are held, never a
     second copy of the rows.  CSV sites, whose sizes are known only once
     read, are read and then concatenated."""
-    if cfg.data.source == "csv":
+    if cfg.data.csv_dir is not None:
         return concat_datasets(part for parts in build_site_datasets(cfg).values() for part in parts)
     sizes = [sum(scaled_counts(site, cfg.data.scale_factor)) for site in cfg.data.sites]
     features = np.empty((sum(sizes), 10), dtype=np.float64)

@@ -1,12 +1,16 @@
+import ast
 import csv
+import dataclasses
 import json
 import os
+import pathlib
 import socket
 
 import pytest
 
+import privfed
 from privfed.cli import main
-from privfed.config import load_config
+from privfed.config import DataConfig, ExperimentConfig, load_config
 from privfed.errors import ConfigError
 
 FAST = [
@@ -37,11 +41,15 @@ OUT_OF_RANGE = [
 ]
 
 
-# a privacy setting given both in the privacy block and at the top level
-BOTH_SPELLINGS = [
-    (["privacy.mode=he", "privacy_mode=dp"], "'privacy.mode' and 'privacy_mode'"),
-    (["privacy.mode=dp", "privacy.dp.epsilon=2", "dp.epsilon=5"], "'privacy.dp' and 'dp'"),
-    (["privacy.mode=he", "privacy.he.scale_log2=30", "he.scale_log2=30"], "'privacy.he' and 'he'"),
+# keys the config no longer has, and the name the rejection gives: the
+# privacy settings live under privacy.*, and sites are read from CSV files
+# exactly when data.csv_dir is set
+GONE_KEYS = [
+    ("transport=tcp", "transport"),
+    ("data.source=csv", "data.source"),
+    ("privacy_mode=dp", "privacy_mode"),
+    ("dp.epsilon=2", "dp"),
+    ("he.scale_log2=30", "he"),
 ]
 
 
@@ -148,12 +156,30 @@ class TestConfig:
             path.write_text(json.dumps(cfg.to_dict()))
             assert load_config(str(path), []).to_dict() == cfg.to_dict()
 
-    @pytest.mark.parametrize(
-        "overrides, keys", BOTH_SPELLINGS, ids=["privacy_mode", "dp", "he"]
-    )
-    def test_setting_in_both_spellings_rejected(self, overrides, keys):
-        with pytest.raises(ConfigError, match=f"config keys {keys} give the same setting"):
-            load_config(None, overrides)
+    @pytest.mark.parametrize("override, key", GONE_KEYS, ids=[k for _, k in GONE_KEYS])
+    def test_removed_key_rejected(self, override, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(None, [override])
+
+    def test_duplicate_site_name_rejected(self):
+        # the coordinator would admit one of the two and pool_sites draw the
+        # same rows twice
+        site = {"name": "a", "n_negative": 90, "n_positive": 10}
+        with pytest.raises(ConfigError, match="site 'a' is listed more than once in data.sites"):
+            load_config(None, [f"data.sites={json.dumps([site, site])}"])
+
+    def test_every_setting_is_read(self):
+        # a setting that no module reads is accepted and echoed into every
+        # report, yet changes nothing; site_batch_sizes is read by batch_for
+        read = set()
+        for path in pathlib.Path(privfed.__file__).parent.rglob("*.py"):
+            if path.name == "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        settings = {f.name for cls in (ExperimentConfig, DataConfig) for f in dataclasses.fields(cls)}
+        assert sorted(settings - read - {"site_batch_sizes"}) == []
 
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")
@@ -173,8 +199,8 @@ class TestCliCommands:
         run = [*FAST, "--set", "rounds=2", "--set", "seed=7"]
         assert main(["generate-data", *run, "--out", str(tmp_path / "csv")]) == 0
         assert main(["run-sim", *run, "--out", str(tmp_path / "generated")]) == 0
-        csv_source = ["--set", "data.source=csv", "--set", f'data.csv_dir="{tmp_path / "csv"}"']
-        assert main(["run-sim", *run, *csv_source, "--out", str(tmp_path / "from_csv")]) == 0
+        csv_dir = ["--set", f'data.csv_dir="{tmp_path / "csv"}"']
+        assert main(["run-sim", *run, *csv_dir, "--out", str(tmp_path / "from_csv")]) == 0
         from privfed.report import nontiming_view
 
         generated, from_csv = (
@@ -260,7 +286,7 @@ class TestCliCommands:
              "--out", str(tmp_path)]
         )
         assert rc == 0
-        he = json.loads((tmp_path / "report.json").read_text())["config"]["he"]
+        he = json.loads((tmp_path / "report.json").read_text())["config"]["privacy"]["he"]
         assert he == {"poly_degree": 128, "modulus_bits": [60, 40, 40], "scale_log2": 40}
 
     def test_missing_csv_dir_exits_nonzero(self, capsys, tmp_path):
@@ -269,13 +295,21 @@ class TestCliCommands:
                 "run-sim",
                 *FAST,
                 "--set",
-                "data.source=csv",
-                "--set",
                 f'data.csv_dir="{tmp_path}"',
             ]
         )
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_no_report_file_holds_the_token(self, tmp_path, monkeypatch):
+        sentinel = "sentinel-join-token-7f3a"
+        monkeypatch.setenv("PRIVFED_TOKEN", sentinel)
+        assert main(["run-sim", *FAST, "--out", str(tmp_path / "sim")]) == 0
+        central = ["--set", "central_epochs=1", "--set", "central_folds=2"]
+        assert main(["run-central", *FAST, *central, "--out", str(tmp_path / "central")]) == 0
+        for run in ("sim", "central"):
+            for name in ("report.json", "rounds.csv", "summary.csv", "timings.csv"):
+                assert sentinel not in (tmp_path / run / name).read_text(), f"{run}/{name}"
 
     def test_idempotent_given_seed(self, tmp_path):
         main(["run-sim", *FAST, "--out", str(tmp_path / "one")])

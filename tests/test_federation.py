@@ -853,7 +853,16 @@ class TestSessionSettings:
     @pytest.mark.parametrize("overrides", [[], ["privacy.mode=dp"], ["privacy.mode=he", *HE_OVERRIDES]])
     def test_digest_covers_the_session_settings_only(self, overrides):
         cfg = sim_config(*overrides)
-        settings = {key: cfg.to_dict()[key] for key in SESSION_KEYS}
+        echo = cfg.to_dict()
+        privacy = echo["privacy"]
+        settings = {
+            "model": echo["model"],
+            "privacy_mode": privacy["mode"],
+            "dp": privacy["dp"],
+            "he": privacy["he"],
+            "weighting": echo["weighting"],
+        }
+        assert sorted(settings) == sorted(SESSION_KEYS)
         canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         assert cfg.session_digest() == hashlib.sha256(canonical.encode()).digest()[:8]
         assert len(cfg.session_digest()) == tr.SESSION_DIGEST_BYTES
@@ -1509,7 +1518,7 @@ class TestCentral:
         for site in generated.data.sites:
             write_csv(federation.draw_site(generated, site), tmp_path / f"{site.name}.csv")
         from_csv = dataclasses.replace(
-            generated, data=dataclasses.replace(generated.data, source="csv", csv_dir=str(tmp_path))
+            generated, data=dataclasses.replace(generated.data, csv_dir=str(tmp_path))
         )
         want, got = federation.pool_sites(generated), federation.pool_sites(from_csv)
         assert got.features.tobytes() == want.features.tobytes()

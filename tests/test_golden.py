@@ -1,12 +1,18 @@
-"""Golden fingerprints: the SHA-256 of ``nontiming_view`` for tiny fixed-seed
-runs in each privacy mode, for both learners.  A refactor that moves any non-timing byte of a
-report fails here.  The plain and DP hashes depend on no HE code; the HE hash
-moves whenever the CKKS random stream or ciphertext bytes do.  Each client's
-``payload_bytes`` is in the view, so a change to an update's wire form moves
-its mode's hashes.  The wire pins count the frames and bytes of each type the
-NN runs and an HE LR run send, so a change to the frame format fails here
-too."""
+"""Golden pins for tiny fixed-seed runs in each privacy mode, for both
+learners, one pin per concern, so that a change to one concern moves only its
+own pins and a slip in another cannot hide in the move:
 
+- numerics: the SHA-256 of ``numerics_view``, which holds θ, the metrics,
+  steps and weights.  The plain and DP hashes depend on no HE code; the HE
+  hash moves whenever the CKKS random stream does.
+- wire: each client's ``payload_bytes`` per round, and the frames and bytes of
+  each type that the NN runs and an HE LR run send.
+- config: ``to_dict()``, the echo in every report, and ``session_digest()`` of
+  each config.
+
+Every field of ``nontiming_view`` lies under exactly one of them."""
+
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -20,51 +26,73 @@ from privfed.report import nontiming_view
 
 TINY = ["model=nn", "data.scale_factor=0.02", "rounds=4", "seed=11"]
 TINY_LR = ["model=lr", *TINY[1:]]
+CENTRAL = ["data.scale_factor=0.02", "central_epochs=4", "central_folds=3", "seed=11"]
+
+
+def numerics_view(report_dict: dict) -> dict:
+    """``nontiming_view`` without the config echo and without any
+    ``payload_bytes``: what the run computed, not how it was set up or how
+    its updates travelled."""
+    view = nontiming_view(report_dict)
+    del view["config"]
+    for rec in view["rounds"]:
+        for client in rec["clients"]:
+            del client["payload_bytes"]
+    return view
+
+
+@functools.cache
+def golden_report(run, overrides: tuple[str, ...]) -> dict:
+    """``to_dict`` of one finished run, made once for all the pins."""
+    report = run(load_config(None, list(overrides)))
+    assert not report.aborted, report.abort_reason
+    return report.to_dict()
+
+
+def report_fingerprint(overrides, run=run_simulation) -> str:
+    """The SHA-256 of ``numerics_view`` of a finished run."""
+    view = json.dumps(numerics_view(golden_report(run, tuple(overrides))), sort_keys=True)
+    return hashlib.sha256(view.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
     "mode, fingerprint",
     [
-        ("plain", "f981957c5a5dee8b4de4f59e46a56b3bca4313201c7992d70435a09650d3cf29"),
-        ("dp", "abc62ef2ef692afb55b3619a6d35a31d64159e97d3574d590f8683cc1e56f42c"),
-        ("he", "97820357f0662ba830b4c279b2f8b5b1e418ff5293741bf9062f71c52edc8065"),
+        ("plain", "a93ff51c6a120dfc08a188149c50c2da8ebff415a8e2bf46e2c9ebed9d1a1ac2"),
+        ("dp", "d9d95b7fb6d90daca459236423b70ef70ce0fe04cdeba07d35f08865a51a0c0d"),
+        ("he", "fab48dc142988bda15e2bb8fc6683e5a56d55cf5a1c174157165654ba9f0a48f"),
     ],
     ids=["plain", "dp", "he"],
 )
-def test_nontiming_fingerprint(mode, fingerprint, monkeypatch):
-    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)  # the token is part of the config
+def test_nontiming_fingerprint(mode, fingerprint):
     assert report_fingerprint([f"privacy.mode={mode}", *TINY]) == fingerprint
 
 
 @pytest.mark.parametrize(
     "mode, fingerprint",
     [
-        ("plain", "bf8840a3516e3e713de5afb4daf7caa643f06532e7413887ebe6779cc9c1d23b"),
-        ("dp", "dac13c2eb4d4343a66107a138825bfee6e76d073790acb9ccb7fd872389d4b3c"),
-        ("he", "d80bede6b7af17cb0e1973e6258a968b69b42db10ce619bf4ecc509508adfc8a"),
+        ("plain", "8b22e849bd30b917f1a3b110b7cebf21118c1943722f5f522c17881f8d311500"),
+        ("dp", "c3f8f33d2eee0d54d731afcff09816fd394b4abb805814d43706a57bb0ab89d0"),
+        ("he", "46a240c510284d68f144dbe4282dcd863d0cd8edf801da736f5a88ae9aeea07a"),
     ],
     ids=["plain", "dp", "he"],
 )
-def test_lr_nontiming_fingerprint(mode, fingerprint, monkeypatch):
-    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
+def test_lr_nontiming_fingerprint(mode, fingerprint):
     assert report_fingerprint([f"privacy.mode={mode}", *TINY_LR]) == fingerprint
 
 
 @pytest.mark.parametrize(
     "model, fingerprint",
     [
-        ("nn", "cda4f717966da076f03f1d9e34337a659da2e5859ab75f440fbff1e08934f387"),
-        ("lr", "58b60de403bedd0107f29ab8b764a7224f6d10cea3b88db696c2b8f9af63e9a0"),
+        ("nn", "48ab9c0db93bca6906de0ef2ae6bd96426ffbab5eda283adb55de8bcf3406bf6"),
+        ("lr", "b23abe781de74c07f5f38440a28f21535e501c31f8265a9ee3001be6d9a1ca3d"),
     ],
+    ids=["nn", "lr"],
 )
-def test_central_nontiming_fingerprint(model, fingerprint, monkeypatch):
+def test_central_nontiming_fingerprint(model, fingerprint):
     # cML's fold metrics over the pooled sites, which must hold the rows in
     # site order, training rows first
-    monkeypatch.delenv("PRIVFED_TOKEN", raising=False)
-    overrides = [f"model={model}", "data.scale_factor=0.02", "central_epochs=4", "central_folds=3", "seed=11"]
-    report = run_central(load_config(None, overrides))
-    view = json.dumps(nontiming_view(report.to_dict()), sort_keys=True)
-    assert hashlib.sha256(view.encode()).hexdigest() == fingerprint
+    assert report_fingerprint([f"model={model}", *CENTRAL], run=run_central) == fingerprint
 
 
 # (frames, bytes) of each type one TINY run sends, both directions.  A DP
@@ -118,9 +146,119 @@ def test_wire_bytes_per_frame_type(mode, tiny, wire, monkeypatch):
     assert {kind: (frames[kind], sent[kind]) for kind in frames} == wire
 
 
-def report_fingerprint(overrides) -> str:
-    """The SHA-256 of ``nontiming_view`` of a finished simulation."""
-    report = run_simulation(load_config(None, overrides))
-    assert not report.aborted, report.abort_reason
-    view = json.dumps(nontiming_view(report.to_dict()), sort_keys=True)
-    return hashlib.sha256(view.encode()).hexdigest()
+
+# each client's payload_bytes in each round, sites in site order: a plain
+# update is its f64s (66 for NN, 11 for LR), an HE update one whole chunk,
+# and a DP update its ternary code after the count, 8 bytes of c, 2 bits per
+# value and 8 bytes per literal (NN's 66 values take 25 bytes and LR's 11
+# take 11 before any literal)
+PAYLOAD_BYTES = {
+    "plain": [[528] * 4] * 4,
+    "dp": [[25, 33, 41, 33], [25, 25, 25, 25], [25, 25, 25, 25], [33, 25, 41, 25]],
+    "he": [[262159] * 4] * 4,
+    "lr_plain": [[88] * 4] * 4,
+    "lr_dp": [[11] * 4] * 4,
+    "lr_he": [[262159] * 4] * 4,
+}
+
+
+@pytest.mark.parametrize("name", PAYLOAD_BYTES)
+def test_payload_bytes_per_round(name):
+    mode = name.removeprefix("lr_")
+    tiny = TINY_LR if name.startswith("lr_") else TINY
+    report = golden_report(run_simulation, (f"privacy.mode={mode}", *tiny))
+    got = [[c["payload_bytes"] for c in rec["clients"]] for rec in report["rounds"]]
+    assert got == PAYLOAD_BYTES[name]
+
+
+# the TINY NN plain config as every report echoes it; each pinned config is
+# this with a few keys changed
+TINY_CONFIG = {
+    "model": "nn",
+    "privacy": {"mode": "plain", "dp": None, "he": None},
+    "rounds": 4,
+    "local_epochs": 20,
+    "learning_rate": 0.01,
+    "l2_penalty": 0.0001,
+    "batch_size": 20000,
+    "site_batch_sizes": {"stockholm": 100000},
+    "threshold": 0.5,
+    "train_frac": 0.8,
+    "central_epochs": 400,
+    "central_folds": 10,
+    "data": {
+        "scale_factor": 0.02,
+        "sites": [
+            {"name": "ostergotland", "n_negative": 92630, "n_positive": 6518},
+            {"name": "sodermanland", "n_negative": 63901, "n_positive": 4575},
+            {"name": "stockholm", "n_negative": 391954, "n_positive": 26046},
+            {"name": "uppsala", "n_negative": 69909, "n_positive": 4894},
+        ],
+        "csv_dir": None,
+    },
+    "seed": 11,
+    "weighting": "unit",
+    "timeout_seconds": 600.0,
+    "out_dir": "out",
+}
+NN_DP = {"fraction": 0.9, "epsilon": 1.0, "noise_var": 2.0, "gamma": 0.01, "tau": 0.0001}
+LR_DP = {"fraction": 0.99, "epsilon": 10000.0, "noise_var": 1000.0, "gamma": 0.001, "tau": 1e-07}
+HE = {"poly_degree": 8192, "modulus_bits": [60, 40, 40], "scale_log2": 40}
+
+# (run, overrides, the keys that differ from TINY_CONFIG, session digest) of
+# every run the numerics hashes pin
+CONFIGS = {
+    "plain": (run_simulation, ["privacy.mode=plain", *TINY], {}, "c9afe486ec5a70ef"),
+    "dp": (
+        run_simulation,
+        ["privacy.mode=dp", *TINY],
+        {"privacy": {"mode": "dp", "dp": NN_DP, "he": None}},
+        "d5f76e64d9b574b1",
+    ),
+    "he": (
+        run_simulation,
+        ["privacy.mode=he", *TINY],
+        {"privacy": {"mode": "he", "dp": None, "he": HE}},
+        "b33f750bf202397d",
+    ),
+    "lr_plain": (run_simulation, ["privacy.mode=plain", *TINY_LR], {"model": "lr"}, "10bd07b35f8c9f5c"),
+    "lr_dp": (
+        run_simulation,
+        ["privacy.mode=dp", *TINY_LR],
+        {"model": "lr", "privacy": {"mode": "dp", "dp": LR_DP, "he": None}},
+        "276de83a74872e39",
+    ),
+    "lr_he": (
+        run_simulation,
+        ["privacy.mode=he", *TINY_LR],
+        {"model": "lr", "privacy": {"mode": "he", "dp": None, "he": HE}},
+        "f5a32d8e9be0e0fe",
+    ),
+    "central_nn": (
+        run_central,
+        ["model=nn", *CENTRAL],
+        {"rounds": 250, "central_epochs": 4, "central_folds": 3},
+        "c9afe486ec5a70ef",
+    ),
+    "central_lr": (
+        run_central,
+        ["model=lr", *CENTRAL],
+        {"model": "lr", "rounds": 250, "central_epochs": 4, "central_folds": 3},
+        "10bd07b35f8c9f5c",
+    ),
+    "minibatch": (
+        run_simulation,
+        ["privacy.mode=plain", *TINY, "batch_size=500", "site_batch_sizes={}"],
+        {"batch_size": 500, "site_batch_sizes": {}},
+        "c9afe486ec5a70ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_config_echo_and_session_digest(name):
+    run, overrides, changes, digest = CONFIGS[name]
+    cfg = load_config(None, overrides)
+    assert cfg.to_dict() == TINY_CONFIG | changes
+    assert golden_report(run, tuple(overrides))["config"] == cfg.to_dict()
+    assert cfg.session_digest().hex() == digest

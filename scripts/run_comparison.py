@@ -15,9 +15,10 @@ configuration is
     python scripts/run_comparison.py --set rounds=250 --set data.scale_factor=1.0 \\
         --set learning_rate=0.01 --set central_epochs=400
 
-A full-scale plain NN round takes about 2 s on 2 cores (the benchmark's
-plain_nn_full workload), so a 250-round federated arm takes about 9
-minutes, and the script runs six federated arms and two cML arms.
+A full-scale plain NN round takes about 1.1 s on a host that gives one
+core of throughput (the benchmark's plain_nn_full workload, round_s.p50
+1.09-1.17 s), so a 250-round federated arm takes about 5 minutes, and the
+script runs six federated arms and two cML arms.
 """
 
 import argparse

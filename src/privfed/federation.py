@@ -200,7 +200,7 @@ def aggregate_serialized(
     """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
     order, to its serialized chunks of a ``length``-value update in round
     ``round_index``.  A site whose chunks do not deserialize, are not
-    ⌈length / slots⌉, are not at fresh level and scale, do not hold the
+    ⌈length / (N/2)⌉, are not at fresh level and scale, do not hold the
     ``chunk_fills`` of ``length``, or whose c1 is not its ``public_a`` of
     run ``seed`` aborts with its name.  Returns the aggregate's serialized
     c0 halves at their subring columns.  Needs no key."""
@@ -518,10 +518,10 @@ class HePipeline:
             raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
         c0s = [deserialize_ct(blob, self.params, components=1, subring=True) for blob in blobs]
         per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(fills))
-        chunks = []
-        for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum, fills)):
-            ct = with_c1(c0, c1)
-            chunks.append(he_decode(he_decrypt(ct, self.keys))[: ct.slot_fill])
+        chunks = [
+            he_decode(he_decrypt(with_c1(c0, c1), self.keys))
+            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum, fills))
+        ]
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
         return flat, time.monotonic() - t0
 
@@ -823,6 +823,7 @@ def run_central(cfg: ExperimentConfig) -> RunReport:
             seed=derive_seed(cfg.seed, "central", fold_index),
         )
         params, _ = train_local(kind, init_params(kind, derive_seed(cfg.seed, "init")), train, train_cfg)
+        report.fold_params.append(params)
         scores = predict_batch(kind, params, test.features)
         report.fold_metrics.append(evaluate_scores(scores, test.labels, cfg.threshold))
     report.total_wall_seconds = time.monotonic() - t0

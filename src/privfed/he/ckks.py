@@ -38,17 +38,22 @@ bootstrapping.  Representation choices:
   from the float sum of c_k * (2^(bk) / q), which is off by at most one,
   and the sum itself from wrapping uint64 arithmetic; the remainder then
   lies in [-q, 2q) and two conditional corrections bring it to [0, q).
-- Sparse packing (Cheon, Kim, Kim & Song, "Homomorphic Encryption for
-  Arithmetic of Approximate Numbers", ASIACRYPT 2017): a chunk of ``fill``
-  values takes n' slots, the next power of two >= fill, encoded by the
-  canonical embedding of degree N' = 2n' and placed at coefficients k*N/N'
+- Paired sparse packing (Cheon, Kim, Kim & Song, "Homomorphic Encryption
+  for Arithmetic of Approximate Numbers", ASIACRYPT 2017): a complex slot
+  holds two real values, value 2j in slot j's real part and value 2j+1 in
+  its imaginary part, so a chunk of ``fill`` values takes n' slots, the
+  next power of two >= ceil(fill/2).  They are encoded by the canonical
+  embedding of degree N' = 2n' and placed at coefficients k*N/N'
   (``subring_width``), so the message lies in the subring Z[X^(N/N')].
-  ``decode`` reads those N' coefficients alone.  A full chunk (n' = N/2)
-  is the plain embedding, bit for bit.  Addition, the scalar product and
-  the rescale act column by column, and decryption adds c0 column by
-  column, so a ciphertext's values depend on c0 only at its subring
-  columns: ``subring`` cuts a ciphertext to them, which is all a party
-  needs to aggregate c0, and ``with_c1`` rejoins such a c0 to a full c1.
+  ``decode`` reads those N' coefficients alone and returns the chunk's
+  ``fill`` values; an odd fill's last imaginary part is padding.  A full
+  chunk of N/2 values takes N/4 slots, so every chunk lies in a proper
+  subring.  The circuit's addition, real-scalar product and rescale act
+  on real and imaginary parts alike, and column by column, and decryption
+  adds c0 column by column, so a ciphertext's values depend on c0 only at
+  its subring columns: ``subring`` cuts a ciphertext to them, which is all
+  a party needs to aggregate c0, and ``with_c1`` rejoins such a c0 to a
+  full c1.
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
   them (primes, fields, embedding twiddles, limb tables, the wire hash).
@@ -123,6 +128,7 @@ class CkksParams:
 
     @property
     def slot_count(self) -> int:
+        """The values one chunk holds: N/2, packed two to a complex slot."""
         return self.poly_degree // 2
 
     @property
@@ -308,21 +314,23 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
 
 def subring_width(slot_fill: int) -> int:
     """N' = 2n': the coefficients a chunk of ``slot_fill`` values occupies,
-    n' being the next power of two >= ``slot_fill`` (at least 1).  They lie
-    N/N' apart, from coefficient 0."""
-    return 2 << max(slot_fill - 1, 0).bit_length()
+    n' being the complex slots they take, two values to a slot: the next
+    power of two >= ceil(``slot_fill``/2), at least 1.  They lie N/N'
+    apart, from coefficient 0."""
+    return 2 << (max(slot_fill - 1, 0) // 2).bit_length()
 
 
 def encode(values, params: CkksParams) -> PlainPoly:
-    """Canonical-embedding encode of a real vector into its n' sparse slots."""
+    """Canonical-embedding encode of a real vector into its n' sparse slots,
+    values 2j and 2j+1 as slot j's real and imaginary parts."""
     ctx = _context(params)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size > params.slot_count:
-        raise CapacityError(f"{values.size} values exceed {params.slot_count} slots")
+        raise CapacityError(f"{values.size} values exceed the {params.slot_count} a chunk holds")
     width = subring_width(values.size)
     gap = params.poly_degree // width
     z = np.zeros(width // 2, dtype=np.complex128)
-    z[: values.size] = values * params.scale
+    z.view(np.float64)[: values.size] = values * params.scale
     w = np.concatenate([z, np.conj(z)[::-1]])
     coeffs = np.real(ctx.embed_fwd[::gap] * np.fft.fft(w)) / width
     rounded = np.rint(coeffs)
@@ -352,14 +360,14 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
 
 
 def decode(pt: PlainPoly) -> np.ndarray:
-    """The n' sparse slot values of a plaintext, read from its subring
+    """The ``slot_fill`` values of a plaintext, read from its subring
     coefficients alone; inverse of encode up to encoding error."""
     ctx = _context(pt.params)
     width = subring_width(pt.slot_fill)
     gap = pt.params.poly_degree // width
     coeffs = _crt_centered(ctx, pt.residues[:, ::gap], pt.level)
     slots = width * np.fft.ifft(coeffs * ctx.embed_inv[::gap])[: width // 2]
-    return np.real(slots) / pt.scale
+    return slots.view(np.float64)[: pt.slot_fill] / pt.scale
 
 
 def sample_a(params: CkksParams, rng: np.random.Generator) -> np.ndarray:
@@ -408,8 +416,9 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
 
 def _check_same_slots(a: Ciphertext, b: Ciphertext) -> None:
     """Operands of one circuit must share a sparse width: a fill-16
-    operand added to a fill-100 one would decode as replicas of its 16
-    values in slots 16-99, not as zeros."""
+    operand added to a fill-100 one would decode as copies of its 16
+    values, every other copy reversed and conjugated, in values 16-99, not
+    as zeros."""
     if subring_width(a.slot_fill) != subring_width(b.slot_fill):
         raise StateError(
             f"slot fills {a.slot_fill} and {b.slot_fill} pack {subring_width(a.slot_fill)} "
@@ -555,7 +564,7 @@ def deserialize_ct(
     if not 0 < scale_log2 <= _MAX_SCALE_LOG2:
         raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
     if slot_fill > params.slot_count:
-        raise DecodeError(f"slot fill {slot_fill} exceeds {params.slot_count} slots")
+        raise DecodeError(f"slot fill {slot_fill} exceeds the {params.slot_count} values a chunk holds")
     width = subring_width(slot_fill) if subring else params.poly_degree
     expected = _HEADER.size + components * (level + 1) * width * 8
     if len(data) != expected:

@@ -86,6 +86,7 @@ class RunReport:
     rounds: list[RoundRecord] = field(default_factory=list)
     cross_site: CrossSiteTable | None = None
     fold_metrics: list[MetricSet] = field(default_factory=list)  # central runs
+    fold_params: list[np.ndarray] = field(default_factory=list)  # central runs: each fold's final θ
     final_params: np.ndarray | None = None  # the final global θ
     total_wall_seconds: float = 0.0
     aborted: bool = False
@@ -96,6 +97,10 @@ class RunReport:
         out = dataclasses.asdict(self)
         if self.final_params is not None:
             out["final_params"] = self.final_params.tolist()
+        if self.kind == "central":
+            out["fold_params"] = [theta.tolist() for theta in self.fold_params]
+        else:
+            del out["fold_params"]  # a federated report has one final θ, no folds
         return out
 
     @classmethod
@@ -128,6 +133,7 @@ class RunReport:
                 data["cross_site"]["summary"],
             )
         data["fold_metrics"] = [MetricSet(**m) for m in data.get("fold_metrics", [])]
+        data["fold_params"] = [np.array(theta, dtype=np.float64) for theta in data.get("fold_params", [])]
         if data.get("final_params") is not None:
             data["final_params"] = np.array(data["final_params"], dtype=np.float64)
         return cls(**data)

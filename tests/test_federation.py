@@ -129,11 +129,11 @@ class TestAggregateEncrypted:
         return [encrypt(encode(vec, TEST_PARAMS), keys, np.random.default_rng(seed), a=a)], [a]
 
     def _aggregate(self, updates, weights, keys, size):
-        """The decoded first ``size`` slots of the aggregate of ``updates``."""
+        """The decoded ``size`` values of the aggregate of ``updates``."""
         agg = aggregate_encrypted([chunks for chunks, _ in updates], weights)
         (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)), [size])
         assert agg[0].comps.shape == (1, 1, subring_width(size))  # c0 alone, at its subring columns
-        return decode(decrypt(with_c1(agg[0], c1), keys))[:size]
+        return decode(decrypt(with_c1(agg[0], c1), keys))
 
     def test_single_client_scalar_one_path(self, keys):
         v = np.random.default_rng(6).uniform(-1, 1, 20)
@@ -172,20 +172,20 @@ class TestC0Broadcast:
         assert federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2) is rows
 
     @pytest.mark.parametrize(
-        "params, length, widths",
+        "params, length",
         [
-            (TEST_PARAMS, 66, [256]),
-            (DEFAULT_PARAMS, 66, [256]),
-            # chunk 0 fills every slot (no gap), chunk 1 holds 88 values in 128 slots
-            (TEST_PARAMS, TEST_PARAMS.slot_count + 88, [1024, 256]),
-            (ckks.CkksParams(128, (40, 30, 30), 30), 66, [128, 4]),
+            (TEST_PARAMS, 66),
+            (DEFAULT_PARAMS, 66),
+            # chunk 0 holds a full N/2 values, chunk 1 88
+            (TEST_PARAMS, TEST_PARAMS.slot_count + 88),
+            (ckks.CkksParams(128, (40, 30, 30), 30), 66),
         ],
         ids=["test_params", "default_params", "test_params_two_chunks", "degree_128_two_chunks"],
     )
     @pytest.mark.parametrize(
         "weights", [[1.0] * 4, [812.0, 301.0, 1405.0, 977.0]], ids=["unit", "examples"]
     )
-    def test_rebuilt_c1_equals_the_full_aggregate(self, params, length, widths, weights):
+    def test_rebuilt_c1_equals_the_full_aggregate(self, params, length, weights):
         seed = 11
         rng = np.random.default_rng(8)
         pipelines = [HePipeline(params, seed, site, SITES) for site in SITES]
@@ -194,6 +194,7 @@ class TestC0Broadcast:
             for i, (site, pipe, w) in enumerate(zip(SITES, pipelines, weights))
         }
         fills = ckks.chunk_fills(length, params)
+        widths = [subring_width(fill) for fill in fills]
         # the full aggregation: both components summed, then one rescale
         cts = [[deserialize_ct(blob, params) for blob in payloads[site]] for site in SITES]
         full = []
@@ -216,7 +217,7 @@ class TestC0Broadcast:
 
         # decrypted whole, then read at the subring columns by decode
         key = pipelines[0].keys
-        want = np.concatenate([decode(decrypt(ct, key))[: ct.slot_fill] for ct in full])[:length]
+        want = np.concatenate([decode(decrypt(ct, key)) for ct in full])
         for pipe in pipelines:
             pipe.round, pipe.weight_sum = 1, float(sum(weights))
             got, _ = pipe.client_decode(c0_blobs, length)
@@ -528,35 +529,40 @@ class TestBroadcastForm:
         assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
 
     def test_two_component_chunk_to_an_he_site(self):
-        # an HE broadcast carries the aggregate's c0 alone, at the 32 subring
+        # an HE broadcast carries the aggregate's c0 alone, at the subring
         # columns of LR's 11 values; a full ciphertext at level 0 is longer
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
         level_0 = serialize_ct(mul_scalar_rescale(deserialize_ct(fresh_blob(), TEST_PARAMS), 1.0))
-        c0_bytes, ct_bytes = 15 + 8 * 32, 15 + 2 * 8 * 1024
         assert self.refusal(client, chunks_broadcast(1, level_0)) == (
-            f"DecodeError: expected {c0_bytes} bytes, got {ct_bytes}"
+            f"DecodeError: expected {c0_bytes(11)} bytes, got {15 + 2 * 8 * 1024}"
         )
 
 
+def c0_bytes(fill: int) -> int:
+    """The bytes of a serialized level-0 c0 of slot fill ``fill`` at its
+    subring columns: the header and one row."""
+    return 15 + 8 * subring_width(fill)
+
+
 def tampered_c0(fault: str, blob: bytes) -> bytes:
-    """An LR aggregate's serialized c0 at its 32 subring columns (N = 1024),
+    """An LR aggregate's serialized c0 at its subring columns (N = 1024),
     made malformed."""
     return {
-        "full_width": lambda: blob + bytes(8 * (1024 - 32)),
+        "full_width": lambda: blob + bytes(8 * (1024 - subring_width(11))),
         "one_short": lambda: blob[:-8],
         "over_q0": lambda: blob[:-8] + b"\xff" * 8,
-        # slot fill 40 packs 128 columns, the row holds 32
+        # slot fill 40 packs more columns than the row holds
         "fill_vs_width": lambda: blob[:11] + struct.pack("<I", 40) + blob[15:],
     }[fault]()
 
 
 C0_REFUSALS = {
-    "full_width": "expected 271 bytes, got 8207",
-    "one_short": "expected 271 bytes, got 263",
+    "full_width": f"expected {c0_bytes(11)} bytes, got {15 + 8 * 1024}",
+    "one_short": f"expected {c0_bytes(11)} bytes, got {c0_bytes(11) - 8}",
     "over_q0": "coefficient outside its prime modulus",
-    "fill_vs_width": "expected 1039 bytes, got 271",
+    "fill_vs_width": f"expected {c0_bytes(40)} bytes, got {c0_bytes(11)}",
 }
 
 

@@ -2,9 +2,10 @@
 learners, one pin per concern, so that a change to one concern moves only its
 own pins and a slip in another cannot hide in the move:
 
-- numerics: the SHA-256 of ``numerics_view``, which holds θ, the metrics,
-  steps and weights.  The plain and DP hashes depend on no HE code; the HE
-  hash moves whenever the CKKS random stream does.
+- numerics: the SHA-256 of ``numerics_view``, which holds θ (each fold's, in
+  a central run), the metrics, steps and weights.  The plain and DP hashes
+  depend on no HE code; the HE hash moves whenever the CKKS random stream
+  or its packing does.
 - wire: each client's ``payload_bytes`` per round, and the frames and bytes of
   each type that the NN runs and an HE LR run send.
 - config: ``to_dict()``, the echo in every report, and ``session_digest()`` of
@@ -60,7 +61,7 @@ def report_fingerprint(overrides, run=run_simulation) -> str:
     [
         ("plain", "a93ff51c6a120dfc08a188149c50c2da8ebff415a8e2bf46e2c9ebed9d1a1ac2"),
         ("dp", "d9d95b7fb6d90daca459236423b70ef70ce0fe04cdeba07d35f08865a51a0c0d"),
-        ("he", "fab48dc142988bda15e2bb8fc6683e5a56d55cf5a1c174157165654ba9f0a48f"),
+        ("he", "a94a5348720a3549a295d9595616b2fcf6e46dace3baafb341a3e0eeac6d41fc"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -73,7 +74,7 @@ def test_nontiming_fingerprint(mode, fingerprint):
     [
         ("plain", "8b22e849bd30b917f1a3b110b7cebf21118c1943722f5f522c17881f8d311500"),
         ("dp", "c3f8f33d2eee0d54d731afcff09816fd394b4abb805814d43706a57bb0ab89d0"),
-        ("he", "46a240c510284d68f144dbe4282dcd863d0cd8edf801da736f5a88ae9aeea07a"),
+        ("he", "74577f5798961dd19b61da7b0ab11295f0d5fc0b2481792c8670f43442d7fa8d"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -84,14 +85,14 @@ def test_lr_nontiming_fingerprint(mode, fingerprint):
 @pytest.mark.parametrize(
     "model, fingerprint",
     [
-        ("nn", "48ab9c0db93bca6906de0ef2ae6bd96426ffbab5eda283adb55de8bcf3406bf6"),
-        ("lr", "b23abe781de74c07f5f38440a28f21535e501c31f8265a9ee3001be6d9a1ca3d"),
+        ("nn", "b6a9ef74f71115522938174eb616723419b7c5526c95325ffa996228a269906e"),
+        ("lr", "3e2df7ffa8aea257219b9aefbb712f82164f34b1d263afaaf60d6e462254ff58"),
     ],
     ids=["nn", "lr"],
 )
 def test_central_nontiming_fingerprint(model, fingerprint):
-    # cML's fold metrics over the pooled sites, which must hold the rows in
-    # site order, training rows first
+    # cML's fold θs and metrics over the pooled sites, which must hold the
+    # rows in site order, training rows first
     assert report_fingerprint([f"model={model}", *CENTRAL], run=run_central) == fingerprint
 
 
@@ -99,8 +100,8 @@ def test_central_nontiming_fingerprint(model, fingerprint):
 # update carries the ternary code of its 66 values, 33 bytes with the count
 # and 8 more per literal (7 literals in these 16 updates), where a plain one
 # carries 536 bytes of f64s.  An HE broadcast after round 0 carries one
-# level-0 c0 row of the chunk's subring columns: 256 for NN's 66 values, 32
-# for LR's 11.
+# level-0 c0 row of the chunk's subring columns, two values to a complex
+# slot: 128 for NN's 66 values, 16 for LR's 11.
 PLAIN_WIRE = {
     "join": (4, 272),
     "join_ack": (4, 68),
@@ -110,8 +111,8 @@ PLAIN_WIRE = {
     "shutdown": (4, 68),
 }
 DP_WIRE = PLAIN_WIRE | {"update": (16, 2456)}
-HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 35832), "update": (16, 4196608), "round_done": (4, 2372)}
-HE_LR_WIRE = PLAIN_WIRE | {"broadcast": (20, 5400), "update": (16, 4196608), "round_done": (4, 612)}
+HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 19448), "update": (16, 4196608), "round_done": (4, 2372)}
+HE_LR_WIRE = PLAIN_WIRE | {"broadcast": (20, 3352), "update": (16, 4196608), "round_done": (4, 612)}
 FRAME_NAMES = {
     tr.MSG_JOIN: "join",
     tr.MSG_JOIN_ACK: "join_ack",

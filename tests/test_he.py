@@ -54,7 +54,7 @@ def keys():
 def roundtrip(values, keys, rng_seed=0, params=TEST_PARAMS):
     rng = np.random.default_rng(rng_seed)
     ct = encrypt(encode(values, params), keys, rng)
-    return decode(decrypt(ct, keys))[: len(values)]
+    return decode(decrypt(ct, keys))
 
 
 # Transform sizes from the smallest degree a CKKS test draws (8) to the default.
@@ -416,7 +416,7 @@ class TestSecretProduct:
         rng = np.random.default_rng(64)
         cts = [encrypt(encode(np.full(66, k / 10), DEFAULT_PARAMS), key, rng) for k in range(4)]
         total = add(add(cts[0], cts[1]), add(cts[2], cts[3]))
-        out = decode(decrypt(mul_scalar_rescale(total, 0.25), key))[:66]
+        out = decode(decrypt(mul_scalar_rescale(total, 0.25), key))
         assert np.abs(out - 0.15).max() < 1e-6
         assert calls == []
         # the context's fields never built their twiddle tables
@@ -431,8 +431,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "params, fresh, aggregate, decoded",
         [
-            (TEST_PARAMS, "a6905b8a9e4f8ab5", "cc4b9f7963161724", "2bc8f47c0221b3e0"),
-            (DEFAULT_PARAMS, "ba59b2aac2367c1d", "acc5e33529ac2ddb", "8932552e7a57bd06"),
+            (TEST_PARAMS, "60f6096e19085351", "b057e8857b69c600", "48bc44e896f9cd6b"),
+            (DEFAULT_PARAMS, "4edeba9d897922c8", "5a32cfce3f5c87f8", "bd797c285f8b0f9f"),
         ],
         ids=["test_params", "default_params"],
     )
@@ -485,7 +485,7 @@ class TestKeygen:
 class TestEncoding:
     def test_zero_vector_exact(self):
         pt = encode(np.zeros(16), TEST_PARAMS)
-        assert np.abs(decode(pt)[:16]).max() < 1e-9
+        assert np.abs(decode(pt)).max() < 1e-9
 
     def test_roundtrip_error_bound(self):
         v = np.random.default_rng(9).uniform(-1, 1, TEST_PARAMS.slot_count)
@@ -496,17 +496,29 @@ class TestEncoding:
         assert np.abs(decode(encode(v, DEFAULT_PARAMS)) - v).max() < 1e-7
 
     def test_single_value_occupies_slot_zero(self):
-        # one value packs into n' = 1 slot; three into n' = 4, the last empty
-        out = decode(encode([0.625], TEST_PARAMS))
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(0.625, abs=1e-6)
-        out = decode(encode([0.625, 0.5, -0.25], TEST_PARAMS))
-        assert out.shape == (4,)
-        assert np.abs(out[:3] - [0.625, 0.5, -0.25]).max() < 1e-6
-        assert abs(out[3]) < 1e-6
+        # one or two values pack into slot 0 (n' = 1, N' = 2): the first as
+        # its real part, the second as its imaginary part
+        for v in ([0.625], [0.625, -0.5]):
+            pt = encode(v, TEST_PARAMS)
+            assert ckks.subring_width(pt.slot_fill) == 2
+            out = decode(pt)
+            assert out.shape == (len(v),)
+            assert np.abs(out - v).max() < 1e-6
+        # the degree-2 embedding of z = 0.625 - 0.5i is m(X) = Re z + Im z * X
+        # at the root i of X^2 + 1, placed at columns 0 and N/2
+        scale = TEST_PARAMS.scale
+        field = _context(TEST_PARAMS).level_fields[TEST_PARAMS.fresh_level]
+        message = np.zeros(TEST_PARAMS.poly_degree, dtype=np.int64)
+        message[[0, TEST_PARAMS.poly_degree // 2]] = np.rint([0.625 * scale, -0.5 * scale])
+        assert np.array_equal(encode([0.625, -0.5], TEST_PARAMS).residues, field.reduce_signed(message[None]))
+
+    def test_subring_width_table(self):
+        # N' = 2n' for n' the next power of two >= ceil(fill / 2)
+        table = {1: 2, 2: 2, 3: 4, 11: 16, 66: 128, 4096: 4096}
+        assert {fill: ckks.subring_width(fill) for fill in table} == table
 
     @pytest.mark.parametrize(
-        "fill, width", [(0, 2), (1, 2), (2, 4), (3, 8), (11, 32), (66, 256), (100, 256), (512, 1024)]
+        "fill, width", [(0, 2), (1, 2), (2, 2), (3, 4), (11, 16), (66, 128), (100, 128), (512, 512)]
     )
     def test_sparse_message_lies_in_the_subring(self, fill, width):
         assert ckks.subring_width(fill) == width
@@ -517,26 +529,57 @@ class TestEncoding:
         off_subring[::gap] = False
         assert not pt.residues[:, off_subring].any()
         out = decode(pt)
-        assert out.shape == (width // 2,)
-        assert np.abs(out - np.pad(v, (0, width // 2 - fill))).max() < 1e-7
+        assert out.shape == (fill,)
+        assert np.allclose(out, v, rtol=0, atol=1e-7)
 
-    def test_full_chunk_is_the_plain_embedding(self):
-        # n' = N/2: the degree-N canonical embedding, bit for bit both ways
-        n, scale = DEFAULT_PARAMS.poly_degree, DEFAULT_PARAMS.scale
+    @pytest.mark.parametrize("fill", [1, 3, 11, 65, 511])
+    def test_odd_fill_pads_its_last_slot_with_zero(self, fill):
+        # the last slot's imaginary part is padding: read as one value more,
+        # at the same width, it decodes to zero
+        assert ckks.subring_width(fill + 1) == ckks.subring_width(fill)
+        v = np.random.default_rng(95).uniform(-1, 1, fill)
+        pt = encode(v, TEST_PARAMS)
+        gap = TEST_PARAMS.poly_degree // ckks.subring_width(fill)
+        assert not np.delete(pt.residues, np.s_[::gap], axis=1).any()
+        out = decode(dataclasses.replace(pt, slot_fill=fill + 1))
+        assert np.abs(out[:fill] - v).max() < 1e-7
+        assert abs(out[fill]) < 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(fill=st.integers(1, TEST_PARAMS.slot_count), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_at_any_fill(self, keys, fill, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-1, 1, fill)
+        pt = encode(v, TEST_PARAMS)
+        assert np.abs(decode(pt) - v).max() < 1e-7
+        out = decode(decrypt(encrypt(pt, keys, rng), keys))
+        assert out.shape == (fill,)
+        assert np.abs(out - v).max() < 1e-4
+
+    def test_full_chunk_is_the_half_degree_embedding_of_value_pairs(self):
+        # N/2 values take n' = N/4 slots: the degree-N/2 canonical embedding
+        # of z_j = v_2j + i v_2j+1 at the even coefficients, bit for bit
+        # both ways
+        n, scale = DEFAULT_PARAMS.poly_degree // 2, DEFAULT_PARAMS.scale
         v = np.random.default_rng(92).uniform(-1, 1, DEFAULT_PARAMS.slot_count)
         pt = encode(v, DEFAULT_PARAMS)
         t = np.arange(n)
-        z = v * scale
-        coeffs = np.rint(np.real(np.exp(-1j * np.pi * t / n) * np.fft.fft(np.concatenate([z, z[::-1]]))) / n)
+        z = (v[0::2] + 1j * v[1::2]) * scale
+        w = np.concatenate([z, np.conj(z)[::-1]])
+        coeffs = np.rint(np.real(np.exp(-1j * np.pi * t / n) * np.fft.fft(w)) / n)
+        message = np.zeros(2 * n, dtype=np.int64)
+        message[::2] = coeffs
         field = _context(DEFAULT_PARAMS).level_fields[pt.level]
-        assert np.array_equal(pt.residues, field.reduce_signed(coeffs.astype(np.int64)[None]))
-        want = np.real(n * np.fft.ifft(coeffs * np.exp(1j * np.pi * t / n))[: n // 2]) / scale
+        assert np.array_equal(pt.residues, field.reduce_signed(message[None]))
+        slots = n * np.fft.ifft(coeffs * np.exp(1j * np.pi * t / n))[: n // 2]
+        want = np.stack([slots.real, slots.imag], axis=1).reshape(-1) / scale
         assert decode(pt).tobytes() == want.tobytes()
 
     def test_decode_reads_the_subring_columns_alone(self):
         pt = encode(np.random.default_rng(93).uniform(-1, 1, 11), TEST_PARAMS)
         noisy = sample_a(TEST_PARAMS, np.random.default_rng(94))
-        noisy[:, :: TEST_PARAMS.poly_degree // 32] = pt.residues[:, ::32]
+        gap = TEST_PARAMS.poly_degree // ckks.subring_width(11)
+        noisy[:, ::gap] = pt.residues[:, ::gap]
         assert decode(dataclasses.replace(pt, residues=noisy)).tobytes() == decode(pt).tobytes()
 
     def test_capacity_error(self):
@@ -559,8 +602,8 @@ class TestEncryptDecrypt:
         b = encrypt(pt, keys, np.random.default_rng(2))
         assert not np.array_equal(a.c0, b.c0)
         assert not np.array_equal(a.c1, b.c1)  # a fresh uniform a per encryption
-        assert np.abs(decode(decrypt(a, keys))[:32] - 1).max() < 1e-4
-        assert np.abs(decode(decrypt(b, keys))[:32] - 1).max() < 1e-4
+        assert np.abs(decode(decrypt(a, keys)) - 1).max() < 1e-4
+        assert np.abs(decode(decrypt(b, keys)) - 1).max() < 1e-4
 
     def test_key_mismatch_rejected(self, keys):
         other = CkksParams(512, (40, 30, 30), 30)
@@ -605,7 +648,7 @@ class TestSecretKeyEncryption:
         ct = encrypt(encode(v, TEST_PARAMS), keys, np.random.default_rng(54))
         other = keygen(TEST_PARAMS, np.random.default_rng(12))
         assert np.abs(roundtrip(v, keys, rng_seed=54) - v).max() < 1e-3
-        assert np.median(np.abs(decode(decrypt(ct, other))[:66] - v)) > 1e3
+        assert np.median(np.abs(decode(decrypt(ct, other)) - v)) > 1e3
 
     def test_error_is_centered_binomial_21(self):
         e = _sample_cbd(np.random.default_rng(55), 10**6)
@@ -621,7 +664,7 @@ class TestAdd:
         v = rng.uniform(-1, 1, 100)
         ct = encrypt(encode(v, TEST_PARAMS), keys, rng)
         zero = encrypt(encode(np.zeros(100), TEST_PARAMS), keys, rng)
-        out = decode(decrypt(add(ct, zero), keys))[:100]
+        out = decode(decrypt(add(ct, zero), keys))
         assert np.abs(out - v).max() < 1e-3
 
     def test_four_client_sum(self, keys):
@@ -630,15 +673,15 @@ class TestAdd:
         total = cts[0]
         for ct in cts[1:]:
             total = add(total, ct)
-        out = decode(decrypt(total, keys))[:16]
+        out = decode(decrypt(total, keys))
         assert np.abs(out - 4.0).max() < 1e-3
 
     def test_commutative(self, keys):
         rng = np.random.default_rng(14)
         a = encrypt(encode([0.25, -0.5], TEST_PARAMS), keys, rng)
         b = encrypt(encode([0.125, 0.75], TEST_PARAMS), keys, rng)
-        ab = decode(decrypt(add(a, b), keys))[:2]
-        ba = decode(decrypt(add(b, a), keys))[:2]
+        ab = decode(decrypt(add(a, b), keys))
+        ba = decode(decrypt(add(b, a), keys))
         assert np.abs(ab - ba).max() < 1e-9
 
     def test_level_mismatch_rejected(self, keys):
@@ -649,26 +692,29 @@ class TestAdd:
             add(a, b)
 
     def test_different_sparse_widths_refused(self, keys):
-        # fill 16 packs 32 coefficients, fill 100 256: their sum would decode
-        # as replicas of the 16 values in slots 16-99
+        # fills 16 and 100 pack different widths: their sum would decode as
+        # copies of the 16 values in values 16-99
         rng = np.random.default_rng(17)
         a = encrypt(encode(np.ones(16), TEST_PARAMS), keys, rng)
         b = encrypt(encode(np.ones(100), TEST_PARAMS), keys, rng)
-        with pytest.raises(StateError, match="slot fills 16 and 100 pack 32 and 256 coefficients"):
+        narrow, wide = ckks.subring_width(16), ckks.subring_width(100)
+        assert narrow < wide
+        with pytest.raises(StateError, match=f"slot fills 16 and 100 pack {narrow} and {wide} coefficients"):
             add(a, b)
         halves = [dataclasses.replace(ct, comps=ct.comps[k : k + 1]) for k, ct in enumerate((a, b))]
-        with pytest.raises(StateError, match="pack 32 and 256"):
+        with pytest.raises(StateError, match=f"pack {narrow} and {wide}"):
             with_c1(*halves)
 
     def test_same_sparse_width_adds(self, keys):
-        # fills 70 and 100 both pack 256 coefficients; slots 70-99 of the
-        # first are zeros
+        # fills 70 and 100 pack the same width; values 70-99 of the first
+        # are zeros
         rng = np.random.default_rng(18)
+        assert ckks.subring_width(70) == ckks.subring_width(100)
         a = encrypt(encode(np.ones(70), TEST_PARAMS), keys, rng)
         b = encrypt(encode(np.full(100, 0.5), TEST_PARAMS), keys, rng)
         total = add(a, b)
         assert total.slot_fill == 100
-        out = decode(decrypt(total, keys))[:100]
+        out = decode(decrypt(total, keys))
         assert np.abs(out - np.r_[np.full(70, 1.5), np.full(30, 0.5)]).max() < 1e-3
 
     def test_whole_and_subring_operands_refused(self, keys):
@@ -709,7 +755,7 @@ class TestOneComponent:
         c0 = mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3)
         width = ckks.subring_width(fill)
         assert c0.comps.shape == (1, 1, width)
-        assert np.array_equal(c0.comps, full.comps[:1, :, :: 1024 // width])
+        assert np.array_equal(c0.comps, full.comps[:1, :, :: TEST_PARAMS.poly_degree // width])
         rejoined = with_c1(c0, dataclasses.replace(full, comps=full.comps[1:]))
         assert decode(decrypt(rejoined, keys)).tobytes() == decode(decrypt(full, keys)).tobytes()
 
@@ -717,7 +763,7 @@ class TestOneComponent:
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(74))
         c0 = ckks.subring(dataclasses.replace(ct, comps=ct.comps[:1]))
         blob = serialize_ct(c0)
-        assert len(blob) == 15 + 2 * 32 * 8
+        assert len(blob) == 15 + 2 * ckks.subring_width(11) * 8  # two rows at fresh level 1
         back = deserialize_ct(blob, TEST_PARAMS, components=1, subring=True)
         assert np.array_equal(back.comps, c0.comps)
         with pytest.raises(DecodeError, match="expected"):
@@ -745,13 +791,13 @@ class TestMulScalarRescale:
         rng = np.random.default_rng(16)
         v = rng.uniform(-1, 1, 50)
         ct = encrypt(encode(v, TEST_PARAMS), keys, rng)
-        out = decode(decrypt(mul_scalar_rescale(ct, 1.0), keys))[:50]
+        out = decode(decrypt(mul_scalar_rescale(ct, 1.0), keys))
         assert np.abs(out - v).max() < 1e-3
 
     def test_quarter_on_four_eight(self, keys):
         rng = np.random.default_rng(17)
         ct = encrypt(encode([4.0, 8.0], TEST_PARAMS), keys, rng)
-        out = decode(decrypt(mul_scalar_rescale(ct, 0.25), keys))[:2]
+        out = decode(decrypt(mul_scalar_rescale(ct, 0.25), keys))
         assert np.abs(out - [1.0, 2.0]).max() < 1e-3
 
     def test_scale_preserved_exactly(self, keys):
@@ -831,6 +877,12 @@ class TestPacking:
         assert len(pack_update(np.ones(4097), DEFAULT_PARAMS)) == 2
         assert len(pack_update(np.ones(4096), DEFAULT_PARAMS)) == 1
 
+    def test_chunks_hold_n_over_2_values(self):
+        # two values share a slot, but a chunk still holds N/2 values: NN's
+        # 66 cut into two chunks at degree 128
+        assert ckks.chunk_fills(66, CkksParams(128, (40, 30, 30), 30)) == [64, 2]
+        assert ckks.chunk_fills(66, DEFAULT_PARAMS) == [66]
+
     def test_boundary_two_chunks_roundtrip(self, keys):
         n = TEST_PARAMS.slot_count + 1
         flat = np.random.default_rng(23).uniform(-1, 1, n)
@@ -838,7 +890,7 @@ class TestPacking:
         assert len(chunks) == 2
         rng = np.random.default_rng(24)
         cts = [encrypt(encode(c, TEST_PARAMS), keys, rng) for c in chunks]
-        decoded = [decode(decrypt(ct, keys))[: ct.slot_fill] for ct in cts]
+        decoded = [decode(decrypt(ct, keys)) for ct in cts]
         back = unpack_update(decoded, n)
         assert np.abs(back - flat).max() < 1e-4
 

@@ -64,7 +64,7 @@ def pooled_lr_auc(spec, seed):
         learning_rate=0.5, batch_size=len(train), local_epochs=1500, l2_penalty=1e-4, seed=seed
     )
     params, _ = train_local(ModelKind.LOGISTIC_REGRESSION, init_params(ModelKind.LOGISTIC_REGRESSION, 0), train, cfg)
-    scores = predict_batch(ModelKind.LOGISTIC_REGRESSION, params, valid.features)
+    scores = predict_batch(ModelKind.LOGISTIC_REGRESSION, params, valid)
     return auc(scores, valid.labels)
 
 

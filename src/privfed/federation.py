@@ -49,7 +49,7 @@ import numpy as np
 
 from . import transport as tr
 from .config import ExperimentConfig
-from .data import FEATURE_NAMES, CohortDataset, concat_datasets, generate_site, kfold_split, read_csv
+from .data import CohortDataset, concat_datasets, empty_generated, generate_site, kfold_split, read_csv
 from .data import scaled_counts, split_train_valid
 from .dp import svt_filter
 from .errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
@@ -542,7 +542,7 @@ class FederationClient:
         self.next_round = 0
 
     def _evaluate(self, params: np.ndarray) -> MetricSet:
-        scores = predict_batch(self.kind, params, self.valid.features)
+        scores = predict_batch(self.kind, params, self.valid)
         return evaluate_scores(scores, self.valid.labels, self.cfg.threshold)
 
     def _install_broadcast(self, frame: tr.Frame) -> tuple[bool, float]:
@@ -797,14 +797,12 @@ def pool_sites(cfg: ExperimentConfig) -> CohortDataset:
     if cfg.data.csv_dir is not None:
         return concat_datasets(part for parts in build_site_datasets(cfg).values() for part in parts)
     sizes = [sum(scaled_counts(site, cfg.data.scale_factor)) for site in cfg.data.sites]
-    features = np.empty((sum(sizes), 10), dtype=np.float64)
-    labels = np.empty(sum(sizes), dtype=np.int64)
+    pool = empty_generated(sum(sizes))
     start = 0
     for site, size in zip(cfg.data.sites, sizes):
-        rows = slice(start, start + size)
-        draw_site(cfg, site, _site_split(cfg, site), out=(features[rows], labels[rows]))
+        draw_site(cfg, site, _site_split(cfg, site), out=pool[start : start + size])
         start += size
-    return CohortDataset._trusted(features, labels, FEATURE_NAMES)
+    return pool
 
 
 def run_central(cfg: ExperimentConfig) -> RunReport:
@@ -814,7 +812,9 @@ def run_central(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(kind="central", method="cml", learner=cfg.model, config=cfg.to_dict())
     t0 = time.monotonic()
     folds = kfold_split(full, cfg.central_folds, derive_seed(cfg.seed, "cv"))
-    for fold_index, (train, test) in enumerate(folds):
+    for fold_index in range(cfg.central_folds):
+        # no loop variable (enumerate's included) holds a fold past its turn
+        train, test = next(folds)
         train_cfg = TrainConfig(
             learning_rate=cfg.learning_rate,
             batch_size=cfg.batch_size,
@@ -824,7 +824,8 @@ def run_central(cfg: ExperimentConfig) -> RunReport:
         )
         params, _ = train_local(kind, init_params(kind, derive_seed(cfg.seed, "init")), train, train_cfg)
         report.fold_params.append(params)
-        scores = predict_batch(kind, params, test.features)
+        scores = predict_batch(kind, params, test)
         report.fold_metrics.append(evaluate_scores(scores, test.labels, cfg.threshold))
+        del train, test  # before the next fold's rows are copied
     report.total_wall_seconds = time.monotonic() - t0
     return report

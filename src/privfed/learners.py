@@ -4,7 +4,10 @@ Both are binary classifiers over 10 features trained with minibatch SGD on
 binary cross-entropy plus an optional L2 penalty on the weight matrices.
 When one batch covers the training set, as at every desk-scale site, each
 epoch is one full-batch step on the rows in stored order, unshuffled, and the
-features are read column-major.
+features are read column-major.  Training data comes as a ``CohortDataset``,
+whose compact rows are written as float64 into the learner's own buffers
+(``CohortDataset.write_rows``), so every kernel sees the same float64 values
+in the same layout as a float64 feature matrix would give.
 
 Logistic regression: 10 coefficients + 1 intercept = 11 parameters.
 
@@ -23,11 +26,13 @@ Each kind has one forward pass, which writes a row block's logits into a
 block's share of the loss gradient into a reused vector; a step is the sum of
 its batch's blocks of at most ``BLOCK_ROWS`` rows.  ``train_local`` allocates
 its work arrays once per call, sized by min(n, batch_size, BLOCK_ROWS) rows;
-a full-batch run adds one column-major copy of the features, so both BLAS
-products read contiguous feature columns.  The NN forward keeps activations
+a minibatch block is written from the store into them, and a full-batch run
+adds one column-major float64 copy of the features, so both BLAS products
+read contiguous feature columns.  The NN forward keeps activations
 hidden-major, ``(5, rows)``, so both matmuls go to BLAS and the layer-norm
 reductions over the 5 hidden units are row-wise adds.  Prediction
-(``predict_batch``) runs the same forward over the same row blocks.
+(``predict_batch``) runs the same forward over the same row blocks, written
+from a dataset into one reused buffer or sliced from a feature matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import BLOCK_ROWS, _sigmoid
+from .data import BLOCK_ROWS, CohortDataset, _sigmoid
 from .errors import LayoutError
 
 LN_EPS = 1e-5  # layer-norm variance epsilon, biased variance estimator
@@ -299,24 +304,31 @@ def _loss_sum(y, work) -> float:
     return loss_sum + (float(t.sum()) - float(y @ z))
 
 
-def predict_batch(kind: ModelKind, theta, features) -> np.ndarray:
-    """Probabilities for a feature matrix, from the kernels' forward pass run
-    on row blocks of at most BLOCK_ROWS rows."""
+def predict_batch(kind: ModelKind, theta, data) -> np.ndarray:
+    """Probabilities for the rows of ``data``, a CohortDataset or a feature
+    matrix, from the kernels' forward pass run on row blocks of at most
+    BLOCK_ROWS rows.  A dataset's blocks are written into one reused buffer."""
     kind = ModelKind(kind)
     theta = _theta(kind, theta)
-    x = np.asarray(features, dtype=np.float64)
-    if x.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    x = x.reshape(-1, N_FEATURES)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite feature value")
+    if isinstance(data, CohortDataset):
+        x = None
+        n = len(data)
+        buf = np.empty((min(n, BLOCK_ROWS), N_FEATURES))
+    else:
+        x = np.asarray(data, dtype=np.float64)
+        if x.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        x = x.reshape(-1, N_FEATURES)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite feature value")
+        n = x.shape[0]
     forward = _lr_forward if kind is ModelKind.LOGISTIC_REGRESSION else _nn_forward
-    n = x.shape[0]
     work = Workspace(kind, n)
     out = np.empty(n)
     for start in range(0, n, BLOCK_ROWS):
-        stop = start + BLOCK_ROWS  # slicing stops at the last row
-        out[start:stop] = _sigmoid(forward(theta, x[start:stop], work))
+        stop = min(start + BLOCK_ROWS, n)
+        xb = x[start:stop] if x is not None else data.write_rows(slice(start, stop), buf[: stop - start])
+        out[start:stop] = _sigmoid(forward(theta, xb, work))
     return out
 
 
@@ -334,12 +346,14 @@ def loss_and_grad(
     Objective: mean BCE over the batch + (l2/2) * squared norm of the weight
     matrices (coef / hidden_w / out_w; biases and gains are not penalized).
 
-    The batch is x and y, or with ``rows`` (indices into x and y, each in
-    range) the rows they pick.  It is taken in blocks of at most BLOCK_ROWS
-    rows, so no BLAS call sees more rows than that: the first block's kernel
-    writes the gradient, with the L2 term, and each later block's share is
-    added to it.  Blocks of ``rows`` are gathered into the buffers of
-    ``work``, which must have been made with ``gather``.
+    The batch is the feature matrix x and the labels y, or with ``rows``
+    the rows of the CohortDataset x that they pick (each in range), with
+    their labels; y is then unused.  It is taken in blocks of at most
+    BLOCK_ROWS rows, so no BLAS call sees more rows than that: the first
+    block's kernel writes the gradient, with the L2 term, and each later
+    block's share is added to it.  Blocks of ``rows`` are written by
+    ``x.write_rows`` into the buffers of ``work``, which must have been made
+    with ``gather``.
 
     Without ``work``, a Workspace is allocated for the batch and the result
     is ``(objective, grad)``.  With ``work`` (as ``train_local`` passes), the
@@ -347,8 +361,9 @@ def loss_and_grad(
     objective is not computed: it comes back as None.
     """
     kind = ModelKind(kind)
-    x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if rows is None:
+        x = np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES)
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = x.shape[0] if rows is None else rows.size
     if n == 0:
         raise ValueError("empty batch")
@@ -363,11 +378,9 @@ def loss_and_grad(
         if rows is None:
             xb, yb = x[start:stop], y[start:stop]
         else:
-            # ``rows`` are in range, so "clip" never clips; it lets take
-            # write straight into the block buffer instead of a copy
             idx = rows[start:stop]
-            xb = np.take(x, idx, axis=0, out=work.x[: idx.size], mode="clip")
-            yb = np.take(y, idx, out=work.y[: idx.size], mode="clip")
+            yb = work.y[: idx.size]
+            xb = x.write_rows(idx, work.x[: idx.size], yb)
         if start == 0:
             kernel(theta, xb, yb, n, l2, work.grad, work)
         else:
@@ -388,19 +401,17 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
     When one batch covers the training set (n <= batch_size), every epoch
     is one full-batch step on the rows in their stored order: a shuffle
     would only reorder the gradient sums.  Those steps read one column-major
-    copy of the features, so both BLAS products in the kernels walk
-    contiguous feature columns, and its row blocks are slices of that copy.
-    Otherwise the data is reshuffled each epoch with a generator seeded from
-    cfg.seed, and each minibatch block is gathered from the permutation into
-    a row-major block buffer.  Either way, identical (seed, data, config)
-    reproduce bitwise-identical parameters.  Returns the trained θ, a new
-    vector, and a TrainStats with the step count the DP filter needs for
-    normalization.
+    float64 copy of the rows, written once per call by ``train.write_rows``,
+    so both BLAS products in the kernels walk contiguous feature columns,
+    and its row blocks are slices of that copy.  Otherwise the data is
+    reshuffled each epoch with a generator seeded from cfg.seed, and each
+    minibatch block is written from the permutation into a row-major block
+    buffer.  Either way, identical (seed, data, config) reproduce
+    bitwise-identical parameters.  Returns the trained θ, a new vector, and
+    a TrainStats with the step count the DP filter needs for normalization.
     """
     kind = ModelKind(kind)
-    x = np.asarray(train.features, dtype=np.float64)
-    y = np.asarray(train.labels, dtype=np.float64)
-    n = x.shape[0]
+    n = len(train)
     if n == 0:
         raise ValueError("empty training set")
     theta = _theta(kind, theta).copy()
@@ -409,7 +420,8 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
     work = Workspace(kind, min(n, cfg.batch_size), gather=n > cfg.batch_size)
     steps = 0
     if n <= cfg.batch_size:
-        x_cols = np.asfortranarray(x)
+        x_cols = train.write_rows(slice(None), np.empty((n, N_FEATURES), order="F"))
+        y = train.labels.astype(np.float64)
         for _ in range(cfg.local_epochs):
             _, grad = loss_and_grad(kind, theta, x_cols, y, cfg.l2_penalty, work)
             theta -= cfg.learning_rate * grad
@@ -420,7 +432,7 @@ def train_local(kind: ModelKind, theta, train, cfg: TrainConfig):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, grad = loss_and_grad(kind, theta, x, y, cfg.l2_penalty, work, idx)
+                _, grad = loss_and_grad(kind, theta, train, None, cfg.l2_penalty, work, idx)
                 theta -= cfg.learning_rate * grad
                 steps += 1
     return theta, TrainStats(steps=steps, wall_time=time.monotonic() - t0)

@@ -1,13 +1,19 @@
+import ast
 import hashlib
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import privfed
+from privfed import data
 from privfed.config import load_config
 from privfed.data import (
     BLOCK_ROWS,
     DEFAULT_SITES,
+    GENERATED_BIT_COLS,
     CohortDataset,
     GeneratorSpec,
     SiteSpec,
@@ -22,7 +28,7 @@ from privfed.data import (
     write_csv,
 )
 from privfed.errors import ConfigError, ParseError, SplitError
-from privfed.federation import build_site_datasets
+from privfed.federation import build_site_datasets, draw_site
 from privfed.seeds import derive_seed, derived_rng
 
 from oracles import generate_site_oracle
@@ -89,7 +95,7 @@ class TestGeneration:
         for train, valid in build_site_datasets(cfg).values():
             for part in (train, valid):
                 digest.update(part.features.tobytes())
-                digest.update(part.labels.tobytes())
+                digest.update(part.labels.astype(np.int64).tobytes())
         assert digest.hexdigest() == "fa5a97e5858c6e30acdcb35415bdc22a24e1aa33e423b320e46339e14070946b"
 
     def test_full_scale_sites_are_pinned(self):
@@ -100,13 +106,15 @@ class TestGeneration:
         for train, valid in build_site_datasets(cfg).values():
             for part in (train, valid):
                 digest.update(part.features.tobytes())
-                digest.update(part.labels.tobytes())
+                digest.update(part.labels.astype(np.int64).tobytes())
         assert digest.hexdigest() == "4bc018e2d148d8c4c3e87f63c8b3cbc0f6d82250e74ab20974c083eb0002453a"
 
     def test_generation_memory_peak(self):
         # the path build_site_datasets takes: rows are written once into one
-        # array that the train and validation parts view, and a pass holds
-        # one block of draws, so the peak stays under twice the result
+        # store that the train and validation parts view, 11 B per row, and
+        # a pass holds one block of rows and one of draws; beside the rows,
+        # the peak holds four int64 per row (the shuffle, the placement and
+        # the pass's ages) and those two float64 blocks
         spec = GeneratorSpec(seed=11, scale_factor=0.1)
         site = DEFAULT_SITES[2]
         rng = np.random.default_rng(derive_seed(spec.seed, "site", site.name))
@@ -116,9 +124,13 @@ class TestGeneration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(train) + len(valid) == 41800
-        assert train.features.base is valid.features.base
-        assert peak < 2 * sum(p.features.nbytes + p.labels.nbytes for p in (train, valid))
+        n = len(train) + len(valid)
+        assert n == 41800
+        for name in ("dense", "codes", "labels"):
+            assert getattr(train, name).base is getattr(valid, name).base
+        stored = sum(p.dense.nbytes + p.codes.nbytes + p.labels.nbytes for p in (train, valid))
+        assert stored == 11 * n
+        assert peak < stored + 4 * 8 * n + 2 * BLOCK_ROWS * 10 * 8
 
     @pytest.mark.parametrize("scale", [0.02, 0.05, 0.1])
     @pytest.mark.parametrize("seed", [7, 11, 303])
@@ -253,6 +265,41 @@ class TestCsv:
         with pytest.raises(ParseError):
             read_csv(path)
 
+    def test_read_memory_peak(self, tmp_path):
+        # rows are parsed into one reused block and encoded into a store
+        # sized by the line count: beside the stored rows, one block of
+        # float64 rows and labels, and 128 KiB for the reader's buffers and
+        # one block column's temporaries
+        cfg = load_config(None, ["data.scale_factor=0.1", "seed=7"])
+        path = tmp_path / "stockholm.csv"
+        write_csv(draw_site(cfg, cfg.data.sites[2]), path)
+        tracemalloc.start()
+        try:
+            ds = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 41800
+        stored = ds.dense.nbytes + ds.codes.nbytes + ds.labels.nbytes
+        assert stored == 11 * len(ds)
+        assert peak < stored + BLOCK_ROWS * (10 * 8 + 1) + 128 * 1024
+
+    def test_a_later_block_narrows_the_layout(self, tmp_path, monkeypatch):
+        # with 4-row blocks, column 2 stops being 0/1 in the second block
+        # and column 5 in the third, after the store took the first's layout
+        monkeypatch.setattr(data, "BLOCK_ROWS", 4)
+        x = np.random.default_rng(3).integers(0, 2, (11, 10)).astype(np.float64)
+        x[:, 0] = np.linspace(-1, 1, 11)
+        x[5, 2] = 0.25
+        x[9, 5] = -0.0
+        ds = CohortDataset(x, np.arange(11) % 2)
+        path = tmp_path / "narrowing.csv"
+        write_csv(ds, path)
+        back = read_csv(path)
+        assert back.bit_cols == ds.bit_cols == (1, 3, 4, 6, 7, 8, 9)
+        assert back.features.tobytes() == x.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_roundtrip_random_values(self, seed, tmp_path):
         ds = small_dataset(n=8, pos_frac=0.5, seed=seed)
@@ -267,6 +314,103 @@ def test_concat():
     b = small_dataset(n=6, pos_frac=0.5, seed=2)
     merged = concat_datasets([a, b])
     assert len(merged) == 16
+
+
+# edge values for a column drawn as any value: -0.0 equals 0.0 but has other
+# bits, so a column holding it must stay dense
+EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1.7976931348623157e308]
+COLUMN_VALUES = {
+    "binary": st.sampled_from([0.0, 1.0]),
+    "any": st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def cohort_rows(draw):
+    """(x, labels): n finite float64 rows whose columns are each drawn as
+    0/1 or as any value, all-binary, no-binary and mixed, and 0/1 labels."""
+    n = draw(st.integers(0, 40))
+    kinds = draw(
+        st.one_of(
+            st.just(["binary"] * 10),
+            st.just(["any"] * 10),
+            st.lists(st.sampled_from(["binary", "any"]), min_size=10, max_size=10),
+        )
+    )
+    x = np.empty((n, 10))
+    for j, kind in enumerate(kinds):
+        x[:, j] = draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    return x, labels
+
+
+class TestStore:
+    @given(cohort_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_come_back_bit_for_bit(self, rows, draw):
+        x, labels = rows
+        n = len(x)
+        ds = CohortDataset(x, labels)
+        bits = x.view(np.uint64)
+        one = np.float64(1.0).view(np.uint64)
+        assert ds.bit_cols == tuple(j for j in range(10) if np.all((bits[:, j] == 0) | (bits[:, j] == one)))
+        assert ds.dense.shape == (n, 10 - len(ds.bit_cols)) and ds.codes.dtype == np.uint16
+        assert ds.features.tobytes() == x.tobytes()
+        assert ds.labels.dtype == np.uint8 and np.array_equal(ds.labels, labels)
+        idx = np.array(draw.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=60 if n else 0)), dtype=np.int64)
+        got_labels = np.empty(idx.size)
+        got = ds.write_rows(idx, np.empty((idx.size, 10)), got_labels)
+        assert got.tobytes() == x[idx].tobytes()
+        assert got_labels.tobytes() == labels[idx].astype(np.float64).tobytes()
+        block = draw.draw(st.integers(1, 16))
+        for order in ("C", "F"):
+            whole = np.empty((n, 10), order=order)
+            for start in range(0, n, block):
+                rows = slice(start, min(start + block, n))
+                out = ds.write_rows(rows, whole[rows])
+                assert np.ascontiguousarray(out).tobytes() == x[rows].tobytes()
+            assert np.ascontiguousarray(ds.write_rows(slice(None), whole)).tobytes() == x.tobytes()
+
+    def test_generated_store_is_the_one_the_constructor_builds(self):
+        cfg = load_config(None, ["data.scale_factor=0.05", "seed=7"])
+        for train, valid in build_site_datasets(cfg).values():
+            for part in (train, valid):
+                rebuilt = CohortDataset(part.features, part.labels)
+                assert part.bit_cols == rebuilt.bit_cols == GENERATED_BIT_COLS
+                for name in ("dense", "codes", "labels"):
+                    got, want = getattr(part, name), getattr(rebuilt, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_concat_of_different_binary_columns_round_trips(self):
+        # a column stays bits only where every part stores it so
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 2, (30, 10)).astype(np.float64)
+        a[:, 0] = rng.normal(size=30)
+        b = rng.integers(0, 2, (20, 10)).astype(np.float64)
+        b[3, 4] = 0.5
+        b[7, 7] = -0.0
+        c = rng.normal(size=(9, 10))
+        parts = [CohortDataset(x, rng.integers(0, 2, len(x))) for x in (a, b, c)]
+        assert [p.bit_cols for p in parts] == [GENERATED_BIT_COLS, (0, 1, 2, 3, 5, 6, 8, 9), ()]
+        for chosen, bit_cols in ((parts[:2], (1, 2, 3, 5, 6, 8, 9)), (parts, ())):
+            merged = concat_datasets(chosen)
+            assert merged.bit_cols == bit_cols
+            assert merged.features.tobytes() == np.concatenate([p.features for p in chosen]).tobytes()
+            assert merged.labels.tobytes() == np.concatenate([p.labels for p in chosen]).tobytes()
+
+
+def test_only_the_store_reads_features():
+    # ``features`` builds the float64 matrix the store exists to avoid; the
+    # program reads rows through ``write_rows``, one block at a time
+    readers = []
+    for path in pathlib.Path(privfed.__file__).parent.rglob("*.py"):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "features":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_constructor_rejects_bad_values():

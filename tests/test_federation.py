@@ -18,7 +18,7 @@ from test_golden import TINY
 from privfed import federation
 from privfed import transport as tr
 from privfed.config import SESSION_KEYS, load_config
-from privfed.data import scaled_counts, write_csv
+from privfed.data import BLOCK_ROWS, scaled_counts, write_csv
 from privfed.errors import AuthError, ConfigError, DecodeError, LayoutError, ProtocolError
 from privfed.federation import (
     FederationClient,
@@ -1502,8 +1502,10 @@ class TestTcpAuth:
 class TestCentral:
     def test_pooling_holds_no_second_copy(self):
         # each generated site is drawn straight into its slice of the pool,
-        # so the peak stays under the pooled rows plus the largest site's
-        # (Stockholm holds 63% of the rows)
+        # so beside the pooled rows (11 B each) the peak holds only the
+        # largest site's generation work (Stockholm holds 63% of the rows):
+        # four int64 per row and two float64 blocks, as in
+        # test_data.py::test_generation_memory_peak
         cfg = load_config(None, ["data.scale_factor=0.1"])
         tracemalloc.start()
         try:
@@ -1511,12 +1513,33 @@ class TestCentral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        row_bytes = pooled.features.itemsize * 10 + pooled.labels.itemsize
+        stored = pooled.dense.nbytes + pooled.codes.nbytes + pooled.labels.nbytes
+        assert stored == 11 * len(pooled)
         largest = max(sum(scaled_counts(site, 0.1)) for site in cfg.data.sites)
-        assert peak <= (len(pooled) + largest) * row_bytes
+        assert peak <= stored + 4 * 8 * largest + 2 * BLOCK_ROWS * 10 * 8
         parts = [part for parts in build_site_datasets(cfg).values() for part in parts]
         assert pooled.features.tobytes() == np.concatenate([p.features for p in parts]).tobytes()
         assert pooled.labels.tobytes() == np.concatenate([p.labels for p in parts]).tobytes()
+
+    def test_simulation_memory_peak(self):
+        # a run holds every site's rows in the store (11 B per row) and, for
+        # a site whose training rows are one batch (every site at this
+        # scale), one column-major float64 copy of them with their labels
+        # (88 B per row) while it trains, beside its work arrays of a few
+        # blocks; a float64 matrix of the largest site's training rows on
+        # top of that (80 B per row) breaks the bound
+        cfg = load_config(None, ["data.scale_factor=0.1", "rounds=2"])
+        tracemalloc.start()
+        try:
+            report = run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.aborted
+        rows = sum(sum(scaled_counts(site, 0.1)) for site in cfg.data.sites)
+        train_rows = {name: len(train) for name, (train, _) in build_site_datasets(cfg).items()}
+        assert all(n <= cfg.batch_for(name) for name, n in train_rows.items())
+        assert peak < 11 * rows + 88 * max(train_rows.values()) + 3 * BLOCK_ROWS * 10 * 8
 
     def test_csv_sites_pool_like_generated_ones(self, tmp_path):
         # CSV sites are read whole and concatenated, in the same order

@@ -265,7 +265,8 @@ class FederationServer:
         A JOIN fixes the site's session: its name, its weight and, through
         the session digest, the model, privacy mode, DP and HE parameters and
         weighting it runs.  A site refused here never sees a broadcast, so it
-        sends no update.
+        sends no update.  A site is registered only once its ACK is sent; one
+        whose ACK cannot be sent is closed and refused.
         """
         if frame.msg_type != tr.MSG_JOIN:
             raise _refuse(channel, "expected JOIN", ProtocolError("client spoke before joining"))
@@ -291,9 +292,13 @@ class FederationServer:
                 "(model, privacy mode, dp, he or weighting)",
                 ConfigError(f"client {join.client_id!r} joined with other session settings"),
             )
+        try:
+            channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
+        except tr.ChannelClosed as err:
+            channel.close()
+            raise ProtocolError(f"client {join.client_id!r} failed: {err}") from err
         weight = float(join.n_train) if self.cfg.weighting == "examples" else 1.0
         self.clients[join.client_id] = ClientRecord(join.client_id, weight, channel)
-        channel.send(tr.Frame(tr.MSG_JOIN_ACK, 0))
         self._log("join", join.client_id)
 
     def _check_all_joined(self) -> None:
@@ -305,12 +310,16 @@ class FederationServer:
 
     def _broadcast(self, round_index: int, final: bool, global_params: np.ndarray, he_state):
         """Send every site the global model: θ, or once there is one, the
-        serialized HE aggregate's c0 halves and its Σw."""
+        serialized HE aggregate's c0 halves and its Σw.  A send that fails
+        raises a ``ProtocolError`` naming the site."""
         payload, weight_sum = (global_params, None) if he_state is None else he_state
         body = tr.BroadcastBody(final, payload, weight_sum)
         frame = tr.Frame(tr.MSG_BROADCAST, round_index, tr.encode_broadcast(body))
         for client_id in self.cfg.site_names():
-            self.clients[client_id].channel.send(frame)
+            try:
+                self.clients[client_id].channel.send(frame)
+            except tr.ChannelClosed as err:
+                raise ProtocolError(f"client {client_id!r} failed: {err}") from err
         self._log("broadcast", str(round_index))
 
     def _collect(self, round_index: int, msg_type: int, decode) -> dict[str, tuple[object, float]]:
@@ -327,9 +336,7 @@ class FederationServer:
         deadline = time.monotonic() + self.cfg.timeout_seconds
         for client_id in self.cfg.site_names():
             try:
-                frame = self.clients[client_id].channel.recv(
-                    timeout=max(deadline - time.monotonic(), 0.0)
-                )
+                frame = self.clients[client_id].channel.recv(timeout=deadline - time.monotonic())
             except TimeoutError:
                 raise RoundTimeoutError(f"round {round_index}: no reply from {client_id!r}") from None
             except Exception as err:
@@ -415,18 +422,11 @@ class FederationServer:
 
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
         """``received`` maps each client id to its (UpdateBody, arrival time).
-        A client's ``payload_bytes`` counts its update's values as they
-        travel, without their count: the ciphertext chunks (HE), the ternary
-        code (DP) or 8 bytes per value (plain)."""
+        A client's ``payload_bytes`` is the decoder's: its update's values as
+        they travel, without their count fields."""
         clients = []
         for client_id in self.cfg.site_names():
             update, arrival = received[client_id]
-            if self.encrypted:
-                payload_bytes = sum(len(b) for b in update.payload)
-            elif self.mode == "dp":
-                payload_bytes = tr.ternary_code_bytes(update.payload)
-            else:
-                payload_bytes = update.payload.size * 8
             clients.append(
                 ClientRoundRecord(
                     client_id=client_id,
@@ -436,7 +436,7 @@ class FederationServer:
                     post_metrics=update.post_metrics,
                     train_seconds=update.train_seconds,
                     privacy_seconds=update.privacy_seconds,
-                    payload_bytes=payload_bytes,
+                    payload_bytes=update.payload_bytes,
                     arrival_offset_seconds=arrival - broadcast_at,
                 )
             )
@@ -455,8 +455,10 @@ class FederationServer:
 
 def _refuse(channel, reason: str, error: Exception) -> Exception:
     """Send a refused site ``reason`` in an ERROR frame, hang up, and return
-    ``error`` for the coordinator to raise."""
-    channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error(reason)))
+    ``error`` for the coordinator to raise, also when the site has already
+    hung up and the send fails."""
+    with contextlib.suppress(tr.ChannelClosed):
+        channel.send(tr.Frame(tr.MSG_ERROR, 0, tr.encode_error(reason)))
     channel.close()
     return error
 
@@ -733,16 +735,16 @@ def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:
     mid-frame keeps no other out.  A connection is admitted once its JOIN is
     whole.  One that is refused, malformed or hangs up, and one still
     without a whole JOIN when joining ends, is closed and logged as
-    "refused"."""
+    "refused".  Each channel keeps the part of its JOIN read so far."""
     listener = tr.TcpListener(host, port)
     server = FederationServer(cfg)
-    pending: dict = {}  # channel -> the JOIN bytes read so far, in accept order
+    pending: list = []  # channels without a whole JOIN yet, in accept order
     try:
         with selectors.DefaultSelector() as selector:
 
             def refuse(channel, err: Exception) -> None:
-                if pending.pop(channel, None) is not None:
-                    selector.unregister(channel)
+                pending.remove(channel)
+                selector.unregister(channel)
                 channel.close()
                 server._log("refused", f"{type(err).__name__}: {err}")
 
@@ -755,17 +757,17 @@ def run_tcp_server(cfg: ExperimentConfig, host: str, port: int) -> RunReport:
                 ready = {key.fileobj for key, _ in selector.select(remaining)}
                 for channel in [c for c in pending if c in ready]:
                     try:
-                        frame = channel.recv_ready(pending[channel], tr.MAX_JOIN_BODY)
+                        frame = channel.recv_ready(tr.MAX_JOIN_BODY)
                         if frame is not None:
-                            del pending[channel]
-                            selector.unregister(channel)
                             server._admit(channel, frame)
+                            pending.remove(channel)
+                            selector.unregister(channel)
                     except (AuthError, ConfigError, DecodeError, ProtocolError, OSError) as err:
                         refuse(channel, err)
                 if listener in ready:
                     with contextlib.suppress(TimeoutError):
                         channel = listener.accept(timeout=0)
-                        pending[channel] = bytearray()
+                        pending.append(channel)
                         selector.register(channel, selectors.EVENT_READ)
             for channel in list(pending):
                 refuse(channel, TimeoutError("no whole JOIN when joining ended"))

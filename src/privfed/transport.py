@@ -5,10 +5,16 @@ number, and a length-prefixed body.  All integers little-endian.  The sim
 channel holds encoded frames in deques, so both transports exercise the same
 wire format; reports from either transport are identical apart from
 wall-clock fields.
+
+A TCP channel reads through one method, ``TcpChannel.recv_ready``, which
+keeps the frame it is assembling in the channel's buffer; the blocking
+``recv`` waits on it.  Both raise ``ChannelClosed`` when the peer hangs up
+or resets the connection, and ``send`` raises it when the socket fails.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import time
@@ -182,22 +188,6 @@ def _unpack_chunks(r: _Reader) -> list[bytes]:
 _CODE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)  # value 4k + j sits at bits 2j of byte k
 
 
-def _ternary_codes(values) -> tuple[np.ndarray, np.float64, np.ndarray]:
-    """(y, c, codes): ``values`` as a flat f64 array y, c = max|yᵢ|, and
-    each value's 2-bit code, padded with zeros to a multiple of 4."""
-    y = np.ascontiguousarray(values, dtype="<f8").reshape(-1)
-    c = np.abs(y).max() if y.size else np.float64(0.0)
-    plus_c, minus_c = np.array([c, -c], dtype="<f8").view("<u8")
-    bits = y.view("<u8")
-    codes = np.zeros(-(-y.size // 4) * 4, dtype=np.uint8)
-    own = codes[: y.size]
-    own[:] = 3
-    # the lowest code wins: with c = 0, +0.0 is code 0 and −0.0 code 2
-    for code, pattern in ((2, minus_c), (1, plus_c), (0, 0)):
-        own[bits == pattern] = code
-    return y, c, codes
-
-
 def _pack_ternary(values) -> bytes:
     """A DP update y as a lossless ternary code: the count n, c = max|yᵢ|
     as f64, ⌈n/4⌉ bytes of 2-bit codes (0 → +0.0, 1 → +c, 2 → −c,
@@ -208,17 +198,18 @@ def _pack_ternary(values) -> bytes:
     literal, and every value decodes to the same bits.  The SVT filter's
     output is almost all exact zeros and ±γ·steps, so few values need a
     literal."""
-    y, c, codes = _ternary_codes(values)
+    y = np.ascontiguousarray(values, dtype="<f8").reshape(-1)
+    c = np.abs(y).max() if y.size else np.float64(0.0)
+    plus_c, minus_c = np.array([c, -c], dtype="<f8").view("<u8")
+    bits = y.view("<u8")
+    codes = np.zeros(-(-y.size // 4) * 4, dtype=np.uint8)  # padded with zeros to a multiple of 4
+    own = codes[: y.size]
+    own[:] = 3
+    # the lowest code wins: with c = 0, +0.0 is code 0 and −0.0 code 2
+    for code, pattern in ((2, minus_c), (1, plus_c), (0, 0)):
+        own[bits == pattern] = code
     packed = np.bitwise_or.reduce(codes.reshape(-1, 4) << _CODE_SHIFTS, axis=1)
-    literals = y[codes[: y.size] == 3]
-    return struct.pack("<Qd", y.size, c) + packed.tobytes() + literals.tobytes()
-
-
-def ternary_code_bytes(values) -> int:
-    """The length of ``values``' ternary code after its count: 8 bytes of
-    c, ⌈n/4⌉ of codes and 8 per literal."""
-    _, _, codes = _ternary_codes(values)
-    return 8 + codes.size // 4 + 8 * int(np.count_nonzero(codes == 3))
+    return struct.pack("<Qd", y.size, c) + packed.tobytes() + y[own == 3].tobytes()
 
 
 def _unpack_ternary(r: _Reader) -> np.ndarray:
@@ -268,6 +259,8 @@ class UpdateBody:
     privacy_seconds: float  # dp-filter or encrypt+decrypt time
     pre_metrics: MetricSet
     post_metrics: MetricSet
+    # the payload's bytes on the wire less its count fields; decode_update sets it
+    payload_bytes: int = 0
 
 
 def encode_update(u: UpdateBody, mode: str) -> bytes:
@@ -285,15 +278,19 @@ def encode_update(u: UpdateBody, mode: str) -> bytes:
 
 def decode_update(body: bytes, mode: str) -> UpdateBody:
     """The session's privacy mode ``mode`` fixes the payload's form, so no
-    body names it; a body in another form fails to decode."""
+    body names it; a body in another form fails to decode.  The payload's
+    count fields are 8 bytes for f64 values and the ternary code, and 4 + 8
+    per chunk for ciphertext chunks."""
     _, unpack = _UPDATE_FORMS[mode]
     r = _Reader(body)
     steps, train_s, privacy_s = struct.unpack("<Idd", r.take(20))
     pre = _unpack_metrics(r.take(_METRICS.size))
     post = _unpack_metrics(r.take(_METRICS.size))
+    start = r.pos
     payload = unpack(r)
     r.done()
-    return UpdateBody(steps, payload, train_s, privacy_s, pre, post)
+    counts = 4 + 8 * len(payload) if isinstance(payload, list) else 8
+    return UpdateBody(steps, payload, train_s, privacy_s, pre, post, r.pos - start - counts)
 
 
 @dataclass(frozen=True)
@@ -401,65 +398,71 @@ class SimChannel:
 
 
 class TcpChannel:
-    """Frame transport over one TCP socket."""
+    """Frame transport over one TCP socket.
+
+    ``recv_ready`` is the one reader: it alone reads the socket and parses a
+    header, and it keeps the frame it is assembling in the channel's buffer,
+    so a caller holds no bytes between calls.  ``recv`` waits on it.  Both
+    raise ``DecodeError`` for a bad header, one whose body exceeds
+    ``max_body`` among them, and ``ChannelClosed`` when the peer hangs up:
+    "peer closed the channel" between frames, "connection closed mid-frame"
+    inside one, "receive failed: …" when the socket fails (a reset peer).
+    ``send`` raises ``ChannelClosed`` when the socket fails, a peer that has
+    hung up among the causes.
+    """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._sock.settimeout(None)  # blocking sends; reads never block (MSG_DONTWAIT)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._pending = bytearray()  # the frame read so far
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
 
     def send(self, frame: Frame) -> int:
         data = frame_encode(frame)
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except OSError as err:
+            raise ChannelClosed(f"send failed: {err.strerror or err}") from None
         return len(data)
 
-    def _recv_exact(self, n: int, deadline: float | None, frame_start: bool = False) -> bytes:
-        parts = []
-        while n:
+    def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
+        """The next frame; ``timeout`` bounds the whole frame, not each read.
+        A frame already whole is returned even at ``timeout=0``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while (frame := self.recv_ready(max_body)) is None:
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise TimeoutError("channel receive timed out")
-            self._sock.settimeout(remaining)
-            chunk = self._sock.recv(min(n, 1 << 20))  # socket.timeout is a TimeoutError
-            if not chunk:
-                if frame_start and not parts:  # hung up between frames
-                    raise ChannelClosed("peer closed the channel")
-                raise ChannelClosed("connection closed mid-frame")
-            parts.append(chunk)
-            n -= len(chunk)
-        return b"".join(parts)
+            self._readable.poll(None if remaining is None else remaining * 1000)
+        return frame
 
-    def recv(self, timeout: float | None = None, max_body: int = MAX_BODY) -> Frame:
-        """The next frame; ``timeout`` bounds the whole frame, not each read."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        header = self._recv_exact(_HEADER.size, deadline, frame_start=True)
-        msg_type, round_no, body_len = _parse_header(header, max_body)
-        return Frame(msg_type, round_no, self._recv_exact(body_len, deadline))
-
-    def recv_ready(self, pending: bytearray, max_body: int = MAX_BODY) -> Frame | None:
-        """Append to ``pending``, the start of a frame, what has arrived,
+    def recv_ready(self, max_body: int = MAX_BODY) -> Frame | None:
+        """Add what has arrived of the next frame to the channel's buffer,
         without blocking; return the frame once it is whole, else None.  The
         header is checked against ``max_body`` as soon as it is in, and no
         byte past the frame's end is read."""
-        self._sock.setblocking(False)
-        try:
-            while True:
-                need = _HEADER.size - len(pending)
-                if need <= 0:
-                    msg_type, round_no, body_len = _parse_header(pending, max_body)
-                    need += body_len
-                    if need == 0:
-                        return Frame(msg_type, round_no, bytes(pending[_HEADER.size :]))
-                try:
-                    chunk = self._sock.recv(need)
-                except BlockingIOError:
-                    return None
-                if not chunk:
-                    raise ChannelClosed(
-                        "connection closed mid-frame" if pending else "peer closed the channel"
-                    )
-                pending += chunk
-        finally:
-            self._sock.settimeout(None)
+        pending = self._pending
+        while True:
+            need = _HEADER.size - len(pending)
+            if need <= 0:
+                msg_type, round_no, body_len = _parse_header(pending, max_body)
+                need += body_len
+                if need == 0:
+                    self._pending = bytearray()
+                    return Frame(msg_type, round_no, bytes(pending[_HEADER.size :]))
+            try:
+                chunk = self._sock.recv(min(need, 1 << 20), socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                return None
+            except OSError as err:  # a reset peer, say
+                raise ChannelClosed(f"receive failed: {err.strerror or err}") from None
+            if not chunk:
+                raise ChannelClosed(
+                    "connection closed mid-frame" if pending else "peer closed the channel"
+                )
+            pending += chunk
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -477,7 +480,6 @@ def open_tcp_channel(host: str, port: int, timeout: float = 30.0) -> TcpChannel:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as err:
         raise EndpointError(f"cannot connect to {host}:{port}: {err.strerror or err}") from None
-    sock.settimeout(None)
     return TcpChannel(sock)
 
 
@@ -506,7 +508,6 @@ class TcpListener:
             conn, _ = self._sock.accept()
         except (socket.timeout, BlockingIOError):
             raise TimeoutError("no connection before timeout") from None
-        conn.settimeout(None)
         return TcpChannel(conn)
 
     def close(self):

@@ -4,6 +4,7 @@ straight-line pipelines) so they cannot share bugs with the vectorized
 production paths they check."""
 
 import math
+import struct
 import threading
 
 import numpy as np
@@ -200,6 +201,17 @@ def auc_pairwise_oracle(scores, labels):
             elif p == q:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def ternary_code_bytes(values) -> int:
+    """The length of ``values``' DP ternary code after its count, worked out
+    value by value: 8 bytes of c = max|yᵢ|, ⌈n/4⌉ of 2-bit codes, and 8 per
+    value whose bits are not those of +0.0, +c or −c."""
+    values = [float(v) for v in np.asarray(values, dtype=np.float64).reshape(-1)]
+    c = max((abs(v) for v in values), default=0.0)
+    short = {struct.pack("<d", x) for x in (0.0, c, -c)}
+    literals = sum(struct.pack("<d", v) not in short for v in values)
+    return 8 + math.ceil(len(values) / 4) + 8 * literals
 
 
 def run_simulation_thread_per_client(cfg):

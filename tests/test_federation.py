@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import socket
 import struct
 from collections import Counter
 import threading
@@ -12,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import run_simulation_thread_per_client
+from oracles import run_simulation_thread_per_client, ternary_code_bytes
 from test_golden import TINY
 
 from privfed import federation
@@ -258,7 +259,7 @@ class TestSimulationRuns:
         update = tr.decode_update(reply.body, mode="dp")
         assert update.payload.tobytes() == filtered[0].tobytes()
         assert update.payload.size == 66
-        assert len(reply.body) == 20 + 2 * 40 + 8 + tr.ternary_code_bytes(update.payload)
+        assert len(reply.body) == 20 + 2 * 40 + 8 + ternary_code_bytes(update.payload)
         bound = cfg.dp.gamma * update.steps
         assert np.all(np.abs(update.payload) <= bound + 1e-12)
         assert np.count_nonzero(update.payload) <= np.ceil(cfg.dp.fraction * 66)
@@ -1382,6 +1383,81 @@ class TestTcpCoordinator:
         assert sorted(joined) == sorted(cfg.site_names())
         refused = [who for _, kind, who in report.event_log if kind == "refused"]
         assert refused == ["TimeoutError: no whole JOIN when joining ended"] * 2
+
+    def two_site_config(self):
+        sites = [{"name": name, "n_negative": 200, "n_positive": 40} for name in ("a", "b")]
+        return sim_config(
+            f"data.sites={json.dumps(sites)}",
+            "data.scale_factor=1",
+            "rounds=1",
+            "timeout_seconds=10",
+        )
+
+    def test_site_that_hung_up_after_joining_aborts_the_run(self, monkeypatch):
+        # b sends a valid JOIN and hangs up, so the ACK to it draws a reset
+        # and the round-0 broadcast to b fails: the run ends in a report
+        # aborted for b, and a hears that the run aborted
+        cfg = self.two_site_config()
+        b_joined = threading.Event()
+        log = FederationServer._log
+
+        def logging(server, kind, who=""):
+            log(server, kind, who)
+            if (kind, who) == ("join", "b"):
+                b_joined.set()
+
+        monkeypatch.setattr(FederationServer, "_log", logging)
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        b = tr.open_tcp_channel("127.0.0.1", port)
+        b.send(join_frame(cfg, "b"))
+        b.close()
+        assert b_joined.wait(10)
+        with pytest.raises(ProtocolError, match="^run aborted: ProtocolError: client 'b' failed: "):
+            federation.run_tcp_client(cfg, "a", "127.0.0.1", port)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        report = result["report"]
+        assert report.aborted
+        assert report.abort_reason.startswith("ProtocolError: client 'b' failed: ")
+
+    def test_site_whose_ack_fails_joins_again(self, monkeypatch):
+        # the first ACK to b cannot be sent: b is refused, not left
+        # registered on a dead socket, so it reconnects and the run completes
+        cfg = self.two_site_config()
+        send = tr.TcpChannel.send
+        failed = []
+
+        def failing_first_ack(channel, frame):
+            if frame.msg_type == tr.MSG_JOIN_ACK and not failed:
+                failed.append(channel)
+                channel._sock.shutdown(socket.SHUT_WR)  # so the send below fails
+            return send(channel, frame)
+
+        monkeypatch.setattr(tr.TcpChannel, "send", failing_first_ack)
+        thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
+        with pytest.raises(tr.ChannelClosed, match="^peer closed the channel$"):
+            federation.run_tcp_client(cfg, "b", "127.0.0.1", port)
+        ended = {}
+
+        def serve(name):
+            try:
+                federation.run_tcp_client(cfg, name, "127.0.0.1", port)
+            except Exception as err:
+                ended[name] = err
+
+        sites = [threading.Thread(target=serve, args=(name,)) for name in ("a", "b")]
+        for site in sites:
+            site.start()
+        for site in [*sites, thread]:
+            site.join(timeout=20)
+            assert not site.is_alive()
+        assert ended == {}
+        report = result["report"]
+        assert not report.aborted, report.abort_reason
+        refused = [who for _, kind, who in report.event_log if kind == "refused"]
+        assert refused == ["ProtocolError: client 'b' failed: send failed: Broken pipe"]
+        joined = [who for _, kind, who in report.event_log if kind == "join"]
+        assert sorted(joined) == ["a", "b"]
 
     def faulty_second_site(self, fault):
         """Run a TCP coordinator whose first site sends a good update and whose

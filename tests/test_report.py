@@ -1,10 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from privfed.config import load_config
-from privfed.federation import run_simulation
+from privfed.federation import run_central, run_simulation
 from privfed.metrics import MetricSet
 from privfed.report import (
     SUMMARY_COLUMNS,
@@ -37,6 +38,19 @@ class TestReportJson:
         paths = emit_report(report, tmp_path)
         back = load_report(paths["report"])
         assert back.to_dict() == report.to_dict()
+
+    def test_central_report_roundtrip(self, tmp_path):
+        cfg = load_config(
+            None, ["data.scale_factor=0.02", "central_epochs=1", "central_folds=3", "seed=3"]
+        )
+        report = run_central(cfg)
+        back = load_report(emit_report(report, tmp_path)["report"])
+        assert back.to_dict() == report.to_dict()
+        assert len(back.fold_params) == 3
+        for theta, want in zip(back.fold_params, report.fold_params):
+            assert theta.dtype == np.float64
+            assert theta.tobytes() == want.tobytes()
+        assert back.summary_row() == report.summary_row()
 
     def test_round_count_matches_config(self, small_run):
         report, cfg = small_run

@@ -1,3 +1,7 @@
+import contextlib
+import itertools
+import selectors
+import socket
 import struct
 import threading
 import time
@@ -5,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import ternary_code_bytes
 
 from privfed.errors import DecodeError
 from privfed.metrics import MetricSet
@@ -142,9 +147,12 @@ class TestBodyCodecs:
         released[[0, 7, 65]], released[[3, 9]] = 0.5, (-0.5, 0.125)  # one literal, 0.125
         dp = tr.UpdateBody(40, released, 0.25, 0.01, metrics, metrics)
         assert len(tr.encode_update(dp, "dp")) == 20 + 2 * 40 + 33 + 8
-        assert tr.ternary_code_bytes(released) == 25 + 8
-        chunks = tr.UpdateBody(40, [b"x" * 100], 0.25, 0.01, metrics, metrics)
-        assert len(tr.encode_update(chunks, "he")) == 20 + 2 * 40 + 4 + 8 + 100
+        assert ternary_code_bytes(released) == 25 + 8
+        chunks = tr.UpdateBody(40, [b"x" * 100, b"y" * 7], 0.25, 0.01, metrics, metrics)
+        assert len(tr.encode_update(chunks, "he")) == 20 + 2 * 40 + 4 + 2 * 8 + 107
+        # the decoder records each payload's size without its count fields
+        for body, mode, size in [(update, "plain", 88), (dp, "dp", 33), (chunks, "he", 107)]:
+            assert tr.decode_update(tr.encode_update(body, mode), mode).payload_bytes == size
         assert len(tr.encode_broadcast(tr.BroadcastBody(False, np.zeros(11)))) == 97
         he_broadcast = tr.BroadcastBody(False, [b"x" * 100], 4.0)
         assert len(tr.encode_broadcast(he_broadcast)) == 1 + 4 + 8 + 100 + 8
@@ -244,9 +252,10 @@ class TestTernaryCode:
     @settings(max_examples=400, deadline=None)
     def test_roundtrip_bitwise(self, values):
         body = ternary_body(values)
-        back = tr.decode_update(body, "dp").payload
-        assert back.tobytes() == values.tobytes()
-        assert len(body) == self.HEAD + 8 + tr.ternary_code_bytes(values)
+        back = tr.decode_update(body, "dp")
+        assert back.payload.tobytes() == values.tobytes()
+        assert len(body) == self.HEAD + 8 + ternary_code_bytes(values)
+        assert back.payload_bytes == ternary_code_bytes(values)
 
     @pytest.mark.parametrize("n", [11, 66, 67])
     def test_special_vectors_roundtrip_bitwise(self, n):
@@ -273,7 +282,7 @@ class TestTernaryCode:
         assert len(ternary_body(values)) - self.HEAD == 33
         values[[2, 4]] = (-0.0, 0.1)  # -0.0 is a literal unless c is 0
         assert len(ternary_body(values)) - self.HEAD == 33 + 16
-        assert tr.ternary_code_bytes(values) == 25 + 16
+        assert ternary_code_bytes(values) == 25 + 16
 
     def test_codes_are_packed_low_bits_first(self):
         body = ternary_body(np.array([0.0, 2.0, -2.0, 1.0, -2.0]))
@@ -417,3 +426,161 @@ class TestTcpChannel:
             listener.close()
             client.close()
         assert not thread.is_alive()
+
+
+def tcp_pair() -> tuple[socket.socket, tr.TcpChannel]:
+    """A plain sending socket and the ``TcpChannel`` that reads it, over
+    loopback TCP (``TcpChannel`` sets ``TCP_NODELAY``, which AF_UNIX lacks)."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        sender = socket.create_connection(server.getsockname())
+        conn, _ = server.accept()
+    return sender, tr.TcpChannel(conn)
+
+
+def error_text(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
+def received(chunks, max_body) -> list:
+    """What ``recv`` reads while a thread sends ``chunks``, one ``sendall``
+    each, and hangs up: the frames, then the error that ended the read."""
+    sender, channel = tcp_pair()
+
+    def send():
+        with contextlib.suppress(OSError), sender:  # the reader may stop early
+            for chunk in chunks:
+                sender.sendall(chunk)
+
+    thread = threading.Thread(target=send)
+    thread.start()
+    out = []
+    try:
+        while True:
+            out.append(channel.recv(timeout=5, max_body=max_body))
+    except (DecodeError, tr.ChannelClosed) as err:
+        out.append(error_text(err))
+    finally:
+        channel.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    return out
+
+
+def polled(chunks, max_body) -> list:
+    """What ``recv_ready`` returns when it is called after each of
+    ``chunks`` is sent, until it has no whole frame, and after the hang-up
+    until it raises: the frames, then that error."""
+    sender, channel = tcp_pair()
+    out = []
+    try:
+        for chunk in chunks:
+            sender.sendall(chunk)
+            while (frame := channel.recv_ready(max_body)) is not None:
+                out.append(frame)
+        sender.close()
+        with selectors.DefaultSelector() as selector:
+            selector.register(channel, selectors.EVENT_READ)
+            while True:
+                if (frame := channel.recv_ready(max_body)) is None:
+                    assert selector.select(5), "the hang-up never arrived"
+                else:
+                    out.append(frame)
+    except (DecodeError, tr.ChannelClosed) as err:
+        out.append(error_text(err))
+    finally:
+        sender.close()
+        channel.close()
+    return out
+
+
+def expected_reads(frames, max_body) -> list:
+    """The frames up to the first whose body exceeds ``max_body``, then
+    that frame's ``DecodeError`` or, if there is none, the clean hang-up."""
+    out = []
+    for frame in frames:
+        if len(frame.body) > max_body:
+            too_long = f"body of {len(frame.body)} bytes exceeds the {max_body}-byte limit"
+            return out + [f"DecodeError: {too_long}"]
+        out.append(frame)
+    return out + ["ChannelClosed: peer closed the channel"]
+
+
+FRAMES = st.builds(
+    tr.Frame,
+    st.sampled_from(sorted(tr._VALID_TYPES)),
+    st.integers(0, 2**32 - 1),
+    st.builds(
+        lambda n, k: bytes((k + 31 * i) % 256 for i in range(n)),
+        st.integers(0, 4096),
+        st.integers(0, 255),
+    ),
+)
+
+
+@st.composite
+def chunked_streams(draw):
+    """1-3 frames, their bytes cut into ``sendall`` chunks (one byte each,
+    or at arbitrary offsets), and a ``max_body`` at or below the largest body."""
+    frames = draw(st.lists(FRAMES, min_size=1, max_size=3))
+    stream = b"".join(map(tr.frame_encode, frames))
+    if draw(st.booleans()):
+        cuts = range(1, len(stream))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, len(stream) - 1), max_size=24)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+    largest = max(len(frame.body) for frame in frames)
+    max_body = draw(st.just(largest) | st.integers(0, largest))
+    return frames, chunks, max_body
+
+
+class TestTcpReader:
+    """``recv_ready`` is the channel's one reader and ``recv`` waits on it,
+    so both read any chunking of a stream alike."""
+
+    @given(chunked_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_recv_and_polled_recv_ready_read_alike(self, case):
+        frames, chunks, max_body = case
+        want = expected_reads(frames, max_body)
+        assert received(chunks, max_body) == want
+        assert polled(chunks, max_body) == want
+
+    def test_hang_up_at_every_offset(self):
+        frames = [tr.Frame(tr.MSG_UPDATE, 1, b"abc"), tr.Frame(tr.MSG_SHUTDOWN, 2)]
+        stream = b"".join(map(tr.frame_encode, frames))
+        ends = list(itertools.accumulate(len(tr.frame_encode(f)) for f in frames))
+        for offset in range(len(stream) + 1):
+            whole = [f for f, end in zip(frames, ends) if end <= offset]
+            at_boundary = offset in {0, *ends}
+            closed = "peer closed the channel" if at_boundary else "connection closed mid-frame"
+            want = whole + [f"ChannelClosed: {closed}"]
+            chunks = [stream[:offset]] if offset else []
+            assert received(chunks, tr.MAX_BODY) == want, offset
+            assert polled(chunks, tr.MAX_BODY) == want, offset
+
+    def test_zero_timeout_returns_a_frame_already_arrived(self):
+        sender, channel = tcp_pair()
+        frame = tr.Frame(tr.MSG_UPDATE, 2, bytes(100))
+        try:
+            sender.sendall(tr.frame_encode(frame))
+            with selectors.DefaultSelector() as selector:
+                selector.register(channel, selectors.EVENT_READ)
+                assert selector.select(5)
+            assert channel.recv(timeout=0) == frame
+            with pytest.raises(TimeoutError):
+                channel.recv(timeout=0)
+        finally:
+            sender.close()
+            channel.close()
+
+    def test_reset_peer_is_a_closed_channel(self):
+        # a peer that closes with unread data, or with SO_LINGER 0, sends a
+        # reset: the reader raises ChannelClosed, not ConnectionResetError
+        sender, channel = tcp_pair()
+        try:
+            sender.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sender.close()
+            with pytest.raises(tr.ChannelClosed, match="^receive failed: Connection reset"):
+                channel.recv(timeout=5)
+        finally:
+            channel.close()

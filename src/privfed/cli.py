@@ -113,9 +113,16 @@ def cmd_client(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
+    """Merge the reports' summary rows.  A report with no validation
+    metrics, an aborted run's, is named on stderr with its abort reason and
+    skipped, and the command then exits 1."""
+    rows, skipped = [], 0
     for path in args.reports:
         report = load_report(path)
+        if not report.site_metric_sets():
+            print(f"skipped {path}: no validation metrics, run aborted: {report.abort_reason}", file=sys.stderr)
+            skipped += 1
+            continue
         rows.append(report.summary_row())
     rows.sort(key=lambda r: (r["learner"], r["method"]))
     out_dir = args.out or "."
@@ -123,7 +130,7 @@ def cmd_report(args) -> int:
     path = os.path.join(out_dir, "summary.csv")
     write_summary_csv(rows, path)
     print(f"{len(rows)} runs -> {path}")
-    return 0
+    return 1 if skipped else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,6 +117,12 @@ class ExperimentConfig:
             raise ConfigError("dp settings given but privacy mode is not 'dp'")
         if self.privacy_mode != "he" and self.he is not None:
             raise ConfigError("he settings given but privacy mode is not 'he'")
+        if self.privacy_mode == "he" and self.he.fresh_level < 1:
+            # aggregation rescales a fresh ciphertext once, down one level
+            raise ConfigError(
+                "config key 'privacy.he.modulus_bits' needs at least 3 entries in mode 'he', "
+                f"got {list(self.he.modulus_bits)}"
+            )
         for key, test, meaning in RANGES:
             _check_range(key, getattr(self, key), test, meaning)
         if not isinstance(self.site_batch_sizes, dict):

@@ -91,7 +91,7 @@ class CohortDataset:
     ``features`` builds the whole float64 matrix from it.
     """
 
-    def __init__(self, features, labels, feature_names=None):
+    def __init__(self, features, labels):
         x = np.asarray(features, dtype=np.float64).reshape(-1, 10)
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         if x.shape[0] != labels.size:
@@ -100,29 +100,24 @@ class CohortDataset:
             raise ConfigError("non-finite feature values")
         if not np.all((labels == 0) | (labels == 1)):
             raise ConfigError("labels must be 0/1")
-        feature_names = list(feature_names or FEATURE_NAMES)
-        if len(feature_names) != 10:
-            raise ConfigError("need exactly 10 feature names")
         bit_cols = _binary_cols(x)
         self._assign(
             np.empty((len(x), 10 - len(bit_cols))),
             np.empty(len(x), dtype=np.uint16),
             labels.astype(np.uint8),
             bit_cols,
-            feature_names,
         )
         _encode(x, bit_cols, self.dense, self.codes)
 
-    def _assign(self, dense, codes, labels, bit_cols, feature_names):
-        self.dense, self.codes, self.labels = dense, codes, labels
-        self.bit_cols, self.feature_names = bit_cols, feature_names
+    def _assign(self, dense, codes, labels, bit_cols):
+        self.dense, self.codes, self.labels, self.bit_cols = dense, codes, labels, bit_cols
         self._dense_cols, self._table, self._table_cols = _layout(bit_cols)
 
     @classmethod
-    def _of(cls, dense, codes, labels, bit_cols, feature_names) -> "CohortDataset":
+    def _of(cls, dense, codes, labels, bit_cols) -> "CohortDataset":
         """Arrays taken from validated datasets: finite and 0/1 already."""
         ds = cls.__new__(cls)
-        ds._assign(dense, codes, labels, bit_cols, feature_names)
+        ds._assign(dense, codes, labels, bit_cols)
         return ds
 
     def __len__(self):
@@ -130,9 +125,7 @@ class CohortDataset:
 
     def __getitem__(self, rows: slice) -> "CohortDataset":
         """The rows of a slice, as a view of this dataset's arrays."""
-        return CohortDataset._of(
-            self.dense[rows], self.codes[rows], self.labels[rows], self.bit_cols, self.feature_names
-        )
+        return CohortDataset._of(self.dense[rows], self.codes[rows], self.labels[rows], self.bit_cols)
 
     def write_rows(self, rows, out, labels=None) -> np.ndarray:
         """Write the float64 rows that ``rows`` picks (a slice, or an index
@@ -168,7 +161,6 @@ class CohortDataset:
             self.codes.take(idx),
             self.labels.take(idx),
             self.bit_cols,
-            self.feature_names,
         )
 
     def class_counts(self) -> tuple[int, int]:
@@ -218,20 +210,19 @@ def _encode(x, bit_cols, dense, codes) -> None:
         codes += (x[:, j] != 0) * np.uint16(1 << k)
 
 
-def _allocate(n: int, bit_cols, feature_names) -> CohortDataset:
+def _allocate(n: int, bit_cols) -> CohortDataset:
     """A dataset of n unwritten rows in the layout of ``bit_cols``."""
     return CohortDataset._of(
         np.empty((n, 10 - len(bit_cols))),
         np.empty(n, dtype=np.uint16),
         np.empty(n, dtype=np.uint8),
         bit_cols,
-        list(feature_names),
     )
 
 
 def empty_generated(n: int) -> CohortDataset:
     """n unwritten rows in the generator's layout, for ``generate_site``'s ``out``."""
-    return _allocate(n, GENERATED_BIT_COLS, FEATURE_NAMES)
+    return _allocate(n, GENERATED_BIT_COLS)
 
 
 def _copy_rows(src: CohortDataset, dst: CohortDataset) -> None:
@@ -255,7 +246,7 @@ def concat_datasets(datasets) -> CohortDataset:
     every part stores it so."""
     datasets = list(datasets)
     bit_cols = tuple(c for c in datasets[0].bit_cols if all(c in d.bit_cols for d in datasets))
-    out = _allocate(sum(map(len, datasets)), bit_cols, datasets[0].feature_names)
+    out = _allocate(sum(map(len, datasets)), bit_cols)
     start = 0
     for part in datasets:
         _copy_rows(part, out[start : start + len(part)])
@@ -492,7 +483,7 @@ def write_csv(ds: CohortDataset, path) -> None:
     buf = np.empty((min(len(ds), BLOCK_ROWS), 10))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ds.feature_names + ["label"])
+        writer.writerow(FEATURE_NAMES + ["label"])
         for start in range(0, len(ds), BLOCK_ROWS):
             rows = slice(start, min(start + BLOCK_ROWS, len(ds)))
             x = ds.write_rows(rows, buf[: rows.stop - start])
@@ -502,7 +493,8 @@ def write_csv(ds: CohortDataset, path) -> None:
 
 def read_csv(path) -> CohortDataset:
     """A site from CSV: a header of 10 feature names and ``label``, then
-    one row per record.  Rows are parsed into one reused block of
+    one row per record.  The header's shape is checked but its names are
+    not kept; ``write_csv`` writes ``FEATURE_NAMES``.  Rows are parsed into one reused block of
     BLOCK_ROWS float64 rows, and each full block is encoded into a store
     sized by the file's line count, so beside the store only one block of
     float64 rows is held.  The store takes the layout of the first block and
@@ -536,26 +528,26 @@ def read_csv(path) -> CohortDataset:
             labels[m] = row[10] == "1"
             m += 1
             if m == len(block):
-                store = _store_block(store, block, labels, n, capacity, header[:10])
+                store = _store_block(store, block, labels, n, capacity)
                 n, m = n + m, 0
     if m:
-        store = _store_block(store, block[:m], labels[:m], n, capacity, header[:10])
+        store = _store_block(store, block[:m], labels[:m], n, capacity)
         n += m
     if n == 0:
         raise ParseError("no data rows")
     return store[:n]
 
 
-def _store_block(store, x, labels, start, capacity, feature_names) -> CohortDataset:
+def _store_block(store, x, labels, start, capacity) -> CohortDataset:
     """Encode the float64 rows ``x`` and their ``labels`` as rows ``start``
     on of ``store``, a dataset of ``capacity`` rows made here for the first
     block.  Returns the store, re-encoded first into a new one if ``x``
     breaks one of its binary columns."""
     bit_cols = _binary_cols(x)
     if store is None:
-        store = _allocate(capacity, bit_cols, feature_names)
+        store = _allocate(capacity, bit_cols)
     elif not set(store.bit_cols) <= set(bit_cols):
-        narrower = _allocate(capacity, tuple(c for c in store.bit_cols if c in bit_cols), feature_names)
+        narrower = _allocate(capacity, tuple(c for c in store.bit_cols if c in bit_cols))
         _copy_rows(store[:start], narrower[:start])
         store = narrower
     rows = slice(start, start + len(x))

@@ -422,22 +422,20 @@ class FederationServer:
 
     def _round_record(self, round_index, received, broadcast_at, agg_seconds):
         """``received`` maps each client id to its (UpdateBody, arrival time).
-        A client's ``payload_bytes`` is the decoder's: its update's values as
-        they travel, without their count fields."""
+        A client's record takes every field it shares with its UpdateBody by
+        name; ``payload_bytes`` is the decoder's: its update's values as they
+        travel, without their count fields."""
+        shared = {f.name for f in dataclasses.fields(tr.UpdateBody)}
+        shared &= {f.name for f in dataclasses.fields(ClientRoundRecord)}
         clients = []
         for client_id in self.cfg.site_names():
             update, arrival = received[client_id]
             clients.append(
                 ClientRoundRecord(
                     client_id=client_id,
-                    steps=update.steps,
                     weight=self.clients[client_id].weight,
-                    pre_metrics=update.pre_metrics,
-                    post_metrics=update.post_metrics,
-                    train_seconds=update.train_seconds,
-                    privacy_seconds=update.privacy_seconds,
-                    payload_bytes=update.payload_bytes,
                     arrival_offset_seconds=arrival - broadcast_at,
+                    **{name: getattr(update, name) for name in shared},
                 )
             )
         return RoundRecord(round_index, clients, agg_seconds)
@@ -511,7 +509,8 @@ class HePipeline:
     def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
         """The previous round's aggregate from its serialized c0 halves at
         their subring columns, whose c1 this site rebuilds from every site's
-        ``public_a``."""
+        ``public_a``.  Each half's header must give its chunk's fill
+        (``chunk_fills``), not merely a fill of the same subring width."""
         t0 = time.monotonic()
         if not (math.isfinite(self.weight_sum) and self.weight_sum > 0):
             raise LayoutError(f"the aggregate's weight sum {self.weight_sum} is not positive")
@@ -519,6 +518,9 @@ class HePipeline:
         if len(blobs) != len(fills):
             raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
         c0s = [deserialize_ct(blob, self.params, components=1, subring=True) for blob in blobs]
+        for index, (c0, fill) in enumerate(zip(c0s, fills)):
+            if c0.slot_fill != fill:
+                raise DecodeError(f"the aggregate's chunk {index} holds {c0.slot_fill} values, expected {fill}")
         per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(fills))
         chunks = [
             he_decode(he_decrypt(with_c1(c0, c1), self.keys))

@@ -40,6 +40,9 @@ TIMING_COLUMNS = [
     "payload_bytes",
 ]
 
+# the metadata that marks a field as wall-clock, which ``nontiming_view`` strips
+_WALL_CLOCK = {"wall_clock": True}
+
 
 @dataclass
 class ClientRoundRecord:
@@ -48,17 +51,38 @@ class ClientRoundRecord:
     weight: float
     pre_metrics: MetricSet  # global model, evaluated before local training
     post_metrics: MetricSet  # local model, evaluated after local training
-    train_seconds: float
-    privacy_seconds: float
+    train_seconds: float = field(metadata=_WALL_CLOCK)
+    privacy_seconds: float = field(metadata=_WALL_CLOCK)
     payload_bytes: int
-    arrival_offset_seconds: float
+    arrival_offset_seconds: float = field(metadata=_WALL_CLOCK)
 
 
 @dataclass
 class RoundRecord:
     round_index: int
     clients: list[ClientRoundRecord]
-    aggregation_seconds: float
+    aggregation_seconds: float = field(metadata=_WALL_CLOCK)
+
+
+# rounds.csv has one row per client per round: each column's name, and its
+# value in a round record r and one of its client records c
+ROUNDS_COLUMNS = [
+    ("round", lambda r, c: r.round_index),
+    ("client_id", lambda r, c: c.client_id),
+    ("steps", lambda r, c: c.steps),
+    ("weight", lambda r, c: c.weight),
+    ("pre_auc", lambda r, c: c.pre_metrics.auc),
+    ("pre_sensitivity", lambda r, c: c.pre_metrics.sensitivity),
+    ("pre_specificity", lambda r, c: c.pre_metrics.specificity),
+    ("post_auc", lambda r, c: c.post_metrics.auc),
+    ("post_sensitivity", lambda r, c: c.post_metrics.sensitivity),
+    ("post_specificity", lambda r, c: c.post_metrics.specificity),
+    ("train_seconds", lambda r, c: c.train_seconds),
+    ("privacy_seconds", lambda r, c: c.privacy_seconds),
+    ("payload_bytes", lambda r, c: c.payload_bytes),
+    ("arrival_offset_seconds", lambda r, c: c.arrival_offset_seconds),
+    ("aggregation_seconds", lambda r, c: r.aggregation_seconds),
+]
 
 
 @dataclass
@@ -88,10 +112,10 @@ class RunReport:
     fold_metrics: list[MetricSet] = field(default_factory=list)  # central runs
     fold_params: list[np.ndarray] = field(default_factory=list)  # central runs: each fold's final θ
     final_params: np.ndarray | None = None  # the final global θ
-    total_wall_seconds: float = 0.0
+    total_wall_seconds: float = field(default=0.0, metadata=_WALL_CLOCK)
     aborted: bool = False
     abort_reason: str | None = None
-    event_log: list[list] = field(default_factory=list)  # [t, kind, who]
+    event_log: list[list] = field(default_factory=list, metadata=_WALL_CLOCK)  # [t, kind, who]
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -105,33 +129,18 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        """The report whose ``to_dict`` is ``data``.  Each record is built
+        from its own dict by keyword, with only its metric sets, arrays and
+        nested records converted."""
         data = copy.deepcopy(data)
-        data["rounds"] = [
-            RoundRecord(
-                r["round_index"],
-                [
-                    ClientRoundRecord(
-                        c["client_id"],
-                        c["steps"],
-                        c["weight"],
-                        MetricSet(**c["pre_metrics"]),
-                        MetricSet(**c["post_metrics"]),
-                        c["train_seconds"],
-                        c["privacy_seconds"],
-                        c["payload_bytes"],
-                        c["arrival_offset_seconds"],
-                    )
-                    for c in r["clients"]
-                ],
-                r["aggregation_seconds"],
-            )
-            for r in data["rounds"]
-        ]
-        if data.get("cross_site") is not None:
-            data["cross_site"] = CrossSiteTable(
-                [SiteValidation(r["site"], MetricSet(**r["metrics"])) for r in data["cross_site"]["rows"]],
-                data["cross_site"]["summary"],
-            )
+        for r in data["rounds"]:
+            clients = [_metrics(c, "pre_metrics", "post_metrics") for c in r["clients"]]
+            r["clients"] = [ClientRoundRecord(**c) for c in clients]
+        data["rounds"] = [RoundRecord(**r) for r in data["rounds"]]
+        table = data.get("cross_site")
+        if table is not None:
+            table["rows"] = [SiteValidation(**_metrics(r, "metrics")) for r in table["rows"]]
+            data["cross_site"] = CrossSiteTable(**table)
         data["fold_metrics"] = [MetricSet(**m) for m in data.get("fold_metrics", [])]
         data["fold_params"] = [np.array(theta, dtype=np.float64) for theta in data.get("fold_params", [])]
         if data.get("final_params") is not None:
@@ -148,16 +157,16 @@ class RunReport:
         return [r.metrics for r in self.cross_site.rows]
 
     def totals(self) -> dict:
-        train = sum(c.train_seconds for r in self.rounds for c in r.clients)
-        privacy = sum(c.privacy_seconds for r in self.rounds for c in r.clients)
-        agg = sum(r.aggregation_seconds for r in self.rounds)
-        payload = sum(c.payload_bytes for r in self.rounds for c in r.clients)
-        return {
+        """``TIMING_COLUMNS``' figures: the run's wall time, the aggregation
+        time summed over rounds, and each client field over every client."""
+        clients = [c for r in self.rounds for c in r.clients]
+        whole = {
             "total_wall_seconds": self.total_wall_seconds,
-            "train_seconds": train,
-            "privacy_seconds": privacy,
-            "aggregation_seconds": agg,
-            "payload_bytes": payload,
+            "aggregation_seconds": sum(r.aggregation_seconds for r in self.rounds),
+        }
+        return {
+            key: whole[key] if key in whole else sum(getattr(c, key) for c in clients)
+            for key in TIMING_COLUMNS[2:]
         }
 
     def summary_row(self) -> dict:
@@ -168,13 +177,16 @@ class RunReport:
         return row
 
 
+def _metrics(record: dict, *keys) -> dict:
+    """``record`` with its ``keys`` rebuilt as metric sets."""
+    return {**record, **{key: MetricSet(**record[key]) for key in keys}}
+
+
 _TIMING_FIELDS = {
-    "train_seconds",
-    "privacy_seconds",
-    "arrival_offset_seconds",
-    "aggregation_seconds",
-    "total_wall_seconds",
-    "event_log",
+    f.name
+    for cls in (ClientRoundRecord, RoundRecord, RunReport)
+    for f in dataclasses.fields(cls)
+    if f.metadata.get("wall_clock")
 }
 
 
@@ -194,87 +206,39 @@ def nontiming_view(report_dict: dict) -> dict:
 def emit_report(run: RunReport, out_dir) -> dict[str, str]:
     """Write report.json, rounds.csv, summary.csv, timings.csv into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    paths["report"] = os.path.join(out_dir, "report.json")
+    paths = {
+        name: os.path.join(out_dir, name + ext)
+        for name, ext in [("report", ".json"), ("rounds", ".csv"), ("summary", ".csv"), ("timings", ".csv")]
+    }
     with open(paths["report"], "w") as fh:
         json.dump(run.to_dict(), fh, indent=1)
-
-    paths["rounds"] = os.path.join(out_dir, "rounds.csv")
-    with open(paths["rounds"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round",
-                "client_id",
-                "steps",
-                "weight",
-                "pre_auc",
-                "pre_sensitivity",
-                "pre_specificity",
-                "post_auc",
-                "post_sensitivity",
-                "post_specificity",
-                "train_seconds",
-                "privacy_seconds",
-                "payload_bytes",
-                "arrival_offset_seconds",
-                "aggregation_seconds",
-            ]
-        )
-        for rec in run.rounds:
-            for c in rec.clients:
-                writer.writerow(
-                    [
-                        rec.round_index,
-                        c.client_id,
-                        c.steps,
-                        repr(c.weight),
-                        repr(c.pre_metrics.auc),
-                        repr(c.pre_metrics.sensitivity),
-                        repr(c.pre_metrics.specificity),
-                        repr(c.post_metrics.auc),
-                        repr(c.post_metrics.sensitivity),
-                        repr(c.post_metrics.specificity),
-                        repr(c.train_seconds),
-                        repr(c.privacy_seconds),
-                        c.payload_bytes,
-                        repr(c.arrival_offset_seconds),
-                        repr(rec.aggregation_seconds),
-                    ]
-                )
-
-    paths["summary"] = os.path.join(out_dir, "summary.csv")
-    rows = [run.summary_row()] if run.site_metric_sets() else []
-    write_summary_csv(rows, paths["summary"])
-
-    paths["timings"] = os.path.join(out_dir, "timings.csv")
+    columns = [name for name, _ in ROUNDS_COLUMNS]
+    rows = ({name: value(r, c) for name, value in ROUNDS_COLUMNS} for r in run.rounds for c in r.clients)
+    _write_csv(paths["rounds"], columns, rows)
+    write_summary_csv([run.summary_row()] if run.site_metric_sets() else [], paths["summary"])
     write_timings_csv([run], paths["timings"])
     return paths
 
 
-def write_summary_csv(rows: list[dict], path) -> None:
+def _write_csv(path, columns: list[str], rows) -> None:
+    """A CSV of header ``columns`` and one line per dict of ``rows``, in
+    column order: a float cell as ``repr(float(v))``, so it re-parses to the
+    same float (a numpy float's own repr names its type), any other as is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [row["method"], row["learner"]]
-                + [repr(float(row[k])) for k in SUMMARY_COLUMNS[2:]]
-            )
+            writer.writerow([repr(float(row[k])) if isinstance(row[k], float) else row[k] for k in columns])
+
+
+def write_summary_csv(rows: list[dict], path) -> None:
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def write_timings_csv(reports: list[RunReport], path) -> None:
     """One row of ``totals()`` per report, in the order given."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_COLUMNS)
-        for run in reports:
-            totals = run.totals()
-            writer.writerow(
-                [run.method, run.learner]
-                + [repr(totals[k]) if isinstance(totals[k], float) else totals[k] for k in TIMING_COLUMNS[2:]]
-            )
+    rows = ({"method": run.method, "learner": run.learner, **run.totals()} for run in reports)
+    _write_csv(path, TIMING_COLUMNS, rows)
 
 
 def load_report(path) -> RunReport:

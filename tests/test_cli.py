@@ -134,6 +134,16 @@ class TestConfig:
         cfg = load_config(None, ["privacy.mode=he", "privacy.he.poly_degree=4096"])
         assert (cfg.he.poly_degree, cfg.he.modulus_bits, cfg.he.scale_log2) == (4096, (60, 40, 40), 40)
 
+    def test_he_chain_without_a_rescaling_level_rejected(self):
+        # a fresh ciphertext of a 2-entry chain is at level 0, so the first
+        # aggregation's rescale would fail after every site had trained
+        he = ["privacy.mode=he", "privacy.he.poly_degree=1024", "privacy.he.scale_log2=30"]
+        with pytest.raises(
+            ConfigError, match=r"'privacy.he.modulus_bits' needs at least 3 entries in mode 'he', got \[40, 30\]"
+        ):
+            load_config(None, [*he, "privacy.he.modulus_bits=[40,30]"])
+        assert load_config(None, [*he, "privacy.he.modulus_bits=[40,30,30]"]).he.fresh_level == 1
+
     def test_bad_dp_value_names_the_block(self):
         with pytest.raises(ConfigError, match="privacy.dp: epsilon must be positive"):
             load_config(None, ["privacy.mode=dp", "privacy.dp.epsilon=-1"])
@@ -269,6 +279,22 @@ class TestCliCommands:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["fedavg", "fedavg_dp", "fedavg_he"]
         assert all(r["learner"] == "lr" for r in rows)
+
+    def test_report_skips_an_aborted_run(self, tmp_path, capsys):
+        from privfed.report import RunReport, emit_report
+
+        assert main(["run-sim", *FAST, "--out", str(tmp_path / "done")]) == 0
+        reason = "RoundTimeoutError: round 0: no reply from 'gotland'"
+        aborted = RunReport("federated", "fedavg_dp", "lr", {}, aborted=True, abort_reason=reason)
+        emit_report(aborted, tmp_path / "aborted")
+        capsys.readouterr()
+        paths = [str(tmp_path / run / "report.json") for run in ("done", "aborted")]
+        assert main(["report", *paths, "--out", str(tmp_path / "merged")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"skipped {paths[1]}: no validation metrics, run aborted: {reason}\n"
+        with open(tmp_path / "merged" / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["fedavg"]
 
     def test_invalid_config_exits_nonzero(self, capsys):
         rc = main(["run-sim", "--set", "model=transformer"])

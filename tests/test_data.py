@@ -239,7 +239,6 @@ class TestCsv:
         back = read_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
-        assert back.feature_names == ds.feature_names
 
     def test_bad_label_names_row(self, tmp_path):
         ds = small_dataset(n=6, pos_frac=0.5, seed=14)

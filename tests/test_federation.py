@@ -556,6 +556,8 @@ def tampered_c0(fault: str, blob: bytes) -> bytes:
         "over_q0": lambda: blob[:-8] + b"\xff" * 8,
         # slot fill 40 packs more columns than the row holds
         "fill_vs_width": lambda: blob[:11] + struct.pack("<I", 40) + blob[15:],
+        # slot fill 16 packs the same 16 columns as 11, but is not the chunk's
+        "fill_same_width": lambda: blob[:11] + struct.pack("<I", 16) + blob[15:],
     }[fault]()
 
 
@@ -564,6 +566,7 @@ C0_REFUSALS = {
     "one_short": f"expected {c0_bytes(11)} bytes, got {c0_bytes(11) - 8}",
     "over_q0": "coefficient outside its prime modulus",
     "fill_vs_width": f"expected {c0_bytes(40)} bytes, got {c0_bytes(11)}",
+    "fill_same_width": "the aggregate's chunk 0 holds 16 values, expected 11",
 }
 
 
@@ -587,8 +590,8 @@ class TestSubringBroadcast:
     """A site refuses an encrypted broadcast whose c0 is not one row of its
     chunk's subring columns with every coefficient below q0: a whole row, a
     row one coefficient short, a coefficient at or above q0, or a header
-    slot fill that packs another width.  The run ends in a clean abort that
-    names the site."""
+    slot fill other than the chunk's, whether it packs another width or the
+    same one.  The run ends in a clean abort that names the site."""
 
     @pytest.mark.parametrize("fault", list(C0_REFUSALS))
     def test_simulated_run_aborts_naming_the_site(self, fault, monkeypatch):

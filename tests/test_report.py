@@ -32,6 +32,38 @@ def small_run():
     return run_simulation(cfg), cfg
 
 
+@pytest.fixture(scope="module")
+def small_he_run():
+    cfg = load_config(
+        None,
+        [
+            "data.scale_factor=0.02",
+            "rounds=2",
+            "local_epochs=1",
+            "model=lr",
+            "seed=3",
+            "privacy.mode=he",
+            "privacy.he.poly_degree=1024",
+            "privacy.he.modulus_bits=[40,30,30]",
+            "privacy.he.scale_log2=30",
+        ],
+    )
+    return run_simulation(cfg), cfg
+
+
+def json_value(rnd: dict, client: dict, column: str):
+    """The report.json value that rounds.csv's ``column`` shows for
+    ``client`` of round ``rnd``."""
+    if column == "round":
+        return rnd["round_index"]
+    if column == "aggregation_seconds":
+        return rnd["aggregation_seconds"]
+    when, _, stat = column.partition("_")
+    if when in ("pre", "post"):
+        return client[f"{when}_metrics"][stat]
+    return client[column]
+
+
 class TestReportJson:
     def test_lossless_roundtrip(self, small_run, tmp_path):
         report, _ = small_run
@@ -102,6 +134,24 @@ class TestCsvViews:
         assert float(first["train_seconds"]) == rec.train_seconds
         assert int(first["payload_bytes"]) == rec.payload_bytes
 
+    @pytest.mark.parametrize("run", ["small_run", "small_he_run"])
+    def test_every_rounds_cell_reparses_to_its_json_value(self, run, request, tmp_path):
+        report, _ = request.getfixturevalue(run)
+        paths = emit_report(report, tmp_path)
+        with open(paths["report"]) as fh:
+            data = json.load(fh)
+        with open(paths["rounds"]) as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 15
+        want = [(rnd, client) for rnd in data["rounds"] for client in rnd["clients"]]
+        assert len(rows) == len(want) > 0
+        for row, (rnd, client) in zip(rows, want):
+            for column, cell in zip(header, row, strict=True):
+                value = json_value(rnd, client, column)
+                assert type(value)(cell) == value, (column, cell, value)
+                if isinstance(value, float):
+                    assert cell == repr(value), column
+
     def test_timings_csv_totals(self, small_run, tmp_path):
         report, _ = small_run
         paths = emit_report(report, tmp_path)
@@ -135,6 +185,23 @@ class TestNontimingView:
         assert "arrival_offset_seconds" not in text
         assert "event_log" not in text
         assert "pre_metrics" in text
+
+        def keys(obj):
+            if isinstance(obj, dict):
+                return set(obj) | {k for v in obj.values() for k in keys(v)}
+            if isinstance(obj, list):
+                return {k for v in obj for k in keys(v)}
+            return set()
+
+        # exactly the fields declared wall-clock, no more
+        assert keys(report.to_dict()) - keys(view) == {
+            "train_seconds",
+            "privacy_seconds",
+            "arrival_offset_seconds",
+            "aggregation_seconds",
+            "total_wall_seconds",
+            "event_log",
+        }
 
     def test_identical_runs_identical_views(self, small_run):
         report, cfg = small_run

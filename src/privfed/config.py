@@ -80,6 +80,17 @@ class DataConfig:
     def generator_spec(self, seed: int) -> GeneratorSpec:
         return GeneratorSpec(sites=self.sites, seed=seed, scale_factor=self.scale_factor)
 
+    def __post_init__(self):
+        if self.csv_dir is None:
+            # generated sites: the generator's own range and class-count
+            # rule, checked at load rather than first inside a run
+            try:
+                self.generator_spec(seed=0)
+            except (ConfigError, TypeError) as err:
+                raise ConfigError(
+                    f"config key 'data.scale_factor' is {self.scale_factor!r}: {err}"
+                ) from None
+
 
 @dataclass
 class ExperimentConfig:

@@ -25,9 +25,9 @@ Three privacy modes share the loop; each site applies its own mechanism:
   output is almost all exact zeros and ±γ·steps.
 - he: deltas are packed, encrypted, and summed under CKKS; the server holds
   no key and only ciphertexts after round 0.  Each ciphertext's c1 = a is
-  public (``public_a``), and a chunk's values lie in the subring columns of
-  its sparse packing, so the server broadcasts only the aggregate's c0 at
-  those columns and its Σw; every client rebuilds the aggregate's c1 from
+  public (``public_a``), and a chunk's values lie in its first ``fill``
+  coefficients, so the server broadcasts only the aggregate's c0 at those
+  columns and its Σw; every client rebuilds the aggregate's c1 from
   the sites' public ``a``s (``aggregate_c1``), decrypts, and applies the
   update to its own copy of the global model.  The server never sees
   plaintext parameters after initialization.
@@ -69,8 +69,8 @@ from .he import (
     pack_update,
     sample_a,
     serialize_ct,
-    subring,
     unpack_update,
+    value_columns,
     with_c1,
 )
 from .learners import N_PARAMS, ModelKind, TrainConfig, init_params, predict_batch, train_local
@@ -134,7 +134,7 @@ def _sum_and_rescale(per_client_chunks: list[list[Ciphertext]], weight_sum: floa
 
 
 def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> list[Ciphertext]:
-    """The aggregate's c0 of each chunk at its subring columns: the clients'
+    """The aggregate's c0 of each chunk at its value columns: the clients'
     c0 halves, cut to those columns, summed and scaled by 1/sum w.  Its c1
     is left to each site (``aggregate_c1``)."""
     if not per_client_chunks:
@@ -142,7 +142,8 @@ def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> l
     if len(weights) != len(per_client_chunks):
         raise LayoutError("weights and updates differ in count")
     c0s = [
-        [subring(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts] for cts in per_client_chunks
+        [value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
+        for cts in per_client_chunks
     ]
     return _sum_and_rescale(c0s, float(sum(weights)))
 
@@ -174,18 +175,14 @@ def public_a(
 
 
 def aggregate_c1(
-    params: CkksParams, per_client_a: list[list[np.ndarray]], weight_sum: float, slot_fills: list[int]
+    params: CkksParams, per_client_a: list[list[np.ndarray]], weight_sum: float
 ) -> list[Ciphertext]:
     """The aggregate's c1 of each chunk, which the coordinator does not send:
     the clients' public ``a`` rows summed and scaled as ``aggregate_encrypted``
-    sums and scales their c0, but whole.  A c1 half carries the slot fill of
-    the chunk it belongs to, ``slot_fills[chunk]``, so that it joins only a
-    c0 of that chunk's sparse width."""
+    sums and scales their c0, but whole.  A c1 half carries no values, so
+    its slot fill is 0; ``with_c1`` takes the fill from c0."""
     level, scale = params.fresh_level, params.scale
-    halves = [
-        [Ciphertext(a[None], level, scale, fill, params) for a, fill in zip(rows, slot_fills)]
-        for rows in per_client_a
-    ]
+    halves = [[Ciphertext(a[None], level, scale, 0, params) for a in rows] for rows in per_client_a]
     return _sum_and_rescale(halves, weight_sum)
 
 
@@ -203,7 +200,7 @@ def aggregate_serialized(
     ⌈length / (N/2)⌉, are not at fresh level and scale, do not hold the
     ``chunk_fills`` of ``length``, or whose c1 is not its ``public_a`` of
     run ``seed`` aborts with its name.  Returns the aggregate's serialized
-    c0 halves at their subring columns.  Needs no key."""
+    c0 halves at their value columns.  Needs no key."""
     fills = chunk_fills(length, params)
     n_chunks = len(fills)
     fresh_level = params.fresh_level
@@ -508,23 +505,23 @@ class HePipeline:
 
     def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
         """The previous round's aggregate from its serialized c0 halves at
-        their subring columns, whose c1 this site rebuilds from every site's
+        their value columns, whose c1 this site rebuilds from every site's
         ``public_a``.  Each half's header must give its chunk's fill
-        (``chunk_fills``), not merely a fill of the same subring width."""
+        (``chunk_fills``), even where its row is that long."""
         t0 = time.monotonic()
         if not (math.isfinite(self.weight_sum) and self.weight_sum > 0):
             raise LayoutError(f"the aggregate's weight sum {self.weight_sum} is not positive")
         fills = chunk_fills(length, self.params)
         if len(blobs) != len(fills):
             raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
-        c0s = [deserialize_ct(blob, self.params, components=1, subring=True) for blob in blobs]
+        c0s = [deserialize_ct(blob, self.params, components=1, cut=True) for blob in blobs]
         for index, (c0, fill) in enumerate(zip(c0s, fills)):
             if c0.slot_fill != fill:
                 raise DecodeError(f"the aggregate's chunk {index} holds {c0.slot_fill} values, expected {fill}")
         per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(fills))
         chunks = [
             he_decode(he_decrypt(with_c1(c0, c1), self.keys))
-            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum, fills))
+            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum))
         ]
         flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
         return flat, time.monotonic() - t0

@@ -38,25 +38,22 @@ bootstrapping.  Representation choices:
   from the float sum of c_k * (2^(bk) / q), which is off by at most one,
   and the sum itself from wrapping uint64 arithmetic; the remainder then
   lies in [-q, 2q) and two conditional corrections bring it to [0, q).
-- Paired sparse packing (Cheon, Kim, Kim & Song, "Homomorphic Encryption
-  for Arithmetic of Approximate Numbers", ASIACRYPT 2017): a complex slot
-  holds two real values, value 2j in slot j's real part and value 2j+1 in
-  its imaginary part, so a chunk of ``fill`` values takes n' slots, the
-  next power of two >= ceil(fill/2).  They are encoded by the canonical
-  embedding of degree N' = 2n' and placed at coefficients k*N/N'
-  (``subring_width``), so the message lies in the subring Z[X^(N/N')].
-  ``decode`` reads those N' coefficients alone and returns the chunk's
-  ``fill`` values; an odd fill's last imaginary part is padding.  A full
-  chunk of N/2 values takes N/4 slots, so every chunk lies in a proper
-  subring.  The circuit's addition, real-scalar product and rescale act
-  on real and imaginary parts alike, and column by column, and decryption
-  adds c0 column by column, so a ciphertext's values depend on c0 only at
-  its subring columns: ``subring`` cuts a ciphertext to them, which is all
-  a party needs to aggregate c0, and ``with_c1`` rejoins such a c0 to a
-  full c1.
+- Coefficient packing: a chunk of ``fill`` values is its values times the
+  scale, rounded, in coefficients 0 to fill-1, and ``decode`` reads those
+  coefficients alone.  The circuit's addition, real-scalar product and
+  rescale all act coefficient by coefficient, so the canonical embedding
+  (Cheon, Kim, Kim & Song, ASIACRYPT 2017), whose slot-wise products and
+  rotations this circuit never uses, would only spread the values over a
+  power-of-two width.  Decryption adds c0 column by column, so a
+  ciphertext's values depend on c0 only at its first ``fill`` columns:
+  ``value_columns`` cuts a ciphertext to them, which is all a party needs
+  to aggregate c0, and ``with_c1`` rejoins such a c0 to a full c1.  A
+  chunk's coefficients past its fill are zero, so whole ciphertexts of
+  different fills add as if zero-padded.  A chunk holds N/2 values
+  (``slot_count``), which fixes how an update is cut into chunks.
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
-  them (primes, fields, embedding twiddles, limb tables, the wire hash).
+  them (primes, fields, limb tables, the wire hash).
   Its fields never build NTT twiddle tables.
 - Secret-key encryption: every client holds the cohort secret, so there is
   no public key.  A fresh ciphertext is (c0, c1) = (m + e - a*s, a) with a
@@ -128,7 +125,7 @@ class CkksParams:
 
     @property
     def slot_count(self) -> int:
-        """The values one chunk holds: N/2, packed two to a complex slot."""
+        """The values one chunk holds: N/2, one to a coefficient."""
         return self.poly_degree // 2
 
     @property
@@ -147,9 +144,9 @@ TEST_PARAMS = CkksParams(1024, (40, 30, 30), 30)
 
 
 class _Context:
-    """Derived per-params state: primes, fields, embedding twiddles, the
-    secret product's tables, and the 8-byte parameter hash that heads every
-    serialized ciphertext."""
+    """Derived per-params state: primes, fields, the secret product's
+    tables, and the 8-byte parameter hash that heads every serialized
+    ciphertext."""
 
     def __init__(self, params: CkksParams):
         self.params = params
@@ -162,11 +159,6 @@ class _Context:
         # level_fields[l]: primes 0..l; prime_fields[i]: prime i alone (views)
         self.level_fields = [field.select(0, level + 1) for level in range(count)]
         self.prime_fields = [field.select(i, i + 1) for i in range(count)]
-        t = np.arange(n)
-        # encode's fft side and decode's ifft side; every (N/N')th entry is
-        # the embedding of degree N'
-        self.embed_fwd = np.exp(-1j * np.pi * t / n)
-        self.embed_inv = np.exp(1j * np.pi * t / n)
         # the secret product splits prime i's row into the limbs limb_rows[i]
         # (rows of one limb axis over all primes), bits limb_shift[j] and up,
         # and recombines them with limb_ratio[j] = 2^limb_shift[j] / q
@@ -213,7 +205,7 @@ class PlainPoly:
 @dataclass
 class Ciphertext:
     # (2, level+1, N) uint64: c0 and c1, coefficient form; (1, ...) for c0
-    # or c1 alone; N' columns, not N, once cut to its subring (``subring``)
+    # or c1 alone; slot_fill columns, not N, once cut (``value_columns``)
     comps: np.ndarray
     level: int
     scale: float
@@ -312,32 +304,18 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
     return KeyPair(_secret_spectrum(ctx, _sample_ternary(rng, params.poly_degree)), params)
 
 
-def subring_width(slot_fill: int) -> int:
-    """N' = 2n': the coefficients a chunk of ``slot_fill`` values occupies,
-    n' being the complex slots they take, two values to a slot: the next
-    power of two >= ceil(``slot_fill``/2), at least 1.  They lie N/N'
-    apart, from coefficient 0."""
-    return 2 << (max(slot_fill - 1, 0) // 2).bit_length()
-
-
 def encode(values, params: CkksParams) -> PlainPoly:
-    """Canonical-embedding encode of a real vector into its n' sparse slots,
-    values 2j and 2j+1 as slot j's real and imaginary parts."""
+    """A real vector times the scale, rounded, in coefficients 0 to
+    len(values)-1."""
     ctx = _context(params)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size > params.slot_count:
         raise CapacityError(f"{values.size} values exceed the {params.slot_count} a chunk holds")
-    width = subring_width(values.size)
-    gap = params.poly_degree // width
-    z = np.zeros(width // 2, dtype=np.complex128)
-    z.view(np.float64)[: values.size] = values * params.scale
-    w = np.concatenate([z, np.conj(z)[::-1]])
-    coeffs = np.real(ctx.embed_fwd[::gap] * np.fft.fft(w)) / width
-    rounded = np.rint(coeffs)
-    if np.any(np.abs(rounded) >= 2**62):
-        raise CapacityError("encoded coefficients overflow the modulus headroom")
+    rounded = np.rint(values * params.scale)
+    if not np.all(np.abs(rounded) < 2**62):
+        raise CapacityError("encoded coefficients must be finite and below 2^62 in magnitude")
     message = np.zeros(params.poly_degree, dtype=np.int64)
-    message[::gap] = rounded
+    message[: values.size] = rounded
     level = params.fresh_level
     residues = ctx.level_fields[level].reduce_signed(message[None])
     return PlainPoly(residues, level, params.scale, values.size, params)
@@ -360,14 +338,10 @@ def _crt_centered(ctx: _Context, residue_rows: np.ndarray, level: int) -> np.nda
 
 
 def decode(pt: PlainPoly) -> np.ndarray:
-    """The ``slot_fill`` values of a plaintext, read from its subring
-    coefficients alone; inverse of encode up to encoding error."""
-    ctx = _context(pt.params)
-    width = subring_width(pt.slot_fill)
-    gap = pt.params.poly_degree // width
-    coeffs = _crt_centered(ctx, pt.residues[:, ::gap], pt.level)
-    slots = width * np.fft.ifft(coeffs * ctx.embed_inv[::gap])[: width // 2]
-    return slots.view(np.float64)[: pt.slot_fill] / pt.scale
+    """The ``slot_fill`` values of a plaintext, read from its first
+    ``slot_fill`` coefficients alone; inverse of encode up to its rounding."""
+    coeffs = _crt_centered(_context(pt.params), pt.residues[:, : pt.slot_fill], pt.level)
+    return coeffs / pt.scale
 
 
 def sample_a(params: CkksParams, rng: np.random.Generator) -> np.ndarray:
@@ -407,55 +381,41 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> PlainPoly:
     if key.params != ct.params:
         raise StateError("ciphertext/key parameter mismatch")
     if ct.comps.shape[-1] != ct.params.poly_degree:
-        raise StateError("a ciphertext cut to its subring columns does not decrypt: c1 must be whole")
+        raise StateError("a ciphertext cut to its value columns does not decrypt: c1 must be whole")
     ctx = _context(ct.params)
     field = ctx.level_fields[ct.level]
     residues = field.add(ct.c0, _mul_secret(ctx, ct.c1, key.secret))
     return PlainPoly(residues, ct.level, ct.scale, ct.slot_fill, ct.params)
 
 
-def _check_same_slots(a: Ciphertext, b: Ciphertext) -> None:
-    """Operands of one circuit must share a sparse width: a fill-16
-    operand added to a fill-100 one would decode as copies of its 16
-    values, every other copy reversed and conjugated, in values 16-99, not
-    as zeros."""
-    if subring_width(a.slot_fill) != subring_width(b.slot_fill):
-        raise StateError(
-            f"slot fills {a.slot_fill} and {b.slot_fill} pack {subring_width(a.slot_fill)} "
-            f"and {subring_width(b.slot_fill)} coefficients"
-        )
-
-
 def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Homomorphic addition; operands must agree in params, level, scale,
-    sparse width and shape."""
+    """Homomorphic addition; operands must agree in params, level, scale
+    and shape.  Whole operands of different fills add as if zero-padded."""
     if a.params != b.params:
         raise StateError("parameter mismatch")
     if a.level != b.level:
         raise StateError(f"level mismatch: {a.level} vs {b.level}")
     if not math.isclose(a.scale, b.scale, rel_tol=1e-12):
         raise StateError(f"scale mismatch: {a.scale} vs {b.scale}")
-    _check_same_slots(a, b)
     if a.comps.shape != b.comps.shape:
         raise StateError(f"component shapes differ: {a.comps.shape} vs {b.comps.shape}")
     comps = _context(a.params).level_fields[a.level].add(a.comps, b.comps)
     return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params)
 
 
-def subring(ct: Ciphertext) -> Ciphertext:
-    """``ct`` at its subring columns only, the N' coefficients ``decode``
-    reads: all a party needs to add, scale and rescale c0."""
-    gap = ct.params.poly_degree // subring_width(ct.slot_fill)
-    return dataclasses.replace(ct, comps=np.ascontiguousarray(ct.comps[..., ::gap]))
+def value_columns(ct: Ciphertext) -> Ciphertext:
+    """``ct`` at its first ``slot_fill`` columns only, the coefficients
+    ``decode`` reads: all a party needs to add, scale and rescale c0."""
+    return dataclasses.replace(ct, comps=np.ascontiguousarray(ct.comps[..., : ct.slot_fill]))
 
 
 def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
     """The ciphertext (c0, c1) of two one-component halves, which must agree
-    in params, level, scale and sparse width; ``c0`` gives its slot fill.
-    ``c1`` is whole.  ``c0`` may be cut to its subring columns
-    (``subring``); its other columns are then zero, which changes no
-    decoded value, as decryption adds c0 column by column and ``decode``
-    reads the subring columns alone."""
+    in params, level and scale; ``c0`` gives its slot fill.  ``c1`` is
+    whole.  ``c0`` may be cut to its value columns (``value_columns``); its
+    other columns are then zero, which changes no decoded value, as
+    decryption adds c0 column by column and ``decode`` reads the value
+    columns alone."""
     if c0.params != c1.params:
         raise StateError("parameter mismatch")
     if (c0.level, c0.scale) != (c1.level, c1.scale):
@@ -463,12 +423,11 @@ def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
             f"c0 is at level {c0.level}, scale {c0.scale:.0f}; "
             f"c1 at level {c1.level}, scale {c1.scale:.0f}"
         )
-    _check_same_slots(c0, c1)
-    n, width = c0.params.poly_degree, subring_width(c0.slot_fill)
-    if c1.comps.shape[-1] != n or c0.comps.shape[-1] not in (n, width):
-        raise StateError(f"c0 has {c0.comps.shape[-1]} columns, c1 {c1.comps.shape[-1]}")
+    n, width = c0.params.poly_degree, c0.comps.shape[-1]
+    if c1.comps.shape[-1] != n or width not in (n, c0.slot_fill):
+        raise StateError(f"c0 has {width} columns, c1 {c1.comps.shape[-1]}")
     comps = np.zeros((2, c0.level + 1, n), dtype=np.uint64)
-    comps[0][:, :: n // c0.comps.shape[-1]] = c0.comps[0]
+    comps[0][:, :width] = c0.comps[0]
     comps[1] = c1.comps[0]
     return Ciphertext(comps, c0.level, c0.scale, c0.slot_fill, c0.params)
 
@@ -537,9 +496,9 @@ def unpack_update(chunks, length: int) -> np.ndarray:
 def serialize_ct(ct: Ciphertext) -> bytes:
     """Wire format: 15-byte header (params hash, level, log2 scale, slot fill)
     followed by the RNS rows, component-major, little-endian u64: N
-    coefficients each, or N' once cut to the subring.  The header counts
-    neither the components nor the columns: the reader says which form it
-    expects."""
+    coefficients each, or the slot fill once cut to its value columns.  The
+    header counts neither the components nor the columns: the reader says
+    which form it expects."""
     scale_log2 = math.log2(ct.scale)
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
@@ -548,11 +507,11 @@ def serialize_ct(ct: Ciphertext) -> bytes:
 
 
 def deserialize_ct(
-    data: bytes, params: CkksParams, components: int = 2, subring: bool = False
+    data: bytes, params: CkksParams, components: int = 2, cut: bool = False
 ) -> Ciphertext:
     """The ciphertext of ``components`` components that ``data`` holds,
-    whole or, if ``subring``, cut to the subring columns of its header's
-    slot fill (``subring_width``)."""
+    whole or, if ``cut``, cut to the value columns of its header's slot
+    fill (``value_columns``)."""
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
@@ -565,7 +524,7 @@ def deserialize_ct(
         raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
     if slot_fill > params.slot_count:
         raise DecodeError(f"slot fill {slot_fill} exceeds the {params.slot_count} values a chunk holds")
-    width = subring_width(slot_fill) if subring else params.poly_degree
+    width = slot_fill if cut else params.poly_degree
     expected = _HEADER.size + components * (level + 1) * width * 8
     if len(data) != expected:
         raise DecodeError(f"expected {expected} bytes, got {len(data)}")

@@ -171,6 +171,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(None, [override])
 
+    @pytest.mark.parametrize(
+        "scale, reason",
+        [
+            (0.0, r"scale_factor must be in \(0, 1\]"),
+            (0.0001, "site 'ostergotland': scaled class count 9 < 10"),
+            (1.5, r"scale_factor must be in \(0, 1\]"),
+            (-1, r"scale_factor must be in \(0, 1\]"),
+        ],
+        ids=["zero", "too_few_rows", "above_one", "negative"],
+    )
+    def test_bad_scale_factor_rejected_at_load(self, scale, reason):
+        # generated sites take the generator's range and its rule of at
+        # least 10 rows per class; read from CSV, the scale is unused
+        with pytest.raises(ConfigError, match=f"config key 'data.scale_factor' is {scale}: {reason}"):
+            load_config(None, [f"data.scale_factor={scale}"])
+        assert load_config(None, [f"data.scale_factor={scale}", "data.csv_dir=sites"]).data.csv_dir == "sites"
+
     def test_duplicate_site_name_rejected(self):
         # the coordinator would admit one of the two and pool_sites draw the
         # same rows twice

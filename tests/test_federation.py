@@ -45,7 +45,6 @@ from privfed.he import (
     mul_scalar_rescale,
     sample_a,
     serialize_ct,
-    subring_width,
     with_c1,
 )
 from privfed.he import ckks
@@ -132,8 +131,8 @@ class TestAggregateEncrypted:
     def _aggregate(self, updates, weights, keys, size):
         """The decoded ``size`` values of the aggregate of ``updates``."""
         agg = aggregate_encrypted([chunks for chunks, _ in updates], weights)
-        (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)), [size])
-        assert agg[0].comps.shape == (1, 1, subring_width(size))  # c0 alone, at its subring columns
+        (c1,) = aggregate_c1(TEST_PARAMS, [a for _, a in updates], float(sum(weights)))
+        assert agg[0].comps.shape == (1, 1, size)  # c0 alone, at its value columns
         return decode(decrypt(with_c1(agg[0], c1), keys))
 
     def test_single_client_scalar_one_path(self, keys):
@@ -159,7 +158,7 @@ SITES = ["ostergotland", "sodermanland", "stockholm", "uppsala"]
 
 
 class TestC0Broadcast:
-    """The coordinator sends each site only the aggregate's c0 at its subring
+    """The coordinator sends each site only the aggregate's c0 at its value
     columns and Σw; the site rebuilds c1 from the sites' public ``a``s.  Both
     halves must equal those of the full two-component aggregation bit for
     bit, and so must the values the site decodes."""
@@ -195,7 +194,6 @@ class TestC0Broadcast:
             for i, (site, pipe, w) in enumerate(zip(SITES, pipelines, weights))
         }
         fills = ckks.chunk_fills(length, params)
-        widths = [subring_width(fill) for fill in fills]
         # the full aggregation: both components summed, then one rescale
         cts = [[deserialize_ct(blob, params) for blob in payloads[site]] for site in SITES]
         full = []
@@ -207,16 +205,15 @@ class TestC0Broadcast:
 
         c0_blobs = federation.aggregate_serialized(params, payloads, weights, length, seed, 0)
         per_site_a = federation.public_a(params, seed, 0, tuple(SITES), len(fills))
-        c1s = aggregate_c1(params, per_site_a, float(sum(weights)), fills)
-        assert len(c0_blobs) == len(c1s) == len(fills) == len(widths)
-        for blob, c1, ct, width in zip(c0_blobs, c1s, full, widths):
-            assert len(blob) == 15 + 8 * width  # one level-0 row of the subring columns
-            c0 = deserialize_ct(blob, params, components=1, subring=True)
-            gap = params.poly_degree // width
-            assert np.array_equal(c0.comps, ct.comps[:1, :, ::gap])
+        c1s = aggregate_c1(params, per_site_a, float(sum(weights)))
+        assert len(c0_blobs) == len(c1s) == len(fills)
+        for blob, c1, ct, fill in zip(c0_blobs, c1s, full, fills):
+            assert len(blob) == 15 + 8 * fill  # one level-0 row of the value columns
+            c0 = deserialize_ct(blob, params, components=1, cut=True)
+            assert np.array_equal(c0.comps, ct.comps[:1, :, :fill])
             assert np.array_equal(c1.comps, ct.comps[1:])
 
-        # decrypted whole, then read at the subring columns by decode
+        # decrypted whole, then read at the value columns by decode
         key = pipelines[0].keys
         want = np.concatenate([decode(decrypt(ct, key)) for ct in full])
         for pipe in pipelines:
@@ -530,7 +527,7 @@ class TestBroadcastForm:
         assert self.refusal(client, chunks_broadcast(0)) == "DecodeError: body truncated"
 
     def test_two_component_chunk_to_an_he_site(self):
-        # an HE broadcast carries the aggregate's c0 alone, at the subring
+        # an HE broadcast carries the aggregate's c0 alone, at the value
         # columns of LR's 11 values; a full ciphertext at level 0 is longer
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
@@ -543,21 +540,22 @@ class TestBroadcastForm:
 
 def c0_bytes(fill: int) -> int:
     """The bytes of a serialized level-0 c0 of slot fill ``fill`` at its
-    subring columns: the header and one row."""
-    return 15 + 8 * subring_width(fill)
+    value columns: the header and one row."""
+    return 15 + 8 * fill
 
 
 def tampered_c0(fault: str, blob: bytes) -> bytes:
-    """An LR aggregate's serialized c0 at its subring columns (N = 1024),
+    """An LR aggregate's serialized c0 at its value columns (N = 1024),
     made malformed."""
     return {
-        "full_width": lambda: blob + bytes(8 * (1024 - subring_width(11))),
+        "full_width": lambda: blob + bytes(8 * (1024 - 11)),
         "one_short": lambda: blob[:-8],
         "over_q0": lambda: blob[:-8] + b"\xff" * 8,
-        # slot fill 40 packs more columns than the row holds
+        # slot fill 40 names more columns than the row holds
         "fill_vs_width": lambda: blob[:11] + struct.pack("<I", 40) + blob[15:],
-        # slot fill 16 packs the same 16 columns as 11, but is not the chunk's
-        "fill_same_width": lambda: blob[:11] + struct.pack("<I", 16) + blob[15:],
+        # slot fill 16 with the row zero-padded to 16 columns: it reads
+        # back, but is not the chunk's fill
+        "fill_same_width": lambda: blob[:11] + struct.pack("<I", 16) + blob[15:] + bytes(8 * 5),
     }[fault]()
 
 
@@ -588,10 +586,10 @@ def tamper_round_1_broadcast(monkeypatch, site: str, fault: str) -> None:
 
 class TestSubringBroadcast:
     """A site refuses an encrypted broadcast whose c0 is not one row of its
-    chunk's subring columns with every coefficient below q0: a whole row, a
+    chunk's value columns with every coefficient below q0: a whole row, a
     row one coefficient short, a coefficient at or above q0, or a header
-    slot fill other than the chunk's, whether it packs another width or the
-    same one.  The run ends in a clean abort that names the site."""
+    slot fill other than the chunk's, whether the row is as long as that
+    fill or not.  The run ends in a clean abort that names the site."""
 
     @pytest.mark.parametrize("fault", list(C0_REFUSALS))
     def test_simulated_run_aborts_naming_the_site(self, fault, monkeypatch):

@@ -61,7 +61,7 @@ def report_fingerprint(overrides, run=run_simulation) -> str:
     [
         ("plain", "a93ff51c6a120dfc08a188149c50c2da8ebff415a8e2bf46e2c9ebed9d1a1ac2"),
         ("dp", "d9d95b7fb6d90daca459236423b70ef70ce0fe04cdeba07d35f08865a51a0c0d"),
-        ("he", "a94a5348720a3549a295d9595616b2fcf6e46dace3baafb341a3e0eeac6d41fc"),
+        ("he", "320a838c2344afaeb711f85a7ccbe7797e92c7266f220104c638a0f0e47b2596"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -74,7 +74,7 @@ def test_nontiming_fingerprint(mode, fingerprint):
     [
         ("plain", "8b22e849bd30b917f1a3b110b7cebf21118c1943722f5f522c17881f8d311500"),
         ("dp", "c3f8f33d2eee0d54d731afcff09816fd394b4abb805814d43706a57bb0ab89d0"),
-        ("he", "74577f5798961dd19b61da7b0ab11295f0d5fc0b2481792c8670f43442d7fa8d"),
+        ("he", "db72f33bd217bcb101fc3a2ab353a10166b11f89dd5ea079162d24b070ec3570"),
     ],
     ids=["plain", "dp", "he"],
 )
@@ -100,8 +100,8 @@ def test_central_nontiming_fingerprint(model, fingerprint):
 # update carries the ternary code of its 66 values, 33 bytes with the count
 # and 8 more per literal (7 literals in these 16 updates), where a plain one
 # carries 536 bytes of f64s.  An HE broadcast after round 0 carries one
-# level-0 c0 row of the chunk's subring columns, two values to a complex
-# slot: 128 for NN's 66 values, 16 for LR's 11.
+# level-0 c0 row of the chunk's value columns, one residue per value: 66
+# for NN, 11 for LR.
 PLAIN_WIRE = {
     "join": (4, 272),
     "join_ack": (4, 68),
@@ -111,8 +111,8 @@ PLAIN_WIRE = {
     "shutdown": (4, 68),
 }
 DP_WIRE = PLAIN_WIRE | {"update": (16, 2456)}
-HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 19448), "update": (16, 4196608), "round_done": (4, 2372)}
-HE_LR_WIRE = PLAIN_WIRE | {"broadcast": (20, 3352), "update": (16, 4196608), "round_done": (4, 612)}
+HE_WIRE = PLAIN_WIRE | {"broadcast": (20, 11512), "update": (16, 4196608), "round_done": (4, 2372)}
+HE_LR_WIRE = PLAIN_WIRE | {"broadcast": (20, 2712), "update": (16, 4196608), "round_done": (4, 612)}
 FRAME_NAMES = {
     tr.MSG_JOIN: "join",
     tr.MSG_JOIN_ACK: "join_ack",

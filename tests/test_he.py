@@ -431,8 +431,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "params, fresh, aggregate, decoded",
         [
-            (TEST_PARAMS, "60f6096e19085351", "b057e8857b69c600", "48bc44e896f9cd6b"),
-            (DEFAULT_PARAMS, "4edeba9d897922c8", "5a32cfce3f5c87f8", "bd797c285f8b0f9f"),
+            (TEST_PARAMS, "60744f08bc0001f4", "3c1edd81f4cb8c4c", "cd8fc3b1e318b3c4"),
+            (DEFAULT_PARAMS, "bbc4df3eb49d1770", "714d64e9bf28ce67", "60a2e59a1747f299"),
         ],
         ids=["test_params", "default_params"],
     )
@@ -496,53 +496,46 @@ class TestEncoding:
         assert np.abs(decode(encode(v, DEFAULT_PARAMS)) - v).max() < 1e-7
 
     def test_single_value_occupies_slot_zero(self):
-        # one or two values pack into slot 0 (n' = 1, N' = 2): the first as
-        # its real part, the second as its imaginary part
+        # value k lies in coefficient k alone, as its rounded multiple of
+        # the scale, and no other coefficient is set
+        scale = TEST_PARAMS.scale
+        field = _context(TEST_PARAMS).level_fields[TEST_PARAMS.fresh_level]
         for v in ([0.625], [0.625, -0.5]):
             pt = encode(v, TEST_PARAMS)
-            assert ckks.subring_width(pt.slot_fill) == 2
             out = decode(pt)
             assert out.shape == (len(v),)
             assert np.abs(out - v).max() < 1e-6
-        # the degree-2 embedding of z = 0.625 - 0.5i is m(X) = Re z + Im z * X
-        # at the root i of X^2 + 1, placed at columns 0 and N/2
-        scale = TEST_PARAMS.scale
-        field = _context(TEST_PARAMS).level_fields[TEST_PARAMS.fresh_level]
-        message = np.zeros(TEST_PARAMS.poly_degree, dtype=np.int64)
-        message[[0, TEST_PARAMS.poly_degree // 2]] = np.rint([0.625 * scale, -0.5 * scale])
-        assert np.array_equal(encode([0.625, -0.5], TEST_PARAMS).residues, field.reduce_signed(message[None]))
-
-    def test_subring_width_table(self):
-        # N' = 2n' for n' the next power of two >= ceil(fill / 2)
-        table = {1: 2, 2: 2, 3: 4, 11: 16, 66: 128, 4096: 4096}
-        assert {fill: ckks.subring_width(fill) for fill in table} == table
+            message = np.zeros(TEST_PARAMS.poly_degree, dtype=np.int64)
+            message[: len(v)] = np.rint(np.multiply(v, scale))
+            assert np.array_equal(pt.residues, field.reduce_signed(message[None]))
 
     @pytest.mark.parametrize(
         "fill, width", [(0, 2), (1, 2), (2, 2), (3, 4), (11, 16), (66, 128), (100, 128), (512, 512)]
     )
     def test_sparse_message_lies_in_the_subring(self, fill, width):
-        assert ckks.subring_width(fill) == width
+        # a message lies in its first ``fill`` coefficients, so read at the
+        # wider fill ``width`` it decodes to its values and then exact zeros
         v = np.random.default_rng(91).uniform(-1, 1, fill)
         pt = encode(v, TEST_PARAMS)
-        gap = TEST_PARAMS.poly_degree // width
-        off_subring = np.ones(TEST_PARAMS.poly_degree, dtype=bool)
-        off_subring[::gap] = False
-        assert not pt.residues[:, off_subring].any()
+        assert not pt.residues[:, fill:].any()
         out = decode(pt)
         assert out.shape == (fill,)
         assert np.allclose(out, v, rtol=0, atol=1e-7)
+        wide = decode(dataclasses.replace(pt, slot_fill=width))
+        assert wide[:fill].tobytes() == out.tobytes()
+        assert not wide[fill:].any()
 
     @pytest.mark.parametrize("fill", [1, 3, 11, 65, 511])
-    def test_odd_fill_pads_its_last_slot_with_zero(self, fill):
-        # the last slot's imaginary part is padding: read as one value more,
-        # at the same width, it decodes to zero
-        assert ckks.subring_width(fill + 1) == ckks.subring_width(fill)
+    def test_odd_fill_pads_its_last_slot_with_zero(self, keys, fill):
+        # whatever the fill's parity, a value read past it is exactly zero,
+        # in the plaintext, and up to the noise once encrypted
         v = np.random.default_rng(95).uniform(-1, 1, fill)
         pt = encode(v, TEST_PARAMS)
-        gap = TEST_PARAMS.poly_degree // ckks.subring_width(fill)
-        assert not np.delete(pt.residues, np.s_[::gap], axis=1).any()
         out = decode(dataclasses.replace(pt, slot_fill=fill + 1))
         assert np.abs(out[:fill] - v).max() < 1e-7
+        assert out[fill] == 0.0
+        ct = encrypt(pt, keys, np.random.default_rng(97))
+        out = decode(decrypt(dataclasses.replace(ct, slot_fill=fill + 1), keys))
         assert abs(out[fill]) < 1e-7
 
     @settings(max_examples=60, deadline=None)
@@ -556,31 +549,32 @@ class TestEncoding:
         assert out.shape == (fill,)
         assert np.abs(out - v).max() < 1e-4
 
-    def test_full_chunk_is_the_half_degree_embedding_of_value_pairs(self):
-        # N/2 values take n' = N/4 slots: the degree-N/2 canonical embedding
-        # of z_j = v_2j + i v_2j+1 at the even coefficients, bit for bit
-        # both ways
-        n, scale = DEFAULT_PARAMS.poly_degree // 2, DEFAULT_PARAMS.scale
+    def test_full_chunk_is_its_scaled_values_rounded(self):
+        # N/2 values take coefficients 0 to N/2 - 1, each rint(v * scale),
+        # and decode divides them by the scale, bit for bit both ways
+        scale = DEFAULT_PARAMS.scale
         v = np.random.default_rng(92).uniform(-1, 1, DEFAULT_PARAMS.slot_count)
         pt = encode(v, DEFAULT_PARAMS)
-        t = np.arange(n)
-        z = (v[0::2] + 1j * v[1::2]) * scale
-        w = np.concatenate([z, np.conj(z)[::-1]])
-        coeffs = np.rint(np.real(np.exp(-1j * np.pi * t / n) * np.fft.fft(w)) / n)
-        message = np.zeros(2 * n, dtype=np.int64)
-        message[::2] = coeffs
+        coeffs = np.rint(v * scale)
+        message = np.zeros(DEFAULT_PARAMS.poly_degree, dtype=np.int64)
+        message[: v.size] = coeffs
         field = _context(DEFAULT_PARAMS).level_fields[pt.level]
         assert np.array_equal(pt.residues, field.reduce_signed(message[None]))
-        slots = n * np.fft.ifft(coeffs * np.exp(1j * np.pi * t / n))[: n // 2]
-        want = np.stack([slots.real, slots.imag], axis=1).reshape(-1) / scale
-        assert decode(pt).tobytes() == want.tobytes()
+        assert decode(pt).tobytes() == (coeffs / scale).tobytes()
 
     def test_decode_reads_the_subring_columns_alone(self):
+        # decode reads the first ``fill`` coefficients and no other
         pt = encode(np.random.default_rng(93).uniform(-1, 1, 11), TEST_PARAMS)
         noisy = sample_a(TEST_PARAMS, np.random.default_rng(94))
-        gap = TEST_PARAMS.poly_degree // ckks.subring_width(11)
-        noisy[:, ::gap] = pt.residues[:, ::gap]
+        noisy[:, :11] = pt.residues[:, :11]
         assert decode(dataclasses.replace(pt, residues=noisy)).tobytes() == decode(pt).tobytes()
+
+    def test_overflow_and_non_finite_values_refused(self):
+        # 2^32 * 2^30 = 2^62 reaches the headroom; NaN compares false to
+        # every bound, so the check is written to refuse it too
+        for bad in (2.0**32, -(2.0**32), np.nan, np.inf):
+            with pytest.raises(CapacityError, match=r"finite and below 2\^62"):
+                encode([0.5, bad], TEST_PARAMS)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -692,35 +686,36 @@ class TestAdd:
             add(a, b)
 
     def test_different_sparse_widths_refused(self, keys):
-        # fills 16 and 100 pack different widths: their sum would decode as
-        # copies of the 16 values in values 16-99
+        # cut to their value columns, fills 16 and 100 hold different
+        # column counts, which add refuses; with_c1 refuses a cut c0 whose
+        # columns are not its fill
         rng = np.random.default_rng(17)
         a = encrypt(encode(np.ones(16), TEST_PARAMS), keys, rng)
         b = encrypt(encode(np.ones(100), TEST_PARAMS), keys, rng)
-        narrow, wide = ckks.subring_width(16), ckks.subring_width(100)
-        assert narrow < wide
-        with pytest.raises(StateError, match=f"slot fills 16 and 100 pack {narrow} and {wide} coefficients"):
-            add(a, b)
-        halves = [dataclasses.replace(ct, comps=ct.comps[k : k + 1]) for k, ct in enumerate((a, b))]
-        with pytest.raises(StateError, match=f"pack {narrow} and {wide}"):
-            with_c1(*halves)
+        cut_a, cut_b = (ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in (a, b))
+        with pytest.raises(StateError, match="component shapes differ"):
+            add(cut_a, cut_b)
+        c1 = dataclasses.replace(b, comps=b.comps[1:])
+        with pytest.raises(StateError, match="c0 has 16 columns"):
+            with_c1(dataclasses.replace(cut_a, slot_fill=100), c1)
 
     def test_same_sparse_width_adds(self, keys):
-        # fills 70 and 100 pack the same width; values 70-99 of the first
-        # are zeros
+        # whole operands of fills 16, 70 and 100 add as if zero-padded:
+        # each one's values past its fill are zeros
         rng = np.random.default_rng(18)
-        assert ckks.subring_width(70) == ckks.subring_width(100)
-        a = encrypt(encode(np.ones(70), TEST_PARAMS), keys, rng)
-        b = encrypt(encode(np.full(100, 0.5), TEST_PARAMS), keys, rng)
-        total = add(a, b)
+        cts = [
+            encrypt(encode(np.full(fill, x), TEST_PARAMS), keys, rng)
+            for fill, x in ((16, 1.0), (70, 0.5), (100, 0.25))
+        ]
+        total = add(add(cts[0], cts[1]), cts[2])
         assert total.slot_fill == 100
         out = decode(decrypt(total, keys))
-        assert np.abs(out - np.r_[np.full(70, 1.5), np.full(30, 0.5)]).max() < 1e-3
+        assert np.abs(out - np.r_[np.full(16, 1.75), np.full(54, 0.75), np.full(30, 0.25)]).max() < 1e-3
 
     def test_whole_and_subring_operands_refused(self, keys):
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(19))
         with pytest.raises(StateError, match="component shapes differ"):
-            add(ct, ckks.subring(ct))
+            add(ct, ckks.value_columns(ct))
         with pytest.raises(StateError, match="component shapes differ"):
             add(ct, dataclasses.replace(ct, comps=ct.comps[:1]))
 
@@ -748,31 +743,59 @@ class TestOneComponent:
 
     @pytest.mark.parametrize("fill", [1, 11, 66, 300, 512])
     def test_subring_c0_decodes_to_the_full_result(self, keys, fill):
+        # c0 summed and rescaled at its first ``fill`` columns alone, then
+        # rejoined to the whole c1, decodes as the whole aggregate does
         rng = np.random.default_rng(73)
         cts = [encrypt(encode(rng.uniform(-1, 1, fill), TEST_PARAMS), keys, rng) for _ in range(3)]
         full = mul_scalar_rescale(add(add(cts[0], cts[1]), cts[2]), 1 / 3)
-        part = [ckks.subring(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
+        part = [ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
         c0 = mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3)
-        width = ckks.subring_width(fill)
-        assert c0.comps.shape == (1, 1, width)
-        assert np.array_equal(c0.comps, full.comps[:1, :, :: TEST_PARAMS.poly_degree // width])
+        assert c0.comps.shape == (1, 1, fill)
+        assert np.array_equal(c0.comps, full.comps[:1, :, :fill])
         rejoined = with_c1(c0, dataclasses.replace(full, comps=full.comps[1:]))
         assert decode(decrypt(rejoined, keys)).tobytes() == decode(decrypt(full, keys)).tobytes()
 
     def test_serialized_subring_c0_reads_back_at_its_width(self, keys):
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(74))
-        c0 = ckks.subring(dataclasses.replace(ct, comps=ct.comps[:1]))
+        c0 = ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1]))
         blob = serialize_ct(c0)
-        assert len(blob) == 15 + 2 * ckks.subring_width(11) * 8  # two rows at fresh level 1
-        back = deserialize_ct(blob, TEST_PARAMS, components=1, subring=True)
+        assert len(blob) == 15 + 2 * 11 * 8  # two rows of 11 columns at fresh level 1
+        back = deserialize_ct(blob, TEST_PARAMS, components=1, cut=True)
         assert np.array_equal(back.comps, c0.comps)
         with pytest.raises(DecodeError, match="expected"):
             deserialize_ct(blob, TEST_PARAMS, components=1)
         whole_c0 = serialize_ct(dataclasses.replace(ct, comps=ct.comps[:1]))
         with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(whole_c0, TEST_PARAMS, components=1, subring=True)
+            deserialize_ct(whole_c0, TEST_PARAMS, components=1, cut=True)
         with pytest.raises(StateError, match="does not decrypt"):
-            decrypt(ckks.subring(ct), keys)
+            decrypt(ckks.value_columns(ct), keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fill=st.integers(1, TEST_PARAMS.slot_count),
+        rescale=st.booleans(),
+        other=st.integers(0, TEST_PARAMS.slot_count),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cut_c0_survives_the_wire(self, keys, fill, rescale, other, seed):
+        # encrypt, cut c0 to its value columns, serialize, read back,
+        # rejoin c1, decrypt and decode: the input comes back; the cut row
+        # is the header and fill residues per prime, and a header fill
+        # other than the row's length is refused
+        assume(other != fill)
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-1, 1, fill)
+        ct = encrypt(encode(v, TEST_PARAMS), keys, rng)
+        if rescale:
+            ct = mul_scalar_rescale(ct, 1.0)
+        blob = serialize_ct(ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])))
+        assert len(blob) == 15 + 8 * fill * (ct.level + 1)
+        c0 = deserialize_ct(blob, TEST_PARAMS, components=1, cut=True)
+        out = decode(decrypt(with_c1(c0, dataclasses.replace(ct, comps=ct.comps[1:])), keys))
+        assert np.abs(out - v).max() < 1e-6
+        relabelled = blob[:11] + struct.pack("<I", other) + blob[15:]
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(relabelled, TEST_PARAMS, components=1, cut=True)
 
     def test_serialized_c0_reads_back_as_one_component(self, keys):
         ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(72))
@@ -878,8 +901,8 @@ class TestPacking:
         assert len(pack_update(np.ones(4096), DEFAULT_PARAMS)) == 1
 
     def test_chunks_hold_n_over_2_values(self):
-        # two values share a slot, but a chunk still holds N/2 values: NN's
-        # 66 cut into two chunks at degree 128
+        # a chunk holds N/2 values, one to a coefficient: NN's 66 cut into
+        # two chunks at degree 128
         assert ckks.chunk_fills(66, CkksParams(128, (40, 30, 30), 30)) == [64, 2]
         assert ckks.chunk_fills(66, DEFAULT_PARAMS) == [66]
 

@@ -8,7 +8,8 @@ Schema (defaults in parentheses):
               dp:  {fraction, epsilon, noise_var, gamma, tau},
               he:  {poly_degree, modulus_bits, scale_log2}}
     rounds (250), local_epochs (20), learning_rate (0.01), l2_penalty (1e-4)
-    batch_size (20000), site_batch_sizes ({"stockholm": 100000})
+    batch_size (20000), site_batch_sizes ({"stockholm": 100000} if a site is
+    named stockholm, else {})
     threshold (0.5), train_frac (0.8)
     central_epochs (400), central_folds (10)
     data: {scale_factor (1.0), sites (the reference cohort), csv_dir (none)}
@@ -19,9 +20,11 @@ When privacy.mode is "dp" and no dp block is given, the reference per-learner
 configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
-rejected with its dotted name, as is a numeric value outside its range
-(``RANGES``).  Sites are read from ``<data.csv_dir>/<site>.csv`` when
-``data.csv_dir`` is set and generated otherwise.
+rejected with its dotted name, as is a numeric value of the wrong type (an
+integer setting given 2.5, any number given a bool) or outside its range
+(``RANGES``), a ``site_batch_sizes`` key that names no site, and an HE chain
+whose primes do not exist.  Sites are read from ``<data.csv_dir>/<site>.csv``
+when ``data.csv_dir`` is set and generated otherwise.
 
 This schema is the only spelling ``load_config`` reads, and ``to_dict`` writes
 it back, less the token, as the config echo of every report; so a report's
@@ -40,6 +43,7 @@ from .data import DEFAULT_SITES, GeneratorSpec, SiteSpec
 from .dp import SvtConfig
 from .errors import ConfigError
 from .he import DEFAULT_PARAMS, CkksParams
+from .he.ntt import generate_ntt_primes
 
 DEFAULT_TOKEN = "privfed-dev-token"
 
@@ -51,19 +55,21 @@ DP_DEFAULTS = {
 
 METHOD_NAMES = {"plain": "fedavg", "dp": "fedavg_dp", "he": "fedavg_he"}
 
-# (key, test, the range the test admits) of the numeric settings; a value
-# outside its range would otherwise fail only inside a client or a fold
+# (key, type, test, the range the test admits) of the numeric settings; a
+# value of another type or outside its range would otherwise fail only inside
+# a client or a fold, or run something other than what was asked
 RANGES = (
-    ("rounds", lambda v: v >= 0, "nonnegative"),
-    ("learning_rate", lambda v: v > 0, "positive"),
-    ("batch_size", lambda v: v >= 1, "at least 1"),
-    ("local_epochs", lambda v: v >= 0, "nonnegative"),
-    ("central_epochs", lambda v: v >= 0, "nonnegative"),
-    ("l2_penalty", lambda v: v >= 0, "nonnegative"),
-    ("threshold", lambda v: 0 <= v <= 1, "in [0, 1]"),
-    ("train_frac", lambda v: 0 < v < 1, "in (0, 1)"),
-    ("central_folds", lambda v: v >= 2, "at least 2"),
-    ("timeout_seconds", lambda v: v > 0, "positive"),
+    ("rounds", int, lambda v: v >= 0, "nonnegative"),
+    ("learning_rate", float, lambda v: v > 0, "positive"),
+    ("batch_size", int, lambda v: v >= 1, "at least 1"),
+    ("local_epochs", int, lambda v: v >= 0, "nonnegative"),
+    ("central_epochs", int, lambda v: v >= 0, "nonnegative"),
+    ("l2_penalty", float, lambda v: v >= 0, "nonnegative"),
+    ("threshold", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("train_frac", float, lambda v: 0 < v < 1, "in (0, 1)"),
+    ("central_folds", int, lambda v: v >= 2, "at least 2"),
+    ("timeout_seconds", float, lambda v: v > 0, "positive"),
+    ("seed", int, lambda v: True, "an integer"),
 )
 
 # the settings that decide what a site sends; every party of a run must agree
@@ -81,12 +87,16 @@ class DataConfig:
         return GeneratorSpec(sites=self.sites, seed=seed, scale_factor=self.scale_factor)
 
     def __post_init__(self):
+        _check_number("data.scale_factor", self.scale_factor, float)
+        for i, site in enumerate(self.sites):
+            for key in ("n_negative", "n_positive"):
+                _check_number(f"data.sites[{i}].{key}", getattr(site, key), int)
         if self.csv_dir is None:
             # generated sites: the generator's own range and class-count
             # rule, checked at load rather than first inside a run
             try:
                 self.generator_spec(seed=0)
-            except (ConfigError, TypeError) as err:
+            except ConfigError as err:
                 raise ConfigError(
                     f"config key 'data.scale_factor' is {self.scale_factor!r}: {err}"
                 ) from None
@@ -103,7 +113,7 @@ class ExperimentConfig:
     learning_rate: float = 0.01
     l2_penalty: float = 1e-4
     batch_size: int = 20000
-    site_batch_sizes: dict = field(default_factory=lambda: {"stockholm": 100000})
+    site_batch_sizes: dict | None = None  # None: the reference run's, for the cohort's sites
     threshold: float = 0.5
     train_frac: float = 0.8
     central_epochs: int = 400
@@ -128,27 +138,39 @@ class ExperimentConfig:
             raise ConfigError("dp settings given but privacy mode is not 'dp'")
         if self.privacy_mode != "he" and self.he is not None:
             raise ConfigError("he settings given but privacy mode is not 'he'")
-        if self.privacy_mode == "he" and self.he.fresh_level < 1:
-            # aggregation rescales a fresh ciphertext once, down one level
-            raise ConfigError(
-                "config key 'privacy.he.modulus_bits' needs at least 3 entries in mode 'he', "
-                f"got {list(self.he.modulus_bits)}"
-            )
-        for key, test, meaning in RANGES:
-            _check_range(key, getattr(self, key), test, meaning)
+        if self.privacy_mode == "he":
+            bits = list(self.he.modulus_bits)
+            if self.he.fresh_level < 1:
+                # aggregation rescales a fresh ciphertext once, down one level
+                raise ConfigError(
+                    f"config key 'privacy.he.modulus_bits' needs at least 3 entries in mode 'he', got {bits}"
+                )
+            try:
+                generate_ntt_primes(bits, self.he.poly_degree)
+            except ValueError as err:
+                raise ConfigError(f"config key 'privacy.he.modulus_bits' is {bits}: {err}") from None
+        if self.dp is not None:
+            for f in dataclasses.fields(self.dp):
+                _check_number(f"privacy.dp.{f.name}", getattr(self.dp, f.name), float)
+        for key, kind, test, meaning in RANGES:
+            _check_number(key, getattr(self, key), kind, test, meaning)
+        names = self.site_names()
+        if self.site_batch_sizes is None:
+            self.site_batch_sizes = {"stockholm": 100000} if "stockholm" in names else {}
         if not isinstance(self.site_batch_sizes, dict):
             raise ConfigError(
                 f"config key 'site_batch_sizes' must be an object, got {self.site_batch_sizes!r}"
             )
         for site, size in self.site_batch_sizes.items():
-            _check_range(f"site_batch_sizes.{site}", size, lambda v: v >= 1, "at least 1")
+            if site not in names:
+                raise ConfigError(f"config key 'site_batch_sizes.{site}' names no site of data.sites")
+            _check_number(f"site_batch_sizes.{site}", size, int, lambda v: v >= 1, "at least 1")
         if self.weighting not in ("unit", "examples"):
             raise ConfigError(f"unknown weighting {self.weighting!r}")
         if self.privacy_mode == "dp" and self.weighting == "examples":
             # the client scales its delta by n_train before the SVT filter,
             # so the per-step ±gamma clip would saturate
             raise ConfigError("privacy mode 'dp' needs weighting 'unit'")
-        names = self.site_names()
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"site {name!r} is listed more than once in data.sites")
@@ -161,7 +183,7 @@ class ExperimentConfig:
         return [s.name for s in self.data.sites]
 
     def batch_for(self, site: str) -> int:
-        return int(self.site_batch_sizes.get(site, self.batch_size))
+        return self.site_batch_sizes.get(site, self.batch_size)
 
     def session_digest(self) -> bytes:
         """The first 8 bytes of the SHA-256 of the canonical JSON of the
@@ -181,12 +203,13 @@ class ExperimentConfig:
         return {"model": out.pop("model"), "privacy": privacy, **out}
 
 
-def _check_range(key: str, value, test, meaning: str) -> None:
-    try:
-        ok = bool(test(value))
-    except TypeError:
-        ok = False
-    if not ok:
+def _check_number(key: str, value, kind: type, test=lambda v: True, meaning: str = "") -> None:
+    """Refuse ``value`` for ``key`` unless it is of ``kind`` (an int also
+    serves as a float, a bool as neither) and passes ``test``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    if not test(value):
         raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
 
 
@@ -207,11 +230,19 @@ def _field_names(cls) -> set[str]:
 
 
 def _make(cls, path: str, base: dict, raw: dict):
-    """``cls`` built from ``base`` with the ``raw`` block merged onto it."""
+    """``cls`` built from ``base`` with the ``raw`` block merged onto it.  A
+    ``ConfigError`` from ``cls`` whose message begins with an entry's name
+    (``CkksParams``'s do) is reraised naming that entry's dotted key."""
+    fields = {**base, **_block(raw, path, _field_names(cls))}
     try:
-        return cls(**{**base, **_block(raw, path, _field_names(cls))})
+        return cls(**fields)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
+    except ConfigError as err:
+        key, _, rest = str(err).partition(" ")
+        if key not in fields:
+            raise
+        raise ConfigError(f"config key '{path}.{key}' {rest}") from None
 
 
 def _build(raw: dict) -> ExperimentConfig:

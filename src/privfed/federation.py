@@ -58,6 +58,7 @@ from .he import (
     Ciphertext,
     CkksParams,
     add as he_add,
+    c0_row,
     chunk_fills,
     decode as he_decode,
     decrypt as he_decrypt,
@@ -70,12 +71,11 @@ from .he import (
     sample_a,
     serialize_ct,
     unpack_update,
-    value_columns,
     with_c1,
 )
 from .learners import N_PARAMS, ModelKind, TrainConfig, init_params, predict_batch, train_local
 from .metrics import MetricSet, evaluate_scores
-from .params import LayoutManifest, apply_update, check_finite, compute_delta
+from .params import check_finite
 from .report import (
     ClientRoundRecord,
     CrossSiteTable,
@@ -135,16 +135,13 @@ def _sum_and_rescale(per_client_chunks: list[list[Ciphertext]], weight_sum: floa
 
 def aggregate_encrypted(per_client_chunks: list[list[Ciphertext]], weights) -> list[Ciphertext]:
     """The aggregate's c0 of each chunk at its value columns: the clients'
-    c0 halves, cut to those columns, summed and scaled by 1/sum w.  Its c1
-    is left to each site (``aggregate_c1``)."""
+    ``c0_row``s summed and scaled by 1/sum w.  Its c1 is left to each site
+    (``aggregate_c1``)."""
     if not per_client_chunks:
         raise LayoutError("no encrypted updates to aggregate")
     if len(weights) != len(per_client_chunks):
         raise LayoutError("weights and updates differ in count")
-    c0s = [
-        [value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
-        for cts in per_client_chunks
-    ]
+    c0s = [[c0_row(ct) for ct in cts] for cts in per_client_chunks]
     return _sum_and_rescale(c0s, float(sum(weights)))
 
 
@@ -202,22 +199,20 @@ def aggregate_serialized(
     run ``seed`` aborts with its name.  Returns the aggregate's serialized
     c0 halves at their value columns.  Needs no key."""
     fills = chunk_fills(length, params)
-    n_chunks = len(fills)
-    fresh_level = params.fresh_level
-    expected_a = public_a(params, seed, round_index, tuple(payloads), n_chunks)
+    expected_a = public_a(params, seed, round_index, tuple(payloads), len(fills))
     per_client = []
     for (client_id, blobs), own_a in zip(payloads.items(), expected_a):
         try:
             cts = [deserialize_ct(blob, params) for blob in blobs]
         except DecodeError as err:
             raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
-        if len(cts) != n_chunks:
-            raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {n_chunks}")
+        if len(cts) != len(fills):
+            raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {len(fills)}")
         for ct, a, fill in zip(cts, own_a, fills):
-            if (ct.level, ct.scale) != (fresh_level, params.scale):
+            if (ct.level, ct.scale) != (params.fresh_level, params.scale):
                 raise ProtocolError(
                     f"client {client_id!r} sent a ciphertext at level {ct.level}, scale {ct.scale:.0f}; "
-                    f"a fresh one is at level {fresh_level}, scale {params.scale:.0f}"
+                    f"a fresh one is at level {params.fresh_level}, scale {params.scale:.0f}"
                 )
             if ct.slot_fill != fill:
                 raise ProtocolError(
@@ -361,9 +356,8 @@ class FederationServer:
         )
         wall_start = time.monotonic()
         global_params = init_params(self.kind, derive_seed(cfg.seed, "init"))
-        manifest = LayoutManifest.of(global_params)
         he_state: tuple[list[bytes], float] | None = None  # the serialized aggregate's c0s, Σw
-        length = manifest.total_length
+        length = global_params.size
 
         try:
             for round_index in range(cfg.rounds):
@@ -386,8 +380,7 @@ class FederationServer:
                     blobs = aggregate_serialized(cfg.he, payloads, weights, length, cfg.seed, round_index)
                     he_state = (blobs, float(sum(weights)))
                 else:
-                    mean_delta = aggregate_plain(list(payloads.values()), weights)
-                    global_params = apply_update(global_params, mean_delta, manifest)
+                    global_params = global_params + aggregate_plain(list(payloads.values()), weights)
                 agg_seconds = time.monotonic() - agg_t0
                 report.rounds.append(
                     self._round_record(round_index, received, broadcast_at, agg_seconds)
@@ -514,7 +507,7 @@ class HePipeline:
         fills = chunk_fills(length, self.params)
         if len(blobs) != len(fills):
             raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
-        c0s = [deserialize_ct(blob, self.params, components=1, cut=True) for blob in blobs]
+        c0s = [deserialize_ct(blob, self.params, row=True) for blob in blobs]
         for index, (c0, fill) in enumerate(zip(c0s, fills)):
             if c0.slot_fill != fill:
                 raise DecodeError(f"the aggregate's chunk {index} holds {c0.slot_fill} values, expected {fill}")
@@ -539,7 +532,6 @@ class FederationClient:
             self.he = HePipeline(cfg.he, cfg.seed, client_id, cfg.site_names())
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: np.ndarray | None = None
-        self.manifest = LayoutManifest(N_PARAMS[self.kind])
         self.next_round = 0
 
     def _evaluate(self, params: np.ndarray) -> MetricSet:
@@ -553,17 +545,17 @@ class FederationClient:
         the encrypted aggregate's c0 halves and its Σw."""
         encrypted = self.he is not None and frame.round > 0
         body = tr.decode_broadcast(frame.body, encrypted)
+        length = N_PARAMS[self.kind]
         if self.he is not None:
             self.he.round = frame.round
         if encrypted:
             self.he.weight_sum = body.weight_sum
-            delta, seconds = self.he.client_decode(body.payload, self.manifest.total_length)
-            self.global_params = apply_update(self.global_params, delta, self.manifest)
+            delta, seconds = self.he.client_decode(body.payload, length)
+            self.global_params = self.global_params + delta
             return body.final, seconds
-        if body.payload.size != self.manifest.total_length:
+        if body.payload.size != length:
             raise LayoutError(
-                f"broadcast carries {body.payload.size} values, {self.kind.value} expects "
-                f"{self.manifest.total_length}"
+                f"broadcast carries {body.payload.size} values, {self.kind.value} expects {length}"
             )
         self.global_params = body.payload
         return body.final, 0.0
@@ -616,7 +608,7 @@ class FederationClient:
         self.next_round += 1
         trained, stats = train_local(self.kind, self.global_params, self.train, train_cfg)
         post_metrics = self._evaluate(trained)
-        delta = compute_delta(trained, self.global_params)
+        delta = trained - self.global_params
         if cfg.weighting == "examples":
             delta = delta * self.weight
         payload = delta

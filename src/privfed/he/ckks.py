@@ -46,11 +46,13 @@ bootstrapping.  Representation choices:
   rotations this circuit never uses, would only spread the values over a
   power-of-two width.  Decryption adds c0 column by column, so a
   ciphertext's values depend on c0 only at its first ``fill`` columns:
-  ``value_columns`` cuts a ciphertext to them, which is all a party needs
-  to aggregate c0, and ``with_c1`` rejoins such a c0 to a full c1.  A
-  chunk's coefficients past its fill are zero, so whole ciphertexts of
-  different fills add as if zero-padded.  A chunk holds N/2 values
-  (``slot_count``), which fixes how an update is cut into chunks.
+  ``c0_row`` cuts c0 to them, all a party needs to aggregate c0, and
+  ``with_c1`` rejoins such a row to a whole c1.  A chunk's coefficients
+  past its fill are zero, so whole ciphertexts of different fills add as if
+  zero-padded.  ``chunk_fills`` cuts an update into chunks of N/2 values.
+- Two wire forms (``serialize_ct``, ``deserialize_ct``): a whole fresh
+  (c0, c1) pair, as a site sends its update, and one c0 row cut to its
+  header's fill (``c0_row``), as the coordinator broadcasts the aggregate.
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
   them (primes, fields, limb tables, the wire hash).
@@ -81,6 +83,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 import threading
@@ -109,19 +112,22 @@ _MAX_SCALE_LOG2 = 1023  # 2^1023 is the largest power of two a float64 holds
 
 @dataclass(frozen=True)
 class CkksParams:
+    """Integer entries (a bool is none); a refusal's message begins with the
+    entry's name.  The chain's primes are found at first use (``_context``)."""
+
     poly_degree: int
     modulus_bits: tuple[int, ...]
     scale_log2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "modulus_bits", tuple(int(b) for b in self.modulus_bits))
-        n = self.poly_degree
-        if n < 8 or n & (n - 1):
-            raise ConfigError("poly_degree must be a power of two >= 8")
-        if len(self.modulus_bits) < 2:
-            raise ConfigError("modulus chain needs at least 2 primes")
-        if not 1 <= self.scale_log2 <= self.modulus_bits[1]:
-            raise ConfigError("scale must fit within the second modulus size")
+        n, bits, scale_log2 = self.poly_degree, tuple(self.modulus_bits), self.scale_log2
+        object.__setattr__(self, "modulus_bits", bits)
+        if type(n) is not int or n < 8 or n & (n - 1):
+            raise ConfigError(f"poly_degree must be a power of two >= 8, got {n!r}")
+        if len(bits) < 2 or any(type(b) is not int or not 20 <= b <= 61 for b in bits):
+            raise ConfigError(f"modulus_bits must be at least 2 integers in [20, 61], got {list(bits)}")
+        if type(scale_log2) is not int or not 1 <= scale_log2 <= bits[1]:
+            raise ConfigError(f"scale_log2 must be an integer in [1, {bits[1]}], got {scale_log2!r}")
 
     @property
     def slot_count(self) -> int:
@@ -205,7 +211,7 @@ class PlainPoly:
 @dataclass
 class Ciphertext:
     # (2, level+1, N) uint64: c0 and c1, coefficient form; (1, ...) for c0
-    # or c1 alone; slot_fill columns, not N, once cut (``value_columns``)
+    # or c1 alone, and c0 cut to slot_fill columns by ``c0_row``
     comps: np.ndarray
     level: int
     scale: float
@@ -225,10 +231,6 @@ class Ciphertext:
 class KeyPair:
     secret: np.ndarray  # (N/2,) complex: the ternary secret's ``_secret_spectrum``
     params: CkksParams
-
-
-def _sample_ternary(rng, n: int) -> np.ndarray:
-    return rng.integers(-1, 2, n).astype(np.int64)
 
 
 def _sample_cbd(rng, n: int) -> np.ndarray:
@@ -301,7 +303,8 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> KeyPair:
     """Ternary secret, stored as its folded spectrum; deterministic for a
     given seed, so cohort members can derive the shared key locally."""
     ctx = _context(params)
-    return KeyPair(_secret_spectrum(ctx, _sample_ternary(rng, params.poly_degree)), params)
+    secret = rng.integers(-1, 2, params.poly_degree).astype(np.int64)
+    return KeyPair(_secret_spectrum(ctx, secret), params)
 
 
 def encode(values, params: CkksParams) -> PlainPoly:
@@ -403,17 +406,16 @@ def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     return Ciphertext(comps, a.level, a.scale, max(a.slot_fill, b.slot_fill), a.params)
 
 
-def value_columns(ct: Ciphertext) -> Ciphertext:
-    """``ct`` at its first ``slot_fill`` columns only, the coefficients
+def c0_row(ct: Ciphertext) -> Ciphertext:
+    """``ct``'s c0 at its first ``slot_fill`` columns alone, the coefficients
     ``decode`` reads: all a party needs to add, scale and rescale c0."""
-    return dataclasses.replace(ct, comps=np.ascontiguousarray(ct.comps[..., : ct.slot_fill]))
+    return dataclasses.replace(ct, comps=np.ascontiguousarray(ct.comps[:1, :, : ct.slot_fill]))
 
 
 def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
-    """The ciphertext (c0, c1) of two one-component halves, which must agree
-    in params, level and scale; ``c0`` gives its slot fill.  ``c1`` is
-    whole.  ``c0`` may be cut to its value columns (``value_columns``); its
-    other columns are then zero, which changes no decoded value, as
+    """The ciphertext (c0, c1) of a ``c0_row`` and a whole one-component c1,
+    which must agree in params, level and scale; ``c0`` gives its slot fill.
+    c0's columns past its fill are zero, which changes no decoded value, as
     decryption adds c0 column by column and ``decode`` reads the value
     columns alone."""
     if c0.params != c1.params:
@@ -424,7 +426,7 @@ def with_c1(c0: Ciphertext, c1: Ciphertext) -> Ciphertext:
             f"c1 at level {c1.level}, scale {c1.scale:.0f}"
         )
     n, width = c0.params.poly_degree, c0.comps.shape[-1]
-    if c1.comps.shape[-1] != n or width not in (n, c0.slot_fill):
+    if c1.comps.shape[-1] != n or width != c0.slot_fill:
         raise StateError(f"c0 has {width} columns, c1 {c1.comps.shape[-1]}")
     comps = np.zeros((2, c0.level + 1, n), dtype=np.uint64)
     comps[0][:, :width] = c0.comps[0]
@@ -463,31 +465,26 @@ def _rescale(ctx: _Context, ct: Ciphertext) -> Ciphertext:
 # -- update packing ----------------------------------------------------------
 
 
-def pack_update(flat: np.ndarray, params: CkksParams) -> list[np.ndarray]:
-    """Chunk a flat update into slot-sized pieces ready for encode/encrypt."""
-    flat = np.asarray(flat, dtype=np.float64).reshape(-1)
-    size = params.slot_count
-    if flat.size == 0:
-        return []
-    return [flat[i : i + size] for i in range(0, flat.size, size)]
-
-
 def chunk_fills(length: int, params: CkksParams) -> list[int]:
-    """The slot fill of each chunk ``pack_update`` cuts a ``length``-value
-    update into."""
+    """The slot fill of each chunk of a ``length``-value update: N/2 values
+    to a chunk, the last one holding the rest."""
     size = params.slot_count
     return [min(size, length - start) for start in range(0, length, size)]
 
 
+def pack_update(flat: np.ndarray, params: CkksParams) -> list[np.ndarray]:
+    """A flat update cut into its ``chunk_fills``, ready for encode/encrypt."""
+    flat = np.asarray(flat, dtype=np.float64).reshape(-1)
+    fills = chunk_fills(flat.size, params)
+    return [flat[end - fill : end] for fill, end in zip(fills, itertools.accumulate(fills))]
+
+
 def unpack_update(chunks, length: int) -> np.ndarray:
-    """Reassemble decrypted chunks and truncate the padding to ``length`` values."""
-    if chunks:
-        flat = np.concatenate([np.asarray(c, dtype=np.float64).reshape(-1) for c in chunks])
-    else:
-        flat = np.zeros(0, dtype=np.float64)
-    if flat.size < length:
+    """The ``length``-value update whose decoded chunks are ``chunks``."""
+    flat = np.concatenate([np.zeros(0), *chunks])
+    if flat.size != length:
         raise LayoutError(f"chunks carry {flat.size} values, the update has {length}")
-    return flat[:length]
+    return flat
 
 
 # -- serialization -----------------------------------------------------------
@@ -496,9 +493,9 @@ def unpack_update(chunks, length: int) -> np.ndarray:
 def serialize_ct(ct: Ciphertext) -> bytes:
     """Wire format: 15-byte header (params hash, level, log2 scale, slot fill)
     followed by the RNS rows, component-major, little-endian u64: N
-    coefficients each, or the slot fill once cut to its value columns.  The
-    header counts neither the components nor the columns: the reader says
-    which form it expects."""
+    coefficients each, or the slot fill for a ``c0_row``.  The header counts
+    neither the components nor the columns: the reader says which of the two
+    wire forms it expects (``deserialize_ct``)."""
     scale_log2 = math.log2(ct.scale)
     if scale_log2 != int(scale_log2) or not 0 < int(scale_log2) <= _MAX_SCALE_LOG2:
         raise StateError("only power-of-two scales serialize")
@@ -506,12 +503,10 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     return header + ct.comps.astype("<u8", copy=False).tobytes()
 
 
-def deserialize_ct(
-    data: bytes, params: CkksParams, components: int = 2, cut: bool = False
-) -> Ciphertext:
-    """The ciphertext of ``components`` components that ``data`` holds,
-    whole or, if ``cut``, cut to the value columns of its header's slot
-    fill (``value_columns``)."""
+def deserialize_ct(data: bytes, params: CkksParams, row: bool = False) -> Ciphertext:
+    """The ciphertext ``data`` holds in one of the two wire forms: a whole
+    (c0, c1) pair, as a site sends it, or, if ``row``, one c0 row cut to
+    its header's slot fill (``c0_row``), as the aggregate is broadcast."""
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
@@ -524,7 +519,7 @@ def deserialize_ct(
         raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
     if slot_fill > params.slot_count:
         raise DecodeError(f"slot fill {slot_fill} exceeds the {params.slot_count} values a chunk holds")
-    width = slot_fill if cut else params.poly_degree
+    components, width = (1, slot_fill) if row else (2, params.poly_degree)
     expected = _HEADER.size + components * (level + 1) * width * 8
     if len(data) != expected:
         raise DecodeError(f"expected {expected} bytes, got {len(data)}")

@@ -4,6 +4,12 @@ A model's parameters are one float64 vector θ in its learner's static layout
 (``learners.LAYOUTS``): tensors in declaration order, row-major within each.
 Updates, privacy filters, encryption packing and aggregation all work on
 vectors of that form, so the only layout fact left to check here is length.
+
+Only the benchmark harness under ``perfbench/`` uses this module's
+``LayoutManifest``, ``flatten``, ``unflatten``, ``compute_delta`` and
+``apply_update``: the round computes ``trained - θ`` and ``θ + Δ`` directly,
+each frame's length being checked where it is read.  The package itself
+uses only ``check_finite``.
 """
 
 from __future__ import annotations

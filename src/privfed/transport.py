@@ -227,19 +227,6 @@ def _unpack_ternary(r: _Reader) -> np.ndarray:
     return values
 
 
-def _pack_payload(payload) -> bytes:
-    """A broadcast's model: a list of ciphertext blobs as a chunk list,
-    anything else as f64s."""
-    return _pack_chunks(payload) if isinstance(payload, list) else _pack_f64(payload)
-
-
-def _unpack_payload(r: _Reader, encrypted: bool):
-    """The session fixes a payload's form, so no body names it: ciphertext
-    chunks when ``encrypted`` (an HE broadcast after round 0), else f64
-    values.  A body in the other form fails to decode."""
-    return _unpack_chunks(r) if encrypted else _unpack_f64(r)
-
-
 # An UPDATE payload's (pack, unpack) in each privacy mode: a plain delta as
 # f64s, a DP one as its ternary code, an HE one as ciphertext chunks.
 _UPDATE_FORMS = {
@@ -301,16 +288,22 @@ class BroadcastBody:
 
 
 def encode_broadcast(b: BroadcastBody) -> bytes:
-    weight_sum = b"" if b.weight_sum is None else struct.pack("<d", b.weight_sum)
-    return struct.pack("<B", int(b.final)) + _pack_payload(b.payload) + weight_sum
+    """θ as f64 values, or an HE aggregate (``weight_sum`` set) as its
+    chunks followed by its Σw."""
+    final = struct.pack("<B", int(b.final))
+    if b.weight_sum is None:
+        return final + _pack_f64(b.payload)
+    return final + _pack_chunks(b.payload) + struct.pack("<d", b.weight_sum)
 
 
 def decode_broadcast(body: bytes, encrypted: bool) -> BroadcastBody:
-    """``encrypted``: an HE broadcast after round 0, whose chunks are
-    followed by the aggregate's Σw."""
+    """The session fixes the payload's form, so no body names it:
+    ``encrypted`` for an HE broadcast after round 0, whose chunks are
+    followed by the aggregate's Σw.  A body in the other form fails to
+    decode."""
     r = _Reader(body)
     final = r.take_flag()
-    payload = _unpack_payload(r, encrypted)
+    payload = _unpack_chunks(r) if encrypted else _unpack_f64(r)
     weight_sum = struct.unpack("<d", r.take(8))[0] if encrypted else None
     r.done()
     return BroadcastBody(final, payload, weight_sum)

@@ -10,7 +10,7 @@ import pytest
 
 import privfed
 from privfed.cli import main
-from privfed.config import DataConfig, ExperimentConfig, load_config
+from privfed.config import RANGES, DataConfig, ExperimentConfig, load_config
 from privfed.errors import ConfigError
 
 FAST = [
@@ -39,6 +39,40 @@ OUT_OF_RANGE = [
     ("central_folds=1", "'central_folds' must be at least 2, got 1"),
     ("timeout_seconds=0", "'timeout_seconds' must be positive, got 0"),
 ]
+
+
+# (overrides, the dotted key the refusal names) of settings that once loaded
+# and then failed inside a run or ran something other than what was asked:
+# a non-integer or boolean number, a batch size for no site, and an HE block
+# whose chain has no primes
+HE = ["privacy.mode=he"]
+REFUSED_AT_LOAD = {
+    "rounds_fraction": (["rounds=2.5"], "rounds"),
+    "rounds_bool": (["rounds=true"], "rounds"),
+    "central_folds_fraction": (["central_folds=2.5"], "central_folds"),
+    "central_epochs_fraction": (["central_epochs=1.5"], "central_epochs"),
+    "local_epochs_fraction": (["local_epochs=1.5"], "local_epochs"),
+    "batch_size_fraction": (["batch_size=100.5"], "batch_size"),
+    "seed_fraction": (["seed=1.5"], "seed"),
+    "site_batch_size_bool": (['site_batch_sizes={"stockholm": true}'], "site_batch_sizes.stockholm"),
+    "site_batch_size_misspelt": (["site_batch_sizes.stokholm=5"], "site_batch_sizes.stokholm"),
+    "dp_bool": (["privacy.mode=dp", "privacy.dp.epsilon=true"], "privacy.dp.epsilon"),
+    "site_count_fraction": (
+        ['data.sites=[{"name": "a", "n_negative": 1000.5, "n_positive": 100}]'],
+        "data.sites[0].n_negative",
+    ),
+    "scale_factor_bool": (["data.scale_factor=true"], "data.scale_factor"),
+    "he_bits_too_wide": ([*HE, "privacy.he.modulus_bits=[62,30,30]"], "privacy.he.modulus_bits"),
+    "he_bits_too_narrow": ([*HE, "privacy.he.modulus_bits=[19,30,30]"], "privacy.he.modulus_bits"),
+    "he_bits_fraction": ([*HE, "privacy.he.modulus_bits=[40.5,30,30]"], "privacy.he.modulus_bits"),
+    "he_scale_fraction": ([*HE, "privacy.he.scale_log2=29.5"], "privacy.he.scale_log2"),
+    "he_scale_bool": ([*HE, "privacy.he.scale_log2=true"], "privacy.he.scale_log2"),
+    "he_degree_bool": ([*HE, "privacy.he.poly_degree=true"], "privacy.he.poly_degree"),
+    "he_no_prime": (
+        [*HE, "privacy.he.poly_degree=1048576", "privacy.he.modulus_bits=[30,20,20]", "privacy.he.scale_log2=20"],
+        "privacy.he.modulus_bits",
+    ),
+}
 
 
 # keys the config no longer has, and the name the rejection gives: the
@@ -208,6 +242,19 @@ class TestConfig:
         settings = {f.name for cls in (ExperimentConfig, DataConfig) for f in dataclasses.fields(cls)}
         assert sorted(settings - read - {"site_batch_sizes"}) == []
 
+    def test_every_number_setting_has_a_typed_range(self):
+        # an int or float setting with no RANGES rule of its type would load
+        # 2.5 or true unchecked
+        numbers = {(f.name, f.type) for f in dataclasses.fields(ExperimentConfig) if f.type in ("int", "float")}
+        assert sorted(numbers - {(key, kind.__name__) for key, kind, _, _ in RANGES}) == []
+
+    def test_batch_sizes_default_to_the_cohort_s_sites(self):
+        # the reference run's Stockholm batch applies only where a site has
+        # that name, so a cohort without one loads with no site batch sizes
+        sites = json.dumps([{"name": "a", "n_negative": 200, "n_positive": 40}])
+        assert load_config(None, [f"data.sites={sites}"]).site_batch_sizes == {}
+        assert load_config(None, []).batch_for("stockholm") == 100000
+
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")
         assert load_config(None, []).token == "from-env"
@@ -322,6 +369,14 @@ class TestCliCommands:
         rc = main(["run-sim", *FAST, "--set", "privacy.mdoe=dp"])
         assert rc == 2
         assert "error: unknown config key 'privacy.mdoe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", REFUSED_AT_LOAD.values(), ids=REFUSED_AT_LOAD)
+    def test_bad_value_exits_2_naming_its_key(self, overrides, key, tmp_path, capsys):
+        rc = main(["run-sim", *FAST, *(arg for o in overrides for arg in ("--set", o)), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: config key '{key}' ")
+        assert "Traceback" not in err
 
     def test_partial_he_override_runs_with_merged_defaults(self, tmp_path):
         rc = main(

@@ -209,7 +209,7 @@ class TestC0Broadcast:
         assert len(c0_blobs) == len(c1s) == len(fills)
         for blob, c1, ct, fill in zip(c0_blobs, c1s, full, fills):
             assert len(blob) == 15 + 8 * fill  # one level-0 row of the value columns
-            c0 = deserialize_ct(blob, params, components=1, cut=True)
+            c0 = deserialize_ct(blob, params, row=True)
             assert np.array_equal(c0.comps, ct.comps[:1, :, :fill])
             assert np.array_equal(c1.comps, ct.comps[1:])
 

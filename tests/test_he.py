@@ -22,6 +22,7 @@ from privfed.he import (
     Ciphertext,
     CkksParams,
     add,
+    c0_row,
     decode,
     decrypt,
     deserialize_ct,
@@ -692,7 +693,7 @@ class TestAdd:
         rng = np.random.default_rng(17)
         a = encrypt(encode(np.ones(16), TEST_PARAMS), keys, rng)
         b = encrypt(encode(np.ones(100), TEST_PARAMS), keys, rng)
-        cut_a, cut_b = (ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in (a, b))
+        cut_a, cut_b = c0_row(a), c0_row(b)
         with pytest.raises(StateError, match="component shapes differ"):
             add(cut_a, cut_b)
         c1 = dataclasses.replace(b, comps=b.comps[1:])
@@ -715,60 +716,58 @@ class TestAdd:
     def test_whole_and_subring_operands_refused(self, keys):
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(19))
         with pytest.raises(StateError, match="component shapes differ"):
-            add(ct, ckks.value_columns(ct))
-        with pytest.raises(StateError, match="component shapes differ"):
-            add(ct, dataclasses.replace(ct, comps=ct.comps[:1]))
+            add(ct, c0_row(ct))
 
 
 class TestOneComponent:
-    """c0 and c1 add, scale and rescale alone, and ``with_c1`` joins the
-    halves into the ciphertext the two-component operations give."""
-
-    def test_halves_rejoin_to_the_full_result(self, keys):
-        rng = np.random.default_rng(70)
-        cts = [encrypt(encode(rng.uniform(-1, 1, 40), TEST_PARAMS), keys, rng) for _ in range(3)]
-        full = mul_scalar_rescale(add(add(cts[0], cts[1]), cts[2]), 1 / 3)
-        halves = []
-        for k in range(2):
-            part = [dataclasses.replace(ct, comps=ct.comps[k : k + 1]) for ct in cts]
-            halves.append(mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3))
-        assert np.array_equal(with_c1(*halves).comps, full.comps)
+    """A ``c0_row`` and c1 add, scale and rescale alone, and ``with_c1``
+    joins them into a ciphertext that decodes as the two-component
+    operations' result does."""
 
     def test_halves_at_other_levels_refused(self, keys):
         ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(71))
-        c0 = dataclasses.replace(ct, comps=ct.comps[:1])
+        c0 = c0_row(ct)
         c1 = mul_scalar_rescale(dataclasses.replace(ct, comps=ct.comps[1:]), 1.0)
         with pytest.raises(StateError, match="c0 is at level 1"):
             with_c1(c0, c1)
 
     @pytest.mark.parametrize("fill", [1, 11, 66, 300, 512])
     def test_subring_c0_decodes_to_the_full_result(self, keys, fill):
-        # c0 summed and rescaled at its first ``fill`` columns alone, then
-        # rejoined to the whole c1, decodes as the whole aggregate does
+        # c0 summed and rescaled at its first ``fill`` columns alone, and
+        # c1 summed and rescaled alone, equal the whole aggregate's halves,
+        # and rejoined they decode as the whole aggregate does
         rng = np.random.default_rng(73)
         cts = [encrypt(encode(rng.uniform(-1, 1, fill), TEST_PARAMS), keys, rng) for _ in range(3)]
         full = mul_scalar_rescale(add(add(cts[0], cts[1]), cts[2]), 1 / 3)
-        part = [ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])) for ct in cts]
-        c0 = mul_scalar_rescale(add(add(part[0], part[1]), part[2]), 1 / 3)
+        c0, c1 = (
+            mul_scalar_rescale(add(add(cut(cts[0]), cut(cts[1])), cut(cts[2])), 1 / 3)
+            for cut in (c0_row, lambda ct: dataclasses.replace(ct, comps=ct.comps[1:]))
+        )
         assert c0.comps.shape == (1, 1, fill)
         assert np.array_equal(c0.comps, full.comps[:1, :, :fill])
-        rejoined = with_c1(c0, dataclasses.replace(full, comps=full.comps[1:]))
+        assert np.array_equal(c1.comps, full.comps[1:])
+        rejoined = with_c1(c0, c1)
         assert decode(decrypt(rejoined, keys)).tobytes() == decode(decrypt(full, keys)).tobytes()
 
     def test_serialized_subring_c0_reads_back_at_its_width(self, keys):
+        # a row reads back only as a row, and a whole c0, which no party
+        # sends, reads back as neither wire form
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(74))
-        c0 = ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1]))
+        c0 = c0_row(ct)
         blob = serialize_ct(c0)
         assert len(blob) == 15 + 2 * 11 * 8  # two rows of 11 columns at fresh level 1
-        back = deserialize_ct(blob, TEST_PARAMS, components=1, cut=True)
+        back = deserialize_ct(blob, TEST_PARAMS, row=True)
         assert np.array_equal(back.comps, c0.comps)
         with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(blob, TEST_PARAMS, components=1)
-        whole_c0 = serialize_ct(dataclasses.replace(ct, comps=ct.comps[:1]))
+            deserialize_ct(blob, TEST_PARAMS)
+        whole_c0 = serialize_ct(ct)[: 15 + ct.c0.nbytes]
+        for row in (False, True):
+            with pytest.raises(DecodeError, match="expected"):
+                deserialize_ct(whole_c0, TEST_PARAMS, row=row)
         with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(whole_c0, TEST_PARAMS, components=1, cut=True)
+            deserialize_ct(serialize_ct(ct), TEST_PARAMS, row=True)
         with pytest.raises(StateError, match="does not decrypt"):
-            decrypt(ckks.value_columns(ct), keys)
+            decrypt(c0, keys)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -788,25 +787,14 @@ class TestOneComponent:
         ct = encrypt(encode(v, TEST_PARAMS), keys, rng)
         if rescale:
             ct = mul_scalar_rescale(ct, 1.0)
-        blob = serialize_ct(ckks.value_columns(dataclasses.replace(ct, comps=ct.comps[:1])))
+        blob = serialize_ct(c0_row(ct))
         assert len(blob) == 15 + 8 * fill * (ct.level + 1)
-        c0 = deserialize_ct(blob, TEST_PARAMS, components=1, cut=True)
+        c0 = deserialize_ct(blob, TEST_PARAMS, row=True)
         out = decode(decrypt(with_c1(c0, dataclasses.replace(ct, comps=ct.comps[1:])), keys))
         assert np.abs(out - v).max() < 1e-6
         relabelled = blob[:11] + struct.pack("<I", other) + blob[15:]
         with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(relabelled, TEST_PARAMS, components=1, cut=True)
-
-    def test_serialized_c0_reads_back_as_one_component(self, keys):
-        ct = encrypt(encode([0.5], TEST_PARAMS), keys, np.random.default_rng(72))
-        c0 = dataclasses.replace(ct, comps=ct.comps[:1])
-        blob = serialize_ct(c0)
-        assert len(blob) == 15 + 2 * 1024 * 8
-        assert np.array_equal(deserialize_ct(blob, TEST_PARAMS, components=1).comps, c0.comps)
-        with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(blob, TEST_PARAMS)
-        with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(serialize_ct(ct), TEST_PARAMS, components=1)
+            deserialize_ct(relabelled, TEST_PARAMS, row=True)
 
 
 class TestMulScalarRescale:
@@ -903,7 +891,10 @@ class TestPacking:
     def test_chunks_hold_n_over_2_values(self):
         # a chunk holds N/2 values, one to a coefficient: NN's 66 cut into
         # two chunks at degree 128
-        assert ckks.chunk_fills(66, CkksParams(128, (40, 30, 30), 30)) == [64, 2]
+        # two chunks at degree 128, and pack_update cuts by the same rule
+        degree_128 = CkksParams(128, (40, 30, 30), 30)
+        assert ckks.chunk_fills(66, degree_128) == [64, 2]
+        assert [c.size for c in pack_update(np.arange(66.0), degree_128)] == [64, 2]
         assert ckks.chunk_fills(66, DEFAULT_PARAMS) == [66]
 
     def test_boundary_two_chunks_roundtrip(self, keys):
@@ -918,8 +909,11 @@ class TestPacking:
         assert np.abs(back - flat).max() < 1e-4
 
     def test_unpack_respects_manifest(self):
-        back = unpack_update([np.arange(16.0)], 11)
-        assert back.size == 11
+        # decode returns exactly a chunk's fill, so no chunk list carries
+        # padding, and one longer than the update is refused
+        assert unpack_update([np.arange(11.0)], 11).tobytes() == np.arange(11.0).tobytes()
+        with pytest.raises(LayoutError):
+            unpack_update([np.arange(16.0)], 11)
 
     def test_unpack_too_short_rejected(self):
         with pytest.raises(LayoutError):

@@ -20,11 +20,13 @@ When privacy.mode is "dp" and no dp block is given, the reference per-learner
 configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
-rejected with its dotted name, as is a numeric value of the wrong type (an
-integer setting given 2.5, any number given a bool) or outside its range
-(``RANGES``), a ``site_batch_sizes`` key that names no site, and an HE chain
-whose primes do not exist.  Sites are read from ``<data.csv_dir>/<site>.csv``
-when ``data.csv_dir`` is set and generated otherwise.
+rejected with its dotted name, as is a value of the wrong type (an integer
+setting given 2.5, any number given a bool, a string setting given a number)
+or outside its range or set (``RANGES``), a missing site entry, a
+``site_batch_sizes`` key that names no site, a dp or he block outside its
+mode, and an HE chain whose primes do not exist.  Sites are read from
+``<data.csv_dir>/<site>.csv`` when ``data.csv_dir`` is set and generated
+otherwise.
 
 This schema is the only spelling ``load_config`` reads, and ``to_dict`` writes
 it back, less the token, as the config echo of every report; so a report's
@@ -55,10 +57,16 @@ DP_DEFAULTS = {
 
 METHOD_NAMES = {"plain": "fedavg", "dp": "fedavg_dp", "he": "fedavg_he"}
 
-# (key, type, test, the range the test admits) of the numeric settings; a
-# value of another type or outside its range would otherwise fail only inside
-# a client or a fold, or run something other than what was asked
+# (dotted key, type, test, the range the test admits) of the top-level
+# settings, whose attribute is the key with "_" for "."; a value of another
+# type or outside its range would otherwise fail only inside a client or a
+# fold, or run something other than what was asked
 RANGES = (
+    ("model", str, lambda v: v in ("lr", "nn"), "'lr' or 'nn'"),
+    ("privacy.mode", str, lambda v: v in METHOD_NAMES, "'plain', 'dp' or 'he'"),
+    ("weighting", str, lambda v: v in ("unit", "examples"), "'unit' or 'examples'"),
+    ("out_dir", str, lambda v: True, "a string"),
+    ("token", str, lambda v: True, "a string"),
     ("rounds", int, lambda v: v >= 0, "nonnegative"),
     ("learning_rate", float, lambda v: v > 0, "positive"),
     ("batch_size", int, lambda v: v >= 1, "at least 1"),
@@ -87,11 +95,9 @@ class DataConfig:
         return GeneratorSpec(sites=self.sites, seed=seed, scale_factor=self.scale_factor)
 
     def __post_init__(self):
-        _check_number("data.scale_factor", self.scale_factor, float)
-        for i, site in enumerate(self.sites):
-            for key in ("n_negative", "n_positive"):
-                _check_number(f"data.sites[{i}].{key}", getattr(site, key), int)
-        if self.csv_dir is None:
+        if self.csv_dir is not None:
+            _check("data.csv_dir", self.csv_dir, str)
+        else:
             # generated sites: the generator's own range and class-count
             # rule, checked at load rather than first inside a run
             try:
@@ -126,18 +132,17 @@ class ExperimentConfig:
     token: str = DEFAULT_TOKEN
 
     def __post_init__(self):
-        if self.model not in ("lr", "nn"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.privacy_mode not in ("plain", "dp", "he"):
-            raise ConfigError(f"unknown privacy mode {self.privacy_mode!r}")
+        for key, kind, test, meaning in RANGES:
+            _check(key, getattr(self, key.replace(".", "_")), kind, test, meaning)
         if self.privacy_mode == "dp" and self.dp is None:
             self.dp = DP_DEFAULTS[self.model]
         if self.privacy_mode == "he" and self.he is None:
             self.he = DEFAULT_PARAMS
-        if self.privacy_mode != "dp" and self.dp is not None:
-            raise ConfigError("dp settings given but privacy mode is not 'dp'")
-        if self.privacy_mode != "he" and self.he is not None:
-            raise ConfigError("he settings given but privacy mode is not 'he'")
+        for block in ("dp", "he"):
+            if self.privacy_mode != block and getattr(self, block) is not None:
+                raise ConfigError(
+                    f"config key 'privacy.{block}' needs privacy.mode {block!r}, got {self.privacy_mode!r}"
+                )
         if self.privacy_mode == "he":
             bits = list(self.he.modulus_bits)
             if self.he.fresh_level < 1:
@@ -149,11 +154,6 @@ class ExperimentConfig:
                 generate_ntt_primes(bits, self.he.poly_degree)
             except ValueError as err:
                 raise ConfigError(f"config key 'privacy.he.modulus_bits' is {bits}: {err}") from None
-        if self.dp is not None:
-            for f in dataclasses.fields(self.dp):
-                _check_number(f"privacy.dp.{f.name}", getattr(self.dp, f.name), float)
-        for key, kind, test, meaning in RANGES:
-            _check_number(key, getattr(self, key), kind, test, meaning)
         names = self.site_names()
         if self.site_batch_sizes is None:
             self.site_batch_sizes = {"stockholm": 100000} if "stockholm" in names else {}
@@ -164,16 +164,14 @@ class ExperimentConfig:
         for site, size in self.site_batch_sizes.items():
             if site not in names:
                 raise ConfigError(f"config key 'site_batch_sizes.{site}' names no site of data.sites")
-            _check_number(f"site_batch_sizes.{site}", size, int, lambda v: v >= 1, "at least 1")
-        if self.weighting not in ("unit", "examples"):
-            raise ConfigError(f"unknown weighting {self.weighting!r}")
+            _check(f"site_batch_sizes.{site}", size, int, lambda v: v >= 1, "at least 1")
         if self.privacy_mode == "dp" and self.weighting == "examples":
             # the client scales its delta by n_train before the SVT filter,
             # so the per-step ±gamma clip would saturate
-            raise ConfigError("privacy mode 'dp' needs weighting 'unit'")
+            raise ConfigError("config key 'weighting' must be 'unit' in privacy mode 'dp', got 'examples'")
         for name in names:
             if names.count(name) > 1:
-                raise ConfigError(f"site {name!r} is listed more than once in data.sites")
+                raise ConfigError(f"config key 'data.sites' lists site {name!r} more than once")
 
     @property
     def method(self) -> str:
@@ -203,11 +201,15 @@ class ExperimentConfig:
         return {"model": out.pop("model"), "privacy": privacy, **out}
 
 
-def _check_number(key: str, value, kind: type, test=lambda v: True, meaning: str = "") -> None:
+# a setting's type: the Python types a value of it may have, and its name
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check(key: str, value, kind: type, test=lambda v: True, meaning: str = "") -> None:
     """Refuse ``value`` for ``key`` unless it is of ``kind`` (an int also
     serves as a float, a bool as neither) and passes ``test``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        what = "an integer" if kind is int else "a number"
+    types, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     if not test(value):
         raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
@@ -230,15 +232,23 @@ def _field_names(cls) -> set[str]:
 
 
 def _make(cls, path: str, base: dict, raw: dict):
-    """``cls`` built from ``base`` with the ``raw`` block merged onto it.  A
-    ``ConfigError`` from ``cls`` whose message begins with an entry's name
-    (``CkksParams``'s do) is reraised naming that entry's dotted key."""
+    """``cls`` built from ``base`` with the ``raw`` block merged onto it, once
+    every entry without a default is given and each ``int``, ``float`` or
+    ``str`` entry is of its declared type.  A ``ConfigError`` or
+    ``ValueError`` from ``cls`` whose message begins with an entry's name
+    (``CkksParams``'s, ``SvtConfig``'s and ``SiteSpec``'s do) is reraised
+    naming that entry's dotted key."""
     fields = {**base, **_block(raw, path, _field_names(cls))}
+    kinds = {kind.__name__: kind for kind in _KINDS}
+    for f in dataclasses.fields(cls):
+        key = f"{path}.{f.name}"
+        if f.name not in fields and f.default is dataclasses.MISSING:
+            raise ConfigError(f"config key {key!r} is missing")
+        if f.name in fields and f.type in kinds:
+            _check(key, fields[f.name], kinds[f.type])
     try:
         return cls(**fields)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from None
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
         key, _, rest = str(err).partition(" ")
         if key not in fields:
             raise
@@ -252,7 +262,7 @@ def _build(raw: dict) -> ExperimentConfig:
     kwargs = {"privacy_mode": privacy.get("mode", "plain")}
     if privacy.get("dp") is not None:
         # partial dp blocks inherit the reference per-learner defaults
-        base = DP_DEFAULTS.get(raw.get("model", "nn"), DP_DEFAULTS["nn"])
+        base = DP_DEFAULTS["lr" if raw.get("model") == "lr" else "nn"]
         kwargs["dp"] = _make(SvtConfig, "privacy.dp", dataclasses.asdict(base), privacy["dp"])
     if privacy.get("he") is not None:
         kwargs["he"] = _make(CkksParams, "privacy.he", dataclasses.asdict(DEFAULT_PARAMS), privacy["he"])
@@ -261,6 +271,8 @@ def _build(raw: dict) -> ExperimentConfig:
         data_raw = _block(data_raw, "data", _field_names(DataConfig))
         sites_raw = data_raw.pop("sites", None)
         if sites_raw is not None:
+            if not isinstance(sites_raw, list) or not sites_raw:
+                raise ConfigError(f"config key 'data.sites' must be a non-empty list, got {sites_raw!r}")
             data_raw["sites"] = tuple(
                 _make(SiteSpec, f"data.sites[{i}]", {}, s) for i, s in enumerate(sites_raw)
             )

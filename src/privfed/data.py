@@ -261,8 +261,9 @@ class SiteSpec:
     n_positive: int
 
     def __post_init__(self):
-        if self.n_negative < 0 or self.n_positive < 0:
-            raise ConfigError("site counts must be nonnegative")
+        for key in ("n_negative", "n_positive"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
 
 
 # Per-site class counts of the reference cohort.

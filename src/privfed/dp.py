@@ -46,15 +46,12 @@ class SvtConfig:
 
     def __post_init__(self):
         if not 0 < self.fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction!r}")
+        for key in ("epsilon", "noise_var", "gamma"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         if math.isnan(self.tau) or self.tau == math.inf:
-            raise ValueError("tau must be a real number or -inf")
+            raise ValueError(f"tau must be a real number or -inf, got {self.tau!r}")
 
 
 def noise_scale(gamma: float, epsilon: float) -> float:

@@ -193,33 +193,23 @@ def aggregate_serialized(
 ) -> list[bytes]:
     """The coordinator's ciphertext sum: ``payloads`` maps each site, in site
     order, to its serialized chunks of a ``length``-value update in round
-    ``round_index``.  A site whose chunks do not deserialize, are not
-    ⌈length / (N/2)⌉, are not at fresh level and scale, do not hold the
-    ``chunk_fills`` of ``length``, or whose c1 is not its ``public_a`` of
-    run ``seed`` aborts with its name.  Returns the aggregate's serialized
-    c0 halves at their value columns.  Needs no key."""
+    ``round_index``.  A site that sends other than ⌈length / (N/2)⌉ chunks,
+    a chunk that is not a fresh pair of its ``chunk_fills`` entry
+    (``deserialize_ct``), or a c1 that is not its ``public_a`` of run
+    ``seed`` aborts with its name.  Returns the aggregate's serialized c0
+    halves at their value columns.  Needs no key."""
     fills = chunk_fills(length, params)
     expected_a = public_a(params, seed, round_index, tuple(payloads), len(fills))
     per_client = []
     for (client_id, blobs), own_a in zip(payloads.items(), expected_a):
+        if len(blobs) != len(fills):
+            raise ProtocolError(f"client {client_id!r} sent {len(blobs)} chunks, expected {len(fills)}")
         try:
-            cts = [deserialize_ct(blob, params) for blob in blobs]
+            cts = [deserialize_ct(blob, params, fill) for blob, fill in zip(blobs, fills)]
         except DecodeError as err:
             raise ProtocolError(f"client {client_id!r} sent a bad ciphertext: {err}") from err
-        if len(cts) != len(fills):
-            raise ProtocolError(f"client {client_id!r} sent {len(cts)} chunks, expected {len(fills)}")
-        for ct, a, fill in zip(cts, own_a, fills):
-            if (ct.level, ct.scale) != (params.fresh_level, params.scale):
-                raise ProtocolError(
-                    f"client {client_id!r} sent a ciphertext at level {ct.level}, scale {ct.scale:.0f}; "
-                    f"a fresh one is at level {params.fresh_level}, scale {params.scale:.0f}"
-                )
-            if ct.slot_fill != fill:
-                raise ProtocolError(
-                    f"client {client_id!r} sent a chunk of {ct.slot_fill} values, expected {fill}"
-                )
-            if not np.array_equal(ct.c1, a):
-                raise ProtocolError(f"client {client_id!r} sent a c1 that is not its public a")
+        if not all(np.array_equal(ct.c1, a) for ct, a in zip(cts, own_a)):
+            raise ProtocolError(f"client {client_id!r} sent a c1 that is not its public a")
         per_client.append(cts)
     return [serialize_ct(ct) for ct in aggregate_encrypted(per_client, weights)]
 
@@ -471,52 +461,46 @@ class HePipeline:
 
     Only sites build one.  Each derives the cohort secret from the shared run
     seed, mirroring a pre-agreed cohort key; the coordinator holds no key and
-    sums ciphertexts with ``aggregate_serialized``.  Before each broadcast's
-    steps the site sets ``round``, the broadcast's round, and, with an
-    aggregate, ``weight_sum``, the Σw it carries.
+    sums ciphertexts with ``aggregate_serialized``.  It keeps no round
+    state: each step is given its round.
     """
 
-    def __init__(self, params: CkksParams, master_seed: int, site: str, sites: list[str]):
+    def __init__(self, params: CkksParams, master_seed: int, site: str, sites: list[str], length: int):
         self.params = params
         self.keys = keygen(params, derived_rng(master_seed, "hekey"))
         self.master_seed = master_seed
         self.sites = tuple(sites)
         self.index = self.sites.index(site)
-        self.round = 0  # client_encode encrypts this round's update
-        self.weight_sum = 0.0  # client_decode decrypts the previous round's aggregate, of this Σw
+        self.fills = chunk_fills(length, params)  # of every update and aggregate
 
-    def client_encode(self, delta: np.ndarray, steps: int, rng) -> list[bytes]:
-        """``delta`` as serialized ciphertext chunks, with ``e`` from ``rng``
-        and c1 this site's ``public_a``.  ``steps`` is unused: the encrypted
-        sum needs no step count, unlike the SVT filter."""
+    def client_encode(self, delta: np.ndarray, round_index: int, rng) -> list[bytes]:
+        """``delta`` as serialized ciphertext chunks of round ``round_index``,
+        with ``e`` from ``rng`` and c1 this site's ``public_a``."""
         chunks = pack_update(delta, self.params)
-        own_a = public_a(self.params, self.master_seed, self.round, self.sites, len(chunks))[self.index]
+        own_a = public_a(self.params, self.master_seed, round_index, self.sites, len(chunks))[self.index]
         return [
             serialize_ct(he_encrypt(he_encode(chunk, self.params), self.keys, rng, a=a))
             for chunk, a in zip(chunks, own_a)
         ]
 
-    def client_decode(self, blobs: list[bytes], length: int) -> tuple[np.ndarray, float]:
-        """The previous round's aggregate from its serialized c0 halves at
-        their value columns, whose c1 this site rebuilds from every site's
-        ``public_a``.  Each half's header must give its chunk's fill
-        (``chunk_fills``), even where its row is that long."""
+    def client_decode(self, body: tr.BroadcastBody, round_index: int) -> tuple[np.ndarray, float]:
+        """The aggregate of round ``round_index`` - 1 from the broadcast
+        ``body`` of round ``round_index``: its serialized c0 halves at their
+        value columns, whose c1 this site rebuilds from every site's
+        ``public_a`` and the Σw the body carries."""
         t0 = time.monotonic()
-        if not (math.isfinite(self.weight_sum) and self.weight_sum > 0):
-            raise LayoutError(f"the aggregate's weight sum {self.weight_sum} is not positive")
-        fills = chunk_fills(length, self.params)
-        if len(blobs) != len(fills):
-            raise LayoutError(f"the aggregate has {len(blobs)} chunks, expected {len(fills)}")
-        c0s = [deserialize_ct(blob, self.params, row=True) for blob in blobs]
-        for index, (c0, fill) in enumerate(zip(c0s, fills)):
-            if c0.slot_fill != fill:
-                raise DecodeError(f"the aggregate's chunk {index} holds {c0.slot_fill} values, expected {fill}")
-        per_site_a = public_a(self.params, self.master_seed, self.round - 1, self.sites, len(fills))
+        weight_sum, fills = body.weight_sum, self.fills
+        if not (math.isfinite(weight_sum) and weight_sum > 0):
+            raise LayoutError(f"the aggregate's weight sum {weight_sum} is not positive")
+        if len(body.payload) != len(fills):
+            raise LayoutError(f"the aggregate has {len(body.payload)} chunks, expected {len(fills)}")
+        c0s = [deserialize_ct(blob, self.params, fill, row=True) for blob, fill in zip(body.payload, fills)]
+        per_site_a = public_a(self.params, self.master_seed, round_index - 1, self.sites, len(fills))
         chunks = [
             he_decode(he_decrypt(with_c1(c0, c1), self.keys))
-            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, self.weight_sum))
+            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, weight_sum))
         ]
-        flat = check_finite(unpack_update(chunks, length), "decrypted aggregate")
+        flat = check_finite(unpack_update(chunks, sum(fills)), "decrypted aggregate")
         return flat, time.monotonic() - t0
 
 
@@ -529,7 +513,7 @@ class FederationClient:
         self.valid = valid
         self.he = None
         if cfg.privacy_mode == "he":
-            self.he = HePipeline(cfg.he, cfg.seed, client_id, cfg.site_names())
+            self.he = HePipeline(cfg.he, cfg.seed, client_id, cfg.site_names(), N_PARAMS[self.kind])
         self.weight = float(len(train)) if cfg.weighting == "examples" else 1.0
         self.global_params: np.ndarray | None = None
         self.next_round = 0
@@ -545,14 +529,11 @@ class FederationClient:
         the encrypted aggregate's c0 halves and its Σw."""
         encrypted = self.he is not None and frame.round > 0
         body = tr.decode_broadcast(frame.body, encrypted)
-        length = N_PARAMS[self.kind]
-        if self.he is not None:
-            self.he.round = frame.round
         if encrypted:
-            self.he.weight_sum = body.weight_sum
-            delta, seconds = self.he.client_decode(body.payload, length)
+            delta, seconds = self.he.client_decode(body, frame.round)
             self.global_params = self.global_params + delta
             return body.final, seconds
+        length = N_PARAMS[self.kind]
         if body.payload.size != length:
             raise LayoutError(
                 f"broadcast carries {body.payload.size} values, {self.kind.value} expects {length}"
@@ -618,7 +599,7 @@ class FederationClient:
             if cfg.privacy_mode == "dp":
                 payload = svt_filter(delta, max(stats.steps, 1), cfg.dp, rng)
             else:
-                payload = self.he.client_encode(delta, stats.steps, rng)
+                payload = self.he.client_encode(delta, frame.round, rng)
             privacy_seconds += time.monotonic() - t0
         return tr.Frame(
             tr.MSG_UPDATE,

@@ -51,8 +51,10 @@ bootstrapping.  Representation choices:
   past its fill are zero, so whole ciphertexts of different fills add as if
   zero-padded.  ``chunk_fills`` cuts an update into chunks of N/2 values.
 - Two wire forms (``serialize_ct``, ``deserialize_ct``): a whole fresh
-  (c0, c1) pair, as a site sends its update, and one c0 row cut to its
-  header's fill (``c0_row``), as the coordinator broadcasts the aggregate.
+  (c0, c1) pair, as a site sends its update, and one c0 row a level below
+  cut to its fill (``c0_row``), as the coordinator broadcasts the
+  aggregate.  ``deserialize_ct`` alone checks a blob's header against the
+  form and fill its reader expects.
 - Objects carry their parameters: a plaintext, a ciphertext and a key each
   hold their ``CkksParams``, and ``_context`` caches the state derived from
   them (primes, fields, limb tables, the wire hash).
@@ -120,12 +122,13 @@ class CkksParams:
     scale_log2: int
 
     def __post_init__(self):
-        n, bits, scale_log2 = self.poly_degree, tuple(self.modulus_bits), self.scale_log2
-        object.__setattr__(self, "modulus_bits", bits)
+        n, bits, scale_log2 = self.poly_degree, self.modulus_bits, self.scale_log2
         if type(n) is not int or n < 8 or n & (n - 1):
             raise ConfigError(f"poly_degree must be a power of two >= 8, got {n!r}")
-        if len(bits) < 2 or any(type(b) is not int or not 20 <= b <= 61 for b in bits):
-            raise ConfigError(f"modulus_bits must be at least 2 integers in [20, 61], got {list(bits)}")
+        valid = isinstance(bits, (list, tuple)) and all(type(b) is int and 20 <= b <= 61 for b in bits)
+        if not valid or len(bits) < 2:
+            raise ConfigError(f"modulus_bits must be a list of at least 2 integers in [20, 61], got {bits!r}")
+        object.__setattr__(self, "modulus_bits", tuple(bits))
         if type(scale_log2) is not int or not 1 <= scale_log2 <= bits[1]:
             raise ConfigError(f"scale_log2 must be an integer in [1, {bits[1]}], got {scale_log2!r}")
 
@@ -503,28 +506,28 @@ def serialize_ct(ct: Ciphertext) -> bytes:
     return header + ct.comps.astype("<u8", copy=False).tobytes()
 
 
-def deserialize_ct(data: bytes, params: CkksParams, row: bool = False) -> Ciphertext:
-    """The ciphertext ``data`` holds in one of the two wire forms: a whole
-    (c0, c1) pair, as a site sends it, or, if ``row``, one c0 row cut to
-    its header's slot fill (``c0_row``), as the aggregate is broadcast."""
+def deserialize_ct(data: bytes, params: CkksParams, fill: int, row: bool = False) -> Ciphertext:
+    """The ciphertext of ``fill`` values in ``data``, whose header must name
+    exactly one of the session's two wire forms: a whole fresh (c0, c1)
+    pair, as a site sends it, or, if ``row``, one c0 row a level below cut
+    to its value columns (``c0_row``), as the aggregate is broadcast."""
     ctx = _context(params)
     if len(data) < _HEADER.size:
         raise DecodeError("ciphertext buffer shorter than header")
-    digest, level, scale_log2, slot_fill = _HEADER.unpack_from(data)
-    if digest != ctx.hash:
-        raise DecodeError("parameter hash mismatch")
-    if level >= len(ctx.active_primes):
-        raise DecodeError(f"level {level} outside the active chain")
-    if not 0 < scale_log2 <= _MAX_SCALE_LOG2:
-        raise DecodeError(f"scale 2^{scale_log2} outside [2^1, 2^{_MAX_SCALE_LOG2}]")
-    if slot_fill > params.slot_count:
-        raise DecodeError(f"slot fill {slot_fill} exceeds the {params.slot_count} values a chunk holds")
-    components, width = (1, slot_fill) if row else (2, params.poly_degree)
-    expected = _HEADER.size + components * (level + 1) * width * 8
-    if len(data) != expected:
-        raise DecodeError(f"expected {expected} bytes, got {len(data)}")
+    header = _HEADER.unpack_from(data)
+    level = params.fresh_level - 1 if row else params.fresh_level
+    expected = (ctx.hash, level, params.scale_log2, fill)
+    if header != expected:
+        got, want = (
+            f"params {h.hex()}, level {lv}, scale 2^{sc}, fill {n}" for h, lv, sc, n in (header, expected)
+        )
+        raise DecodeError(f"header gives {got}; expected {want}")
+    components, width = (1, fill) if row else (2, params.poly_degree)
+    size = _HEADER.size + components * (level + 1) * width * 8
+    if len(data) != size:
+        raise DecodeError(f"expected {size} bytes, got {len(data)}")
     body = np.frombuffer(data, dtype="<u8", offset=_HEADER.size)
     comps = body.reshape(components, level + 1, width).astype(np.uint64)
     if np.any(comps >= ctx.level_fields[level].q):
         raise DecodeError("coefficient outside its prime modulus")
-    return Ciphertext(comps, level, float(2**scale_log2), slot_fill, params)
+    return Ciphertext(comps, level, params.scale, fill, params)

@@ -7,11 +7,15 @@ import pathlib
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import privfed
 from privfed.cli import main
 from privfed.config import RANGES, DataConfig, ExperimentConfig, load_config
+from privfed.data import DEFAULT_SITES, SiteSpec
+from privfed.dp import SvtConfig
 from privfed.errors import ConfigError
+from privfed.he import CkksParams
 
 FAST = [
     "--set",
@@ -44,8 +48,11 @@ OUT_OF_RANGE = [
 # (overrides, the dotted key the refusal names) of settings that once loaded
 # and then failed inside a run or ran something other than what was asked:
 # a non-integer or boolean number, a batch size for no site, and an HE block
-# whose chain has no primes
+# whose chain has no primes; of settings that crashed the load with a
+# traceback; and of refusals that once named no key
 HE = ["privacy.mode=he"]
+DP = ["privacy.mode=dp"]
+SITE = {"name": "a", "n_negative": 10000, "n_positive": 1000}
 REFUSED_AT_LOAD = {
     "rounds_fraction": (["rounds=2.5"], "rounds"),
     "rounds_bool": (["rounds=true"], "rounds"),
@@ -72,7 +79,58 @@ REFUSED_AT_LOAD = {
         [*HE, "privacy.he.poly_degree=1048576", "privacy.he.modulus_bits=[30,20,20]", "privacy.he.scale_log2=20"],
         "privacy.he.modulus_bits",
     ),
+    "sites_int": (["data.sites=5"], "data.sites"),
+    "sites_zero": (["data.sites=0"], "data.sites"),
+    "sites_fraction": (["data.sites=2.5"], "data.sites"),
+    "sites_bool": (["data.sites=true"], "data.sites"),
+    "sites_object": (['data.sites={"a": 1}'], "data.sites"),
+    "sites_empty": (["data.sites=[]"], "data.sites"),
+    "site_name_int": ([f"data.sites={json.dumps([{**SITE, 'name': 5}])}"], "data.sites[0].name"),
+    "out_dir_int": (["out_dir=5"], "out_dir"),
+    "csv_dir_int": (["data.csv_dir=5"], "data.csv_dir"),
+    "token_int": (["token=5"], "token"),
+    "token_null": (["token=null"], "token"),
+    "he_bits_int": ([*HE, "privacy.he.modulus_bits=5"], "privacy.he.modulus_bits"),
+    "dp_fraction_range": ([*DP, "privacy.dp.fraction=2"], "privacy.dp.fraction"),
+    "dp_epsilon_range": ([*DP, "privacy.dp.epsilon=0"], "privacy.dp.epsilon"),
+    "dp_noise_var_range": ([*DP, "privacy.dp.noise_var=-1"], "privacy.dp.noise_var"),
+    "dp_gamma_range": ([*DP, "privacy.dp.gamma=0"], "privacy.dp.gamma"),
+    "dp_tau_nan": ([*DP, "privacy.dp.tau=NaN"], "privacy.dp.tau"),
+    "dp_epsilon_string": ([*DP, 'privacy.dp.epsilon="x"'], "privacy.dp.epsilon"),
+    "dp_tau_null": ([*DP, "privacy.dp.tau=null"], "privacy.dp.tau"),
+    "dp_fraction_null": (["privacy.dp.fraction=null"], "privacy.dp.fraction"),
+    "site_count_negative": (
+        [f"data.sites={json.dumps([{**SITE, 'n_negative': -1}])}"], "data.sites[0].n_negative"
+    ),
+    "site_count_missing": (['data.sites=[{"name": "a", "n_negative": 1000}]'], "data.sites[0].n_positive"),
+    "model_unknown": (["model=x"], "model"),
+    "privacy_mode_unknown": (["privacy.mode=x"], "privacy.mode"),
+    "weighting_unknown": (["weighting=x"], "weighting"),
+    "he_block_outside_he": (["privacy.he.poly_degree=1024"], "privacy.he"),
+    "dp_block_outside_dp": (["privacy.dp.epsilon=2"], "privacy.dp"),
+    "site_batch_sizes_list": (["site_batch_sizes=[1]"], "site_batch_sizes"),
+    "dp_examples_weighting": ([*DP, "weighting=examples"], "weighting"),
+    "site_listed_twice": ([f"data.sites={json.dumps([SITE, SITE])}"], "data.sites"),
 }
+
+
+# every key load_config reads: the top level, privacy.*, data.* and the
+# entries of a site
+CONFIG_KEYS = [
+    *(f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("privacy_mode", "dp", "he")),
+    "privacy.mode",
+    *(f"privacy.{block}" for block in ("dp", "he")),
+    *(f"privacy.dp.{f.name}" for f in dataclasses.fields(SvtConfig)),
+    *(f"privacy.he.{f.name}" for f in dataclasses.fields(CkksParams)),
+    *(f"data.{f.name}" for f in dataclasses.fields(DataConfig)),
+    *(f"data.sites[0].{f.name}" for f in dataclasses.fields(SiteSpec)),
+]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=3),
+)
 
 
 # keys the config no longer has, and the name the rejection gives: the
@@ -179,7 +237,7 @@ class TestConfig:
         assert load_config(None, [*he, "privacy.he.modulus_bits=[40,30,30]"]).he.fresh_level == 1
 
     def test_bad_dp_value_names_the_block(self):
-        with pytest.raises(ConfigError, match="privacy.dp: epsilon must be positive"):
+        with pytest.raises(ConfigError, match="config key 'privacy.dp.epsilon' must be positive, got -1"):
             load_config(None, ["privacy.mode=dp", "privacy.dp.epsilon=-1"])
 
     @pytest.mark.parametrize("override, message", OUT_OF_RANGE, ids=[o for o, _ in OUT_OF_RANGE])
@@ -226,7 +284,7 @@ class TestConfig:
         # the coordinator would admit one of the two and pool_sites draw the
         # same rows twice
         site = {"name": "a", "n_negative": 90, "n_positive": 10}
-        with pytest.raises(ConfigError, match="site 'a' is listed more than once in data.sites"):
+        with pytest.raises(ConfigError, match="config key 'data.sites' lists site 'a' more than once"):
             load_config(None, [f"data.sites={json.dumps([site, site])}"])
 
     def test_every_setting_is_read(self):
@@ -254,6 +312,27 @@ class TestConfig:
         sites = json.dumps([{"name": "a", "n_negative": 200, "n_positive": 40}])
         assert load_config(None, [f"data.sites={sites}"]).site_batch_sizes == {}
         assert load_config(None, []).batch_for("stockholm") == 100000
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+    def test_any_value_loads_or_is_refused_naming_a_key(self, key, value):
+        # a dp or he entry is set in its own mode; a site's entry is set on
+        # the first of the reference sites
+        block = key.split(".")[1] if key.startswith(("privacy.dp.", "privacy.he.")) else None
+        overrides = [f"privacy.mode={block}"] if block else []
+        if key.startswith("data.sites[0]."):
+            sites = [dataclasses.asdict(site) for site in DEFAULT_SITES]
+            sites[0][key.rpartition(".")[2]] = value
+            key, value = "data.sites", sites
+        try:
+            cfg = load_config(None, [*overrides, f"{key}={json.dumps(value)}"])
+        except ConfigError as err:
+            assert "config key '" in str(err)
+            return
+        strings = [cfg.model, cfg.privacy_mode, cfg.weighting, cfg.out_dir, cfg.token, *cfg.site_names()]
+        assert all(isinstance(v, str) for v in strings)
+        assert cfg.data.csv_dir is None or isinstance(cfg.data.csv_dir, str)
+        assert cfg.data.sites
 
     def test_env_token(self, monkeypatch):
         monkeypatch.setenv("PRIVFED_TOKEN", "from-env")

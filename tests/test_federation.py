@@ -145,6 +145,13 @@ class TestAggregateEncrypted:
         out = self._aggregate(updates, [1.0] * 4, keys, 8)
         assert np.abs(out - 4.0).max() < 1e-3  # sum 16, x 1/4
 
+    def test_structural_errors(self, keys):
+        with pytest.raises(LayoutError, match="no encrypted updates to aggregate"):
+            aggregate_encrypted([], [])
+        chunks, _ = self._encrypt_vec(np.ones(4), keys, 1)
+        with pytest.raises(LayoutError, match="weights and updates differ in count"):
+            aggregate_encrypted([chunks], [1.0, 1.0])
+
     def test_matches_plaintext_oracle(self, keys):
         rng = np.random.default_rng(7)
         vectors = [rng.uniform(-1, 1, 30) for _ in range(4)]
@@ -188,14 +195,16 @@ class TestC0Broadcast:
     def test_rebuilt_c1_equals_the_full_aggregate(self, params, length, weights):
         seed = 11
         rng = np.random.default_rng(8)
-        pipelines = [HePipeline(params, seed, site, SITES) for site in SITES]
+        pipelines = [HePipeline(params, seed, site, SITES, length) for site in SITES]
         payloads = {
-            site: pipe.client_encode(rng.uniform(-0.1, 0.1, length) * w, 1, np.random.default_rng(i))
+            site: pipe.client_encode(rng.uniform(-0.1, 0.1, length) * w, 0, np.random.default_rng(i))
             for i, (site, pipe, w) in enumerate(zip(SITES, pipelines, weights))
         }
         fills = ckks.chunk_fills(length, params)
         # the full aggregation: both components summed, then one rescale
-        cts = [[deserialize_ct(blob, params) for blob in payloads[site]] for site in SITES]
+        cts = [
+            [deserialize_ct(blob, params, fill) for blob, fill in zip(payloads[site], fills)] for site in SITES
+        ]
         full = []
         for idx in range(len(fills)):
             total = cts[0][idx]
@@ -209,7 +218,7 @@ class TestC0Broadcast:
         assert len(c0_blobs) == len(c1s) == len(fills)
         for blob, c1, ct, fill in zip(c0_blobs, c1s, full, fills):
             assert len(blob) == 15 + 8 * fill  # one level-0 row of the value columns
-            c0 = deserialize_ct(blob, params, row=True)
+            c0 = deserialize_ct(blob, params, fill, row=True)
             assert np.array_equal(c0.comps, ct.comps[:1, :, :fill])
             assert np.array_equal(c1.comps, ct.comps[1:])
 
@@ -217,8 +226,7 @@ class TestC0Broadcast:
         key = pipelines[0].keys
         want = np.concatenate([decode(decrypt(ct, key)) for ct in full])
         for pipe in pipelines:
-            pipe.round, pipe.weight_sum = 1, float(sum(weights))
-            got, _ = pipe.client_decode(c0_blobs, length)
+            got, _ = pipe.client_decode(tr.BroadcastBody(False, c0_blobs, float(sum(weights))), 1)
             assert got.tobytes() == want.tobytes()
 
 
@@ -390,6 +398,20 @@ class TestAuth:
             client_end.recv()
         assert server.clients == {}
 
+    def test_frame_before_join_refused(self):
+        # a first frame other than JOIN gets an ERROR frame and a close
+        cfg = sim_config()
+        server = FederationServer(cfg)
+        server_end, client_end = tr.SimChannel.pair()
+        client_end.send(update_frame())
+        with pytest.raises(ProtocolError, match="client spoke before joining"):
+            server.accept_clients([server_end], timeout=5)
+        with pytest.raises(AuthError, match="expected JOIN"):
+            site_client(cfg).check_ack(client_end.recv())
+        with pytest.raises(tr.ChannelClosed):
+            client_end.recv()
+        assert server.clients == {}
+
     def test_duplicate_join_refused(self):
         # a second channel joining as an admitted site gets an ERROR frame and
         # a close; the first channel keeps the site's seat and stays open
@@ -532,7 +554,7 @@ class TestBroadcastForm:
         client = site_client(sim_config("privacy.mode=he", *HE_OVERRIDES))
         theta = init_params(ModelKind.LOGISTIC_REGRESSION, 0)
         assert client.handle(broadcast(0, theta)).msg_type == tr.MSG_UPDATE
-        level_0 = serialize_ct(mul_scalar_rescale(deserialize_ct(fresh_blob(), TEST_PARAMS), 1.0))
+        level_0 = serialize_ct(mul_scalar_rescale(deserialize_ct(fresh_blob(), TEST_PARAMS, 11), 1.0))
         assert self.refusal(client, chunks_broadcast(1, level_0)) == (
             f"DecodeError: expected {c0_bytes(11)} bytes, got {15 + 2 * 8 * 1024}"
         )
@@ -542,6 +564,12 @@ def c0_bytes(fill: int) -> int:
     """The bytes of a serialized level-0 c0 of slot fill ``fill`` at its
     value columns: the header and one row."""
     return 15 + 8 * fill
+
+
+def header_form(level: int, scale_log2: int, fill: int) -> str:
+    """A serialized ciphertext's header under TEST_PARAMS, as a refusal
+    gives it."""
+    return f"params {ckks._context(TEST_PARAMS).hash.hex()}, level {level}, scale 2^{scale_log2}, fill {fill}"
 
 
 def tampered_c0(fault: str, blob: bytes) -> bytes:
@@ -563,21 +591,24 @@ C0_REFUSALS = {
     "full_width": f"expected {c0_bytes(11)} bytes, got {15 + 8 * 1024}",
     "one_short": f"expected {c0_bytes(11)} bytes, got {c0_bytes(11) - 8}",
     "over_q0": "coefficient outside its prime modulus",
-    "fill_vs_width": f"expected {c0_bytes(40)} bytes, got {c0_bytes(11)}",
-    "fill_same_width": "the aggregate's chunk 0 holds 16 values, expected 11",
+    "fill_vs_width": f"header gives {header_form(0, 30, 40)}; expected {header_form(0, 30, 11)}",
+    "fill_same_width": f"header gives {header_form(0, 30, 16)}; expected {header_form(0, 30, 11)}",
 }
 
 
-def tamper_round_1_broadcast(monkeypatch, site: str, fault: str) -> None:
+def tamper_round_1_broadcast(monkeypatch, site: str, fault: str | None = None, weight_sum=None) -> None:
     """Have ``site`` receive round 1's encrypted broadcast with its c0 made
-    malformed by ``fault``; every other site receives it as sent."""
+    malformed by ``fault``, or its Σw replaced by ``weight_sum``; every
+    other site receives it as sent."""
     install = FederationClient._install_broadcast
 
     def tampering_install(self, frame):
         if self.client_id == site and frame.round == 1:
             body = tr.decode_broadcast(frame.body, encrypted=True)
-            payload = [tampered_c0(fault, body.payload[0])]
-            body = tr.BroadcastBody(body.final, payload, body.weight_sum)
+            if fault is not None:
+                body = dataclasses.replace(body, payload=[tampered_c0(fault, body.payload[0])])
+            if weight_sum is not None:
+                body = dataclasses.replace(body, weight_sum=weight_sum)
             frame = tr.Frame(frame.msg_type, frame.round, tr.encode_broadcast(body))
         return install(self, frame)
 
@@ -589,7 +620,8 @@ class TestSubringBroadcast:
     chunk's value columns with every coefficient below q0: a whole row, a
     row one coefficient short, a coefficient at or above q0, or a header
     slot fill other than the chunk's, whether the row is as long as that
-    fill or not.  The run ends in a clean abort that names the site."""
+    fill or not, and a Σw that is not positive and finite.  The run ends in
+    a clean abort that names the site."""
 
     @pytest.mark.parametrize("fault", list(C0_REFUSALS))
     def test_simulated_run_aborts_naming_the_site(self, fault, monkeypatch):
@@ -600,6 +632,20 @@ class TestSubringBroadcast:
         assert report.aborted
         assert report.abort_reason == (
             f"ProtocolError: client {victim!r} failed: DecodeError: {C0_REFUSALS[fault]}"
+        )
+        assert len(report.rounds) == 1
+
+    @pytest.mark.parametrize(
+        "weight_sum", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_weight_sum_not_positive_aborts_naming_the_site(self, weight_sum, monkeypatch):
+        cfg = sim_config("privacy.mode=he", "timeout_seconds=10", *HE_OVERRIDES)
+        victim = cfg.site_names()[1]
+        tamper_round_1_broadcast(monkeypatch, victim, weight_sum=weight_sum)
+        report = run_simulation(cfg)
+        assert report.abort_reason == (
+            f"ProtocolError: client {victim!r} failed: "
+            f"LayoutError: the aggregate's weight sum {weight_sum} is not positive"
         )
         assert len(report.rounds) == 1
 
@@ -910,7 +956,8 @@ class TestSessionSettings:
         assert [f.msg_type for f in sent] == [tr.MSG_JOIN, tr.MSG_ERROR]
 
 
-FRESH = f"a fresh one is at level 1, scale {2**30}"
+# the refusal's account of the form a site's update of LR's 11 values takes
+FRESH = f"expected {header_form(1, 30, 11)}"
 
 
 # a well-formed DP update of LR's 11 values: c = 0.5, 3 code bytes whose
@@ -944,7 +991,7 @@ def malformed_update(fault: str) -> tr.Frame:
         "two_chunks": lambda: chunks_update_frame(blob, blob),
         "no_chunks": lambda: chunks_update_frame(),
         "level_0": lambda: chunks_update_frame(
-            serialize_ct(mul_scalar_rescale(deserialize_ct(blob, TEST_PARAMS), 1.0))
+            serialize_ct(mul_scalar_rescale(deserialize_ct(blob, TEST_PARAMS, 11), 1.0))
         ),
         "half_scale": lambda: chunks_update_frame(blob[:9] + struct.pack("<H", 29) + blob[11:]),
         "fill": lambda: chunks_update_frame(blob[:11] + struct.pack("<I", 12) + blob[15:]),
@@ -1013,9 +1060,9 @@ class TestSequentialCollect:
             ("nan", False, "sent an update that is not 11 finite values"),
             ("two_chunks", False, "sent 2 chunks, expected 1"),
             ("no_chunks", False, "sent 0 chunks, expected 1"),
-            ("level_0", False, f"sent a ciphertext at level 0, scale {2**30}; {FRESH}"),
-            ("half_scale", False, f"sent a ciphertext at level 1, scale {2**29}; {FRESH}"),
-            ("fill", False, "sent a chunk of 12 values, expected 11"),
+            ("level_0", False, f"sent a bad ciphertext: header gives {header_form(0, 30, 11)}; {FRESH}"),
+            ("half_scale", False, f"sent a bad ciphertext: header gives {header_form(1, 29, 11)}; {FRESH}"),
+            ("fill", False, f"sent a bad ciphertext: header gives {header_form(1, 30, 12)}; {FRESH}"),
             ("private_a", False, "sent a c1 that is not its public a"),
             ("dp_truncated_codes", False, "sent a bad body: body truncated"),
             ("dp_padding_bits", False, "sent a bad body: nonzero padding bits after the last value's code"),
@@ -1092,7 +1139,7 @@ class TestCoordinatorState:
     def test_he_coordinator_builds_no_key(self, monkeypatch):
         cfg = sim_config("privacy.mode=he", "rounds=1", "timeout_seconds=5", *HE_OVERRIDES)
         names = cfg.site_names()
-        pipelines = [HePipeline(cfg.he, cfg.seed, name, names) for name in names]
+        pipelines = [HePipeline(cfg.he, cfg.seed, name, names, 11) for name in names]
 
         def no_keygen(*args):
             raise AssertionError("the coordinator derived a key")
@@ -1101,7 +1148,7 @@ class TestCoordinatorState:
         monkeypatch.setattr(ckks, "keygen", no_keygen)
         server, client_ends = sim_coordinator(cfg)
         for i, (pipe, client_end) in enumerate(zip(pipelines, client_ends)):
-            blobs = pipe.client_encode(np.full(11, float(i)), 1, np.random.default_rng(i))
+            blobs = pipe.client_encode(np.full(11, float(i)), 0, np.random.default_rng(i))
             client_end.send(chunks_update_frame(*blobs))
             client_end.send(round_done_frame(1, np.zeros(11)))
         report = server.run()
@@ -1112,8 +1159,7 @@ class TestCoordinatorState:
             final = tr.decode_broadcast(client_end.recv().body, encrypted=True)
             assert final.final
             assert final.weight_sum == 4.0
-            pipe.round, pipe.weight_sum = 1, final.weight_sum
-            out, _ = pipe.client_decode(final.payload, 11)
+            out, _ = pipe.client_decode(final, 1)
             assert np.abs(out - 1.5).max() < 1e-3  # the mean of 0, 1, 2, 3
 
     def test_he_final_without_parameters_aborts_run(self):
@@ -1287,8 +1333,9 @@ class TestTcpCoordinator:
         assert nontiming_view(over_tcp.to_dict()) == nontiming_view(run_simulation(cfg).to_dict())
 
     def test_refused_connections_do_not_stop_the_coordinator(self, monkeypatch):
-        # a port probe that connects and hangs up, then a JOIN with a wrong
-        # token: each is closed and the four sites still run to the end
+        # a port probe that connects and hangs up, a JOIN with a wrong token,
+        # then a first frame other than JOIN: each is closed and the four
+        # sites still run to the end
         cfg = sim_config("rounds=1", "timeout_seconds=10")
         datasets = build_site_datasets(cfg)
         thread, port, result = self.coordinate_in_thread(cfg, monkeypatch)
@@ -1304,6 +1351,14 @@ class TestTcpCoordinator:
                 intruder.recv(timeout=10)
         finally:
             intruder.close()
+        talker = tr.open_tcp_channel("127.0.0.1", port)
+        try:
+            talker.send(update_frame())
+            assert tr.decode_error(talker.recv(timeout=10).body) == "expected JOIN"
+            with pytest.raises(tr.ChannelClosed):
+                talker.recv(timeout=10)
+        finally:
+            talker.close()
 
         def serve(name):
             channel = tr.open_tcp_channel("127.0.0.1", port)
@@ -1324,6 +1379,7 @@ class TestTcpCoordinator:
         assert refused == [
             "ChannelClosed: peer closed the channel",
             f"AuthError: client {cfg.site_names()[0]!r} presented a bad token",
+            "ProtocolError: client spoke before joining",
         ]
         joined = [who for _, kind, who in report.event_log if kind == "join"]
         assert sorted(joined) == sorted(cfg.site_names())

@@ -750,51 +750,54 @@ class TestOneComponent:
         assert decode(decrypt(rejoined, keys)).tobytes() == decode(decrypt(full, keys)).tobytes()
 
     def test_serialized_subring_c0_reads_back_at_its_width(self, keys):
-        # a row reads back only as a row, and a whole c0, which no party
-        # sends, reads back as neither wire form
+        # a row a level below fresh, the aggregate's form, reads back only
+        # as a row; a whole c0 and a fresh-level row, which no party sends,
+        # read back as neither wire form
         ct = encrypt(encode(np.ones(11), TEST_PARAMS), keys, np.random.default_rng(74))
-        c0 = c0_row(ct)
+        c0 = c0_row(mul_scalar_rescale(ct, 1.0))
         blob = serialize_ct(c0)
-        assert len(blob) == 15 + 2 * 11 * 8  # two rows of 11 columns at fresh level 1
-        back = deserialize_ct(blob, TEST_PARAMS, row=True)
+        assert len(blob) == 15 + 11 * 8  # one row of 11 columns at level 0
+        back = deserialize_ct(blob, TEST_PARAMS, 11, row=True)
         assert np.array_equal(back.comps, c0.comps)
         with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(blob, TEST_PARAMS)
+            deserialize_ct(blob, TEST_PARAMS, 11)
         whole_c0 = serialize_ct(ct)[: 15 + ct.c0.nbytes]
         for row in (False, True):
             with pytest.raises(DecodeError, match="expected"):
-                deserialize_ct(whole_c0, TEST_PARAMS, row=row)
-        with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(serialize_ct(ct), TEST_PARAMS, row=True)
+                deserialize_ct(whole_c0, TEST_PARAMS, 11, row=row)
+        for fresh in (ct, c0_row(ct)):
+            with pytest.raises(DecodeError, match="level 1, .*; expected .*, level 0,"):
+                deserialize_ct(serialize_ct(fresh), TEST_PARAMS, 11, row=True)
         with pytest.raises(StateError, match="does not decrypt"):
             decrypt(c0, keys)
 
     @settings(max_examples=40, deadline=None)
     @given(
         fill=st.integers(1, TEST_PARAMS.slot_count),
-        rescale=st.booleans(),
         other=st.integers(0, TEST_PARAMS.slot_count),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_cut_c0_survives_the_wire(self, keys, fill, rescale, other, seed):
-        # encrypt, cut c0 to its value columns, serialize, read back,
-        # rejoin c1, decrypt and decode: the input comes back; the cut row
-        # is the header and fill residues per prime, and a header fill
-        # other than the row's length is refused
+    def test_cut_c0_survives_the_wire(self, keys, fill, other, seed):
+        # encrypt, rescale, cut c0 to its value columns, serialize, read
+        # back, rejoin c1, decrypt and decode: the input comes back; the
+        # cut row is the header and fill residues, and a header fill other
+        # than the reader's, or a row at the fresh level, is refused
         assume(other != fill)
         rng = np.random.default_rng(seed)
         v = rng.uniform(-1, 1, fill)
         ct = encrypt(encode(v, TEST_PARAMS), keys, rng)
-        if rescale:
-            ct = mul_scalar_rescale(ct, 1.0)
+        with pytest.raises(DecodeError, match="expected"):
+            deserialize_ct(serialize_ct(c0_row(ct)), TEST_PARAMS, fill, row=True)
+        ct = mul_scalar_rescale(ct, 1.0)
         blob = serialize_ct(c0_row(ct))
-        assert len(blob) == 15 + 8 * fill * (ct.level + 1)
-        c0 = deserialize_ct(blob, TEST_PARAMS, row=True)
+        assert len(blob) == 15 + 8 * fill
+        c0 = deserialize_ct(blob, TEST_PARAMS, fill, row=True)
         out = decode(decrypt(with_c1(c0, dataclasses.replace(ct, comps=ct.comps[1:])), keys))
         assert np.abs(out - v).max() < 1e-6
         relabelled = blob[:11] + struct.pack("<I", other) + blob[15:]
-        with pytest.raises(DecodeError, match="expected"):
-            deserialize_ct(relabelled, TEST_PARAMS, row=True)
+        for expected_fill in (fill, other):
+            with pytest.raises(DecodeError, match="expected"):
+                deserialize_ct(relabelled, TEST_PARAMS, expected_fill, row=True)
 
 
 class TestMulScalarRescale:
@@ -927,7 +930,7 @@ class TestSerialization:
             keys,
             np.random.default_rng(26),
         )
-        back = deserialize_ct(serialize_ct(ct), TEST_PARAMS)
+        back = deserialize_ct(serialize_ct(ct), TEST_PARAMS, 40)
         assert np.array_equal(back.c0, ct.c0)
         assert np.array_equal(back.c1, ct.c1)
         assert (back.level, back.scale, back.slot_fill) == (ct.level, ct.scale, ct.slot_fill)
@@ -947,23 +950,23 @@ class TestSerialization:
         ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(28))
         blob = serialize_ct(ct)
         with pytest.raises(DecodeError):
-            deserialize_ct(blob[:-8], TEST_PARAMS)
+            deserialize_ct(blob[:-8], TEST_PARAMS, 1)
         with pytest.raises(DecodeError):
-            deserialize_ct(blob[:10], TEST_PARAMS)
+            deserialize_ct(blob[:10], TEST_PARAMS, 1)
 
     def test_ntt_form_header_rejected(self, keys):
         # the header hash before ciphertexts moved to coefficient form
         ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(29))
         text = repr((TEST_PARAMS.poly_degree, TEST_PARAMS.modulus_bits, TEST_PARAMS.scale_log2))
         blob = hashlib.sha256(text.encode()).digest()[:8] + serialize_ct(ct)[8:]
-        with pytest.raises(DecodeError, match="parameter hash mismatch"):
-            deserialize_ct(blob, TEST_PARAMS)
+        with pytest.raises(DecodeError, match=f"header gives params {blob[:8].hex()}, "):
+            deserialize_ct(blob, TEST_PARAMS, 1)
 
     def test_wrong_params_hash_rejected(self, keys):
         ct = encrypt(encode([1.0], TEST_PARAMS), keys, np.random.default_rng(29))
         other = CkksParams(512, (40, 30, 30), 30)
         with pytest.raises(DecodeError):
-            deserialize_ct(serialize_ct(ct), other)
+            deserialize_ct(serialize_ct(ct), other, 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -974,8 +977,8 @@ class TestSerialization:
         blob = bytearray(serialize_ct(ct))
         offset, fmt = {"scale_log2": (9, "<H"), "slot_fill": (11, "<I")}[field]
         struct.pack_into(fmt, blob, offset, value)
-        with pytest.raises(DecodeError):
-            deserialize_ct(bytes(blob), TEST_PARAMS)
+        with pytest.raises(DecodeError, match="header gives"):
+            deserialize_ct(bytes(blob), TEST_PARAMS, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -994,13 +997,12 @@ class TestSerialization:
             blob[position] ^= mask
         blob = bytes(blob[:keep])
         try:
-            back = deserialize_ct(blob, TEST_PARAMS)
+            back = deserialize_ct(blob, TEST_PARAMS, 2)
         except DecodeError:
             return
         q = _context(TEST_PARAMS).level_fields[back.level].q
         assert np.all(back.comps < q)
-        assert back.slot_fill <= TEST_PARAMS.slot_count
-        assert 2.0 <= back.scale < float("inf")
+        assert (back.level, back.scale, back.slot_fill) == (TEST_PARAMS.fresh_level, TEST_PARAMS.scale, 2)
 
 
 class TestParamsValidation:

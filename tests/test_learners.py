@@ -169,6 +169,23 @@ class TestBlockedPrediction:
         assert trained == forward_calls == [(name, rows) for rows in [64] * 5 + [11]]
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", 0.0, "learning_rate must be positive"),
+            ("batch_size", 0, "batch_size must be positive"),
+            ("local_epochs", -1, "local_epochs must be nonnegative"),
+            ("l2_penalty", -1e-3, "l2_penalty must be nonnegative"),
+        ],
+        ids=["learning_rate", "batch_size", "local_epochs", "l2_penalty"],
+    )
+    def test_refuses_out_of_range(self, field, value, message):
+        settings = {"learning_rate": 0.1, "batch_size": 10, "local_epochs": 1, field: value}
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**settings)
+
+
 class TestTraining:
     def test_zero_epochs_is_noop(self):
         ds = toy_dataset()

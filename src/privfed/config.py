@@ -21,12 +21,12 @@ configuration for the selected model is used; mode "he" defaults to the
 full-scale CKKS parameters (degree 8192, [60, 40, 40], scale 2^40).  A partial
 dp or he block is merged onto those defaults, and a key that no block knows is
 rejected with its dotted name, as is a value of the wrong type (an integer
-setting given 2.5, any number given a bool, a string setting given a number)
-or outside its range or set (``RANGES``), a missing site entry, a
-``site_batch_sizes`` key that names no site, a dp or he block outside its
-mode, and an HE chain whose primes do not exist.  Sites are read from
-``<data.csv_dir>/<site>.csv`` when ``data.csv_dir`` is set and generated
-otherwise.
+setting given 2.5, any number given a bool, a string setting given a number),
+a number that is not finite, a value outside its range or set (``RANGES``),
+a missing site entry, a ``site_batch_sizes`` key that names no site, a dp or
+he block outside its mode, and an HE chain whose primes do not exist.  Sites
+are read from ``<data.csv_dir>/<site>.csv`` when ``data.csv_dir`` is set and
+generated otherwise.
 
 This schema is the only spelling ``load_config`` reads, and ``to_dict`` writes
 it back, less the token, as the config echo of every report; so a report's
@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -207,10 +208,12 @@ _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: (
 
 def _check(key: str, value, kind: type, test=lambda v: True, meaning: str = "") -> None:
     """Refuse ``value`` for ``key`` unless it is of ``kind`` (an int also
-    serves as a float, a bool as neither) and passes ``test``."""
+    serves as a float, a bool as neither), finite, and passes ``test``."""
     types, what = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     if not test(value):
         raise ConfigError(f"config key {key!r} must be {meaning}, got {value!r}")
 

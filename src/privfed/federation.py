@@ -28,7 +28,8 @@ Three privacy modes share the loop; each site applies its own mechanism:
   public (``public_a``), and a chunk's values lie in its first ``fill``
   coefficients, so the server broadcasts only the aggregate's c0 at those
   columns and its Σw; every client rebuilds the aggregate's c1 from
-  the sites' public ``a``s (``aggregate_c1``), decrypts, and applies the
+  the sites' public ``a``s (``aggregate_c1``, built once per process and
+  round by ``round_c1``), decrypts, and applies the
   update to its own copy of the global model.  The server never sees
   plaintext parameters after initialization.
 """
@@ -181,6 +182,23 @@ def aggregate_c1(
     level, scale = params.fresh_level, params.scale
     halves = [[Ciphertext(a[None], level, scale, 0, params) for a in rows] for rows in per_client_a]
     return _sum_and_rescale(halves, weight_sum)
+
+
+@functools.lru_cache(maxsize=2)
+def round_c1(
+    params: CkksParams, seed: int, round_index: int, sites: tuple[str, ...], n_chunks: int, weight_sum: float
+) -> tuple[Ciphertext, ...]:
+    """The aggregate's c1 of each chunk of round ``round_index``:
+    ``aggregate_c1`` of the sites' ``public_a`` rows and the Σw
+    ``weight_sum``, read-only.  It depends on no key and is the same for
+    every site, so a process builds it once per round, however many sites it
+    hosts: in a four-site simulation only the first site to decode a round
+    pays for the rebuild in its ``privacy_seconds``, and sites 2–4 do not."""
+    per_site_a = public_a(params, seed, round_index, sites, n_chunks)
+    c1s = tuple(aggregate_c1(params, per_site_a, weight_sum))
+    for ct in c1s:
+        ct.comps.flags.writeable = False
+    return c1s
 
 
 def aggregate_serialized(
@@ -486,8 +504,8 @@ class HePipeline:
     def client_decode(self, body: tr.BroadcastBody, round_index: int) -> tuple[np.ndarray, float]:
         """The aggregate of round ``round_index`` - 1 from the broadcast
         ``body`` of round ``round_index``: its serialized c0 halves at their
-        value columns, whose c1 this site rebuilds from every site's
-        ``public_a`` and the Σw the body carries."""
+        value columns, whose c1 comes from every site's ``public_a`` and the
+        Σw the body carries (``round_c1``)."""
         t0 = time.monotonic()
         weight_sum, fills = body.weight_sum, self.fills
         if not (math.isfinite(weight_sum) and weight_sum > 0):
@@ -495,11 +513,8 @@ class HePipeline:
         if len(body.payload) != len(fills):
             raise LayoutError(f"the aggregate has {len(body.payload)} chunks, expected {len(fills)}")
         c0s = [deserialize_ct(blob, self.params, fill, row=True) for blob, fill in zip(body.payload, fills)]
-        per_site_a = public_a(self.params, self.master_seed, round_index - 1, self.sites, len(fills))
-        chunks = [
-            he_decode(he_decrypt(with_c1(c0, c1), self.keys))
-            for c0, c1 in zip(c0s, aggregate_c1(self.params, per_site_a, weight_sum))
-        ]
+        c1s = round_c1(self.params, self.master_seed, round_index - 1, self.sites, len(fills), weight_sum)
+        chunks = [he_decode(he_decrypt(with_c1(c0, c1), self.keys)) for c0, c1 in zip(c0s, c1s)]
         flat = check_finite(unpack_update(chunks, sum(fills)), "decrypted aggregate")
         return flat, time.monotonic() - t0
 

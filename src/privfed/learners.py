@@ -29,8 +29,13 @@ its work arrays once per call, sized by min(n, batch_size, BLOCK_ROWS) rows;
 a minibatch block is written from the store into them, and a full-batch run
 adds one column-major float64 copy of the features, so both BLAS products
 read contiguous feature columns.  The NN forward keeps activations
-hidden-major, ``(5, rows)``, so both matmuls go to BLAS and the layer-norm
-reductions over the 5 hidden units are row-wise adds.  Prediction
+hidden-major, ``(5, rows)``, so both matmuls go to BLAS and each layer-norm
+reduction over the 5 hidden units is one ``np.add.reduce`` over axis 0,
+which adds the rows in order.  A step runs only ufuncs and matmuls into
+prepared arrays: the ``Workspace`` binds the tensor views of θ and of the
+gradient once per vector (``train_local`` updates θ in place, so one binding
+serves all its steps) and each block size's rows and ``(5, m)`` arrays once
+per size, so a warm step allocates nothing that grows with its rows.  Prediction
 (``predict_batch``) runs the same forward over the same row blocks, written
 from a dataset into one reused buffer or sliced from a feature matrix.
 """
@@ -139,39 +144,68 @@ class Workspace:
     ``grad`` receives the gradient in θ's layout.  When ``rows`` spans
     several blocks, ``part`` receives a later block's share of it.  With
     ``gather``, ``x`` and ``y`` hold a block gathered from a batch given by
-    row indices.  A block of m rows uses the leading part of each buffer,
-    reshaped, so every view is contiguous.  Buffers a batch does not need
-    are not made.
+    row indices.  Buffers a batch does not need are not made.
+
+    Views are made once and reused: a vector's tensor views (``bind``) once
+    per vector, held with it, and a block size's rows and ``(5, m)`` arrays
+    (``block``) once per size, each the leading part of a buffer, so every
+    view is contiguous and a step only runs ufuncs into them.
     """
 
     def __init__(self, kind: ModelKind, rows: int, gather: bool = False):
         kind = ModelKind(kind)
+        self.kind = kind
         self.grad = np.empty(N_PARAMS[kind])
         self.part = np.empty(N_PARAMS[kind]) if rows > BLOCK_ROWS else None
         rows = min(rows, BLOCK_ROWS)
         self.x = np.empty((rows, N_FEATURES)) if gather else None
         self.y = np.empty(rows) if gather else None
         self._vec = np.empty((6, rows))
-        hidden = N_HIDDEN * rows if kind is ModelKind.FEEDFORWARD_NN else 0
+        nn = kind is ModelKind.FEEDFORWARD_NN
+        hidden = N_HIDDEN * rows if nn else 0
         self._act = np.empty((2, hidden))
         self._live = np.empty(hidden, dtype=bool)
+        # the NN's per-unit scratch: a = out_w * ln_gain, a - mean(a) and
+        # the same as a column, normed @ d, a term of out_w's gradient, and
+        # l2 * hidden_w
+        if nn:
+            a, centred, normed_d, term = np.empty((4, N_HIDDEN))
+            self.units = (a, centred, centred[:, None], normed_d, term, np.empty((N_HIDDEN, N_FEATURES)))
+        self._bound = {}  # id(vector) -> (vector, its tensor views)
+        self._blocks = {}  # rows -> that block size's views
 
-    def vectors(self, m: int) -> np.ndarray:
-        """Six scratch rows of length m."""
-        return self._vec[:, :m]
+    def bind(self, vec: np.ndarray) -> tuple:
+        """``vec``'s tensors in its kind's layout, as views of it (an NN's
+        ``hidden_w`` as ``(5, 10)``), made on the first call for ``vec``."""
+        entry = self._bound.get(id(vec))
+        if entry is None:
+            if len(self._bound) >= 4:  # θ, grad and part are the usual three
+                self._bound.clear()
+            views = [vec[s] for s in SLICES[self.kind].values()]
+            if self.kind is ModelKind.FEEDFORWARD_NN:
+                views[0] = views[0].reshape(N_HIDDEN, N_FEATURES)
+            # the entry holds vec, so no other vector can take its id
+            entry = self._bound[id(vec)] = (vec, tuple(views))
+        return entry[1]
 
-    def hidden(self, m: int):
-        """Two float ``(5, m)`` arrays and one boolean ``(5, m)`` array."""
-        size = N_HIDDEN * m
-        shape = (N_HIDDEN, m)
-        return (
-            self._act[0, :size].reshape(shape),
-            self._act[1, :size].reshape(shape),
-            self._live[:size].reshape(shape),
-        )
+    def block(self, m: int) -> tuple:
+        """A block of m rows' views: six scratch rows of length m, then (NN
+        only) two float ``(5, m)`` arrays and one boolean ``(5, m)`` array."""
+        views = self._blocks.get(m)
+        if views is None:
+            views = (tuple(self._vec[:, :m]),)
+            if self.kind is ModelKind.FEEDFORWARD_NN:
+                size, shape = N_HIDDEN * m, (N_HIDDEN, m)
+                views += (
+                    self._act[0, :size].reshape(shape),
+                    self._act[1, :size].reshape(shape),
+                    self._live[:size].reshape(shape),
+                )
+            self._blocks[m] = views
+        return views
 
 
-def _bce_head(z: np.ndarray, y: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
+def _bce_head(z: np.ndarray, y: np.ndarray, n: int, vec) -> np.ndarray:
     """dloss/dz = (sigmoid(z) - y) / n of the mean BCE over an n-row batch,
     for a block's logits ``z``, from e = exp(-|z|): sigmoid(z) =
     exp(min(z, 0)) / (1 + e), which is 1/(1+e) for z >= 0 and e/(1+e)
@@ -190,98 +224,98 @@ def _bce_head(z: np.ndarray, y: np.ndarray, n: int, vec: np.ndarray) -> np.ndarr
     return d
 
 
-# A forward writes a row block's logits into ``vec[3]`` of ``work`` and
-# returns them.  A kernel runs its kind's forward on the block, then writes
-# into g the gradient of the block's share of the mean BCE over an n-row
-# batch, plus l2 times the penalized weights.
+# A forward writes a row block's logits into ``vec[3]`` of its
+# ``work.block`` and returns them.  A kernel runs its kind's forward on the
+# block, then writes into g the gradient of the block's share of the mean BCE
+# over an n-row batch, plus l2 times the penalized weights.
 
 
 def _lr_forward(theta, x, work) -> np.ndarray:
-    s = SLICES[ModelKind.LOGISTIC_REGRESSION]
-    z = work.vectors(x.shape[0])[3]
-    np.matmul(x, theta[s["coef"]], out=z)
-    z += theta[s["intercept"]][0]
+    coef, intercept = work.bind(theta)
+    z = work.block(x.shape[0])[0][3]
+    np.matmul(x, coef, out=z)
+    z += intercept[0]
     return z
 
 
 def _lr_kernel(theta, x, y, n, l2, g, work) -> None:
-    s = SLICES[ModelKind.LOGISTIC_REGRESSION]
-    coef = theta[s["coef"]]
+    coef, _ = work.bind(theta)
+    g_coef, g_intercept = work.bind(g)
     z = _lr_forward(theta, x, work)
-    d = _bce_head(z, y, n, work.vectors(x.shape[0]))
-    np.matmul(d, x, out=g[s["coef"]])
-    g[s["coef"]] += l2 * coef
-    g[s["intercept"]] = d.sum()
+    d = _bce_head(z, y, n, work.block(x.shape[0])[0])
+    np.matmul(d, x, out=g_coef)
+    g_coef += l2 * coef
+    g_intercept[0] = d.sum()
 
 
 def _nn_forward(theta, x, work) -> np.ndarray:
     """Also leaves, for the kernel's backward, the normalized activations
-    and the ReLU mask in ``work.hidden(m)[0]`` and ``[2]``, the per-row
-    inverse std in ``vec[4]`` and u = (out_w * ln_gain) @ normed in
-    ``vec[5]``."""
-    s = SLICES[ModelKind.FEEDFORWARD_NN]
-    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
-    out_w = theta[s["out_w"]]
-    m = x.shape[0]
-    act, tmp, live = work.hidden(m)
-    vec = work.vectors(m)
+    and the ReLU mask in ``work.block(m)[1]`` and ``[3]``, the per-row
+    inverse std in ``vec[4]``, u = a @ normed in ``vec[5]`` and
+    a = out_w * ln_gain in ``work.units[0]``."""
+    w, gain, bias, out_w, out_b = work.bind(theta)
+    vec, act, tmp, live = work.block(x.shape[0])
     z, stat, u = vec[3], vec[4], vec[5]
+    a = work.units[0]
 
     np.matmul(w, x.T, out=act)  # pre-activations
     np.maximum(act, 0.0, out=act)
     np.greater(act, 0.0, out=live)
-    # layer norm over the hidden units (biased variance), as row-wise adds
-    np.add(act[0], act[1], out=stat)
-    for h in range(2, N_HIDDEN):
-        stat += act[h]
+    # layer norm over the hidden units (biased variance): reductions over
+    # axis 0 add the rows in order, act[0] + act[1] + ... + act[4]
+    np.add.reduce(act, axis=0, out=stat)
     stat /= N_HIDDEN
     act -= stat  # centred
     np.multiply(act, act, out=tmp)
-    np.add(tmp[0], tmp[1], out=stat)
-    for h in range(2, N_HIDDEN):
-        stat += tmp[h]
+    np.add.reduce(tmp, axis=0, out=stat)
     stat /= N_HIDDEN
     stat += LN_EPS
     np.sqrt(stat, out=stat)
     np.divide(1.0, stat, out=stat)  # inv_std
     act *= stat  # normed
     # logit = sum_h out_w*(gain*normed + bias) + out_b = a @ normed + c0
-    np.matmul(out_w * theta[s["ln_gain"]], act, out=u)
-    np.add(u, float(out_w @ theta[s["ln_bias"]]) + theta[s["out_b"]][0], out=z)
+    np.multiply(out_w, gain, out=a)
+    np.matmul(a, act, out=u)
+    np.add(u, float(out_w @ bias) + out_b[0], out=z)
     return z
 
 
 def _nn_kernel(theta, x, y, n, l2, g, work) -> None:
-    s = SLICES[ModelKind.FEEDFORWARD_NN]
-    w = theta[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
-    gain = theta[s["ln_gain"]]
-    bias = theta[s["ln_bias"]]
-    out_w = theta[s["out_w"]]
+    w, gain, bias, out_w, _ = work.bind(theta)
+    g_w, g_gain, g_bias, g_out_w, g_out_b = work.bind(g)
     z = _nn_forward(theta, x, work)
-    m = x.shape[0]
-    act, tmp, live = work.hidden(m)
-    vec = work.vectors(m)
+    vec, act, tmp, live = work.block(x.shape[0])
     stat, u = vec[4], vec[5]
+    a, centred, centred_col, normed_d, term, l2_w = work.units
     d = _bce_head(z, y, n, vec)
 
     sum_d = d.sum()
-    normed_d = act @ d
-    g[s["out_b"]] = sum_d
-    np.multiply(out_w, normed_d, out=g[s["ln_gain"]])
-    np.multiply(out_w, sum_d, out=g[s["ln_bias"]])
-    g[s["out_w"]] = gain * normed_d + bias * sum_d + l2 * out_w
-    # layer-norm backward with dnormed = d*a, a = out_w*gain: per row,
-    # dhidden = inv_std*d * ((a - mean(a)) - normed * (a @ normed)/5)
-    a = out_w * gain
+    np.matmul(act, d, out=normed_d)
+    g_out_b[0] = sum_d
+    np.multiply(out_w, normed_d, out=g_gain)
+    np.multiply(out_w, sum_d, out=g_bias)
+    # out_w's gradient: gain * normed_d + bias * sum_d + l2 * out_w
+    np.multiply(gain, normed_d, out=g_out_w)
+    np.multiply(bias, sum_d, out=term)
+    g_out_w += term
+    np.multiply(l2, out_w, out=term)
+    g_out_w += term
+    # layer-norm backward with dnormed = d*a: per row,
+    # dhidden = inv_std*d * ((a - mean(a)) - normed * (a @ normed)/5),
+    # written over the normed activations, which nothing reads after it
+    np.subtract(a, a.sum() / N_HIDDEN, out=centred)  # a.sum() / 5 is a.mean(), bit for bit
     u /= N_HIDDEN
-    np.multiply(act, u, out=tmp)
-    np.subtract((a - a.mean())[:, None], tmp, out=tmp)
+    act *= u
+    np.subtract(centred_col, act, out=act)
     stat *= d
-    tmp *= stat
-    tmp *= live  # ReLU
-    gw = g[s["hidden_w"]].reshape(N_HIDDEN, N_FEATURES)
-    np.matmul(tmp, x, out=gw)
-    gw += l2 * w
+    act *= stat
+    # ReLU, by the mask as 0.0 and 1.0: a product of a float and a boolean
+    # array would cast through a buffer numpy allocates on every call
+    np.copyto(tmp, live)
+    act *= tmp
+    np.matmul(act, x, out=g_w)
+    np.multiply(l2, w, out=l2_w)
+    g_w += l2_w
 
 
 _KERNELS = {ModelKind.LOGISTIC_REGRESSION: _lr_kernel, ModelKind.FEEDFORWARD_NN: _nn_kernel}
@@ -296,7 +330,7 @@ def _loss_sum(y, work) -> float:
     """The summed BCE of the block a kernel just ran on, from the logits it
     left in ``vec[3]`` and e = exp(-|z|) in ``vec[0]``, with
     softplus(z) - y*z = max(z, 0) + log1p(e) - y*z."""
-    vec = work.vectors(y.shape[0])
+    vec = work.block(y.shape[0])[0]
     e, t, z = vec[0], vec[1], vec[3]
     np.log1p(e, out=t)
     loss_sum = float(t.sum())

@@ -42,12 +42,25 @@ def auc(scores, labels) -> float:
 
 
 def _auc(scores, labels, n_pos, n_neg) -> float:
-    order = np.argsort(scores, kind="mergesort")
+    n = scores.size
+    order = np.argsort(scores)
     sorted_scores = scores[order]
-    # runs of equal sorted scores span [i, j]; each gets the 1-based midrank
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], scores.size] - 1
-    ranks = np.empty(scores.size, dtype=np.float64)
+    # The default sort is not stable.  Ties do not see that, as they share
+    # one midrank, but a NaN equals nothing and is a run of its own, so the
+    # NaNs, sorted last, are put back in index order, as a stable sort
+    # leaves them.
+    first_nan = int(np.searchsorted(sorted_scores, np.nan))
+    if first_nan < n - 1:
+        order[first_nan:] = np.flatnonzero(np.isnan(scores))
+    # runs of equal sorted scores span [start, end]; each gets the 1-based midrank
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = n - 1
+    ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0

@@ -111,6 +111,10 @@ REFUSED_AT_LOAD = {
     "site_batch_sizes_list": (["site_batch_sizes=[1]"], "site_batch_sizes"),
     "dp_examples_weighting": ([*DP, "weighting=examples"], "weighting"),
     "site_listed_twice": ([f"data.sites={json.dumps([SITE, SITE])}"], "data.sites"),
+    "learning_rate_inf": (["learning_rate=Infinity"], "learning_rate"),
+    "l2_penalty_inf": (["l2_penalty=Infinity"], "l2_penalty"),
+    "timeout_seconds_inf": (["timeout_seconds=Infinity"], "timeout_seconds"),
+    "dp_epsilon_inf": ([*DP, "privacy.dp.epsilon=Infinity"], "privacy.dp.epsilon"),
 }
 
 

@@ -178,6 +178,18 @@ class TestC0Broadcast:
                 assert not a.flags.writeable  # every party in the process shares it
         assert federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2) is rows
 
+    def test_round_c1_is_built_once_per_round_and_equals_aggregate_c1(self):
+        c1s = federation.round_c1(TEST_PARAMS, 11, 3, tuple(SITES), 2, 4.0)
+        fresh = aggregate_c1(TEST_PARAMS, federation.public_a(TEST_PARAMS, 11, 3, tuple(SITES), 2), 4.0)
+        assert len(c1s) == len(fresh) == 2
+        for got, want in zip(c1s, fresh):
+            assert (got.level, got.scale, got.slot_fill) == (want.level, want.scale, want.slot_fill)
+            assert got.comps.tobytes() == want.comps.tobytes()
+            assert not got.comps.flags.writeable  # every site in the process shares it
+        assert federation.round_c1(TEST_PARAMS, 11, 3, tuple(SITES), 2, 4.0) is c1s
+        other = federation.round_c1(TEST_PARAMS, 11, 3, tuple(SITES), 2, 3.0)
+        assert other[0].comps.tobytes() != c1s[0].comps.tobytes()
+
     @pytest.mark.parametrize(
         "params, length",
         [

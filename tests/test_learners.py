@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,78 @@ class TestKernelsMatchOracle:
             _, want_grad = loss_and_grad(kind, params, x, y, 1e-4)
             _, grad = loss_and_grad(kind, params, x, y, 1e-4, work)
             assert np.array_equal(grad, want_grad)
+
+
+class TestWorkspaceBinding:
+    """A Workspace binds each vector's tensor views and each block size's
+    views once; reusing it must give what a fresh one gives, bit for bit."""
+
+    @staticmethod
+    def batch(rng, n):
+        return np.asfortranarray(rng.normal(size=(n, 10))), rng.integers(0, 2, n).astype(np.float64)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_second_theta_vector(self, kind):
+        rng = np.random.default_rng(21)
+        x, y = self.batch(rng, 200)
+        work = Workspace(kind, 200)
+        for seed in (1, 2):
+            theta = random_params(kind, rng, seed)
+            _, grad = loss_and_grad(kind, theta, x, y, 1e-3, work)
+            _, want = loss_and_grad(kind, theta, x, y, 1e-3, Workspace(kind, 200))
+            assert grad.tobytes() == want.tobytes()
+        # θ updated in place, as train_local updates it, is read afresh
+        theta -= 0.1 * grad
+        _, grad = loss_and_grad(kind, theta, x, y, 1e-3, work)
+        _, want = loss_and_grad(kind, theta, x, y, 1e-3, Workspace(kind, 200))
+        assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_grad_and_part_swapped(self, kind, monkeypatch):
+        # 150 rows in 64-row blocks, so the later blocks write ``part``
+        monkeypatch.setattr(learners, "BLOCK_ROWS", 64)
+        rng = np.random.default_rng(22)
+        x, y = self.batch(rng, 150)
+        theta = random_params(kind, rng, 3)
+        work = Workspace(kind, 150)
+        loss_and_grad(kind, theta, x, y, 1e-3, work)
+        work.grad, work.part = work.part, work.grad
+        _, grad = loss_and_grad(kind, theta, x, y, 1e-3, work)
+        _, want = loss_and_grad(kind, theta, x, y, 1e-3, Workspace(kind, 150))
+        assert grad is work.grad
+        assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_two_block_sizes(self, kind):
+        rng = np.random.default_rng(23)
+        theta = random_params(kind, rng, 4)
+        work = Workspace(kind, 300)
+        for n in (300, 77, 300, 77):
+            x, y = self.batch(rng, n)
+            _, grad = loss_and_grad(kind, theta, x, y, 1e-3, work)
+            _, want = loss_and_grad(kind, theta, x, y, 1e-3, Workspace(kind, n))
+            assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_warm_step_allocates_nothing_row_sized(self, kind):
+        # The same bound holds at 64 and at 6,688 rows, where one float64
+        # temporary of a block's length takes 53,504 B; it leaves room for
+        # small objects and for the buffer numpy may give a short broadcast
+        # operand (5 x 64 values at 64 rows, none at 6,688).
+        bound = 16 * 1024
+        rng = np.random.default_rng(24)
+        theta = random_params(kind, rng, 5)
+        for n in (64, 6688):
+            x, y = self.batch(rng, n)
+            work = Workspace(kind, n)
+            loss_and_grad(kind, theta, x, y, 1e-3, work)  # binds θ, grad and the block size
+            tracemalloc.start()
+            try:
+                loss_and_grad(kind, theta, x, y, 1e-3, work)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (n, peak)
 
 
 class TestGradientCheck:

@@ -41,6 +41,19 @@ class TestAuc:
             labels[:2] = [0, 1]
             assert auc(scores, labels) == auc_midrank_oracle(scores, labels)
 
+    @pytest.mark.parametrize("n", [1000, 33000])
+    def test_tie_heavy_scores_bitwise_equal_to_midrank_loop(self, n):
+        # a few distinct scores in shuffled order, at sizes the default sort
+        # orders unstably, with and without NaNs
+        rng = np.random.default_rng(n)
+        for with_nan in (False, True):
+            scores = rng.permutation(np.repeat(rng.uniform(size=4), n // 4 + 1)[:n])
+            if with_nan:
+                scores[rng.uniform(size=n) < 0.05] = np.nan
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            assert auc(scores, labels) == auc_midrank_oracle(scores, labels)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=100)
